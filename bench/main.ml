@@ -44,14 +44,16 @@ module Metr = Elastic_metrics
 
 (* Run a design under both evaluation modes and record the settle cost:
    the [eval_reduction] field is the headline claim — node evaluations
-   per cycle saved by the levelized schedule over the blind fixpoint. *)
+   per cycle saved by the levelized schedule over the blind fixpoint.
+   The arena executes that schedule, so its record keeps the
+   ["levelized"] key. *)
 let engine_record ?(cycles = 400) net =
   let run mode =
     let eng = Elastic_sim.Engine.create ~monitor:false ~mode net in
     Elastic_sim.Engine.run eng cycles;
     eng
   in
-  let lv = run Elastic_sim.Engine.Levelized in
+  let lv = run Elastic_sim.Engine.Arena in
   let rf = run Elastic_sim.Engine.Reference in
   let prof eng =
     let p = Elastic_sim.Engine.profile eng in
@@ -846,8 +848,8 @@ let bechamel_suite () =
 (* --json: machine-readable trajectory records, one BENCH_E<k>.json per *)
 (* experiment, written to the current directory.  Each record carries   *)
 (* the experiment's headline numbers plus an [engine] block comparing   *)
-(* the levelized scheduler against the reference fixpoint on that       *)
-(* experiment's main design.  Schema: EXPERIMENTS.md.                   *)
+(* the arena's levelized schedule against the reference fixpoint on     *)
+(* that experiment's main design.  Schema: EXPERIMENTS.md.              *)
 
 (* quick and full sweeps produce different numbers; stamping the mode
    into the record makes a baseline/run mismatch fail the gate with a
@@ -1039,12 +1041,12 @@ let json_e6 ~n ~pcts ?artifact () =
      @ [ metrics_record ~artifact:"METRICS_E6" ~cycles:(2 * n)
            dp.Examples.d_net ])
 
-(* E9: arena backend speedup.  Both backends run the same levelized    *)
-(* schedule, so everything observable (sink streams, eval counts) must *)
-(* agree; the arena's flat preallocated state buys the wall-clock      *)
-(* ratio recorded here.  Timing fields carry the [_seconds] /          *)
-(* [_per_second] / [_speedup] suffixes the gate skips; the committed   *)
-(* baseline is backend- and machine-independent.                       *)
+(* E9: arena backend speedup over the reference fixpoint.  Both       *)
+(* backends reach the same unique fixed point, so the sink streams and *)
+(* the final register state must agree (eval counts differ by design:  *)
+(* that is the levelized schedule's saving).  Timing fields carry the  *)
+(* [_seconds] / [_per_second] / [_speedup] suffixes the gate skips;    *)
+(* the committed baseline is backend- and machine-independent.         *)
 
 let json_e9 ~cycles () =
   let measure mode net =
@@ -1064,32 +1066,35 @@ let json_e9 ~cycles () =
     (Option.get !keep, !best)
   in
   let design name (d : Examples.design) =
-    let lv, tl = measure Elastic_sim.Engine.Levelized d.Examples.d_net in
+    let rf, tr = measure Elastic_sim.Engine.Reference d.Examples.d_net in
     let ar, ta = measure Elastic_sim.Engine.Arena d.Examples.d_net in
     let stream eng =
       Transfer.values (Elastic_sim.Engine.sink_stream eng d.Examples.d_sink)
     in
-    let evals eng =
-      Elastic_sim.Profile.evals (Elastic_sim.Engine.profile eng)
-    in
     let matches =
-      List.equal Value.equal (stream lv) (stream ar)
-      && evals lv = evals ar
+      List.equal Value.equal (stream rf) (stream ar)
+      && String.equal
+           (Elastic_sim.Engine.state_key rf)
+           (Elastic_sim.Engine.state_key ar)
     in
-    let speedup = tl /. ta in
+    let speedup = tr /. ta in
     Json.Obj
       [ ("design", Json.Str name);
         ("cycles", Json.Int cycles);
-        ("levelized_settle_seconds", Json.Float tl);
+        ("reference_settle_seconds", Json.Float tr);
         ("arena_settle_seconds", Json.Float ta);
-        ("levelized_cycles_per_second", Json.Float (float_of_int cycles /. tl));
+        ("reference_cycles_per_second", Json.Float (float_of_int cycles /. tr));
         ("arena_cycles_per_second", Json.Float (float_of_int cycles /. ta));
         ("arena_speedup", Json.Float speedup);
-        ("arena_matches_levelized", Json.Bool matches);
-        (* Conservative floor for the --check gate: measured speedups on
-           the speculative designs sit around 5x; anything under 3x means
-           the arena hot path regressed, not that the machine was busy. *)
-        ("speedup_ok", Json.Bool (speedup >= 3.0)) ]
+        ("arena_matches_reference", Json.Bool matches);
+        (* Floor for the --check gate: the arena once had to beat the
+           record-based levelized scheduler by 3x, and the reference
+           fixpoint settled 2-3x slower than that scheduler (E9's own
+           best-of-5 measurement), so 3 x 2 = 6x over the reference
+           keeps the old floor at the low end of that ratio.  Measured
+           speedups sit around 7.5-12.5x; anything under 6x means the
+           arena hot path regressed, not that the machine was busy. *)
+        ("speedup_ok", Json.Bool (speedup >= 6.0)) ]
   in
   let n = cycles / 2 in
   let e5 = Examples.vl_speculative ~ops:(Alu.operands ~error_rate_pct:5 ~seed:42 n) in
@@ -1261,7 +1266,7 @@ let claim_checks fail path j =
         pts
     | _ -> fail path "points" "missing"
   end;
-  (* E9: the arena backend must agree with the levelized interpreter on
+  (* E9: the arena backend must agree with the reference fixpoint on
      everything observable and must actually be faster — a speedup under
      the (deliberately conservative) floor means the flat hot path
      regressed. *)
@@ -1270,18 +1275,18 @@ let claim_checks fail path j =
     | Some (Json.List ds) ->
       List.iteri
         (fun i d ->
-           (match Json.member "arena_matches_levelized" d with
+           (match Json.member "arena_matches_reference" d with
             | Some (Json.Bool true) -> ()
             | _ ->
               fail path
-                (Fmt.str "designs[%d].arena_matches_levelized" i)
-                "arena run diverged from the levelized run");
+                (Fmt.str "designs[%d].arena_matches_reference" i)
+                "arena run diverged from the reference run");
            match Json.member "speedup_ok" d with
            | Some (Json.Bool true) -> ()
            | _ ->
              fail path
                (Fmt.str "designs[%d].speedup_ok" i)
-               (Fmt.str "arena speedup below the 3x floor (%gx)"
+               (Fmt.str "arena speedup below the 6x floor (%gx)"
                   (match Json.member "arena_speedup" d with
                    | Some v -> flt v
                    | None -> nan)))

@@ -56,7 +56,7 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val clean : outcome -> bool
 
 (** [explore net] runs the exhaustive check.
-    @param mode engine evaluation strategy (default {!Engine.Levelized});
+    @param mode engine evaluation strategy (default {!Engine.default_mode});
     the outcome is identical either way — exposed for differential tests.
     @raise Invalid_argument when a single step has more nondeterministic
     combinations than the configured cap. *)

@@ -18,9 +18,8 @@ type session = {
   mutable pending_resume : Elastic_runner.Checkpoint.t option;
       (* Set by [runner resume] for the campaign command it re-executes;
          consumed by the next [campaign --par] run. *)
-  mutable eval_mode : Elastic_sim.Engine.eval_mode option;
-      (* [mode] command override for simulation engines; [None] defers
-         to the engine's default (the ELASTIC_EVAL_MODE environment). *)
+  mutable eval_mode : Elastic_sim.Engine.eval_mode;
+      (* Backend of simulation engines, picked by the [mode] command. *)
   mutable spans_capacity : int option;
       (* [Some per-worker ring capacity] while [spans on] is in effect:
          the next [campaign --par] records a span ledger. *)
@@ -36,7 +35,8 @@ type session = {
 let create () =
   { net = None; design = "netlist"; undo = []; redo = [];
     trace_capacity = None; tracer = None; on_error_continue = false;
-    pending_resume = None; eval_mode = None; spans_capacity = None;
+    pending_resume = None; eval_mode = Elastic_sim.Engine.default_mode;
+    spans_capacity = None;
     collector = None; telemetry = None }
 
 let current s = s.net
@@ -92,10 +92,8 @@ let help =
   watch [cycles] [every]   live dashboard: simulate and render a frame
                            every [every] cycles (throughput, prediction
                            accuracy, replay penalties, stalls, occupancy)
-  mode [levelized|reference|arena]
-                           show or pick the evaluation backend used by
-                           simulation commands (default: levelized, or
-                           the ELASTIC_EVAL_MODE environment variable)
+  mode [reference|arena]   show or pick the evaluation backend used by
+                           simulation commands (default: arena)
   cycletime                static cycle-time analysis
   area                     gate-equivalent area
   bound                    marked-graph throughput bound
@@ -298,7 +296,7 @@ let catch f =
    [trace on] is in effect a tracer rides along on the observer hook and
    is kept for [trace dump] and error reports. *)
 let sim_engine s net =
-  let eng = Elastic_sim.Engine.create ?mode:s.eval_mode net in
+  let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
   (match s.trace_capacity with
    | None -> ()
    | Some capacity ->
@@ -310,7 +308,7 @@ module Metr = Elastic_metrics
 (* Simulate [cycles] with a metrics sampler attached, composing with a
    tracer when [trace on] is in effect (single observer slot). *)
 let sampled_run s net ?window ?on_window cycles =
-  let eng = Elastic_sim.Engine.create ?mode:s.eval_mode net in
+  let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
   let sampler = Metr.Sampler.create ?window ?on_window eng in
   let tr =
     match s.trace_capacity with
@@ -713,24 +711,16 @@ let rec execute_cmd s line =
   | [] | "#" :: _ -> Ok ""
   | [ "help" ] -> Ok help
   | [ "mode" ] ->
-    let current =
-      match s.eval_mode with
-      | Some m -> Elastic_sim.Engine.mode_name m
-      | None ->
-        (* Mirror the default an engine created right now would pick. *)
-        Elastic_sim.Engine.mode_name
-          (Elastic_sim.Engine.mode (Elastic_sim.Engine.create Elastic_netlist.Netlist.empty))
-    in
-    Ok (Printf.sprintf "mode: %s" current)
+    Ok (Printf.sprintf "mode: %s" (Elastic_sim.Engine.mode_name s.eval_mode))
   | [ "mode"; name ] -> (
       match Elastic_sim.Engine.mode_of_string name with
       | Some m ->
-        s.eval_mode <- Some m;
+        s.eval_mode <- m;
         Ok (Printf.sprintf "mode set to %s" (Elastic_sim.Engine.mode_name m))
       | None ->
         Error
           (Printf.sprintf
-             "unknown mode %S (expected levelized, reference or arena)" name))
+             "unknown mode %S (expected reference or arena)" name))
   | [ "load"; name ] -> (
       match List.assoc_opt name designs with
       | Some mk ->
@@ -1011,7 +1001,7 @@ let rec execute_cmd s line =
                     (watch_frame net eng r.Metr.Sampler.r_samples
                        r.Metr.Sampler.r_cycle)
               in
-              let eng = Elastic_sim.Engine.create ?mode:s.eval_mode net in
+              let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
               eng_slot := Some eng;
               let sampler =
                 Metr.Sampler.create ~window:every ~on_window eng
@@ -1156,7 +1146,7 @@ let rec execute_cmd s line =
         | Error m -> Error m
         | Ok cycles ->
           catch (fun () ->
-              let eng = Elastic_sim.Engine.create ?mode:s.eval_mode net in
+              let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
               let rc = Elastic_trace.Vcd.create net in
               (* Compose the VCD recorder with a tracer when tracing is
                  on — the engine has a single observer slot. *)
@@ -1193,7 +1183,7 @@ let rec execute_cmd s line =
         | Error m -> Error m
         | Ok cycles ->
           catch (fun () ->
-              let eng = Elastic_sim.Engine.create ?mode:s.eval_mode net in
+              let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
               let tr = Elastic_trace.Tracer.attach eng in
               s.tracer <- Some tr;
               Elastic_sim.Engine.run eng cycles;

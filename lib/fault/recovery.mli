@@ -47,7 +47,7 @@ val pp_report : Format.formatter -> report -> unit
     and the fault counts as [Detected] when the predicate holds for more
     faulted-run values than reference-run values.
     @param mode engine evaluation strategy for both runs (default
-    {!Engine.Levelized}); exposed for differential tests.
+    {!Engine.default_mode}); exposed for differential tests.
     @param observer called once with the {e faulted} engine before the
     first cycle, so a tracer (e.g. [Elastic_trace.Tracer.attach]) can be
     installed and the injected fault's propagation recorded; the

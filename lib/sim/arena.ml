@@ -1,20 +1,21 @@
 (* Flat-arena evaluator for the combinational phase of a cycle.
 
-   The record engine ([Wires] + [Instance.eval]) walks per-channel
-   records of [bool option] fields and allocates options/arrays on the
-   hot settle path.  This module compiles the same levelized schedule
-   (PR 2) onto preallocated flat arrays: channel ids index packed
-   integer control words, node ids index flat port/instruction arrays,
-   and the settle loop is a tight int loop with no per-field closures
-   or record allocation.
+   The record representation ([Wires] + [Instance.eval]), which the
+   reference fixpoint runs on, walks per-channel records of
+   [bool option] fields and allocates options/arrays on the hot settle
+   path.  This module compiles the levelized schedule ([Schedule]) onto
+   preallocated flat arrays: channel ids index packed integer control
+   words, node ids index flat port/instruction arrays, and the settle
+   loop is a tight int loop with no per-field closures or record
+   allocation.
 
-   Correctness contract (enforced by the three-way differential suite):
-   the arena executes the *identical* algorithm as [settle_levelized] —
-   same evaluation order, same dirty-set propagation (written wires
-   walked most-recent-first, readers queued in array order), same
-   budgets — so eval counts, settle passes, traces and metrics are
-   byte-identical to [Levelized] mode.  Speedup comes from removing
-   allocation and indirection, not from evaluating less.
+   Correctness contract: the evaluation order, the dirty-set
+   propagation (written wires walked most-recent-first, readers queued
+   in array order) and the budgets are fixed, so eval counts, settle
+   passes, traces and metrics must stay byte-identical to the committed
+   goldens (test/*.expected).  The differential suite checks the arena
+   against the reference fixpoint, an independent oracle that reaches
+   the same unique fixed point.
 
    Memory layout (see DESIGN.md §5e):
    - [ctrl.(c)]: four 2-bit Kleene codes packed per channel —
@@ -36,7 +37,7 @@ open Elastic_sched
 open Elastic_netlist
 
 (* Raised when an SCC iteration exhausts its safety budget; the engine
-   converts it into the same E110 error Levelized mode raises. *)
+   converts it into the E110 non-convergence error. *)
 exception Did_not_converge
 
 (* 2-bit Kleene codes over ints, as 16-entry truth tables indexed by
@@ -665,10 +666,10 @@ let eval_node t i =
     if Array.unsafe_get t.jn i = 1 then eval_join1 t i else eval_join t i
 
 (* ------------------------------------------------------------------ *)
-(* Settle driver: the exact [settle_levelized] algorithm on the flat
-   state — an acyclic node settles in one evaluation; inside a cyclic
-   region a node re-evaluates only when a wire it reads was written
-   since its last evaluation.                                          *)
+(* Settle driver: the levelized schedule on the flat state — an
+   acyclic node settles in one evaluation; inside a cyclic region a
+   node re-evaluates only when a wire it reads was written since its
+   last evaluation.                                                    *)
 
 let clear_progress t = t.written_n <- 0
 
@@ -710,7 +711,8 @@ let settle_loop t =
         clear_progress t;
         eval_node t i;
         if t.written_n > 0 then
-          (* Most-recent-first, like the [Wires.written] cons list. *)
+          (* Most-recent-first: this walk order fixes the eval counts
+             locked by the golden fixtures. *)
           for wi = t.written_n - 1 downto 0 do
             let c = Array.unsafe_get written wi in
             let readers =

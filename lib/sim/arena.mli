@@ -8,18 +8,18 @@ open Elastic_kernel
     boxed [Value.t] spill array — and the levelized schedule is
     compiled to flat index arrays walked by a tight loop.
 
-    The arena executes the {e identical} algorithm as the record
-    engine's [Levelized] mode (same evaluation order, dirty-set
-    propagation and budgets), so eval counts, settle passes, traces and
-    metrics are byte-identical across the two backends; the speedup
-    comes from removing allocation and indirection.  [Engine] owns the
-    mode dispatch, error rendering and everything outside the settle
-    loop; node register state stays in {!Instance} and is shared. *)
+    This is the engine's default backend ([Engine.Arena]).  Its
+    evaluation order, dirty-set propagation and budgets are fixed, so
+    eval counts, settle passes, traces and metrics are deterministic and
+    locked by committed goldens; it reaches the same fixed point as the
+    blind reference fixpoint over {!Wires}.  [Engine] owns the mode
+    dispatch, error rendering and everything outside the settle loop;
+    node register state stays in {!Instance} and is shared. *)
 
 type t
 
 (** Raised when a cyclic region exhausts its iteration budget; the
-    engine converts it into the same E110 error [Levelized] raises. *)
+    engine converts it into its E110 non-convergence error. *)
 exception Did_not_converge
 
 (** [create ~schedule ~profile ~cycle_evals ~nchan specs] compiles the

@@ -31,27 +31,17 @@ let error_to_string e = Fmt.str "%a" pp_error e
 
 type injector = cycle:int -> Netlist.channel_id -> Wires.override option
 
-type eval_mode = Levelized | Reference | Arena
+type eval_mode = Reference | Arena
 
-let mode_name = function
-  | Levelized -> "levelized"
-  | Reference -> "reference"
-  | Arena -> "arena"
+let mode_name = function Reference -> "reference" | Arena -> "arena"
 
 let mode_of_string s =
   match String.lowercase_ascii s with
-  | "levelized" -> Some Levelized
   | "reference" -> Some Reference
   | "arena" -> Some Arena
   | _ -> None
 
-(* The CI matrix forces the arena backend over the whole test tree by
-   exporting ELASTIC_EVAL_MODE=arena; an unrecognised value falls back
-   to the default rather than failing every engine creation. *)
-let default_mode () =
-  match Sys.getenv_opt "ELASTIC_EVAL_MODE" with
-  | None -> Levelized
-  | Some s -> Option.value (mode_of_string s) ~default:Levelized
+let default_mode = Arena
 
 type compiled = {
   inst : Instance.t;
@@ -68,13 +58,11 @@ type t = {
   ch_index : (Netlist.channel_id, int) Hashtbl.t;
   monitors : Protocol.monitor array;  (* empty if monitoring disabled *)
   liveness_bound : int;
-  mode : eval_mode;
   schedule : Schedule.t;
   profile : Profile.t;
   max_passes : int;
   max_cycles : int option;
   cycle_evals : int array;  (* per-node eval calls within this cycle *)
-  dirty : bool array;  (* scratch for local SCC iteration *)
   mutable cycle : int;
   mutable last_signals : Signal.t array;
   mutable last_events : Signal.events array;
@@ -93,7 +81,7 @@ type t = {
   mutable injected_rev : int list;  (* dense indices overridden this cycle
                                        (tracked only while observed) *)
   clock : Clock.t;
-  arena : Arena.t option;  (* flat settle backend ([mode = Arena] only) *)
+  arena : Arena.t option;  (* flat settle backend; [None] in Reference *)
 }
 
 let dense_index t cid =
@@ -104,7 +92,7 @@ let dense_index t cid =
 
 let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     ?max_cycles ?(clock = Clock.monotonic) net =
-  let mode = match mode with Some m -> m | None -> default_mode () in
+  let mode = Option.value mode ~default:default_mode in
   let compile_t0 = clock () in
   (match max_cycles with
    | Some n when n < 0 -> invalid_arg "Engine.create: negative max_cycles"
@@ -208,20 +196,18 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
            (Array.map
               (fun c -> (c.inst, c.in_ch, c.sel_ch, c.out_ch))
               compiled))
-    | Levelized | Reference -> None
+    | Reference -> None
   in
   (* Everything above — diagnostics, node compilation, schedule build,
      arena packing — is the compile phase of this engine's ledger. *)
   Profile.set_compile_seconds profile
     (Clock.seconds_between compile_t0 (clock ()));
   { net; ws; compiled; chans; ch_index; monitors; liveness_bound;
-    mode;
     schedule;
     profile;
     max_passes = Option.value max_passes ~default:default_max_passes;
     max_cycles;
     cycle_evals;
-    dirty = Array.make (max (Array.length compiled) 1) false;
     cycle = 0;
     last_signals = Array.make (Array.length chans) Signal.idle;
     last_events =
@@ -254,7 +240,7 @@ let netlist t = t.net
 
 let cycle t = t.cycle
 
-let mode t = t.mode
+let mode t = match t.arena with Some _ -> Arena | None -> Reference
 
 let profile t = t.profile
 
@@ -325,59 +311,6 @@ let fixpoint t =
       else go (pass + 1)
   in
   go 0
-
-(* Evaluate components in topological order: an acyclic node settles in
-   one pass; inside a cyclic region a node re-evaluates only when a wire
-   it reads was actually written since its last evaluation. *)
-let settle_levelized t =
-  let sched = t.schedule in
-  Array.iter
-    (function
-      | Schedule.Single i ->
-        Wires.clear_progress t.ws;
-        eval_node t i
-      | Schedule.Scc members ->
-        let comp = sched.Schedule.comp_of.(members.(0)) in
-        let q = Queue.create () in
-        Array.iter
-          (fun i ->
-             t.dirty.(i) <- true;
-             Queue.push i q)
-          members;
-        (* Monotone write-once wires bound the iteration; the budget is a
-           safety valve against a non-monotone eval bug. *)
-        let budget =
-          ref ((Array.length members * ((5 * Array.length t.chans) + 2)) + 16)
-        in
-        while not (Queue.is_empty q) do
-          decr budget;
-          if !budget < 0 then non_convergence_error t ~passes:t.max_passes;
-          let i = Queue.pop q in
-          t.dirty.(i) <- false;
-          Wires.clear_progress t.ws;
-          eval_node t i;
-          if Wires.progress t.ws then
-            List.iter
-              (fun c ->
-                 let readers =
-                   if sched.Schedule.src_of.(c) = i then
-                     sched.Schedule.readers_f.(c)
-                   else sched.Schedule.readers_b.(c)
-                 in
-                 Array.iter
-                   (fun r ->
-                      if
-                        sched.Schedule.comp_of.(r) = comp
-                        && (not t.dirty.(r))
-                        && r <> i
-                      then begin
-                        t.dirty.(r) <- true;
-                        Queue.push r q
-                      end)
-                   readers)
-              (Wires.written t.ws)
-        done)
-    sched.Schedule.order
 
 let check_determined t =
   let unknown =
@@ -462,8 +395,8 @@ let check_cycle_budget t =
          t.cycle budget)
   | Some _ | None -> ()
 
-(* Arena settle: the same exceptions as the record backends, mapped to
-   the same errors ([eval_node] catches per node; here the evaluating
+(* Arena settle: the same exceptions as the reference fixpoint, mapped
+   to the same errors ([eval_node] catches per node; here the evaluating
    node is recovered from the arena's last-eval cursor). *)
 let settle_arena t ar =
   try Arena.settle ar with
@@ -490,11 +423,7 @@ let step ?(choices = fun _ -> None) t =
   let t0 = t.clock () in
   (match t.arena with
    | Some ar -> settle_arena t ar
-   | None ->
-     (match t.mode with
-      | Levelized -> settle_levelized t
-      | Reference -> fixpoint t
-      | Arena -> assert false));
+   | None -> fixpoint t);
   (* Stop the settle timer before the determinism check and pass fold so
      the recorded seconds cover only the settle phase itself — the E9
      speedup record compares backends on this number. *)

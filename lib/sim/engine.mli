@@ -52,41 +52,38 @@ type t
 
 (** How the combinational phase of each cycle is evaluated.
 
-    [Levelized] (the default) evaluates nodes in the topological order of
-    the condensed dependency graph computed by {!Schedule.build}: acyclic
-    nodes settle in a single evaluation and only cyclic elastic-control
-    regions iterate locally, driven by a dirty set of changed wires.
+    [Arena] (the default) evaluates nodes in the topological order of
+    the condensed dependency graph computed by {!Schedule.build}, on the
+    flat preallocated arena backend ({!Arena}): acyclic nodes settle in
+    a single evaluation and only cyclic elastic-control regions iterate
+    locally, driven by a dirty set of changed wires.  Channel state is
+    packed integer wire codes, Bigarray data buses and flat instruction
+    arrays instead of per-channel records and closures.
 
-    [Reference] is the original blind fixpoint — every node is
-    re-evaluated in every pass until no wire changes.  It is kept as the
-    oracle for differential testing; both modes reach the same unique
-    fixed point (node equations are monotone over the 3-valued wires).
+    [Reference] is the original blind fixpoint over the {!Wires}
+    records — every node is re-evaluated in every pass until no wire
+    changes.  It is kept as the independent oracle for differential
+    testing: both modes reach the same unique fixed point (node
+    equations are monotone over the 3-valued wires), so traces, sink
+    streams and errors agree; only eval counts differ. *)
+type eval_mode = Reference | Arena
 
-    [Arena] runs the levelized algorithm on the flat preallocated
-    arena backend ({!Arena}): packed integer wire codes, Bigarray data
-    buses and flat instruction arrays instead of per-channel records
-    and closures.  It is byte-identical to [Levelized] in traces,
-    metrics, eval counts and error behaviour (the three-way
-    differential suite enforces this), and is the fast path for large
-    designs. *)
-type eval_mode = Levelized | Reference | Arena
-
-(** Lowercase backend name: ["levelized"], ["reference"], ["arena"]. *)
+(** Lowercase backend name: ["reference"], ["arena"]. *)
 val mode_name : eval_mode -> string
 
 (** Inverse of {!mode_name} (case-insensitive); [None] on anything
     else. *)
 val mode_of_string : string -> eval_mode option
 
+(** The mode {!create} uses when none is given: [Arena]. *)
+val default_mode : eval_mode
+
 (** [create netlist] compiles and validates the netlist.
 
     @param monitor enable protocol monitors (default [true]).
     @param liveness_bound watchdog threshold in cycles (default [64]).
-    @param mode combinational evaluation strategy.  When omitted, the
-    [ELASTIC_EVAL_MODE] environment variable picks the default
-    ([levelized], [reference] or [arena] — the CI matrix uses this to
-    force the arena backend over the whole test tree); unset or
-    unrecognised, the default is [Levelized].
+    @param mode combinational evaluation strategy (default
+    {!default_mode}).
     @param max_passes cap on global fixpoint passes in [Reference] mode
     before {!step} raises the non-convergence error (code ["E110"])
     naming the channels that were still changing (default

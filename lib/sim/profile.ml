@@ -66,10 +66,6 @@ let settle_seconds t = t.settle_seconds
 
 let compile_seconds t = t.compile_seconds
 
-(* Deprecated alias: the name suggested whole-run wall time, but it
-   always returned settle-only time. *)
-let wall_seconds t = t.settle_seconds
-
 let evals_per_cycle t =
   if t.cycles = 0 then 0.0
   else float_of_int t.evals /. float_of_int t.cycles

@@ -54,11 +54,6 @@ val settle_seconds : t -> float
     engine stamps it). *)
 val compile_seconds : t -> float
 
-val wall_seconds : t -> float
-[@@ocaml.deprecated
-  "misnomer: returns settle-only time; use settle_seconds (or \
-   compile_seconds for the construction phase)"]
-
 (** Worst settle pass count over all cycles. *)
 val max_passes : t -> int
 

@@ -61,10 +61,8 @@ val progress : t -> bool
 val clear_progress : t -> unit
 
 (** Indices of the wires written since {!clear_progress} (most recent
-    first, possibly with duplicates).  The levelized scheduler uses this
-    to wake only the readers of wires that actually changed, and the
-    reference fixpoint uses it to name the still-changing channels when
-    it fails to converge. *)
+    first, possibly with duplicates).  The reference fixpoint uses it to
+    name the still-changing channels when it fails to converge. *)
 val written : t -> int list
 
 (** Number of control bits still unknown (data excluded). *)

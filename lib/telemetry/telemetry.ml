@@ -9,11 +9,6 @@ module Export = Elastic_obs.Export
 
 let version = "1.0"
 
-let default_eval_mode () =
-  Elastic_sim.Engine.mode_name
-    (Elastic_sim.Engine.mode
-       (Elastic_sim.Engine.create Elastic_netlist.Netlist.empty))
-
 let build_info ?(version = version) reg =
   (* Standard Prometheus practice: a constant-1 gauge whose labels
      identify the binary behind the scrape. *)
@@ -25,7 +20,8 @@ let build_info ?(version = version) reg =
            ("pool",
             if Elastic_runner.Pool_backend.parallel then "domains"
             else "seq");
-           ("eval_mode", default_eval_mode ()) ]
+           ("eval_mode",
+            Elastic_sim.Engine.(mode_name default_mode)) ]
        "elastic_build_info")
     1.0
 

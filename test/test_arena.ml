@@ -7,10 +7,16 @@ open Elastic_metrics
 open Helpers
 
 (* The flat-arena evaluation backend (lib/sim/arena.ml): mode selection
-   plumbing, byte-exact golden artefacts under [Arena], error parity
-   with the record backends, and the settle loop's allocation guard.
-   Cross-backend trace/metrics equivalence over whole designs lives in
-   {!Test_engine_equiv}; these are the arena-specific contracts. *)
+   plumbing, byte-exact golden artefacts, error parity with the
+   reference fixpoint, and the step allocation guard.  Cross-backend
+   trace/metrics equivalence over whole designs lives in
+   {!Test_engine_equiv}; these are the arena-specific contracts.
+
+   The golden fixtures ([e5.prom.expected], [e6.prom.expected],
+   [e6.profile.expected], [e6_inject.trace.jsonl.expected]) were
+   captured from the record-based levelized scheduler that the arena
+   replaced, which ran the same schedule: the arena must keep
+   reproducing them byte for byte, eval counts included. *)
 
 (* --- mode selection -------------------------------------------------- *)
 
@@ -22,11 +28,13 @@ let test_mode_names () =
          (Some (Engine.mode_name m))
          (Option.map Engine.mode_name
             (Engine.mode_of_string (Engine.mode_name m))))
-    [ Engine.Levelized; Engine.Reference; Engine.Arena ];
+    [ Engine.Reference; Engine.Arena ];
   Alcotest.(check bool) "parsing is case-insensitive" true
     (Engine.mode_of_string "ARENA" = Some Engine.Arena);
   Alcotest.(check bool) "junk is rejected" true
-    (Engine.mode_of_string "fastest" = None)
+    (Engine.mode_of_string "fastest" = None);
+  Alcotest.(check bool) "the retired levelized backend is rejected" true
+    (Engine.mode_of_string "levelized" = None)
 
 let tiny_net () =
   let b = builder () in
@@ -35,32 +43,19 @@ let tiny_net () =
   let _ = conn b (s, Out 0) (k, In 0) in
   b.net
 
-(* [ELASTIC_EVAL_MODE] picks the default backend; an explicit [~mode]
-   always wins; unknown values fall back to levelized instead of
-   failing every engine creation. *)
-let test_env_default () =
-  let with_env v f =
-    let old = Sys.getenv_opt "ELASTIC_EVAL_MODE" in
-    Unix.putenv "ELASTIC_EVAL_MODE" v;
-    Fun.protect
-      ~finally:(fun () ->
-          Unix.putenv "ELASTIC_EVAL_MODE" (Option.value old ~default:""))
-      f
-  in
+(* The arena is the constant default; an explicit [~mode] wins. *)
+let test_default_mode () =
   let net = tiny_net () in
-  with_env "arena" (fun () ->
-      Alcotest.(check string) "env default" "arena"
-        (Engine.mode_name (Engine.mode (Engine.create net)));
-      Alcotest.(check string) "explicit mode wins" "reference"
-        (Engine.mode_name
-           (Engine.mode (Engine.create ~mode:Engine.Reference net))));
-  with_env "warp-speed" (fun () ->
-      Alcotest.(check string) "unknown value falls back" "levelized"
-        (Engine.mode_name (Engine.mode (Engine.create net))))
+  Alcotest.(check string) "default_mode" "arena"
+    (Engine.mode_name Engine.default_mode);
+  Alcotest.(check string) "create without ~mode" "arena"
+    (Engine.mode_name (Engine.mode (Engine.create net)));
+  Alcotest.(check string) "explicit mode wins" "reference"
+    (Engine.mode_name (Engine.mode (Engine.create ~mode:Engine.Reference net)))
 
 (* --- error parity ---------------------------------------------------- *)
 
-let modes = [ Engine.Levelized; Engine.Reference; Engine.Arena ]
+let modes = [ Engine.Reference; Engine.Arena ]
 
 let rendered_error f =
   match f () with
@@ -69,8 +64,8 @@ let rendered_error f =
     (e.Engine.err_code, Engine.error_to_string e)
 
 (* E110 (cycle budget): the error is raised before the backend runs,
-   but its rendering flows through the same provenance plumbing — all
-   three modes must produce the identical string. *)
+   but its rendering flows through the same provenance plumbing — both
+   modes must produce the identical string. *)
 let test_e110_parity () =
   let net = tiny_net () in
   let errors =
@@ -116,7 +111,7 @@ let test_e102_parity () =
 (* A mux whose select stream goes out of range mid-run: the per-node
    [Invalid_argument] must surface as the same invariant error — node
    provenance included — from the packed evaluator as from the record
-   backends.  (The arena recovers the node from its last-eval cursor.) *)
+   fixpoint.  (The arena recovers the node from its last-eval cursor.) *)
 let test_invariant_parity () =
   let build () =
     let b = builder () in
@@ -146,59 +141,64 @@ let test_invariant_parity () =
        Alcotest.(check string) "same rendering" (snd (List.hd errors)) msg)
     errors
 
-(* --- observability parity -------------------------------------------- *)
+(* --- golden artefacts ------------------------------------------------ *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
+let check_golden path got =
+  Alcotest.(check string) (path ^ " byte-exact") (read_file path) got
 
 (* The arena batches its eval accounting ([Profile.add_evals] once per
    settle); totals, per-node counters and the pass histogram must still
-   agree with the levelized backend's one-note_eval-per-eval stream. *)
+   equal the golden one-note_eval-per-eval stream. *)
 let test_profile_parity () =
   let ops = Examples.rs_ops ~error_rate_pct:10 ~seed:5 100 in
   let net = (Examples.rs_speculative ~ops).Examples.d_net in
-  let profile mode =
-    let eng = Engine.create ~mode net in
-    Engine.run eng 150;
-    Engine.profile eng
-  in
-  let pl = profile Engine.Levelized and pa = profile Engine.Arena in
-  Alcotest.(check int) "total evals" (Profile.evals pl) (Profile.evals pa);
-  Alcotest.(check int) "max passes" (Profile.max_passes pl)
-    (Profile.max_passes pa);
-  Alcotest.(check (list (pair int int))) "pass histogram"
-    (Profile.pass_histogram pl) (Profile.pass_histogram pa);
-  Alcotest.(check (list (pair int int))) "busiest nodes"
-    (Profile.top_nodes pl 10) (Profile.top_nodes pa 10);
-  let sum_nodes p =
-    List.fold_left (fun acc (_, c) -> acc + c) 0 (Profile.top_nodes p 10_000)
-  in
+  let eng = Engine.create net in
+  Engine.run eng 150;
+  let p = Engine.profile eng in
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "evals %d\nmax_passes %d\n" (Profile.evals p)
+    (Profile.max_passes p);
+  List.iter
+    (fun (k, n) -> Printf.bprintf b "passes %d: %d cycles\n" k n)
+    (Profile.pass_histogram p);
+  let nodes = Profile.top_nodes p 10_000 in
+  List.iter (fun (i, n) -> Printf.bprintf b "node %d: %d evals\n" i n) nodes;
+  check_golden "e6.profile.expected" (Buffer.contents b);
   Alcotest.(check int) "arena evals = sum of per-node counters"
-    (Profile.evals pa) (sum_nodes pa)
+    (Profile.evals p)
+    (List.fold_left (fun acc (_, c) -> acc + c) 0 nodes)
 
-(* Injected-channel reporting flows through the same override plumbing
-   in every backend. *)
+(* Injected-channel reporting flows through the override plumbing into
+   the trace: flips, a stuck stall and a duplicated token on E6, with
+   the rendered event stream locked byte for byte. *)
 let test_injected_parity () =
+  let open Elastic_fault in
   let ops = Examples.rs_ops ~error_rate_pct:5 ~seed:5 60 in
   let net = (Examples.rs_speculative ~ops).Examples.d_net in
   let ch = (List.hd (Netlist.channels net)).Netlist.ch_id in
-  let injected mode =
-    let open Elastic_fault in
-    let plan =
-      Fault.plan net
-        [ Fault.flip_bit ~channel:ch ~cycle:5 1;
-          Fault.stuck_stall ~channel:ch ~cycle:12 ~duration:4 ]
-    in
-    let eng = Engine.create ~mode net in
-    Engine.set_injector eng (Some (Fault.injector plan));
-    let log = ref [] in
-    for _ = 1 to 30 do
-      Engine.step eng ~choices:(fun nid ->
-          Fault.choices plan ~cycle:(Engine.cycle eng) nid);
-      Fault.observe plan eng;
-      log := Engine.injected eng :: !log
-    done;
-    List.rev !log
+  let plan =
+    Fault.plan net
+      [ Fault.flip_bit ~channel:ch ~cycle:5 1;
+        Fault.stuck_stall ~channel:ch ~cycle:12 ~duration:4;
+        Fault.duplicate_token ~channel:ch ~cycle:20 ]
   in
-  Alcotest.(check (list (list int))) "per-cycle injected channels"
-    (injected Engine.Levelized) (injected Engine.Arena)
+  let eng = Engine.create net in
+  Engine.set_injector eng (Some (Fault.injector plan));
+  let tr = Tracer.attach eng in
+  for _ = 1 to 40 do
+    Engine.step eng ~choices:(fun nid ->
+        Fault.choices plan ~cycle:(Engine.cycle eng) nid);
+    Fault.observe plan eng
+  done;
+  check_golden "e6_inject.trace.jsonl.expected"
+    (Jsonl.to_string net (Tracer.events tr))
 
 (* Two arena runs of the same design are bit-identical end to end —
    the preallocated buffers carry no state across [create]. *)
@@ -214,49 +214,23 @@ let test_arena_determinism () =
   in
   Alcotest.(check string) "state keys agree" (mk ()) (mk ())
 
-(* --- golden artefacts under the arena backend ------------------------ *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let test_vcd_golden_arena () =
-  let net = (Figures.table1 ()).Figures.t1_net in
-  let eng = Engine.create ~mode:Engine.Arena net in
-  let r = Vcd.create net in
-  Engine.set_observer eng (Some (Vcd.observe r));
-  Engine.run eng 8;
-  Alcotest.(check string) "table1 VCD byte-exact under arena"
-    (read_file "table1.vcd.expected")
-    (Vcd.contents r)
-
 (* The E5/E6 experiment designs, rendered to Prometheus text off a
-   deterministic tick clock: levelized and arena snapshots must be
-   byte-identical — including the settle-seconds gauges, because both
-   backends read the clock exactly twice per cycle. *)
-let prom_render mode net =
-  let eng = Engine.create ~mode ~clock:(Clock.ticker ~step_ns:100L) net in
+   deterministic tick clock — including the settle-seconds gauges,
+   because the engine reads the clock exactly twice per cycle. *)
+let test_prom_golden path net =
+  let eng = Engine.create ~clock:(Clock.ticker ~step_ns:100L) net in
   let sampler = Sampler.create eng in
   Engine.set_observer eng (Some (Sampler.observe sampler));
   Engine.run eng 150;
-  Prometheus.render (Sampler.sample sampler eng)
-
-let test_prom_golden name net =
-  Alcotest.(check string)
-    (name ^ ": prometheus render identical under arena")
-    (prom_render Engine.Levelized net)
-    (prom_render Engine.Arena net)
+  check_golden path (Prometheus.render (Sampler.sample sampler eng))
 
 let test_prom_golden_e5 () =
-  test_prom_golden "E5 vl_speculative"
+  test_prom_golden "e5.prom.expected"
     (Examples.vl_speculative
        ~ops:(Alu.operands ~error_rate_pct:10 ~seed:7 100)).Examples.d_net
 
 let test_prom_golden_e6 () =
-  test_prom_golden "E6 rs_speculative"
+  test_prom_golden "e6.prom.expected"
     (Examples.rs_speculative
        ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:5 100)).Examples.d_net
 
@@ -264,11 +238,11 @@ let test_prom_golden_e6 () =
 
 (* The arena settle loop must not allocate: on a control-only pipeline
    every word allocated per cycle comes from the engine's fixed
-   bookkeeping (resolved-signal snapshots, observers), which the
-   levelized backend shares.  Allocation counts are deterministic, so
-   the bounds are exact machine-independent regression guards. *)
-let words_per_cycle mode net =
-  let eng = Engine.create ~mode net in
+   bookkeeping (resolved-signal snapshots, observers).  Allocation
+   counts are deterministic, so the budget is an exact
+   machine-independent regression guard. *)
+let words_per_cycle net =
+  let eng = Engine.create net in
   Engine.run eng 200;
   let w0 = Gc.minor_words () in
   Engine.run eng 2000;
@@ -284,21 +258,15 @@ let test_settle_allocation_guard () =
   let _ = conn b (s, Out 0) (e1, In 0) in
   let _ = conn b (e1, Out 0) (e2, In 0) in
   let _ = conn b (e2, Out 0) (k, In 0) in
-  let arena = words_per_cycle Engine.Arena b.net in
-  let lev = words_per_cycle Engine.Levelized b.net in
+  let arena = words_per_cycle b.net in
   if arena > 180.0 then
     Alcotest.failf
       "arena allocates %.1f words/cycle on a control-only pipeline \
-       (budget 180): the settle loop has started allocating" arena;
-  if arena > lev -. 20.0 then
-    Alcotest.failf
-      "arena (%.1f words/cycle) no longer allocates less than levelized \
-       (%.1f): the flat settle path has regressed" arena lev
+       (budget 180): the settle loop has started allocating" arena
 
 let suite =
   [ Alcotest.test_case "mode names round-trip" `Quick test_mode_names;
-    Alcotest.test_case "ELASTIC_EVAL_MODE picks the default backend"
-      `Quick test_env_default;
+    Alcotest.test_case "default backend is arena" `Quick test_default_mode;
     Alcotest.test_case "E110 renders identically in all modes" `Quick
       test_e110_parity;
     Alcotest.test_case "E102 renders identically in all modes" `Quick
@@ -311,8 +279,6 @@ let suite =
       test_injected_parity;
     Alcotest.test_case "arena runs are deterministic" `Quick
       test_arena_determinism;
-    Alcotest.test_case "golden VCD is byte-exact under arena" `Quick
-      test_vcd_golden_arena;
     Alcotest.test_case "E5 prometheus render matches levelized" `Quick
       test_prom_golden_e5;
     Alcotest.test_case "E6 prometheus render matches levelized" `Quick

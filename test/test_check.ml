@@ -312,4 +312,4 @@ let suite =
             (Explore.explore ~mode:Elastic_sim.Engine.Reference (mk ()))
         in
         if a <> r then
-          Alcotest.fail "levelized and reference exploration differ") ]
+          Alcotest.fail "arena and reference exploration differ") ]

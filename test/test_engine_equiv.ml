@@ -7,19 +7,20 @@ open Elastic_trace
 open Elastic_metrics
 open Helpers
 
-(* Differential testing of the three evaluation backends: the reference
-   fixpoint, the levelized scheduler and the flat-arena evaluator.  On
-   every design — the paper's figures and examples, random pipelines,
-   mux diamonds and word-width datapaths, with and without fault
-   injection — all modes must produce bit-identical signal traces, sink
-   streams, statistics counters, rendered trace event streams, metrics
-   snapshots and final register state.
+(* Differential testing of the two evaluation backends: the flat-arena
+   evaluator (the engine's default) against the reference fixpoint, the
+   deliberately naive oracle.  On every design — the paper's figures and
+   examples, random pipelines, mux diamonds and word-width datapaths,
+   with and without fault injection — both modes must produce
+   bit-identical signal traces, sink streams, statistics counters,
+   rendered trace event streams, metrics snapshots and final register
+   state.
 
    The one sanctioned divergence: the reference fixpoint re-evaluates
    every node every pass, so its eval counters (node evals, settle
-   passes, convergence retries) exceed the scheduled backends'.  Those
-   metric families are filtered from the reference comparison only; the
-   levelized/arena comparison is byte-exact over the full render. *)
+   passes, convergence retries) exceed the arena's.  Those metric
+   families are filtered from the comparison; the arena's own counts
+   are locked by the golden fixtures in test_arena.ml. *)
 
 let violation_keys eng =
   List.map
@@ -44,26 +45,27 @@ let eval_cost_family name =
   || Helpers.contains name "settle_passes"
   || Helpers.contains name "convergence_retry"
 
-let render_samples ?(keep = fun _ -> true) samples =
+let render_samples samples =
   Prometheus.render
-    (List.filter (fun (s : Metrics.sample) -> keep s.Metrics.m_name) samples)
+    (List.filter
+       (fun (s : Metrics.sample) -> not (eval_cost_family s.Metrics.m_name))
+       samples)
 
 type harnessed = {
-  h_mode : Engine.eval_mode;
   h_eng : Engine.t;
   h_tracer : Tracer.t;
   h_sampler : Sampler.t;
   h_step : unit -> unit;
 }
 
-(* Run all three modes in lockstep, comparing every channel's resolved
+(* Run both modes in lockstep, comparing every channel's resolved
    signal on every cycle, then the cumulative observations, the
    rendered trace event stream and the metrics snapshot.  Fault plans
    are stateful, so each engine gets its own identical plan.  If one
-   mode raises, the others must raise the same error on the same
-   cycle.  Engines run on deterministic tick clocks, so even the
-   settle-seconds gauges must agree byte-for-byte. *)
-let run_trio ~name ?(cycles = 200) ?faults net =
+   mode raises, the other must raise the same error on the same cycle.
+   Engines run on deterministic tick clocks, so even the settle-seconds
+   gauges must agree byte-for-byte. *)
+let run_pair ~name ?(cycles = 200) ?faults net =
   let make mode =
     let eng =
       Engine.create ~mode ~clock:(Clock.ticker ~step_ns:100L) net
@@ -83,11 +85,9 @@ let run_trio ~name ?(cycles = 200) ?faults net =
                 nid);
           Elastic_fault.Fault.observe plan eng
     in
-    { h_mode = mode; h_eng = eng; h_tracer = tracer; h_sampler = sampler;
-      h_step = step }
+    { h_eng = eng; h_tracer = tracer; h_sampler = sampler; h_step = step }
   in
-  let lev = make Engine.Levelized in
-  let others = [ make Engine.Reference; make Engine.Arena ] in
+  let ar = make Engine.Arena and rf = make Engine.Reference in
   let chans = Netlist.channels net in
   let safe h =
     try
@@ -98,103 +98,78 @@ let run_trio ~name ?(cycles = 200) ?faults net =
   let rec loop cyc =
     if cyc > cycles then false
     else
-      match safe lev with
-      | None ->
+      match safe ar, safe rf with
+      | None, None ->
         List.iter
-          (fun o ->
-             match safe o with
-             | Some b ->
-               Alcotest.failf "%s: cycle %d: only %s raised: %s" name cyc
-                 (Engine.mode_name o.h_mode) b
-             | None ->
-               List.iter
-                 (fun (c : Netlist.channel) ->
-                    let sl = Engine.signal lev.h_eng c.Netlist.ch_id
-                    and so = Engine.signal o.h_eng c.Netlist.ch_id in
-                    if not (Signal.equal sl so) then
-                      Alcotest.failf
-                        "%s: cycle %d, channel %s: levelized %a but %s %a"
-                        name cyc c.Netlist.ch_name Signal.pp sl
-                        (Engine.mode_name o.h_mode) Signal.pp so)
-                 chans)
-          others;
+          (fun (c : Netlist.channel) ->
+             let sa = Engine.signal ar.h_eng c.Netlist.ch_id
+             and sr = Engine.signal rf.h_eng c.Netlist.ch_id in
+             if not (Signal.equal sa sr) then
+               Alcotest.failf
+                 "%s: cycle %d, channel %s: arena %a but reference %a" name
+                 cyc c.Netlist.ch_name Signal.pp sa Signal.pp sr)
+          chans;
         loop (cyc + 1)
-      | Some a ->
-        List.iter
-          (fun o ->
-             match safe o with
-             | Some b ->
-               Alcotest.(check string)
-                 (Fmt.str "%s: %s fails identically at cycle %d" name
-                    (Engine.mode_name o.h_mode) cyc)
-                 a b
-             | None ->
-               Alcotest.failf "%s: cycle %d: only levelized raised: %s"
-                 name cyc a)
-          others;
+      | Some a, Some b ->
+        Alcotest.(check string)
+          (Fmt.str "%s: both modes fail identically at cycle %d" name cyc)
+          a b;
         true
+      | Some a, None ->
+        Alcotest.failf "%s: cycle %d: only arena raised: %s" name cyc a
+      | None, Some b ->
+        Alcotest.failf "%s: cycle %d: only reference raised: %s" name cyc b
   in
   let crashed = loop 1 in
-  if not crashed then
+  if not crashed then begin
+    let ea = ar.h_eng and er = rf.h_eng in
     List.iter
-      (fun o ->
-         let mode = Engine.mode_name o.h_mode in
-         let el = lev.h_eng and eo = o.h_eng in
-         List.iter
-           (fun (c : Netlist.channel) ->
-              let id = c.Netlist.ch_id in
-              Alcotest.(check int)
-                (Fmt.str "%s: %s: delivered on %s" name mode
-                   c.Netlist.ch_name)
-                (Engine.delivered el id) (Engine.delivered eo id);
-              Alcotest.(check int)
-                (Fmt.str "%s: %s: killed on %s" name mode c.Netlist.ch_name)
-                (Engine.killed el id) (Engine.killed eo id);
-              Alcotest.(check (triple int int int))
-                (Fmt.str "%s: %s: activity on %s" name mode
-                   c.Netlist.ch_name)
-                (Engine.activity el id) (Engine.activity eo id))
-           chans;
-         List.iter
-           (fun snk ->
-              let entries eng =
-                List.map
-                  (fun (e : Transfer.entry) ->
-                     (e.Transfer.cycle, e.Transfer.value))
-                  (Transfer.entries (Engine.sink_stream eng snk))
-              in
-              Alcotest.(check (list (pair int value)))
-                (Fmt.str "%s: %s: sink stream" name mode)
-                (entries el) (entries eo))
-           (sinks_of net);
-         Alcotest.(check (list (pair string string)))
-           (Fmt.str "%s: %s: protocol violations" name mode)
-           (violation_keys el) (violation_keys eo);
-         Alcotest.(check string)
-           (Fmt.str "%s: %s: final register state" name mode)
-           (Engine.state_key el) (Engine.state_key eo);
-         (* The rendered event stream is backend-independent: compare
-            the full JSONL text byte-for-byte. *)
-         Alcotest.(check string)
-           (Fmt.str "%s: %s: trace event stream" name mode)
-           (Jsonl.to_string net (Tracer.events lev.h_tracer))
-           (Jsonl.to_string net (Tracer.events o.h_tracer));
-         let keep =
-           match o.h_mode with
-           | Engine.Reference -> fun n -> not (eval_cost_family n)
-           | Engine.Levelized | Engine.Arena -> fun _ -> true
+      (fun (c : Netlist.channel) ->
+         let id = c.Netlist.ch_id in
+         Alcotest.(check int)
+           (Fmt.str "%s: delivered on %s" name c.Netlist.ch_name)
+           (Engine.delivered ea id) (Engine.delivered er id);
+         Alcotest.(check int)
+           (Fmt.str "%s: killed on %s" name c.Netlist.ch_name)
+           (Engine.killed ea id) (Engine.killed er id);
+         Alcotest.(check (triple int int int))
+           (Fmt.str "%s: activity on %s" name c.Netlist.ch_name)
+           (Engine.activity ea id) (Engine.activity er id))
+      chans;
+    List.iter
+      (fun snk ->
+         let entries eng =
+           List.map
+             (fun (e : Transfer.entry) -> (e.Transfer.cycle, e.Transfer.value))
+             (Transfer.entries (Engine.sink_stream eng snk))
          in
-         Alcotest.(check string)
-           (Fmt.str "%s: %s: metrics snapshot" name mode)
-           (render_samples ~keep (Sampler.sample lev.h_sampler el))
-           (render_samples ~keep (Sampler.sample o.h_sampler eo)))
-      others
+         Alcotest.(check (list (pair int value)))
+           (Fmt.str "%s: sink stream" name)
+           (entries ea) (entries er))
+      (sinks_of net);
+    Alcotest.(check (list (pair string string)))
+      (Fmt.str "%s: protocol violations" name)
+      (violation_keys ea) (violation_keys er);
+    Alcotest.(check string)
+      (Fmt.str "%s: final register state" name)
+      (Engine.state_key ea) (Engine.state_key er);
+    (* The rendered event stream is backend-independent: compare the
+       full JSONL text byte-for-byte. *)
+    Alcotest.(check string)
+      (Fmt.str "%s: trace event stream" name)
+      (Jsonl.to_string net (Tracer.events ar.h_tracer))
+      (Jsonl.to_string net (Tracer.events rf.h_tracer));
+    Alcotest.(check string)
+      (Fmt.str "%s: metrics snapshot" name)
+      (render_samples (Sampler.sample ar.h_sampler ea))
+      (render_samples (Sampler.sample rf.h_sampler er))
+  end
 
 (* --- the paper's designs ------------------------------------------- *)
 
 let design_cases =
   let case name mk =
-    Alcotest.test_case name `Quick (fun () -> run_trio ~name (mk ()))
+    Alcotest.test_case name `Quick (fun () -> run_pair ~name (mk ()))
   in
   [ case "fig1a" (fun () -> (Figures.fig1a ()).Figures.net);
     case "fig1b" (fun () -> (Figures.fig1b ()).Figures.net);
@@ -234,7 +209,7 @@ let design_cases =
 let degenerate_cases =
   let case name mk =
     Alcotest.test_case name `Quick (fun () ->
-        run_trio ~name ~cycles:50 (mk ()))
+        run_pair ~name ~cycles:50 (mk ()))
   in
   [ case "zero-node netlist" (fun () -> Netlist.empty);
     case "single channel source->sink" (fun () ->
@@ -265,7 +240,7 @@ let fault_cases =
   let case name mk_net mk_faults =
     Alcotest.test_case (name ^ " under faults") `Quick (fun () ->
         let net = mk_net () in
-        run_trio ~name ~cycles:120 ~faults:(mk_faults net) net)
+        run_pair ~name ~cycles:120 ~faults:(mk_faults net) net)
   in
   [ case "rs_speculative" (fun () ->
         let ops = Examples.rs_ops ~error_rate_pct:5 ~seed:5 60 in
@@ -296,7 +271,7 @@ let pipe_equiv =
     (make ~print:Test_sim_property.print_pipe Test_sim_property.gen_pipe)
     (fun p ->
        let net, _, _, _ = Test_sim_property.build_pipe p in
-       run_trio ~name:"pipe" net;
+       run_pair ~name:"pipe" net;
        true)
 
 type diamond = {
@@ -362,7 +337,7 @@ let diamond_equiv =
     ~count:120
     (make ~print:print_diamond gen_diamond)
     (fun d ->
-       run_trio ~name:"diamond" (build_diamond d);
+       run_pair ~name:"diamond" (build_diamond d);
        true)
 
 (* --- word-width datapaths ------------------------------------------- *)
@@ -444,7 +419,7 @@ let word_pipe_equiv =
     ~count:100
     (make ~print:print_word_pipe gen_word_pipe)
     (fun w ->
-       run_trio ~name:"word pipe" (build_word_pipe w);
+       run_pair ~name:"word pipe" (build_word_pipe w);
        true)
 
 (* --- shared modules under every scheduler --------------------------- *)
@@ -516,7 +491,7 @@ let shared_equiv =
     ~count:100
     (make ~print:print_shared gen_shared)
     (fun s ->
-       run_trio ~name:"shared" (build_shared s);
+       run_pair ~name:"shared" (build_shared s);
        true)
 
 let faulted_pipe_equiv =
@@ -536,7 +511,7 @@ let faulted_pipe_equiv =
              ~cycle:(20 + (p.Test_sim_property.seed mod 20))
              ~duration:2 ]
        in
-       run_trio ~name:"faulted pipe" ~faults net;
+       run_pair ~name:"faulted pipe" ~faults net;
        true)
 
 (* --- convergence-failure diagnostics -------------------------------- *)

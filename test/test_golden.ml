@@ -7,9 +7,9 @@ open Elastic_datapath
    harness, locked so that an engine or design change that shifts any of
    them is caught here rather than by eyeballing bench output.
 
-   The fixtures were captured from the levelized engine; the
-   differential suite (test_engine_equiv.ml) guarantees the reference
-   mode produces the same numbers. *)
+   The fixtures run on the default (arena) engine; the differential
+   suite (test_engine_equiv.ml) guarantees the reference mode produces
+   the same numbers. *)
 
 (* E1: the Table 1 trace of the speculative system of Fig. 1(d),
    cycle-exact (see bench/main.ml for the one deliberate deviation from

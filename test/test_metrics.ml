@@ -620,10 +620,10 @@ let test_gate_wall_clock_suffixes () =
        Alcotest.(check bool) ("skipped: " ^ path) true
          (Gate.wall_clock_key path))
     [ "engine.settle_us_per_cycle";
-      "designs[0].levelized_settle_seconds";
+      "designs[0].reference_settle_seconds";
       "designs[0].arena_settle_seconds";
       "designs[1].arena_cycles_per_second";
-      "designs[1].levelized_cycles_per_second";
+      "designs[1].reference_cycles_per_second";
       "designs[0].arena_speedup" ];
   List.iter
     (fun path ->
@@ -631,7 +631,7 @@ let test_gate_wall_clock_suffixes () =
          (not (Gate.wall_clock_key path)))
     [ "points[2].spec_throughput";
       "designs[0].speedup_ok";
-      "designs[0].arena_matches_levelized";
+      "designs[0].arena_matches_reference";
       "designs[0].cycles";
       (* the suffix must be a strict suffix of a longer key, not the
          whole key wearing a disguise *)

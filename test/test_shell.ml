@@ -295,22 +295,16 @@ let suite =
     Alcotest.test_case "mode command selects the engine backend" `Quick
       (fun () ->
         let s = Shell.create () in
-        (* Bare [mode] reports the default before any override is set. *)
-        let shown = exec s "mode" in
-        Alcotest.(check bool) "shows a backend name" true
-          (Helpers.contains shown "levelized"
-           || Helpers.contains shown "arena"
-           || Helpers.contains shown "reference");
-        let set = exec s "mode arena" in
-        Alcotest.(check bool) "confirms arena" true
-          (Helpers.contains set "arena");
-        Alcotest.(check string) "sticky" "mode: arena" (exec s "mode");
+        let set = exec s "mode reference" in
+        Alcotest.(check bool) "confirms reference" true
+          (Helpers.contains set "reference");
+        Alcotest.(check string) "sticky" "mode: reference" (exec s "mode");
         (* Simulation commands run on the selected backend. *)
         let _ = exec s "load fig1a" in
         let out = exec s "throughput 100" in
         Alcotest.(check bool) "throughput still reports the sink" true
           (Helpers.contains out "out:"));
-    Alcotest.test_case "mode arena matches levelized reports" `Quick
+    Alcotest.test_case "mode arena matches reference reports" `Quick
       (fun () ->
         let report mode =
           let s = Shell.create () in
@@ -318,29 +312,20 @@ let suite =
           let _ = exec s "load rs-spec" in
           (exec s "throughput 200", exec s "stats 200")
         in
-        let thr_l, stats_l = report "levelized" in
+        let thr_r, stats_r = report "reference" in
         let thr_a, stats_a = report "arena" in
-        Alcotest.(check string) "throughput identical" thr_l thr_a;
-        Alcotest.(check string) "stats identical" stats_l stats_a);
-    Alcotest.test_case "bare mode reflects the engine env default" `Quick
+        Alcotest.(check string) "throughput identical" thr_r thr_a;
+        Alcotest.(check string) "stats identical" stats_r stats_a);
+    Alcotest.test_case "bare mode reflects the engine default" `Quick
       (fun () ->
-        let with_env v f =
-          let prev = Sys.getenv_opt "ELASTIC_EVAL_MODE" in
-          Unix.putenv "ELASTIC_EVAL_MODE" v;
-          Fun.protect
-            ~finally:(fun () ->
-              Unix.putenv "ELASTIC_EVAL_MODE"
-                (Option.value ~default:"" prev))
-            f
-        in
-        with_env "arena" (fun () ->
-            let s = Shell.create () in
-            Alcotest.(check string) "env default shown" "mode: arena"
-              (exec s "mode");
-            (* An explicit selection still beats the environment. *)
-            let _ = exec s "mode levelized" in
-            Alcotest.(check string) "override wins" "mode: levelized"
-              (exec s "mode")));
+        let s = Shell.create () in
+        Alcotest.(check string) "default shown" "mode: arena" (exec s "mode");
+        (* The retired levelized backend is an unknown mode. *)
+        let m = expect_error s "mode levelized" in
+        Alcotest.(check bool) "unknown mode" true
+          (Helpers.contains m "unknown mode \"levelized\"");
+        Alcotest.(check string) "selection survives" "mode: arena"
+          (exec s "mode"));
     Alcotest.test_case "mode rejects unknown backends" `Quick (fun () ->
         let s = Shell.create () in
         let m = expect_error s "mode warp-speed" in

@@ -134,14 +134,14 @@ let test_reconstruction_fixed () =
        let ops = Examples.rs_ops ~error_rate_pct:10 ~seed:7 60 in
        check_reconstruction ~mode (Examples.rs_speculative ~ops).Examples.d_net
          150)
-    [ Elastic_sim.Engine.Levelized; Elastic_sim.Engine.Reference ]
+    [ Elastic_sim.Engine.Arena; Elastic_sim.Engine.Reference ]
 
 type recon_spec = {
   rs_design : int;
   rs_param : int;
   rs_seed : int;
   rs_cycles : int;
-  rs_levelized : bool;
+  rs_arena : bool;
 }
 
 let gen_recon =
@@ -150,13 +150,13 @@ let gen_recon =
   let* rs_param = int_bound 100 in
   let* rs_seed = int_bound 1000 in
   let* rs_cycles = int_range 5 120 in
-  let* rs_levelized = bool in
-  return { rs_design; rs_param; rs_seed; rs_cycles; rs_levelized }
+  let* rs_arena = bool in
+  return { rs_design; rs_param; rs_seed; rs_cycles; rs_arena }
 
 let print_recon r =
   Fmt.str "design=%d param=%d seed=%d cycles=%d mode=%s" r.rs_design
     r.rs_param r.rs_seed r.rs_cycles
-    (if r.rs_levelized then "levelized" else "reference")
+    (if r.rs_arena then "arena" else "reference")
 
 let recon_net r =
   match r.rs_design with
@@ -186,7 +186,7 @@ let reconstruction_prop =
     (QCheck.make ~print:print_recon gen_recon)
     (fun r ->
        let mode =
-         if r.rs_levelized then Elastic_sim.Engine.Levelized
+         if r.rs_arena then Elastic_sim.Engine.Arena
          else Elastic_sim.Engine.Reference
        in
        check_reconstruction ~mode (recon_net r) r.rs_cycles;
