@@ -126,8 +126,8 @@ let help =
   lint jsonl <file>        write the report as JSONL
                            (schema elastic-speculation/lint/v1)
   inject <ch> flip <cycle> <bit>       single fault-injection experiments:
-  inject <ch> drop|dup|glitch <cycle>  run a faulted and a clean engine in
-  inject <ch> stall <cycle> [dur]      lockstep and classify the outcome
+  inject <ch> drop|dup|glitch <cycle>  run a faulted engine, classify it
+  inject <ch> stall <cycle> [dur]      against a fault-free golden run
   inject <node> mispredict <cycle> <way>
   campaign flips <ch> <n> <seed> [cycles]  seeded single-bit-flip campaign
   campaign storm <n> <seed> [cycles]       flips spread over all channels

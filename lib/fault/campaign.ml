@@ -30,11 +30,14 @@ let pp_summary ppf s =
     s.histogram
 
 let run ?cycles ?settle ?alarms net ~scenarios =
+  let golden = lazy (Recovery.golden_run ?cycles net) in
   let outcomes =
     List.map
       (fun faults ->
          { faults;
-           report = Recovery.check ?cycles ?settle ?alarms net ~faults })
+           report =
+             Recovery.check ?cycles ?settle ?alarms ~golden:(Lazy.force golden)
+               net ~faults })
       scenarios
   in
   let histogram =

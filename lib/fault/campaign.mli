@@ -4,9 +4,11 @@ open Elastic_netlist
 (** Deterministic seeded fault campaigns.
 
     A campaign is a list of fault scenarios (each a list of simultaneous
-    or staged faults) checked independently by {!Recovery.check} against
-    a fresh engine pair; the same seed always generates the same
-    scenarios and hence the same report. *)
+    or staged faults) checked independently by {!Recovery.check}, each
+    on a fresh faulted engine against one fault-free {!Recovery.golden_run}
+    simulated once per campaign (and not at all for an empty one); the
+    same seed always generates the same scenarios and hence the same
+    report. *)
 
 type outcome = { faults : Fault.t list; report : Recovery.report }
 

@@ -58,80 +58,107 @@ let fresh_violations ~ref_viols ~flt_viols =
     (fun fv -> not (List.exists (fun rv -> key rv = key fv) ref_viols))
     flt_viols
 
-let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?mode ?observer net
-    ~faults =
+type golden = {
+  g_net : Netlist.t;
+  g_cycles : int;
+  g_mode : Engine.eval_mode;
+  g_sinks : (Netlist.node * Transfer.entry list) list;
+  g_violations : (string * Protocol.violation) list;
+  g_starvation : string list;
+}
+
+let golden_run ?(cycles = 300) ?(mode = Engine.default_mode) net =
+  let eng = Engine.create ~monitor:true ~mode net in
+  Engine.run eng cycles;
+  let sink (n : Netlist.node) =
+    match n.Netlist.kind with
+    | Netlist.Sink _ ->
+      Some (n, Transfer.entries (Engine.sink_stream eng n.Netlist.id))
+    | _ -> None
+  in
+  { g_net = net;
+    g_cycles = cycles;
+    g_mode = mode;
+    g_sinks = List.filter_map sink (Netlist.nodes net);
+    g_violations = Engine.violations eng;
+    g_starvation = Engine.starvation_violations eng }
+
+let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?mode ?observer
+    ?golden net ~faults =
+  let mode = Option.value mode ~default:Engine.default_mode in
   let plan = Fault.plan net faults in
-  let refe = Engine.create ~monitor:true ?mode net in
-  let flt = Engine.create ~monitor:true ?mode net in
+  let golden =
+    match golden with
+    | None -> golden_run ~cycles ~mode net
+    | Some g ->
+      if g.g_net != net || g.g_cycles <> cycles || g.g_mode <> mode then
+        invalid_arg
+          "Recovery.check: golden run built for another netlist, cycle \
+           count or eval mode";
+      g
+  in
+  let flt = Engine.create ~monitor:true ~mode net in
   Engine.set_injector flt (Some (Fault.injector plan));
   (match observer with
    | None -> ()
    | Some attach -> attach flt);
-  let crash = ref None in
-  let step_faulted () =
-    if !crash = None then
-      try
+  (* The faulted run gets [settle] cycles more than the golden one: a
+     replayed token arrives late, so let it drain before declaring
+     transfers lost. *)
+  let crash =
+    try
+      for _ = 1 to cycles + settle do
         Engine.step
           ~choices:(fun nid ->
               Fault.choices plan ~cycle:(Engine.cycle flt) nid)
           flt;
         Fault.observe plan flt
-      with
-      | Engine.Simulation_error e ->
-        crash := Some (Engine.error_to_string e)
-      | e -> crash := Some (Printexc.to_string e)
-  in
-  for _ = 1 to cycles do
-    Engine.step refe;
-    step_faulted ()
-  done;
-  (* Let the faulted engine drain: a replayed token arrives late, so give
-     it a settle window before declaring transfers lost. *)
-  for _ = 1 to settle do
-    step_faulted ()
-  done;
-  let alarm_ids = List.map fst alarms in
-  let sinks =
-    List.filter
-      (fun (n : Netlist.node) ->
-         match n.Netlist.kind with
-         | Netlist.Sink _ -> true
-         | _ -> false)
-      (Netlist.nodes net)
+      done;
+      None
+    with
+    | Engine.Simulation_error e -> Some (Engine.error_to_string e)
+    | e -> Some (Printexc.to_string e)
   in
   let data_sinks =
     List.filter
-      (fun (n : Netlist.node) -> not (List.mem n.Netlist.id alarm_ids))
-      sinks
+      (fun ((n : Netlist.node), _) -> not (List.mem_assoc n.Netlist.id alarms))
+      golden.g_sinks
   in
-  let stream_len eng nid = Transfer.length (Engine.sink_stream eng nid) in
+  let flt_entries nid = Transfer.entries (Engine.sink_stream flt nid) in
   let ref_transfers =
-    List.fold_left
-      (fun a (n : Netlist.node) -> a + stream_len refe n.Netlist.id)
-      0 data_sinks
+    List.fold_left (fun a (_, re) -> a + List.length re) 0 data_sinks
   in
   let faulted_transfers =
     List.fold_left
-      (fun a (n : Netlist.node) -> a + stream_len flt n.Netlist.id)
+      (fun a ((n : Netlist.node), _) ->
+         a + Transfer.length (Engine.sink_stream flt n.Netlist.id))
       0 data_sinks
   in
   let fresh =
-    fresh_violations ~ref_viols:(Engine.violations refe)
+    fresh_violations ~ref_viols:golden.g_violations
       ~flt_viols:(Engine.violations flt)
   in
   let fresh_starvation =
     List.filter
-      (fun s -> not (List.mem s (Engine.starvation_violations refe)))
+      (fun s -> not (List.mem s golden.g_starvation))
       (Engine.starvation_violations flt)
   in
-  let alarm_trips eng =
+  let alarm_trips entries_of =
     List.fold_left
       (fun acc (nid, pred) ->
-         let entries = Transfer.entries (Engine.sink_stream eng nid) in
          acc
          + List.length
-             (List.filter (fun e -> pred e.Transfer.value) entries))
+             (List.filter (fun e -> pred e.Transfer.value) (entries_of nid)))
       0 alarms
+  in
+  (* An alarm id that names no sink is missing from the golden run; the
+     faulted engine's [sink_stream] rejects it first. *)
+  let ref_entries nid =
+    List.find_map
+      (fun ((n : Netlist.node), re) ->
+         if n.Netlist.id = nid then Some re else None)
+      golden.g_sinks
+    |> Option.value ~default:[]
   in
   let monitor_detection () =
     match fresh with
@@ -155,16 +182,15 @@ let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?mode ?observer net
       (match fresh_starvation with
        | s :: _ -> Some (Fmt.str "starvation watchdog: %s" s)
        | [] ->
-         let ref_trips = alarm_trips refe and flt_trips = alarm_trips flt in
+         let flt_trips = alarm_trips flt_entries in
+         let ref_trips = alarm_trips ref_entries in
          if flt_trips > ref_trips then
            Some
              (Fmt.str "alarm sink tripped %d time%s" (flt_trips - ref_trips)
                 (if flt_trips - ref_trips = 1 then "" else "s"))
          else None)
   in
-  let compare_sink (n : Netlist.node) =
-    let re = Transfer.entries (Engine.sink_stream refe n.Netlist.id) in
-    let fe = Transfer.entries (Engine.sink_stream flt n.Netlist.id) in
+  let compare_sink ((n : Netlist.node), re) =
     let rec go i lag rs fs =
       match (rs, fs) with
       | [], [] -> `Lag lag
@@ -187,10 +213,10 @@ let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?mode ?observer net
         else go (i + 1) (max lag (f.Transfer.cycle - r.Transfer.cycle)) rs'
                fs'
     in
-    go 0 0 re fe
+    go 0 0 re (flt_entries n.Netlist.id)
   in
   let classification =
-    match !crash with
+    match crash with
     | Some why -> Crashed why
     | None ->
       (match monitor_detection () with

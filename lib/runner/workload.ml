@@ -28,13 +28,31 @@ let emit_phases (rc, attempt_id) ~t0 ~t1 profile =
   Recorder.emit rc ~parent:attempt_id Span.Settle "settle" ~start_ns:c_end
     ~end_ns:s_end
 
+(* The campaign's golden run, built by the first task that asks for it
+   and then read by every worker.  A lock rather than [Lazy.force], which
+   is not domain-safe; a build that raises is not cached, so each task
+   that asks reports the failure itself. *)
+let shared_golden ?cycles net =
+  let lock = Pool_backend.create_lock () in
+  let cached = ref None in
+  fun () ->
+    Pool_backend.with_lock lock (fun () ->
+        match !cached with
+        | Some g -> g
+        | None ->
+          let g = Recovery.golden_run ?cycles net in
+          cached := Some g;
+          g)
+
 let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
+  let golden = shared_golden ?cycles net in
   List.mapi
     (fun i faults ->
        { Runner.id = Fmt.str "%s/%04d" name i;
          work =
            (fun (ctx : Runner.ctx) ->
               ctx.check_deadline ();
+              let golden = golden () in
               let profile = ref None in
               let observer e =
                 profile := Some (Elastic_sim.Engine.profile e)
@@ -45,7 +63,8 @@ let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
                 | None -> 0L
               in
               let report =
-                Recovery.check ?cycles ?settle ?alarms ~observer net ~faults
+                Recovery.check ?cycles ?settle ?alarms ~observer ~golden net
+                  ~faults
               in
               (match ctx.obs, !profile with
                | Some ((rc, _) as obs), Some p ->

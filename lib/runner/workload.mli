@@ -2,9 +2,14 @@
 
     {!Elastic_fault.Campaign.run} checks scenarios one after another in
     one process; [of_campaign] turns the same scenario list into one
-    {!Runner.task} per scenario so the runner can shard it.  Each task
-    runs {!Elastic_fault.Recovery.check} against the shared (immutable)
-    netlist and returns a fresh registry snapshot — counters for
+    {!Runner.task} per scenario so the runner can shard it.  The tasks
+    share one {!Elastic_fault.Recovery.golden_run} of the (immutable)
+    netlist: the first task to run builds it under a
+    {!Pool_backend} lock and every other worker reads it; a build that
+    raises is not cached, so each task reports the failure itself, and
+    a campaign that runs no task (fully resumed from a checkpoint) never
+    builds it.  Each task runs {!Elastic_fault.Recovery.check} against
+    that golden run and returns a fresh registry snapshot — counters for
     scenarios, injections and per-class recovery outcomes, plus a
     correction-penalty histogram — so the runner's index-order merge
     reproduces the sequential campaign's histogram exactly, at any
@@ -13,7 +18,7 @@
 (** [of_campaign ~name net ~scenarios] — task ids are
     ["<name>/<index>"] (stable across runs: the checkpoint resume key).
     [cycles], [settle] and [alarms] are passed through to
-    [Recovery.check].  The task body calls [ctx.check_deadline] before
+    [Recovery.check] ([cycles] to the golden run too).  The task body calls [ctx.check_deadline] before
     each check, so shard/campaign wall-clock budgets land between
     simulations, never mid-cycle. *)
 val of_campaign :

@@ -23,6 +23,7 @@ let () =
       ("trace", Test_trace.suite);
       ("sim.more", Test_sim_more.suite);
       ("fault", Test_fault.suite);
+      ("fault.golden", Test_golden_run.suite);
       ("serial", Test_serial.suite);
       ("metrics", Test_metrics.suite);
       ("blif.cosim", Test_blif_cosim.suite);

@@ -411,6 +411,90 @@ let test_workload_matches_sequential_campaign () =
     (Workload.classification_histogram r.Runner.r_merged
      = seq.Campaign.histogram)
 
+(* The campaign's Prometheus page as a sequential [Campaign.run] sees
+   it, from a single registry in scenario order. *)
+let sequential_prometheus (s : Campaign.summary) =
+  let reg = Metrics.create () in
+  List.iter
+    (fun (o : Campaign.outcome) ->
+       Metrics.Counter.inc
+         (Metrics.counter reg ~help:"fault scenarios checked"
+            "elastic_fault_scenarios_total");
+       Metrics.Counter.add
+         (Metrics.counter reg ~help:"faults injected across scenarios"
+            "elastic_fault_injections_total")
+         (List.length o.Campaign.faults);
+       let cls = o.Campaign.report.Recovery.classification in
+       Sampler.note_recovery reg cls;
+       match cls with
+       | Recovery.Corrected penalty ->
+         Histogram.observe
+           (Metrics.histogram reg
+              ~help:"extra delay of corrected scenarios, cycles"
+              "elastic_fault_recovery_penalty_cycles")
+           penalty
+       | _ -> ())
+    s.Campaign.outcomes;
+  Prometheus.render (Metrics.snapshot reg)
+
+(* Every worker count reads the one golden run that the first task
+   builds under the lock (real domains on OCaml 5, the sequential
+   fallback on 4.14) and must merge to the sequential campaign's page. *)
+let test_workload_width_determinism () =
+  let d, alarm = alarmed () in
+  let net = d.Examples.d_net in
+  let alarms = rs_alarms alarm in
+  let ch = src_channel net in
+  let scenarios =
+    Campaign.random_bitflips ~net ~channel:ch ~seed:5 ~count:12
+      ~from_cycle:2 ~to_cycle:40 ~bit_hi:144 ()
+    @ Campaign.random_double_flips ~net ~channel:ch ~seed:5 ~count:4
+        ~from_cycle:2 ~to_cycle:40 ~bit_lo:0 ~bit_hi:72 ()
+    @ [ Fault.control_glitch ~channel:ch ~cycle:20 ]
+  in
+  let expected =
+    sequential_prometheus (Campaign.run ~cycles:90 net ~alarms ~scenarios)
+  in
+  List.iter
+    (fun workers ->
+       let tasks =
+         Workload.of_campaign ~cycles:90 ~alarms ~name:"width" net ~scenarios
+       in
+       let r = Runner.run ~workers ~sleep:sleep_stub ~name:"width" tasks in
+       Alcotest.(check int)
+         (Fmt.str "%d workers: all completed" workers)
+         (List.length scenarios) r.Runner.r_completed;
+       Alcotest.(check string)
+         (Fmt.str "%d workers: prometheus bytes" workers)
+         expected
+         (Prometheus.render r.Runner.r_merged))
+    [ 1; 2; 4 ]
+
+(* A golden run that cannot be built is not cached: every task raises
+   what a direct [Recovery.check] raises. *)
+let test_workload_golden_failure () =
+  let net, _ = Netlist.add_node Netlist.empty (Netlist.Sink Netlist.Always_ready) in
+  let faults = [ Fault.drop_token ~channel:0 ~cycle:1 ] in
+  let direct =
+    match Recovery.check net ~faults with
+    | _ -> Alcotest.fail "an unconnected sink should not simulate"
+    | exception e -> Printexc.to_string e
+  in
+  let tasks =
+    Workload.of_campaign ~name:"bad" net ~scenarios:[ faults; faults; faults ]
+  in
+  let r = Runner.run ~workers:2 ~sleep:sleep_stub ~name:"bad" tasks in
+  Alcotest.(check int) "every shard failed" 3 r.Runner.r_failed;
+  List.iter
+    (fun (sh : Runner.shard) ->
+       match sh.Runner.sh_status with
+       | Runner.Failed f ->
+         Alcotest.(check string) (sh.Runner.sh_id ^ " error") direct f.Runner.f_exn;
+         Alcotest.(check int) (sh.Runner.sh_id ^ " attempts") 1
+           sh.Runner.sh_attempts
+       | _ -> Alcotest.failf "%s did not fail" sh.Runner.sh_id)
+    r.Runner.r_shards
+
 let qcheck_equivalence =
   QCheck.Test.make ~count:6
     ~name:"chaos: kill + resume == uninterrupted, at any worker count"
@@ -523,6 +607,10 @@ let suite =
       test_runner_health_metrics;
     Alcotest.test_case "runner campaign == sequential campaign" `Quick
       test_workload_matches_sequential_campaign;
+    Alcotest.test_case "runner campaign at 1, 2, 4 workers == sequential"
+      `Quick test_workload_width_determinism;
+    Alcotest.test_case "a failing golden run fails every task alike"
+      `Quick test_workload_golden_failure;
     QCheck_alcotest.to_alcotest qcheck_equivalence;
     Alcotest.test_case "max_cycles raises typed E110" `Quick
       test_engine_max_cycles;
