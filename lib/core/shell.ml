@@ -305,9 +305,9 @@ let sim_engine s net =
 
 module Metr = Elastic_metrics
 
-(* Simulate [cycles] with a metrics sampler attached, composing with a
+(* A fresh engine with a metrics sampler attached, composing with a
    tracer when [trace on] is in effect (single observer slot). *)
-let sampled_run s net ?window ?on_window cycles =
+let sampled_engine s net ?window ?on_window () =
   let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
   let sampler = Metr.Sampler.create ?window ?on_window eng in
   let tr =
@@ -325,6 +325,10 @@ let sampled_run s net ?window ?on_window cycles =
            | None -> ()
            | Some tr -> Elastic_trace.Tracer.observe tr e);
           Metr.Sampler.observe sampler e));
+  (eng, sampler)
+
+let sampled_run s net ?window ?on_window cycles =
+  let eng, sampler = sampled_engine s net ?window ?on_window () in
   Elastic_sim.Engine.run eng cycles;
   (eng, sampler)
 
@@ -1001,13 +1005,10 @@ let rec execute_cmd s line =
                     (watch_frame net eng r.Metr.Sampler.r_samples
                        r.Metr.Sampler.r_cycle)
               in
-              let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
-              eng_slot := Some eng;
-              let sampler =
-                Metr.Sampler.create ~window:every ~on_window eng
+              let eng, _ =
+                sampled_engine s net ~window:every ~on_window ()
               in
-              Elastic_sim.Engine.set_observer eng
-                (Some (Metr.Sampler.observe sampler));
+              eng_slot := Some eng;
               Elastic_sim.Engine.run eng cycles;
               Ok
                 (Fmt.str "%swatched %d cycles (frame every %d)"

@@ -30,7 +30,8 @@
      [Wires.written] cons list (iterated top-down = most-recent-first).
    - node "instructions" are index arrays into the shared [ports]
      pool: per node a slice of input wires, output wires and (for
-     joins) the data-function argument list. *)
+     joins) the data-function argument list, flattened at [create]
+     from the dense channel indices each [Instance.t] holds. *)
 
 open Elastic_kernel
 open Elastic_sched
@@ -127,8 +128,8 @@ type t = {
   mutable forced_any : bool;
 }
 
-let create ~schedule ~profile ~cycle_evals ~nchan specs =
-  let n_nodes = Array.length specs in
+let create ~schedule ~profile ~cycle_evals ~nchan insts =
+  let n_nodes = Array.length insts in
   let sz = max n_nodes 1 in
   let ins_base = Array.make sz 0 in
   let ins_n = Array.make sz 0 in
@@ -149,7 +150,9 @@ let create ~schedule ~profile ~cycle_evals ~nchan specs =
   in
   let max_fan = ref 1 in
   Array.iteri
-    (fun i (inst, in_ch, sel_ch, out_ch) ->
+    (fun i inst ->
+       let in_ch = Instance.ins inst and out_ch = Instance.outs inst in
+       let sel_ch = Instance.sel inst in
        states.(i) <- Instance.state inst;
        ins_base.(i) <- alloc in_ch;
        ins_n.(i) <- Array.length in_ch;
@@ -175,7 +178,7 @@ let create ~schedule ~profile ~cycle_evals ~nchan specs =
        | Netlist.Shared { f; _ } -> fns.(i) <- Func.apply f
        | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _
        | Netlist.Fork _ | Netlist.Mux _ | Netlist.Varlat _ -> ())
-    specs;
+    insts;
   let ports = Array.make (max !pos 1) 0 in
   List.iter
     (fun (b, arr) -> Array.blit arr 0 ports b (Array.length arr))

@@ -12,9 +12,12 @@ open Elastic_kernel
     evaluation order, dirty-set propagation and budgets are fixed, so
     eval counts, settle passes, traces and metrics are deterministic and
     locked by committed goldens; it reaches the same fixed point as the
-    blind reference fixpoint over {!Wires}.  [Engine] owns the mode
-    dispatch, error rendering and everything outside the settle loop;
-    node register state stays in {!Instance} and is shared. *)
+    blind reference fixpoint over {!Wires}.  An arena engine builds no
+    {!Wires} store: it shares only {!Wires.override} and
+    {!Wires.Conflict}.  [Engine] owns the mode dispatch, error
+    rendering and everything outside the settle loop; node register
+    state and each node's port indices stay in {!Instance} and are
+    shared. *)
 
 type t
 
@@ -22,17 +25,18 @@ type t
     engine converts it into its E110 non-convergence error. *)
 exception Did_not_converge
 
-(** [create ~schedule ~profile ~cycle_evals ~nchan specs] compiles the
-    arena.  [specs] lists, per dense node index, the instance and its
-    dense input/sel/output channel indices (the engine's compiled
-    order); [profile] and [cycle_evals] are the engine's counters,
-    updated exactly as the record backends update them. *)
+(** [create ~schedule ~profile ~cycle_evals ~nchan insts] compiles the
+    arena from the engine's instances, one per dense node index, and
+    flattens their dense input/sel/output channel indices
+    ({!Instance.ins}, {!Instance.sel}, {!Instance.outs}) into its own
+    port pool; [profile] and [cycle_evals] are the engine's counters,
+    updated exactly as the reference fixpoint updates them. *)
 val create :
   schedule:Schedule.t ->
   profile:Profile.t ->
   cycle_evals:int array ->
   nchan:int ->
-  (Instance.t * int array * int option * int array) array ->
+  Instance.t array ->
   t
 
 (** Clear all wire codes and data tags for a new cycle (overrides

@@ -43,17 +43,14 @@ let mode_of_string s =
 
 let default_mode = Arena
 
-type compiled = {
-  inst : Instance.t;
-  in_ch : int array;  (* dense wire index per In port *)
-  sel_ch : int option;
-  out_ch : int array;
-}
+(* The combinational-phase store: Reference's [Wires] records or the
+   arena's packed codes.  An arena engine never builds a [Wires] store. *)
+type backend = Reference of Wires.t | Arena of Arena.t
 
 type t = {
   net : Netlist.t;
-  ws : Wires.t;
-  compiled : compiled array;
+  backend : backend;
+  insts : Instance.t array;  (* dense node order *)
   chans : Netlist.channel array;  (* dense order *)
   ch_index : (Netlist.channel_id, int) Hashtbl.t;
   monitors : Protocol.monitor array;  (* empty if monitoring disabled *)
@@ -81,7 +78,6 @@ type t = {
   mutable injected_rev : int list;  (* dense indices overridden this cycle
                                        (tracked only while observed) *)
   clock : Clock.t;
-  arena : Arena.t option;  (* flat settle backend; [None] in Reference *)
 }
 
 let dense_index t cid =
@@ -92,7 +88,7 @@ let dense_index t cid =
 
 let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     ?max_cycles ?(clock = Clock.monotonic) net =
-  let mode = Option.value mode ~default:default_mode in
+  let mode : eval_mode = Option.value mode ~default:default_mode in
   let compile_t0 = clock () in
   (match max_cycles with
    | Some n when n < 0 -> invalid_arg "Engine.create: negative max_cycles"
@@ -109,47 +105,47 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
             (List.map
                (fun (d : Diagnostic.t) -> d.Diagnostic.message)
                ds)));
+  (* "E101" is Elastic_lint's buffer-overfilled rule, quoted like E102
+     in [check_determined]; checked before any node is compiled. *)
+  List.iter
+    (fun (n : Netlist.node) ->
+       match n.Netlist.kind with
+       | Netlist.Buffer { buffer; init }
+         when List.length init > Netlist.buffer_capacity buffer ->
+         fail ~cycle:0 ~code:"E101" ~node:n.Netlist.id
+           (Fmt.str
+              "buffer %s holds %d initial tokens but %s has capacity %d"
+              n.Netlist.name (List.length init)
+              (Netlist.buffer_kind_name buffer)
+              (Netlist.buffer_capacity buffer))
+       | _ -> ())
+    (Netlist.nodes net);
   let chans = Array.of_list (Netlist.channels net) in
   let ch_index = Hashtbl.create 64 in
   Array.iteri
     (fun i (c : Netlist.channel) -> Hashtbl.add ch_index c.Netlist.ch_id i)
     chans;
-  let ws = Wires.create (Array.length chans) in
-  let wire_of cid = Wires.wire ws (Hashtbl.find ch_index cid) in
   let compile (n : Netlist.node) =
-    let port_wire p =
+    let index p =
       match Netlist.channel_at net n.Netlist.id p with
-      | Some c -> c.Netlist.ch_id
+      | Some c -> Hashtbl.find ch_index c.Netlist.ch_id
       | None -> assert false (* validate guarantees connectivity *)
     in
-    let ins_ports =
-      List.filter
-        (fun p -> match p with Netlist.In _ -> true | _ -> false)
-        (Netlist.required_inputs n.Netlist.kind)
+    let ports ps = Array.of_list (List.map index ps) in
+    let inputs = Netlist.required_inputs n.Netlist.kind in
+    let is_in = function
+      | Netlist.In _ -> true
+      | Netlist.Sel | Netlist.Out _ -> false
     in
-    let has_sel =
-      List.exists
-        (fun p -> Netlist.port_equal p Netlist.Sel)
-        (Netlist.required_inputs n.Netlist.kind)
-    in
-    let outs_ports = Netlist.required_outputs n.Netlist.kind in
-    let in_ids = List.map port_wire ins_ports in
-    let out_ids = List.map port_wire outs_ports in
-    let sel_id = if has_sel then Some (port_wire Netlist.Sel) else None in
-    let inst =
-      Instance.create n
-        ~ins:(Array.of_list (List.map wire_of in_ids))
-        ~sel:(Option.map wire_of sel_id)
-        ~outs:(Array.of_list (List.map wire_of out_ids))
-    in
-    { inst;
-      in_ch = Array.of_list (List.map (Hashtbl.find ch_index) in_ids);
-      sel_ch = Option.map (Hashtbl.find ch_index) sel_id;
-      out_ch = Array.of_list (List.map (Hashtbl.find ch_index) out_ids) }
+    Instance.create n
+      ~ins:(ports (List.filter is_in inputs))
+      ~sel:
+        (if List.exists (Netlist.port_equal Netlist.Sel) inputs then
+           Some (index Netlist.Sel)
+         else None)
+      ~outs:(ports (Netlist.required_outputs n.Netlist.kind))
   in
-  let compiled =
-    Array.of_list (List.map compile (Netlist.nodes net))
-  in
+  let insts = Array.of_list (List.map compile (Netlist.nodes net)) in
   let monitors =
     if not monitor then [||]
     else
@@ -185,24 +181,21 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
      final no-progress pass on tiny netlists. *)
   let default_max_passes = (5 * Array.length chans) + 16 in
   let schedule = Schedule.build net in
-  let profile = Profile.create ~n_nodes:(Array.length compiled) in
-  let cycle_evals = Array.make (max (Array.length compiled) 1) 0 in
-  let arena =
+  let profile = Profile.create ~n_nodes:(Array.length insts) in
+  let cycle_evals = Array.make (max (Array.length insts) 1) 0 in
+  let backend =
     match mode with
     | Arena ->
-      Some
+      Arena
         (Arena.create ~schedule ~profile ~cycle_evals
-           ~nchan:(Array.length chans)
-           (Array.map
-              (fun c -> (c.inst, c.in_ch, c.sel_ch, c.out_ch))
-              compiled))
-    | Reference -> None
+           ~nchan:(Array.length chans) insts)
+    | Reference -> Reference (Wires.create (Array.length chans))
   in
   (* Everything above — diagnostics, node compilation, schedule build,
      arena packing — is the compile phase of this engine's ledger. *)
   Profile.set_compile_seconds profile
     (Clock.seconds_between compile_t0 (clock ()));
-  { net; ws; compiled; chans; ch_index; monitors; liveness_bound;
+  { net; backend; insts; chans; ch_index; monitors; liveness_bound;
     schedule;
     profile;
     max_passes = Option.value max_passes ~default:default_max_passes;
@@ -233,14 +226,14 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
            | Netlist.Func _ | Netlist.Fork _ | Netlist.Mux _
            | Netlist.Varlat _ -> false)
         chans;
-    starvation = [];
-    arena }
+    starvation = [] }
 
 let netlist t = t.net
 
 let cycle t = t.cycle
 
-let mode t = match t.arena with Some _ -> Arena | None -> Reference
+let mode t : eval_mode =
+  match t.backend with Arena _ -> Arena | Reference _ -> Reference
 
 let profile t = t.profile
 
@@ -260,14 +253,14 @@ let invariant_error t ~node e =
     (Fmt.str "node invariant violated during evaluation: %s"
        (Printexc.to_string e))
 
-let eval_node t i =
-  let c = t.compiled.(i) in
+let eval_node t ws i =
+  let inst = t.insts.(i) in
   Profile.note_eval t.profile i;
   t.cycle_evals.(i) <- t.cycle_evals.(i) + 1;
-  try Instance.eval t.ws c.inst with
+  try Instance.eval ws inst with
   | Wires.Conflict { wire; field } -> conflict_error t ~wire ~field
   | (Assert_failure _ | Invalid_argument _) as e ->
-    invariant_error t ~node:(Instance.node c.inst).Netlist.id e
+    invariant_error t ~node:(Instance.node inst).Netlist.id e
 
 (* Name the channels whose wires changed during the final pass — the
    diff of the last two passes is exactly the non-converging set.
@@ -275,9 +268,9 @@ let eval_node t i =
    for the E102 convention on quoting lint codes here). *)
 let non_convergence_error t ~passes =
   let written =
-    match t.arena with
-    | Some ar -> Arena.written_channels ar
-    | None -> Wires.written t.ws
+    match t.backend with
+    | Arena ar -> Arena.written_channels ar
+    | Reference ws -> Wires.written ws
   in
   let changing = List.sort_uniq compare written in
   let names =
@@ -299,13 +292,13 @@ let non_convergence_error t ~passes =
              passes
              (String.concat ", " names))))
 
-let fixpoint t =
+let fixpoint t ws =
   let rec go pass =
-    Wires.clear_progress t.ws;
-    for i = 0 to Array.length t.compiled - 1 do
-      eval_node t i
+    Wires.clear_progress ws;
+    for i = 0 to Array.length t.insts - 1 do
+      eval_node t ws i
     done;
-    if Wires.progress t.ws then
+    if Wires.progress ws then
       if pass >= t.max_passes then
         non_convergence_error t ~passes:(pass + 1)
       else go (pass + 1)
@@ -314,18 +307,18 @@ let fixpoint t =
 
 let check_determined t =
   let unknown =
-    match t.arena with
-    | Some ar -> Arena.unknown_count ar
-    | None -> Wires.unknown_count t.ws
+    match t.backend with
+    | Arena ar -> Arena.unknown_count ar
+    | Reference ws -> Wires.unknown_count ws
   in
   if unknown > 0 then begin
     let undetermined =
       Array.to_list t.chans
       |> List.filteri (fun i _ ->
-          match t.arena with
-          | Some ar -> Arena.undetermined ar i
-          | None ->
-            let w = Wires.wire t.ws i in
+          match t.backend with
+          | Arena ar -> Arena.undetermined ar i
+          | Reference ws ->
+            let w = Wires.wire ws i in
             Wires.v_plus w = None || Wires.s_plus w = None
             || Wires.v_minus w = None || Wires.s_minus w = None)
     in
@@ -357,9 +350,9 @@ let injected t =
 
 let install_overrides t =
   if t.overrides_active then begin
-    (match t.arena with
-     | Some ar -> Arena.clear_overrides ar
-     | None -> Wires.clear_overrides t.ws);
+    (match t.backend with
+     | Arena ar -> Arena.clear_overrides ar
+     | Reference ws -> Wires.clear_overrides ws);
     t.overrides_active <- false
   end;
   match t.injector with
@@ -373,9 +366,9 @@ let install_overrides t =
       (fun i (c : Netlist.channel) ->
          match f ~cycle:t.cycle c.Netlist.ch_id with
          | Some ov ->
-           (match t.arena with
-            | Some ar -> Arena.set_override ar i ov
-            | None -> Wires.set_override t.ws i ov);
+           (match t.backend with
+            | Arena ar -> Arena.set_override ar i ov
+            | Reference ws -> Wires.set_override ws i ov);
            t.overrides_active <- true;
            if log then t.injected_rev <- i :: t.injected_rev
          | None -> ())
@@ -404,26 +397,25 @@ let settle_arena t ar =
   | Arena.Did_not_converge -> non_convergence_error t ~passes:t.max_passes
   | (Assert_failure _ | Invalid_argument _) as e ->
     invariant_error t
-      ~node:(Instance.node t.compiled.(Arena.last_eval ar).inst).Netlist.id
-      e
+      ~node:(Instance.node t.insts.(Arena.last_eval ar)).Netlist.id e
 
 let step ?(choices = fun _ -> None) t =
   check_cycle_budget t;
-  (match t.arena with
-   | Some ar -> Arena.reset ar
-   | None -> Wires.reset t.ws);
+  (match t.backend with
+   | Arena ar -> Arena.reset ar
+   | Reference ws -> Wires.reset ws);
   t.injected_rev <- [];
   install_overrides t;
   Array.iter
-    (fun c ->
-       Instance.begin_cycle c.inst
-         ~choice:(choices (Instance.node c.inst).Netlist.id))
-    t.compiled;
+    (fun inst ->
+       Instance.begin_cycle inst
+         ~choice:(choices (Instance.node inst).Netlist.id))
+    t.insts;
   Array.fill t.cycle_evals 0 (Array.length t.cycle_evals) 0;
   let t0 = t.clock () in
-  (match t.arena with
-   | Some ar -> settle_arena t ar
-   | None -> fixpoint t);
+  (match t.backend with
+   | Arena ar -> settle_arena t ar
+   | Reference ws -> fixpoint t ws);
   (* Stop the settle timer before the determinism check and pass fold so
      the recorded seconds cover only the settle phase itself — the E9
      speedup record compares backends on this number. *)
@@ -433,10 +425,10 @@ let step ?(choices = fun _ -> None) t =
   Profile.record_cycle t.profile ~passes ~seconds:settle_seconds;
   let n = Array.length t.chans in
   let signals =
-    match t.arena with
-    | Some ar -> Array.init n (fun i -> Arena.to_signal ar i)
-    | None ->
-      Array.init n (fun i -> Wires.to_signal (Wires.wire t.ws i))
+    match t.backend with
+    | Arena ar -> Array.init n (fun i -> Arena.to_signal ar i)
+    | Reference ws ->
+      Array.init n (fun i -> Wires.to_signal (Wires.wire ws i))
   in
   let events = Array.map Signal.events signals in
   t.last_signals <- signals;
@@ -473,13 +465,13 @@ let step ?(choices = fun _ -> None) t =
   done;
   (* Record sink transfer streams. *)
   Array.iter
-    (fun c ->
-       match (Instance.node c.inst).Netlist.kind with
+    (fun inst ->
+       match (Instance.node inst).Netlist.kind with
        | Netlist.Sink _ ->
-         let i = c.in_ch.(0) in
+         let i = (Instance.ins inst).(0) in
          if events.(i).Signal.token_in then begin
            let stream =
-             Hashtbl.find t.sink_streams (Instance.node c.inst).Netlist.id
+             Hashtbl.find t.sink_streams (Instance.node inst).Netlist.id
            in
            match signals.(i).Signal.data with
            | Some v -> stream := Transfer.record !stream ~cycle:t.cycle v
@@ -487,28 +479,24 @@ let step ?(choices = fun _ -> None) t =
              (* Unreachable in a healthy run; reachable when a fault
                 forges a valid bit without a payload. *)
              fail ~cycle:t.cycle
-               ~node:(Instance.node c.inst).Netlist.id
+               ~node:(Instance.node inst).Netlist.id
                ~channel:t.chans.(i).Netlist.ch_id
                "token delivered at sink with no data payload"
          end
        | Netlist.Source _ | Netlist.Buffer _ | Netlist.Func _
        | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _
        | Netlist.Varlat _ -> ())
-    t.compiled;
-  (* Clock edge. *)
+    t.insts;
+  (* Clock edge: each node reads its ports straight out of the elapsed
+     cycle's arrays. *)
   Array.iter
-    (fun c ->
-       let pair i = (signals.(i), events.(i)) in
-       try
-         Instance.clock c.inst
-           ~ins:(Array.map pair c.in_ch)
-           ~sel:(Option.map pair c.sel_ch)
-           ~outs:(Array.map pair c.out_ch)
+    (fun inst ->
+       try Instance.clock inst ~signals ~events
        with (Assert_failure _ | Invalid_argument _) as e ->
-         fail ~cycle:t.cycle ~node:(Instance.node c.inst).Netlist.id
+         fail ~cycle:t.cycle ~node:(Instance.node inst).Netlist.id
            (Fmt.str "node invariant violated at the clock edge: %s"
               (Printexc.to_string e)))
-    t.compiled;
+    t.insts;
   (* End-of-cycle observer: the elapsed cycle's signals, events and
      counters are all readable, and [cycle t] still names the elapsed
      cycle.  The [None] branch must stay allocation-free — it is on the
@@ -516,10 +504,9 @@ let step ?(choices = fun _ -> None) t =
   (match t.observer with None -> () | Some f -> f t);
   t.cycle <- t.cycle + 1
 
-let run ?choices ?(on_cycle = fun _ -> ()) t n =
+let run ?choices t n =
   for _ = 1 to n do
-    step ?choices t;
-    on_cycle t
+    step ?choices t
   done
 
 let signal t cid = t.last_signals.(dense_index t cid)
@@ -556,10 +543,10 @@ let windowed_throughput t nid =
     else float_of_int (List.length entries - 1) /. float_of_int span
 
 let occupancies t =
-  Array.to_list t.compiled
-  |> List.filter_map (fun c ->
-      match Instance.buffer_occupancy c.inst with
-      | Some n -> Some ((Instance.node c.inst).Netlist.id, n)
+  Array.to_list t.insts
+  |> List.filter_map (fun inst ->
+      match Instance.buffer_occupancy inst with
+      | Some n -> Some ((Instance.node inst).Netlist.id, n)
       | None -> None)
 
 let stored_tokens t =
@@ -573,31 +560,27 @@ let violations t =
 let starvation_violations t = List.rev t.starvation
 
 let schedulers t =
-  Array.to_list t.compiled
-  |> List.filter_map (fun c ->
-      match Instance.scheduler c.inst with
-      | Some s -> Some ((Instance.node c.inst).Netlist.id, s)
+  Array.to_list t.insts
+  |> List.filter_map (fun inst ->
+      match Instance.scheduler inst with
+      | Some s -> Some ((Instance.node inst).Netlist.id, s)
       | None -> None)
 
 let nondet_nodes t =
-  Array.to_list t.compiled
-  |> List.filter_map (fun c ->
-      if Instance.is_nondet c.inst then Some (Instance.node c.inst)
-      else None)
+  Array.to_list t.insts
+  |> List.filter_map (fun inst ->
+      if Instance.is_nondet inst then Some (Instance.node inst) else None)
 
 type snap = Instance.snap array
 
-let snapshot t = Array.map (fun c -> Instance.snapshot c.inst) t.compiled
+let snapshot t = Array.map Instance.snapshot t.insts
 
 let restore t snap =
-  if Array.length snap <> Array.length t.compiled then
+  if Array.length snap <> Array.length t.insts then
     invalid_arg "Engine.restore: snapshot size mismatch";
-  Array.iteri (fun i s -> Instance.restore t.compiled.(i).inst s) snap
+  Array.iteri (fun i s -> Instance.restore t.insts.(i) s) snap
 
 let state_key t =
   Fmt.str "%a"
     Fmt.(array ~sep:(any "|") Instance.pp_snap)
     (snapshot t)
-
-let pp_snap ppf (s : snap) =
-  Fmt.pf ppf "%a" Fmt.(array ~sep:(any "|") Instance.pp_snap) s

@@ -28,8 +28,9 @@ type error = {
   err_code : string option;
       (** Lint rule code when the failure has a known static cause — the
           structural code (E001-E004) that made [create] refuse the
-          netlist, or ["E102"] when the combinational phase found an
-          unbroken cycle at runtime — or the runtime diagnostic code
+          netlist, ["E101"] when [create] found a buffer holding more
+          initial tokens than its capacity, or ["E102"] when the
+          combinational phase found an unbroken cycle at runtime — or the runtime diagnostic code
           ["E110"] when a budget watchdog fired: the settle loop
           exceeded its pass budget without converging, or the engine's
           cycle budget ([max_cycles]) was exhausted.  Campaign runners
@@ -65,7 +66,12 @@ type t
     changes.  It is kept as the independent oracle for differential
     testing: both modes reach the same unique fixed point (node
     equations are monotone over the 3-valued wires), so traces, sink
-    streams and errors agree; only eval counts differ. *)
+    streams and errors agree; only eval counts differ.
+
+    An engine holds exactly one of the two stores: an [Arena] engine
+    never builds a {!Wires} store, and a [Reference] engine builds no
+    arena.  Both read each node's ports from the same dense channel
+    indices in {!Instance}. *)
 type eval_mode = Reference | Arena
 
 (** Lowercase backend name: ["reference"], ["arena"]. *)
@@ -78,7 +84,8 @@ val mode_of_string : string -> eval_mode option
 (** The mode {!create} uses when none is given: [Arena]. *)
 val default_mode : eval_mode
 
-(** [create netlist] compiles and validates the netlist.
+(** [create netlist] compiles and validates the netlist; it raises
+    {!Simulation_error} on an invalid one (see [err_code] in {!error}).
 
     @param monitor enable protocol monitors (default [true]).
     @param liveness_bound watchdog threshold in cycles (default [64]).
@@ -116,7 +123,7 @@ val schedule : t -> Schedule.t
 
 (** Install (or remove, with [None]) the fault injector consulted at the
     start of every subsequent {!step}.  The engine itself is unchanged:
-    with no injector the wire store carries no overrides. *)
+    with no injector the backend's store carries no overrides. *)
 val set_injector : t -> injector option -> unit
 
 (** Install (or remove, with [None]) the per-cycle observer, mirroring
@@ -138,11 +145,9 @@ val injected : t -> Netlist.channel_id list
     @raise Simulation_error on combinational cycles. *)
 val step : ?choices:(Netlist.node_id -> Instance.choice option) -> t -> unit
 
-(** [run t n] simulates [n] cycles; [on_cycle] is called after each cycle
-    (signals of the elapsed cycle are inspectable). *)
+(** [run t n] simulates [n] cycles ({!step} [n] times). *)
 val run :
-  ?choices:(Netlist.node_id -> Instance.choice option) ->
-  ?on_cycle:(t -> unit) -> t -> int -> unit
+  ?choices:(Netlist.node_id -> Instance.choice option) -> t -> int -> unit
 
 (** {1 Observation} *)
 
@@ -204,5 +209,3 @@ val restore : t -> snap -> unit
 (** Stable key identifying the register state (cycle counters of
     environment pattern nodes included). *)
 val state_key : t -> string
-
-val pp_snap : Format.formatter -> snap -> unit

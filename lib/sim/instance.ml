@@ -69,15 +69,22 @@ type state =
   | S_shared of Scheduler.t
   | S_varlat of varlat_state
 
+(* Ports are dense channel indices (see [create] in the interface). *)
 type t = {
   node : Netlist.node;
-  ins : Wires.wire array;
-  sel : Wires.wire option;
-  outs : Wires.wire array;
+  ins : int array;
+  sel : int option;
+  outs : int array;
   state : state;
 }
 
 let node t = t.node
+
+let ins t = t.ins
+
+let sel t = t.sel
+
+let outs t = t.outs
 
 let state t = t.state
 
@@ -104,19 +111,11 @@ let make_state (n : Netlist.node) =
     in
     S_sink { kspec; krng = Rng.create ~seed; cyc = 0; stalling = false }
   | Netlist.Buffer { buffer = Netlist.Eb; init } ->
-    if List.length init > 2 then
-      invalid_arg
-        (Fmt.str "Instance: EB %s has capacity 2 but %d initial tokens"
-           n.Netlist.name (List.length init));
     S_eb { n = List.length init; queue = init }
   | Netlist.Buffer { buffer = Netlist.Eb0; init } ->
     (match init with
      | [] -> S_eb0 { full = false; stored = Value.Unit }
-     | [ v ] -> S_eb0 { full = true; stored = v }
-     | _ :: _ :: _ ->
-       invalid_arg
-         (Fmt.str "Instance: EB0 %s has capacity 1 but %d initial tokens"
-            n.Netlist.name (List.length init)))
+     | v :: _ -> S_eb0 { full = true; stored = v })
   | Netlist.Func _ -> S_stateless
   | Netlist.Fork k ->
     S_fork { done_ = Array.make k false; pend = Array.make k 0 }
@@ -126,7 +125,8 @@ let make_state (n : Netlist.node) =
     S_shared (Scheduler.make ~ways sched)
   | Netlist.Varlat _ -> S_varlat { pipe = None }
 
-let create node ~ins ~sel ~outs = { node; ins; sel; outs; state = make_state node }
+let create node ~ins ~sel ~outs =
+  { node; ins; sel; outs; state = make_state node }
 
 let is_nondet t =
   match t.node.Netlist.kind with
@@ -183,7 +183,7 @@ let source_begin st ~choice =
   st.offering <- have && (st.retry || fresh_offer)
 
 let source_eval ws t st =
-  let out = t.outs.(0) in
+  let out = Wires.wire ws t.outs.(0) in
   Wires.set_v_plus ws out st.offering;
   if st.offering then (
     match source_peek st with
@@ -191,9 +191,8 @@ let source_eval ws t st =
     | None -> assert false);
   Wires.set_s_minus ws out false
 
-let source_clock t st ~outs =
-  let sig_, ev = outs.(0) in
-  ignore sig_;
+let source_clock t st ~events =
+  let ev = events.(t.outs.(0)) in
   if ev.Signal.token_out then begin
     (let bump = st.idx + 1 in
      match st.sspec with
@@ -203,8 +202,7 @@ let source_clock t st ~outs =
     st.retry <- false
   end
   else st.retry <- st.offering;
-  if ev.Signal.anti_in then st.pending_kill <- st.pending_kill + 1;
-  ignore t
+  if ev.Signal.anti_in then st.pending_kill <- st.pending_kill + 1
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
@@ -221,7 +219,7 @@ let sink_begin st ~choice =
          | Netlist.Random_stall { pct; _ } -> Rng.percent st.krng pct))
 
 let sink_eval ws t st =
-  let inw = t.ins.(0) in
+  let inw = Wires.wire ws t.ins.(0) in
   Wires.set_s_plus ws inw st.stalling;
   Wires.set_v_minus ws inw false
 
@@ -237,7 +235,7 @@ let sink_clock st =
 (* stores anti-tokens.  All outputs are functions of registers only.   *)
 
 let eb_eval ws t st =
-  let inw = t.ins.(0) and out = t.outs.(0) in
+  let inw = Wires.wire ws t.ins.(0) and out = Wires.wire ws t.outs.(0) in
   Wires.set_s_plus ws inw (st.n >= 2);
   Wires.set_v_minus ws inw (st.n < 0);
   Wires.set_v_plus ws out (st.n > 0);
@@ -246,8 +244,10 @@ let eb_eval ws t st =
    | _ :: _ | [] -> ());
   Wires.set_s_minus ws out (st.n <= -2)
 
-let eb_clock t st ~ins ~outs =
-  let in_sig, in_ev = ins.(0) and _, out_ev = outs.(0) in
+let eb_clock t st ~signals ~events =
+  let i = t.ins.(0) in
+  let in_sig = signals.(i) and in_ev = events.(i)
+  and out_ev = events.(t.outs.(0)) in
   (* Pop before push so a full buffer can stream through. *)
   if out_ev.Signal.token_out then
     (match st.queue with
@@ -267,15 +267,14 @@ let eb_clock t st ~ins ~outs =
   let decr_aout = Bool.to_int out_ev.Signal.anti_in in
   st.n <- st.n + incr_in + incr_ain - decr_out - decr_aout;
   assert (st.n >= -2 && st.n <= 2);
-  assert (List.length st.queue = max st.n 0);
-  ignore t
+  assert (List.length st.queue = max st.n 0)
 
 (* ------------------------------------------------------------------ *)
 (* Zero-backward-latency EB: Lf = 1, Lb = 0, C = 1 (Fig. 5).  Stop and *)
 (* kill traverse the controller combinationally.                      *)
 
 let eb0_eval ws t st =
-  let inw = t.ins.(0) and out = t.outs.(0) in
+  let inw = Wires.wire ws t.ins.(0) and out = Wires.wire ws t.outs.(0) in
   Wires.set_v_plus ws out st.full;
   if st.full then Wires.set_data ws out st.stored;
   if st.full then begin
@@ -291,8 +290,10 @@ let eb0_eval ws t st =
     put Wires.set_s_minus ws out (Wires.s_minus inw)
   end
 
-let eb0_clock t st ~ins ~outs =
-  let in_sig, in_ev = ins.(0) and _, out_ev = outs.(0) in
+let eb0_clock t st ~signals ~events =
+  let i = t.ins.(0) in
+  let in_sig = signals.(i) and in_ev = events.(i)
+  and out_ev = events.(t.outs.(0)) in
   let tin = in_ev.Signal.token_in and tout = out_ev.Signal.token_out in
   assert (not (tin && st.full && not tout));
   if tin then (
@@ -301,8 +302,7 @@ let eb0_clock t st ~ins ~outs =
       st.stored <- v;
       st.full <- true
     | None -> assert false)
-  else if tout then st.full <- false;
-  ignore t
+  else if tout then st.full <- false
 
 (* ------------------------------------------------------------------ *)
 (* Lazy join with a combinational function: used for [Func] nodes and  *)
@@ -310,6 +310,7 @@ let eb0_clock t st ~ins ~outs =
 (* output fork backwards into every input, all-or-nothing.             *)
 
 let eval_join ws ~ins ~out ~data_fn =
+  let ins = Array.map (Wires.wire ws) ins and out = Wires.wire ws out in
   let valids = Array.map Wires.v_plus ins in
   let all_valid = k_and_array valids in
   put Wires.set_v_plus ws out all_valid;
@@ -355,12 +356,12 @@ let eval_join ws ~ins ~out ~data_fn =
 (* Eager fork with anti-token join.                                    *)
 
 let fork_eval ws t st =
-  let inw = t.ins.(0) in
+  let inw = Wires.wire ws t.ins.(0) in
   let vin = Wires.v_plus inw in
   let k = Array.length t.outs in
   let completions = Array.make k (Some true) in
   for i = 0 to k - 1 do
-    let out = t.outs.(i) in
+    let out = Wires.wire ws t.outs.(i) in
     let active = (not st.done_.(i)) && st.pend.(i) = 0 in
     let v_out = if active then vin else Some false in
     put Wires.set_v_plus ws out v_out;
@@ -379,11 +380,11 @@ let fork_eval ws t st =
   let all_pending = Array.for_all (fun p -> p > 0) st.pend in
   put Wires.set_v_minus ws inw (k_and (k_not vin) (Some all_pending))
 
-let fork_clock t st ~ins ~outs =
-  let _, in_ev = ins.(0) in
+let fork_clock t st ~events =
+  let in_ev = events.(t.ins.(0)) in
   let k = Array.length t.outs in
   for i = 0 to k - 1 do
-    let _, ev = outs.(i) in
+    let ev = events.(t.outs.(i)) in
     if ev.Signal.anti_in then st.pend.(i) <- st.pend.(i) + 1;
     if ev.Signal.token_out then st.done_.(i) <- true
   done;
@@ -413,7 +414,8 @@ let fork_clock t st ~ins ~outs =
 (* matters if an upstream refuses anti-tokens indefinitely.            *)
 
 let emux_eval ws t st =
-  let sel = Option.get t.sel and out = t.outs.(0) in
+  let wire = Wires.wire ws in
+  let sel = wire (Option.get t.sel) and out = wire t.outs.(0) in
   let sel_v = Wires.v_plus sel in
   let sv =
     match sel_v, Wires.data sel with
@@ -423,13 +425,14 @@ let emux_eval ws t st =
   let v_out =
     match sel_v, sv with
     | Some false, _ -> Some false
-    | _, Some s -> if st.q.(s) > 0 then Some false else Wires.v_plus t.ins.(s)
+    | _, Some s ->
+      if st.q.(s) > 0 then Some false else Wires.v_plus (wire t.ins.(s))
     | _, None -> None
   in
   put Wires.set_v_plus ws out v_out;
   (match v_out, sv with
    | Some true, Some s ->
-     (match Wires.data t.ins.(s) with
+     (match Wires.data (wire t.ins.(s)) with
       | Some v -> Wires.set_data ws out v
       | None -> ())
    | _ -> ());
@@ -440,7 +443,8 @@ let emux_eval ws t st =
   (* The mux never kills its select stream. *)
   Wires.set_v_minus ws sel false;
   Array.iteri
-    (fun i inw ->
+    (fun i c ->
+       let inw = wire c in
        if st.q.(i) > 0 then begin
          Wires.set_v_minus ws inw true;
          Wires.set_s_plus ws inw false
@@ -461,40 +465,41 @@ let emux_eval ws t st =
   (* Anti-tokens reaching the mux output wait for a token to cancel. *)
   put Wires.set_s_minus ws out (k_not v_out)
 
-let emux_clock t st ~ins ~sel ~outs =
-  let sel_sig, _ = Option.get sel in
-  let _, out_ev = outs.(0) in
-  if out_ev.Signal.token_out then begin
+let emux_clock t st ~signals ~events =
+  let k = Array.length t.ins in
+  if events.(t.outs.(0)).Signal.token_out then begin
     let s =
-      match sel_sig.Signal.data with
+      match signals.(Option.get t.sel).Signal.data with
       | Some v -> Value.to_int v
       | None -> assert false
     in
-    Array.iteri (fun i _ -> if i <> s then st.q.(i) <- st.q.(i) + 1) t.ins
+    for i = 0 to k - 1 do
+      if i <> s then st.q.(i) <- st.q.(i) + 1
+    done
   end;
-  Array.iteri
-    (fun i (_, ev) ->
-       if ev.Signal.anti_out then begin
-         assert (st.q.(i) > 0);
-         st.q.(i) <- st.q.(i) - 1
-       end)
-    ins
+  for i = 0 to k - 1 do
+    if events.(t.ins.(i)).Signal.anti_out then begin
+      assert (st.q.(i) > 0);
+      st.q.(i) <- st.q.(i) - 1
+    end
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Shared elastic module with speculation scheduler (Fig. 4).          *)
 
 let shared_eval ws t sched f =
+  let wire = Wires.wire ws in
   let g = Scheduler.predict sched in
   let k = Array.length t.ins in
   for i = 0 to k - 1 do
-    if i <> g then Wires.set_v_plus ws t.outs.(i) false
+    if i <> g then Wires.set_v_plus ws (wire t.outs.(i)) false
   done;
-  let in_g = t.ins.(g) and out_g = t.outs.(g) in
+  let in_g = wire t.ins.(g) and out_g = wire t.outs.(g) in
   (* A hinted module joins channel 0 (the speculative home) with its hint
      stream: one hint token per operation, delivered to the scheduler. *)
   let hint_v =
     match t.sel with
-    | Some h when g = 0 -> Wires.v_plus h
+    | Some h when g = 0 -> Wires.v_plus (wire h)
     | Some _ | None -> Some true
   in
   put Wires.set_v_plus ws out_g (k_and (Wires.v_plus in_g) hint_v);
@@ -508,12 +513,13 @@ let shared_eval ws t sched f =
   put Wires.set_s_plus ws in_g (k_not fire);
   (match t.sel with
    | Some h ->
+     let h = wire h in
      Wires.set_v_minus ws h false;
      if g = 0 then put Wires.set_s_plus ws h (k_not fire)
      else Wires.set_s_plus ws h true
    | None -> ());
   for i = 0 to k - 1 do
-    let inw = t.ins.(i) and out = t.outs.(i) in
+    let inw = wire t.ins.(i) and out = wire t.outs.(i) in
     if i = g then
       put Wires.set_v_minus ws inw
         (k_and (Wires.v_minus out) (k_not (Wires.v_plus out)))
@@ -528,35 +534,25 @@ let shared_eval ws t sched f =
          (k_and (Wires.s_minus inw) (k_not (Wires.v_plus inw))))
   done
 
-let shared_clock t sched ~ins ~sel ~outs =
+let shared_clock t sched ~signals ~events =
   let g = Scheduler.predict sched in
-  let nth_sig arr i = fst arr.(i) and nth_ev arr i = snd arr.(i) in
   let hint =
-    match sel with
-    | Some ((hsig : Signal.t), (hev : Signal.events)) ->
-      if hev.Signal.token_out then Option.map Value.to_int hsig.Signal.data
-      else None
-    | None -> None
+    match t.sel with
+    | Some h when events.(h).Signal.token_out ->
+      Option.map Value.to_int signals.(h).Signal.data
+    | Some _ | None -> None
   in
+  let field ports f = Array.map (fun c -> f signals.(c)) ports in
   let obs =
-    { Scheduler.in_valid =
-        Array.init (Array.length ins) (fun i ->
-            (nth_sig ins i).Signal.v_plus);
-      out_valid =
-        Array.init (Array.length outs) (fun i ->
-            (nth_sig outs i).Signal.v_plus);
-      out_stop =
-        Array.init (Array.length outs) (fun i ->
-            (nth_sig outs i).Signal.s_plus);
-      out_kill =
-        Array.init (Array.length outs) (fun i ->
-            (nth_sig outs i).Signal.v_minus);
+    { Scheduler.in_valid = field t.ins (fun s -> s.Signal.v_plus);
+      out_valid = field t.outs (fun s -> s.Signal.v_plus);
+      out_stop = field t.outs (fun s -> s.Signal.s_plus);
+      out_kill = field t.outs (fun s -> s.Signal.v_minus);
       served =
-        (if (nth_ev outs g).Signal.token_out then Some g else None);
+        (if events.(t.outs.(g)).Signal.token_out then Some g else None);
       hint }
   in
-  Scheduler.observe sched obs;
-  ignore t
+  Scheduler.observe sched obs
 
 (* ------------------------------------------------------------------ *)
 (* Stalling variable-latency unit (Fig. 6(a)).  A token is served in one *)
@@ -565,7 +561,7 @@ let shared_clock t sched ~ins ~sel ~outs =
 (* accepts anti-tokens (the non-speculative design has none).           *)
 
 let varlat_eval ws t st =
-  let inw = t.ins.(0) and out = t.outs.(0) in
+  let inw = Wires.wire ws t.ins.(0) and out = Wires.wire ws t.outs.(0) in
   Wires.set_v_minus ws inw false;
   (* Anti-tokens are stalled unless they can cancel the ready result; the
      invariant forbids stopping an anti while a token is offered. *)
@@ -585,11 +581,11 @@ let varlat_eval ws t st =
      Wires.set_v_plus ws out false;
      Wires.set_s_plus ws inw false)
 
-let varlat_clock t st ~ins ~outs ~fast ~slow ~err =
-  let in_sig, in_ev = ins.(0) and _, out_ev = outs.(0) in
-  if out_ev.Signal.token_out then st.pipe <- None;
-  if in_ev.Signal.token_in then (
-    match in_sig.Signal.data with
+let varlat_clock t st ~signals ~events ~fast ~slow ~err =
+  let i = t.ins.(0) in
+  if events.(t.outs.(0)).Signal.token_out then st.pipe <- None;
+  if events.(i).Signal.token_in then (
+    match signals.(i).Signal.data with
     | Some v ->
       let wrong = Value.to_int (Func.apply err [ v ]) <> 0 in
       let result = Func.apply (if wrong then slow else fast) [ v ] in
@@ -597,8 +593,7 @@ let varlat_clock t st ~ins ~outs ~fast ~slow ~err =
     | None -> assert false);
   (match st.pipe with
    | Some (v, c) when c > 0 -> st.pipe <- Some (v, c - 1)
-   | Some _ | None -> ());
-  ignore t
+   | Some _ | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
@@ -636,19 +631,19 @@ let eval ws t =
        eval_join ws ~ins:all ~out:t.outs.(0) ~data_fn:(Func.apply select)
      | _ -> assert false)
 
-let clock t ~ins ~sel ~outs =
+let clock t ~signals ~events =
   match t.state with
-  | S_source st -> source_clock t st ~outs
+  | S_source st -> source_clock t st ~events
   | S_sink st -> sink_clock st
-  | S_eb st -> eb_clock t st ~ins ~outs
-  | S_eb0 st -> eb0_clock t st ~ins ~outs
-  | S_fork st -> fork_clock t st ~ins ~outs
-  | S_emux st -> emux_clock t st ~ins ~sel ~outs
-  | S_shared sched -> shared_clock t sched ~ins ~sel ~outs
+  | S_eb st -> eb_clock t st ~signals ~events
+  | S_eb0 st -> eb0_clock t st ~signals ~events
+  | S_fork st -> fork_clock t st ~events
+  | S_emux st -> emux_clock t st ~signals ~events
+  | S_shared sched -> shared_clock t sched ~signals ~events
   | S_varlat st ->
     (match t.node.Netlist.kind with
      | Netlist.Varlat { fast; slow; err } ->
-       varlat_clock t st ~ins ~outs ~fast ~slow ~err
+       varlat_clock t st ~signals ~events ~fast ~slow ~err
      | _ -> assert false)
   | S_stateless -> ()
 
@@ -713,27 +708,6 @@ let restore t snap =
     _ ->
     invalid_arg "Instance.restore: snapshot kind mismatch"
 
-let snap_equal a b =
-  match a, b with
-  | Sn_none, Sn_none -> true
-  | Sn_source (a1, a2, a3, a4), Sn_source (b1, b2, b3, b4) ->
-    a1 = b1 && a2 = b2 && a3 = b3 && a4 = b4
-  | Sn_sink (a1, a2), Sn_sink (b1, b2) -> a1 = b1 && a2 = b2
-  | Sn_eb (n1, q1), Sn_eb (n2, q2) ->
-    n1 = n2 && List.equal Value.equal q1 q2
-  | Sn_eb0 v1, Sn_eb0 v2 -> Option.equal Value.equal v1 v2
-  | Sn_fork (d1, p1), Sn_fork (d2, p2) -> d1 = d2 && p1 = p2
-  | Sn_emux q1, Sn_emux q2 -> q1 = q2
-  | Sn_shared (s1, _), Sn_shared (s2, _) -> s1 = s2
-  | Sn_varlat p1, Sn_varlat p2 ->
-    Option.equal
-      (fun (v1, c1) (v2, c2) -> Value.equal v1 v2 && c1 = c2)
-      p1 p2
-  | ( Sn_none | Sn_source _ | Sn_sink _ | Sn_eb _ | Sn_eb0 _ | Sn_fork _
-    | Sn_emux _ | Sn_shared _ | Sn_varlat _ ),
-    _ ->
-    false
-
 let pp_snap ppf = function
   | Sn_none -> Fmt.string ppf "-"
   | Sn_source (idx, pk, retry, _) ->
@@ -763,13 +737,3 @@ let buffer_occupancy t =
   | S_stateless | S_source _ | S_sink _ | S_fork _ | S_emux _ | S_shared _
     ->
     None
-
-let stored_values t =
-  match t.state with
-  | S_eb st -> if st.n > 0 then st.queue else []
-  | S_eb0 st -> if st.full then [ st.stored ] else []
-  | S_varlat st ->
-    (match st.pipe with Some (v, _) -> [ v ] | None -> [])
-  | S_stateless | S_source _ | S_sink _ | S_fork _ | S_emux _ | S_shared _
-    ->
-    []

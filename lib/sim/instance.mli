@@ -71,13 +71,27 @@ type state =
 
 type t
 
-(** [create node ~ins ~sel ~outs] builds the runtime instance; wire arrays
-    must follow port numbering ([ins.(i)] is port [In i], etc.). *)
+(** [create node ~ins ~sel ~outs] builds the runtime instance over
+    dense channel indices, which must follow port numbering ([ins.(i)]
+    is port [In i], etc.).  These are the node's only copy of its
+    ports: {!eval} resolves them through the Reference backend's
+    {!Wires} store, the arena flattens them into its own index pool,
+    and {!clock} reads the elapsed cycle's arrays through them.
+    Buffers must fit their capacity; [Engine.create] rejects an
+    over-capacity buffer (E101) before it creates any instance. *)
 val create :
-  Netlist.node -> ins:Wires.wire array -> sel:Wires.wire option ->
-  outs:Wires.wire array -> t
+  Netlist.node -> ins:int array -> sel:int option -> outs:int array -> t
 
 val node : t -> Netlist.node
+
+(** Dense channel index of each [In] port, in port order. *)
+val ins : t -> int array
+
+(** Dense channel index of the [Sel] port, if the node has one. *)
+val sel : t -> int option
+
+(** Dense channel index of each [Out] port, in port order. *)
+val outs : t -> int array
 
 (** The node's register state (shared with the arena evaluator). *)
 val state : t -> state
@@ -96,18 +110,16 @@ val scheduler : t -> Scheduler.t option
     behaviour. *)
 val begin_cycle : t -> choice:choice option -> unit
 
-(** One monotone evaluation pass; writes whatever wire values have become
-    determined. *)
+(** One monotone evaluation pass over the Reference backend's store;
+    writes whatever wire values have become determined. *)
 val eval : Wires.t -> t -> unit
 
-(** Clock edge.  [ins]/[sel]/[outs] carry, per port, the resolved channel
-    signals and the boundary events of the elapsed cycle. *)
+(** Clock edge.  [signals] and [events] are the elapsed cycle's
+    resolved channel signals and boundary events, indexed by dense
+    channel index; the node reads its own ports through {!ins},
+    {!sel} and {!outs}. *)
 val clock :
-  t ->
-  ins:(Signal.t * Signal.events) array ->
-  sel:(Signal.t * Signal.events) option ->
-  outs:(Signal.t * Signal.events) array ->
-  unit
+  t -> signals:Signal.t array -> events:Signal.events array -> unit
 
 (** {1 State snapshots (for the model checker)} *)
 
@@ -118,8 +130,6 @@ val snapshot : t -> snap
 
 val restore : t -> snap -> unit
 
-val snap_equal : snap -> snap -> bool
-
 val pp_snap : Format.formatter -> snap -> unit
 
 (** {1 Introspection} *)
@@ -127,6 +137,3 @@ val pp_snap : Format.formatter -> snap -> unit
 (** Signed token count of a buffer node ([tokens >= 0], anti-tokens
     [< 0]); [None] for non-buffer nodes. *)
 val buffer_occupancy : t -> int option
-
-(** Tokens currently stored anywhere in the node (buffers only). *)
-val stored_values : t -> Value.t list

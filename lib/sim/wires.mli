@@ -1,6 +1,9 @@
 open Elastic_kernel
 
-(** Per-cycle channel wire values with three-valued (unknown) logic.
+(** The Reference backend's store: per-cycle channel wire values with
+    three-valued (unknown) logic.  Only a [Reference] engine creates
+    one; the arena backend keeps its own packed store and uses only
+    {!override} and {!Conflict} from this module.
 
     During the combinational phase of a cycle each control bit of each
     channel starts unknown and is written at most once by the driving

@@ -377,6 +377,26 @@ let integration_suite =
           | exception Elastic_sim.Engine.Simulation_error e ->
             Alcotest.(check (option string)) "code" (Some "E102")
               e.Elastic_sim.Engine.err_code);
+    Alcotest.test_case "over-capacity buffers are rejected with E101"
+      `Quick (fun () ->
+          let net = mutated "E101" in
+          match Elastic_sim.Engine.create net with
+          | _ -> Alcotest.fail "expected an over-capacity failure"
+          | exception Elastic_sim.Engine.Simulation_error e ->
+            let overfilled =
+              List.find
+                (fun (n : Netlist.node) ->
+                   match n.Netlist.kind with
+                   | Netlist.Buffer { buffer; init } ->
+                     List.length init > Netlist.buffer_capacity buffer
+                   | _ -> false)
+                (Netlist.nodes net)
+            in
+            Alcotest.(check (option string)) "code" (Some "E101")
+              e.Elastic_sim.Engine.err_code;
+            Alcotest.(check (option int)) "node" (Some overfilled.Netlist.id)
+              e.Elastic_sim.Engine.err_node;
+            Alcotest.(check int) "cycle" 0 e.Elastic_sim.Engine.err_cycle);
     Alcotest.test_case "engine-quoted codes exist in the lint registry"
       `Quick (fun () ->
           (* engine.ml cannot depend on the lint library, so it quotes
@@ -386,7 +406,7 @@ let integration_suite =
                match Lint.find_rule code with
                | Some r -> Alcotest.(check string) code code r.Lint.code
                | None -> Alcotest.failf "code %s not in the registry" code)
-            [ "E001"; "E002"; "E003"; "E004"; "E102" ]);
+            [ "E001"; "E002"; "E003"; "E004"; "E101"; "E102" ]);
     Alcotest.test_case "Explore hints at the static cause of a deadlock"
       `Quick (fun () ->
           (* join whose second input loops through an empty buffer:

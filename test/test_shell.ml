@@ -217,6 +217,20 @@ let suite =
              Alcotest.(check bool) needle true (Helpers.contains out needle))
           [ "cycle 50"; "cycle 100"; "sink"; "sched"; "replay p50/p99";
             "watched 100 cycles" ]);
+    Alcotest.test_case "watch records into the trace when trace is on"
+      `Quick (fun () ->
+        (* [stats] runs 20 cycles first, so a stale tracer would dump
+           cycle 19 instead of the watch run's last cycle. *)
+        let s = Shell.create () in
+        let _ = exec s "load vl-speculative" in
+        let _ = exec s "trace on" in
+        let _ = exec s "stats 20" in
+        let _ = exec s "watch 30 10" in
+        let out = exec s "trace dump 2" in
+        Alcotest.(check bool) "watch's last cycle" true
+          (Helpers.contains out "cycle   29");
+        Alcotest.(check bool) "no stale stats events" false
+          (Helpers.contains out "cycle   19"));
     Alcotest.test_case "campaign --par matches the sequential campaign"
       `Quick (fun () ->
         let s = Shell.create () in
