@@ -197,7 +197,7 @@ let commands =
     "smv";
     "undo"; "redo"; "help"; "quit"; "exit" ]
 
-let designs =
+let designs : (string * (unit -> Netlist.t)) list =
   [ ("fig1a", fun () -> (Figures.fig1a ()).Figures.net);
     ("fig1b", fun () -> (Figures.fig1b ()).Figures.net);
     ("fig1c", fun () -> (Figures.fig1c ()).Figures.net);

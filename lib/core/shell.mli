@@ -38,3 +38,6 @@ val help : string
     {!execute} (i.e. never answers "unknown command"), so the command
     surface and the help text cannot drift apart. *)
 val commands : string list
+
+(** The bundled designs that [load] accepts, by name, in help order. *)
+val designs : (string * (unit -> Netlist.t)) list

@@ -273,4 +273,37 @@ let self_contained_suite =
         Alcotest.(check bool) "sched_sticky instance" true
           (contains v "sched_sticky #(")) ]
 
-let suite = base_suite @ self_contained_suite
+(* Frozen export text: one [Digest] per (design, format) for every
+   bundled design, plus a digest of the SMV model's FAIRNESS/LTLSPEC
+   lines alone (the environment model and the per-channel properties).
+   Regenerate [emitters.expected] with [emitter_digests] only when a
+   change to the exported text is intended. *)
+let emitter_digests () =
+  let b = Buffer.create 2048 in
+  let hex s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (name, mk) ->
+       let net = mk () in
+       let smv = Smv.to_string net in
+       let spec =
+         String.split_on_char '\n' smv
+         |> List.filter (fun l ->
+             String.starts_with ~prefix:"FAIRNESS" l
+             || String.starts_with ~prefix:"LTLSPEC" l)
+         |> String.concat "\n"
+       in
+       Printf.bprintf b "%s blif %s\n" name
+         (hex (Blif.to_string ~model:"elastic_ctrl" net));
+       Printf.bprintf b "%s smv %s\n" name (hex smv);
+       Printf.bprintf b "%s smv-spec %s\n" name (hex spec);
+       Printf.bprintf b "%s verilog %s\n" name
+         (hex (Verilog.to_string ~top:"elastic_top" net)))
+    Shell.designs;
+  Buffer.contents b
+
+let golden_suite =
+  [ Alcotest.test_case "exports of every bundled design match the goldens"
+      `Quick (fun () ->
+        Test_arena.check_golden "emitters.expected" (emitter_digests ())) ]
+
+let suite = base_suite @ self_contained_suite @ golden_suite
