@@ -5,7 +5,8 @@
     channel's [(V+, S+, V-, S-)] bits become nets, controller state
     (EB occupancy counters, fork done/pending bits, anti-token queues)
     becomes [.latch]es with one-hot encodings, and the controller
-    equations become [.names] gates.
+    equations — each node's {!Control} table, which {!Smv} and
+    {!Verilog} print too — become [.names] gates.
 
     Data is abstracted exactly as in the {!Smv} export: multiplexor
     select values, shared-module predictions, variable-latency outcome

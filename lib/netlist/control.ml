@@ -1,0 +1,293 @@
+(* Each controller is written once here, as an equation table over named
+   nets.  The emission order of inputs, registers and assignments is part
+   of the contract: the BLIF printer numbers its intermediate gates in
+   this order. *)
+
+type e =
+  | T
+  | F
+  | Var of string
+  | Not of e
+  | And of e list
+  | Or of e list
+  | Is of string * int
+
+type input = Bit of string | Choice of string * int
+
+type reg = { d : string; q : string; init : bool }
+
+type t = { inputs : input list; assigns : (string * e) list; regs : reg list }
+
+type shape =
+  | Source
+  | Sink
+  | Eb of int
+  | Eb0 of bool
+  | Join of int
+  | Fork of int
+  | Mux of { ways : int; early : bool }
+  | Shared of { ways : int; hinted : bool }
+  | Varlat
+
+let shape (k : Netlist.kind) =
+  match k with
+  | Netlist.Source _ -> Source
+  | Netlist.Sink _ -> Sink
+  | Netlist.Buffer { buffer = Netlist.Eb; init } -> Eb (List.length init)
+  | Netlist.Buffer { buffer = Netlist.Eb0; init } -> Eb0 (init <> [])
+  | Netlist.Func f -> Join f.Func.arity
+  | Netlist.Fork k -> Fork k
+  | Netlist.Mux { ways; early } -> Mux { ways; early }
+  | Netlist.Shared { ways; hinted; _ } -> Shared { ways; hinted }
+  | Netlist.Varlat _ -> Varlat
+
+(* Boundary events of a channel [c : field -> net], cancellation built
+   in. *)
+let token_in c = And [ Var (c "vp"); Not (Var (c "sp")); Not (Var (c "vm")) ]
+let token_out c = And [ Var (c "vp"); Or [ Not (Var (c "sp")); Var (c "vm") ] ]
+let anti_in c = And [ Var (c "vm"); Not (Var (c "sm")); Not (Var (c "vp")) ]
+let anti_out c = And [ Var (c "vm"); Or [ Var (c "vp"); Not (Var (c "sm")) ] ]
+
+type acc = {
+  mutable ins : input list;  (* reversed *)
+  mutable asg : (string * e) list;  (* reversed *)
+  mutable rgs : reg list;  (* reversed *)
+}
+
+let assign a net e = a.asg <- (net, e) :: a.asg
+
+let reg a ~d ~q ~init = a.rgs <- { d; q; init } :: a.rgs
+
+(* A one-hot register bank of [n] states starting in [init]; state [k]
+   is loaded from the net [name_d<k>]. *)
+let one_hot a ~name ~n ~init =
+  Array.init n (fun k ->
+      let q = Fmt.str "%s_s%d" name k in
+      reg a ~d:(Fmt.str "%s_d%d" name k) ~q ~init:(k = init);
+      Var q)
+
+(* Next state of a one-hot counter moving at most one step per cycle. *)
+let count a ~name st ~up ~down =
+  let n = Array.length st in
+  let hold = And [ Not up; Not down ] in
+  Array.iteri
+    (fun k s ->
+       assign a (Fmt.str "%s_d%d" name k)
+         (Or
+            ((And [ s; hold ]
+              :: (if k > 0 then [ And [ st.(k - 1); up ] ] else []))
+             @ if k < n - 1 then [ And [ st.(k + 1); down ] ] else [])))
+    st
+
+(* Lazy join of [ins] into [o]: anti-tokens at the output fork backwards
+   all-or-nothing. *)
+let join a ins o =
+  assign a (o "vp") (And (List.map (fun c -> Var (c "vp")) ins));
+  let s_eff = And [ Var (o "sp"); Not (Var (o "vm")) ] in
+  List.iteri
+    (fun k c ->
+       let others =
+         List.filteri (fun j _ -> j <> k) ins
+         |> List.map (fun c' -> Var (c' "vp"))
+       in
+       assign a (c "sp") (Not (And (others @ [ Not s_eff ]))))
+    ins;
+  let consumable =
+    And (List.map (fun c -> Or [ Var (c "vp"); Not (Var (c "sm")) ]) ins)
+  in
+  let kill = And [ Var (o "vm"); Not (Var (o "vp")); consumable ] in
+  List.iter (fun c -> assign a (c "vm") kill) ins;
+  assign a (o "sm") (And [ Not (Var (o "vp")); Not consumable ])
+
+let build a ~u ~wire shape =
+  let input i = a.ins <- i :: a.ins in
+  match shape with
+  | Source ->
+    let o = wire (Netlist.Out 0) in
+    let offer = "offer_" ^ u and retry = "retry_" ^ u in
+    input (Bit offer);
+    reg a ~d:(retry ^ "_d") ~q:retry ~init:false;
+    assign a (o "vp") (Or [ Var offer; Var retry ]);
+    assign a (retry ^ "_d") (And [ Var (o "vp"); Not (token_out o) ]);
+    assign a (o "sm") F
+  | Sink ->
+    let i = wire (Netlist.In 0) in
+    let stall = "stall_" ^ u in
+    input (Bit stall);
+    assign a (i "sp") (Var stall);
+    assign a (i "vm") F
+  | Eb tokens ->
+    let i = wire (Netlist.In 0) and o = wire (Netlist.Out 0) in
+    (* Occupancy -2..2 as states 0..4; empty = 2. *)
+    let st = one_hot a ~name:u ~n:5 ~init:(2 + tokens) in
+    assign a (i "sp") st.(4);
+    assign a (i "vm") (Or [ st.(0); st.(1) ]);
+    assign a (o "vp") (Or [ st.(3); st.(4) ]);
+    assign a (o "sm") st.(0);
+    (* At most one event per boundary per cycle: delta in {-1,0,+1}. *)
+    let inc = u ^ "_inc" and dec = u ^ "_dec" in
+    let gain = Or [ token_in i; anti_out i ] in
+    let lose = Or [ token_out o; anti_in o ] in
+    assign a inc (And [ gain; Not lose ]);
+    assign a dec (And [ lose; Not gain ]);
+    count a ~name:u st ~up:(Var inc) ~down:(Var dec)
+  | Eb0 full0 ->
+    let i = wire (Netlist.In 0) and o = wire (Netlist.Out 0) in
+    let full = "full_" ^ u in
+    reg a ~d:(full ^ "_d") ~q:full ~init:full0;
+    assign a (o "vp") (Var full);
+    let leaving = And [ Var full; Or [ Not (Var (o "sp")); Var (o "vm") ] ] in
+    assign a (i "sp") (And [ Var full; Not leaving ]);
+    assign a (i "vm") (And [ Not (Var full); Var (o "vm") ]);
+    assign a (o "sm") (And [ Not (Var full); Var (i "sm") ]);
+    assign a (full ^ "_d") (Or [ token_in i; And [ Var full; Not leaving ] ])
+  | Join arity ->
+    join a
+      (List.init arity (fun k -> wire (Netlist.In k)))
+      (wire (Netlist.Out 0))
+  | Fork k ->
+    let i = wire (Netlist.In 0) in
+    let done_ j = Fmt.str "%s_done%d" u j in
+    let pend j = Fmt.str "%s_pend%d" u j in
+    let tout j = Fmt.str "%s_tout%d" u j in
+    let compl j = Fmt.str "%s_compl%d" u j in
+    for j = 0 to k - 1 do
+      let o = wire (Netlist.Out j) in
+      let dn = Var (done_ j) and tj = Var (tout j) in
+      (* done: set on branch transfer, cleared when the token leaves;
+         pend: anti-tokens 0..2 awaiting the next input token. *)
+      reg a ~d:(done_ j ^ "_d") ~q:(done_ j) ~init:false;
+      let st = one_hot a ~name:(pend j) ~n:3 ~init:0 in
+      let has_pend = Or [ st.(1); st.(2) ] in
+      assign a (pend j ^ "_any") has_pend;
+      assign a (o "vp") (And [ Var (i "vp"); And [ Not dn; st.(0) ] ]);
+      assign a (o "sm") st.(2);
+      assign a (tout j) (token_out o);
+      assign a (compl j) (Or [ dn; has_pend; tj ]);
+      assign a (done_ j ^ "_d") (And [ Not (token_in i); Or [ dn; tj ] ]);
+      let consume = Or [ And [ token_in i; Not dn; Not tj ]; anti_out i ] in
+      count a ~name:(pend j) st
+        ~up:(And [ anti_in o; Not consume ])
+        ~down:(And [ consume; Not (anti_in o) ])
+    done;
+    let all f = List.init k f in
+    assign a (i "sp") (Not (And (all (fun j -> Var (compl j)))));
+    assign a (i "vm")
+      (And (Not (Var (i "vp")) :: all (fun j -> Var (pend j ^ "_any"))))
+  | Mux { ways; early } ->
+    let selc = wire Netlist.Sel and o = wire (Netlist.Out 0) in
+    let ins = List.init ways (fun j -> wire (Netlist.In j)) in
+    let selv = "selval_" ^ u in
+    input (Choice (selv, ways));
+    if not early then join a (selc :: ins) o
+    else begin
+      (* Anti-token queues 0..2 per input. *)
+      let qname j = Fmt.str "%s_q%d" u j in
+      let qs =
+        List.mapi (fun j _ -> one_hot a ~name:(qname j) ~n:3 ~init:0) ins
+      in
+      let sel_is j = Is (selv, j) in
+      let sel_not j =
+        match List.filter (fun k -> k <> j) (List.init ways Fun.id) with
+        | [ k ] -> sel_is k
+        | ks -> Or (List.map sel_is ks)
+      in
+      assign a (o "vp")
+        (And
+           [ Var (selc "vp");
+             Or
+               (List.mapi
+                  (fun j d -> And [ sel_is j; (List.nth qs j).(0); Var (d "vp") ])
+                  ins) ]);
+      let fire = Var (u ^ "_fire") in
+      assign a (u ^ "_fire") (token_out o);
+      assign a (selc "sp") (Not fire);
+      assign a (selc "vm") F;
+      assign a (o "sm") (Not (Var (o "vp")));
+      List.iteri
+        (fun j d ->
+           let q = List.nth qs j in
+           let has_q = Or [ q.(1); q.(2) ] in
+           let fresh_kill = And [ fire; sel_not j ] in
+           assign a (d "vm") (Or [ has_q; fresh_kill ]);
+           (* stop unless selected-and-firing or killing *)
+           assign a (d "sp")
+             (Not
+                (Or
+                   [ has_q; fresh_kill; And [ Var (selc "vp"); sel_is j; fire ] ]));
+           count a ~name:(qname j) q
+             ~up:(And [ fresh_kill; Not (anti_out d) ])
+             ~down:(And [ anti_out d; Not fresh_kill ]))
+        ins
+    end
+  | Shared { ways; hinted } ->
+    let pred = "pred_" ^ u in
+    input (Choice (pred, ways));
+    (* A hinted module joins channel 0 with its hint stream. *)
+    let hint = if hinted then Some (wire Netlist.Sel) else None in
+    let fire j = Fmt.str "%s_fire%d" u j in
+    for j = 0 to ways - 1 do
+      let i = wire (Netlist.In j) and o = wire (Netlist.Out j) in
+      let granted = Is (pred, j) in
+      let gate =
+        match hint with
+        | Some h when j = 0 -> [ Var (h "vp") ]
+        | Some _ | None -> []
+      in
+      assign a (o "vp") (And ([ granted; Var (i "vp") ] @ gate));
+      assign a (fire j) (token_out o);
+      assign a (i "sp")
+        (Or
+           [ And [ granted; Not (Var (fire j)) ];
+             And [ Not granted; Not (Var (o "vm")) ] ]);
+      assign a (i "vm")
+        (Or
+           [ And [ granted; Var (o "vm"); Not (Var (o "vp")) ];
+             And [ Not granted; Var (o "vm") ] ]);
+      assign a (o "sm")
+        (And [ Not (Var (o "vp")); Var (i "sm"); Not (Var (i "vp")) ])
+    done;
+    Option.iter
+      (fun h ->
+         assign a (h "sp") (Not (And [ Is (pred, 0); Var (fire 0) ]));
+         assign a (h "vm") F)
+      hint
+  | Varlat ->
+    let i = wire (Netlist.In 0) and o = wire (Netlist.Out 0) in
+    (* States: 0 empty, 1 ready, 2 computing slow. *)
+    let st = one_hot a ~name:u ~n:3 ~init:0 in
+    let slow = Var ("slowpick_" ^ u) in
+    input (Bit ("slowpick_" ^ u));
+    assign a (o "vp") st.(1);
+    let leaving = And [ st.(1); Not (Var (o "sp")) ] in
+    assign a (i "sp") (Or [ st.(2); And [ st.(1); Var (o "sp") ] ]);
+    assign a (i "vm") F;
+    assign a (o "sm") (Not st.(1));
+    let tin = token_in i in
+    let next k = assign a (Fmt.str "%s_d%d" u k) in
+    next 0 (Or [ And [ st.(0); Not tin ]; And [ leaving; Not tin ] ]);
+    next 1 (Or [ And [ tin; Not slow ]; st.(2); And [ st.(1); Not leaving ] ]);
+    next 2 (And [ tin; slow ])
+
+let table ~u ~wire shape =
+  let a = { ins = []; asg = []; rgs = [] } in
+  build a ~u ~wire shape;
+  { inputs = List.rev a.ins; assigns = List.rev a.asg; regs = List.rev a.rgs }
+
+let sanitize name =
+  String.map
+    (fun c ->
+       match c with
+       | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
+       | _ -> '_')
+    name
+
+let bit field (c : Netlist.channel) = Fmt.str "%s_%d" field c.Netlist.ch_id
+
+let node net (n : Netlist.node) =
+  let wire port field =
+    match Netlist.channel_at net n.Netlist.id port with
+    | Some c -> bit field c
+    | None -> invalid_arg "Control.node: missing channel"
+  in
+  table ~u:(sanitize n.Netlist.name) ~wire (shape n.Netlist.kind)

@@ -12,6 +12,13 @@
     - Liveness: [G F ((vp & !sp) | (vm & !sm))]
     - Invariant: [G !(vp & sm_eff) & G !(vm & sp_eff)]
 
+    The controllers are each node's {!Control} table (the equations the
+    BLIF export prints and co-simulation checks): registers become
+    boolean [VAR]s with [init]/[next], free inputs [IVAR]s and the
+    equations [DEFINE]s.  Only the environment model is specific to this
+    export: fairness on offers, stalls and predictions, and an early
+    multiplexor's select value held across retries.
+
     The generated file is self-contained NuSMV input; this repository also
     checks the same properties natively with [Elastic_check.Explore]. *)
 

@@ -8,13 +8,16 @@ open Helpers
    control signals on every cycle.  This closes the loop on the Blif
    backend the way the paper's flow trusts SIS netlists. *)
 
-let cosim ?(cycles = 40) net ~env_inputs =
+(* [before] reads inputs that must be sampled ahead of the engine's clock
+   edge (a shared module's prediction for the coming cycle). *)
+let cosim ?(cycles = 40) ?(before = fun _ -> []) net ~env_inputs =
   let eng = Engine.create ~monitor:false net in
   let blif = Blif_sim.parse (Blif.to_string ~model:"m" net) in
   let chans = Netlist.channels net in
   for cyc = 0 to cycles - 1 do
+    let early = before eng in
     Engine.step eng;
-    let inputs = env_inputs eng in
+    let inputs = early @ env_inputs eng in
     Blif_sim.step blif ~set_inputs:inputs ~observe:(fun b ->
         List.iter
           (fun (c : Netlist.channel) ->
@@ -55,6 +58,112 @@ let sink_stall net eng =
          Some (Fmt.str "stall_%s" n.Netlist.name, s.Signal.s_plus)
        | _ -> None)
     (Netlist.nodes net)
+
+(* The select value of [mux] mirrored from the settled select channel. *)
+let selval net eng mux =
+  let c = Option.get (Netlist.channel_at net mux Sel) in
+  let s = Engine.signal eng c.Netlist.ch_id in
+  let v =
+    match s.Signal.data with
+    | Some v when s.Signal.v_plus -> Value.to_int v = 1
+    | _ -> false
+  in
+  (Fmt.str "selval_%s" (Netlist.node net mux).Netlist.name, v)
+
+(* Every shared module's prediction for the coming cycle. *)
+let predictions net eng =
+  List.map
+    (fun (id, sc) ->
+       ( Fmt.str "pred_%s" (Netlist.node net id).Netlist.name,
+         Elastic_sched.Scheduler.predict sc = 1 ))
+    (Engine.schedulers eng)
+
+let environment net eng = source_offer net eng @ sink_stall net eng
+
+(* Control-wise a lazy multiplexor is the join of its select and data. *)
+let lazy_mux () =
+  let b = builder () in
+  let sel = add b ~name:"sel" (Source (Stream (ints [ 0; 1; 1; 0; 1; 0 ]))) in
+  let d0 = add b ~name:"d0" (Source (Stream (ints (List.init 10 Fun.id)))) in
+  let d1 = add b ~name:"d1" (Source (Stream (ints (List.init 10 Fun.id)))) in
+  let e = eb b () in
+  let m = add b ~name:"mx" (Mux { ways = 2; early = false }) in
+  let k = add b ~name:"snk" (Sink (Stall_pattern [| false; true; false |])) in
+  let _ = conn b (sel, Out 0) (m, Sel) in
+  let _ = conn b (d0, Out 0) (e, In 0) in
+  let _ = conn b (e, Out 0) (m, In 0) in
+  let _ = conn b (d1, Out 0) (m, In 1) in
+  let _ = conn b (m, Out 0) (k, In 0) in
+  (b.net, m)
+
+(* A hinted shared module: channel 0 waits for a hint token, whose value
+   makes the scheduler replay on channel 1. *)
+let hinted_shared () =
+  let b = builder () in
+  let s0 = add b ~name:"i0" (Source (Stream (ints (List.init 12 Fun.id)))) in
+  let s1 = add b ~name:"i1" (Source (Stream (ints (List.init 12 Fun.id)))) in
+  let h =
+    add b ~name:"hint" (Source (Stream (ints [ 0; 1; 0; 0; 1; 1; 0; 1 ])))
+  in
+  let sh =
+    add b ~name:"sh"
+      (Shared
+         { ways = 2; f = Func.identity ~delay:1.0 ~area:1.0 ();
+           sched = Elastic_sched.Scheduler.Hinted_replay; hinted = true })
+  in
+  let e = eb b () in
+  let k0 = add b ~name:"k0" (Sink (Stall_pattern [| false; true; false |])) in
+  let k1 = add b ~name:"k1" (Sink (Stall_pattern [| true; false |])) in
+  let _ = conn b (s0, Out 0) (sh, In 0) in
+  let _ = conn b (s1, Out 0) (sh, In 1) in
+  let _ = conn b (h, Out 0) (e, In 0) in
+  let _ = conn b (e, Out 0) (sh, Sel) in
+  let _ = conn b (sh, Out 0) (k0, In 0) in
+  let _ = conn b (sh, Out 1) (k1, In 0) in
+  b.net
+
+(* A 3-way fork whose branches rejoin through different latencies. *)
+let fork3 () =
+  let b = builder () in
+  let s = add b ~name:"src" (Source (Stream (ints (List.init 20 Fun.id)))) in
+  let fk = add b (Fork 3) in
+  let e = eb b () in
+  let e0 = eb0 b () in
+  let j = add b (Func (Func.add_int ~arity:3 ())) in
+  let k = add b ~name:"snk" (Sink (Stall_pattern [| true; false; false |])) in
+  let _ = conn b (s, Out 0) (fk, In 0) in
+  let _ = conn b (fk, Out 0) (e, In 0) in
+  let _ = conn b (fk, Out 1) (j, In 1) in
+  let _ = conn b (fk, Out 2) (e0, In 0) in
+  let _ = conn b (e, Out 0) (j, In 0) in
+  let _ = conn b (e0, Out 0) (j, In 2) in
+  let _ = conn b (j, Out 0) (k, In 0) in
+  b.net
+
+(* A fork feeding both inputs of an early multiplexor, one branch through
+   two full EBs: anti-tokens reach the fork's slow branch in the cycle
+   its pending anti-token is consumed. *)
+let fork_into_early_mux () =
+  let b = builder () in
+  let s = add b ~name:"src" (Source (Stream (ints (List.init 40 Fun.id)))) in
+  let fk = add b ~name:"fk" (Fork 2) in
+  let e1 = eb b ~init:(ints [ 100; 101 ]) () in
+  let e2 = eb b ~init:(ints [ 102; 103 ]) () in
+  let sel =
+    add b ~name:"sel"
+      (Source
+         (Stream (ints (List.init 80 (fun i -> if i mod 5 = 0 then 0 else 1)))))
+  in
+  let m = add b ~name:"mx" (Mux { ways = 2; early = true }) in
+  let k = add b ~name:"snk" (Sink Always_ready) in
+  let _ = conn b (s, Out 0) (fk, In 0) in
+  let _ = conn b (fk, Out 0) (m, In 0) in
+  let _ = conn b (fk, Out 1) (e1, In 0) in
+  let _ = conn b (e1, Out 0) (e2, In 0) in
+  let _ = conn b (e2, Out 0) (m, In 1) in
+  let _ = conn b (sel, Out 0) (m, Sel) in
+  let _ = conn b (m, Out 0) (k, In 0) in
+  (b.net, m)
 
 let suite =
   [ Alcotest.test_case "pipeline control network matches gate level"
@@ -189,4 +298,21 @@ let suite =
             in
             ("slowpick_vl", slow)
             :: source_offer net eng
-            @ sink_stall net eng)) ]
+            @ sink_stall net eng)) ;
+    Alcotest.test_case "lazy mux control matches gate level" `Quick
+      (fun () ->
+        let net, _ = lazy_mux () in
+        cosim net ~env_inputs:(environment net));
+    Alcotest.test_case "hinted shared module control matches gate level"
+      `Quick (fun () ->
+        let net = hinted_shared () in
+        cosim net ~before:(predictions net) ~env_inputs:(environment net));
+    Alcotest.test_case "3-way fork control matches gate level" `Quick
+      (fun () ->
+        let net = fork3 () in
+        cosim net ~env_inputs:(environment net));
+    Alcotest.test_case "fork into early mux matches gate level" `Quick
+      (fun () ->
+        let net, m = fork_into_early_mux () in
+        cosim ~cycles:200 net ~env_inputs:(fun eng ->
+            selval net eng m :: environment net eng)) ]

@@ -301,9 +301,116 @@ let emitter_digests () =
     Shell.designs;
   Buffer.contents b
 
+(* How many drivers each net of the module [top] has in the Verilog text
+   [v]: the target of an [assign], or a net bound to an output port of an
+   instance of a module defined in [v]. *)
+let top_drivers ~top v =
+  let ident c =
+    match c with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '$' -> true
+    | _ -> false
+  in
+  let idents s =
+    String.map (fun c -> if ident c then c else ' ') s
+    |> String.split_on_char ' '
+    |> List.filter (fun w -> w <> "")
+  in
+  let uncomment l =
+    match String.index_opt l '/' with
+    | Some i when i + 1 < String.length l && l.[i + 1] = '/' ->
+      String.sub l 0 i
+    | _ -> l
+  in
+  let stmts =
+    String.split_on_char '\n' v |> List.map uncomment |> String.concat " "
+    |> String.split_on_char ';'
+  in
+  let outputs = Hashtbl.create 16 and body = ref [] and cur = ref "" in
+  List.iter
+    (fun st ->
+       let rec header = function
+         | "module" :: name :: _ -> Some name
+         | _ :: rest -> header rest
+         | [] -> None
+       in
+       match header (idents st) with
+       | Some name ->
+         cur := name;
+         Hashtbl.replace outputs name
+           (List.filter_map
+              (fun frag ->
+                 let ids = idents frag in
+                 if List.mem "output" ids then
+                   Some (List.nth ids (List.length ids - 1))
+                 else None)
+              (String.split_on_char ',' st))
+       | None -> if !cur = top then body := st :: !body)
+    stmts;
+  let count = Hashtbl.create 64 in
+  let drive n =
+    Hashtbl.replace count n
+      (1 + Option.value ~default:0 (Hashtbl.find_opt count n))
+  in
+  List.iter
+    (fun st ->
+       match idents st with
+       | "assign" :: target :: _ -> drive target
+       | m :: _ when Hashtbl.mem outputs m ->
+         let outs = Hashtbl.find outputs m in
+         let n = String.length st in
+         let i = ref 0 in
+         while !i < n do
+           if st.[!i] = '.' then begin
+             let j = ref (!i + 1) in
+             while !j < n && ident st.[!j] do incr j done;
+             let port = String.sub st (!i + 1) (!j - !i - 1) in
+             if !j < n && st.[!j] = '(' then begin
+               let depth = ref 1 and k = ref (!j + 1) in
+               while !depth > 0 do
+                 if st.[!k] = '(' then incr depth
+                 else if st.[!k] = ')' then decr depth;
+                 incr k
+               done;
+               if List.mem port outs then
+                 List.iter drive (idents (String.sub st (!j + 1) (!k - !j - 2)));
+               i := !k
+             end
+             else i := !j
+           end
+           else incr i
+         done
+       | _ -> ())
+    !body;
+  count
+
+let single_driver_suite =
+  [ Alcotest.test_case "every channel control bit has exactly one driver"
+      `Quick (fun () ->
+        List.iter
+          (fun (name, mk) ->
+             let net = mk () in
+             let count =
+               top_drivers ~top:"elastic_top"
+                 (Verilog.to_string ~top:"elastic_top" net)
+             in
+             List.iter
+               (fun (c : Netlist.channel) ->
+                  List.iter
+                    (fun f ->
+                       let w = Fmt.str "ch%d_%s" c.Netlist.ch_id f in
+                       Alcotest.(check int)
+                         (Fmt.str "%s: drivers of %s (%s)" name w
+                            c.Netlist.ch_name)
+                         1
+                         (Option.value ~default:0 (Hashtbl.find_opt count w)))
+                    [ "vp"; "sp"; "vm"; "sm" ])
+               (Netlist.channels net))
+          Shell.designs) ]
+
 let golden_suite =
   [ Alcotest.test_case "exports of every bundled design match the goldens"
       `Quick (fun () ->
         Test_arena.check_golden "emitters.expected" (emitter_digests ())) ]
 
-let suite = base_suite @ self_contained_suite @ golden_suite
+let suite =
+  base_suite @ self_contained_suite @ single_driver_suite @ golden_suite
