@@ -3,8 +3,6 @@
    environment inputs primary inputs, and every assignment a tree of
    single-output gates.  SMV and Verilog print the same tables. *)
 
-type e = T | F | Var of string | Not of e | And of e list | Or of e list
-
 type ctx = {
   buf : Buffer.t;
   mutable fresh : int;
@@ -26,25 +24,27 @@ let output ctx name = ctx.outputs <- name :: ctx.outputs
 let latch ctx ~d ~q ~init =
   ctx.latches <- (d, q, init) :: ctx.latches
 
-(* Emit gates computing [e] into the net [out]. *)
-let rec assign ctx out e =
+(* Emit gates computing [e] into the net [out].  A choice has two values
+   here, one input bit: [Is (x, 1)] is [x] and [Is (x, 0)] is [not x]. *)
+let rec assign ctx out (e : Control.e) =
   match e with
-  | T -> bpf ctx ".names %s\n1\n" out
-  | F -> bpf ctx ".names %s\n" out
-  | Var v -> bpf ctx ".names %s %s\n1 1\n" v out
-  | Not x ->
+  | Control.T -> bpf ctx ".names %s\n1\n" out
+  | Control.F -> bpf ctx ".names %s\n" out
+  | Control.Var v | Control.Is (v, 1) -> bpf ctx ".names %s %s\n1 1\n" v out
+  | Control.Is (x, _) -> assign ctx out (Control.Not (Control.Var x))
+  | Control.Not x ->
     let v = operand ctx x in
     bpf ctx ".names %s %s\n0 1\n" v out
-  | And xs ->
+  | Control.And xs ->
     (match xs with
-     | [] -> assign ctx out T
+     | [] -> assign ctx out Control.T
      | _ ->
        let vs = List.map (operand ctx) xs in
        bpf ctx ".names %s %s\n%s 1\n" (String.concat " " vs) out
          (String.make (List.length vs) '1'))
-  | Or xs ->
+  | Control.Or xs ->
     (match xs with
-     | [] -> assign ctx out F
+     | [] -> assign ctx out Control.F
      | _ ->
        let vs = List.map (operand ctx) xs in
        bpf ctx ".names %s %s\n" (String.concat " " vs) out;
@@ -59,23 +59,12 @@ let rec assign ctx out e =
 
 and operand ctx e =
   match e with
-  | Var v -> v
-  | T | F | Not _ | And _ | Or _ ->
+  | Control.Var v | Control.Is (v, 1) -> v
+  | Control.T | Control.F | Control.Is _ | Control.Not _ | Control.And _
+  | Control.Or _ ->
     let v = fresh ctx in
     assign ctx v e;
     v
-
-(* A 2-valued choice is one input bit: [Is (x, 1)] is [x]. *)
-let rec lower (e : Control.e) =
-  match e with
-  | Control.T -> T
-  | Control.F -> F
-  | Control.Var v -> Var v
-  | Control.Is (x, 1) -> Var x
-  | Control.Is (x, _) -> Not (Var x)
-  | Control.Not x -> Not (lower x)
-  | Control.And xs -> And (List.map lower xs)
-  | Control.Or xs -> Or (List.map lower xs)
 
 let emit_node net ctx (n : Netlist.node) =
   let t = Control.node net n in
@@ -92,7 +81,7 @@ let emit_node net ctx (n : Netlist.node) =
   List.iter
     (fun { Control.d; q; init } -> latch ctx ~d ~q ~init)
     t.Control.regs;
-  List.iter (fun (net, e) -> assign ctx net (lower e)) t.Control.assigns
+  List.iter (fun (net, e) -> assign ctx net e) t.Control.assigns
 
 let emit ppf ~model net =
   Netlist.validate_exn net;

@@ -165,26 +165,27 @@ let branch_table fm shape =
   let t = Control.table ~u:"c" ~wire shape in
   (t, !groups, !nets)
 
-let pp_branch ppf (t, _, nets) =
+let pp_branch ind ppf (t, _, nets) =
+  let line fmt = Fmt.pf ppf ("%s" ^^ fmt ^^ "@.") ind in
   let regs = t.Control.regs in
   if regs <> [] then
-    Fmt.pf ppf "  reg %s;@."
-      (String.concat ", " (List.map (fun r -> r.Control.q) regs));
+    line "reg %s;" (String.concat ", " (List.map (fun r -> r.Control.q) regs));
   List.iter
     (fun (net, e) ->
-       Fmt.pf ppf "  %s %s = %a;@."
+       line "%s %s = %a;"
          (if List.mem net nets then "assign" else "wire")
          net expr e)
     t.Control.assigns;
   if regs <> [] then begin
     let each f =
-      List.iter (fun r -> Fmt.pf ppf "      %s <= %s;@." r.Control.q (f r)) regs
+      List.iter (fun r -> line "    %s <= %s;" r.Control.q (f r)) regs
     in
-    Fmt.pf ppf "  always @(posedge clk)@.    if (rst) begin@.";
+    line "always @(posedge clk)";
+    line "  if (rst) begin";
     each (fun r -> if r.Control.init then "1'b1" else "1'b0");
-    Fmt.pf ppf "    end else begin@.";
+    line "  end else begin";
     each (fun r -> r.Control.d);
-    Fmt.pf ppf "    end@."
+    line "  end"
   end
 
 (* One module for [fm], with a generate branch per [(key, shape)]. *)
@@ -226,7 +227,7 @@ let pp_module ppf fm branches =
             (List.map (fun (p, v) -> Fmt.str "parameter %s = %d" p v) params)))
     (String.concat ",\n  " ports);
   (match fm.key with
-   | None -> List.iter (fun (_, b) -> pp_branch ppf b) tables
+   | None -> List.iter (fun (_, b) -> pp_branch "  " ppf b) tables
    | Some k ->
      Fmt.pf ppf "  generate@.";
      List.iteri
@@ -234,9 +235,7 @@ let pp_module ppf fm branches =
           Fmt.pf ppf "    %sif (%s == %d) begin : %s%d@."
             (if i = 0 then "" else "else ")
             k v (String.lowercase_ascii k) v;
-          Fmt.str "%a" pp_branch b
-          |> String.split_on_char '\n'
-          |> List.iter (fun l -> if l <> "" then Fmt.pf ppf "    %s@." l);
+          pp_branch "      " ppf b;
           Fmt.pf ppf "    end@.")
        tables;
      Fmt.pf ppf "  endgenerate@.");
