@@ -521,12 +521,11 @@ let e6_fig7 () =
 (* glitch must be flagged by the SELF protocol monitors with            *)
 (* cycle/node/channel provenance.                                       *)
 
-let e7_faults () =
-  let open Elastic_fault in
-  section "E7: Sec. 5.2 under adversarial fault injection";
-  let seed = 2009 in
-  let n = 400 in
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 n in
+(* The speculative resilient adder of E6 with its severity alarm
+   (values >= 2 are detections), a 400-operation error-free workload,
+   and the operand bus that every E7/E8 fault targets. *)
+let secded_design () =
+  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 400 in
   let d, alarm = Examples.rs_speculative_alarmed ~ops in
   let net = d.Examples.d_net in
   let alarms = [ (alarm, fun v -> Value.to_int v >= 2) ] in
@@ -537,24 +536,44 @@ let e7_faults () =
          c.Netlist.src.Netlist.ep_node = src.Netlist.id)
       (Netlist.channels net)
   in
-  (* 1. 120 seeded single-bit upsets anywhere in the 144-bit operand
-     payload (2 x SECDED(72,64) codewords). *)
-  let singles =
-    Campaign.random_bitflips ~net ~channel:op_bus.Netlist.ch_id ~seed
-      ~count:120 ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ()
+  (net, alarms, op_bus.Netlist.ch_id)
+
+(* E7's scenario groups, seed 2009: 120 single-bit upsets anywhere in
+   the 144-bit operand payload (2 x SECDED(72,64) codewords), 40
+   double-bit upsets inside one codeword, and one control-wire glitch
+   (stall, then drop the valid of the retried token: a Retry+
+   persistence violation). *)
+let e7_scenarios net ch =
+  let open Elastic_fault in
+  let seed = 2009 in
+  [ ("single",
+     Campaign.random_bitflips ~net ~channel:ch ~seed ~count:120
+       ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ());
+    ("double",
+     Campaign.random_double_flips ~net ~channel:ch ~seed ~count:40
+       ~from_cycle:2 ~to_cycle:350 ~bit_lo:0 ~bit_hi:72 ());
+    ("glitch", [ Fault.control_glitch ~channel:ch ~cycle:25 ]) ]
+
+let e7_faults () =
+  let open Elastic_fault in
+  section "E7: Sec. 5.2 under adversarial fault injection";
+  let net, alarms, ch = secded_design () in
+  let scenarios = e7_scenarios net ch in
+  let group label = List.assoc label scenarios in
+  (* 1. Single-bit upsets: masked or corrected at one replay cycle. *)
+  let s1 =
+    Campaign.run ~cycles:450 ~settle:60 ~alarms net
+      ~scenarios:(group "single")
   in
-  let s1 = Campaign.run ~cycles:450 ~settle:60 ~alarms net ~scenarios:singles in
-  Fmt.pr "  single-bit operand upsets (seed %d): %a@." seed
+  Fmt.pr "  single-bit operand upsets (seed 2009): %a@."
     Campaign.pp_summary s1;
   assert (Campaign.all_benign ~max_penalty:1 s1);
   Fmt.pr "  -> all masked or corrected at <= 1 replay cycle@.";
-  (* 2. 40 double-bit upsets inside one codeword: beyond correction,
-     within detection. *)
-  let doubles =
-    Campaign.random_double_flips ~net ~channel:op_bus.Netlist.ch_id ~seed
-      ~count:40 ~from_cycle:2 ~to_cycle:350 ~bit_lo:0 ~bit_hi:72 ()
+  (* 2. Double-bit upsets: beyond correction, within detection. *)
+  let s2 =
+    Campaign.run ~cycles:450 ~settle:60 ~alarms net
+      ~scenarios:(group "double")
   in
-  let s2 = Campaign.run ~cycles:450 ~settle:60 ~alarms net ~scenarios:doubles in
   Fmt.pr "@.  double-bit upsets in operand a: %a@." Campaign.pp_summary s2;
   assert (Campaign.count s2 "detected" = s2.Campaign.total);
   Fmt.pr "  -> all detected by the severity alarm (SECDED double error)@.";
@@ -562,7 +581,7 @@ let e7_faults () =
      token on the operand bus — a Retry+ persistence violation. *)
   let r =
     Recovery.check ~cycles:450 ~settle:60 ~alarms net
-      ~faults:(Fault.control_glitch ~channel:op_bus.Netlist.ch_id ~cycle:25)
+      ~faults:(List.hd (group "glitch"))
   in
   Fmt.pr "@.  control-wire glitch:@.%a@." Recovery.pp_report r;
   assert (
@@ -589,20 +608,9 @@ module Rcheckpoint = Elastic_runner.Checkpoint
    seeded single-bit upsets anywhere in the 144-bit operand payload of
    the speculative resilient adder, severity alarm at >= 2. *)
 let secded_tasks ~count () =
-  let open Elastic_fault in
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 400 in
-  let d, alarm = Examples.rs_speculative_alarmed ~ops in
-  let net = d.Examples.d_net in
-  let alarms = [ (alarm, fun v -> Value.to_int v >= 2) ] in
-  let src = Option.get (Netlist.find_node net "src") in
-  let op_bus =
-    List.find
-      (fun (c : Netlist.channel) ->
-         c.Netlist.src.Netlist.ep_node = src.Netlist.id)
-      (Netlist.channels net)
-  in
+  let net, alarms, ch = secded_design () in
   let scenarios =
-    Campaign.random_bitflips ~net ~channel:op_bus.Netlist.ch_id ~seed:2009
+    Elastic_fault.Campaign.random_bitflips ~net ~channel:ch ~seed:2009
       ~count ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ()
   in
   Workload.of_campaign ~cycles:450 ~settle:60 ~alarms ~name:"secded" net
@@ -908,6 +916,72 @@ let json_e8 ~count () =
       ("points", Json.List points);
       ("classification",
        Json.Obj (List.map (fun (l, c) -> (l, Json.Int c)) classes)) ]
+
+(* E7: every E7 scenario's class, and how many of its 450 + 60 cycles
+   the faulted engine steps (Recovery.run_faulted starts it at the first
+   fault cycle and stops it once it rejoins the golden trajectory).
+   Every number here is a deterministic count, so --check gates them
+   exactly. *)
+let json_e7 () =
+  let open Elastic_fault in
+  let net, alarms, ch = secded_design () in
+  let golden = Recovery.golden_run ~cycles:450 ~settle:60 net in
+  let stepped = ref [] and stabilized = ref [] in
+  let run faults =
+    let eng = ref None in
+    let r =
+      Recovery.check ~cycles:450 ~settle:60 ~alarms ~golden
+        ~observer:(fun e -> eng := Some e)
+        net ~faults
+    in
+    (match !eng with
+     | Some e ->
+       stepped :=
+         Elastic_sim.Profile.cycles (Elastic_sim.Engine.profile e)
+         :: !stepped
+     | None -> ());
+    stabilized := r.Recovery.stabilized :: !stabilized;
+    Recovery.classification_label r.Recovery.classification
+  in
+  (* How often each distinct value occurs, in increasing order. *)
+  let tally key values =
+    Json.Obj
+      (List.map
+         (fun v ->
+            (key v, Json.Int (List.length (List.filter (( = ) v) values))))
+         (List.sort_uniq compare values))
+  in
+  let classification =
+    List.map
+      (fun (group, scenarios) -> (group, tally Fun.id (List.map run scenarios)))
+      (e7_scenarios net ch)
+  in
+  let stepped = !stepped in
+  let cut = List.filter_map Fun.id !stabilized in
+  record ~experiment:"E7"
+    ~title:"SECDED campaign under adversarial faults"
+    [ ("scenarios", Json.Int (List.length stepped));
+      ("classification", Json.Obj classification);
+      ("simulated_cycles_per_scenario",
+       Json.Obj
+         [ ("window", Json.Int (450 + 60));
+           ("mean",
+            Json.Float
+              (float_of_int (List.fold_left ( + ) 0 stepped)
+               /. float_of_int (List.length stepped)));
+           ("max", Json.Int (List.fold_left max 0 stepped)) ]);
+      ("stabilization",
+       Json.Obj
+         [ ("cut_off", Json.Int (List.length cut));
+           ("ran_to_end", Json.Int (List.length stepped - List.length cut));
+           ("cycles_after_horizon", tally string_of_int (List.map fst cut));
+           ("lag", tally string_of_int (List.map snd cut)) ]);
+      (* Heap words the golden run adds to its netlist: the per-cycle
+         snapshots and fingerprints every scenario reads. *)
+      ("golden_record_words",
+       Json.Int
+         (Obj.reachable_words (Obj.repr golden)
+          - Obj.reachable_words (Obj.repr net))) ]
 
 let json_e1 ~cycles () =
   let h = Figures.table1 () in
@@ -1266,6 +1340,19 @@ let claim_checks fail path j =
         pts
     | _ -> fail path "points" "missing"
   end;
+  (* E7: a fault scenario steps only the cycles that can differ from
+     the golden run, ~4 of its 510 on this campaign. *)
+  if String.equal experiment "E7" then begin
+    match
+      Option.bind (Json.member "simulated_cycles_per_scenario" j)
+        (Json.member "mean")
+    with
+    | Some m when flt m <= 10.0 -> ()
+    | Some m ->
+      fail path "simulated_cycles_per_scenario.mean"
+        (Fmt.str "%g cycles per scenario, above 10" (flt m))
+    | None -> fail path "simulated_cycles_per_scenario.mean" "missing"
+  end;
   (* E9: the arena backend must agree with the reference fixpoint on
      everything observable and must actually be faster — a speedup under
      the (deliberately conservative) floor means the flat hot path
@@ -1437,6 +1524,7 @@ let json_mode ~quick ~trace () =
        json_e5 ~n ~pcts:e5_pcts ?artifact:(artifact "TRACE_E5") ());
       ("BENCH_E6.json",
        json_e6 ~n ~pcts:e6_pcts ?artifact:(artifact "TRACE_E6") ());
+      ("BENCH_E7.json", json_e7 ());
       ("BENCH_E8.json", json_e8 ~count:(if quick then 24 else 96) ());
       ("BENCH_E9.json", json_e9 ~cycles:(if quick then 4_000 else 20_000) ());
       ("BENCH_E10.json",

@@ -30,7 +30,7 @@ let pp_summary ppf s =
     s.histogram
 
 let run ?cycles ?settle ?alarms net ~scenarios =
-  let golden = lazy (Recovery.golden_run ?cycles net) in
+  let golden = lazy (Recovery.golden_run ?cycles ?settle net) in
   let outcomes =
     List.map
       (fun faults ->

@@ -16,6 +16,7 @@ type report = {
   ref_transfers : int;
   faulted_transfers : int;
   fresh_violations : (string * Protocol.violation) list;
+  stabilized : (int * int) option;
 }
 
 let classification_label = function
@@ -61,87 +62,222 @@ let fresh_violations ~ref_viols ~flt_viols =
 type golden = {
   g_net : Netlist.t;
   g_cycles : int;
+  g_settle : int;
   g_mode : Engine.eval_mode;
-  g_sinks : (Netlist.node * Transfer.entry list) list;
+  g_sinks : (Netlist.node * Transfer.entry list) list;  (* first [cycles] *)
   g_violations : (string * Protocol.violation) list;
   g_starvation : string list;
+  (* The trajectory: [g_snaps.(c)] is the state after [c] cycles, for
+     [c] up to [cycles + settle] (fewer when the fault-free run failed
+     in the settle window). *)
+  g_snaps : Engine.snap array;
+  g_fingerprints : int array;
+  g_by_fingerprint : int array;
+      (* cycles by fingerprint, the latest first among equal ones *)
+  g_reports : int array;  (* violations + starvation reports so far *)
+  g_streams : (Netlist.node_id * Transfer.entry list) list;
+      (* every sink's transfers over the whole trajectory *)
 }
 
-let golden_run ?(cycles = 300) ?(mode = Engine.default_mode) net =
+let golden_run ?(cycles = 300) ?(settle = 60) ?(mode = Engine.default_mode)
+    net =
   let eng = Engine.create ~monitor:true ~mode net in
-  Engine.run eng cycles;
-  let sink (n : Netlist.node) =
-    match n.Netlist.kind with
-    | Netlist.Sink _ ->
-      Some (n, Transfer.entries (Engine.sink_stream eng n.Netlist.id))
-    | _ -> None
+  let trajectory = ref [] in
+  let record () =
+    let reports =
+      List.length (Engine.violations eng)
+      + List.length (Engine.starvation_violations eng)
+    in
+    trajectory :=
+      (Engine.snapshot eng, Engine.fingerprint eng, reports) :: !trajectory
+  in
+  record ();
+  for _ = 1 to cycles do
+    Engine.step eng;
+    record ()
+  done;
+  let violations = Engine.violations eng in
+  let starvation = Engine.starvation_violations eng in
+  (* Classification reads only the first [cycles] cycles, so a failure
+     in the settle window just ends the trajectory early; no scenario is
+     cut off where the trajectory no longer reaches. *)
+  (try
+     for _ = 1 to settle do
+       Engine.step eng;
+       record ()
+     done
+   with _ -> ());
+  let trajectory = Array.of_list (List.rev !trajectory) in
+  let fingerprints = Array.map (fun (_, fp, _) -> fp) trajectory in
+  let by_fingerprint = Array.init (Array.length trajectory) Fun.id in
+  Array.sort
+    (fun a b ->
+       match Int.compare fingerprints.(a) fingerprints.(b) with
+       | 0 -> Int.compare b a
+       | c -> c)
+    by_fingerprint;
+  let sinks =
+    List.filter_map
+      (fun (n : Netlist.node) ->
+         match n.Netlist.kind with
+         | Netlist.Sink _ ->
+           Some (n, Transfer.entries (Engine.sink_stream eng n.Netlist.id))
+         | _ -> None)
+      (Netlist.nodes net)
   in
   { g_net = net;
     g_cycles = cycles;
+    g_settle = settle;
     g_mode = mode;
-    g_sinks = List.filter_map sink (Netlist.nodes net);
-    g_violations = Engine.violations eng;
-    g_starvation = Engine.starvation_violations eng }
+    g_sinks =
+      List.map
+        (fun (n, es) ->
+           (n, List.filter (fun e -> e.Transfer.cycle < cycles) es))
+        sinks;
+    g_violations = violations;
+    g_starvation = starvation;
+    g_snaps = Array.map (fun (s, _, _) -> s) trajectory;
+    g_fingerprints = fingerprints;
+    g_by_fingerprint = by_fingerprint;
+    g_reports = Array.map (fun (_, _, r) -> r) trajectory;
+    g_streams =
+      List.map (fun ((n : Netlist.node), es) -> (n.Netlist.id, es)) sinks }
 
-let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?mode ?observer
-    ?golden net ~faults =
-  let mode = Option.value mode ~default:Engine.default_mode in
-  let plan = Fault.plan net faults in
-  let golden =
-    match golden with
-    | None -> golden_run ~cycles ~mode net
-    | Some g ->
-      if g.g_net != net || g.g_cycles <> cycles || g.g_mode <> mode then
-        invalid_arg
-          "Recovery.check: golden run built for another netlist, cycle \
-           count or eval mode";
-      g
+type faulted = {
+  f_sinks : (Netlist.node_id * Transfer.entry list) list;
+  f_violations : (string * Protocol.violation) list;
+  f_starvation : string list;
+  f_crash : string option;
+  f_stabilized : (int * int) option;
+}
+
+(* The latest golden cycle with fingerprint [fp] that satisfies [ok]:
+   golden cycles with equal states have equal futures, and the latest
+   one gives the smallest lag. *)
+let find_golden g fp ok =
+  let idx = g.g_by_fingerprint and fps = g.g_fingerprints in
+  let rec lower lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if fps.(idx.(mid)) < fp then lower (mid + 1) hi else lower lo mid
   in
-  let flt = Engine.create ~monitor:true ~mode net in
+  let rec scan i =
+    if i >= Array.length idx || fps.(idx.(i)) <> fp then None
+    else if ok idx.(i) then Some idx.(i)
+    else scan (i + 1)
+  in
+  scan (lower 0 (Array.length idx))
+
+let run_faulted ?observer golden ~faults =
+  let plan = Fault.plan golden.g_net faults in
+  let total = golden.g_cycles + golden.g_settle in
+  let last = Array.length golden.g_snaps - 1 in
+  let horizon = Fault.horizon plan in
+  (* No fault acts before the first fault cycle, so until then the
+     faulted run is the golden one.  A duplicated token replays the
+     last payload seen on its channel, which only a run from cycle 0
+     has observed. *)
+  let start =
+    if List.exists (fun f -> f.Fault.kind = Fault.Duplicate_token) faults
+    then 0
+    else
+      List.fold_left (fun a f -> min a f.Fault.cycle) horizon faults
+      |> min last |> max 0
+  in
+  let flt = Engine.create ~monitor:true ~mode:golden.g_mode golden.g_net in
+  Engine.restore flt golden.g_snaps.(start);
   Engine.set_injector flt (Some (Fault.injector plan));
   (match observer with
    | None -> ()
    | Some attach -> attach flt);
-  (* The faulted run gets [settle] cycles more than the golden one: a
-     replayed token arrives late, so let it drain before declaring
-     transfers lost. *)
-  let crash =
-    try
-      for _ = 1 to cycles + settle do
-        Engine.step
-          ~choices:(fun nid ->
-              Fault.choices plan ~cycle:(Engine.cycle flt) nid)
-          flt;
-        Fault.observe plan flt
-      done;
-      None
-    with
-    | Engine.Simulation_error e -> Some (Engine.error_to_string e)
-    | e -> Some (Printexc.to_string e)
+  (* Once every fault window has closed, the faulted run's future is
+     the golden one from any golden cycle [g] with the same state,
+     shifted by the lag [cycle - g]: cut it off there, provided the
+     golden trajectory reaches as far as the rest of the run and
+     reports no violation or starvation on the way, whose stamps and
+     messages would have to be shifted too. *)
+  let converged () =
+    let rest = total - Engine.cycle flt in
+    find_golden golden (Engine.fingerprint flt) (fun g ->
+        g + rest <= last
+        && golden.g_reports.(g + rest) = golden.g_reports.(g)
+        && Engine.same_future flt golden.g_snaps.(g))
   in
+  (* The faulted run gets [settle] cycles more than the classification
+     window: a replayed token arrives late, so let it drain before
+     declaring transfers lost. *)
+  let rec go () =
+    let c = Engine.cycle flt in
+    if c >= total then None
+    else
+      match if c >= horizon then converged () else None with
+      | Some g -> Some (c, g)
+      | None ->
+        Engine.step
+          ~choices:(fun nid -> Fault.choices plan ~cycle:c nid)
+          flt;
+        Fault.observe plan flt;
+        go ()
+  in
+  let cut, crash =
+    try (go (), None) with
+    | Engine.Simulation_error e -> (None, Some (Engine.error_to_string e))
+    | e -> (None, Some (Printexc.to_string e))
+  in
+  let splice nid golden_entries =
+    let own = Transfer.entries (Engine.sink_stream flt nid) in
+    match cut with
+    | None -> own
+    | Some (c, g) ->
+      let stop = g + total - c in
+      own
+      @ List.filter_map
+          (fun (e : Transfer.entry) ->
+             if e.Transfer.cycle >= g && e.Transfer.cycle < stop then
+               Some { e with Transfer.cycle = e.Transfer.cycle + c - g }
+             else None)
+          golden_entries
+  in
+  { f_sinks =
+      List.map (fun (nid, es) -> (nid, splice nid es)) golden.g_streams;
+    f_violations = Engine.violations flt;
+    f_starvation = Engine.starvation_violations flt;
+    f_crash = crash;
+    f_stabilized = Option.map (fun (c, g) -> (c - horizon, c - g)) cut }
+
+let classify ?(alarms = []) golden ~faults (f : faulted) =
+  let net = golden.g_net in
+  let settle = golden.g_settle in
   let data_sinks =
     List.filter
       (fun ((n : Netlist.node), _) -> not (List.mem_assoc n.Netlist.id alarms))
       golden.g_sinks
   in
-  let flt_entries nid = Transfer.entries (Engine.sink_stream flt nid) in
+  let flt_entries nid =
+    match List.assoc_opt nid f.f_sinks with
+    | Some es -> es
+    | None ->
+      invalid_arg
+        (Fmt.str "Recovery.classify: alarm node %d is not a sink" nid)
+  in
   let ref_transfers =
     List.fold_left (fun a (_, re) -> a + List.length re) 0 data_sinks
   in
   let faulted_transfers =
     List.fold_left
       (fun a ((n : Netlist.node), _) ->
-         a + Transfer.length (Engine.sink_stream flt n.Netlist.id))
+         a + List.length (flt_entries n.Netlist.id))
       0 data_sinks
   in
   let fresh =
     fresh_violations ~ref_viols:golden.g_violations
-      ~flt_viols:(Engine.violations flt)
+      ~flt_viols:f.f_violations
   in
   let fresh_starvation =
     List.filter
       (fun s -> not (List.mem s golden.g_starvation))
-      (Engine.starvation_violations flt)
+      f.f_starvation
   in
   let alarm_trips entries_of =
     List.fold_left
@@ -151,8 +287,8 @@ let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?mode ?observer
              (List.filter (fun e -> pred e.Transfer.value) (entries_of nid)))
       0 alarms
   in
-  (* An alarm id that names no sink is missing from the golden run; the
-     faulted engine's [sink_stream] rejects it first. *)
+  (* An alarm id that names no sink is missing from the golden run;
+     [flt_entries] rejects it first. *)
   let ref_entries nid =
     List.find_map
       (fun ((n : Netlist.node), re) ->
@@ -216,7 +352,7 @@ let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?mode ?observer
     go 0 0 re (flt_entries n.Netlist.id)
   in
   let classification =
-    match crash with
+    match f.f_crash with
     | Some why -> Crashed why
     | None ->
       (match monitor_detection () with
@@ -257,4 +393,22 @@ let check ?(cycles = 300) ?(settle = 60) ?(alarms = []) ?mode ?observer
     fault_desc = List.map (Fault.describe net) faults;
     ref_transfers;
     faulted_transfers;
-    fresh_violations = fresh }
+    fresh_violations = fresh;
+    stabilized = f.f_stabilized }
+
+let check ?(cycles = 300) ?(settle = 60) ?alarms ?mode ?observer ?golden net
+    ~faults =
+  let mode = Option.value mode ~default:Engine.default_mode in
+  let golden =
+    match golden with
+    | None -> golden_run ~cycles ~settle ~mode net
+    | Some g ->
+      if g.g_net != net || g.g_cycles <> cycles || g.g_settle <> settle
+         || g.g_mode <> mode
+      then
+        invalid_arg
+          "Recovery.check: golden run built for another netlist, cycle \
+           count, settle window or eval mode";
+      g
+  in
+  classify ?alarms golden ~faults (run_faulted ?observer golden ~faults)

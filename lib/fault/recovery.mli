@@ -6,7 +6,10 @@ open Elastic_netlist
     transfer-stream equivalence-modulo-delay (values must match in
     order; cycle stamps may lag — the recovery penalty).  The golden run
     does not depend on the faults, so a campaign simulates it once
-    ({!golden_run}) and passes it to every {!check}.
+    ({!golden_run}) and passes it to every {!check}.  The faulted engine
+    steps only the cycles that can differ from the golden run: it starts
+    at the first fault cycle and stops once it rejoins the golden
+    trajectory ({!run_faulted}).
 
     Classification precedence: [Crashed] (the faulted engine raised) >
     [Detected] (a protocol monitor, the starvation watchdog, or a
@@ -30,6 +33,12 @@ type report = {
   faulted_transfers : int;
   fresh_violations : (string * Protocol.violation) list;
       (** Monitor violations present in the faulted run only. *)
+  stabilized : (int * int) option;
+      (** [Some (cycles, lag)] when the faulted run rejoined the golden
+          trajectory after the last fault window and was cut off there:
+          [cycles] from {!Fault.horizon} to that point, and the [lag] by
+          which it trails the golden run.  [None] when it ran to the
+          end.  {!pp_report} does not print it. *)
 }
 
 val classification_label : classification -> string
@@ -40,29 +49,73 @@ val pp_report : Format.formatter -> report -> unit
 
 (** The fault-free reference of a netlist: every sink's transfer
     stream, the monitor violations and the starvation list after
-    [cycles] cycles.  Immutable, so one value can be shared read-only by
-    every scenario of a campaign, across domains too. *)
+    [cycles] cycles, and the trajectory of [cycles + settle] cycles
+    that {!check} fast-forwards along and splices from: per cycle, an
+    {!Engine.snapshot} and an {!Engine.fingerprint}.  Immutable, so one
+    value can be shared read-only by every scenario of a campaign,
+    across domains too. *)
 type golden
 
-(** [golden_run net] simulates [net] without faults for [cycles] cycles
-    (default 300) in [mode] (default {!Engine.default_mode}).  Raises
-    whatever {!Engine.create} or {!Engine.step} raise on [net]. *)
+(** [golden_run net] simulates [net] without faults for [cycles]
+    (default 300) plus [settle] (default 60) cycles in [mode] (default
+    {!Engine.default_mode}).  Raises whatever {!Engine.create} or
+    {!Engine.step} raise on [net] in the first [cycles] cycles; a
+    failure in the settle window only ends the trajectory there. *)
 val golden_run :
-  ?cycles:int -> ?mode:Elastic_sim.Engine.eval_mode -> Netlist.t -> golden
+  ?cycles:int -> ?settle:int -> ?mode:Elastic_sim.Engine.eval_mode ->
+  Netlist.t -> golden
+
+(** What the faulted engine leaves after [cycles + settle] cycles. *)
+type faulted = {
+  f_sinks : (Netlist.node_id * Transfer.entry list) list;
+      (** Every sink's transfers with their cycle stamps, in netlist
+          order. *)
+  f_violations : (string * Protocol.violation) list;
+  f_starvation : string list;
+  f_crash : string option;
+      (** The engine raised; the other fields are as of that cycle. *)
+  f_stabilized : (int * int) option;  (** See {!report}. *)
+}
+
+(** [run_faulted golden ~faults] simulates the faulted engine over the
+    golden run's [cycles + settle] window, but steps only the cycles
+    that can differ from the golden run:
+    - it starts from the golden snapshot at the first fault cycle (from
+      cycle 0 when a fault duplicates a token, whose replayed payload
+      depends on the prefix);
+    - once every fault window has closed ({!Fault.horizon}), it stops at
+      the first cycle whose state has the future of some golden cycle
+      ({!Engine.same_future}), provided the golden trajectory covers the
+      rest of the run from there and reports no violation or starvation
+      in it, and splices that stretch of the golden sink streams,
+      shifted by the lag, onto its own.
+    The result is the one a run of every cycle gives.  [observer] is
+    called once with the faulted engine before its first step, so it
+    sees the cycles from the first fault to the cut-off. *)
+val run_faulted :
+  ?observer:(Elastic_sim.Engine.t -> unit) -> golden ->
+  faults:Fault.t list -> faulted
+
+(** Classify a faulted run against the golden run's first [cycles]
+    cycles (see {!check}).
+    @raise Invalid_argument when an alarm id names no sink. *)
+val classify :
+  ?alarms:(Netlist.node_id * (Value.t -> bool)) list -> golden ->
+  faults:Fault.t list -> faulted -> report
 
 (** [check net ~faults] simulates the faulted engine for [cycles] cycles
     plus a [settle] window in which a late (replayed) token may still
     drain, and classifies it against the golden run's first [cycles]
-    cycles.  The checker assumes a {e finite} workload that the
-    reference run drains within [cycles]: transfers beyond the
-    reference stream are reported as spurious (corruption), not
-    run-ahead.
+    cycles: [classify golden (run_faulted golden ~faults)].  The
+    checker assumes a {e finite} workload that the reference run
+    drains within [cycles]: transfers beyond the reference stream are
+    reported as spurious (corruption), not run-ahead.
 
     @param golden the fault-free reference to classify against; built
     on the spot by {!golden_run} when absent.  It must come from
-    [golden_run ~cycles ~mode net] for this very [net] (physical
-    equality), [cycles] and [mode], or [check] raises
-    [Invalid_argument].
+    [golden_run ~cycles ~settle ~mode net] for this very [net]
+    (physical equality), [cycles], [settle] and [mode], or [check]
+    raises [Invalid_argument].
     @param alarms sink nodes that are error {e detectors} rather than
     data outputs: their streams are excluded from equivalence checking
     and the fault counts as [Detected] when the predicate holds for more
@@ -71,9 +124,11 @@ val golden_run :
     {!Engine.default_mode}); exposed for differential tests.
     @param observer called once with the faulted engine before its first
     cycle, so a tracer (e.g. [Elastic_trace.Tracer.attach]) can be
-    installed and the injected fault's propagation recorded.  The golden
-    run is never observed: it is shared, and its cost is paid once per
-    campaign rather than per scenario. *)
+    installed and the injected fault's propagation recorded.  The
+    faulted engine starts at the first fault cycle and stops at
+    convergence (see {!run_faulted}), so the observer sees only those
+    cycles.  The golden run is never observed: it is shared, and its
+    cost is paid once per campaign rather than per scenario. *)
 val check :
   ?cycles:int ->
   ?settle:int ->

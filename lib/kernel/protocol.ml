@@ -72,3 +72,48 @@ let step m ~cycle raw =
 let violations m = List.rev m.rev_violations
 
 let name m = m.name
+
+(* The previous cycle's control bits and stall count packed into one
+   int; the previous payload only while it was in retry, the one case
+   [step] reads it. *)
+type snap = {
+  sn_state : int;
+  sn_retry_data : Value.t option;
+  sn_rev_violations : violation list;
+}
+
+let in_retry (p : Signal.t) = p.Signal.v_plus && p.Signal.s_plus
+
+let packed m =
+  let bits =
+    match m.prev with
+    | None -> 16
+    | Some p ->
+      Bool.to_int p.Signal.v_plus
+      lor (Bool.to_int p.Signal.s_plus lsl 1)
+      lor (Bool.to_int p.Signal.v_minus lsl 2)
+      lor (Bool.to_int p.Signal.s_minus lsl 3)
+  in
+  (m.stalled_for lsl 5) lor bits
+
+let retry_data m =
+  match m.prev with Some p when in_retry p -> p.Signal.data | _ -> None
+
+let snapshot m =
+  { sn_state = packed m; sn_retry_data = retry_data m;
+    sn_rev_violations = m.rev_violations }
+
+let restore m s =
+  let bit i = (s.sn_state lsr i) land 1 = 1 in
+  m.prev <-
+    (if bit 4 then None
+     else
+       Some
+         { Signal.v_plus = bit 0; s_plus = bit 1; v_minus = bit 2;
+           s_minus = bit 3; data = s.sn_retry_data });
+  m.stalled_for <- s.sn_state lsr 5;
+  m.rev_violations <- s.sn_rev_violations
+
+let same_future m s =
+  packed m = s.sn_state
+  && Option.equal Value.equal (retry_data m) s.sn_retry_data

@@ -48,3 +48,22 @@ val step : monitor -> cycle:int -> Signal.t -> unit
 val violations : monitor -> violation list
 
 val name : monitor -> string
+
+(** {1 Snapshots} *)
+
+(** Immutable copy of a monitor's state: the previous cycle's control
+    bits (and its payload while in retry, the only case a later cycle
+    reads it), the stall count and the violations recorded so far.
+    Restoring it gives a monitor that judges every later cycle as the
+    original does. *)
+type snap
+
+val snapshot : monitor -> snap
+
+val restore : monitor -> snap -> unit
+
+(** Will [m] and a monitor restored from the snapshot judge every later
+    cycle alike?  Compares what {!snap} keeps of the previous cycle and
+    the stall count; the violations already recorded decide no later
+    verdict. *)
+val same_future : monitor -> snap -> bool

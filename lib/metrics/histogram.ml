@@ -77,7 +77,7 @@ let quantile_of ~counts ~count q =
     let cum = ref 0 in
     let idx = ref 0 in
     (try
-       for i = 0 to n_buckets - 1 do
+       for i = 0 to Array.length counts - 1 do
          cum := !cum + counts.(i);
          if !cum >= target then begin
            idx := i;
@@ -105,22 +105,36 @@ type snapshot = {
   sn_max : int;
 }
 
+(* A snapshot's counts stop at its last non-empty bucket: a campaign
+   keeps one snapshot per scenario, most holding one small value, and
+   the full layout is 480 buckets. *)
+let trimmed counts =
+  let n = ref (Array.length counts) in
+  while !n > 0 && counts.(!n - 1) = 0 do
+    decr n
+  done;
+  Array.sub counts 0 !n
+
 let snapshot t =
-  { s_counts = Array.copy t.counts;
+  { s_counts = trimmed t.counts;
     sn_count = t.count;
     sn_sum = t.sum;
     sn_min = t.min;
     sn_max = t.max }
 
 let empty =
-  { s_counts = Array.make n_buckets 0;
+  { s_counts = [||];
     sn_count = 0;
     sn_sum = 0;
     sn_min = max_int;
     sn_max = -1 }
 
 let merge a b =
-  { s_counts = Array.init n_buckets (fun i -> a.s_counts.(i) + b.s_counts.(i));
+  let get c i = if i < Array.length c then c.(i) else 0 in
+  { s_counts =
+      Array.init
+        (max (Array.length a.s_counts) (Array.length b.s_counts))
+        (fun i -> get a.s_counts i + get b.s_counts i);
     sn_count = a.sn_count + b.sn_count;
     sn_sum = a.sn_sum + b.sn_sum;
     sn_min = min a.sn_min b.sn_min;
@@ -143,7 +157,7 @@ let s_quantile s q = quantile_of ~counts:s.s_counts ~count:s.sn_count q
 let s_buckets s =
   let acc = ref [] in
   let cum = ref 0 in
-  for i = 0 to n_buckets - 1 do
+  for i = 0 to Array.length s.s_counts - 1 do
     if s.s_counts.(i) > 0 then begin
       cum := !cum + s.s_counts.(i);
       acc := (bucket_upper i, !cum) :: !acc
@@ -158,7 +172,7 @@ let s_buckets s =
    from a checkpoint renders byte-identically. *)
 let s_to_json s =
   let buckets = ref [] in
-  for i = n_buckets - 1 downto 0 do
+  for i = Array.length s.s_counts - 1 downto 0 do
     if s.s_counts.(i) > 0 then
       buckets :=
         Json.List [ Json.Int i; Json.Int s.s_counts.(i) ] :: !buckets
@@ -211,8 +225,8 @@ let s_of_json j =
         (Fmt.str "histogram bucket counts sum to %d, count says %d" total
            count)
     else
-      Ok { s_counts = counts; sn_count = count; sn_sum = sum; sn_min = mn;
-           sn_max = mx }
+      Ok { s_counts = trimmed counts; sn_count = count; sn_sum = sum;
+           sn_min = mn; sn_max = mx }
 
 let pp ppf t =
   if t.count = 0 then Fmt.pf ppf "empty"

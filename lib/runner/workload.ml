@@ -32,7 +32,7 @@ let emit_phases (rc, attempt_id) ~t0 ~t1 profile =
    and then read by every worker.  A lock rather than [Lazy.force], which
    is not domain-safe; a build that raises is not cached, so each task
    that asks reports the failure itself. *)
-let shared_golden ?cycles net =
+let shared_golden ?cycles ?settle net =
   let lock = Pool_backend.create_lock () in
   let cached = ref None in
   fun () ->
@@ -40,12 +40,12 @@ let shared_golden ?cycles net =
         match !cached with
         | Some g -> g
         | None ->
-          let g = Recovery.golden_run ?cycles net in
+          let g = Recovery.golden_run ?cycles ?settle net in
           cached := Some g;
           g)
 
 let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
-  let golden = shared_golden ?cycles net in
+  let golden = shared_golden ?cycles ?settle net in
   List.mapi
     (fun i faults ->
        { Runner.id = Fmt.str "%s/%04d" name i;
@@ -91,6 +91,17 @@ let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
                | Recovery.Masked | Recovery.Detected _
                | Recovery.Silent_corruption _ | Recovery.Deadlock _
                | Recovery.Crashed _ -> ());
+              (match report.Recovery.stabilized with
+               | Some (cycles, lag) ->
+                 Elastic_metrics.Histogram.observe
+                   (Metrics.histogram reg
+                      ~help:
+                        "cycles from the last fault window until the \
+                         faulted run rejoins the golden trajectory, by lag"
+                      ~labels:[ ("lag", string_of_int lag) ]
+                      "elastic_fault_stabilization_cycles")
+                   cycles
+               | None -> ());
               Metrics.snapshot reg) })
     scenarios
 

@@ -11,14 +11,18 @@
     builds it.  Each task runs {!Elastic_fault.Recovery.check} against
     that golden run and returns a fresh registry snapshot — counters for
     scenarios, injections and per-class recovery outcomes, plus a
-    correction-penalty histogram — so the runner's index-order merge
+    correction-penalty histogram and a stabilization histogram
+    ([elastic_fault_stabilization_cycles], labelled by the lag, of the
+    scenarios cut off once they rejoined the golden trajectory; see
+    [Recovery.report.stabilized]) — so the runner's index-order merge
     reproduces the sequential campaign's histogram exactly, at any
     worker count. *)
 
 (** [of_campaign ~name net ~scenarios] — task ids are
     ["<name>/<index>"] (stable across runs: the checkpoint resume key).
     [cycles], [settle] and [alarms] are passed through to
-    [Recovery.check] ([cycles] to the golden run too).  The task body calls [ctx.check_deadline] before
+    [Recovery.check] ([cycles] and [settle] to the golden run too).
+    The task body calls [ctx.check_deadline] before
     each check, so shard/campaign wall-clock budgets land between
     simulations, never mid-cycle. *)
 val of_campaign :

@@ -260,6 +260,11 @@ let set_state t = function
     List.iteri (fun i v -> t.table.(i) <- v) table
   | _ -> invalid_arg "Scheduler.set_state: bad encoding"
 
+let same_future t s =
+  let u = { t with table = Array.copy t.table } in
+  set_state u s;
+  u.pred = t.pred && key u = key t
+
 let spec t = t.spec
 
 let ways t = t.ways

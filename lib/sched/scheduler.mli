@@ -112,6 +112,14 @@ val key : t -> int list
 
 val set_state : t -> int list -> unit
 
+(** [same_future t s]: would a scheduler restored to the encoded state
+    [s] (see {!state}) predict what [t] predicts now, and react to every
+    later observation as [t] does?  Compares the prediction and {!key};
+    statistics are ignored.  The prediction matters on its own because
+    an [External] scheduler keeps its last forced channel until it is
+    forced again. *)
+val same_future : t -> int list -> bool
+
 val spec : t -> spec
 
 val ways : t -> int

@@ -47,6 +47,17 @@ let default_mode = Arena
    arena's packed codes.  An arena engine never builds a [Wires] store. *)
 type backend = Reference of Wires.t | Arena of Arena.t
 
+type snap = {
+  sn_cycle : int;
+  sn_insts : Instance.snap array;
+  sn_monitors : Protocol.snap array;
+  sn_starve_wait : int array;
+  sn_starvation : string list;
+  sn_counters : int array array;
+      (* delivered, killed, valid, retry, anti: see [counter_arrays] *)
+  sn_sinks : (Netlist.node_id * Transfer.t) list;
+}
+
 type t = {
   net : Netlist.t;
   backend : backend;
@@ -78,7 +89,11 @@ type t = {
   mutable injected_rev : int list;  (* dense indices overridden this cycle
                                        (tracked only while observed) *)
   clock : Clock.t;
+  mutable last_snap : snap option;  (* parts the next snapshot shares *)
 }
+
+let counter_arrays t =
+  [| t.delivered; t.killed; t.valid_cycles; t.retry_cycles; t.anti_cycles |]
 
 let dense_index t cid =
   match Hashtbl.find_opt t.ch_index cid with
@@ -226,7 +241,8 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
            | Netlist.Func _ | Netlist.Fork _ | Netlist.Mux _
            | Netlist.Varlat _ -> false)
         chans;
-    starvation = [] }
+    starvation = [];
+    last_snap = None }
 
 let netlist t = t.net
 
@@ -571,16 +587,91 @@ let nondet_nodes t =
   |> List.filter_map (fun inst ->
       if Instance.is_nondet inst then Some (Instance.node inst) else None)
 
-type snap = Instance.snap array
+(* Consecutive snapshots of one engine share every part that did not
+   change between them: an unchanged node, monitor, counter array or
+   stream list is the previous snapshot's value.  A run that snapshots
+   every cycle then stores little more than what each cycle changed. *)
+let keep prev x = if compare prev x = 0 then prev else x
 
-let snapshot t = Array.map Instance.snapshot t.insts
+let keep_each f prev xs =
+  if Array.length prev <> Array.length xs then Array.map f xs
+  else
+    let shared = Array.mapi (fun i x -> keep prev.(i) (f x)) xs in
+    if Array.for_all2 ( == ) shared prev then prev else shared
+
+let keep_copy prev a =
+  if Array.length prev = Array.length a && Array.for_all2 ( = ) prev a then
+    prev
+  else Array.copy a
+
+let snapshot t =
+  let prev =
+    match t.last_snap with
+    | Some p -> p
+    | None ->
+      { sn_cycle = -1; sn_insts = [||]; sn_monitors = [||];
+        sn_starve_wait = [||]; sn_starvation = []; sn_counters = [||];
+        sn_sinks = [] }
+  in
+  let sinks =
+    Hashtbl.fold (fun nid s acc -> (nid, !s) :: acc) t.sink_streams []
+  in
+  let counters = counter_arrays t in
+  let snap =
+    { sn_cycle = t.cycle;
+      sn_insts = keep_each Instance.snapshot prev.sn_insts t.insts;
+      sn_monitors = keep_each Protocol.snapshot prev.sn_monitors t.monitors;
+      sn_starve_wait = keep_copy prev.sn_starve_wait t.starve_wait;
+      sn_starvation = t.starvation;
+      sn_counters =
+        (if Array.length prev.sn_counters = Array.length counters then
+           Array.map2 keep_copy prev.sn_counters counters
+         else Array.map Array.copy counters);
+      sn_sinks =
+        (if List.equal (fun (a, x) (b, y) -> a = b && x == y) prev.sn_sinks
+              sinks
+         then prev.sn_sinks
+         else sinks) }
+  in
+  t.last_snap <- Some snap;
+  snap
 
 let restore t snap =
-  if Array.length snap <> Array.length t.insts then
-    invalid_arg "Engine.restore: snapshot size mismatch";
-  Array.iteri (fun i s -> Instance.restore t.insts.(i) s) snap
+  let n = Array.length t.chans in
+  if Array.length snap.sn_insts <> Array.length t.insts
+  || Array.length snap.sn_monitors <> Array.length t.monitors
+  || Array.length snap.sn_starve_wait <> n
+  || List.exists
+       (fun (nid, _) -> not (Hashtbl.mem t.sink_streams nid))
+       snap.sn_sinks
+  then invalid_arg "Engine.restore: snapshot size mismatch";
+  Array.iteri (fun i s -> Instance.restore t.insts.(i) s) snap.sn_insts;
+  Array.iteri (fun i s -> Protocol.restore t.monitors.(i) s) snap.sn_monitors;
+  t.cycle <- snap.sn_cycle;
+  Array.blit snap.sn_starve_wait 0 t.starve_wait 0 n;
+  t.starvation <- snap.sn_starvation;
+  Array.iter2
+    (fun s a -> Array.blit s 0 a 0 n)
+    snap.sn_counters (counter_arrays t);
+  List.iter
+    (fun (nid, s) -> Hashtbl.find t.sink_streams nid := s)
+    snap.sn_sinks
 
 let state_key t =
   Fmt.str "%a"
     Fmt.(array ~sep:(any "|") Instance.pp_snap)
-    (snapshot t)
+    (Array.map Instance.snapshot t.insts)
+
+let same_future t snap =
+  let rec all2 f a b i =
+    i = Array.length a || (f a.(i) b.(i) && all2 f a b (i + 1))
+  in
+  Array.length snap.sn_insts = Array.length t.insts
+  && Array.length snap.sn_monitors = Array.length t.monitors
+  && all2 Instance.same_future t.insts snap.sn_insts 0
+  && all2 Protocol.same_future t.monitors snap.sn_monitors 0
+  && t.starve_wait = snap.sn_starve_wait
+
+let fingerprint t =
+  Array.fold_left (fun h inst -> (h * 31) + Instance.fingerprint inst) 0
+    t.insts

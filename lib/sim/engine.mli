@@ -198,14 +198,46 @@ val schedulers : t -> (Netlist.node_id * Scheduler.t) list
 (** Nodes that consume a nondeterministic choice each cycle. *)
 val nondet_nodes : t -> Netlist.node list
 
-(** {1 State snapshots (model checking)} *)
+(** {1 State snapshots}
+
+    A snapshot is an immutable copy of everything later cycles and
+    observations read: every node's registers (random-generator states
+    included), the cycle count, each protocol monitor's previous
+    signals, stall count and violations, the leads-to watchdog's wait
+    counters and starvation reports, the per-channel counters
+    ({!delivered}, {!killed}, {!activity}) and every sink's transfer
+    stream.  It shares no mutable data with the engine, so one snapshot
+    can be read by several domains and restored into any engine created
+    from the same netlist with the same [monitor] setting.  The profile,
+    the injector, the observer and the elapsed cycle's {!signal}s are
+    not part of it.  The model checker ([Elastic_check.Explore]) and
+    the fault checker ([Elastic_fault.Recovery]) restore from them. *)
 
 type snap
 
 val snapshot : t -> snap
 
+(** Put the engine in the snapshot's state.
+    @raise Invalid_argument on a snapshot of another netlist shape or
+    monitor setting. *)
 val restore : t -> snap -> unit
 
 (** Stable key identifying the register state (cycle counters of
     environment pattern nodes included). *)
 val state_key : t -> string
+
+(** Will [t] and an engine restored from the snapshot behave alike from
+    now on, given the same choices and no injected faults?  Compares the
+    state that decides every later cycle: node registers (random-
+    generator states included, scheduler statistics not; see
+    {!Instance.same_future}), the monitors' previous signals and stall
+    counts, and the watchdog's wait counters.  The cycle count, the
+    counters, the streams and the violations so far are history: two
+    engines that agree here produce the same signals, transfers and
+    violations from now on, shifted by the difference of their cycle
+    counts. *)
+val same_future : t -> snap -> bool
+
+(** Hash of the node registers {!same_future} compares: engines with
+    the same future have the same fingerprint. *)
+val fingerprint : t -> int

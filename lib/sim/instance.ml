@@ -729,6 +729,25 @@ let pp_snap ppf = function
   | Sn_varlat None -> Fmt.string ppf "varlat(empty)"
   | Sn_varlat (Some (v, c)) -> Fmt.pf ppf "varlat(%a,%d)" Value.pp v c
 
+let same_future t snap =
+  match t.state, snap with
+  | S_shared sched, Sn_shared (s, _) -> Scheduler.same_future sched s
+  | _ -> snapshot t = snap
+
+let fingerprint t =
+  match t.state with
+  | S_stateless -> 0
+  | S_source st ->
+    Hashtbl.hash (st.idx, st.pending_kill, st.retry, Rng.state st.srng)
+  | S_sink st -> Hashtbl.hash (st.cyc, Rng.state st.krng)
+  | S_eb st -> Hashtbl.hash (st.n, st.queue)
+  | S_eb0 st -> if st.full then Hashtbl.hash st.stored else 0
+  | S_fork st -> Hashtbl.hash (st.done_, st.pend)
+  | S_emux st -> Hashtbl.hash st.q
+  | S_shared sched ->
+    Hashtbl.hash (Scheduler.predict sched, Scheduler.key sched)
+  | S_varlat st -> Hashtbl.hash st.pipe
+
 let buffer_occupancy t =
   match t.state with
   | S_eb st -> Some st.n

@@ -132,6 +132,15 @@ val restore : t -> snap -> unit
 
 val pp_snap : Format.formatter -> snap -> unit
 
+(** Do the live registers of [t] and the snapshot give the same future
+    on the same inputs?  Every register counts, random-generator states
+    included; of a shared module's scheduler only the prediction and
+    {!Scheduler.key} count (see {!Scheduler.same_future}). *)
+val same_future : t -> snap -> bool
+
+(** Hash of the registers {!same_future} compares. *)
+val fingerprint : t -> int
+
 (** {1 Introspection} *)
 
 (** Signed token count of a buffer node ([tokens >= 0], anti-tokens

@@ -10,7 +10,7 @@ open Elastic_fault
    a run built per scenario, and of the lockstep checker it replaced:
    [e7_reports.expected] holds [Recovery.pp_report] for every E7
    scenario as rendered by that checker, which stepped a fresh reference
-   engine beside each faulted one. *)
+   engine beside each faulted one and ran every cycle of it. *)
 
 (* --- E7, byte for byte ----------------------------------------------- *)
 
@@ -81,7 +81,7 @@ let bench b_name b_net b_alarms =
     b_windows =
       List.map
         (fun (cycles, settle) ->
-           (cycles, settle, Recovery.golden_run ~cycles b_net))
+           (cycles, settle, Recovery.golden_run ~cycles ~settle b_net))
         [ (80, 60); (tight, 2) ] }
 
 let benches =
@@ -172,6 +172,228 @@ let test_classes_covered () =
     [ "masked"; "corrected"; "detected"; "silent-corruption"; "deadlock";
       "crashed" ]
 
+(* --- cut-off runs vs plain full runs ------------------------------------ *)
+
+(* [Recovery.run_faulted] starts the faulted engine at the first fault
+   cycle and stops it once it rejoins the golden trajectory.  Here every
+   cycle is stepped instead, and the two must leave the same sink
+   streams (with stamps), violations, starvation reports and crash, and
+   classify alike. *)
+let full_run net ~cycles ~settle ~faults : Recovery.faulted =
+  let plan = Fault.plan net faults in
+  let eng = Engine.create ~monitor:true net in
+  Engine.set_injector eng (Some (Fault.injector plan));
+  let crash =
+    try
+      for _ = 1 to cycles + settle do
+        Engine.step
+          ~choices:(fun nid ->
+              Fault.choices plan ~cycle:(Engine.cycle eng) nid)
+          eng;
+        Fault.observe plan eng
+      done;
+      None
+    with
+    | Engine.Simulation_error e -> Some (Engine.error_to_string e)
+    | e -> Some (Printexc.to_string e)
+  in
+  { Recovery.f_sinks =
+      List.filter_map
+        (fun (n : Netlist.node) ->
+           match n.Netlist.kind with
+           | Netlist.Sink _ ->
+             Some
+               (n.Netlist.id,
+                Transfer.entries (Engine.sink_stream eng n.Netlist.id))
+           | _ -> None)
+        (Netlist.nodes net);
+    f_violations = Engine.violations eng;
+    f_starvation = Engine.starvation_violations eng;
+    f_crash = crash;
+    f_stabilized = None }
+
+(* A [Random_rate] source through two buffers into a stall-pattern
+   sink.  The source offers an endless counter stream, so every faulted
+   transfer beyond the reference counts as spurious; the point here is
+   the timing, which the source's random generator drives every cycle. *)
+let random_rate () =
+  let open Helpers in
+  let b = builder () in
+  let r =
+    add b ~name:"r"
+      (Netlist.Source (Netlist.Random_rate { pct = 60; seed = 7 }))
+  in
+  let e1 = eb b ~name:"e1" () in
+  let e2 = eb b ~name:"e2" () in
+  let k = sink_pattern b ~name:"k" [| false; true; false |] in
+  let _ = conn b (r, Netlist.Out 0) (e1, Netlist.In 0) in
+  let _ = conn b (e1, Netlist.Out 0) (e2, Netlist.In 0) in
+  let _ = conn b (e2, Netlist.Out 0) (k, Netlist.In 0) in
+  b.net
+
+(* A finite stream joined with a [Random_rate] source.  Once the stream
+   drains, the random source waits at the join for good and its
+   channel's liveness watchdog fires 64 cycles later, in the golden run
+   too: a violation a cut-off run would have to reproduce. *)
+let random_join () =
+  let open Helpers in
+  let b = builder () in
+  let s = src_stream b ~name:"s" (List.init 20 Fun.id) in
+  let r =
+    add b ~name:"r"
+      (Netlist.Source (Netlist.Random_rate { pct = 60; seed = 7 }))
+  in
+  let j = add b ~name:"j" (Netlist.Func (Func.add_int ~arity:2 ())) in
+  let e = eb b ~name:"e" () in
+  let k = sink_pattern b ~name:"k" [| false; true; false; false; true |] in
+  let _ = conn b (s, Netlist.Out 0) (j, Netlist.In 0) in
+  let _ = conn b (r, Netlist.Out 0) (j, Netlist.In 1) in
+  let _ = conn b (j, Netlist.Out 0) (e, Netlist.In 0) in
+  let _ = conn b (e, Netlist.Out 0) (k, Netlist.In 0) in
+  b.net
+
+(* An endless counter into a sink that stalls every other cycle.  A
+   suppressed stall lets one token through early, and the faulted run
+   then stays two cycles {e ahead} of the golden one, busy until the
+   last cycle of the window. *)
+let counter_pattern () =
+  let open Helpers in
+  let b = builder () in
+  let c = src_counter b ~name:"c" () in
+  let e = eb b ~name:"e" () in
+  let k = sink_pattern b ~name:"k" [| false; true |] in
+  let _ = conn b (c, Netlist.Out 0) (e, Netlist.In 0) in
+  let _ = conn b (e, Netlist.Out 0) (k, Netlist.In 0) in
+  b.net
+
+let differential_benches =
+  lazy
+    (let d, alarm =
+       Examples.rs_speculative_alarmed
+         ~ops:(Examples.rs_ops ~error_rate_pct:20 ~seed:3 30)
+     in
+     Lazy.force benches
+     @ [ bench "rs-alarmed-errors" d.Examples.d_net
+           (Test_fault.rs_alarms alarm);
+         bench "random-rate" (random_rate ()) [];
+         bench "random-join" (random_join ()) [];
+         bench "counter-pattern" (counter_pattern ()) [] ])
+
+(* Fault kind [kind] (0..8) on channel [ch] at [cycle]; [seed] picks
+   bits, durations and the mispredicted way. *)
+let fault_of_kind net ~kind ~ch ~cycle ~seed =
+  let width = max 1 (Netlist.channel net ch).Netlist.width in
+  let bit = seed mod width in
+  match kind with
+  | 0 -> [ Fault.flip_bit ~channel:ch ~cycle bit ]
+  | 1 ->
+    [ Fault.flip_bits ~channel:ch ~cycle
+        [ bit; (bit + 1 + (seed / 7)) mod width ] ]
+  | 2 -> [ Fault.drop_token ~channel:ch ~cycle ]
+  | 3 -> [ Fault.duplicate_token ~channel:ch ~cycle ]
+  | 4 -> [ Fault.stuck_stall ~channel:ch ~cycle ~duration:(1 + (seed mod 4)) ]
+  | 5 -> Fault.control_glitch ~channel:ch ~cycle
+  | 6 ->
+    List.filter_map
+      (fun (n : Netlist.node) ->
+         match n.Netlist.kind with
+         | Netlist.Shared { ways; _ } ->
+           Some (Fault.mispredict ~node:n.Netlist.id ~cycle (seed mod ways))
+         | _ -> None)
+      (Netlist.nodes net)
+  | 7 ->
+    [ { Fault.target = Fault.Channel ch; kind = Fault.Force_stop false;
+        cycle; duration = 1 + (seed mod 2) } ]
+  | _ -> [ Fault.glitch_valid ~channel:ch ~cycle true ]
+
+let cut_vs_full b (cycles, settle, golden) faults =
+  let cut = Recovery.run_faulted golden ~faults in
+  let full = full_run b.b_net ~cycles ~settle ~faults in
+  let pp_faults = Fmt.(list ~sep:(any "; ") string) in
+  let describe = List.map (Fault.describe b.b_net) faults in
+  if { cut with Recovery.f_stabilized = None } <> full then
+    QCheck.Test.fail_reportf
+      "%s, %d+%d cycles, faults [%a]: the cut-off run (stabilized %a) \
+       differs from the full run"
+      b.b_name cycles settle pp_faults describe
+      Fmt.(option ~none:(any "never") (pair ~sep:comma int int))
+      cut.Recovery.f_stabilized;
+  let checked =
+    Recovery.check ~cycles ~settle ~alarms:b.b_alarms ~golden b.b_net
+      ~faults
+  in
+  let plain = Recovery.classify ~alarms:b.b_alarms golden ~faults full in
+  if { checked with Recovery.stabilized = None } <> plain then
+    QCheck.Test.fail_reportf "%s, faults [%a]:@.cut-off: %a@.full: %a"
+      b.b_name pp_faults describe Recovery.pp_report checked
+      Recovery.pp_report plain;
+  cut.Recovery.f_stabilized
+
+let qcheck_cut_vs_full =
+  QCheck.Test.make ~count:300 ~name:"cut-off run == full run"
+    QCheck.(
+      pair (quad (int_bound 5) (int_bound 1) (int_bound 8) (int_bound 1000))
+        (int_bound 10_000))
+    (fun ((bi, wi, kind, chi), seed) ->
+       let b = List.nth (Lazy.force differential_benches) bi in
+       let ((cycles, _, _) as w) = List.nth b.b_windows wi in
+       let chans = Netlist.channels b.b_net in
+       let ch = (List.nth chans (chi mod List.length chans)).Netlist.ch_id in
+       let cycle = seed mod (cycles + 5) in
+       ignore
+         (cut_vs_full b w (fault_of_kind b.b_net ~kind ~ch ~cycle ~seed));
+       true)
+
+(* One scenario per soundness condition of the cut-off, each of which
+   goes wrong when that condition is dropped: a duplicated token needs
+   the prefix, a random source's generator is state, a golden stretch
+   with a liveness violation cannot be spliced, and a run that got
+   ahead of the golden one finds no golden stretch long enough. *)
+let test_guards () =
+  let find name =
+    List.find (fun b -> String.equal b.b_name name)
+      (Lazy.force differential_benches)
+  in
+  let chan b name =
+    (List.find
+       (fun (c : Netlist.channel) -> String.equal c.Netlist.ch_name name)
+       (Netlist.channels b.b_net))
+      .Netlist.ch_id
+  in
+  let run name ch faults =
+    let b = find name in
+    ignore (cut_vs_full b (List.hd b.b_windows) (faults (chan b ch)))
+  in
+  run "rs-alarmed" "mux.out0->out.in0" (fun ch ->
+      [ Fault.duplicate_token ~channel:ch ~cycle:31 ]);
+  run "random-rate" "r.out0->e1.in0" (fun ch ->
+      [ Fault.drop_token ~channel:ch ~cycle:49 ]);
+  run "random-join" "s.out0->j.in0" (fun ch ->
+      [ Fault.flip_bit ~channel:ch ~cycle:0 0 ]);
+  run "counter-pattern" "e.out0->k.in0" (fun ch ->
+      [ { Fault.target = Fault.Channel ch; kind = Fault.Force_stop false;
+          cycle = 15; duration = 2 } ])
+
+(* The E7 campaign's single flips all rejoin the golden run one cycle
+   late, a few cycles after the fault: the paper's one-cycle replay. *)
+let test_e7_stabilizes () =
+  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 400 in
+  let d, alarm = Examples.rs_speculative_alarmed ~ops in
+  let net = d.Examples.d_net in
+  let ch = (Test_fault.channel_from net "src").Netlist.ch_id in
+  let b = { b_name = "e7"; b_net = net; b_alarms = Test_fault.rs_alarms alarm;
+            b_windows = [] } in
+  let w = (450, 60, Recovery.golden_run ~cycles:450 ~settle:60 net) in
+  List.iter
+    (fun faults ->
+       match cut_vs_full b w faults with
+       | Some (after, lag) ->
+         Alcotest.(check int) "lag" 1 lag;
+         Alcotest.(check bool) "stabilizes within 5 cycles" true (after <= 5)
+       | None -> Alcotest.fail "E7 scenario ran to the end")
+    (Campaign.random_bitflips ~net ~channel:ch ~seed:2009 ~count:12
+       ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ())
+
 (* --- misuse ------------------------------------------------------------ *)
 
 let test_misuse () =
@@ -196,6 +418,8 @@ let test_misuse () =
       Recovery.check ~cycles:61 ~golden net ~faults);
   rejects "default cycle count" g (fun golden ->
       Recovery.check ~golden net ~faults);
+  rejects "another settle window" g (fun golden ->
+      Recovery.check ~cycles:60 ~settle:30 ~golden net ~faults);
   rejects "arena golden, reference check" g (fun golden ->
       Recovery.check ~cycles:60 ~mode:Engine.Reference ~golden net ~faults);
   let gr = Recovery.golden_run ~cycles:60 ~mode:Engine.Reference net in
@@ -220,6 +444,10 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_shared_vs_fresh;
     Alcotest.test_case "shared golden reaches every class" `Quick
       test_classes_covered;
+    QCheck_alcotest.to_alcotest qcheck_cut_vs_full;
+    Alcotest.test_case "each cut-off condition matters" `Quick test_guards;
+    Alcotest.test_case "E7 flips rejoin the golden run one cycle late"
+      `Quick test_e7_stabilizes;
     Alcotest.test_case "mismatched golden run is rejected" `Quick
       test_misuse;
     Alcotest.test_case "empty campaign builds no golden run" `Quick

@@ -55,7 +55,13 @@ let test_snapshot_isolation_and_reset () =
   Alcotest.(check int) "snapshot survives reset" 103 (Histogram.s_sum s);
   Alcotest.(check bool) "empty is the merge identity" true
     (Histogram.merge s Histogram.empty = s
-     && Histogram.merge Histogram.empty s = s)
+     && Histogram.merge Histogram.empty s = s);
+  (* One snapshot per campaign scenario is kept: it must not carry all
+     480 buckets. *)
+  let one = Histogram.create () in
+  Histogram.observe one 3;
+  Alcotest.(check bool) "snapshot stores buckets up to the last used" true
+    (Obj.reachable_words (Obj.repr (Histogram.snapshot one)) < 16)
 
 let gen_observations =
   QCheck.make

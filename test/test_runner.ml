@@ -426,14 +426,25 @@ let sequential_prometheus (s : Campaign.summary) =
          (List.length o.Campaign.faults);
        let cls = o.Campaign.report.Recovery.classification in
        Sampler.note_recovery reg cls;
-       match cls with
-       | Recovery.Corrected penalty ->
+       (match cls with
+        | Recovery.Corrected penalty ->
+          Histogram.observe
+            (Metrics.histogram reg
+               ~help:"extra delay of corrected scenarios, cycles"
+               "elastic_fault_recovery_penalty_cycles")
+            penalty
+        | _ -> ());
+       match o.Campaign.report.Recovery.stabilized with
+       | Some (cycles, lag) ->
          Histogram.observe
            (Metrics.histogram reg
-              ~help:"extra delay of corrected scenarios, cycles"
-              "elastic_fault_recovery_penalty_cycles")
-           penalty
-       | _ -> ())
+              ~help:
+                "cycles from the last fault window until the faulted run \
+                 rejoins the golden trajectory, by lag"
+              ~labels:[ ("lag", string_of_int lag) ]
+              "elastic_fault_stabilization_cycles")
+           cycles
+       | None -> ())
     s.Campaign.outcomes;
   Prometheus.render (Metrics.snapshot reg)
 
