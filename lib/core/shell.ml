@@ -79,8 +79,9 @@ let help =
   attribute [cycles]       simulate, walk the backpressure chain to the
                            bottleneck channel, and cross-check it against
                            the marked-graph critical cycle
-  profile [cycles]         evaluation schedule and per-node settle cost
-                           (fresh engine per call: the report covers this
+  profile [cycles]         evaluation schedule, per-node settle cost and
+                           minor words allocated per cycle (fresh engine
+                           per call: the report covers this
                            invocation only, not previous runs)
   metrics [cycles]         simulate and print the metrics registry in
                            Prometheus text-exposition format (counters,
@@ -892,7 +893,11 @@ let rec execute_cmd s line =
         in
         catch (fun () ->
             let eng = sim_engine s net in
+            (* Allocation of the whole run, read around it: the engine
+               itself keeps no allocation counter. *)
+            let w0 = Gc.minor_words () in
             Elastic_sim.Engine.run eng cycles;
+            let words = Gc.minor_words () -. w0 in
             let names =
               Array.of_list
                 (List.map
@@ -903,8 +908,10 @@ let rec execute_cmd s line =
                counters and wall clock cover this window only. *)
             Ok
               (Fmt.str "@[<v>window: this invocation only (%d cycles)@,\
-                        schedule: %a@,%a@]"
-                 cycles Elastic_sim.Schedule.pp_stats
+                        minor words/cycle: %.1f@,schedule: %a@,%a@]"
+                 cycles
+                 (words /. float_of_int (max 1 cycles))
+                 Elastic_sim.Schedule.pp_stats
                  (Elastic_sim.Engine.schedule eng)
                  (Elastic_sim.Profile.pp ~name:(fun i -> names.(i)))
                  (Elastic_sim.Engine.profile eng))))

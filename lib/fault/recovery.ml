@@ -85,7 +85,7 @@ let golden_run ?(cycles = 300) ?(settle = 60) ?(mode = Engine.default_mode)
   let trajectory = ref [] in
   let record () =
     let reports =
-      List.length (Engine.violations eng)
+      Engine.violation_count eng
       + List.length (Engine.starvation_violations eng)
     in
     trajectory :=

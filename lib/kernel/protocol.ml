@@ -3,117 +3,119 @@ type violation = { cycle : int; property : string; message : string }
 let pp_violation ppf v =
   Fmt.pf ppf "[cycle %d] %s: %s" v.cycle v.property v.message
 
+(* [state] packs the previous cycle's resolved control code (bits 0-3,
+   {!Signal.code} layout; bit 4 set before the first cycle) and the stall
+   count (from bit 5).  [retry_data] is the previous payload while that
+   cycle was in retry, the one case [step] reads it.  Snapshots copy
+   these fields as they are. *)
 type monitor = {
   name : string;
   check_forward_persistence : bool;
   liveness_bound : int;
-  mutable prev : Signal.t option;
-  mutable stalled_for : int;  (* consecutive cycles with a pending retry *)
+  mutable state : int;
+  mutable retry_data : Value.t option;
   mutable rev_violations : violation list;
 }
 
+let no_prev = 16
+
 let create ?(check_forward_persistence = true) ?(liveness_bound = 64) ~name
     () =
-  { name; check_forward_persistence; liveness_bound; prev = None;
-    stalled_for = 0; rev_violations = [] }
+  { name; check_forward_persistence; liveness_bound; state = no_prev;
+    retry_data = None; rev_violations = [] }
 
 let report m ~cycle property message =
   m.rev_violations <- { cycle; property; message } :: m.rev_violations
 
-let step m ~cycle raw =
-  let s = Signal.resolve raw in
+let vp = Signal.v_plus_bit
+
+let sp = Signal.s_plus_bit
+
+let vm = Signal.v_minus_bit
+
+let sm = Signal.s_minus_bit
+
+let step m ~cycle ~data ~chan raw =
+  let s = Signal.resolve_code raw in
   (* Invariant: kill and stop are mutually exclusive.  Checked on the raw
      drive: an endpoint must not stop the very item it is killing once the
-     cancellation is in flight, unless the resolution rule masks it. *)
-  if raw.Signal.v_plus && raw.Signal.v_minus then begin
-    (* Cancellation in progress: resolution forces stops low, which is the
-       implementation of the invariant; nothing to report. *)
-    ()
-  end
-  else begin
-    if s.Signal.v_plus && s.Signal.s_minus then
+     cancellation is in flight, unless the resolution rule masks it.  On a
+     cancelling channel resolution forces stops low, which is the
+     implementation of the invariant; nothing to report. *)
+  if raw land (vp lor vm) <> vp lor vm then begin
+    if s land vp <> 0 && s land sm <> 0 then
       report m ~cycle "invariant" "S- asserted while a token is in flight";
-    if s.Signal.v_minus && s.Signal.s_plus then
+    if s land vm <> 0 && s land sp <> 0 then
       report m ~cycle "invariant"
         "S+ asserted while an anti-token is in flight"
   end;
-  (match m.prev with
-   | None -> ()
-   | Some p ->
-     if m.check_forward_persistence && p.Signal.v_plus && p.Signal.s_plus
-     then begin
-       if not s.Signal.v_plus then
-         report m ~cycle "retry+" "token withdrawn during retry"
-       else if not (Option.equal Value.equal p.Signal.data s.Signal.data)
-       then
-         report m ~cycle "retry+"
-           (Fmt.str "data changed during retry: %a -> %a"
-              Fmt.(option ~none:(any "_") Value.pp)
-              p.Signal.data
-              Fmt.(option ~none:(any "_") Value.pp)
-              s.Signal.data)
-     end;
-     if p.Signal.v_minus && p.Signal.s_minus && not s.Signal.v_minus then
-       report m ~cycle "retry-" "anti-token withdrawn during retry");
+  let has_prev = m.state land no_prev = 0 in
+  let p = m.state land 15 in
+  (* The payload is read only while a retry is pending: to keep this
+     cycle's for the next, or to compare it with the previous one's. *)
+  let payload =
+    if
+      s land vp <> 0
+      && (Signal.in_retry s
+          || (has_prev && m.check_forward_persistence && Signal.in_retry p))
+    then
+      data chan
+    else None
+  in
+  if has_prev then begin
+    if m.check_forward_persistence && Signal.in_retry p then begin
+      if s land vp = 0 then
+        report m ~cycle "retry+" "token withdrawn during retry"
+      else if not (Option.equal Value.equal m.retry_data payload) then
+        report m ~cycle "retry+"
+          (Fmt.str "data changed during retry: %a -> %a"
+             Fmt.(option ~none:(any "_") Value.pp)
+             m.retry_data
+             Fmt.(option ~none:(any "_") Value.pp)
+             payload)
+    end;
+    if p land (vm lor sm) = vm lor sm && s land vm = 0 then
+      report m ~cycle "retry-" "anti-token withdrawn during retry"
+  end;
   (* Liveness watchdog: something pending, nothing moving. *)
-  let ev = Signal.events s in
-  let pending = s.Signal.v_plus || s.Signal.v_minus in
+  let ev = Signal.events_of_code s in
+  let pending = s land (vp lor vm) <> 0 in
   let moved = ev.Signal.token_out || ev.Signal.anti_out in
-  if pending && not moved then begin
-    m.stalled_for <- m.stalled_for + 1;
-    if m.stalled_for = m.liveness_bound then
-      report m ~cycle "liveness"
-        (Fmt.str "channel stalled for %d consecutive cycles"
-           m.liveness_bound)
-  end
-  else m.stalled_for <- 0;
-  m.prev <- Some s
+  let stalled_for =
+    if pending && not moved then begin
+      let n = (m.state lsr 5) + 1 in
+      if n = m.liveness_bound then
+        report m ~cycle "liveness"
+          (Fmt.str "channel stalled for %d consecutive cycles"
+             m.liveness_bound);
+      n
+    end
+    else 0
+  in
+  m.state <- (stalled_for lsl 5) lor s;
+  m.retry_data <- (if Signal.in_retry s then payload else None)
 
 let violations m = List.rev m.rev_violations
 
+let violation_count m = List.length m.rev_violations
+
 let name m = m.name
 
-(* The previous cycle's control bits and stall count packed into one
-   int; the previous payload only while it was in retry, the one case
-   [step] reads it. *)
 type snap = {
   sn_state : int;
   sn_retry_data : Value.t option;
   sn_rev_violations : violation list;
 }
 
-let in_retry (p : Signal.t) = p.Signal.v_plus && p.Signal.s_plus
-
-let packed m =
-  let bits =
-    match m.prev with
-    | None -> 16
-    | Some p ->
-      Bool.to_int p.Signal.v_plus
-      lor (Bool.to_int p.Signal.s_plus lsl 1)
-      lor (Bool.to_int p.Signal.v_minus lsl 2)
-      lor (Bool.to_int p.Signal.s_minus lsl 3)
-  in
-  (m.stalled_for lsl 5) lor bits
-
-let retry_data m =
-  match m.prev with Some p when in_retry p -> p.Signal.data | _ -> None
-
 let snapshot m =
-  { sn_state = packed m; sn_retry_data = retry_data m;
+  { sn_state = m.state; sn_retry_data = m.retry_data;
     sn_rev_violations = m.rev_violations }
 
 let restore m s =
-  let bit i = (s.sn_state lsr i) land 1 = 1 in
-  m.prev <-
-    (if bit 4 then None
-     else
-       Some
-         { Signal.v_plus = bit 0; s_plus = bit 1; v_minus = bit 2;
-           s_minus = bit 3; data = s.sn_retry_data });
-  m.stalled_for <- s.sn_state lsr 5;
+  m.state <- s.sn_state;
+  m.retry_data <- s.sn_retry_data;
   m.rev_violations <- s.sn_rev_violations
 
 let same_future m s =
-  packed m = s.sn_state
-  && Option.equal Value.equal (retry_data m) s.sn_retry_data
+  m.state = s.sn_state
+  && Option.equal Value.equal m.retry_data s.sn_retry_data

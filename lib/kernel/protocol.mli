@@ -40,20 +40,33 @@ val create :
   unit ->
   monitor
 
-(** [step m ~cycle signals] feeds one cycle of (pre-resolution) channel
-    signals. *)
-val step : monitor -> cycle:int -> Signal.t -> unit
+(** [step m ~cycle ~data ~chan code] feeds one cycle of a channel's raw
+    (pre-resolution) control code ({!Signal.code}).  [data chan] is the
+    channel's payload this cycle; the monitor calls it only while a
+    token retry is pending (V+ asserted and this cycle or a checked
+    previous one in retry), so a cycle without one reads no payload
+    and allocates nothing. *)
+val step :
+  monitor ->
+  cycle:int ->
+  data:(int -> Value.t option) ->
+  chan:int ->
+  int ->
+  unit
 
 (** Violations recorded so far, oldest first. *)
 val violations : monitor -> violation list
+
+(** [List.length (violations m)], without building the list. *)
+val violation_count : monitor -> int
 
 val name : monitor -> string
 
 (** {1 Snapshots} *)
 
-(** Immutable copy of a monitor's state: the previous cycle's control
-    bits (and its payload while in retry, the only case a later cycle
-    reads it), the stall count and the violations recorded so far.
+(** Immutable copy of a monitor's state: the previous cycle's resolved
+    control code (and its payload while in retry, the only case a later
+    cycle reads it), the stall count and the violations recorded so far.
     Restoring it gives a monitor that judges every later cycle as the
     original does. *)
 type snap

@@ -52,3 +52,34 @@ let events s =
     anti_in = s.v_minus && (not s.s_minus) && not s.v_plus;
     cancelled;
   }
+
+let v_plus_bit = 1
+
+let s_plus_bit = 2
+
+let v_minus_bit = 4
+
+let s_minus_bit = 8
+
+let code s =
+  (if s.v_plus then v_plus_bit else 0)
+  lor (if s.s_plus then s_plus_bit else 0)
+  lor (if s.v_minus then v_minus_bit else 0)
+  lor if s.s_minus then s_minus_bit else 0
+
+let of_code c ~data =
+  { v_plus = c land v_plus_bit <> 0; s_plus = c land s_plus_bit <> 0;
+    v_minus = c land v_minus_bit <> 0; s_minus = c land s_minus_bit <> 0;
+    data }
+
+let cancelling = v_plus_bit lor v_minus_bit
+
+let resolve_code c =
+  if c land cancelling = cancelling then c land cancelling else c
+
+let in_retry c =
+  c land (v_plus_bit lor s_plus_bit) = v_plus_bit lor s_plus_bit
+
+let events_table = Array.init 16 (fun c -> events (of_code c ~data:None))
+
+let events_of_code c = events_table.(c)

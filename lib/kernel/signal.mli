@@ -68,3 +68,37 @@ val resolve : t -> t
     [cancelled] implies both [token_out] and [anti_out] but neither
     [token_in] nor [anti_in]. *)
 val events : t -> events
+
+(** {1 Packed control codes}
+
+    The four control bits of a channel packed into an int in [0, 15]:
+    V+ is bit 0, S+ bit 1, V- bit 2 and S- bit 3 (the masks below).
+    The engine keeps one such code per channel per cycle and derives
+    events, counters and monitor verdicts from it without allocating;
+    the payload travels separately. *)
+
+val v_plus_bit : int
+
+val s_plus_bit : int
+
+val v_minus_bit : int
+
+val s_minus_bit : int
+
+(** The packed control bits of a signal (its payload is dropped). *)
+val code : t -> int
+
+(** [of_code c ~data] unpacks a code; [data] becomes the payload as
+    given, so pass [Some _] exactly when [c] has V+. *)
+val of_code : int -> data:Value.t option -> t
+
+(** {!resolve} on codes: clears both stop bits of a cancelling code. *)
+val resolve_code : int -> int
+
+(** Are V+ and S+ both set (a token offered and stopped)?  On a
+    resolved code this is the handshake's Retry state. *)
+val in_retry : int -> bool
+
+(** [events_of_code (code s) = events s].  The 16 results are built
+    once, so this allocates nothing. *)
+val events_of_code : int -> events

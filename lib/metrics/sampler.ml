@@ -174,7 +174,7 @@ let create ?registry ?(window = 0) ?on_window eng =
       Metrics.gauge reg ~help:"Net tokens stored in buffers"
         "elastic_engine_stored_tokens";
     prev_evals = Profile.evals (Engine.profile eng);
-    prev_violations = List.length (Engine.violations eng) }
+    prev_violations = Engine.violation_count eng }
 
 let registry t = t.reg
 
@@ -222,13 +222,14 @@ let observe t eng =
     (Engine.injected eng);
   Array.iter
     (fun c ->
-       let bev = Engine.events eng c.ci_id in
-       let sg = Signal.resolve (Engine.signal eng c.ci_id) in
+       let code = Engine.code eng c.ci_id in
+       let bev = Signal.events_of_code code in
+       let r = Signal.resolve_code code in
        if bev.Signal.token_in then Metrics.Counter.inc c.ci_transfers;
        if bev.Signal.cancelled then Metrics.Counter.inc c.ci_kills;
-       if sg.Signal.v_plus && sg.Signal.s_plus then
-         Metrics.Counter.inc c.ci_stalls;
-       if sg.Signal.v_minus then Metrics.Counter.inc c.ci_antis)
+       if Signal.in_retry r then Metrics.Counter.inc c.ci_stalls;
+       if r land Signal.v_minus_bit <> 0 then
+         Metrics.Counter.inc c.ci_antis)
     t.chans;
   (* Scheduler activity from counter deltas, mirroring the tracer: the
      serve is attributed to the prediction in effect during the elapsed
@@ -257,7 +258,7 @@ let observe t eng =
          s.si_predict <- p
        end)
     t.scheds;
-  let violations = List.length (Engine.violations eng) in
+  let violations = Engine.violation_count eng in
   if violations > t.prev_violations then begin
     Metrics.Counter.add t.c_violations (violations - t.prev_violations);
     t.prev_violations <- violations

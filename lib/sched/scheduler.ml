@@ -3,8 +3,8 @@ type observation = {
   out_valid : bool array;
   out_stop : bool array;
   out_kill : bool array;
-  served : int option;
-  hint : int option;
+  mutable served : int option;
+  mutable hint : int option;
 }
 
 type spec =

@@ -12,7 +12,9 @@
     served or killed.  All schedulers here guarantee it by eventually
     switching to any persistently-stalled valid channel. *)
 
-(** What a scheduler can see of one elapsed cycle. *)
+(** What a scheduler can see of one elapsed cycle.  {!observe} keeps no
+    reference to it, so a caller may refill one observation (arrays and
+    mutable fields) in place every cycle. *)
 type observation = {
   in_valid : bool array;  (** V+ at each shared-module input. *)
   out_valid : bool array;  (** V+ driven on each shared-module output. *)
@@ -22,10 +24,10 @@ type observation = {
   out_kill : bool array;
       (** V- arriving at each output (an anti-token racing backwards:
           evidence the channel was {e not} needed). *)
-  served : int option;
+  mutable served : int option;
       (** Channel whose token actually traversed the shared module and was
           accepted downstream this cycle. *)
-  hint : int option;
+  mutable hint : int option;
       (** Value of the hint token consumed this cycle, when the shared
           module has a hint input (e.g. the error detector's outcome wired
           straight into the scheduler, as §5.1/§5.2 prescribe). *)

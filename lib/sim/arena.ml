@@ -824,11 +824,20 @@ let written_channels t =
 
 let last_eval t = t.last_eval
 
-let to_signal t c =
-  let x = t.ctrl.(c) in
-  let v_plus = (x lsr vp) land 3 = 3 in
-  { Signal.v_plus;
-    s_plus = (x lsr sp) land 3 = 3;
-    v_minus = (x lsr vm) land 3 = 3;
-    s_minus = (x lsr sm) land 3 = 3;
-    data = (if v_plus then data_opt t c else None) }
+(* Raw control code ([Signal.code] layout) of each packed control
+   word: a bit is asserted when its field is known-true. *)
+let code_of_ctrl =
+  Array.init 256 (fun x ->
+      let bit off b = if (x lsr off) land 3 = 3 then b else 0 in
+      bit vp Signal.v_plus_bit
+      lor bit sp Signal.s_plus_bit
+      lor bit vm Signal.v_minus_bit
+      lor bit sm Signal.s_minus_bit)
+
+let fill_codes t codes =
+  for c = 0 to t.nchan - 1 do
+    Array.unsafe_set codes c
+      (Array.unsafe_get code_of_ctrl (Array.unsafe_get t.ctrl c))
+  done
+
+let data = data_opt

@@ -67,6 +67,11 @@ val written_channels : t -> int list
 (** Dense index of the node whose evaluation raised (error paths). *)
 val last_eval : t -> int
 
-(** Resolved signal of a dense channel index, mirroring
-    [Wires.to_signal] (including the substitute-payload fallback). *)
-val to_signal : t -> int -> Signal.t
+(** [fill_codes t codes] writes every channel's raw control code
+    ({!Signal.code} layout; a bit still unknown reads as low) into
+    [codes], indexed by dense channel index.  Allocates nothing. *)
+val fill_codes : t -> int array -> unit
+
+(** Payload of a dense channel index after settle, mirroring
+    {!Wires.data} (including the substitute-payload fallback). *)
+val data : t -> int -> Value.t option

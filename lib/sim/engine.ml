@@ -58,6 +58,10 @@ type snap = {
   sn_sinks : (Netlist.node_id * Transfer.t) list;
 }
 
+(* A sink node, its input channel's dense index and its stream (shared
+   with [sink_streams]). *)
+type sink = { sk_node : Netlist.node_id; sk_chan : int; sk_stream : Transfer.t ref }
+
 type t = {
   net : Netlist.t;
   backend : backend;
@@ -72,14 +76,19 @@ type t = {
   max_cycles : int option;
   cycle_evals : int array;  (* per-node eval calls within this cycle *)
   mutable cycle : int;
-  mutable last_signals : Signal.t array;
-  mutable last_events : Signal.events array;
+  codes : int array;
+      (* the elapsed cycle's raw control code per dense channel
+         ([Signal.code] layout), filled after settle *)
+  data_at : int -> Value.t option;
+      (* payload of a dense channel with V+ in [codes], read from the
+         backend on demand *)
   delivered : int array;
   killed : int array;
   valid_cycles : int array;  (* cycles with V+ asserted *)
   retry_cycles : int array;  (* cycles with V+ & S+ (resolved) *)
   anti_cycles : int array;  (* cycles with V- asserted *)
   sink_streams : (Netlist.node_id, Transfer.t ref) Hashtbl.t;
+  sinks : sink array;  (* dense node order *)
   starve_wait : int array;  (* per channel, for shared-module inputs *)
   shared_input : bool array;  (* channel feeds a shared module *)
   mutable starvation : string list;
@@ -95,11 +104,18 @@ type t = {
 let counter_arrays t =
   [| t.delivered; t.killed; t.valid_cycles; t.retry_cycles; t.anti_cycles |]
 
+(* Observers call this per channel per cycle, so it allocates nothing.
+   A channel id is usually its own dense index (channels listed in id
+   order); the table covers any other numbering. *)
 let dense_index t cid =
-  match Hashtbl.find_opt t.ch_index cid with
-  | Some i -> i
-  | None ->
-    fail ~cycle:t.cycle ~channel:cid (Fmt.str "unknown channel id %d" cid)
+  if cid >= 0 && cid < Array.length t.chans
+     && t.chans.(cid).Netlist.ch_id = cid
+  then cid
+  else
+    match Hashtbl.find t.ch_index cid with
+    | i -> i
+    | exception Not_found ->
+      fail ~cycle:t.cycle ~channel:cid (Fmt.str "unknown channel id %d" cid)
 
 let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     ?max_cycles ?(clock = Clock.monotonic) net =
@@ -181,16 +197,23 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
              ~liveness_bound ~name:c.Netlist.ch_name ())
         chans
   in
+  let sinks =
+    Array.to_list insts
+    |> List.filter_map (fun inst ->
+        let n = Instance.node inst in
+        match n.Netlist.kind with
+        | Netlist.Sink _ ->
+          Some
+            { sk_node = n.Netlist.id; sk_chan = (Instance.ins inst).(0);
+              sk_stream = ref Transfer.empty }
+        | Netlist.Source _ | Netlist.Buffer _ | Netlist.Func _
+        | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _
+        | Netlist.Varlat _ -> None)
+    |> Array.of_list
+  in
   let sink_streams = Hashtbl.create 8 in
-  List.iter
-    (fun (n : Netlist.node) ->
-       match n.Netlist.kind with
-       | Netlist.Sink _ ->
-         Hashtbl.replace sink_streams n.Netlist.id (ref Transfer.empty)
-       | Netlist.Source _ | Netlist.Buffer _ | Netlist.Func _
-       | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _
-       | Netlist.Varlat _ -> ())
-    (Netlist.nodes net);
+  Array.iter (fun sk -> Hashtbl.replace sink_streams sk.sk_node sk.sk_stream)
+    sinks;
   (* Monotone evaluation writes each of a channel's five fields at most
      once, so [5 * nchan] passes always suffice; the slack covers the
      final no-progress pass on tiny netlists. *)
@@ -206,6 +229,17 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
            ~nchan:(Array.length chans) insts)
     | Reference -> Reference (Wires.create (Array.length chans))
   in
+  let codes = Array.make (Array.length chans) 0 in
+  let data_at =
+    match backend with
+    | Arena ar ->
+      fun i ->
+        if codes.(i) land Signal.v_plus_bit = 0 then None else Arena.data ar i
+    | Reference ws ->
+      fun i ->
+        if codes.(i) land Signal.v_plus_bit = 0 then None
+        else Wires.data (Wires.wire ws i)
+  in
   (* Everything above — diagnostics, node compilation, schedule build,
      arena packing — is the compile phase of this engine's ledger. *)
   Profile.set_compile_seconds profile
@@ -217,15 +251,15 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     max_cycles;
     cycle_evals;
     cycle = 0;
-    last_signals = Array.make (Array.length chans) Signal.idle;
-    last_events =
-      Array.make (Array.length chans) (Signal.events Signal.idle);
+    codes;
+    data_at;
     delivered = Array.make (Array.length chans) 0;
     killed = Array.make (Array.length chans) 0;
     valid_cycles = Array.make (Array.length chans) 0;
     retry_cycles = Array.make (Array.length chans) 0;
     anti_cycles = Array.make (Array.length chans) 0;
     sink_streams;
+    sinks;
     injector = None;
     overrides_active = false;
     observer = None;
@@ -422,11 +456,10 @@ let step ?(choices = fun _ -> None) t =
    | Reference ws -> Wires.reset ws);
   t.injected_rev <- [];
   install_overrides t;
-  Array.iter
-    (fun inst ->
-       Instance.begin_cycle inst
-         ~choice:(choices (Instance.node inst).Netlist.id))
-    t.insts;
+  for k = 0 to Array.length t.insts - 1 do
+    let inst = t.insts.(k) in
+    Instance.begin_cycle inst ~choice:(choices (Instance.node inst).Netlist.id)
+  done;
   Array.fill t.cycle_evals 0 (Array.length t.cycle_evals) 0;
   let t0 = t.clock () in
   (match t.backend with
@@ -439,35 +472,36 @@ let step ?(choices = fun _ -> None) t =
   check_determined t;
   let passes = Array.fold_left max 0 t.cycle_evals in
   Profile.record_cycle t.profile ~passes ~seconds:settle_seconds;
+  (* Post-settle: everything below reads the packed codes; payloads
+     are fetched only where a token moves (or a monitor's retry is
+     pending).  Nothing here allocates in a fault-free cycle beyond
+     what the nodes' own payload handling does. *)
   let n = Array.length t.chans in
-  let signals =
-    match t.backend with
-    | Arena ar -> Array.init n (fun i -> Arena.to_signal ar i)
-    | Reference ws ->
-      Array.init n (fun i -> Wires.to_signal (Wires.wire ws i))
-  in
-  let events = Array.map Signal.events signals in
-  t.last_signals <- signals;
-  t.last_events <- events;
-  Array.iteri
-    (fun i m -> Protocol.step m ~cycle:t.cycle signals.(i))
-    t.monitors;
+  let codes = t.codes in
+  (match t.backend with
+   | Arena ar -> Arena.fill_codes ar codes
+   | Reference ws ->
+     for i = 0 to n - 1 do
+       codes.(i) <- Wires.code (Wires.wire ws i)
+     done);
+  for i = 0 to Array.length t.monitors - 1 do
+    Protocol.step t.monitors.(i) ~cycle:t.cycle ~data:t.data_at ~chan:i
+      codes.(i)
+  done;
   for i = 0 to n - 1 do
-    if events.(i).Signal.token_in then
-      t.delivered.(i) <- t.delivered.(i) + 1;
-    if events.(i).Signal.cancelled then t.killed.(i) <- t.killed.(i) + 1;
-    (let r = Signal.resolve signals.(i) in
-     if r.Signal.v_plus then
-       t.valid_cycles.(i) <- t.valid_cycles.(i) + 1;
-     if r.Signal.v_plus && r.Signal.s_plus then
-       t.retry_cycles.(i) <- t.retry_cycles.(i) + 1;
-     if r.Signal.v_minus then
-       t.anti_cycles.(i) <- t.anti_cycles.(i) + 1);
+    let ev = Signal.events_of_code codes.(i) in
+    let r = Signal.resolve_code codes.(i) in
+    if ev.Signal.token_in then t.delivered.(i) <- t.delivered.(i) + 1;
+    if ev.Signal.cancelled then t.killed.(i) <- t.killed.(i) + 1;
+    let valid = r land Signal.v_plus_bit <> 0 in
+    if valid then t.valid_cycles.(i) <- t.valid_cycles.(i) + 1;
+    if Signal.in_retry r then t.retry_cycles.(i) <- t.retry_cycles.(i) + 1;
+    if r land Signal.v_minus_bit <> 0 then
+      t.anti_cycles.(i) <- t.anti_cycles.(i) + 1;
     (* Leads-to watchdog on shared-module inputs: a waiting token must
        eventually be served or killed. *)
     if t.shared_input.(i) then begin
-      let s = Signal.resolve signals.(i) in
-      if s.Signal.v_plus && not events.(i).Signal.token_out then begin
+      if valid && not ev.Signal.token_out then begin
         t.starve_wait.(i) <- t.starve_wait.(i) + 1;
         if t.starve_wait.(i) = t.liveness_bound then
           t.starvation <-
@@ -480,39 +514,28 @@ let step ?(choices = fun _ -> None) t =
     end
   done;
   (* Record sink transfer streams. *)
-  Array.iter
-    (fun inst ->
-       match (Instance.node inst).Netlist.kind with
-       | Netlist.Sink _ ->
-         let i = (Instance.ins inst).(0) in
-         if events.(i).Signal.token_in then begin
-           let stream =
-             Hashtbl.find t.sink_streams (Instance.node inst).Netlist.id
-           in
-           match signals.(i).Signal.data with
-           | Some v -> stream := Transfer.record !stream ~cycle:t.cycle v
-           | None ->
-             (* Unreachable in a healthy run; reachable when a fault
-                forges a valid bit without a payload. *)
-             fail ~cycle:t.cycle
-               ~node:(Instance.node inst).Netlist.id
-               ~channel:t.chans.(i).Netlist.ch_id
-               "token delivered at sink with no data payload"
-         end
-       | Netlist.Source _ | Netlist.Buffer _ | Netlist.Func _
-       | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _
-       | Netlist.Varlat _ -> ())
-    t.insts;
-  (* Clock edge: each node reads its ports straight out of the elapsed
-     cycle's arrays. *)
-  Array.iter
-    (fun inst ->
-       try Instance.clock inst ~signals ~events
-       with (Assert_failure _ | Invalid_argument _) as e ->
-         fail ~cycle:t.cycle ~node:(Instance.node inst).Netlist.id
-           (Fmt.str "node invariant violated at the clock edge: %s"
-              (Printexc.to_string e)))
-    t.insts;
+  for k = 0 to Array.length t.sinks - 1 do
+    let sk = t.sinks.(k) in
+    if (Signal.events_of_code codes.(sk.sk_chan)).Signal.token_in then
+      match t.data_at sk.sk_chan with
+      | Some v ->
+        sk.sk_stream := Transfer.record !(sk.sk_stream) ~cycle:t.cycle v
+      | None ->
+        (* Unreachable in a healthy run; reachable when a fault forges a
+           valid bit without a payload. *)
+        fail ~cycle:t.cycle ~node:sk.sk_node
+          ~channel:t.chans.(sk.sk_chan).Netlist.ch_id
+          "token delivered at sink with no data payload"
+  done;
+  (* Clock edge: each node reads its ports straight out of [codes]. *)
+  for k = 0 to Array.length t.insts - 1 do
+    let inst = t.insts.(k) in
+    try Instance.clock inst ~codes ~data:t.data_at
+    with (Assert_failure _ | Invalid_argument _) as e ->
+      fail ~cycle:t.cycle ~node:(Instance.node inst).Netlist.id
+        (Fmt.str "node invariant violated at the clock edge: %s"
+           (Printexc.to_string e))
+  done;
   (* End-of-cycle observer: the elapsed cycle's signals, events and
      counters are all readable, and [cycle t] still names the elapsed
      cycle.  The [None] branch must stay allocation-free — it is on the
@@ -525,9 +548,13 @@ let run ?choices t n =
     step ?choices t
   done
 
-let signal t cid = t.last_signals.(dense_index t cid)
+let signal t cid =
+  let i = dense_index t cid in
+  Signal.of_code t.codes.(i) ~data:(t.data_at i)
 
-let events t cid = t.last_events.(dense_index t cid)
+let events t cid = Signal.events_of_code t.codes.(dense_index t cid)
+
+let code t cid = t.codes.(dense_index t cid)
 
 let sink_stream t nid =
   match Hashtbl.find_opt t.sink_streams nid with
@@ -559,19 +586,28 @@ let windowed_throughput t nid =
     else float_of_int (List.length entries - 1) /. float_of_int span
 
 let occupancies t =
-  Array.to_list t.insts
-  |> List.filter_map (fun inst ->
-      match Instance.buffer_occupancy inst with
-      | Some n -> Some ((Instance.node inst).Netlist.id, n)
-      | None -> None)
+  Array.fold_right
+    (fun inst acc ->
+       match Instance.buffer_occupancy inst with
+       | Some n -> ((Instance.node inst).Netlist.id, n) :: acc
+       | None -> acc)
+    t.insts []
 
 let stored_tokens t =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 (occupancies t)
+  Array.fold_left
+    (fun acc inst ->
+       match Instance.buffer_occupancy inst with
+       | Some n -> acc + n
+       | None -> acc)
+    0 t.insts
 
 let violations t =
   Array.to_list t.monitors
   |> List.concat_map (fun m ->
       List.map (fun v -> (Protocol.name m, v)) (Protocol.violations m))
+
+let violation_count t =
+  Array.fold_left (fun n m -> n + Protocol.violation_count m) 0 t.monitors
 
 let starvation_violations t = List.rev t.starvation
 

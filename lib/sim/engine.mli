@@ -10,9 +10,13 @@ open Elastic_netlist
       channel wires — control bits start unknown and node equations are
       monotone, so the fixed point is unique; if bits remain unknown the
       netlist has a true combinational cycle and {!step} raises;
-    + channel boundary events are derived (including token/anti-token
-      cancellation), protocol monitors run, statistics are updated, and
-      every node is clocked.
+    + the backend's settled wires are packed into one preallocated
+      array of raw control codes, one per channel ({!Signal.code}
+      layout); from it, without allocating, channel boundary events are
+      derived (including token/anti-token cancellation), protocol
+      monitors run, statistics are updated, and every node is clocked.
+      Payloads stay in the backend and are read only where a token
+      moves or a monitor's retry is pending.
 
     The engine also runs the paper's verification conditions online: the
     SELF protocol monitors of §3.1 on every channel and a starvation
@@ -130,7 +134,8 @@ val set_injector : t -> injector option -> unit
     {!set_injector}.  The observer is invoked at the very end of every
     {!step} — after monitors, statistics and the clock edge, while
     {!cycle} still names the elapsed cycle — so it can read the elapsed
-    cycle's {!signal}s, {!events}, counters and {!injected} channels.
+    cycle's {!code}s, {!signal}s, {!events}, counters and {!injected}
+    channels.
     The observability layer ([Elastic_trace.Tracer]) attaches here.
     With no observer installed the hook costs one branch and allocates
     nothing. *)
@@ -149,13 +154,28 @@ val step : ?choices:(Netlist.node_id -> Instance.choice option) -> t -> unit
 val run :
   ?choices:(Netlist.node_id -> Instance.choice option) -> t -> int -> unit
 
-(** {1 Observation} *)
+(** {1 Observation}
 
-(** Resolved signals of a channel during the last simulated cycle. *)
+    {!signal}, {!events} and {!code} describe the last completed cycle
+    (all channels idle before the first) and keep doing so until the
+    next {!step} begins; an observer installed with {!set_observer}
+    reads them inside the step.  After a step that raised they are
+    unspecified. *)
+
+(** Raw (unresolved) drive of a channel: the four control bits as the
+    endpoints drove them, with the payload when V+ is asserted.  Apply
+    {!Signal.resolve} for the cancellation-adjusted view.  Built on
+    demand: each call allocates the record and materializes the
+    payload. *)
 val signal : t -> Netlist.channel_id -> Signal.t
 
-(** Boundary events of a channel during the last simulated cycle. *)
+(** Boundary events of a channel ({!Signal.events_of_code} of its
+    {!code}; allocates nothing). *)
 val events : t -> Netlist.channel_id -> Signal.events
+
+(** Raw control code of a channel ({!Signal.code} of its {!signal},
+    without building it). *)
+val code : t -> Netlist.channel_id -> int
 
 (** Transfer stream recorded at a sink node. *)
 val sink_stream : t -> Netlist.node_id -> Transfer.t
@@ -189,6 +209,9 @@ val stored_tokens : t -> int
     the channel name. *)
 val violations : t -> (string * Protocol.violation) list
 
+(** [List.length (violations t)], without building the list. *)
+val violation_count : t -> int
+
 (** Leads-to (starvation) violations observed at shared-module inputs. *)
 val starvation_violations : t -> string list
 
@@ -203,13 +226,13 @@ val nondet_nodes : t -> Netlist.node list
     A snapshot is an immutable copy of everything later cycles and
     observations read: every node's registers (random-generator states
     included), the cycle count, each protocol monitor's previous
-    signals, stall count and violations, the leads-to watchdog's wait
+    code, stall count and violations, the leads-to watchdog's wait
     counters and starvation reports, the per-channel counters
     ({!delivered}, {!killed}, {!activity}) and every sink's transfer
     stream.  It shares no mutable data with the engine, so one snapshot
     can be read by several domains and restored into any engine created
     from the same netlist with the same [monitor] setting.  The profile,
-    the injector, the observer and the elapsed cycle's {!signal}s are
+    the injector, the observer and the elapsed cycle's {!code}s are
     not part of it.  The model checker ([Elastic_check.Explore]) and
     the fault checker ([Elastic_fault.Recovery]) restore from them. *)
 
@@ -230,7 +253,7 @@ val state_key : t -> string
     now on, given the same choices and no injected faults?  Compares the
     state that decides every later cycle: node registers (random-
     generator states included, scheduler statistics not; see
-    {!Instance.same_future}), the monitors' previous signals and stall
+    {!Instance.same_future}), the monitors' previous codes and stall
     counts, and the watchdog's wait counters.  The cycle count, the
     counters, the streams and the violations so far are history: two
     engines that agree here produce the same signals, transfers and

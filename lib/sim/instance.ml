@@ -69,6 +69,10 @@ type state =
   | S_shared of Scheduler.t
   | S_varlat of varlat_state
 
+(* A shared module's scheduler observation, refilled in place at every
+   clock edge, and [Some g] for each way [g]. *)
+type shared_view = { obs : Scheduler.observation; served : int option array }
+
 (* Ports are dense channel indices (see [create] in the interface). *)
 type t = {
   node : Netlist.node;
@@ -76,6 +80,7 @@ type t = {
   sel : int option;
   outs : int array;
   state : state;
+  view : shared_view option;  (* shared modules only *)
 }
 
 let node t = t.node
@@ -126,7 +131,21 @@ let make_state (n : Netlist.node) =
   | Netlist.Varlat _ -> S_varlat { pipe = None }
 
 let create node ~ins ~sel ~outs =
-  { node; ins; sel; outs; state = make_state node }
+  let state = make_state node in
+  let view =
+    match state with
+    | S_shared _ ->
+      let bits ports = Array.make (Array.length ports) false in
+      Some
+        { obs =
+            { Scheduler.in_valid = bits ins; out_valid = bits outs;
+              out_stop = bits outs; out_kill = bits outs; served = None;
+              hint = None };
+          served = Array.init (Array.length outs) Option.some }
+    | S_stateless | S_source _ | S_sink _ | S_eb _ | S_eb0 _ | S_fork _
+    | S_emux _ | S_varlat _ -> None
+  in
+  { node; ins; sel; outs; state; view }
 
 let is_nondet t =
   match t.node.Netlist.kind with
@@ -156,20 +175,27 @@ let source_peek st =
      | [] -> None
      | _ :: _ -> Some (List.nth vs (st.idx mod List.length vs)))
 
+(* [source_peek st <> None] without building the option. *)
+let source_has st =
+  match st.sspec with
+  | Netlist.Stream _ -> st.idx < Array.length st.svals
+  | Netlist.Counter _ | Netlist.Random_rate _ -> true
+  | Netlist.Nondet vs -> vs <> []
+
+(* Pending anti-tokens kill the items the source would offer next. *)
+let rec source_drain st =
+  if st.pending_kill > 0 && source_has st then begin
+    (match st.sspec with
+     | Netlist.Nondet vs -> st.idx <- (st.idx + 1) mod max 1 (List.length vs)
+     | Netlist.Stream _ | Netlist.Counter _ | Netlist.Random_rate _ ->
+       st.idx <- st.idx + 1);
+    st.pending_kill <- st.pending_kill - 1;
+    source_drain st
+  end
+
 let source_begin st ~choice =
-  (* Pending anti-tokens kill the items the source would offer next. *)
-  let rec drain () =
-    if st.pending_kill > 0 && source_peek st <> None then begin
-      (match st.sspec with
-       | Netlist.Nondet vs -> st.idx <- (st.idx + 1) mod max 1 (List.length vs)
-       | Netlist.Stream _ | Netlist.Counter _ | Netlist.Random_rate _ ->
-         st.idx <- st.idx + 1);
-      st.pending_kill <- st.pending_kill - 1;
-      drain ()
-    end
-  in
-  drain ();
-  let have = source_peek st <> None in
+  source_drain st;
+  let have = source_has st in
   let fresh_offer =
     match choice with
     | Some (Offer b) -> b
@@ -191,8 +217,13 @@ let source_eval ws t st =
     | None -> assert false);
   Wires.set_s_minus ws out false
 
-let source_clock t st ~events =
-  let ev = events.(t.outs.(0)) in
+(* The clock edge reads the elapsed cycle's raw control codes, indexed
+   by dense channel index, and asks [data] for a payload only when a
+   token actually moves. *)
+let events_at codes c = Signal.events_of_code codes.(c)
+
+let source_clock t st ~codes =
+  let ev = events_at codes t.outs.(0) in
   if ev.Signal.token_out then begin
     (let bump = st.idx + 1 in
      match st.sspec with
@@ -244,17 +275,16 @@ let eb_eval ws t st =
    | _ :: _ | [] -> ());
   Wires.set_s_minus ws out (st.n <= -2)
 
-let eb_clock t st ~signals ~events =
+let eb_clock t st ~codes ~data =
   let i = t.ins.(0) in
-  let in_sig = signals.(i) and in_ev = events.(i)
-  and out_ev = events.(t.outs.(0)) in
+  let in_ev = events_at codes i and out_ev = events_at codes t.outs.(0) in
   (* Pop before push so a full buffer can stream through. *)
   if out_ev.Signal.token_out then
     (match st.queue with
      | _ :: rest -> st.queue <- rest
      | [] -> assert false);
   if in_ev.Signal.token_in then (
-    match in_sig.Signal.data with
+    match data i with
     | Some v -> st.queue <- st.queue @ [ v ]
     | None -> assert false);
   (* An anti-token reaching the output kills the oldest stored token
@@ -290,14 +320,13 @@ let eb0_eval ws t st =
     put Wires.set_s_minus ws out (Wires.s_minus inw)
   end
 
-let eb0_clock t st ~signals ~events =
+let eb0_clock t st ~codes ~data =
   let i = t.ins.(0) in
-  let in_sig = signals.(i) and in_ev = events.(i)
-  and out_ev = events.(t.outs.(0)) in
+  let in_ev = events_at codes i and out_ev = events_at codes t.outs.(0) in
   let tin = in_ev.Signal.token_in and tout = out_ev.Signal.token_out in
   assert (not (tin && st.full && not tout));
   if tin then (
-    match in_sig.Signal.data with
+    match data i with
     | Some v ->
       st.stored <- v;
       st.full <- true
@@ -380,11 +409,11 @@ let fork_eval ws t st =
   let all_pending = Array.for_all (fun p -> p > 0) st.pend in
   put Wires.set_v_minus ws inw (k_and (k_not vin) (Some all_pending))
 
-let fork_clock t st ~events =
-  let in_ev = events.(t.ins.(0)) in
+let fork_clock t st ~codes =
+  let in_ev = events_at codes t.ins.(0) in
   let k = Array.length t.outs in
   for i = 0 to k - 1 do
-    let ev = events.(t.outs.(i)) in
+    let ev = events_at codes t.outs.(i) in
     if ev.Signal.anti_in then st.pend.(i) <- st.pend.(i) + 1;
     if ev.Signal.token_out then st.done_.(i) <- true
   done;
@@ -465,11 +494,11 @@ let emux_eval ws t st =
   (* Anti-tokens reaching the mux output wait for a token to cancel. *)
   put Wires.set_s_minus ws out (k_not v_out)
 
-let emux_clock t st ~signals ~events =
+let emux_clock t st ~codes ~data =
   let k = Array.length t.ins in
-  if events.(t.outs.(0)).Signal.token_out then begin
+  if (events_at codes t.outs.(0)).Signal.token_out then begin
     let s =
-      match signals.(Option.get t.sel).Signal.data with
+      match data (Option.get t.sel) with
       | Some v -> Value.to_int v
       | None -> assert false
     in
@@ -478,7 +507,7 @@ let emux_clock t st ~signals ~events =
     done
   end;
   for i = 0 to k - 1 do
-    if events.(t.ins.(i)).Signal.anti_out then begin
+    if (events_at codes t.ins.(i)).Signal.anti_out then begin
       assert (st.q.(i) > 0);
       st.q.(i) <- st.q.(i) - 1
     end
@@ -534,24 +563,29 @@ let shared_eval ws t sched f =
          (k_and (Wires.s_minus inw) (k_not (Wires.v_plus inw))))
   done
 
-let shared_clock t sched ~signals ~events =
+let fill_bits bits ports codes bit =
+  for j = 0 to Array.length ports - 1 do
+    bits.(j) <- codes.(ports.(j)) land bit <> 0
+  done
+
+(* The scheduler sees the raw drive: a stop is a stop even on a
+   cancelling channel. *)
+let shared_clock t sched ~codes ~data =
+  let v = Option.get t.view in
+  let obs = v.obs in
   let g = Scheduler.predict sched in
-  let hint =
-    match t.sel with
-    | Some h when events.(h).Signal.token_out ->
-      Option.map Value.to_int signals.(h).Signal.data
-    | Some _ | None -> None
-  in
-  let field ports f = Array.map (fun c -> f signals.(c)) ports in
-  let obs =
-    { Scheduler.in_valid = field t.ins (fun s -> s.Signal.v_plus);
-      out_valid = field t.outs (fun s -> s.Signal.v_plus);
-      out_stop = field t.outs (fun s -> s.Signal.s_plus);
-      out_kill = field t.outs (fun s -> s.Signal.v_minus);
-      served =
-        (if events.(t.outs.(g)).Signal.token_out then Some g else None);
-      hint }
-  in
+  obs.Scheduler.hint <-
+    (match t.sel with
+     | Some h when (events_at codes h).Signal.token_out ->
+       Option.map Value.to_int (data h)
+     | Some _ | None -> None);
+  fill_bits obs.Scheduler.in_valid t.ins codes Signal.v_plus_bit;
+  fill_bits obs.Scheduler.out_valid t.outs codes Signal.v_plus_bit;
+  fill_bits obs.Scheduler.out_stop t.outs codes Signal.s_plus_bit;
+  fill_bits obs.Scheduler.out_kill t.outs codes Signal.v_minus_bit;
+  obs.Scheduler.served <-
+    (if (events_at codes t.outs.(g)).Signal.token_out then v.served.(g)
+     else None);
   Scheduler.observe sched obs
 
 (* ------------------------------------------------------------------ *)
@@ -581,11 +615,11 @@ let varlat_eval ws t st =
      Wires.set_v_plus ws out false;
      Wires.set_s_plus ws inw false)
 
-let varlat_clock t st ~signals ~events ~fast ~slow ~err =
+let varlat_clock t st ~codes ~data ~fast ~slow ~err =
   let i = t.ins.(0) in
-  if events.(t.outs.(0)).Signal.token_out then st.pipe <- None;
-  if events.(i).Signal.token_in then (
-    match signals.(i).Signal.data with
+  if (events_at codes t.outs.(0)).Signal.token_out then st.pipe <- None;
+  if (events_at codes i).Signal.token_in then (
+    match data i with
     | Some v ->
       let wrong = Value.to_int (Func.apply err [ v ]) <> 0 in
       let result = Func.apply (if wrong then slow else fast) [ v ] in
@@ -631,19 +665,19 @@ let eval ws t =
        eval_join ws ~ins:all ~out:t.outs.(0) ~data_fn:(Func.apply select)
      | _ -> assert false)
 
-let clock t ~signals ~events =
+let clock t ~codes ~data =
   match t.state with
-  | S_source st -> source_clock t st ~events
+  | S_source st -> source_clock t st ~codes
   | S_sink st -> sink_clock st
-  | S_eb st -> eb_clock t st ~signals ~events
-  | S_eb0 st -> eb0_clock t st ~signals ~events
-  | S_fork st -> fork_clock t st ~events
-  | S_emux st -> emux_clock t st ~signals ~events
-  | S_shared sched -> shared_clock t sched ~signals ~events
+  | S_eb st -> eb_clock t st ~codes ~data
+  | S_eb0 st -> eb0_clock t st ~codes ~data
+  | S_fork st -> fork_clock t st ~codes
+  | S_emux st -> emux_clock t st ~codes ~data
+  | S_shared sched -> shared_clock t sched ~codes ~data
   | S_varlat st ->
     (match t.node.Netlist.kind with
      | Netlist.Varlat { fast; slow; err } ->
-       varlat_clock t st ~signals ~events ~fast ~slow ~err
+       varlat_clock t st ~codes ~data ~fast ~slow ~err
      | _ -> assert false)
   | S_stateless -> ()
 

@@ -6,8 +6,9 @@ open Elastic_netlist
 
     Each node is evaluated as a monotone function over partially-known
     channel wires ({!eval} may be called repeatedly within a cycle until a
-    fixed point is reached) and then clocked once with the resolved
-    signals and the channel boundary events of the cycle ({!clock}).
+    fixed point is reached) and then clocked once with the raw control
+    codes of the cycle, from which it derives the channel boundary
+    events ({!clock}).
 
     The implemented controllers follow the paper:
     - standard EB: Fig. 2(a)/Fig. 3 with [Lf = 1], [Lb = 1], [C = 2];
@@ -76,7 +77,7 @@ type t
     is port [In i], etc.).  These are the node's only copy of its
     ports: {!eval} resolves them through the Reference backend's
     {!Wires} store, the arena flattens them into its own index pool,
-    and {!clock} reads the elapsed cycle's arrays through them.
+    and {!clock} reads the elapsed cycle's codes through them.
     Buffers must fit their capacity; [Engine.create] rejects an
     over-capacity buffer (E101) before it creates any instance. *)
 val create :
@@ -114,12 +115,15 @@ val begin_cycle : t -> choice:choice option -> unit
     writes whatever wire values have become determined. *)
 val eval : Wires.t -> t -> unit
 
-(** Clock edge.  [signals] and [events] are the elapsed cycle's
-    resolved channel signals and boundary events, indexed by dense
-    channel index; the node reads its own ports through {!ins},
-    {!sel} and {!outs}. *)
-val clock :
-  t -> signals:Signal.t array -> events:Signal.events array -> unit
+(** Clock edge.  [codes] holds the elapsed cycle's raw (unresolved)
+    control codes ({!Signal.code} layout), indexed by dense channel
+    index; [data c] is channel [c]'s payload, asked for only when a
+    token moves on [c].  The node reads its own ports through {!ins},
+    {!sel} and {!outs}, takes boundary events from
+    {!Signal.events_of_code} and hands the raw drive (a stop asserted
+    on a cancelling channel included) to a shared module's
+    scheduler. *)
+val clock : t -> codes:int array -> data:(int -> Value.t option) -> unit
 
 (** {1 State snapshots (for the model checker)} *)
 

@@ -140,8 +140,9 @@ let set_data t w v =
     if not (Value.equal v v') then
       raise (Conflict { wire = w.id; field = "data" })
 
-let to_signal w =
-  let b o = Option.value o ~default:false in
-  let v_plus = b w.v_plus in
-  { Signal.v_plus; s_plus = b w.s_plus; v_minus = b w.v_minus;
-    s_minus = b w.s_minus; data = (if v_plus then data w else None) }
+let code w =
+  let bit o b = if o = Some true then b else 0 in
+  bit w.v_plus Signal.v_plus_bit
+  lor bit w.s_plus Signal.s_plus_bit
+  lor bit w.v_minus Signal.v_minus_bit
+  lor bit w.s_minus Signal.s_minus_bit

@@ -96,7 +96,7 @@ val set_s_minus : t -> wire -> bool -> unit
 
 val set_data : t -> wire -> Value.t -> unit
 
-(** Fully-resolved signals of a wire after the fixed point; unknown bits
-    default to false (they can only remain unknown if the engine already
-    reported an error). *)
-val to_signal : wire -> Signal.t
+(** Raw control code of a wire after the fixed point ({!Signal.code}
+    layout); unknown bits read as low (they can only remain unknown if
+    the engine already reported an error). *)
+val code : wire -> int

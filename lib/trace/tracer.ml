@@ -50,7 +50,7 @@ let create ?(capacity = 65536) eng =
     channels = Array.of_list (Netlist.channels net);
     scheds;
     occ;
-    violations_seen = List.length (Engine.violations eng) }
+    violations_seen = Engine.violation_count eng }
 
 let push t ev =
   t.ring.(t.next) <- ev;
@@ -69,14 +69,16 @@ let observe t eng =
   Array.iter
     (fun (c : Netlist.channel) ->
        let cid = c.Netlist.ch_id in
-       let bev = Engine.events eng cid in
-       let sg = Signal.resolve (Engine.signal eng cid) in
+       let code = Engine.code eng cid in
+       let bev = Signal.events_of_code code in
+       let r = Signal.resolve_code code in
        if bev.Signal.token_in then
-         ev ~subject:(Event.Chan cid) (Event.Transfer sg.Signal.data);
+         ev ~subject:(Event.Chan cid)
+           (Event.Transfer (Engine.signal eng cid).Signal.data);
        if bev.Signal.cancelled then ev ~subject:(Event.Chan cid) Event.Cancel;
-       if sg.Signal.v_plus && sg.Signal.s_plus then
-         ev ~subject:(Event.Chan cid) Event.Stall;
-       if sg.Signal.v_minus then ev ~subject:(Event.Chan cid) Event.Anti)
+       if Signal.in_retry r then ev ~subject:(Event.Chan cid) Event.Stall;
+       if r land Signal.v_minus_bit <> 0 then
+         ev ~subject:(Event.Chan cid) Event.Anti)
     t.channels;
   (* Buffer occupancy changes (clock edge already happened). *)
   List.iter
@@ -123,8 +125,7 @@ let observe t eng =
     t.scheds;
   (* Fresh monitor violations: the monitors stamp them with the elapsed
      cycle, so anything beyond the count seen so far is new. *)
-  let violations = Engine.violations eng in
-  let n = List.length violations in
+  let n = Engine.violation_count eng in
   if n > t.violations_seen then begin
     List.iter
       (fun (name, (v : Protocol.violation)) ->
@@ -139,7 +140,7 @@ let observe t eng =
              ev ~subject:(Event.Chan c.Netlist.ch_id)
                (Event.Violation { property = v.Protocol.property })
            | None -> ())
-      violations;
+      (Engine.violations eng);
     t.violations_seen <- n
   end
 

@@ -8,7 +8,7 @@ open Helpers
 
 (* The flat-arena evaluation backend (lib/sim/arena.ml): mode selection
    plumbing, byte-exact golden artefacts, error parity with the
-   reference fixpoint, and the step allocation guard.  Cross-backend
+   reference fixpoint, and the step allocation guards.  Cross-backend
    trace/metrics equivalence over whole designs lives in
    {!Test_engine_equiv}; these are the arena-specific contracts.
 
@@ -234,14 +234,21 @@ let test_prom_golden_e6 () =
     (Examples.rs_speculative
        ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:5 100)).Examples.d_net
 
-(* --- allocation guard ------------------------------------------------ *)
+(* --- allocation guards ----------------------------------------------- *)
 
-(* The arena settle loop must not allocate: on a control-only pipeline
-   every word allocated per cycle comes from the engine's fixed
-   bookkeeping (the resolved-signal and events snapshots; the clock edge
-   reads them in place).  Allocation counts are deterministic, so the
-   budget is the exact count: any new per-cycle allocation, such as
-   per-node port views at the clock edge, trips it. *)
+(* After settle, [Engine.step] works on one preallocated array of packed
+   control codes: events, counters, monitors, sink streams and the clock
+   edge read it in place, and payloads are fetched only where a token
+   moves.  What a cycle still allocates is the payload work (data
+   functions and boxed words in settle, the payloads that move into
+   monitors, buffers and sink streams) and the settle timer's
+   bookkeeping (two clock readings, the settle-seconds float, the pass
+   histogram's option).  Allocation counts are deterministic: the
+   control-only pipeline's budget is its exact count (12 words, all
+   timer bookkeeping; nothing after settle), and the E5/E6 budgets add
+   ~5% to the measured 105 and 135 words.  Any new per-cycle
+   allocation, such as a per-channel record or per-node port views at
+   the clock edge, trips them. *)
 let words_per_cycle net =
   let eng = Engine.create net in
   Engine.run eng 200;
@@ -249,6 +256,13 @@ let words_per_cycle net =
   Engine.run eng 2000;
   let w1 = Gc.minor_words () in
   (w1 -. w0) /. 2000.
+
+let check_budget what ~budget net =
+  let words = words_per_cycle net in
+  if words > budget then
+    Alcotest.failf
+      "%s allocates %.1f words/cycle (budget %.0f): the step has started \
+       allocating" what words budget
 
 let test_settle_allocation_guard () =
   let b = builder () in
@@ -259,11 +273,19 @@ let test_settle_allocation_guard () =
   let _ = conn b (s, Out 0) (e1, In 0) in
   let _ = conn b (e1, Out 0) (e2, In 0) in
   let _ = conn b (e2, Out 0) (k, In 0) in
-  let arena = words_per_cycle b.net in
-  if arena > 110.0 then
-    Alcotest.failf
-      "arena allocates %.1f words/cycle on a control-only pipeline \
-       (budget 110): the step has started allocating" arena
+  check_budget "a control-only pipeline" ~budget:12. b.net
+
+(* E5/E6 with monitors on (the [Engine.create] default), long enough
+   that tokens flow through every measured cycle. *)
+let test_e5_allocation_guard () =
+  check_budget "E5 (vl_speculative)" ~budget:110.
+    (Examples.vl_speculative
+       ~ops:(Alu.operands ~error_rate_pct:10 ~seed:7 2400)).Examples.d_net
+
+let test_e6_allocation_guard () =
+  check_budget "E6 (rs_speculative)" ~budget:142.
+    (Examples.rs_speculative
+       ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:5 2400)).Examples.d_net
 
 let suite =
   [ Alcotest.test_case "mode names round-trip" `Quick test_mode_names;
@@ -285,4 +307,8 @@ let suite =
     Alcotest.test_case "E6 prometheus render matches levelized" `Quick
       test_prom_golden_e6;
     Alcotest.test_case "arena settle loop does not allocate" `Quick
-      test_settle_allocation_guard ]
+      test_settle_allocation_guard;
+    Alcotest.test_case "E5 step allocation budget" `Quick
+      test_e5_allocation_guard;
+    Alcotest.test_case "E6 step allocation budget" `Quick
+      test_e6_allocation_guard ]

@@ -58,8 +58,9 @@ type harnessed = {
   h_step : unit -> unit;
 }
 
-(* Run both modes in lockstep, comparing every channel's resolved
-   signal on every cycle, then the cumulative observations, the
+(* Run both modes in lockstep, comparing every channel's raw signal,
+   control code, events and counters and the violation count on every
+   cycle, then the cumulative observations, the
    rendered trace event stream and the metrics snapshot.  Fault plans
    are stateful, so each engine gets its own identical plan.  If one
    mode raises, the other must raise the same error on the same cycle.
@@ -89,6 +90,15 @@ let run_pair ~name ?(cycles = 200) ?faults net =
   in
   let ar = make Engine.Arena and rf = make Engine.Reference in
   let chans = Netlist.channels net in
+  (* Each channel's counters re-derived from the record view
+     ([Signal.resolve], [Signal.events] of [Engine.signal]): delivered,
+     killed, valid, retry, anti. *)
+  let expected = Hashtbl.create 16 in
+  List.iter
+    (fun (c : Netlist.channel) ->
+       Hashtbl.replace expected c.Netlist.ch_id (Array.make 5 0))
+    chans;
+  let count a k b = if b then a.(k) <- a.(k) + 1 in
   let safe h =
     try
       h.h_step ();
@@ -102,13 +112,53 @@ let run_pair ~name ?(cycles = 200) ?faults net =
       | None, None ->
         List.iter
           (fun (c : Netlist.channel) ->
-             let sa = Engine.signal ar.h_eng c.Netlist.ch_id
-             and sr = Engine.signal rf.h_eng c.Netlist.ch_id in
+             let id = c.Netlist.ch_id in
+             let sa = Engine.signal ar.h_eng id
+             and sr = Engine.signal rf.h_eng id in
              if not (Signal.equal sa sr) then
                Alcotest.failf
                  "%s: cycle %d, channel %s: arena %a but reference %a" name
-                 cyc c.Netlist.ch_name Signal.pp sa Signal.pp sr)
+                 cyc c.Netlist.ch_name Signal.pp sa Signal.pp sr;
+             let differ what =
+               Alcotest.failf "%s: cycle %d, channel %s: %s differ" name
+                 cyc c.Netlist.ch_name what
+             in
+             (* The code store, the events derived from it and the
+                counters it feeds, cycle by cycle in both backends. *)
+             if Engine.code ar.h_eng id <> Signal.code sa then
+               differ "arena code and signal";
+             if Engine.code ar.h_eng id <> Engine.code rf.h_eng id then
+               differ "codes";
+             if Engine.events ar.h_eng id <> Signal.events sa then
+               differ "arena events and signal";
+             if Engine.events ar.h_eng id <> Engine.events rf.h_eng id then
+               differ "events";
+             if Engine.activity ar.h_eng id <> Engine.activity rf.h_eng id
+             then differ "activity counts";
+             if Engine.delivered ar.h_eng id <> Engine.delivered rf.h_eng id
+             then differ "delivered counts";
+             if Engine.killed ar.h_eng id <> Engine.killed rf.h_eng id then
+               differ "killed counts";
+             let e = Hashtbl.find expected id in
+             let ev = Signal.events sa and r = Signal.resolve sa in
+             count e 0 ev.Signal.token_in;
+             count e 1 ev.Signal.cancelled;
+             count e 2 r.Signal.v_plus;
+             count e 3 (r.Signal.v_plus && r.Signal.s_plus);
+             count e 4 r.Signal.v_minus;
+             let valid, retry, anti = Engine.activity ar.h_eng id in
+             if
+               [| Engine.delivered ar.h_eng id; Engine.killed ar.h_eng id;
+                  valid; retry; anti |]
+               <> e
+             then differ "counters and the record view's")
           chans;
+        let va = Engine.violation_count ar.h_eng in
+        if va <> Engine.violation_count rf.h_eng then
+          Alcotest.failf "%s: cycle %d: violation counts differ" name cyc;
+        if va <> List.length (Engine.violations ar.h_eng) then
+          Alcotest.failf "%s: cycle %d: violation_count is not the list's \
+                          length" name cyc;
         loop (cyc + 1)
       | Some a, Some b ->
         Alcotest.(check string)

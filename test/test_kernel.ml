@@ -129,7 +129,36 @@ let signal_suite =
       (fun () ->
          let s = Signal.resolve (mk ~vp:true ~sp:true ~vm:true ~sm:true ()) in
          Alcotest.(check bool) "s_plus" false s.Signal.s_plus;
-         Alcotest.(check bool) "s_minus" false s.Signal.s_minus) ]
+         Alcotest.(check bool) "s_minus" false s.Signal.s_minus);
+    Alcotest.test_case "packed codes agree with records, exhaustively"
+      `Quick (fun () ->
+        let signal = Alcotest.testable Signal.pp Signal.equal in
+        for c = 0 to 15 do
+          List.iter
+            (fun data ->
+               let s = Signal.of_code c ~data in
+               let what = Fmt.str "code %d, data %b" c (data <> None) in
+               Alcotest.(check int) (what ^ ": code (of_code c) = c") c
+                 (Signal.code s);
+               Alcotest.check signal (what ^ ": of_code (code s) = s") s
+                 (Signal.of_code (Signal.code s) ~data:s.Signal.data);
+               Alcotest.(check bool)
+                 (what ^ ": events_of_code (code s) = events s") true
+                 (Signal.events_of_code (Signal.code s) = Signal.events s);
+               Alcotest.check signal
+                 (what ^ ": of_code (resolve_code c) = resolve s")
+                 (Signal.resolve s)
+                 (Signal.of_code (Signal.resolve_code c) ~data))
+            [ None; Some (Value.Int 7) ]
+        done;
+        let w0 = Gc.minor_words () in
+        for c = 0 to 15_999 do
+          ignore (Sys.opaque_identity (Signal.events_of_code (c land 15)))
+        done;
+        let w1 = Gc.minor_words () in
+        (* Only the float the first reading returns. *)
+        if w1 -. w0 > 8. then
+          Alcotest.failf "events_of_code allocated %.0f words" (w1 -. w0)) ]
 
 let transfer_suite =
   [ Alcotest.test_case "record and compare" `Quick (fun () ->
@@ -174,7 +203,11 @@ let run_monitor ?check_forward_persistence ?liveness_bound steps =
     Protocol.create ?check_forward_persistence ?liveness_bound
       ~name:"test" ()
   in
-  List.iteri (fun cycle s -> Protocol.step m ~cycle s) steps;
+  List.iteri
+    (fun cycle s ->
+       Protocol.step m ~cycle ~data:(fun _ -> s.Signal.data) ~chan:0
+         (Signal.code s))
+    steps;
   Protocol.violations m
 
 let protocol_suite =

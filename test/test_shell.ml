@@ -150,6 +150,22 @@ let suite =
           (Helpers.contains tr "-");
         Alcotest.(check bool) "trace shows tokens" true
           (Helpers.contains tr "A"));
+    Alcotest.test_case "profile reports minor words per cycle" `Quick
+      (fun () ->
+        let s = Shell.create () in
+        let _ = exec s "load rs-spec" in
+        let out = exec s "profile 100" in
+        let words =
+          List.find_map
+            (fun l ->
+               try Some (Scanf.sscanf l "minor words/cycle: %f" Fun.id)
+               with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+            (String.split_on_char '\n' out)
+        in
+        match words with
+        | Some w when w > 0.0 -> ()
+        | Some w -> Alcotest.failf "non-positive minor words/cycle %f" w
+        | None -> Alcotest.failf "no minor words/cycle line in:\n%s" out);
     Alcotest.test_case "exports write files from the shell" `Quick
       (fun () ->
         let s = Shell.create () in
