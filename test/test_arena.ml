@@ -224,15 +224,37 @@ let test_prom_golden path net =
   Engine.run eng 150;
   check_golden path (Prometheus.render (Sampler.sample sampler eng))
 
-let test_prom_golden_e5 () =
-  test_prom_golden "e5.prom.expected"
-    (Examples.vl_speculative
-       ~ops:(Alu.operands ~error_rate_pct:10 ~seed:7 100)).Examples.d_net
+let e5_net () =
+  (Examples.vl_speculative
+     ~ops:(Alu.operands ~error_rate_pct:10 ~seed:7 100)).Examples.d_net
 
-let test_prom_golden_e6 () =
-  test_prom_golden "e6.prom.expected"
-    (Examples.rs_speculative
-       ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:5 100)).Examples.d_net
+let e6_net () =
+  (Examples.rs_speculative
+     ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:5 100)).Examples.d_net
+
+let test_prom_golden_e5 () = test_prom_golden "e5.prom.expected" (e5_net ())
+
+let test_prom_golden_e6 () = test_prom_golden "e6.prom.expected" (e6_net ())
+
+(* The same runs with a 50-cycle window: every row of the JSONL series,
+   counters, histograms and gauges alike, byte for byte. *)
+let test_window_golden path net =
+  let eng = Engine.create ~clock:(Clock.ticker ~step_ns:100L) net in
+  let buf = Buffer.create 4096 in
+  let on_window r =
+    Buffer.add_string buf (Sampler.jsonl_of_row r);
+    Buffer.add_char buf '\n'
+  in
+  let sampler = Sampler.create ~window:50 ~on_window eng in
+  Engine.set_observer eng (Some (Sampler.observe sampler));
+  Engine.run eng 150;
+  check_golden path (Buffer.contents buf)
+
+let test_window_golden_e5 () =
+  test_window_golden "e5.window.jsonl.expected" (e5_net ())
+
+let test_window_golden_e6 () =
+  test_window_golden "e6.window.jsonl.expected" (e6_net ())
 
 (* --- allocation guards ----------------------------------------------- *)
 
@@ -306,6 +328,10 @@ let suite =
       test_prom_golden_e5;
     Alcotest.test_case "E6 prometheus render matches levelized" `Quick
       test_prom_golden_e6;
+    Alcotest.test_case "E5 windowed JSONL series is frozen" `Quick
+      test_window_golden_e5;
+    Alcotest.test_case "E6 windowed JSONL series is frozen" `Quick
+      test_window_golden_e6;
     Alcotest.test_case "arena settle loop does not allocate" `Quick
       test_settle_allocation_guard;
     Alcotest.test_case "E5 step allocation budget" `Quick
