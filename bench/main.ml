@@ -160,13 +160,11 @@ let attribution_json (at : Trace.Attribution.t) =
 
 let traced_record ?artifact ~cycles net =
   let eng = Elastic_sim.Engine.create net in
-  let tr = Trace.Tracer.create ~capacity:262144 eng in
+  let tr = Trace.Tracer.attach ~capacity:262144 eng in
   let vcd = Option.map (fun _ -> Trace.Vcd.create net) artifact in
-  Elastic_sim.Engine.set_observer eng
-    (Some
-       (fun e ->
-          Trace.Tracer.observe tr e;
-          Option.iter (fun r -> Trace.Vcd.observe r e) vcd));
+  Option.iter
+    (fun r -> Elastic_sim.Engine.add_observer eng (Trace.Vcd.observe r))
+    vcd;
   Elastic_sim.Engine.run eng cycles;
   let evs = Trace.Tracer.events tr in
   (match artifact, vcd with
@@ -196,9 +194,7 @@ let metrics_record ~artifact ~cycles net =
     Buffer.add_char jsonl '\n'
   in
   let window = 50 in
-  let sampler = Metr.Sampler.create ~window ~on_window eng in
-  Elastic_sim.Engine.set_observer eng
-    (Some (Metr.Sampler.observe sampler));
+  let sampler = Metr.Sampler.attach ~window ~on_window eng in
   Elastic_sim.Engine.run eng cycles;
   let samples = Metr.Sampler.sample sampler eng in
   let oc = open_out (artifact ^ ".prom") in

@@ -306,30 +306,11 @@ let sim_engine s net =
 
 module Metr = Elastic_metrics
 
-(* A fresh engine with a metrics sampler attached, composing with a
-   tracer when [trace on] is in effect (single observer slot). *)
-let sampled_engine s net ?window ?on_window () =
-  let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
-  let sampler = Metr.Sampler.create ?window ?on_window eng in
-  let tr =
-    match s.trace_capacity with
-    | None -> None
-    | Some capacity ->
-      let tr = Elastic_trace.Tracer.create ~capacity eng in
-      s.tracer <- Some tr;
-      Some tr
-  in
-  Elastic_sim.Engine.set_observer eng
-    (Some
-       (fun e ->
-          (match tr with
-           | None -> ()
-           | Some tr -> Elastic_trace.Tracer.observe tr e);
-          Metr.Sampler.observe sampler e));
-  (eng, sampler)
-
+(* A fresh engine run with a metrics sampler attached, beside the tracer
+   when [trace on] is in effect. *)
 let sampled_run s net ?window ?on_window cycles =
-  let eng, sampler = sampled_engine s net ?window ?on_window () in
+  let eng = sim_engine s net in
+  let sampler = Metr.Sampler.attach ?window ?on_window eng in
   Elastic_sim.Engine.run eng cycles;
   (eng, sampler)
 
@@ -1002,20 +983,14 @@ let rec execute_cmd s line =
         | Ok (_, every) when every < 1 -> Error "every must be >= 1"
         | Ok (cycles, every) ->
           catch (fun () ->
+              let eng = sim_engine s net in
               let frames = Buffer.create 1024 in
-              let eng_slot = ref None in
               let on_window (r : Metr.Sampler.row) =
-                match !eng_slot with
-                | None -> ()
-                | Some eng ->
-                  Buffer.add_string frames
-                    (watch_frame net eng r.Metr.Sampler.r_samples
-                       r.Metr.Sampler.r_cycle)
+                Buffer.add_string frames
+                  (watch_frame net eng r.Metr.Sampler.r_samples
+                     r.Metr.Sampler.r_cycle)
               in
-              let eng, _ =
-                sampled_engine s net ~window:every ~on_window ()
-              in
-              eng_slot := Some eng;
+              ignore (Metr.Sampler.attach ~window:every ~on_window eng);
               Elastic_sim.Engine.run eng cycles;
               Ok
                 (Fmt.str "%swatched %d cycles (frame every %d)"
@@ -1154,25 +1129,10 @@ let rec execute_cmd s line =
         | Error m -> Error m
         | Ok cycles ->
           catch (fun () ->
-              let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
+              let eng = sim_engine s net in
               let rc = Elastic_trace.Vcd.create net in
-              (* Compose the VCD recorder with a tracer when tracing is
-                 on — the engine has a single observer slot. *)
-              let tr =
-                match s.trace_capacity with
-                | None -> None
-                | Some capacity ->
-                  let tr = Elastic_trace.Tracer.create ~capacity eng in
-                  s.tracer <- Some tr;
-                  Some tr
-              in
-              Elastic_sim.Engine.set_observer eng
-                (Some
-                   (fun e ->
-                      (match tr with
-                       | None -> ()
-                       | Some tr -> Elastic_trace.Tracer.observe tr e);
-                      Elastic_trace.Vcd.observe rc e));
+              Elastic_sim.Engine.add_observer eng
+                (Elastic_trace.Vcd.observe rc);
               Elastic_sim.Engine.run eng cycles;
               Elastic_trace.Vcd.save file rc;
               Ok

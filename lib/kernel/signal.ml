@@ -36,6 +36,8 @@ type events = {
   anti_out : bool;
   anti_in : bool;
   cancelled : bool;
+  retry : bool;
+  anti : bool;
 }
 
 let resolve s =
@@ -51,6 +53,8 @@ let events s =
     anti_out = s.v_minus && ((not s.s_minus) || s.v_plus);
     anti_in = s.v_minus && (not s.s_minus) && not s.v_plus;
     cancelled;
+    retry = s.v_plus && s.s_plus;
+    anti = s.v_minus;
   }
 
 let v_plus_bit = 1

@@ -57,6 +57,8 @@ type events = {
           annihilated). *)
   anti_in : bool;  (** The sender actually received an anti-token. *)
   cancelled : bool;  (** A token/anti-token pair annihilated this cycle. *)
+  retry : bool;  (** A token was offered and stopped (a stall). *)
+  anti : bool;  (** An anti-token was present. *)
 }
 
 (** [resolve s] forces the stop bits low on a cancelling channel (the
@@ -66,7 +68,11 @@ val resolve : t -> t
 (** [events s] computes the boundary events of a resolved channel state.
     [token_in] implies [token_out]; [anti_in] implies [anti_out];
     [cancelled] implies both [token_out] and [anti_out] but neither
-    [token_in] nor [anti_in]. *)
+    [token_in] nor [anti_in]; [retry] excludes [token_out].  The four
+    per-cycle channel counts of the paper — transfers, stalls,
+    anti-tokens and kills — are [token_in], [retry], [anti] and
+    [cancelled]: the engine's counters and the tracer's events both
+    read them here. *)
 val events : t -> events
 
 (** {1 Packed control codes}

@@ -1,8 +1,8 @@
 open Elastic_sim
 
-(** Engine instrumentation: a {!Metrics} registry populated from the
-    engine's allocation-free end-of-cycle observer hook
-    ({!Engine.set_observer}), plus a windowed JSONL time series.
+(** Engine instrumentation: a {!Metrics} registry populated from one of
+    the engine's end-of-cycle observers ({!Engine.add_observer}), plus a
+    windowed JSONL time series.
 
     Metric families (Prometheus naming, [elastic_] prefix):
     - engine: [elastic_engine_cycles_total], [..._node_evals_total],
@@ -23,13 +23,15 @@ open Elastic_sim
       [elastic_fault_recovery_total] ([class] label) via
       {!note_recovery}.
 
-    Counters and histograms are updated every cycle with constant work
-    per channel/scheduler; gauges (and the optional window callback)
-    are refreshed only at window boundaries, so the per-cycle cost
-    stays flat.  With no sampler attached the engine hot path is
-    untouched — the metrics-off guarantee is the observer-off
-    guarantee, and the instrument updates themselves are
-    allocation-free (GC-guarded in the test suite). *)
+    Counts the engine already keeps — cycles, node evaluations,
+    protocol violations and the four per-channel counts — are read from
+    the engine when a snapshot is taken ({!sample} and each window
+    row), as the difference from their values at {!create}; so are the
+    gauges.  The observer itself only does what the engine does not:
+    the settle-pass histogram, convergence retries, injections and
+    scheduler activity, with constant work per scheduler and no
+    per-channel work or allocation.  With no sampler attached the
+    engine hot path is untouched. *)
 
 type t
 
@@ -42,29 +44,27 @@ type row = {
   r_samples : Metrics.sample list;
 }
 
-(** [create eng] builds a sampler (not yet installed — use {!attach},
-    or compose {!observe} into an existing observer).
-    @param registry register instruments into an existing registry
-    (default: a fresh one).
+(** [create eng] builds a sampler that counts from the engine's current
+    cycle on (not yet installed — use {!attach}).
     @param window emit a {!row} every [window] cycles (default [0]: no
-    windowing; gauges then refresh on every cycle).
+    windowing).
     @param on_window window callback. *)
-val create :
-  ?registry:Metrics.t -> ?window:int -> ?on_window:(row -> unit) ->
-  Engine.t -> t
+val create : ?window:int -> ?on_window:(row -> unit) -> Engine.t -> t
 
-(** [attach eng] = {!create} + [Engine.set_observer]. *)
-val attach :
-  ?registry:Metrics.t -> ?window:int -> ?on_window:(row -> unit) ->
-  Engine.t -> t
+(** [attach eng] = {!create} + [Engine.add_observer]. *)
+val attach : ?window:int -> ?on_window:(row -> unit) -> Engine.t -> t
 
-(** The observer body, exposed for composition with a tracer or VCD
-    recorder (the engine has a single observer slot). *)
+(** The observer body, called once per cycle. *)
 val observe : t -> Engine.t -> unit
 
-val registry : t -> Metrics.t
-
-(** Snapshot with gauges freshly refreshed from the engine. *)
+(** Snapshot with the engine's counts and the gauges brought up to date.
+    Call it between steps.  After an {!Engine.step} that raised, the
+    counts read from the engine may already cover part of the failed
+    cycle: its evaluations, and — when it raised at the sink streams or
+    the clock edge — its per-channel counts and violations, which the
+    engine bumps before the clock edge.  The cycle counter, the pass
+    histogram and the scheduler families stop before that cycle, since
+    the observer never saw it. *)
 val sample : t -> Engine.t -> Metrics.sample list
 
 (** One JSONL line (no trailing newline), schema

@@ -268,3 +268,47 @@ let same_future t s =
 let spec t = t.spec
 
 let ways t = t.ways
+
+type 'a on_activity = {
+  serve : 'a -> int -> unit;
+  replay : 'a -> int -> unit;
+  mispredict : 'a -> int -> unit;
+  change : 'a -> int -> unit;
+}
+
+type 'a watch = {
+  w_sched : t;
+  w_data : 'a;
+  mutable w_serves : int;
+  mutable w_miss : int;
+  mutable w_pred : int;  (* prediction in effect during the next cycle *)
+  mutable w_squash : int;  (* cycle of the unreplayed squash, or -1 *)
+}
+
+let watch sched data =
+  { w_sched = sched; w_data = data; w_serves = sched.served_total;
+    w_miss = sched.miss; w_pred = sched.pred; w_squash = -1 }
+
+let payload w = w.w_data
+
+let poll on w ~cycle =
+  let s = w.w_sched in
+  for _ = w.w_serves + 1 to s.served_total do
+    on.serve w.w_data w.w_pred;
+    if w.w_squash >= 0 && w.w_squash < cycle then begin
+      on.replay w.w_data (cycle - w.w_squash);
+      w.w_squash <- -1
+    end
+  done;
+  w.w_serves <- s.served_total;
+  if s.miss > w.w_miss then begin
+    for _ = w.w_miss + 1 to s.miss do
+      on.mispredict w.w_data w.w_pred
+    done;
+    w.w_miss <- s.miss;
+    w.w_squash <- cycle
+  end;
+  if s.pred <> w.w_pred then begin
+    on.change w.w_data s.pred;
+    w.w_pred <- s.pred
+  end

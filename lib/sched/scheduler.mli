@@ -125,3 +125,35 @@ val same_future : t -> int list -> bool
 val spec : t -> spec
 
 val ways : t -> int
+
+(** {1 Activity from counter deltas}
+
+    An end-of-cycle observer polls a {!type-watch} once per cycle and hears
+    what the scheduler did during the elapsed cycle, reconstructed from
+    its counters.  A serve or squash is attributed to the prediction in
+    effect during the elapsed cycle: the one seen at the previous poll,
+    since the clock edge may already have moved {!predict}.  Serves are
+    reported before a squash, so a replay completes only on a later
+    cycle's serve. *)
+
+(** Callbacks of {!poll}, each given the watch's payload. *)
+type 'a on_activity = {
+  serve : 'a -> int -> unit;  (** One token served on this way. *)
+  replay : 'a -> int -> unit;
+      (** The first serve after a squash, this many cycles later — the
+          replay penalty.  Follows that serve's [serve]. *)
+  mispredict : 'a -> int -> unit;  (** One squash on this way. *)
+  change : 'a -> int -> unit;  (** The prediction moved to this way. *)
+}
+
+(** A scheduler, its counters at the last poll, and a payload. *)
+type 'a watch
+
+(** [watch sched data] starts from [sched]'s current counters. *)
+val watch : t -> 'a -> 'a watch
+
+val payload : 'a watch -> 'a
+
+(** [poll on w ~cycle] reports the activity since the last poll, with
+    [cycle] the elapsed cycle.  Allocates nothing itself. *)
+val poll : 'a on_activity -> 'a watch -> cycle:int -> unit

@@ -94,7 +94,7 @@ type t = {
   mutable starvation : string list;
   mutable injector : injector option;
   mutable overrides_active : bool;
-  mutable observer : (t -> unit) option;
+  mutable observers : (t -> unit) array;  (* run in order, end of cycle *)
   mutable injected_rev : int list;  (* dense indices overridden this cycle
                                        (tracked only while observed) *)
   clock : Clock.t;
@@ -262,7 +262,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     sinks;
     injector = None;
     overrides_active = false;
-    observer = None;
+    observers = [||];
     injected_rev = [];
     clock;
     starve_wait = Array.make (Array.length chans) 0;
@@ -393,10 +393,16 @@ let check_determined t =
 
 let set_injector t inj = t.injector <- inj
 
-let set_observer t obs = t.observer <- obs
+let add_observer t f = t.observers <- Array.append t.observers [| f |]
 
+let set_observer t obs =
+  t.observers <- (match obs with None -> [||] | Some f -> [| f |])
+
+(* Observers call this every cycle; an empty log costs no closure. *)
 let injected t =
-  List.rev_map (fun i -> t.chans.(i).Netlist.ch_id) t.injected_rev
+  match t.injected_rev with
+  | [] -> []
+  | l -> List.rev_map (fun i -> t.chans.(i).Netlist.ch_id) l
 
 let install_overrides t =
   if t.overrides_active then begin
@@ -411,7 +417,7 @@ let install_overrides t =
     (* The injected-channel log is consumed by the end-of-cycle observer;
        without one, skip the bookkeeping so injection stays allocation-
        neutral on the hot path. *)
-    let log = match t.observer with None -> false | Some _ -> true in
+    let log = Array.length t.observers > 0 in
     Array.iteri
       (fun i (c : Netlist.channel) ->
          match f ~cycle:t.cycle c.Netlist.ch_id with
@@ -490,14 +496,12 @@ let step ?(choices = fun _ -> None) t =
   done;
   for i = 0 to n - 1 do
     let ev = Signal.events_of_code codes.(i) in
-    let r = Signal.resolve_code codes.(i) in
     if ev.Signal.token_in then t.delivered.(i) <- t.delivered.(i) + 1;
     if ev.Signal.cancelled then t.killed.(i) <- t.killed.(i) + 1;
-    let valid = r land Signal.v_plus_bit <> 0 in
+    let valid = codes.(i) land Signal.v_plus_bit <> 0 in
     if valid then t.valid_cycles.(i) <- t.valid_cycles.(i) + 1;
-    if Signal.in_retry r then t.retry_cycles.(i) <- t.retry_cycles.(i) + 1;
-    if r land Signal.v_minus_bit <> 0 then
-      t.anti_cycles.(i) <- t.anti_cycles.(i) + 1;
+    if ev.Signal.retry then t.retry_cycles.(i) <- t.retry_cycles.(i) + 1;
+    if ev.Signal.anti then t.anti_cycles.(i) <- t.anti_cycles.(i) + 1;
     (* Leads-to watchdog on shared-module inputs: a waiting token must
        eventually be served or killed. *)
     if t.shared_input.(i) then begin
@@ -536,11 +540,14 @@ let step ?(choices = fun _ -> None) t =
         (Fmt.str "node invariant violated at the clock edge: %s"
            (Printexc.to_string e))
   done;
-  (* End-of-cycle observer: the elapsed cycle's signals, events and
+  (* End-of-cycle observers: the elapsed cycle's signals, events and
      counters are all readable, and [cycle t] still names the elapsed
-     cycle.  The [None] branch must stay allocation-free — it is on the
-     hot settle path and guarded by a test. *)
-  (match t.observer with None -> () | Some f -> f t);
+     cycle.  With no observer the loop is empty and allocates nothing —
+     it is on the hot path and guarded by a test. *)
+  let observers = t.observers in
+  for k = 0 to Array.length observers - 1 do
+    observers.(k) t
+  done;
   t.cycle <- t.cycle + 1
 
 let run ?choices t n =

@@ -130,15 +130,17 @@ val schedule : t -> Schedule.t
     with no injector the backend's store carries no overrides. *)
 val set_injector : t -> injector option -> unit
 
-(** Install (or remove, with [None]) the per-cycle observer, mirroring
-    {!set_injector}.  The observer is invoked at the very end of every
-    {!step} — after monitors, statistics and the clock edge, while
-    {!cycle} still names the elapsed cycle — so it can read the elapsed
-    cycle's {!code}s, {!signal}s, {!events}, counters and {!injected}
-    channels.
-    The observability layer ([Elastic_trace.Tracer]) attaches here.
-    With no observer installed the hook costs one branch and allocates
-    nothing. *)
+(** Append a per-cycle observer.  Observers run in the order they were
+    added, at the very end of every {!step} — after monitors, counters
+    and the clock edge, while {!cycle} still names the elapsed cycle —
+    so each can read the elapsed cycle's {!code}s, {!signal}s,
+    {!events}, counters and {!injected} channels.  The tracer, the
+    metrics sampler and the VCD recorder all attach here, side by side.
+    With no observer the hook is an empty loop and allocates nothing. *)
+val add_observer : t -> (t -> unit) -> unit
+
+(** [set_observer t (Some f)] replaces every observer with [f] alone;
+    [None] removes them all. *)
 val set_observer : t -> (t -> unit) option -> unit
 
 (** Channels perturbed by the injector during the elapsed cycle.  Only
@@ -158,8 +160,8 @@ val run :
 
     {!signal}, {!events} and {!code} describe the last completed cycle
     (all channels idle before the first) and keep doing so until the
-    next {!step} begins; an observer installed with {!set_observer}
-    reads them inside the step.  After a step that raised they are
+    next {!step} begins; an observer (see {!add_observer}) reads them
+    inside the step.  After a step that raised they are
     unspecified. *)
 
 (** Raw (unresolved) drive of a channel: the four control bits as the

@@ -3,22 +3,13 @@ open Elastic_sched
 open Elastic_netlist
 open Elastic_sim
 
-type sched_state = {
-  sn_node : Netlist.node_id;
-  sn_sched : Scheduler.t;  (* live reference into the engine *)
-  mutable sn_serves : int;
-  mutable sn_mispred : int;
-  mutable sn_predict : int;  (* prediction in effect for the next cycle *)
-  mutable sn_squash : int option;  (* cycle of the unreplayed squash *)
-}
-
 type t = {
   ring : Event.t array;
   cap : int;
   mutable next : int;  (* write position *)
   mutable total : int;  (* events ever recorded *)
   channels : Netlist.channel array;
-  scheds : sched_state array;
+  scheds : Netlist.node_id Scheduler.watch array;
   occ : (Netlist.node_id, int) Hashtbl.t;
   mutable violations_seen : int;
 }
@@ -29,17 +20,6 @@ let dummy =
 let create ?(capacity = 65536) eng =
   if capacity < 1 then invalid_arg "Tracer.create: capacity must be >= 1";
   let net = Engine.netlist eng in
-  let scheds =
-    Engine.schedulers eng
-    |> List.map (fun (nid, sched) ->
-        { sn_node = nid;
-          sn_sched = sched;
-          sn_serves = Scheduler.serves sched;
-          sn_mispred = Scheduler.mispredictions sched;
-          sn_predict = Scheduler.predict sched;
-          sn_squash = None })
-    |> Array.of_list
-  in
   let occ = Hashtbl.create 8 in
   List.iter (fun (nid, n) -> Hashtbl.replace occ nid n)
     (Engine.occupancies eng);
@@ -48,7 +28,11 @@ let create ?(capacity = 65536) eng =
     next = 0;
     total = 0;
     channels = Array.of_list (Netlist.channels net);
-    scheds;
+    scheds =
+      Array.of_list
+        (List.map
+           (fun (nid, sched) -> Scheduler.watch sched nid)
+           (Engine.schedulers eng));
     occ;
     violations_seen = Engine.violation_count eng }
 
@@ -69,16 +53,13 @@ let observe t eng =
   Array.iter
     (fun (c : Netlist.channel) ->
        let cid = c.Netlist.ch_id in
-       let code = Engine.code eng cid in
-       let bev = Signal.events_of_code code in
-       let r = Signal.resolve_code code in
+       let bev = Engine.events eng cid in
        if bev.Signal.token_in then
          ev ~subject:(Event.Chan cid)
            (Event.Transfer (Engine.signal eng cid).Signal.data);
        if bev.Signal.cancelled then ev ~subject:(Event.Chan cid) Event.Cancel;
-       if Signal.in_retry r then ev ~subject:(Event.Chan cid) Event.Stall;
-       if r land Signal.v_minus_bit <> 0 then
-         ev ~subject:(Event.Chan cid) Event.Anti)
+       if bev.Signal.retry then ev ~subject:(Event.Chan cid) Event.Stall;
+       if bev.Signal.anti then ev ~subject:(Event.Chan cid) Event.Anti)
     t.channels;
   (* Buffer occupancy changes (clock edge already happened). *)
   List.iter
@@ -89,40 +70,21 @@ let observe t eng =
          Hashtbl.replace t.occ nid after
        end)
     (Engine.occupancies eng);
-  (* Scheduler activity, from the counter deltas of the clock edge.  The
-     way served (or squashed) is the prediction that was in effect
-     during the elapsed cycle, i.e. the one captured before this clock
-     edge (see Instance.shared_clock).  Serves are processed before the
-     squash so a replay only completes on a later cycle's serve. *)
-  Array.iter
-    (fun s ->
-       let serves = Scheduler.serves s.sn_sched in
-       let mispred = Scheduler.mispredictions s.sn_sched in
-       for _ = 1 to serves - s.sn_serves do
-         ev ~subject:(Event.Node s.sn_node)
-           (Event.Serve { way = s.sn_predict });
-         match s.sn_squash with
-         | Some c0 when c0 < cyc ->
-           ev ~subject:(Event.Node s.sn_node)
-             (Event.Replay { penalty = cyc - c0 });
-           s.sn_squash <- None
-         | Some _ | None -> ()
-       done;
-       s.sn_serves <- serves;
-       if mispred > s.sn_mispred then begin
-         for _ = 1 to mispred - s.sn_mispred do
-           ev ~subject:(Event.Node s.sn_node)
-             (Event.Mispredict { way = s.sn_predict })
-         done;
-         s.sn_mispred <- mispred;
-         s.sn_squash <- Some cyc
-       end;
-       let p = Scheduler.predict s.sn_sched in
-       if p <> s.sn_predict then begin
-         ev ~subject:(Event.Node s.sn_node) (Event.Predict { way = p });
-         s.sn_predict <- p
-       end)
-    t.scheds;
+  (* Scheduler activity, from the counter deltas of the clock edge. *)
+  let on =
+    { Scheduler.serve =
+        (fun nid way -> ev ~subject:(Event.Node nid) (Event.Serve { way }));
+      replay =
+        (fun nid penalty ->
+           ev ~subject:(Event.Node nid) (Event.Replay { penalty }));
+      mispredict =
+        (fun nid way ->
+           ev ~subject:(Event.Node nid) (Event.Mispredict { way }));
+      change =
+        (fun nid way -> ev ~subject:(Event.Node nid) (Event.Predict { way }))
+    }
+  in
+  Array.iter (fun w -> Scheduler.poll on w ~cycle:cyc) t.scheds;
   (* Fresh monitor violations: the monitors stamp them with the elapsed
      cycle, so anything beyond the count seen so far is new. *)
   let n = Engine.violation_count eng in
@@ -146,7 +108,7 @@ let observe t eng =
 
 let attach ?capacity eng =
   let t = create ?capacity eng in
-  Engine.set_observer eng (Some (observe t));
+  Engine.add_observer eng (observe t);
   t
 
 let events t =
@@ -158,8 +120,6 @@ let events t =
 let dropped t = max 0 (t.total - t.cap)
 
 let recorded t = t.total
-
-let capacity t = t.cap
 
 let recent ?(limit = 10) ?channel t =
   let evs = events t in

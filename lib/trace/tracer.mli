@@ -3,10 +3,9 @@ open Elastic_sim
 
 (** Ring-buffered cycle-accurate event tracer.
 
-    A tracer attaches to an {!Engine.t} through the engine's end-of-cycle
-    observer hook ({!Engine.set_observer}, the observation twin of
-    [Engine.set_injector]) and derives typed {!Event.t}s from the elapsed
-    cycle: channel transfers / stalls / anti-tokens / cancellations,
+    A tracer attaches to an {!Engine.t} as one of its end-of-cycle
+    observers ({!Engine.add_observer}) and derives typed {!Event.t}s
+    from the elapsed cycle: channel transfers / stalls / anti-tokens / cancellations,
     buffer occupancy changes, scheduler predictions / serves / squashes /
     replay completions, injected faults and protocol violations.
 
@@ -19,17 +18,14 @@ type t
 
 (** [create ?capacity eng] snapshots the engine's current scheduler and
     occupancy state and returns a detached tracer (install it with
-    {!attach} or manually via [Engine.set_observer eng (Some (observe
-    tr))]).  Default capacity: 65536 events. *)
+    {!attach}).  Default capacity: 65536 events. *)
 val create : ?capacity:int -> Engine.t -> t
 
-(** [attach ?capacity eng] creates a tracer and installs it as the
-    engine's observer. *)
+(** [attach ?capacity eng] creates a tracer and adds it to the engine's
+    observers, beside any already there. *)
 val attach : ?capacity:int -> Engine.t -> t
 
-(** The observer body: derive and record the elapsed cycle's events.
-    Exposed so that a tracer can be composed with other observers (the
-    shell composes it with the VCD recorder). *)
+(** The observer body: derive and record the elapsed cycle's events. *)
 val observe : t -> Engine.t -> unit
 
 (** Recorded events, oldest first (at most [capacity] of them). *)
@@ -40,8 +36,6 @@ val dropped : t -> int
 
 (** Total events recorded since creation, including dropped ones. *)
 val recorded : t -> int
-
-val capacity : t -> int
 
 (** [recent ?limit ?channel tr] returns the most recent events, oldest
     first; [channel] restricts to one channel's events ([Chan] subjects),

@@ -22,8 +22,8 @@ open Elastic_sim
 type recorder
 
 (** [create net] prepares a recorder for the netlist's channels.
-    Install it with [Engine.set_observer eng (Some (observe r))] — or
-    compose it with a {!Tracer} in a single observer closure. *)
+    Install it with [Engine.add_observer eng (observe r)]; it runs
+    beside a {!Tracer} or a metrics sampler on the same engine. *)
 val create : Netlist.t -> recorder
 
 (** Observer body: dump the elapsed cycle's value changes. *)

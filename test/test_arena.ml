@@ -309,6 +309,47 @@ let test_e6_allocation_guard () =
     (Examples.rs_speculative
        ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:5 2400)).Examples.d_net
 
+(* [Sampler.observe] with no window reads the engine's counters only at
+   snapshot time and refreshes no gauge, so it allocates nothing on any
+   design, schedulers included.  Its calls are measured one by one from
+   a wrapping observer, which keeps the payload work of the step itself
+   out of the count. *)
+let observe_words_per_cycle net =
+  let eng = Engine.create net in
+  let sampler = Sampler.create eng in
+  let words = ref 0. in
+  Engine.set_observer eng
+    (Some
+       (fun e ->
+          let w0 = Gc.minor_words () in
+          Sampler.observe sampler e;
+          let w1 = Gc.minor_words () in
+          words := !words +. (w1 -. w0)));
+  Engine.run eng 2200;
+  !words /. 2200.
+
+let check_observe_budget what ~budget net =
+  let words = observe_words_per_cycle net in
+  if words > budget then
+    Alcotest.failf
+      "Sampler.observe allocates %.2f words/cycle on %s (budget %.0f)" words
+      what budget
+
+let test_observe_allocation_guard () =
+  let b = builder () in
+  let s = src_stream b ~name:"src" (List.init 64 (fun i -> i)) in
+  let e1 = eb b ~name:"e1" () in
+  let k = sink b ~name:"snk" () in
+  let _ = conn b (s, Out 0) (e1, In 0) in
+  let _ = conn b (e1, Out 0) (k, In 0) in
+  check_observe_budget "a control-only pipeline" ~budget:0. b.net;
+  check_observe_budget "E5" ~budget:0.
+    (Examples.vl_speculative
+       ~ops:(Alu.operands ~error_rate_pct:10 ~seed:7 2400)).Examples.d_net;
+  check_observe_budget "E6" ~budget:0.
+    (Examples.rs_speculative
+       ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:5 2400)).Examples.d_net
+
 let suite =
   [ Alcotest.test_case "mode names round-trip" `Quick test_mode_names;
     Alcotest.test_case "default backend is arena" `Quick test_default_mode;
@@ -337,4 +378,6 @@ let suite =
     Alcotest.test_case "E5 step allocation budget" `Quick
       test_e5_allocation_guard;
     Alcotest.test_case "E6 step allocation budget" `Quick
-      test_e6_allocation_guard ]
+      test_e6_allocation_guard;
+    Alcotest.test_case "sampler observe allocation budget" `Quick
+      test_observe_allocation_guard ]

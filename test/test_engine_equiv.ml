@@ -72,8 +72,7 @@ let run_pair ~name ?(cycles = 200) ?faults net =
       Engine.create ~mode ~clock:(Clock.ticker ~step_ns:100L) net
     in
     let tracer = Tracer.attach ~capacity:1_000_000 eng in
-    let sampler = Sampler.create eng in
-    Engine.set_observer eng (Some (Sampler.observe sampler));
+    let sampler = Sampler.attach eng in
     let step =
       match faults with
       | None -> fun () -> Engine.step eng

@@ -548,6 +548,52 @@ let test_sampler_jsonl_windows () =
           | _ -> Alcotest.fail "empty samples array"))
     rows
 
+(* A sampler attached after 50 warm cycles counts from its creation on:
+   each count it reads from the engine is the engine's count minus its
+   value at that point.  Two control glitches, one on each side of the
+   attach, make the violation and injection counts non-trivial. *)
+let test_sampler_attached_mid_run () =
+  let module Engine = Elastic_sim.Engine in
+  let ops = Examples.rs_ops ~error_rate_pct:10 ~seed:5 100 in
+  let net = (Examples.rs_speculative ~ops).Examples.d_net in
+  let ch = (List.nth (Netlist.channels net) 1).Netlist.ch_id in
+  let plan =
+    Elastic_fault.Fault.plan net
+      (Elastic_fault.Fault.control_glitch ~channel:ch ~cycle:20
+       @ Elastic_fault.Fault.control_glitch ~channel:ch ~cycle:80)
+  in
+  let eng = Engine.create net in
+  Engine.set_injector eng (Some (Elastic_fault.Fault.injector plan));
+  Engine.run eng 50;
+  let evals () = Elastic_sim.Profile.evals (Engine.profile eng) in
+  let evals0 = evals () and violations0 = Engine.violation_count eng in
+  let delivered0 = Engine.delivered eng ch in
+  let sampler = Sampler.attach eng in
+  Engine.run eng 100;
+  let samples = Sampler.sample sampler eng in
+  let counter ?labels name =
+    match Metrics.find ?labels samples name with
+    | Some (Metrics.Counter n) -> n
+    | _ -> Alcotest.failf "missing counter %s" name
+  in
+  Alcotest.(check bool) "a violation before the attach" true
+    (violations0 > 0);
+  Alcotest.(check int) "cycles since creation" 100
+    (counter "elastic_engine_cycles_total");
+  Alcotest.(check int) "evals since creation" (evals () - evals0)
+    (counter "elastic_engine_node_evals_total");
+  let violations = Engine.violation_count eng - violations0 in
+  Alcotest.(check bool) "a violation after the attach" true (violations > 0);
+  Alcotest.(check int) "violations since creation" violations
+    (counter "elastic_engine_protocol_violations_total");
+  Alcotest.(check int) "transfers since creation"
+    (Engine.delivered eng ch - delivered0)
+    (counter
+       ~labels:[ ("channel", (Netlist.channel net ch).Netlist.ch_name) ]
+       "elastic_channel_transfers_total");
+  Alcotest.(check int) "only the second glitch's injections" 2
+    (counter "elastic_fault_injections_total")
+
 let test_note_recovery () =
   let reg = Metrics.create () in
   Sampler.note_recovery reg (Elastic_fault.Recovery.Corrected 1);
@@ -747,6 +793,8 @@ let suite =
       `Quick test_sampler_ground_truth;
     Alcotest.test_case "sampler: JSONL windows parse" `Quick
       test_sampler_jsonl_windows;
+    Alcotest.test_case "sampler: attached mid-run counts from creation"
+      `Quick test_sampler_attached_mid_run;
     Alcotest.test_case "sampler: recovery classifications" `Quick
       test_note_recovery;
     Alcotest.test_case "clock: injectable and monotonic" `Quick

@@ -342,6 +342,72 @@ let test_jsonl () =
          (Helpers.contains l (Fmt.str "{\"c\":%d," e.Event.ev_cycle)))
     (List.tl lines) evs
 
+(* --- observers compose ---------------------------------------------- *)
+
+(* A tracer, a metrics sampler and a VCD recorder on one E6 engine each
+   see every cycle: the trace's event fold equals the sampler's channel
+   counters, both equal the engine's statistics, and the waveform is the
+   one a VCD-only run records. *)
+let test_observers_compose () =
+  let module Engine = Elastic_sim.Engine in
+  let module Metrics = Elastic_metrics.Metrics in
+  let net () =
+    (Examples.rs_speculative
+       ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:5 100)).Examples.d_net
+  in
+  let vcd_only =
+    let net = net () in
+    let eng = Engine.create net in
+    let r = Vcd.create net in
+    Engine.add_observer eng (Vcd.observe r);
+    Engine.run eng 200;
+    Vcd.contents r
+  in
+  let net = net () in
+  let eng = Engine.create net in
+  let tr = Tracer.attach eng in
+  let sampler = Elastic_metrics.Sampler.attach eng in
+  let r = Vcd.create net in
+  Engine.add_observer eng (Vcd.observe r);
+  Engine.run eng 200;
+  let counts = Event.counts (Tracer.events tr) in
+  let samples = Elastic_metrics.Sampler.sample sampler eng in
+  let stats = Elastic_sim.Stats.collect eng in
+  List.iter2
+    (fun (c : Netlist.channel) (cs : Elastic_sim.Stats.channel_stats) ->
+       let id = c.Netlist.ch_id in
+       let counter name =
+         match
+           Metrics.find ~labels:[ ("channel", c.Netlist.ch_name) ] samples
+             name
+         with
+         | Some (Metrics.Counter n) -> n
+         | _ -> Alcotest.failf "missing %s on %s" name c.Netlist.ch_name
+       in
+       let agree what ~stats ~trace ~metric =
+         let where = Fmt.str "%s %s" c.Netlist.ch_name what in
+         Alcotest.(check int) (where ^ ": trace = stats") stats trace;
+         Alcotest.(check int) (where ^ ": sampler = stats") stats
+           (counter metric)
+       in
+       agree "transfers" ~stats:cs.Elastic_sim.Stats.cs_delivered
+         ~trace:(Event.delivered counts id)
+         ~metric:"elastic_channel_transfers_total";
+       agree "kills" ~stats:cs.Elastic_sim.Stats.cs_killed
+         ~trace:(Event.killed counts id) ~metric:"elastic_channel_kills_total";
+       agree "stalls" ~stats:cs.Elastic_sim.Stats.cs_retry_cycles
+         ~trace:(Event.retries counts id)
+         ~metric:"elastic_channel_stall_cycles_total";
+       agree "antis" ~stats:cs.Elastic_sim.Stats.cs_anti_cycles
+         ~trace:(Event.antis counts id)
+         ~metric:"elastic_channel_anti_cycles_total")
+    (Netlist.channels net) stats.Elastic_sim.Stats.channels;
+  Alcotest.(check bool) "the sampler saw every cycle" true
+    (Metrics.find samples "elastic_engine_cycles_total"
+     = Some (Metrics.Counter 200));
+  Alcotest.(check string) "VCD equals a VCD-only run" vcd_only
+    (Vcd.contents r)
+
 (* --- zero overhead when tracing is off ----------------------------- *)
 
 (* The observer-disabled branch must not allocate: two identical runs
@@ -551,6 +617,8 @@ let suite =
     Alcotest.test_case "timeline windows and replay bounds" `Quick
       test_timeline_windows;
     Alcotest.test_case "JSONL export schema" `Quick test_jsonl;
+    Alcotest.test_case "tracer, sampler and VCD observers compose" `Quick
+      test_observers_compose;
     Alcotest.test_case "tracing off has zero overhead" `Quick
       test_zero_overhead;
     Alcotest.test_case "recovery checks can observe the faulted run"
