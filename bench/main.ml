@@ -915,27 +915,24 @@ let json_e8 ~count () =
 
 (* E7: every E7 scenario's class, and how many of its 450 + 60 cycles
    the faulted engine steps (Recovery.run_faulted starts it at the first
-   fault cycle and stops it once it rejoins the golden trajectory).
-   Every number here is a deterministic count, so --check gates them
-   exactly. *)
+   fault cycle and stops it once it rejoins the golden trajectory).  All
+   scenarios run on one faulted engine, whose profile run_faulted resets
+   for each.  Every number here is a deterministic count, so --check
+   gates them exactly. *)
 let json_e7 () =
   let open Elastic_fault in
   let net, alarms, ch = secded_design () in
   let golden = Recovery.golden_run ~cycles:450 ~settle:60 net in
+  let engine = Recovery.faulted_engine golden in
   let stepped = ref [] and stabilized = ref [] in
   let run faults =
-    let eng = ref None in
     let r =
-      Recovery.check ~cycles:450 ~settle:60 ~alarms ~golden
-        ~observer:(fun e -> eng := Some e)
-        net ~faults
+      Recovery.check ~cycles:450 ~settle:60 ~alarms ~golden ~engine net
+        ~faults
     in
-    (match !eng with
-     | Some e ->
-       stepped :=
-         Elastic_sim.Profile.cycles (Elastic_sim.Engine.profile e)
-         :: !stepped
-     | None -> ());
+    stepped :=
+      Elastic_sim.Profile.cycles (Elastic_sim.Engine.profile engine)
+      :: !stepped;
     stabilized := r.Recovery.stabilized :: !stabilized;
     Recovery.classification_label r.Recovery.classification
   in

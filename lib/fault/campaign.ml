@@ -31,13 +31,14 @@ let pp_summary ppf s =
 
 let run ?cycles ?settle ?alarms net ~scenarios =
   let golden = lazy (Recovery.golden_run ?cycles ?settle net) in
+  let engine = lazy (Recovery.faulted_engine (Lazy.force golden)) in
   let outcomes =
     List.map
       (fun faults ->
          { faults;
            report =
              Recovery.check ?cycles ?settle ?alarms ~golden:(Lazy.force golden)
-               net ~faults })
+               ~engine:(Lazy.force engine) net ~faults })
       scenarios
   in
   let histogram =

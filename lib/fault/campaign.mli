@@ -4,11 +4,13 @@ open Elastic_netlist
 (** Deterministic seeded fault campaigns.
 
     A campaign is a list of fault scenarios (each a list of simultaneous
-    or staged faults) checked independently by {!Recovery.check}, each
-    on a fresh faulted engine against one fault-free {!Recovery.golden_run}
-    simulated once per campaign (and not at all for an empty one); the
-    same seed always generates the same scenarios and hence the same
-    report. *)
+    or staged faults) checked independently by {!Recovery.check} against
+    one fault-free {!Recovery.golden_run} simulated once per campaign
+    (and not at all for an empty one).  Every scenario reuses one
+    faulted engine ({!Recovery.faulted_engine}, compiled with the golden
+    run), which {!Recovery.run_faulted} restores to the golden state
+    first, so each is checked as on a fresh engine.  The same seed
+    always generates the same scenarios and hence the same report. *)
 
 type outcome = { faults : Fault.t list; report : Recovery.report }
 

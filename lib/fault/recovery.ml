@@ -169,7 +169,16 @@ let find_golden g fp ok =
   in
   scan (lower 0 (Array.length idx))
 
-let run_faulted ?observer golden ~faults =
+let faulted_engine golden =
+  Engine.create ~monitor:true ~mode:golden.g_mode golden.g_net
+
+let run_faulted ?engine ?observer golden ~faults =
+  (match engine with
+   | Some e
+     when Engine.netlist e != golden.g_net || Engine.mode e <> golden.g_mode ->
+     invalid_arg
+       "Recovery.run_faulted: engine built for another netlist or eval mode"
+   | Some _ | None -> ());
   let plan = Fault.plan golden.g_net faults in
   let total = golden.g_cycles + golden.g_settle in
   let last = Array.length golden.g_snaps - 1 in
@@ -185,9 +194,15 @@ let run_faulted ?observer golden ~faults =
       List.fold_left (fun a f -> min a f.Fault.cycle) horizon faults
       |> min last |> max 0
   in
-  let flt = Engine.create ~monitor:true ~mode:golden.g_mode golden.g_net in
-  Engine.restore flt golden.g_snaps.(start);
+  let flt =
+    match engine with Some e -> e | None -> faulted_engine golden
+  in
+  (* [restore] leaves a reused engine's observers, injector and profile
+     alone: reset them so this scenario starts as on a fresh engine. *)
+  Engine.set_observer flt None;
+  Profile.reset (Engine.profile flt);
   Engine.set_injector flt (Some (Fault.injector plan));
+  Engine.restore flt golden.g_snaps.(start);
   (match observer with
    | None -> ()
    | Some attach -> attach flt);
@@ -396,8 +411,8 @@ let classify ?(alarms = []) golden ~faults (f : faulted) =
     fresh_violations = fresh;
     stabilized = f.f_stabilized }
 
-let check ?(cycles = 300) ?(settle = 60) ?alarms ?mode ?observer ?golden net
-    ~faults =
+let check ?(cycles = 300) ?(settle = 60) ?alarms ?mode ?observer ?engine
+    ?golden net ~faults =
   let mode = Option.value mode ~default:Engine.default_mode in
   let golden =
     match golden with
@@ -411,4 +426,5 @@ let check ?(cycles = 300) ?(settle = 60) ?alarms ?mode ?observer ?golden net
            count, settle window or eval mode";
       g
   in
-  classify ?alarms golden ~faults (run_faulted ?observer golden ~faults)
+  classify ?alarms golden ~faults
+    (run_faulted ?engine ?observer golden ~faults)

@@ -77,6 +77,14 @@ type faulted = {
   f_stabilized : (int * int) option;  (** See {!report}. *)
 }
 
+(** [faulted_engine golden] compiles the engine {!run_faulted} steps:
+    [Engine.create ~monitor:true ~mode] on the golden run's netlist and
+    eval mode.  One such engine can serve any number of scenarios, one
+    after another: {!run_faulted} puts it back in a golden state before
+    every run, so a campaign compiles one per worker rather than one per
+    scenario.  It is mutable, so two domains must not use it at once. *)
+val faulted_engine : golden -> Elastic_sim.Engine.t
+
 (** [run_faulted golden ~faults] simulates the faulted engine over the
     golden run's [cycles + settle] window, but steps only the cycles
     that can differ from the golden run:
@@ -91,8 +99,20 @@ type faulted = {
       shifted by the lag, onto its own.
     The result is the one a run of every cycle gives.  [observer] is
     called once with the faulted engine before its first step, so it
-    sees the cycles from the first fault to the cut-off. *)
+    sees the cycles from the first fault to the cut-off.
+
+    @param engine the engine to step, from {!faulted_engine} [golden]
+    (default: a new one).  Before restoring it from the golden snapshot,
+    [run_faulted] removes its observers ({!Engine.set_observer} [None]),
+    resets its {!Elastic_sim.Profile} and installs this scenario's
+    injector, so a reused engine gives exactly what a fresh one gives:
+    the same result, profile counts and observed cycles.  It stays
+    usable after a scenario that crashed.  Its profile then covers this
+    scenario alone, and keeps the compile time of the engine's creation.
+    @raise Invalid_argument when [engine] was built for another netlist
+    (physical equality) or eval mode than [golden]. *)
 val run_faulted :
+  ?engine:Elastic_sim.Engine.t ->
   ?observer:(Elastic_sim.Engine.t -> unit) -> golden ->
   faults:Fault.t list -> faulted
 
@@ -128,13 +148,15 @@ val classify :
     faulted engine starts at the first fault cycle and stops at
     convergence (see {!run_faulted}), so the observer sees only those
     cycles.  The golden run is never observed: it is shared, and its
-    cost is paid once per campaign rather than per scenario. *)
+    cost is paid once per campaign rather than per scenario.
+    @param engine a faulted engine to reuse; see {!run_faulted}. *)
 val check :
   ?cycles:int ->
   ?settle:int ->
   ?alarms:(Netlist.node_id * (Value.t -> bool)) list ->
   ?mode:Elastic_sim.Engine.eval_mode ->
   ?observer:(Elastic_sim.Engine.t -> unit) ->
+  ?engine:Elastic_sim.Engine.t ->
   ?golden:golden ->
   Netlist.t ->
   faults:Fault.t list ->

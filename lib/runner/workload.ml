@@ -4,17 +4,18 @@ module Sampler = Elastic_metrics.Sampler
 module Recorder = Elastic_obs.Recorder
 module Span = Elastic_obs.Span
 
-(* Phase spans are synthesized after the fact from the engine's own
-   Profile totals (captured via Recovery.check ~observer), never by
-   timing the hot loop here: with spans off the settle loop sees zero
-   extra clock reads and zero extra allocation.  The emitted intervals
-   are laid end to end from the observed start and clamped to the
-   observed end, so they stay well nested under the attempt span even
-   when profile totals and wall time disagree by a rounding error. *)
-let emit_phases (rc, attempt_id) ~t0 ~t1 profile =
+(* Phase spans are synthesized after the fact from the faulted engine's
+   own Profile totals, never by timing the hot loop here: with spans off
+   the settle loop sees zero extra clock reads and zero extra
+   allocation.  [compile_s] is the engine's compile time when this task
+   compiled it and 0 when it reused one.  The emitted intervals are laid
+   end to end from the observed start and clamped to the observed end,
+   so they stay well nested under the attempt span even when profile
+   totals and wall time disagree by a rounding error. *)
+let emit_phases (rc, attempt_id) ~t0 ~t1 ~compile_s profile =
   let ns s = Int64.of_float (s *. 1e9) in
   let c_end =
-    let e = Int64.add t0 (ns (Elastic_sim.Profile.compile_seconds profile)) in
+    let e = Int64.add t0 (ns compile_s) in
     if Int64.compare e t1 > 0 then t1 else e
   in
   Recorder.emit rc ~parent:attempt_id Span.Compile "compile" ~start_ns:t0
@@ -44,8 +45,32 @@ let shared_golden ?cycles ?settle net =
           cached := Some g;
           g)
 
+(* The campaign's faulted engines: a task takes a free one, or compiles
+   one (outside the lock) when none is free, and gives it back when done,
+   so a campaign compiles at most one per worker.  [take] also says
+   whether it compiled. *)
+let engine_pool () =
+  let lock = Pool_backend.create_lock () in
+  let free = ref [] in
+  let take golden =
+    let reused =
+      Pool_backend.with_lock lock (fun () ->
+          match !free with
+          | e :: rest ->
+            free := rest;
+            Some e
+          | [] -> None)
+    in
+    match reused with
+    | Some e -> (e, false)
+    | None -> (Recovery.faulted_engine golden, true)
+  in
+  let give e = Pool_backend.with_lock lock (fun () -> free := e :: !free) in
+  (take, give)
+
 let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
   let golden = shared_golden ?cycles ?settle net in
+  let take, give = engine_pool () in
   List.mapi
     (fun i faults ->
        { Runner.id = Fmt.str "%s/%04d" name i;
@@ -53,23 +78,29 @@ let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
            (fun (ctx : Runner.ctx) ->
               ctx.check_deadline ();
               let golden = golden () in
-              let profile = ref None in
-              let observer e =
-                profile := Some (Elastic_sim.Engine.profile e)
-              in
               let t0 =
                 match ctx.obs with
                 | Some (rc, _) -> Recorder.now rc
                 | None -> 0L
               in
+              let engine, compiled = take golden in
               let report =
-                Recovery.check ?cycles ?settle ?alarms ~observer ~golden net
+                Recovery.check ?cycles ?settle ?alarms ~engine ~golden net
                   ~faults
               in
-              (match ctx.obs, !profile with
-               | Some ((rc, _) as obs), Some p ->
-                 emit_phases obs ~t0 ~t1:(Recorder.now rc) p
-               | (Some _ | None), _ -> ());
+              (match ctx.obs with
+               | Some ((rc, _) as obs) ->
+                 let p = Elastic_sim.Engine.profile engine in
+                 let compile_s =
+                   if compiled then Elastic_sim.Profile.compile_seconds p
+                   else 0.0
+                 in
+                 emit_phases obs ~t0 ~t1:(Recorder.now rc) ~compile_s p
+               | None -> ());
+              (* Only now: the profile emit_phases read is reset by the
+                 next scenario on this engine, maybe on another domain.
+                 An engine whose task raised is dropped. *)
+              give engine;
               let reg = Metrics.create () in
               Metrics.Counter.inc
                 (Metrics.counter reg

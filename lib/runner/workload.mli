@@ -8,8 +8,14 @@
     {!Pool_backend} lock and every other worker reads it; a build that
     raises is not cached, so each task reports the failure itself, and
     a campaign that runs no task (fully resumed from a checkpoint) never
-    builds it.  Each task runs {!Elastic_fault.Recovery.check} against
-    that golden run and returns a fresh registry snapshot — counters for
+    builds it.  The tasks also share a pool of faulted engines
+    ({!Elastic_fault.Recovery.faulted_engine}): a task takes a free one,
+    or compiles one when none is free, and returns it after its scenario,
+    so a campaign on [w] workers compiles at most [w] (a task that raises
+    drops its engine).  With spans on, a task's compile span has the
+    engine's compile time when it compiled one and zero length when it
+    reused one.  Each task runs {!Elastic_fault.Recovery.check} on its
+    engine against that golden run and returns a fresh registry snapshot — counters for
     scenarios, injections and per-class recovery outcomes, plus a
     correction-penalty histogram and a stabilization histogram
     ([elastic_fault_stabilization_cycles], labelled by the lag, of the

@@ -242,7 +242,18 @@ type snap
 
 val snapshot : t -> snap
 
-(** Put the engine in the snapshot's state.
+(** Put the engine in the snapshot's state, whatever it did before —
+    also after a {!step} that raised part-way through a cycle.  It
+    brings back every node's registers (random-generator states and
+    scheduler statistics included), each protocol monitor's previous
+    code, stall count and violations, the leads-to watchdog's wait
+    counters and starvation reports, the per-channel counters, every
+    sink's transfer stream and the {!cycle} count, so later steps,
+    observations and snapshots are those of the engine the snapshot was
+    taken from.  It leaves alone the observers, the injector and the
+    {!profile}; [Elastic_fault.Recovery.run_faulted] resets those itself
+    when it reuses an engine.  {!code}, {!signal}, {!events} and
+    {!injected} are unspecified until the next {!step}.
     @raise Invalid_argument on a snapshot of another netlist shape or
     monitor setting. *)
 val restore : t -> snap -> unit

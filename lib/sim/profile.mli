@@ -12,6 +12,14 @@ type t
     indices. *)
 val create : n_nodes:int -> t
 
+(** Zero every per-cycle counter: cycles, evals, per-node evals, settle
+    seconds, the pass histogram and maxima.  {!compile_seconds} is left
+    alone.  [Elastic_fault.Recovery.run_faulted] resets the faulted
+    engine's profile before each scenario, so on a reused engine the
+    profile covers that scenario and still holds the compile time of the
+    engine's creation; [Elastic_runner.Workload] therefore gives such a
+    scenario a zero-length compile span and only the scenario that
+    compiled the engine its real compile time. *)
 val reset : t -> unit
 
 (** {1 Recording (called by the engine)} *)

@@ -394,6 +394,164 @@ let test_e7_stabilizes () =
     (Campaign.random_bitflips ~net ~channel:ch ~seed:2009 ~count:12
        ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ())
 
+(* --- one faulted engine for many scenarios ------------------------------ *)
+
+(* [Recovery.run_faulted ~engine] restores the engine from the golden
+   snapshot and resets its observers and profile, so a campaign can run
+   every scenario on one engine.  Each scenario must then leave what it
+   leaves on a fresh engine: the faulted record, the report, the
+   engine's per-channel counters, the profile's counts and the trace a
+   tracer attached by the observer records.  Traces are rendered only
+   after the whole list has run, so an observer that stayed attached
+   into later scenarios shows up in them. *)
+type reuse_outcome = {
+  r_faulted : Recovery.faulted;
+  r_report : Recovery.report;
+  r_counters : (int * int * (int * int * int)) list;
+  r_cycles : int;
+  r_evals : int;
+  r_trace : unit -> int * string;  (* events recorded, JSONL of the ring *)
+}
+
+let run_scenario ?engine b golden faults =
+  let attached = ref None in
+  let observer e =
+    attached := Some (e, Elastic_trace.Tracer.attach ~capacity:4096 e)
+  in
+  let f = Recovery.run_faulted ?engine ~observer golden ~faults in
+  let eng, tracer = Option.get !attached in
+  let p = Engine.profile eng in
+  { r_faulted = f;
+    r_report = Recovery.classify ~alarms:b.b_alarms golden ~faults f;
+    r_counters =
+      List.map
+        (fun (c : Netlist.channel) ->
+           let id = c.Netlist.ch_id in
+           (Engine.delivered eng id, Engine.killed eng id,
+            Engine.activity eng id))
+        (Netlist.channels b.b_net);
+    r_cycles = Profile.cycles p;
+    r_evals = Profile.evals p;
+    r_trace =
+      (fun () ->
+         (Elastic_trace.Tracer.recorded tracer,
+          Elastic_trace.Jsonl.to_string b.b_net
+            (Elastic_trace.Tracer.events tracer))) }
+
+(* Runs [scenarios] in order on one engine and each on a fresh one, and
+   fails on the first difference; returns the reports. *)
+let reused_vs_fresh b (cycles, settle, golden) scenarios =
+  let engine = Recovery.faulted_engine golden in
+  let runs =
+    List.map
+      (fun faults ->
+         (faults, run_scenario ~engine b golden faults,
+          run_scenario b golden faults))
+      scenarios
+  in
+  List.iteri
+    (fun i (faults, reused, fresh) ->
+       let differs what =
+         QCheck.Test.fail_reportf
+           "%s, %d+%d cycles, scenario %d of %d [%a]: the reused engine's \
+            %s differs from a fresh engine's"
+           b.b_name cycles settle i (List.length scenarios)
+           Fmt.(list ~sep:(any "; ") string)
+           (List.map (Fault.describe b.b_net) faults)
+           what
+       in
+       if reused.r_faulted <> fresh.r_faulted then differs "faulted run";
+       if reused.r_report <> fresh.r_report then differs "report";
+       if reused.r_counters <> fresh.r_counters then differs "counters";
+       if reused.r_cycles <> fresh.r_cycles then differs "profile cycles";
+       if reused.r_evals <> fresh.r_evals then differs "profile evals";
+       if reused.r_trace () <> fresh.r_trace () then differs "trace")
+    runs;
+  List.map (fun (_, reused, _) -> reused.r_report) runs
+
+let classes_of reports =
+  List.sort_uniq String.compare
+    (List.map
+       (fun (r : Recovery.report) ->
+          Recovery.classification_label r.Recovery.classification)
+       reports)
+
+(* Every fault kind on every channel of every differential design, at
+   two cycles, in sweep order on one engine per window; the sweep
+   reaches every class, and a crashed scenario is followed by a normal
+   one on the same engine.  Each channel ends with a stall that outlasts
+   the run, which leaves the starvation watchdog's wait counts running,
+   then a stall just past the watchdog's 64-cycle bound, which reports
+   starvation only if it starts from the golden counts. *)
+let test_reuse_sweep () =
+  let seen = ref [] and crash_then_normal = ref false in
+  List.iter
+    (fun b ->
+       List.iter
+         (fun ((cycles, _, _) as w) ->
+            let scenarios =
+              List.concat_map
+                (fun (c : Netlist.channel) ->
+                   let ch = c.Netlist.ch_id in
+                   List.concat_map
+                     (fun cycle ->
+                        List.init 9 (fun kind ->
+                            fault_of_kind b.b_net ~kind ~ch ~cycle
+                              ~seed:(cycle + kind)))
+                     [ 5; cycles / 2 ]
+                   @ [ [ Fault.stuck_stall ~channel:ch ~cycle:5
+                           ~duration:10_000 ];
+                       [ Fault.stuck_stall ~channel:ch ~cycle:5
+                           ~duration:70 ] ])
+                (Netlist.channels b.b_net)
+            in
+            let reports = reused_vs_fresh b w scenarios in
+            seen := classes_of reports @ !seen;
+            let crashed (r : Recovery.report) =
+              match r.Recovery.classification with
+              | Recovery.Crashed _ -> true
+              | _ -> false
+            in
+            let rec scan = function
+              | a :: (b :: _ as rest) ->
+                if crashed a && not (crashed b) then crash_then_normal := true;
+                scan rest
+              | [ _ ] | [] -> ()
+            in
+            scan reports)
+         b.b_windows)
+    (Lazy.force differential_benches);
+  List.iter
+    (fun label ->
+       Alcotest.(check bool) (label ^ " reached") true (List.mem label !seen))
+    [ "masked"; "corrected"; "detected"; "silent-corruption"; "deadlock";
+      "crashed" ];
+  Alcotest.(check bool) "a crash is followed by a normal scenario" true
+    !crash_then_normal
+
+let qcheck_reuse_orders =
+  QCheck.Test.make ~count:100 ~name:"reused faulted engine == fresh engine"
+    QCheck.(
+      triple (int_bound 5) (int_bound 1)
+        (list_of_size Gen.(int_range 2 8)
+           (triple (int_bound 8) (int_bound 1000) (int_bound 10_000))))
+    (fun (bi, wi, picks) ->
+       let b = List.nth (Lazy.force differential_benches) bi in
+       let ((cycles, _, _) as w) = List.nth b.b_windows wi in
+       let chans = Netlist.channels b.b_net in
+       let scenarios =
+         List.map
+           (fun (kind, chi, seed) ->
+              let ch =
+                (List.nth chans (chi mod List.length chans)).Netlist.ch_id
+              in
+              fault_of_kind b.b_net ~kind ~ch ~cycle:(seed mod (cycles + 5))
+                ~seed)
+           picks
+       in
+       ignore (reused_vs_fresh b w scenarios);
+       true)
+
 (* --- misuse ------------------------------------------------------------ *)
 
 let test_misuse () =
@@ -427,7 +585,25 @@ let test_misuse () =
       Recovery.check ~cycles:60 ~golden net ~faults);
   Alcotest.(check bool) "reference golden, reference check" true
     (Recovery.check ~cycles:60 ~mode:Engine.Reference ~golden:gr net ~faults
-     = Recovery.check ~cycles:60 ~mode:Engine.Reference net ~faults)
+     = Recovery.check ~cycles:60 ~mode:Engine.Reference net ~faults);
+  let rejects_engine ?mode what golden engine =
+    let named f =
+      match f () with
+      | _ -> Alcotest.failf "%s: accepted a mismatched engine" what
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) (what ^ " names Recovery.run_faulted") true
+          (Helpers.contains msg "Recovery.run_faulted")
+    in
+    named (fun () -> Recovery.run_faulted ~engine golden ~faults);
+    named (fun () ->
+        Recovery.check ~cycles:60 ?mode ~golden ~engine net ~faults)
+  in
+  rejects_engine "engine for another netlist" g
+    (Engine.create ~monitor:true (mk ()));
+  rejects_engine "reference engine, arena golden" g
+    (Engine.create ~monitor:true ~mode:Engine.Reference net);
+  rejects_engine ~mode:Engine.Reference "arena engine, reference golden" gr
+    (Recovery.faulted_engine g)
 
 let test_empty_campaign () =
   (* A campaign with no scenarios never simulates: an engine that cannot
@@ -448,6 +624,9 @@ let suite =
     Alcotest.test_case "each cut-off condition matters" `Quick test_guards;
     Alcotest.test_case "E7 flips rejoin the golden run one cycle late"
       `Quick test_e7_stabilizes;
+    Alcotest.test_case "one engine for a sweep == fresh engines" `Quick
+      test_reuse_sweep;
+    QCheck_alcotest.to_alcotest qcheck_reuse_orders;
     Alcotest.test_case "mismatched golden run is rejected" `Quick
       test_misuse;
     Alcotest.test_case "empty campaign builds no golden run" `Quick

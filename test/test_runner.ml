@@ -481,6 +481,49 @@ let test_workload_width_determinism () =
          (Prometheus.render r.Runner.r_merged))
     [ 1; 2; 4 ]
 
+(* The tasks share a pool of faulted engines: a campaign on [w] workers
+   compiles at most [w] of them.  A task that compiled its engine emits
+   a compile span as long as the compile, one that reused an engine a
+   zero-length one; every task emits one. *)
+let test_workload_engine_reuse () =
+  let net, alarms, scenarios = campaign_fixture ~seed:7 ~count:24 in
+  let expected =
+    sequential_prometheus (Campaign.run ~cycles:90 net ~alarms ~scenarios)
+  in
+  List.iter
+    (fun workers ->
+       let obs = Elastic_obs.Collector.create () in
+       let tasks =
+         Workload.of_campaign ~cycles:90 ~alarms ~name:"reuse" net ~scenarios
+       in
+       let r =
+         Runner.run ~workers ~sleep:sleep_stub ~obs ~name:"reuse" tasks
+       in
+       let compiles =
+         List.filter
+           (fun s -> s.Elastic_obs.Span.sp_kind = Elastic_obs.Span.Compile)
+           (Elastic_obs.Collector.spans obs)
+       in
+       let compiled =
+         List.length
+           (List.filter
+              (fun s -> Int64.compare (Elastic_obs.Span.duration_ns s) 0L > 0)
+              compiles)
+       in
+       Alcotest.(check int)
+         (Fmt.str "%d workers: a compile span per scenario" workers)
+         24 (List.length compiles);
+       Alcotest.(check bool)
+         (Fmt.str "%d workers: %d engines compiled, at most %d" workers
+            compiled workers)
+         true
+         (compiled >= 1 && compiled <= workers);
+       Alcotest.(check string)
+         (Fmt.str "%d workers: prometheus bytes" workers)
+         expected
+         (Prometheus.render r.Runner.r_merged))
+    [ 1; 2; 4 ]
+
 (* A golden run that cannot be built is not cached: every task raises
    what a direct [Recovery.check] raises. *)
 let test_workload_golden_failure () =
@@ -620,6 +663,8 @@ let suite =
       test_workload_matches_sequential_campaign;
     Alcotest.test_case "runner campaign at 1, 2, 4 workers == sequential"
       `Quick test_workload_width_determinism;
+    Alcotest.test_case "runner campaign compiles one engine per worker"
+      `Quick test_workload_engine_reuse;
     Alcotest.test_case "a failing golden run fails every task alike"
       `Quick test_workload_golden_failure;
     QCheck_alcotest.to_alcotest qcheck_equivalence;
