@@ -10,8 +10,15 @@
      E5  Fig. 6 / §5.1  — variable-latency ALU, stalling vs speculative
      E6  Fig. 7 / §5.2  — SECDED-protected adder, ±speculation
      E7  §5.2 + faults  — adversarial injection campaigns (lib/fault)
+     E8  runner scaling — the SECDED campaign sharded at 1/2/4/8 workers
+     E9  arena backend  — speedup over the reference fixpoint
+     E10 runner spans   — scheduling overhead from the span ledger
      A1  §4.1/§4.3      — ablation: recovery-buffer backward latency
-     A2  schedulers     — ablation: prediction strategies on Fig. 1(d) *)
+     A2  schedulers     — ablation: prediction strategies on Fig. 1(d)
+     A3  §1 motivation  — branch predictors on the next-PC loop
+
+   The default mode prints E1-E7 and A1-A3; E8-E10 are --json records
+   only. *)
 
 open Elastic_kernel
 open Elastic_sched
@@ -426,11 +433,6 @@ let e3_e4_verify () =
          o.Elastic_check.Explore.transitions
          (if Elastic_check.Explore.clean o then "VERIFIED" else "FAILED"))
     (zoo ());
-  (* The negative control: a non-compliant scheduler starves. *)
-  let _, net =
-    List.nth (zoo ()) 4
-  in
-  ignore net;
   Fmt.pr
     "@.(a Static scheduler on the same loop violates leads-to and \
      starves a channel;@. kept as a regression test in \
@@ -517,68 +519,70 @@ let e6_fig7 () =
 (* glitch must be flagged by the SELF protocol monitors with            *)
 (* cycle/node/channel provenance.                                       *)
 
-(* The speculative resilient adder of E6 with its severity alarm
-   (values >= 2 are detections), a 400-operation error-free workload,
-   and the operand bus that every E7/E8 fault targets. *)
-let secded_design () =
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 400 in
-  let d, alarm = Examples.rs_speculative_alarmed ~ops in
-  let net = d.Examples.d_net in
-  let alarms = [ (alarm, fun v -> Value.to_int v >= 2) ] in
-  let src = Option.get (Netlist.find_node net "src") in
-  let op_bus =
-    List.find
-      (fun (c : Netlist.channel) ->
-         c.Netlist.src.Netlist.ep_node = src.Netlist.id)
-      (Netlist.channels net)
-  in
-  (net, alarms, op_bus.Netlist.ch_id)
+(* The library's SECDED campaign (Examples.secded_campaign) on E6's
+   400-operation error-free workload: E7 runs its scenario groups, and
+   E8, E10, --chaos and the scrape check shard its single flips. *)
+let secded () =
+  Examples.secded_campaign
+    ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:5 400)
 
-(* E7's scenario groups, seed 2009: 120 single-bit upsets anywhere in
-   the 144-bit operand payload (2 x SECDED(72,64) codewords), 40
-   double-bit upsets inside one codeword, and one control-wire glitch
-   (stall, then drop the valid of the retried token: a Retry+
-   persistence violation). *)
-let e7_scenarios net ch =
+(* One E7 run, which feeds both the text section and BENCH_E7.json:
+   every scenario of every group against one golden run on one faulted
+   engine, with the cycles that engine stepped for each scenario
+   (Recovery.run_faulted resets its profile first). *)
+type e7 = {
+  e7_campaign : Examples.secded_campaign;
+  e7_golden : Elastic_fault.Recovery.golden;
+  e7_groups : (string * Elastic_fault.Campaign.summary) list;
+  e7_stepped : int list;
+}
+
+let e7_run () =
   let open Elastic_fault in
-  let seed = 2009 in
-  [ ("single",
-     Campaign.random_bitflips ~net ~channel:ch ~seed ~count:120
-       ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ());
-    ("double",
-     Campaign.random_double_flips ~net ~channel:ch ~seed ~count:40
-       ~from_cycle:2 ~to_cycle:350 ~bit_lo:0 ~bit_hi:72 ());
-    ("glitch", [ Fault.control_glitch ~channel:ch ~cycle:25 ]) ]
+  let c = secded () in
+  let golden =
+    Recovery.golden_run ~cycles:c.Examples.sc_cycles
+      ~settle:c.Examples.sc_settle c.Examples.sc_net
+  in
+  let engine = Recovery.faulted_engine golden in
+  let stepped = ref [] in
+  let run faults =
+    let report =
+      Recovery.check ~alarms:c.Examples.sc_alarms ~engine golden ~faults
+    in
+    stepped :=
+      Elastic_sim.Profile.cycles (Elastic_sim.Engine.profile engine)
+      :: !stepped;
+    { Campaign.faults; report }
+  in
+  let groups =
+    List.map
+      (fun (group, scenarios) ->
+         (group, Campaign.summarize (List.map run scenarios)))
+      c.Examples.sc_groups
+  in
+  { e7_campaign = c; e7_golden = golden; e7_groups = groups;
+    e7_stepped = !stepped }
 
 let e7_faults () =
   let open Elastic_fault in
   section "E7: Sec. 5.2 under adversarial fault injection";
-  let net, alarms, ch = secded_design () in
-  let scenarios = e7_scenarios net ch in
-  let group label = List.assoc label scenarios in
+  let e7 = e7_run () in
+  let group label = List.assoc label e7.e7_groups in
   (* 1. Single-bit upsets: masked or corrected at one replay cycle. *)
-  let s1 =
-    Campaign.run ~cycles:450 ~settle:60 ~alarms net
-      ~scenarios:(group "single")
-  in
+  let s1 = group "single" in
   Fmt.pr "  single-bit operand upsets (seed 2009): %a@."
     Campaign.pp_summary s1;
   assert (Campaign.all_benign ~max_penalty:1 s1);
   Fmt.pr "  -> all masked or corrected at <= 1 replay cycle@.";
   (* 2. Double-bit upsets: beyond correction, within detection. *)
-  let s2 =
-    Campaign.run ~cycles:450 ~settle:60 ~alarms net
-      ~scenarios:(group "double")
-  in
+  let s2 = group "double" in
   Fmt.pr "@.  double-bit upsets in operand a: %a@." Campaign.pp_summary s2;
   assert (Campaign.count s2 "detected" = s2.Campaign.total);
   Fmt.pr "  -> all detected by the severity alarm (SECDED double error)@.";
   (* 3. A control-wire glitch: stall then drop the valid of the retried
      token on the operand bus — a Retry+ persistence violation. *)
-  let r =
-    Recovery.check ~cycles:450 ~settle:60 ~alarms net
-      ~faults:(List.hd (group "glitch"))
-  in
+  let r = (List.hd (group "glitch").Campaign.outcomes).Campaign.report in
   Fmt.pr "@.  control-wire glitch:@.%a@." Recovery.pp_report r;
   assert (
     match r.Recovery.classification with
@@ -600,17 +604,13 @@ module Runner = Elastic_runner.Runner
 module Workload = Elastic_runner.Workload
 module Rcheckpoint = Elastic_runner.Checkpoint
 
-(* The PR-1 SECDED campaign of E7, as one runner task per scenario:
-   seeded single-bit upsets anywhere in the 144-bit operand payload of
-   the speculative resilient adder, severity alarm at >= 2. *)
+(* The SECDED campaign's first [count] single flips, as one runner task
+   per scenario. *)
 let secded_tasks ~count () =
-  let net, alarms, ch = secded_design () in
-  let scenarios =
-    Elastic_fault.Campaign.random_bitflips ~net ~channel:ch ~seed:2009
-      ~count ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ()
-  in
-  Workload.of_campaign ~cycles:450 ~settle:60 ~alarms ~name:"secded" net
-    ~scenarios
+  let c = secded () in
+  Workload.of_campaign ~cycles:c.Examples.sc_cycles
+    ~settle:c.Examples.sc_settle ~alarms:c.Examples.sc_alarms ~name:"secded"
+    c.Examples.sc_net ~scenarios:(Examples.secded_flips c ~count)
 
 let no_sleep _ = ()
 
@@ -915,27 +915,13 @@ let json_e8 ~count () =
 
 (* E7: every E7 scenario's class, and how many of its 450 + 60 cycles
    the faulted engine steps (Recovery.run_faulted starts it at the first
-   fault cycle and stops it once it rejoins the golden trajectory).  All
-   scenarios run on one faulted engine, whose profile run_faulted resets
-   for each.  Every number here is a deterministic count, so --check
-   gates them exactly. *)
+   fault cycle and stops it once it rejoins the golden trajectory).
+   Every number here is a deterministic count, so --check gates them
+   exactly. *)
 let json_e7 () =
   let open Elastic_fault in
-  let net, alarms, ch = secded_design () in
-  let golden = Recovery.golden_run ~cycles:450 ~settle:60 net in
-  let engine = Recovery.faulted_engine golden in
-  let stepped = ref [] and stabilized = ref [] in
-  let run faults =
-    let r =
-      Recovery.check ~cycles:450 ~settle:60 ~alarms ~golden ~engine net
-        ~faults
-    in
-    stepped :=
-      Elastic_sim.Profile.cycles (Elastic_sim.Engine.profile engine)
-      :: !stepped;
-    stabilized := r.Recovery.stabilized :: !stabilized;
-    Recovery.classification_label r.Recovery.classification
-  in
+  let e7 = e7_run () in
+  let c = e7.e7_campaign in
   (* How often each distinct value occurs, in increasing order. *)
   let tally key values =
     Json.Obj
@@ -944,20 +930,29 @@ let json_e7 () =
             (key v, Json.Int (List.length (List.filter (( = ) v) values))))
          (List.sort_uniq compare values))
   in
-  let classification =
-    List.map
-      (fun (group, scenarios) -> (group, tally Fun.id (List.map run scenarios)))
-      (e7_scenarios net ch)
+  let counts histogram =
+    Json.Obj (List.map (fun (label, n) -> (label, Json.Int n)) histogram)
   in
-  let stepped = !stepped in
-  let cut = List.filter_map Fun.id !stabilized in
+  let stepped = e7.e7_stepped in
+  let cut =
+    List.concat_map
+      (fun (_, s) ->
+         List.filter_map
+           (fun o -> o.Campaign.report.Recovery.stabilized)
+           s.Campaign.outcomes)
+      e7.e7_groups
+  in
   record ~experiment:"E7"
     ~title:"SECDED campaign under adversarial faults"
     [ ("scenarios", Json.Int (List.length stepped));
-      ("classification", Json.Obj classification);
+      ("classification",
+       Json.Obj
+         (List.map
+            (fun (group, s) -> (group, counts s.Campaign.histogram))
+            e7.e7_groups));
       ("simulated_cycles_per_scenario",
        Json.Obj
-         [ ("window", Json.Int (450 + 60));
+         [ ("window", Json.Int (c.Examples.sc_cycles + c.Examples.sc_settle));
            ("mean",
             Json.Float
               (float_of_int (List.fold_left ( + ) 0 stepped)
@@ -973,8 +968,8 @@ let json_e7 () =
          snapshots and fingerprints every scenario reads. *)
       ("golden_record_words",
        Json.Int
-         (Obj.reachable_words (Obj.repr golden)
-          - Obj.reachable_words (Obj.repr net))) ]
+         (Obj.reachable_words (Obj.repr e7.e7_golden)
+          - Obj.reachable_words (Obj.repr c.Examples.sc_net))) ]
 
 let json_e1 ~cycles () =
   let h = Figures.table1 () in

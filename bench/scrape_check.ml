@@ -20,8 +20,6 @@
 
    Exit 0 with a one-line summary, exit 1 naming the first violation. *)
 
-open Elastic_kernel
-open Elastic_netlist
 open Elastic_core
 module Json = Elastic_metrics.Json
 module Metrics = Elastic_metrics.Metrics
@@ -236,28 +234,16 @@ let check_status ~where body =
 (* ------------------------------------------------------------------ *)
 (* Phase 1: scrape a live SECDED campaign.                             *)
 
-(* The PR-1 SECDED campaign of E7/E8 (see bench/main.ml): seeded
-   single-bit upsets in the 144-bit operand payload of the speculative
-   resilient adder, severity alarm at >= 2. *)
+(* The library's SECDED campaign on E7's workload (see bench/main.ml):
+   its first [count] single flips, one runner task each. *)
 let secded_tasks ~count () =
-  let open Elastic_fault in
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 400 in
-  let d, alarm = Examples.rs_speculative_alarmed ~ops in
-  let net = d.Examples.d_net in
-  let alarms = [ (alarm, fun v -> Value.to_int v >= 2) ] in
-  let src = Option.get (Netlist.find_node net "src") in
-  let op_bus =
-    List.find
-      (fun (c : Netlist.channel) ->
-         c.Netlist.src.Netlist.ep_node = src.Netlist.id)
-      (Netlist.channels net)
+  let c =
+    Examples.secded_campaign
+      ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:5 400)
   in
-  let scenarios =
-    Campaign.random_bitflips ~net ~channel:op_bus.Netlist.ch_id ~seed:2009
-      ~count ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ()
-  in
-  Workload.of_campaign ~cycles:450 ~settle:60 ~alarms ~name:"secded" net
-    ~scenarios
+  Workload.of_campaign ~cycles:c.Examples.sc_cycles
+    ~settle:c.Examples.sc_settle ~alarms:c.Examples.sc_alarms ~name:"secded"
+    c.Examples.sc_net ~scenarios:(Examples.secded_flips c ~count)
 
 let no_sleep _ = ()
 

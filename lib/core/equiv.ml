@@ -78,8 +78,3 @@ let check ?(cycles = 300) a b =
       in
       compare_sinks [] (List.combine sa sb)
   end
-
-let check_exn ?cycles a b =
-  match check ?cycles a b with
-  | Ok r -> r
-  | Error m -> failwith ("Equiv.check: " ^ m)

@@ -22,6 +22,3 @@ type report = {
     zero transfers on both sides — is also an error: empty streams are
     trivially prefix-equivalent and prove nothing. *)
 val check : ?cycles:int -> Netlist.t -> Netlist.t -> (report, string) result
-
-(** Like {!check} but raises [Failure] with the message. *)
-val check_exn : ?cycles:int -> Netlist.t -> Netlist.t -> report

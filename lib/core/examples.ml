@@ -304,6 +304,37 @@ let rs_speculative_alarmed ~ops =
   in
   (d, Option.get alarm)
 
+let alarm_tripped v = try Value.to_int v >= 2 with Invalid_argument _ -> false
+
+type secded_campaign = {
+  sc_net : Netlist.t;
+  sc_alarms : (Netlist.node_id * (Value.t -> bool)) list;
+  sc_bus : Netlist.channel_id;
+  sc_cycles : int;
+  sc_settle : int;
+  sc_groups : (string * Elastic_fault.Fault.t list list) list;
+}
+
+let secded_campaign ~ops =
+  let open Elastic_fault in
+  let d, alarm = rs_speculative_alarmed ~ops in
+  let net = d.d_net in
+  let src = Option.get (Netlist.find_node net "src") in
+  let bus = (List.hd (Netlist.outgoing net src.Netlist.id)).Netlist.ch_id in
+  { sc_net = net; sc_alarms = [ (alarm, alarm_tripped) ]; sc_bus = bus;
+    sc_cycles = 450; sc_settle = 60;
+    sc_groups =
+      [ ("single",
+         Campaign.random_bitflips ~net ~channel:bus ~seed:2009 ~count:120
+           ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ());
+        ("double",
+         Campaign.random_double_flips ~net ~channel:bus ~seed:2009 ~count:40
+           ~from_cycle:2 ~to_cycle:350 ~bit_lo:0 ~bit_hi:72 ());
+        ("glitch", [ Fault.control_glitch ~channel:bus ~cycle:25 ]) ] }
+
+let secded_flips c ~count =
+  List.filteri (fun i _ -> i < count) (List.assoc "single" c.sc_groups)
+
 (* ------------------------------------------------------------------ *)
 (* Sec. 1 motivation: a next-PC loop running a 7-instruction program     *)
 (* with an inner branch (taken 3 of 4) and an outer branch (monotone).  *)

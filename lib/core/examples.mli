@@ -68,10 +68,33 @@ val rs_speculative_with :
 (** {!rs_speculative} plus an error-severity tap: a fourth fork way feeds
     [max] of the two operands' SECDED decode status (0 = clean,
     1 = corrected, 2 = double error detected) into a dedicated "alarm"
-    sink, whose node id is returned.  Fault campaigns treat values [>= 2]
-    on that sink as detection (see [Elastic_fault.Recovery]). *)
+    sink, whose node id is returned. *)
 val rs_speculative_alarmed :
   ops:rs_op list -> design * Netlist.node_id
+
+(** Detection on that sink: a value [>= 2]; false on a non-int. *)
+val alarm_tripped : Value.t -> bool
+
+(** The §5.2 claim under adversarial faults (bench E7) as one value, on
+    [ops] ([rs_ops ~error_rate_pct:0 ~seed:5 400] in the bench). *)
+type secded_campaign = {
+  sc_net : Netlist.t;  (** {!rs_speculative_alarmed} on [ops]. *)
+  sc_alarms : (Netlist.node_id * (Value.t -> bool)) list;
+      (** Its "alarm" sink, with {!alarm_tripped}. *)
+  sc_bus : Netlist.channel_id;  (** The 144-bit operand bus. *)
+  sc_cycles : int;  (** 450 cycles classified... *)
+  sc_settle : int;  (** ...plus 60 to settle. *)
+  sc_groups : (string * Elastic_fault.Fault.t list list) list;
+      (** Faults on the bus, seed 2009, cycles 2..349: ["single"], 120
+          one-bit upsets; ["double"], 40 two-bit upsets in operand a;
+          ["glitch"], a stall then a dropped valid at cycle 25. *)
+}
+
+val secded_campaign : ops:rs_op list -> secded_campaign
+
+(** Its first [count] (at most 120) ["single"] scenarios. *)
+val secded_flips :
+  secded_campaign -> count:int -> Elastic_fault.Fault.t list list
 
 (** Golden sums (errors corrected). *)
 val rs_reference : rs_op list -> Value.t list

@@ -415,16 +415,13 @@ let throughput_report s net cycles =
     ((Fmt.str "simulated %d cycles" cycles :: sinks) @ extra)
 
 (* Sinks named "alarm" are error detectors by convention (see
-   [Examples.rs_speculative_alarmed]): a delivered value >= 2 counts as
-   the design reporting the fault. *)
+   [Examples.rs_speculative_alarmed] and [Examples.alarm_tripped]). *)
 let alarms_of net =
   List.filter_map
     (fun (n : Netlist.node) ->
        match n.Netlist.kind with
        | Netlist.Sink _ when String.equal n.Netlist.name "alarm" ->
-         Some
-           (n.Netlist.id,
-            fun v -> (try Value.to_int v >= 2 with Invalid_argument _ -> false))
+         Some (n.Netlist.id, Examples.alarm_tripped)
        | _ -> None)
     (Netlist.nodes net)
 
@@ -477,8 +474,7 @@ let inject_cmd net target kind rest =
     | _ -> Error inject_usage
   in
   let report =
-    Recovery.check ~cycles:300 ~settle:60 ~alarms:(alarms_of net) net
-      ~faults
+    Recovery.check ~alarms:(alarms_of net) (Recovery.golden_run net) ~faults
   in
   Ok (Fmt.str "%a" Recovery.pp_report report)
 

@@ -13,15 +13,6 @@ let op_of_int = function
 
 let int_of_op = function Add -> 0 | Sub -> 1 | And -> 2 | Or -> 3 | Xor -> 4
 
-let pp_op ppf o =
-  Fmt.string ppf
-    (match o with
-     | Add -> "add"
-     | Sub -> "sub"
-     | And -> "and"
-     | Or -> "or"
-     | Xor -> "xor")
-
 let mask8 x = x land 0xFF
 
 let exact op a b =

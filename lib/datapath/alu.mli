@@ -12,8 +12,6 @@ val op_of_int : int -> op
 
 val int_of_op : op -> int
 
-val pp_op : Format.formatter -> op -> unit
-
 (** Exact 8-bit result (wraps mod 256). *)
 val exact : op -> int -> int -> int
 

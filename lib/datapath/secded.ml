@@ -104,21 +104,12 @@ let flip_bit cw i =
 
 let equal_codeword a b = Int64.equal a.data b.data && a.check = b.check
 
-let pp_codeword ppf cw = Fmt.pf ppf "{0x%Lx|%02x}" cw.data cw.check
-
-let codeword_value cw = Value.Tuple [ Value.Word cw.data; Value.Int cw.check ]
-
 let codeword_of_value v =
   match v with
   | Value.Tuple [ Value.Word data; Value.Int check ] -> { data; check }
   | Value.Unit | Value.Bool _ | Value.Int _ | Value.Word _ | Value.Str _
   | Value.Tuple _ ->
     invalid_arg (Fmt.str "Secded: not a codeword: %a" Value.pp v)
-
-let encoder_func () =
-  Func.make ~name:"secded_enc" ~arity:1 ~delay:6.0 ~area:260.0 (function
-    | [ v ] -> codeword_value (encode (Value.to_word v))
-    | _ -> assert false)
 
 let corrector_func () =
   Func.make ~name:"secded_cor" ~arity:1 ~delay:7.0 ~area:320.0 (function

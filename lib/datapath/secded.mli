@@ -30,16 +30,11 @@ val flip_bit : codeword -> int -> codeword
 
 val equal_codeword : codeword -> codeword -> bool
 
-val pp_codeword : Format.formatter -> codeword -> unit
-
 (** {1 Netlist function specs}
 
     Delay/area figures (normalized units / gate equivalents) for using
     SECDED inside elastic netlists: the encoder+checker occupies a whole
     pipeline stage in the paper's design. *)
-
-(** Encoder: [Word w -> Tuple [Word w; Int check]]. *)
-val encoder_func : unit -> Func.t
 
 (** Checker/corrector: [Tuple [Word w; Int check] -> Tuple [Word corrected;
     Int err]] with [err] 0 = clean, 1 = corrected, 2 = double error. *)

@@ -29,18 +29,7 @@ let pp_summary ppf s =
           pf ppf "  %-18s %d" label n))
     s.histogram
 
-let run ?cycles ?settle ?alarms net ~scenarios =
-  let golden = lazy (Recovery.golden_run ?cycles ?settle net) in
-  let engine = lazy (Recovery.faulted_engine (Lazy.force golden)) in
-  let outcomes =
-    List.map
-      (fun faults ->
-         { faults;
-           report =
-             Recovery.check ?cycles ?settle ?alarms ~golden:(Lazy.force golden)
-               ~engine:(Lazy.force engine) net ~faults })
-      scenarios
-  in
+let summarize outcomes =
   let histogram =
     List.fold_left
       (fun acc o ->
@@ -53,6 +42,17 @@ let run ?cycles ?settle ?alarms net ~scenarios =
     |> List.sort compare
   in
   { total = List.length outcomes; histogram; outcomes }
+
+let run ?cycles ?settle ?alarms net ~scenarios =
+  let check =
+    lazy
+      (let golden = Recovery.golden_run ?cycles ?settle net in
+       Recovery.check ?alarms ~engine:(Recovery.faulted_engine golden) golden)
+  in
+  summarize
+    (List.map
+       (fun faults -> { faults; report = Lazy.force check ~faults })
+       scenarios)
 
 (* Explicit recursion: the draw order must be deterministic (List.init
    does not specify its evaluation order). *)

@@ -30,6 +30,9 @@ val count : summary -> string -> int
 
 val pp_summary : Format.formatter -> summary -> unit
 
+(** The summary of outcomes checked one by one elsewhere. *)
+val summarize : outcome list -> summary
+
 val run :
   ?cycles:int ->
   ?settle:int ->

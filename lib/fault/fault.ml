@@ -35,9 +35,6 @@ let stuck_stall ~channel ~cycle ~duration =
 let glitch_valid ~channel ~cycle level =
   make (Channel channel) (Force_valid level) cycle
 
-let glitch_kill ~channel ~cycle level =
-  make (Channel channel) (Force_kill level) cycle
-
 let control_glitch ~channel ~cycle =
   [ stuck_stall ~channel ~cycle ~duration:1;
     drop_token ~channel ~cycle:(cycle + 1) ]

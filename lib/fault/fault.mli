@@ -52,8 +52,6 @@ val stuck_stall :
 
 val glitch_valid : channel:Netlist.channel_id -> cycle:int -> bool -> t
 
-val glitch_kill : channel:Netlist.channel_id -> cycle:int -> bool -> t
-
 (** A two-cycle control-wire glitch that provably violates the SELF
     Retry+ persistence property on the channel: force a stall (creating
     a retry state) then force V+ low on the following cycle. *)

@@ -411,20 +411,6 @@ let classify ?(alarms = []) golden ~faults (f : faulted) =
     fresh_violations = fresh;
     stabilized = f.f_stabilized }
 
-let check ?(cycles = 300) ?(settle = 60) ?alarms ?mode ?observer ?engine
-    ?golden net ~faults =
-  let mode = Option.value mode ~default:Engine.default_mode in
-  let golden =
-    match golden with
-    | None -> golden_run ~cycles ~settle ~mode net
-    | Some g ->
-      if g.g_net != net || g.g_cycles <> cycles || g.g_settle <> settle
-         || g.g_mode <> mode
-      then
-        invalid_arg
-          "Recovery.check: golden run built for another netlist, cycle \
-           count, settle window or eval mode";
-      g
-  in
+let check ?alarms ?observer ?engine golden ~faults =
   classify ?alarms golden ~faults
     (run_faulted ?engine ?observer golden ~faults)

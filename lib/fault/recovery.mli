@@ -123,41 +123,26 @@ val classify :
   ?alarms:(Netlist.node_id * (Value.t -> bool)) list -> golden ->
   faults:Fault.t list -> faulted -> report
 
-(** [check net ~faults] simulates the faulted engine for [cycles] cycles
-    plus a [settle] window in which a late (replayed) token may still
-    drain, and classifies it against the golden run's first [cycles]
-    cycles: [classify golden (run_faulted golden ~faults)].  The
-    checker assumes a {e finite} workload that the reference run
-    drains within [cycles]: transfers beyond the reference stream are
-    reported as spurious (corruption), not run-ahead.
+(** [check golden ~faults] is [classify golden ~faults (run_faulted
+    golden ~faults)]: the {!golden_run} is the scenario's whole context,
+    its netlist, eval mode, [cycles] and [settle] window.  The checker
+    assumes a {e finite} workload that the reference run drains within
+    [cycles]: transfers beyond the reference stream are reported as
+    spurious (corruption), not run-ahead.
 
-    @param golden the fault-free reference to classify against; built
-    on the spot by {!golden_run} when absent.  It must come from
-    [golden_run ~cycles ~settle ~mode net] for this very [net]
-    (physical equality), [cycles], [settle] and [mode], or [check]
-    raises [Invalid_argument].
     @param alarms sink nodes that are error {e detectors} rather than
     data outputs: their streams are excluded from equivalence checking
     and the fault counts as [Detected] when the predicate holds for more
     faulted-run values than reference-run values.
-    @param mode engine evaluation strategy (default
-    {!Engine.default_mode}); exposed for differential tests.
     @param observer called once with the faulted engine before its first
-    cycle, so a tracer (e.g. [Elastic_trace.Tracer.attach]) can be
-    installed and the injected fault's propagation recorded.  The
-    faulted engine starts at the first fault cycle and stops at
-    convergence (see {!run_faulted}), so the observer sees only those
-    cycles.  The golden run is never observed: it is shared, and its
-    cost is paid once per campaign rather than per scenario.
+    cycle, so a tracer (e.g. [Elastic_trace.Tracer.attach]) can record
+    the fault's propagation from the first fault cycle to the cut-off
+    (see {!run_faulted}).  The shared golden run is never observed.
     @param engine a faulted engine to reuse; see {!run_faulted}. *)
 val check :
-  ?cycles:int ->
-  ?settle:int ->
   ?alarms:(Netlist.node_id * (Value.t -> bool)) list ->
-  ?mode:Elastic_sim.Engine.eval_mode ->
   ?observer:(Elastic_sim.Engine.t -> unit) ->
   ?engine:Elastic_sim.Engine.t ->
-  ?golden:golden ->
-  Netlist.t ->
+  golden ->
   faults:Fault.t list ->
   report

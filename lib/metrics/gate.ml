@@ -3,8 +3,6 @@ type diff = {
   d_reason : string;
 }
 
-let pp_diff ppf d = Fmt.pf ppf "%s: %s" d.d_path d.d_reason
-
 let wall_clock_key path =
   let last =
     match String.rindex_opt path '.' with

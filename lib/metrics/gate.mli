@@ -17,8 +17,6 @@ type diff = {
   d_reason : string;  (** baseline/current values and the delta *)
 }
 
-val pp_diff : Format.formatter -> diff -> unit
-
 (** Default [skip] predicate: true on wall-clock-dependent leaf keys. *)
 val wall_clock_key : string -> bool
 

@@ -148,10 +148,6 @@ let s_min s = if s.sn_count = 0 then 0 else s.sn_min
 
 let s_max s = if s.sn_count = 0 then 0 else s.sn_max
 
-let s_mean s =
-  if s.sn_count = 0 then 0.0
-  else float_of_int s.sn_sum /. float_of_int s.sn_count
-
 let s_quantile s q = quantile_of ~counts:s.s_counts ~count:s.sn_count q
 
 let s_buckets s =

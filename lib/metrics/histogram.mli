@@ -63,8 +63,6 @@ val s_min : snapshot -> int
 
 val s_max : snapshot -> int
 
-val s_mean : snapshot -> float
-
 val s_quantile : snapshot -> float -> int
 
 (** Cumulative buckets for exporters: [(upper_bound, cumulative_count)]

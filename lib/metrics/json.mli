@@ -19,6 +19,9 @@ type t =
 
 val to_string : ?indent:int -> t -> string
 
+(** The body of a JSON string literal holding [s], without the quotes. *)
+val escape : string -> string
+
 (** Parse a complete JSON document (trailing whitespace allowed).
     Numbers without [.], [e] or [E] parse as [Int].  Never raises:
     truncated or corrupt input — including pathological nesting —

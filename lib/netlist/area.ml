@@ -68,8 +68,3 @@ let node_area ?(params = default) t (n : Netlist.node) =
 let total ?(params = default) t =
   List.fold_left (fun acc n -> acc +. node_area ~params t n) 0.0
     (Netlist.nodes t)
-
-let breakdown ?(params = default) t =
-  Netlist.nodes t
-  |> List.map (fun n -> (n.Netlist.name, node_area ~params t n))
-  |> List.sort (fun (_, a) (_, b) -> Float.compare b a)

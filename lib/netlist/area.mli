@@ -29,6 +29,3 @@ val node_area : ?params:params -> Netlist.t -> Netlist.node -> float
 
 (** Total area of the netlist in gate equivalents. *)
 val total : ?params:params -> Netlist.t -> float
-
-(** Per-node breakdown, largest first. *)
-val breakdown : ?params:params -> Netlist.t -> (string * float) list

@@ -32,7 +32,6 @@ let severity_name = function
   | Warning -> "warning"
   | Info -> "info"
 
-let is_error d = d.severity = Error
 
 let pp_fixit ppf = function
   | Insert_bubble { channel } ->

@@ -256,10 +256,6 @@ let replace_kind t id kind =
   let n = node t id in
   { t with node_map = IntMap.add id { n with kind } t.node_map }
 
-let rename_node t id name =
-  let n = node t id in
-  { t with node_map = IntMap.add id { n with name } t.node_map }
-
 let set_end t cid (nid, port) ~src =
   let c = channel t cid in
   if src then begin

@@ -139,8 +139,6 @@ val remove_channel : t -> channel_id -> t
 
 val replace_kind : t -> node_id -> kind -> t
 
-val rename_node : t -> node_id -> string -> t
-
 (** [set_dst t c ep] / [set_src t c ep] re-points one end of channel [c].
     @raise Invalid_argument if the new port is occupied or invalid. *)
 val set_dst : t -> channel_id -> node_id * port -> t

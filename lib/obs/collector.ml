@@ -21,8 +21,6 @@ let create ?(capacity_per_track = 8192) ?(clock = Clock.monotonic) ?trace
   in
   { cap = capacity_per_track; clk = clock; trace; recs = [||] }
 
-let trace_id t = t.trace
-
 let clock t = t.clk
 
 let prepare t ~tracks =

@@ -18,8 +18,6 @@ val create :
   ?capacity_per_track:int -> ?clock:Elastic_sim.Clock.t -> ?trace:int ->
   unit -> t
 
-val trace_id : t -> int
-
 val clock : t -> Elastic_sim.Clock.t
 
 (** Allocate recorders for tracks [0 .. tracks-1].  Must be called

@@ -85,8 +85,7 @@ let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
               in
               let engine, compiled = take golden in
               let report =
-                Recovery.check ?cycles ?settle ?alarms ~engine ~golden net
-                  ~faults
+                Recovery.check ?alarms ~engine golden ~faults
               in
               (match ctx.obs with
                | Some ((rc, _) as obs) ->

@@ -26,8 +26,8 @@
 
 (** [of_campaign ~name net ~scenarios] — task ids are
     ["<name>/<index>"] (stable across runs: the checkpoint resume key).
-    [cycles], [settle] and [alarms] are passed through to
-    [Recovery.check] ([cycles] and [settle] to the golden run too).
+    [cycles] and [settle] size the shared golden run; [alarms] go to
+    [Recovery.check].
     The task body calls [ctx.check_deadline] before
     each check, so shard/campaign wall-clock budgets land between
     simulations, never mid-cycle. *)

@@ -33,7 +33,6 @@ let spec_name = function
   | Hinted_replay -> "hinted-replay"
   | Gshare { history_bits } -> Fmt.str "gshare%d" history_bits
 
-let pp_spec ppf s = Fmt.string ppf (spec_name s)
 
 type t = {
   spec : spec;

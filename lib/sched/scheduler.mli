@@ -75,8 +75,6 @@ type spec =
           "state-of-the-art branch prediction" end of the spectrum
           §4.1.1 mentions.  [history_bits] in [1, 10]. *)
 
-val pp_spec : Format.formatter -> spec -> unit
-
 val spec_name : spec -> string
 
 (** A running scheduler instance. *)

@@ -1,24 +1,10 @@
 open Elastic_kernel
 open Elastic_netlist
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | '\r' -> Buffer.add_string b "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let add_line b net (e : Event.t) =
-  let field_str k v = Printf.sprintf "\"%s\":\"%s\"" k (escape v) in
+  let field_str k v =
+    Printf.sprintf "\"%s\":\"%s\"" k (Elastic_metrics.Json.escape v)
+  in
   let field_int k v = Printf.sprintf "\"%s\":%d" k v in
   let subject_fields =
     match e.Event.ev_subject with

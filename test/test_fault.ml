@@ -7,20 +7,6 @@ open Elastic_fault
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                              *)
 
-let channel_from net node_name =
-  let n =
-    match Netlist.find_node net node_name with
-    | Some n -> n
-    | None -> Alcotest.failf "no node named %s" node_name
-  in
-  match
-    List.find_opt
-      (fun (c : Netlist.channel) -> c.Netlist.src.Netlist.ep_node = n.Netlist.id)
-      (Netlist.channels net)
-  with
-  | Some c -> c
-  | None -> Alcotest.failf "node %s drives no channel" node_name
-
 let channel_into net node_name =
   let n =
     match Netlist.find_node net node_name with
@@ -35,12 +21,16 @@ let channel_into net node_name =
   | Some c -> c
   | None -> Alcotest.failf "nothing drives node %s" node_name
 
-let alarmed ?(n = 60) () =
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:11 n in
-  let d, alarm = Examples.rs_speculative_alarmed ~ops in
-  (d, alarm)
+(* The library's SECDED campaign on a short error-free workload: the
+   alarmed resilient adder, its severity alarm and its operand bus. *)
+let secded ?(n = 60) () =
+  Examples.secded_campaign ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:11 n)
 
-let rs_alarms alarm = [ (alarm, fun v -> Value.to_int v >= 2) ]
+(* [Recovery.check] against a 120-cycle golden run of [c]. *)
+let check (c : Examples.secded_campaign) ~faults =
+  Recovery.check ~alarms:c.Examples.sc_alarms
+    (Recovery.golden_run ~cycles:120 c.Examples.sc_net)
+    ~faults
 
 (* ------------------------------------------------------------------ *)
 (* Fault model unit tests                                               *)
@@ -72,10 +62,9 @@ let test_flip_value () =
     (Value.equal v (Fault.flip_value [ 999 ] v))
 
 let test_describe () =
-  let d, _ = alarmed () in
-  let ch = channel_from d.Examples.d_net "src" in
-  let f = Fault.flip_bit ~channel:ch.Netlist.ch_id ~cycle:7 17 in
-  let s = Fault.describe d.Examples.d_net f in
+  let c = secded () in
+  let f = Fault.flip_bit ~channel:c.Examples.sc_bus ~cycle:7 17 in
+  let s = Fault.describe c.Examples.sc_net f in
   List.iter
     (fun frag ->
        Alcotest.(check bool) (Fmt.str "mentions %S" frag) true
@@ -86,8 +75,7 @@ let test_describe () =
 (* Structured engine errors                                             *)
 
 let test_structured_error () =
-  let d, _ = alarmed ~n:4 () in
-  let eng = Engine.create d.Examples.d_net in
+  let eng = Engine.create (secded ~n:4 ()).Examples.sc_net in
   (match Engine.sink_stream eng 999 with
    | exception Engine.Simulation_error e ->
      Alcotest.(check (option int)) "node id" (Some 999) e.Engine.err_node;
@@ -104,13 +92,9 @@ let test_structured_error () =
 (* Recovery classification on the §5.2 resilient adder                  *)
 
 let test_single_flip_corrected () =
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net in
-  let ch = channel_from net "src" in
-  let r =
-    Recovery.check ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~faults:[ Fault.flip_bit ~channel:ch.Netlist.ch_id ~cycle:10 17 ]
-  in
+  let c = secded () in
+  let ch = c.Examples.sc_bus in
+  let r = check c ~faults:[ Fault.flip_bit ~channel:ch ~cycle:10 17 ] in
   (match r.Recovery.classification with
    | Recovery.Corrected p ->
      Alcotest.(check int) "one-cycle replay penalty" 1 p
@@ -121,13 +105,9 @@ let test_single_flip_corrected () =
     (r.Recovery.fresh_violations = [])
 
 let test_double_flip_detected () =
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net in
-  let ch = channel_from net "src" in
-  let r =
-    Recovery.check ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~faults:[ Fault.flip_bits ~channel:ch.Netlist.ch_id ~cycle:12 [ 3; 40 ] ]
-  in
+  let c = secded () in
+  let ch = c.Examples.sc_bus in
+  let r = check c ~faults:[ Fault.flip_bits ~channel:ch ~cycle:12 [ 3; 40 ] ] in
   match r.Recovery.classification with
   | Recovery.Detected why ->
     Alcotest.(check bool) "alarm provenance" true
@@ -136,13 +116,9 @@ let test_double_flip_detected () =
     Alcotest.failf "expected detected, got %a" Recovery.pp_classification c
 
 let test_control_glitch_detected () =
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net in
-  let ch = channel_from net "src" in
-  let r =
-    Recovery.check ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~faults:(Fault.control_glitch ~channel:ch.Netlist.ch_id ~cycle:20)
-  in
+  let c = secded () in
+  let ch = c.Examples.sc_bus in
+  let r = check c ~faults:(Fault.control_glitch ~channel:ch ~cycle:20) in
   match r.Recovery.classification with
   | Recovery.Detected why ->
     Alcotest.(check bool) "monitor provenance" true
@@ -158,12 +134,10 @@ let test_crash_has_provenance () =
   (* Dropping the valid of a retried token on the early mux's output
      desynchronizes its anti-token bookkeeping; the engine must surface
      that as a structured error with node provenance, not a bare assert. *)
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net in
-  let ch = channel_into net "out" in
+  let c = secded () in
+  let ch = channel_into c.Examples.sc_net "out" in
   let r =
-    Recovery.check ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~faults:(Fault.control_glitch ~channel:ch.Netlist.ch_id ~cycle:20)
+    check c ~faults:(Fault.control_glitch ~channel:ch.Netlist.ch_id ~cycle:20)
   in
   match r.Recovery.classification with
   | Recovery.Crashed why ->
@@ -177,17 +151,13 @@ let test_crash_has_provenance () =
       Recovery.pp_classification c
 
 let test_mispredict_corrected () =
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net in
+  let c = secded () in
   let stage =
-    match Netlist.find_node net "stage" with
+    match Netlist.find_node c.Examples.sc_net "stage" with
     | Some n -> n.Netlist.id
     | None -> Alcotest.fail "no stage node"
   in
-  let r =
-    Recovery.check ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~faults:[ Fault.mispredict ~node:stage ~cycle:15 1 ]
-  in
+  let r = check c ~faults:[ Fault.mispredict ~node:stage ~cycle:15 1 ] in
   match r.Recovery.classification with
   | Recovery.Masked | Recovery.Corrected _ -> ()
   | c ->
@@ -197,13 +167,9 @@ let test_mispredict_corrected () =
 let test_duplicate_after_drain () =
   (* Forge a token on the drained source channel: the checker must see the
      spurious extra transfer. *)
-  let d, alarm = alarmed ~n:20 () in
-  let net = d.Examples.d_net in
-  let ch = channel_from net "src" in
-  let r =
-    Recovery.check ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~faults:[ Fault.duplicate_token ~channel:ch.Netlist.ch_id ~cycle:60 ]
-  in
+  let c = secded ~n:20 () in
+  let ch = c.Examples.sc_bus in
+  let r = check c ~faults:[ Fault.duplicate_token ~channel:ch ~cycle:60 ] in
   match r.Recovery.classification with
   | Recovery.Silent_corruption why ->
     Alcotest.(check bool) "spurious transfer" true
@@ -217,37 +183,33 @@ let test_duplicate_after_drain () =
 (* Campaigns                                                            *)
 
 let test_campaign_deterministic_and_benign () =
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net in
-  let ch = channel_from net "src" in
+  let c = secded () in
+  let net = c.Examples.sc_net and alarms = c.Examples.sc_alarms in
   let scenarios () =
-    Campaign.random_bitflips ~net ~channel:ch.Netlist.ch_id ~seed:42
+    Campaign.random_bitflips ~net ~channel:c.Examples.sc_bus ~seed:42
       ~count:25 ~from_cycle:2 ~to_cycle:60 ~bit_hi:144 ()
   in
   Alcotest.(check bool) "same seed, same scenarios" true
     (scenarios () = scenarios ());
-  let s = Campaign.run ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~scenarios:(scenarios ())
+  let s = Campaign.run ~cycles:120 net ~alarms ~scenarios:(scenarios ())
   in
   Alcotest.(check int) "all scenarios ran" 25 s.Campaign.total;
   Alcotest.(check bool) "single-bit faults are benign" true
     (Campaign.all_benign s);
-  let s' = Campaign.run ~cycles:120 net ~alarms:(rs_alarms alarm)
-      ~scenarios:(scenarios ())
+  let s' = Campaign.run ~cycles:120 net ~alarms ~scenarios:(scenarios ())
   in
   Alcotest.(check bool) "same seed, same histogram" true
     (s.Campaign.histogram = s'.Campaign.histogram)
 
 let test_campaign_double_flips_detected () =
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net in
-  let ch = channel_from net "src" in
+  let c = secded () in
+  let net = c.Examples.sc_net in
   let scenarios =
-    Campaign.random_double_flips ~net ~channel:ch.Netlist.ch_id ~seed:7
+    Campaign.random_double_flips ~net ~channel:c.Examples.sc_bus ~seed:7
       ~count:8 ~from_cycle:2 ~to_cycle:60 ~bit_lo:0 ~bit_hi:72 ()
   in
   let s =
-    Campaign.run ~cycles:120 net ~alarms:(rs_alarms alarm) ~scenarios
+    Campaign.run ~cycles:120 net ~alarms:c.Examples.sc_alarms ~scenarios
   in
   Alcotest.(check int) "all detected" 8 (Campaign.count s "detected")
 

@@ -14,36 +14,29 @@ open Elastic_fault
 
 (* --- E7, byte for byte ----------------------------------------------- *)
 
-(* The E7 campaign of bench/main.ml: 120 single and 40 double flips on
-   the operand bus (seed 2009), then the control-wire glitch, all on
-   [rs_speculative_alarmed] with the severity alarm, 450 + 60 cycles. *)
+(* The E7 campaign of the bench: the library's SECDED campaign on its
+   400-operation error-free workload, 120 single and 40 double flips on
+   the operand bus and the control-wire glitch, 450 + 60 cycles. *)
+let e7 () =
+  Examples.secded_campaign
+    ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:5 400)
+
 let test_e7_reports () =
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 400 in
-  let d, alarm = Examples.rs_speculative_alarmed ~ops in
-  let net = d.Examples.d_net in
-  let ch = (Test_fault.channel_from net "src").Netlist.ch_id in
-  let groups =
-    [ ("single",
-       Campaign.random_bitflips ~net ~channel:ch ~seed:2009 ~count:120
-         ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ());
-      ("double",
-       Campaign.random_double_flips ~net ~channel:ch ~seed:2009 ~count:40
-         ~from_cycle:2 ~to_cycle:350 ~bit_lo:0 ~bit_hi:72 ());
-      ("glitch", [ Fault.control_glitch ~channel:ch ~cycle:25 ]) ]
-  in
+  let c = e7 () in
   let b = Buffer.create 65536 in
   List.iter
     (fun (label, scenarios) ->
        let s =
-         Campaign.run ~cycles:450 ~settle:60 ~alarms:(Test_fault.rs_alarms alarm)
-           net ~scenarios
+         Campaign.run ~cycles:c.Examples.sc_cycles
+           ~settle:c.Examples.sc_settle ~alarms:c.Examples.sc_alarms
+           c.Examples.sc_net ~scenarios
        in
        List.iteri
          (fun i (o : Campaign.outcome) ->
             Printf.bprintf b "== %s %03d ==\n%s\n" label i
               (Fmt.str "%a" Recovery.pp_report o.Campaign.report))
          s.Campaign.outcomes)
-    groups;
+    c.Examples.sc_groups;
   Test_arena.check_golden "e7_reports.expected" (Buffer.contents b)
 
 (* --- shared vs per-scenario golden run -------------------------------- *)
@@ -84,18 +77,21 @@ let bench b_name b_net b_alarms =
            (cycles, settle, Recovery.golden_run ~cycles ~settle b_net))
         [ (80, 60); (tight, 2) ] }
 
+let secded_bench name ~ops =
+  let c = Examples.secded_campaign ~ops in
+  bench name c.Examples.sc_net c.Examples.sc_alarms
+
 let benches =
   lazy
-    (let d, alarm =
-       Examples.rs_speculative_alarmed
+    (let rs =
+       secded_bench "rs-alarmed"
          ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:11 30)
      in
      let vl =
        Examples.vl_speculative
          ~ops:(Elastic_datapath.Alu.operands ~error_rate_pct:10 ~seed:1 30)
      in
-     [ bench "rs-alarmed" d.Examples.d_net (Test_fault.rs_alarms alarm);
-       bench "vl-speculative" vl.Examples.d_net [] ])
+     [ rs; bench "vl-speculative" vl.Examples.d_net [] ])
 
 (* One scenario of each kind, on channel [ch] at [cycle]; [seed] picks a
    whole-design storm flip. *)
@@ -109,17 +105,16 @@ let scenario_kinds net ~ch ~cycle ~seed =
       (Campaign.random_storm ~net ~seed ~count:1 ~from_cycle:2
          ~to_cycle:(max 3 cycle)) ]
 
-(* [check ~golden:shared] and [check] with a fresh golden run per
+(* [check] against the shared golden run and against a fresh one per
    scenario, on every scenario; returns the shared reports. *)
 let shared_vs_fresh b (cycles, settle, golden) scenarios =
   List.map
     (fun faults ->
-       let shared =
-         Recovery.check ~cycles ~settle ~alarms:b.b_alarms ~golden b.b_net
-           ~faults
-       in
+       let shared = Recovery.check ~alarms:b.b_alarms golden ~faults in
        let fresh =
-         Recovery.check ~cycles ~settle ~alarms:b.b_alarms b.b_net ~faults
+         Recovery.check ~alarms:b.b_alarms
+           (Recovery.golden_run ~cycles ~settle b.b_net)
+           ~faults
        in
        if shared <> fresh then
          QCheck.Test.fail_reportf "%s, %d+%d cycles:@.shared: %a@.fresh: %a"
@@ -268,13 +263,9 @@ let counter_pattern () =
 
 let differential_benches =
   lazy
-    (let d, alarm =
-       Examples.rs_speculative_alarmed
-         ~ops:(Examples.rs_ops ~error_rate_pct:20 ~seed:3 30)
-     in
-     Lazy.force benches
-     @ [ bench "rs-alarmed-errors" d.Examples.d_net
-           (Test_fault.rs_alarms alarm);
+    (Lazy.force benches
+     @ [ secded_bench "rs-alarmed-errors"
+           ~ops:(Examples.rs_ops ~error_rate_pct:20 ~seed:3 30);
          bench "random-rate" (random_rate ()) [];
          bench "random-join" (random_join ()) [];
          bench "counter-pattern" (counter_pattern ()) [] ])
@@ -318,10 +309,7 @@ let cut_vs_full b (cycles, settle, golden) faults =
       b.b_name cycles settle pp_faults describe
       Fmt.(option ~none:(any "never") (pair ~sep:comma int int))
       cut.Recovery.f_stabilized;
-  let checked =
-    Recovery.check ~cycles ~settle ~alarms:b.b_alarms ~golden b.b_net
-      ~faults
-  in
+  let checked = Recovery.check ~alarms:b.b_alarms golden ~faults in
   let plain = Recovery.classify ~alarms:b.b_alarms golden ~faults full in
   if { checked with Recovery.stabilized = None } <> plain then
     QCheck.Test.fail_reportf "%s, faults [%a]:@.cut-off: %a@.full: %a"
@@ -377,13 +365,11 @@ let test_guards () =
 (* The E7 campaign's single flips all rejoin the golden run one cycle
    late, a few cycles after the fault: the paper's one-cycle replay. *)
 let test_e7_stabilizes () =
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:5 400 in
-  let d, alarm = Examples.rs_speculative_alarmed ~ops in
-  let net = d.Examples.d_net in
-  let ch = (Test_fault.channel_from net "src").Netlist.ch_id in
-  let b = { b_name = "e7"; b_net = net; b_alarms = Test_fault.rs_alarms alarm;
-            b_windows = [] } in
-  let w = (450, 60, Recovery.golden_run ~cycles:450 ~settle:60 net) in
+  let c = e7 () in
+  let cycles = c.Examples.sc_cycles and settle = c.Examples.sc_settle in
+  let b = { b_name = "e7"; b_net = c.Examples.sc_net;
+            b_alarms = c.Examples.sc_alarms; b_windows = [] } in
+  let w = (cycles, settle, Recovery.golden_run ~cycles ~settle b.b_net) in
   List.iter
     (fun faults ->
        match cut_vs_full b w faults with
@@ -391,8 +377,7 @@ let test_e7_stabilizes () =
          Alcotest.(check int) "lag" 1 lag;
          Alcotest.(check bool) "stabilizes within 5 cycles" true (after <= 5)
        | None -> Alcotest.fail "E7 scenario ran to the end")
-    (Campaign.random_bitflips ~net ~channel:ch ~seed:2009 ~count:12
-       ~from_cycle:2 ~to_cycle:350 ~bit_hi:144 ())
+    (Examples.secded_flips c ~count:12)
 
 (* --- one faulted engine for many scenarios ------------------------------ *)
 
@@ -562,31 +547,9 @@ let test_misuse () =
   in
   let net = mk () in
   let faults = [ Fault.drop_token ~channel:0 ~cycle:5 ] in
-  let rejects what golden f =
-    match f golden with
-    | _ -> Alcotest.failf "%s: accepted a mismatched golden run" what
-    | exception Invalid_argument msg ->
-      Alcotest.(check bool) (what ^ " names Recovery.check") true
-        (Helpers.contains msg "Recovery.check")
-  in
   let g = Recovery.golden_run ~cycles:60 net in
-  rejects "another netlist" g (fun golden ->
-      Recovery.check ~cycles:60 ~golden (mk ()) ~faults);
-  rejects "another cycle count" g (fun golden ->
-      Recovery.check ~cycles:61 ~golden net ~faults);
-  rejects "default cycle count" g (fun golden ->
-      Recovery.check ~golden net ~faults);
-  rejects "another settle window" g (fun golden ->
-      Recovery.check ~cycles:60 ~settle:30 ~golden net ~faults);
-  rejects "arena golden, reference check" g (fun golden ->
-      Recovery.check ~cycles:60 ~mode:Engine.Reference ~golden net ~faults);
   let gr = Recovery.golden_run ~cycles:60 ~mode:Engine.Reference net in
-  rejects "reference golden, arena check" gr (fun golden ->
-      Recovery.check ~cycles:60 ~golden net ~faults);
-  Alcotest.(check bool) "reference golden, reference check" true
-    (Recovery.check ~cycles:60 ~mode:Engine.Reference ~golden:gr net ~faults
-     = Recovery.check ~cycles:60 ~mode:Engine.Reference net ~faults);
-  let rejects_engine ?mode what golden engine =
+  let rejects_engine what golden engine =
     let named f =
       match f () with
       | _ -> Alcotest.failf "%s: accepted a mismatched engine" what
@@ -595,14 +558,13 @@ let test_misuse () =
           (Helpers.contains msg "Recovery.run_faulted")
     in
     named (fun () -> Recovery.run_faulted ~engine golden ~faults);
-    named (fun () ->
-        Recovery.check ~cycles:60 ?mode ~golden ~engine net ~faults)
+    named (fun () -> Recovery.check ~engine golden ~faults)
   in
   rejects_engine "engine for another netlist" g
     (Engine.create ~monitor:true (mk ()));
   rejects_engine "reference engine, arena golden" g
     (Engine.create ~monitor:true ~mode:Engine.Reference net);
-  rejects_engine ~mode:Engine.Reference "arena engine, reference golden" gr
+  rejects_engine "arena engine, reference golden" gr
     (Recovery.faulted_engine g)
 
 let test_empty_campaign () =

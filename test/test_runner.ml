@@ -1,4 +1,3 @@
-open Elastic_kernel
 open Elastic_netlist
 open Elastic_sim
 open Elastic_core
@@ -369,35 +368,18 @@ let test_runner_health_metrics () =
 
 (* --- campaign workload: equivalence with the sequential runner ------ *)
 
-let alarmed () =
-  let ops = Examples.rs_ops ~error_rate_pct:0 ~seed:11 40 in
-  Examples.rs_speculative_alarmed ~ops
-
-let rs_alarms alarm = [ (alarm, fun v -> Value.to_int v >= 2) ]
-
-let src_channel net =
-  let src =
-    match Netlist.find_node net "src" with
-    | Some n -> n
-    | None -> Alcotest.fail "no node named src"
-  in
-  match
-    List.find_opt
-      (fun (c : Netlist.channel) ->
-         c.Netlist.src.Netlist.ep_node = src.Netlist.id)
-      (Netlist.channels net)
-  with
-  | Some c -> c.Netlist.ch_id
-  | None -> Alcotest.fail "no channel out of src"
+(* The library's SECDED campaign on a short error-free workload. *)
+let secded () =
+  Examples.secded_campaign ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:11 40)
 
 let campaign_fixture ~seed ~count =
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net in
+  let c = secded () in
+  let net = c.Examples.sc_net in
   let scenarios =
-    Campaign.random_bitflips ~net ~channel:(src_channel net) ~seed ~count
+    Campaign.random_bitflips ~net ~channel:c.Examples.sc_bus ~seed ~count
       ~from_cycle:2 ~to_cycle:40 ~bit_hi:144 ()
   in
-  (net, rs_alarms alarm, scenarios)
+  (net, c.Examples.sc_alarms, scenarios)
 
 let test_workload_matches_sequential_campaign () =
   let net, alarms, scenarios = campaign_fixture ~seed:42 ~count:10 in
@@ -452,10 +434,9 @@ let sequential_prometheus (s : Campaign.summary) =
    builds under the lock (real domains on OCaml 5, the sequential
    fallback on 4.14) and must merge to the sequential campaign's page. *)
 let test_workload_width_determinism () =
-  let d, alarm = alarmed () in
-  let net = d.Examples.d_net in
-  let alarms = rs_alarms alarm in
-  let ch = src_channel net in
+  let c = secded () in
+  let net = c.Examples.sc_net and alarms = c.Examples.sc_alarms in
+  let ch = c.Examples.sc_bus in
   let scenarios =
     Campaign.random_bitflips ~net ~channel:ch ~seed:5 ~count:12
       ~from_cycle:2 ~to_cycle:40 ~bit_hi:144 ()
@@ -530,7 +511,7 @@ let test_workload_golden_failure () =
   let net, _ = Netlist.add_node Netlist.empty (Netlist.Sink Netlist.Always_ready) in
   let faults = [ Fault.drop_token ~channel:0 ~cycle:1 ] in
   let direct =
-    match Recovery.check net ~faults with
+    match Recovery.check (Recovery.golden_run net) ~faults with
     | _ -> Alcotest.fail "an unconnected sink should not simulate"
     | exception e -> Printexc.to_string e
   in
@@ -594,8 +575,8 @@ let qcheck_equivalence =
 (* --- engine cycle budgets (E110) ----------------------------------- *)
 
 let test_engine_max_cycles () =
-  let d, _ = alarmed () in
-  let eng = Engine.create ~max_cycles:5 d.Examples.d_net in
+  let net = (secded ()).Examples.sc_net in
+  let eng = Engine.create ~max_cycles:5 net in
   for _ = 1 to 5 do
     ignore (Engine.step eng)
   done;
@@ -609,12 +590,12 @@ let test_engine_max_cycles () =
        (Helpers.contains e.Engine.err_msg "max_cycles"));
   Alcotest.check_raises "negative budget rejected"
     (Invalid_argument "Engine.create: negative max_cycles") (fun () ->
-        ignore (Engine.create ~max_cycles:(-1) d.Examples.d_net))
+        ignore (Engine.create ~max_cycles:(-1) net))
 
 let test_engine_settle_budget_code () =
-  let d, _ = alarmed () in
   let eng =
-    Engine.create ~mode:Engine.Reference ~max_passes:0 d.Examples.d_net
+    Engine.create ~mode:Engine.Reference ~max_passes:0
+      (secded ()).Examples.sc_net
   in
   match Engine.step eng with
   | _ -> Alcotest.fail "zero settle budget should not converge"

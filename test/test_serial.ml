@@ -37,6 +37,100 @@ let check_roundtrip name net =
   Alcotest.(check bool) (name ^ ": structure preserved") true
     (structure net = structure net')
 
+(* --- fuzzing the parser ------------------------------------------- *)
+
+(* The text of the bundled designs, which the fuzzer mutates. *)
+let fuzz_corpus =
+  lazy
+    (let ops = Elastic_datapath.Alu.operands ~error_rate_pct:10 ~seed:1 5 in
+     let rs = Examples.rs_ops ~error_rate_pct:5 ~seed:1 5 in
+     Array.map Serial.to_string
+       [| (Figures.fig1a ()).Figures.net;
+          (Figures.fig1d ()).Figures.net;
+          (Examples.vl_speculative ~ops).Examples.d_net;
+          (Examples.rs_speculative ~ops:rs).Examples.d_net;
+          (fst (Examples.rs_speculative_alarmed ~ops:rs)).Examples.d_net |])
+
+let is_number tok =
+  tok <> ""
+  && (match tok.[0] with '0' .. '9' | '-' -> true | _ -> false)
+  && Option.is_some (float_of_string_opt tok)
+
+(* Mutation [kind] of [text], placed by [a] and [b]: truncation, a byte
+   flip, a duplicated, dropped or swapped line, or a number token
+   replaced with a value in -3..36 (dangling ids, bad ports, width
+   mismatches). *)
+let mutate text (kind, a, b) =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let nl = Array.length lines in
+  let join ls = String.concat "\n" (Array.to_list ls) in
+  match kind with
+  | 0 -> String.sub text 0 (a mod (String.length text + 1))
+  | 1 when text <> "" ->
+    let i = a mod String.length text in
+    let flip c = Char.chr (Char.code c lxor (1 + (b mod 255))) in
+    String.mapi (fun j c -> if j = i then flip c else c) text
+  | 2 ->
+    let k = a mod nl in
+    join (Array.init (nl + 1) (fun j -> lines.(if j <= k then j else j - 1)))
+  | 3 when nl > 1 ->
+    let k = a mod nl in
+    join (Array.init (nl - 1) (fun j -> lines.(if j < k then j else j + 1)))
+  | 4 ->
+    let i = a mod nl and j = b mod nl in
+    let l = Array.copy lines in
+    l.(i) <- lines.(j);
+    l.(j) <- lines.(i);
+    join l
+  | _ ->
+    let toks = Array.map (String.split_on_char ' ') lines in
+    let numbers =
+      List.concat
+        (List.mapi
+           (fun i ts ->
+              List.filteri (fun _ t -> is_number t) ts
+              |> List.mapi (fun k _ -> (i, k)))
+           (Array.to_list toks))
+    in
+    if numbers = [] then text
+    else
+      let li, nth = List.nth numbers (a mod List.length numbers) in
+      let seen = ref (-1) in
+      toks.(li) <-
+        List.map
+          (fun t ->
+             if is_number t then begin
+               incr seen;
+               if !seen = nth then string_of_int ((b mod 40) - 3) else t
+             end
+             else t)
+          toks.(li);
+      join (Array.map (String.concat " ") toks)
+
+let fuzz_input =
+  QCheck.make
+    ~print:(fun (d, ms) ->
+        List.fold_left mutate (Lazy.force fuzz_corpus).(d) ms)
+    QCheck.Gen.(
+      pair (int_bound 4)
+        (list_size (int_range 1 3)
+           (triple (int_bound 5) (int_bound 100_000) (int_bound 100_000))))
+
+(* Every mutant parses to [Error _], or to a netlist that
+   [Engine.create] accepts or rejects with [Simulation_error]: no other
+   exception escapes. *)
+let qcheck_parse_fuzz =
+  QCheck.Test.make ~count:1500
+    ~name:"mutated designs parse to Error or a creatable netlist" fuzz_input
+    (fun (d, ms) ->
+        let text = List.fold_left mutate (Lazy.force fuzz_corpus).(d) ms in
+        match Serial.parse text with
+        | Error _ -> true
+        | Ok net ->
+          (match Elastic_sim.Engine.create net with
+           | _ -> true
+           | exception Elastic_sim.Engine.Simulation_error _ -> true))
+
 let suite =
   [ Alcotest.test_case "fig1a round-trips" `Quick (fun () ->
         check_roundtrip "fig1a" (Figures.fig1a ()).Figures.net);
@@ -125,4 +219,5 @@ let suite =
         let _ = ok (Shell.execute s ("open " ^ path)) in
         Sys.remove path;
         Alcotest.(check bool) "design loaded" true
-          (Shell.current s <> None)) ]
+          (Shell.current s <> None));
+    QCheck_alcotest.to_alcotest qcheck_parse_fuzz ]

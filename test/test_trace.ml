@@ -453,7 +453,7 @@ let test_recovery_observer () =
   in
   let captured = ref None in
   let report =
-    Recovery.check ~cycles:100 ~settle:30 net
+    Recovery.check (Recovery.golden_run ~cycles:100 ~settle:30 net)
       ~observer:(fun eng -> captured := Some (Tracer.attach eng))
       ~faults:[ Fault.flip_bit ~channel:bus ~cycle:5 3 ]
   in
