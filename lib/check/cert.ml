@@ -138,7 +138,3 @@ let pp_step ppf s =
     s.lemma
     (List.length s.added_nodes)
     (List.length s.removed_nodes)
-
-let pp ppf t =
-  Fmt.pf ppf "certificate: %d step(s)@." (length t);
-  List.iteri (fun i s -> Fmt.pf ppf "  %2d. %a@." (i + 1) pp_step s) t.steps

@@ -93,5 +93,3 @@ val recorded : builder -> int
 val certificate : builder -> t
 
 val pp_step : Format.formatter -> step -> unit
-
-val pp : Format.formatter -> t -> unit

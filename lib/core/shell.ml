@@ -430,6 +430,18 @@ let int_arg what v =
   | Some i -> Ok i
   | None -> Error (Fmt.str "%s must be an integer, got %S" what v)
 
+(* Every cycle count of a command line goes through here. *)
+let cycles_arg v =
+  Result.bind (int_arg "cycles" v) (fun c ->
+      if c < 0 then Error (Fmt.str "cycles must be >= 0, got %d" c) else Ok c)
+
+(* The optional trailing cycle count of command [cmd]: [default]
+   without one, a usage error on extra words. *)
+let opt_cycles ?(default = 200) cmd = function
+  | [] -> Ok default
+  | [ n ] -> cycles_arg n
+  | _ -> Error (Fmt.str "usage: %s [cycles]" cmd)
+
 let inject_usage =
   "usage: inject <channel> flip <cycle> <bit> | inject <channel> \
    drop|dup|glitch <cycle> | inject <channel> stall <cycle> [duration] | \
@@ -652,7 +664,7 @@ let campaign_cmd s net kind rest =
       let* count = int_arg "count" cnt in
       let* seed = int_arg "seed" seed in
       let* cycles =
-        match tail with [ c ] -> int_arg "cycles" c | _ -> Ok 300
+        match tail with [ c ] -> cycles_arg c | _ -> Ok 300
       in
       Ok
         (Campaign.random_bitflips ~net ~channel ~seed ~count ~from_cycle:2
@@ -662,7 +674,7 @@ let campaign_cmd s net kind rest =
       let* count = int_arg "count" cnt in
       let* seed = int_arg "seed" seed in
       let* cycles =
-        match tail with [ c ] -> int_arg "cycles" c | _ -> Ok 300
+        match tail with [ c ] -> cycles_arg c | _ -> Ok 300
       in
       Ok
         (Campaign.random_storm ~net ~seed ~count ~from_cycle:2
@@ -689,6 +701,7 @@ let rec execute_cmd s line =
     String.split_on_char ' ' (String.trim line)
     |> List.filter (fun w -> w <> "")
   in
+  let ( let* ) = Result.bind in
   match words with
   | [] | "#" :: _ -> Ok ""
   | [ "help" ] -> Ok help
@@ -851,11 +864,7 @@ let rec execute_cmd s line =
                  r.Speculation.shared r.Speculation.mux)))
   | "stats" :: rest ->
     with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [ n ] -> Option.value (int_of_string_opt n) ~default:200
-          | _ -> 200
-        in
+        let* cycles = opt_cycles "stats" rest in
         catch (fun () ->
             let eng = sim_engine s net in
             Elastic_sim.Engine.run eng cycles;
@@ -863,11 +872,7 @@ let rec execute_cmd s line =
                   (Elastic_sim.Stats.collect eng))))
   | "profile" :: rest ->
     with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [ n ] -> Option.value (int_of_string_opt n) ~default:200
-          | _ -> 200
-        in
+        let* cycles = opt_cycles "profile" rest in
         catch (fun () ->
             let eng = sim_engine s net in
             (* Allocation of the whole run, read around it: the engine
@@ -894,33 +899,25 @@ let rec execute_cmd s line =
                  (Elastic_sim.Engine.profile eng))))
   | "metrics" :: "prom" :: file :: rest ->
     with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [] -> Ok 200
-          | [ n ] -> int_arg "cycles" n
-          | _ -> Error "usage: metrics prom <file> [cycles]"
-        in
-        match cycles with
-        | Error m -> Error m
-        | Ok cycles ->
-          catch (fun () ->
-              let eng, sampler = sampled_run s net cycles in
-              let text =
-                Metr.Prometheus.render (Metr.Sampler.sample sampler eng)
-              in
-              let oc = open_out file in
-              output_string oc text;
-              close_out oc;
-              Ok (Fmt.str "wrote %s (%d cycles)" file cycles)))
+        let* cycles = opt_cycles "metrics prom <file>" rest in
+        catch (fun () ->
+            let eng, sampler = sampled_run s net cycles in
+            let text =
+              Metr.Prometheus.render (Metr.Sampler.sample sampler eng)
+            in
+            let oc = open_out file in
+            output_string oc text;
+            close_out oc;
+            Ok (Fmt.str "wrote %s (%d cycles)" file cycles)))
   | "metrics" :: "jsonl" :: file :: rest ->
     with_net s (fun net ->
         let args =
           match rest with
           | [] -> Ok (200, 50)
           | [ n ] ->
-            Result.map (fun c -> (c, 50)) (int_arg "cycles" n)
+            Result.map (fun c -> (c, 50)) (cycles_arg n)
           | [ n; w ] ->
-            Result.bind (int_arg "cycles" n) (fun c ->
+            Result.bind (cycles_arg n) (fun c ->
                 Result.map (fun w -> (c, w)) (int_arg "window" w))
           | _ -> Error "usage: metrics jsonl <file> [cycles] [window]"
         in
@@ -947,30 +944,22 @@ let rec execute_cmd s line =
                    cycles !rows window)))
   | "metrics" :: rest ->
     with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [] -> Ok 200
-          | [ n ] -> int_arg "cycles" n
-          | _ -> Error "usage: metrics [cycles]"
-        in
-        match cycles with
-        | Error m -> Error m
-        | Ok cycles ->
-          catch (fun () ->
-              let eng, sampler = sampled_run s net cycles in
-              Ok
-                (Fmt.str "# simulated %d cycles@.%s" cycles
-                   (Metr.Prometheus.render
-                      (Metr.Sampler.sample sampler eng)))))
+        let* cycles = opt_cycles "metrics" rest in
+        catch (fun () ->
+            let eng, sampler = sampled_run s net cycles in
+            Ok
+              (Fmt.str "# simulated %d cycles@.%s" cycles
+                 (Metr.Prometheus.render
+                    (Metr.Sampler.sample sampler eng)))))
   | "watch" :: rest ->
     with_net s (fun net ->
         let args =
           match rest with
           | [] -> Ok (200, 50)
           | [ n ] ->
-            Result.map (fun c -> (c, 50)) (int_arg "cycles" n)
+            Result.map (fun c -> (c, 50)) (cycles_arg n)
           | [ n; w ] ->
-            Result.bind (int_arg "cycles" n) (fun c ->
+            Result.bind (cycles_arg n) (fun c ->
                 Result.map (fun w -> (c, w)) (int_arg "every" w))
           | _ -> Error "usage: watch [cycles] [every]"
         in
@@ -1115,73 +1104,45 @@ let rec execute_cmd s line =
        jsonl <file> | spans chrome <file> | spans folded <file>"
   | "vcd" :: file :: rest ->
     with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [] -> Ok 200
-          | [ n ] -> int_arg "cycles" n
-          | _ -> Error "usage: vcd <file> [cycles]"
-        in
-        match cycles with
-        | Error m -> Error m
-        | Ok cycles ->
-          catch (fun () ->
-              let eng = sim_engine s net in
-              let rc = Elastic_trace.Vcd.create net in
-              Elastic_sim.Engine.add_observer eng
-                (Elastic_trace.Vcd.observe rc);
-              Elastic_sim.Engine.run eng cycles;
-              Elastic_trace.Vcd.save file rc;
-              Ok
-                (Fmt.str "wrote %s (%d cycles, %d channels)" file cycles
-                   (List.length (Netlist.channels net)))))
+        let* cycles = opt_cycles "vcd <file>" rest in
+        catch (fun () ->
+            let eng = sim_engine s net in
+            let rc = Elastic_trace.Vcd.create net in
+            Elastic_sim.Engine.add_observer eng
+              (Elastic_trace.Vcd.observe rc);
+            Elastic_sim.Engine.run eng cycles;
+            Elastic_trace.Vcd.save file rc;
+            Ok
+              (Fmt.str "wrote %s (%d cycles, %d channels)" file cycles
+                 (List.length (Netlist.channels net)))))
   | [ "vcd" ] -> Error "usage: vcd <file> [cycles]"
   | "timeline" :: rest ->
     with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [] -> Ok 200
-          | [ n ] -> int_arg "cycles" n
-          | _ -> Error "usage: timeline [cycles]"
-        in
-        match cycles with
-        | Error m -> Error m
-        | Ok cycles ->
-          catch (fun () ->
-              let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
-              let tr = Elastic_trace.Tracer.attach eng in
-              s.tracer <- Some tr;
-              Elastic_sim.Engine.run eng cycles;
-              match
-                Elastic_trace.Timeline.analyze
-                  (Elastic_trace.Tracer.events tr)
-              with
-              | [] -> Ok "no speculation schedulers in the design"
-              | tls ->
-                Ok (Fmt.str "%a" (Elastic_trace.Timeline.pp net) tls)))
+        let* cycles = opt_cycles "timeline" rest in
+        catch (fun () ->
+            let eng = Elastic_sim.Engine.create ~mode:s.eval_mode net in
+            let tr = Elastic_trace.Tracer.attach eng in
+            s.tracer <- Some tr;
+            Elastic_sim.Engine.run eng cycles;
+            match
+              Elastic_trace.Timeline.analyze
+                (Elastic_trace.Tracer.events tr)
+            with
+            | [] -> Ok "no speculation schedulers in the design"
+            | tls ->
+              Ok (Fmt.str "%a" (Elastic_trace.Timeline.pp net) tls)))
   | "attribute" :: rest ->
     with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [] -> Ok 200
-          | [ n ] -> int_arg "cycles" n
-          | _ -> Error "usage: attribute [cycles]"
-        in
-        match cycles with
-        | Error m -> Error m
-        | Ok cycles ->
-          catch (fun () ->
-              let eng = sim_engine s net in
-              Elastic_sim.Engine.run eng cycles;
-              Ok
-                (Fmt.str "%a" Elastic_trace.Attribution.pp
-                   (Elastic_trace.Attribution.analyze eng))))
+        let* cycles = opt_cycles "attribute" rest in
+        catch (fun () ->
+            let eng = sim_engine s net in
+            Elastic_sim.Engine.run eng cycles;
+            Ok
+              (Fmt.str "%a" Elastic_trace.Attribution.pp
+                 (Elastic_trace.Attribution.analyze eng))))
   | "trace" :: rest ->
     with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [ n ] -> Option.value (int_of_string_opt n) ~default:8
-          | _ -> 8
-        in
+        let* cycles = opt_cycles ~default:8 "trace" rest in
         catch (fun () ->
             let eng = sim_engine s net in
             let cell (sg : Signal.t) =
@@ -1219,11 +1180,7 @@ let rec execute_cmd s line =
                     rows))))
   | "throughput" :: rest ->
     with_net s (fun net ->
-        let cycles =
-          match rest with
-          | [ n ] -> Option.value (int_of_string_opt n) ~default:200
-          | _ -> 200
-        in
+        let* cycles = opt_cycles "throughput" rest in
         catch (fun () -> Ok (throughput_report s net cycles)))
   | [ "cycletime" ] ->
     with_net s (fun net ->

@@ -6,10 +6,6 @@ type t = {
   data : Value.t option;
 }
 
-let idle =
-  { v_plus = false; s_plus = false; v_minus = false; s_minus = false;
-    data = None }
-
 let equal a b =
   a.v_plus = b.v_plus && a.s_plus = b.s_plus && a.v_minus = b.v_minus
   && a.s_minus = b.s_minus && Option.equal Value.equal a.data b.data

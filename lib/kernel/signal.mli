@@ -28,9 +28,6 @@ type t = {
   data : Value.t option;  (** [Some _] exactly when [v_plus]. *)
 }
 
-(** A channel on which nothing is happening. *)
-val idle : t
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

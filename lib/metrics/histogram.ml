@@ -223,10 +223,3 @@ let s_of_json j =
     else
       Ok { s_counts = trimmed counts; sn_count = count; sn_sum = sum;
            sn_min = mn; sn_max = mx }
-
-let pp ppf t =
-  if t.count = 0 then Fmt.pf ppf "empty"
-  else
-    Fmt.pf ppf "n=%d mean=%.2f min=%d p50=%d p90=%d p99=%d max=%d" t.count
-      (mean t) (min_value t) (quantile t 0.5) (quantile t 0.9)
-      (quantile t 0.99) (max_value t)

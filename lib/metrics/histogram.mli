@@ -80,5 +80,3 @@ val s_to_json : snapshot -> Json.t
 (** Rejects malformed input (bad bucket indices, counts that do not sum
     to [count]) with a message instead of producing a corrupt state. *)
 val s_of_json : Json.t -> (snapshot, string) result
-
-val pp : Format.formatter -> t -> unit

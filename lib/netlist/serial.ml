@@ -311,57 +311,58 @@ let parse_kind words =
 let parse text =
   let lines =
     String.split_on_char '\n' text
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+    |> List.mapi (fun i l -> (i + 1, String.trim l))
+    |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
   in
   try
     match lines with
     | [] -> Error "empty file"
-    | header :: rest ->
+    | (n, header) :: rest ->
       if not (String.equal header "elastic-netlist v1") then
-        fail "bad header %S" header;
+        fail "line %d: bad header %S" n header;
       let id_map = Hashtbl.create 16 in
+      let read net line =
+        let words =
+          String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
+        in
+        match words with
+        | "node" :: id :: name :: kind_words ->
+          let kind = parse_kind kind_words in
+          let id = int_of_string id in
+          if Hashtbl.mem id_map id then fail "duplicate node id %d" id;
+          let net, fresh = Netlist.add_node ~name:(unescape name) net kind in
+          Hashtbl.replace id_map id fresh;
+          net
+        | [ "chan"; name; src; sport; dst; dport; width ] ->
+          let resolve id =
+            match Hashtbl.find_opt id_map (int_of_string id) with
+            | Some n -> n
+            | None -> fail "channel references unknown node %s" id
+          in
+          let net, _ =
+            Netlist.connect ~name:(unescape name) ~width:(int_of_string width)
+              net
+              (resolve src, parse_port sport)
+              (resolve dst, parse_port dport)
+          in
+          net
+        | w :: _ -> fail "unknown line kind %S" w
+        | [] -> net
+      in
+      (* Every error raised while reading a line names it, 1-based in
+         [text]. *)
       let net =
         List.fold_left
-          (fun net line ->
-             let words =
-               String.split_on_char ' ' line
-               |> List.filter (fun w -> w <> "")
-             in
-             match words with
-             | "node" :: id :: name :: kind_words ->
-               let kind = parse_kind kind_words in
-               let id = int_of_string id in
-               if Hashtbl.mem id_map id then fail "duplicate node id %d" id;
-               let net, fresh =
-                 Netlist.add_node ~name:(unescape name) net kind
-               in
-               Hashtbl.replace id_map id fresh;
-               net
-             | [ "chan"; name; src; sport; dst; dport; width ] ->
-               let resolve id =
-                 match Hashtbl.find_opt id_map (int_of_string id) with
-                 | Some n -> n
-                 | None -> fail "channel references unknown node %s" id
-               in
-               let net, _ =
-                 Netlist.connect ~name:(unescape name)
-                   ~width:(int_of_string width) net
-                   (resolve src, parse_port sport)
-                   (resolve dst, parse_port dport)
-               in
-               net
-             | w :: _ -> fail "unknown line kind %S" w
-             | [] -> net)
+          (fun net (n, line) ->
+             try read net line with
+             | Parse m | Failure m | Invalid_argument m ->
+               fail "line %d: %s" n m)
           Netlist.empty rest
       in
       (match Netlist.validate net with
        | [] -> Ok net
        | ps -> Error ("loaded netlist invalid: " ^ String.concat "; " ps))
-  with
-  | Parse m -> Error m
-  | Failure m -> Error m
-  | Invalid_argument m -> Error m
+  with Parse m | Failure m | Invalid_argument m -> Error m
 
 let save path net =
   let oc = open_out path in

@@ -22,8 +22,10 @@ val write : Format.formatter -> Netlist.t -> unit
 
 val to_string : Netlist.t -> string
 
-(** [parse text] rebuilds the netlist; [Error] carries the offending line
-    and reason. *)
+(** [parse text] rebuilds the netlist.  An [Error] raised while reading a
+    line starts with ["line N: "], [N] counting from 1 in [text] with
+    blank and [#] lines included, and gives the reason; a netlist that
+    reads but fails {!Netlist.validate} is reported as such. *)
 val parse : string -> (Netlist.t, string) result
 
 val save : string -> Netlist.t -> unit

@@ -57,10 +57,6 @@ let check t shard =
       (Fmt.str "Progress: shard %d out of range [0, %d)" shard
          (Array.length t.p_slots))
 
-let shard_id t i =
-  check t i;
-  t.p_ids.(i)
-
 let start_shard t ~shard ~worker ~attempt =
   check t shard;
   let s = t.p_slots.(shard) in
@@ -99,10 +95,6 @@ let adopt t ~shard samples =
 let state t i =
   check t i;
   t.p_slots.(i).s_state
-
-let attempts t i =
-  check t i;
-  t.p_slots.(i).s_attempts
 
 let last_beat_ns t i =
   check t i;

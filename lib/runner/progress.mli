@@ -52,8 +52,6 @@ val shards : t -> int
 
 val clock : t -> Elastic_sim.Clock.t
 
-val shard_id : t -> int -> string
-
 (** {1 Writer side (the executing worker)} *)
 
 (** Marks the shard [Running], records worker/attempt and beats. *)
@@ -79,8 +77,6 @@ val adopt : t -> shard:int -> Elastic_metrics.Metrics.sample list -> unit
 (** {1 Reader side (telemetry)} *)
 
 val state : t -> int -> state
-
-val attempts : t -> int -> int
 
 (** Last heartbeat, [0L] before the first. *)
 val last_beat_ns : t -> int -> int64

@@ -74,7 +74,6 @@ let max_passes t = t.max_passes
 
 let last_passes t = t.last_passes
 
-let node_evals t i = t.per_node.(i)
 
 (* Settle-pass histogram, ascending by pass count. *)
 let pass_histogram t =

@@ -69,9 +69,6 @@ val max_passes : t -> int
     read by per-cycle observers such as [Elastic_metrics.Sampler]. *)
 val last_passes : t -> int
 
-(** Cumulative eval calls of one dense node index. *)
-val node_evals : t -> int -> int
-
 (** [(passes, cycles)] pairs, ascending: how many cycles needed each
     pass count. *)
 val pass_histogram : t -> (int * int) list

@@ -191,8 +191,6 @@ let observe r eng =
   end;
   r.n_cycles <- r.n_cycles + 1
 
-let cycles r = r.n_cycles
-
 let contents r =
   (* Close the waveform at the final time so viewers show the last
      cycle's extent; emitted on read, not accumulated. *)

@@ -29,9 +29,6 @@ val create : Netlist.t -> recorder
 (** Observer body: dump the elapsed cycle's value changes. *)
 val observe : recorder -> Engine.t -> unit
 
-(** Cycles recorded so far. *)
-val cycles : recorder -> int
-
 (** The complete VCD document (header + change dump so far). *)
 val contents : recorder -> string
 

@@ -206,6 +206,28 @@ let suite =
         | Error m ->
           Alcotest.(check bool) "says duplicate" true
             (contains m "duplicate"));
+    Alcotest.test_case "errors name the offending line" `Quick (fun () ->
+        (* Lines count from 1 in the text, blank and comment lines
+           included. *)
+        let rejects text want =
+          match Serial.parse text with
+          | Ok _ -> Alcotest.failf "accepted %S" text
+          | Error m -> Alcotest.(check string) "message" want m
+        in
+        rejects "nonsense\nnode 0 s sink ready\n"
+          "line 1: bad header \"nonsense\"";
+        rejects
+          "elastic-netlist v1\nnode 0 a source counter 0 1\n\n\
+           # b reuses a's id\nnode 0 b sink ready\n"
+          "line 5: duplicate node id 0";
+        rejects
+          "elastic-netlist v1\nnode 0 s source counter 0 1\n\
+           # 99 is never declared\nchan a 0 out0 99 in0 8\n"
+          "line 4: channel references unknown node 99";
+        rejects
+          "elastic-netlist v1\n# a word where the id goes\n\
+           node zero s source counter 0 1\n"
+          "line 3: int_of_string");
     Alcotest.test_case "shell save/open round-trips a design" `Quick
       (fun () ->
         let s = Shell.create () in

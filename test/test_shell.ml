@@ -150,6 +150,22 @@ let suite =
           (Helpers.contains tr "-");
         Alcotest.(check bool) "trace shows tokens" true
           (Helpers.contains tr "A"));
+    Alcotest.test_case "cycle counts are checked" `Quick (fun () ->
+        let s = Shell.create () in
+        let _ = exec s "load table1" in
+        List.iter
+          (fun cmd ->
+             let rejects args want =
+               let line = cmd ^ " " ^ args in
+               Alcotest.(check string) line want (expect_error s line)
+             in
+             rejects "abc" "cycles must be an integer, got \"abc\"";
+             rejects "5 6" (Fmt.str "usage: %s [cycles]" cmd);
+             rejects "-5" "cycles must be >= 0, got -5")
+          [ "stats"; "profile"; "trace"; "throughput"; "metrics"; "timeline";
+            "attribute" ];
+        Alcotest.(check string) "watch" "cycles must be >= 0, got -5"
+          (expect_error s "watch -5 10"));
     Alcotest.test_case "profile reports minor words per cycle" `Quick
       (fun () ->
         let s = Shell.create () in
