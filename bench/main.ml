@@ -1252,6 +1252,18 @@ let bechamel_suite () =
 (* actually faster; a speedup under the (deliberately conservative)     *)
 (* floor means the flat hot path regressed.                             *)
 
+(* Floor for the --check gate: the arena once had to beat the
+   record-based levelized scheduler by 3x, and the reference fixpoint
+   settled 2-3x slower than that scheduler (E9's own best-of-5
+   measurement), so 3 x 2 = 6x over the reference kept the old floor at
+   the low end of that ratio.  Since the reference evaluates the
+   exported [Control] tables it settles about 1.2x slower (best-of runs
+   of E9, quick and full mode), so the floor rose by that ratio to
+   7.2x: the arena must stay as far ahead of the old reference as
+   before.  Anything under it means the arena hot path regressed, not
+   that the machine was busy. *)
+let e9_floor = 7.2
+
 let json_e9 ~cycles () =
   let measure mode net =
     (* Best of a few fresh engines: the minimum settle time is the one
@@ -1286,18 +1298,12 @@ let json_e9 ~cycles () =
         ("arena_cycles_per_second", Json.Float (float_of_int cycles /. ta));
         ("arena_speedup", Json.Float speedup);
         ("arena_matches_reference", Json.Bool matches);
-        (* Floor for the --check gate: the arena once had to beat the
-           record-based levelized scheduler by 3x, and the reference
-           fixpoint settled 2-3x slower than that scheduler (E9's own
-           best-of-5 measurement), so 3 x 2 = 6x over the reference
-           keeps the old floor at the low end of that ratio.  Measured
-           speedups sit around 7.5-12.5x; anything under 6x means the
-           arena hot path regressed, not that the machine was busy. *)
-        ("speedup_ok", Json.Bool (speedup >= 6.0)) ],
+        ("speedup_ok", Json.Bool (speedup >= e9_floor)) ],
       claim matches "arena_matches_reference"
         "arena run diverged from the reference run"
-      @ claim (speedup >= 6.0) "speedup_ok"
-          (Fmt.str "arena speedup below the 6x floor (%gx)" speedup) )
+      @ claim (speedup >= e9_floor) "speedup_ok"
+          (Fmt.str "arena speedup below the %gx floor (%gx)" e9_floor
+             speedup) )
   in
   let n = cycles / 2 in
   let designs, failed =

@@ -5,11 +5,14 @@
     their reset values, and the environment inputs the control
     abstraction leaves free (source offers, sink stalls, multiplexor
     select values, shared-module predictions, variable-latency outcomes).
-    {!Blif}, {!Smv} and {!Verilog} print these tables; the BLIF
-    co-simulation tests check them bit for bit against the simulator, so
-    all three exports inherit that check.  The simulator's own
-    controllers (the reference evaluator and the arena) are written
-    independently and serve as the oracle.
+    {!Blif}, {!Smv} and {!Verilog} print these tables, and the
+    simulator's Reference backend evaluates them ([Instance.evaluator]).
+    The arena backend, which the engine runs by default, codes the same
+    controllers a second time, by hand; the differential tests run it
+    in lockstep with the Reference and the BLIF co-simulation checks the
+    printed gates bit for bit, so all three exports inherit both checks.
+    The emission order of inputs and registers is part of the contract:
+    the Reference binds them to node state in that order.
 
     State is one-hot encoded in boolean registers: an EB's signed
     occupancy -2..2 in five bits, fork and early-multiplexor anti-token

@@ -1,21 +1,21 @@
 (* Flat-arena evaluator for the combinational phase of a cycle.
 
-   The record representation ([Wires] + [Instance.eval]), which the
-   reference fixpoint runs on, walks per-channel records of
-   [bool option] fields and allocates options/arrays on the hot settle
-   path.  This module compiles the levelized schedule ([Schedule]) onto
-   preallocated flat arrays: channel ids index packed integer control
-   words, node ids index flat port/instruction arrays, and the settle
-   loop is a tight int loop with no per-field closures or record
-   allocation.
+   The Reference backend evaluates each node's [Control.table] (the
+   equations the exports print) over per-channel records of
+   [bool option] fields ([Wires] + [Instance.evaluator]).  This module
+   is the second, independent coding of the same controllers: it
+   compiles the levelized schedule ([Schedule]) onto preallocated flat
+   arrays: channel ids index packed integer control words, node ids
+   index flat port/instruction arrays, and the settle loop is a tight
+   int loop with no per-field closures or record allocation.
 
    Correctness contract: the evaluation order, the dirty-set
    propagation (written wires walked most-recent-first, readers queued
    in array order) and the budgets are fixed, so eval counts, settle
    passes, traces and metrics must stay byte-identical to the committed
    goldens (test/*.expected).  The differential suite checks the arena
-   against the reference fixpoint, an independent oracle that reaches
-   the same unique fixed point.
+   against the reference fixpoint over the exported tables, an
+   independent oracle that reaches the same unique fixed point.
 
    Memory layout (see DESIGN.md §5e):
    - [ctrl.(c)]: four 2-bit Kleene codes packed per channel —
@@ -222,11 +222,11 @@ let create ~schedule ~profile ~cycle_evals ~nchan insts =
 (* Hot-path indices below are structural — compiled from the schedule
    at [create] and bounded by construction — so the accessors skip the
    bounds checks.  The one data-dependent index in the evaluator (the
-   mux select in [eval_emux]) keeps its check: the [Invalid_argument]
-   it raises on an out-of-range select is part of the error contract
-   shared with the record engine.  The write log cannot overflow: every
-   entry is guarded by a write-once test, so at most five writes per
-   channel fit the [5 * nchan + 8] buffer. *)
+   mux select in [eval_emux]) gets an explicit range check: the
+   [Instance.bad_select] error it raises on an out-of-range select is
+   part of the error contract shared with the Reference.  The write log
+   cannot overflow: every entry is guarded by a write-once test, so at
+   most five writes per channel fit the [5 * nchan + 8] buffer. *)
 
 let[@inline] get t c off = (Array.unsafe_get t.ctrl c lsr off) land 3
 
@@ -242,7 +242,7 @@ let[@inline] push_written t c =
 
 (* Write-once semantics of [Wires.set_bit]: an override replaces the
    written value; a first write logs progress; a contradicting re-write
-   raises the same [Wires.Conflict] the record engine raises (the field
+   raises the same [Wires.Conflict] the Reference raises (the field
    names must match for identical error rendering). *)
 let set_code t c off field code =
   let code =
@@ -299,7 +299,7 @@ let set_code2 t c off1 field1 code1 off2 field2 code2 =
 let[@inline] set_bool2 t c off1 f1 b1 off2 f2 b2 =
   set_code2 t c off1 f1 (code_of_bool b1) off2 f2 (code_of_bool b2)
 
-(* [put setter] of the record engine: write only once determined. *)
+(* Write only once determined, as the Reference does. *)
 let[@inline] kput t c off field code =
   if code <> 0 then set_code t c off field code
 
@@ -396,9 +396,10 @@ let copy_data t src dst =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Node evaluation: line-for-line transcriptions of the [Instance]
-   eval equations onto packed codes.  Write order is preserved — it
-   drives the written log, hence dirty propagation, hence eval counts. *)
+(* Node evaluation: each controller's equations, hand-written onto
+   packed codes.  They compute what the node's [Control.table] states,
+   in the write order the goldens lock — it drives the written log,
+   hence dirty propagation, hence eval counts. *)
 
 (* The paired writes below reorder only writes of the same wire (the
    log dedups per wire, so propagation is unchanged) and never writes
@@ -565,10 +566,11 @@ let eval_emux t i (st : Instance.emux_state) =
     else (false, 0)
   in
   let q = st.Instance.q in
+  if sv_known && (sv < 0 || sv >= Array.length q) then Instance.bad_select sv;
   let v_out =
     if sel_v = 2 then 2
     else if sv_known then
-      (if q.(sv) > 0 then 2 else get t (in_w t i sv) vp)
+      (if Array.unsafe_get q sv > 0 then 2 else get t (in_w t i sv) vp)
     else 0
   in
   kput t out vp "V+" v_out;

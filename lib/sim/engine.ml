@@ -43,9 +43,10 @@ let mode_of_string s =
 
 let default_mode = Arena
 
-(* The combinational-phase store: Reference's [Wires] records or the
-   arena's packed codes.  An arena engine never builds a [Wires] store. *)
-type backend = Reference of Wires.t | Arena of Arena.t
+(* The combinational-phase store: Reference's [Wires] records, with each
+   node's compiled [Control.table] evaluator, or the arena's packed
+   codes.  An arena engine builds neither a [Wires] store nor a table. *)
+type backend = Reference of Wires.t * (unit -> unit) array | Arena of Arena.t
 
 type snap = {
   sn_cycle : int;
@@ -227,7 +228,9 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
       Arena
         (Arena.create ~schedule ~profile ~cycle_evals
            ~nchan:(Array.length chans) insts)
-    | Reference -> Reference (Wires.create (Array.length chans))
+    | Reference ->
+      let ws = Wires.create (Array.length chans) in
+      Reference (ws, Array.map (Instance.evaluator ws) insts)
   in
   let codes = Array.make (Array.length chans) 0 in
   let data_at =
@@ -235,7 +238,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     | Arena ar ->
       fun i ->
         if codes.(i) land Signal.v_plus_bit = 0 then None else Arena.data ar i
-    | Reference ws ->
+    | Reference (ws, _) ->
       fun i ->
         if codes.(i) land Signal.v_plus_bit = 0 then None
         else Wires.data (Wires.wire ws i)
@@ -303,14 +306,13 @@ let invariant_error t ~node e =
     (Fmt.str "node invariant violated during evaluation: %s"
        (Printexc.to_string e))
 
-let eval_node t ws i =
-  let inst = t.insts.(i) in
+let eval_node t evals i =
   Profile.note_eval t.profile i;
   t.cycle_evals.(i) <- t.cycle_evals.(i) + 1;
-  try Instance.eval ws inst with
+  try evals.(i) () with
   | Wires.Conflict { wire; field } -> conflict_error t ~wire ~field
   | (Assert_failure _ | Invalid_argument _) as e ->
-    invariant_error t ~node:(Instance.node inst).Netlist.id e
+    invariant_error t ~node:(Instance.node t.insts.(i)).Netlist.id e
 
 (* Name the channels whose wires changed during the final pass — the
    diff of the last two passes is exactly the non-converging set.
@@ -320,7 +322,7 @@ let non_convergence_error t ~passes =
   let written =
     match t.backend with
     | Arena ar -> Arena.written_channels ar
-    | Reference ws -> Wires.written ws
+    | Reference (ws, _) -> Wires.written ws
   in
   let changing = List.sort_uniq compare written in
   let names =
@@ -342,11 +344,11 @@ let non_convergence_error t ~passes =
              passes
              (String.concat ", " names))))
 
-let fixpoint t ws =
+let fixpoint t ws evals =
   let rec go pass =
     Wires.clear_progress ws;
     for i = 0 to Array.length t.insts - 1 do
-      eval_node t ws i
+      eval_node t evals i
     done;
     if Wires.progress ws then
       if pass >= t.max_passes then
@@ -359,7 +361,7 @@ let check_determined t =
   let unknown =
     match t.backend with
     | Arena ar -> Arena.unknown_count ar
-    | Reference ws -> Wires.unknown_count ws
+    | Reference (ws, _) -> Wires.unknown_count ws
   in
   if unknown > 0 then begin
     let undetermined =
@@ -367,7 +369,7 @@ let check_determined t =
       |> List.filteri (fun i _ ->
           match t.backend with
           | Arena ar -> Arena.undetermined ar i
-          | Reference ws ->
+          | Reference (ws, _) ->
             let w = Wires.wire ws i in
             Wires.v_plus w = None || Wires.s_plus w = None
             || Wires.v_minus w = None || Wires.s_minus w = None)
@@ -408,7 +410,7 @@ let install_overrides t =
   if t.overrides_active then begin
     (match t.backend with
      | Arena ar -> Arena.clear_overrides ar
-     | Reference ws -> Wires.clear_overrides ws);
+     | Reference (ws, _) -> Wires.clear_overrides ws);
     t.overrides_active <- false
   end;
   match t.injector with
@@ -424,7 +426,7 @@ let install_overrides t =
          | Some ov ->
            (match t.backend with
             | Arena ar -> Arena.set_override ar i ov
-            | Reference ws -> Wires.set_override ws i ov);
+            | Reference (ws, _) -> Wires.set_override ws i ov);
            t.overrides_active <- true;
            if log then t.injected_rev <- i :: t.injected_rev
          | None -> ())
@@ -459,7 +461,7 @@ let step ?(choices = fun _ -> None) t =
   check_cycle_budget t;
   (match t.backend with
    | Arena ar -> Arena.reset ar
-   | Reference ws -> Wires.reset ws);
+   | Reference (ws, _) -> Wires.reset ws);
   t.injected_rev <- [];
   install_overrides t;
   for k = 0 to Array.length t.insts - 1 do
@@ -470,7 +472,7 @@ let step ?(choices = fun _ -> None) t =
   let t0 = t.clock () in
   (match t.backend with
    | Arena ar -> settle_arena t ar
-   | Reference ws -> fixpoint t ws);
+   | Reference (ws, evals) -> fixpoint t ws evals);
   (* Stop the settle timer before the determinism check and pass fold so
      the recorded seconds cover only the settle phase itself — the E9
      speedup record compares backends on this number. *)
@@ -486,7 +488,7 @@ let step ?(choices = fun _ -> None) t =
   let codes = t.codes in
   (match t.backend with
    | Arena ar -> Arena.fill_codes ar codes
-   | Reference ws ->
+   | Reference (ws, _) ->
      for i = 0 to n - 1 do
        codes.(i) <- Wires.code (Wires.wire ws i)
      done);

@@ -67,14 +67,16 @@ type t
 
     [Reference] is the original blind fixpoint over the {!Wires}
     records — every node is re-evaluated in every pass until no wire
-    changes.  It is kept as the independent oracle for differential
-    testing: both modes reach the same unique fixed point (node
-    equations are monotone over the 3-valued wires), so traces, sink
-    streams and errors agree; only eval counts differ.
+    changes — and evaluates each node's {!Control.table}, the equations
+    the BLIF, SMV and Verilog exports print, compiled once per engine
+    ({!Instance.evaluator}).  It is kept as the independent oracle for
+    differential testing: both modes reach the same unique fixed point
+    (node equations are monotone over the 3-valued wires), so traces,
+    sink streams and errors agree; only eval counts differ.
 
     An engine holds exactly one of the two stores: an [Arena] engine
-    never builds a {!Wires} store, and a [Reference] engine builds no
-    arena.  Both read each node's ports from the same dense channel
+    never builds a {!Wires} store or an equation table, and a
+    [Reference] engine builds no arena.  Both read each node's ports from the same dense channel
     indices in {!Instance}. *)
 type eval_mode = Reference | Arena
 

@@ -4,28 +4,6 @@ open Elastic_netlist
 
 type choice = Offer of bool | Stall of bool | Predict of int
 
-(* Kleene three-valued logic over [bool option]: a bit is [None] until the
-   fixed point determines it.  All node equations below are monotone in
-   this logic, which guarantees the engine's fixed point exists. *)
-let k_not = Option.map not
-
-let k_and a b =
-  match a, b with
-  | Some false, _ | _, Some false -> Some false
-  | Some true, Some true -> Some true
-  | (None | Some true), (None | Some true) -> None
-
-let k_or a b =
-  match a, b with
-  | Some true, _ | _, Some true -> Some true
-  | Some false, Some false -> Some false
-  | (None | Some false), (None | Some false) -> None
-
-let k_and_array = Array.fold_left k_and (Some true)
-
-(* Write a wire bit once its value is determined. *)
-let put setter ws w = function Some b -> setter ws w b | None -> ()
-
 type source_state = {
   sspec : Netlist.source_spec;
   svals : Value.t array;
@@ -208,15 +186,6 @@ let source_begin st ~choice =
   (* Retry+ persistence: a stalled token must stay offered. *)
   st.offering <- have && (st.retry || fresh_offer)
 
-let source_eval ws t st =
-  let out = Wires.wire ws t.outs.(0) in
-  Wires.set_v_plus ws out st.offering;
-  if st.offering then (
-    match source_peek st with
-    | Some v -> Wires.set_data ws out v
-    | None -> assert false);
-  Wires.set_s_minus ws out false
-
 (* The clock edge reads the elapsed cycle's raw control codes, indexed
    by dense channel index, and asks [data] for a payload only when a
    token actually moves. *)
@@ -249,11 +218,6 @@ let sink_begin st ~choice =
            Array.length p > 0 && p.(st.cyc mod Array.length p)
          | Netlist.Random_stall { pct; _ } -> Rng.percent st.krng pct))
 
-let sink_eval ws t st =
-  let inw = Wires.wire ws t.ins.(0) in
-  Wires.set_s_plus ws inw st.stalling;
-  Wires.set_v_minus ws inw false
-
 let sink_clock st =
   match st.kspec with
   | Netlist.Stall_pattern p ->
@@ -264,16 +228,6 @@ let sink_clock st =
 (* Standard elastic buffer: Lf = 1, Lb = 1, C = 2 (Fig. 2(a)/Fig. 3).  *)
 (* State is a signed count [n]: n > 0 stores tokens (with data), n < 0 *)
 (* stores anti-tokens.  All outputs are functions of registers only.   *)
-
-let eb_eval ws t st =
-  let inw = Wires.wire ws t.ins.(0) and out = Wires.wire ws t.outs.(0) in
-  Wires.set_s_plus ws inw (st.n >= 2);
-  Wires.set_v_minus ws inw (st.n < 0);
-  Wires.set_v_plus ws out (st.n > 0);
-  (match st.queue with
-   | v :: _ when st.n > 0 -> Wires.set_data ws out v
-   | _ :: _ | [] -> ());
-  Wires.set_s_minus ws out (st.n <= -2)
 
 let eb_clock t st ~codes ~data =
   let i = t.ins.(0) in
@@ -303,23 +257,6 @@ let eb_clock t st ~codes ~data =
 (* Zero-backward-latency EB: Lf = 1, Lb = 0, C = 1 (Fig. 5).  Stop and *)
 (* kill traverse the controller combinationally.                      *)
 
-let eb0_eval ws t st =
-  let inw = Wires.wire ws t.ins.(0) and out = Wires.wire ws t.outs.(0) in
-  Wires.set_v_plus ws out st.full;
-  if st.full then Wires.set_data ws out st.stored;
-  if st.full then begin
-    Wires.set_s_minus ws out false;
-    Wires.set_v_minus ws inw false;
-    (* Accept a new token exactly when the stored one is leaving. *)
-    let leaving = k_or (k_not (Wires.s_plus out)) (Wires.v_minus out) in
-    put Wires.set_s_plus ws inw (k_not leaving)
-  end
-  else begin
-    Wires.set_s_plus ws inw false;
-    put Wires.set_v_minus ws inw (Wires.v_minus out);
-    put Wires.set_s_minus ws out (Wires.s_minus inw)
-  end
-
 let eb0_clock t st ~codes ~data =
   let i = t.ins.(0) in
   let in_ev = events_at codes i and out_ev = events_at codes t.outs.(0) in
@@ -334,80 +271,7 @@ let eb0_clock t st ~codes ~data =
   else if tout then st.full <- false
 
 (* ------------------------------------------------------------------ *)
-(* Lazy join with a combinational function: used for [Func] nodes and  *)
-(* for plain (non-early) multiplexors.  Anti-tokens arriving at the    *)
-(* output fork backwards into every input, all-or-nothing.             *)
-
-let eval_join ws ~ins ~out ~data_fn =
-  let ins = Array.map (Wires.wire ws) ins and out = Wires.wire ws out in
-  let valids = Array.map Wires.v_plus ins in
-  let all_valid = k_and_array valids in
-  put Wires.set_v_plus ws out all_valid;
-  if all_valid = Some true then begin
-    let datas = Array.map Wires.data ins in
-    if Array.for_all Option.is_some datas then
-      Wires.set_data ws out
-        (data_fn (Array.to_list (Array.map Option.get datas)))
-  end;
-  let s_eff = k_and (Wires.s_plus out) (k_not (Wires.v_minus out)) in
-  let n = Array.length ins in
-  for i = 0 to n - 1 do
-    (* Stop input i unless every other input is valid and the output is
-       not (effectively) stopped. *)
-    let others = ref (Some true) in
-    for j = 0 to n - 1 do
-      if j <> i then others := k_and !others valids.(j)
-    done;
-    put Wires.set_s_plus ws ins.(i)
-      (k_not (k_and !others (k_not s_eff)))
-  done;
-  (* Backward anti-token fork: fires only when every input can consume
-     its copy in the same cycle (cancel against a waiting token, or pass
-     into an upstream that accepts it). *)
-  let consumable = ref (Some true) in
-  for i = 0 to n - 1 do
-    consumable :=
-      k_and !consumable
-        (k_or valids.(i) (k_not (Wires.s_minus ins.(i))))
-  done;
-  let anti_backward =
-    k_and
-      (k_and (Wires.v_minus out) (k_not (Wires.v_plus out)))
-      !consumable
-  in
-  for i = 0 to n - 1 do
-    put Wires.set_v_minus ws ins.(i) anti_backward
-  done;
-  put Wires.set_s_minus ws out
-    (k_and (k_not (Wires.v_plus out)) (k_not !consumable))
-
-(* ------------------------------------------------------------------ *)
 (* Eager fork with anti-token join.                                    *)
-
-let fork_eval ws t st =
-  let inw = Wires.wire ws t.ins.(0) in
-  let vin = Wires.v_plus inw in
-  let k = Array.length t.outs in
-  let completions = Array.make k (Some true) in
-  for i = 0 to k - 1 do
-    let out = Wires.wire ws t.outs.(i) in
-    let active = (not st.done_.(i)) && st.pend.(i) = 0 in
-    let v_out = if active then vin else Some false in
-    put Wires.set_v_plus ws out v_out;
-    if v_out = Some true then
-      (match Wires.data inw with
-       | Some v -> Wires.set_data ws out v
-       | None -> ());
-    Wires.set_s_minus ws out (st.pend.(i) >= 2);
-    let t_out =
-      k_and v_out (k_or (k_not (Wires.s_plus out)) (Wires.v_minus out))
-    in
-    completions.(i) <-
-      (if st.done_.(i) || st.pend.(i) > 0 then Some true else t_out)
-  done;
-  put Wires.set_s_plus ws inw (k_not (k_and_array completions));
-  let all_pending = Array.for_all (fun p -> p > 0) st.pend in
-  put Wires.set_v_minus ws inw (k_and (k_not vin) (Some all_pending))
 
 let fork_clock t st ~codes =
   let in_ev = events_at codes t.ins.(0) in
@@ -442,58 +306,6 @@ let fork_clock t st ~codes =
 (* queue depth), which over-approximates the paper's behavior and only *)
 (* matters if an upstream refuses anti-tokens indefinitely.            *)
 
-let emux_eval ws t st =
-  let wire = Wires.wire ws in
-  let sel = wire (Option.get t.sel) and out = wire t.outs.(0) in
-  let sel_v = Wires.v_plus sel in
-  let sv =
-    match sel_v, Wires.data sel with
-    | Some true, Some v -> Some (Value.to_int v)
-    | _ -> None
-  in
-  let v_out =
-    match sel_v, sv with
-    | Some false, _ -> Some false
-    | _, Some s ->
-      if st.q.(s) > 0 then Some false else Wires.v_plus (wire t.ins.(s))
-    | _, None -> None
-  in
-  put Wires.set_v_plus ws out v_out;
-  (match v_out, sv with
-   | Some true, Some s ->
-     (match Wires.data (wire t.ins.(s)) with
-      | Some v -> Wires.set_data ws out v
-      | None -> ())
-   | _ -> ());
-  let fire =
-    k_and v_out (k_or (k_not (Wires.s_plus out)) (Wires.v_minus out))
-  in
-  put Wires.set_s_plus ws sel (k_not fire);
-  (* The mux never kills its select stream. *)
-  Wires.set_v_minus ws sel false;
-  Array.iteri
-    (fun i c ->
-       let inw = wire c in
-       if st.q.(i) > 0 then begin
-         Wires.set_v_minus ws inw true;
-         Wires.set_s_plus ws inw false
-       end
-       else begin
-         let fresh_kill =
-           match sel_v, sv with
-           | Some false, _ -> Some false
-           | _, Some s -> if i = s then Some false else fire
-           | _, None -> None
-         in
-         put Wires.set_v_minus ws inw fresh_kill;
-         match sv with
-         | Some s when i = s -> put Wires.set_s_plus ws inw (k_not fire)
-         | Some _ | None -> put Wires.set_s_plus ws inw (k_not fresh_kill)
-       end)
-    t.ins;
-  (* Anti-tokens reaching the mux output wait for a token to cancel. *)
-  put Wires.set_s_minus ws out (k_not v_out)
-
 let emux_clock t st ~codes ~data =
   let k = Array.length t.ins in
   if (events_at codes t.outs.(0)).Signal.token_out then begin
@@ -515,53 +327,6 @@ let emux_clock t st ~codes ~data =
 
 (* ------------------------------------------------------------------ *)
 (* Shared elastic module with speculation scheduler (Fig. 4).          *)
-
-let shared_eval ws t sched f =
-  let wire = Wires.wire ws in
-  let g = Scheduler.predict sched in
-  let k = Array.length t.ins in
-  for i = 0 to k - 1 do
-    if i <> g then Wires.set_v_plus ws (wire t.outs.(i)) false
-  done;
-  let in_g = wire t.ins.(g) and out_g = wire t.outs.(g) in
-  (* A hinted module joins channel 0 (the speculative home) with its hint
-     stream: one hint token per operation, delivered to the scheduler. *)
-  let hint_v =
-    match t.sel with
-    | Some h when g = 0 -> Wires.v_plus (wire h)
-    | Some _ | None -> Some true
-  in
-  put Wires.set_v_plus ws out_g (k_and (Wires.v_plus in_g) hint_v);
-  (match Wires.v_plus in_g, Wires.data in_g with
-   | Some true, Some v -> Wires.set_data ws out_g (Func.apply f [ v ])
-   | _ -> ());
-  let fire =
-    k_and (Wires.v_plus out_g)
-      (k_or (k_not (Wires.s_plus out_g)) (Wires.v_minus out_g))
-  in
-  put Wires.set_s_plus ws in_g (k_not fire);
-  (match t.sel with
-   | Some h ->
-     let h = wire h in
-     Wires.set_v_minus ws h false;
-     if g = 0 then put Wires.set_s_plus ws h (k_not fire)
-     else Wires.set_s_plus ws h true
-   | None -> ());
-  for i = 0 to k - 1 do
-    let inw = wire t.ins.(i) and out = wire t.outs.(i) in
-    if i = g then
-      put Wires.set_v_minus ws inw
-        (k_and (Wires.v_minus out) (k_not (Wires.v_plus out)))
-    else begin
-      put Wires.set_v_minus ws inw (Wires.v_minus out);
-      put Wires.set_s_plus ws inw (k_not (Wires.v_minus out))
-    end;
-    (* An anti-token passing backwards through the module retries only if
-       the upstream cannot absorb it (no waiting token, upstream stop). *)
-    put Wires.set_s_minus ws out
-      (k_and (k_not (Wires.v_plus out))
-         (k_and (Wires.s_minus inw) (k_not (Wires.v_plus inw))))
-  done
 
 let fill_bits bits ports codes bit =
   for j = 0 to Array.length ports - 1 do
@@ -594,27 +359,6 @@ let shared_clock t sched ~codes ~data =
 (* stalled while the slow path completes.  The unit neither emits nor    *)
 (* accepts anti-tokens (the non-speculative design has none).           *)
 
-let varlat_eval ws t st =
-  let inw = Wires.wire ws t.ins.(0) and out = Wires.wire ws t.outs.(0) in
-  Wires.set_v_minus ws inw false;
-  (* Anti-tokens are stalled unless they can cancel the ready result; the
-     invariant forbids stopping an anti while a token is offered. *)
-  Wires.set_s_minus ws out
-    (match st.pipe with Some (_, 0) -> false | Some (_, _) | None -> true);
-  (match st.pipe with
-   | Some (v, 0) ->
-     Wires.set_v_plus ws out true;
-     Wires.set_data ws out v;
-     (* Accept a new token exactly when the result leaves. *)
-     let leaving = k_and (Some true) (k_not (Wires.s_plus out)) in
-     put Wires.set_s_plus ws inw (k_not leaving)
-   | Some (_, _) ->
-     Wires.set_v_plus ws out false;
-     Wires.set_s_plus ws inw true
-   | None ->
-     Wires.set_v_plus ws out false;
-     Wires.set_s_plus ws inw false)
-
 let varlat_clock t st ~codes ~data ~fast ~slow ~err =
   let i = t.ins.(0) in
   if (events_at codes t.outs.(0)).Signal.token_out then st.pipe <- None;
@@ -642,29 +386,6 @@ let begin_cycle t ~choice =
      | Some (Offer _ | Stall _) | None -> ())
   | S_stateless | S_eb _ | S_eb0 _ | S_fork _ | S_emux _ | S_varlat _ -> ()
 
-let eval ws t =
-  match t.state with
-  | S_source st -> source_eval ws t st
-  | S_sink st -> sink_eval ws t st
-  | S_eb st -> eb_eval ws t st
-  | S_eb0 st -> eb0_eval ws t st
-  | S_fork st -> fork_eval ws t st
-  | S_emux st -> emux_eval ws t st
-  | S_shared sched ->
-    (match t.node.Netlist.kind with
-     | Netlist.Shared { f; _ } -> shared_eval ws t sched f
-     | _ -> assert false)
-  | S_varlat st -> varlat_eval ws t st
-  | S_stateless ->
-    (match t.node.Netlist.kind with
-     | Netlist.Func f ->
-       eval_join ws ~ins:t.ins ~out:t.outs.(0) ~data_fn:(Func.apply f)
-     | Netlist.Mux { ways; early = false } ->
-       let all = Array.append [| Option.get t.sel |] t.ins in
-       let select = Func.select ~ways () in
-       eval_join ws ~ins:all ~out:t.outs.(0) ~data_fn:(Func.apply select)
-     | _ -> assert false)
-
 let clock t ~codes ~data =
   match t.state with
   | S_source st -> source_clock t st ~codes
@@ -680,6 +401,251 @@ let clock t ~codes ~data =
        varlat_clock t st ~codes ~data ~fast ~slow ~err
      | _ -> assert false)
   | S_stateless -> ()
+
+(* ------------------------------------------------------------------ *)
+(* The Reference evaluator: the node's [Control.table], the equations  *)
+(* the BLIF, SMV and Verilog exports print, compiled once per Reference *)
+(* engine into closures over the [Wires] store and an int slot per     *)
+(* register, input and internal net.  A value is a Kleene code: 0      *)
+(* unknown, 2 known false, 3 known true.  Every table expression is    *)
+(* monotone in this logic, which guarantees the engine's fixed point   *)
+(* exists.                                                             *)
+
+let of_bool b = if b then 3 else 2
+
+(* [c], negated when [k = 1]. *)
+let neg k c = if c = 0 then 0 else c lxor k
+
+let bad_select s = invalid_arg (Fmt.str "select: index %d out of range" s)
+
+(* A compiled expression: slot [n] negated when [k = 1], or a closure. *)
+type expr = Slot of int * int | Fn of (unit -> int)
+
+(* Kleene [And] ([dom = 2]) or [Or] ([dom = 3]) of [xs.(i..)]: a
+   dominant operand decides, else any unknown one leaves it unknown. *)
+let rec fold_from s dom xs i acc =
+  if i = Array.length xs then acc
+  else
+    let c = match xs.(i) with Slot (n, k) -> neg k s.(n) | Fn f -> f () in
+    if c = dom then dom
+    else fold_from s dom xs (i + 1) (if c = 0 then 0 else acc)
+
+(* [e] as a closure. *)
+let closure s = function
+  | Slot (n, 0) -> fun () -> s.(n)
+  | Slot (n, k) -> fun () -> neg k s.(n)
+  | Fn f -> f
+
+let fold s dom = function
+  | [ x ] -> x
+  | [ Slot (a, ka); Slot (b, kb) ] ->
+    Fn
+      (fun () ->
+         let a = neg ka s.(a) and b = neg kb s.(b) in
+         if a = dom || b = dom then dom else if a = 0 then 0 else b)
+  | [ f; g ] ->
+    let f = closure s f and g = closure s g in
+    Fn
+      (fun () ->
+         let a = f () in
+         if a = dom then dom
+         else
+           let b = g () in
+           if b = dom || a <> 0 then b else 0)
+  | xs ->
+    let xs = Array.of_list xs in
+    Fn (fun () -> fold_from s dom xs 0 (dom lxor 1))
+
+(* [e], negated when [k = 1]: negations are pushed to the leaves.
+   [leaf x k] compiles net [x]; a [Choice] lives in a slot. *)
+let rec compile s leaf k : Control.e -> expr = function
+  | Control.T -> Fn (fun () -> 3 lxor k)
+  | Control.F -> Fn (fun () -> 2 lxor k)
+  | Control.Var x -> leaf x k
+  | Control.Is (x, j) ->
+    (match leaf x 0 with
+     | Slot (n, _) ->
+       Fn (fun () -> if s.(n) < 0 then 0 else of_bool (s.(n) = j) lxor k)
+     | Fn _ -> assert false)
+  | Control.Not e -> compile s leaf (k lxor 1) e
+  | Control.And es -> fold s (2 lxor k) (List.map (compile s leaf k) es)
+  | Control.Or es -> fold s (3 lxor k) (List.map (compile s leaf k) es)
+
+(* The assigns the channel bits need, in table order: the internal nets
+   they read (fire, tout, compl, pend_any) stay, the next-state nets
+   ([*_d], inc, dec) are left to [clock]. *)
+let live ~is_bit assigns =
+  let need = Hashtbl.create 16 in
+  let rec mark : Control.e -> unit = function
+    | Control.T | Control.F -> ()
+    | Control.Var x | Control.Is (x, _) -> Hashtbl.replace need x ()
+    | Control.Not e -> mark e
+    | Control.And es | Control.Or es -> List.iter mark es
+  in
+  List.fold_right
+    (fun (net, e) acc ->
+       if is_bit net || Hashtbl.mem need net then (mark e; (net, e) :: acc)
+       else acc)
+    assigns []
+
+(* A control bit of a wire: its reader, negated when [k = 1], and its
+   writer. *)
+let bit w k =
+  let code = function None -> 0 | Some b -> of_bool b lxor k in
+  function
+  | "vp" -> ((fun () -> code (Wires.v_plus w)), Wires.set_v_plus)
+  | "sp" -> ((fun () -> code (Wires.s_plus w)), Wires.set_s_plus)
+  | "vm" -> ((fun () -> code (Wires.v_minus w)), Wires.set_v_minus)
+  | "sm" -> ((fun () -> code (Wires.s_minus w)), Wires.set_s_minus)
+  | f -> invalid_arg ("Instance.evaluator: control bit " ^ f)
+
+(* [(width, load, payload)]: what a table reads besides channel bits,
+   and the payloads, which the control-only tables do not carry.
+   [load ()] runs before the assigns of each evaluation: it writes the
+   code of each register, then the code of each [Bit] input or the
+   value of each [Choice] input (-1 while unknown), into the [width]
+   slots from 0 up, in the table's declared order (control.mli gives
+   the encoding).  [payload j c] follows [Out j]'s V+ := c. *)
+let bindings ws t s =
+  let wire c = Wires.wire ws c in
+  let set_out j v = Wires.set_data ws (wire t.outs.(j)) v in
+  let copy_in i j = Option.iter (set_out j) (Wires.data (wire t.ins.(i))) in
+  let bind width load payload = (width, load, payload) in
+  (* States 0, 1 and 2 of a counter clamped at 2, from slot [n]. *)
+  let count3 n c =
+    for k = 0 to 2 do s.(n + k) <- of_bool (Int.min c 2 = k) done
+  in
+  (* A lazy join of [ins] computing [fn]: a lazy mux joins its select
+     with its data inputs, and no assign reads the select value. *)
+  let join ins fn width =
+    let ins = Array.to_list (Array.map wire ins) in
+    let has w = Option.is_some (Wires.data w) in
+    bind width ignore (fun _ c ->
+        if c = 3 && List.for_all has ins then
+          set_out 0 (fn (List.map (fun w -> Option.get (Wires.data w)) ins)))
+  in
+  match t.state, t.node.Netlist.kind with
+  | S_source st, _ ->
+    (* retry is held low: [offering] already includes it *)
+    bind 2 (fun () -> s.(0) <- 2; s.(1) <- of_bool st.offering) (fun _ c ->
+        if c = 3 then Option.iter (set_out 0) (source_peek st))
+  | S_sink st, _ ->
+    bind 1 (fun () -> s.(0) <- of_bool st.stalling) (fun _ _ -> ())
+  | S_eb st, _ ->
+    bind 5 (fun () -> for k = 0 to 4 do s.(k) <- of_bool (st.n + 2 = k) done)
+      (fun _ c ->
+         match st.queue with v :: _ when c = 3 -> set_out 0 v | _ -> ())
+  | S_eb0 st, _ ->
+    bind 1 (fun () -> s.(0) <- of_bool st.full) (fun _ c ->
+        if c = 3 then set_out 0 st.stored)
+  | S_fork st, _ ->
+    let k = Array.length t.outs in
+    bind (4 * k)
+      (fun () ->
+         for j = 0 to k - 1 do
+           s.(4 * j) <- of_bool st.done_.(j);
+           count3 ((4 * j) + 1) st.pend.(j)
+         done)
+      (fun j c -> if c = 3 then copy_in 0 j)
+  | S_emux st, _ ->
+    let sel = wire (Option.get t.sel) and w = Array.length t.ins in
+    bind ((3 * w) + 1)
+      (fun () ->
+         for j = 0 to w - 1 do count3 (3 * j) st.q.(j) done;
+         (* The select value stays unknown until the select is valid
+            with data. *)
+         s.(3 * w) <-
+           (match Wires.v_plus sel, Wires.data sel with
+            | Some true, Some v ->
+              let v = Value.to_int v in
+              if v < 0 || v >= w then bad_select v;
+              v
+            | _ -> -1))
+      (fun _ c -> if c = 3 then copy_in s.(3 * w) 0)
+  | S_shared sched, Netlist.Shared { f; _ } ->
+    (* The granted way's payload, whenever its input is valid. *)
+    bind 1 (fun () -> s.(0) <- Scheduler.predict sched) (fun j _ ->
+        let inw = wire t.ins.(j) in
+        if j = s.(0) then
+          match Wires.v_plus inw, Wires.data inw with
+          | Some true, Some v -> set_out j (Func.apply f [ v ])
+          | _ -> ())
+  | S_varlat st, _ ->
+    bind 4
+      (fun () ->
+         let state =
+           match st.pipe with None -> 0 | Some (_, 0) -> 1 | Some _ -> 2
+         in
+         for k = 0 to 2 do s.(k) <- of_bool (state = k) done;
+         s.(3) <- 2 (* the slow pick: read by next-state nets only *))
+      (fun _ c ->
+         match st.pipe with Some (v, 0) when c = 3 -> set_out 0 v | _ -> ())
+  | S_stateless, Netlist.Func f -> join t.ins (Func.apply f) 0
+  | S_stateless, Netlist.Mux { ways; _ } ->
+    join (Array.append [| Option.get t.sel |] t.ins)
+      (Func.apply (Func.select ~ways ())) 1
+  | (S_shared _ | S_stateless), _ -> assert false
+
+let evaluator ws t =
+  (* Channel bits are named "<dense index>.<field>", apart from the
+     table's internal nets and inputs, which all contain "u". *)
+  let bits = Hashtbl.create 16 and slots = Hashtbl.create 16 in
+  let wire p f =
+    let c =
+      match p with
+      | Netlist.In k -> t.ins.(k)
+      | Netlist.Sel -> Option.get t.sel
+      | Netlist.Out k -> t.outs.(k)
+    in
+    let net = Fmt.str "%d.%s" c f in
+    Hashtbl.replace bits net (Wires.wire ws c, f, p);
+    net
+  in
+  let tbl = Control.table ~u:"u" ~wire (Control.shape t.node.Netlist.kind) in
+  let assigns = live ~is_bit:(Hashtbl.mem bits) tbl.Control.assigns in
+  (* Slots: registers and inputs in declared order, then internal nets. *)
+  let bound =
+    List.map (fun r -> r.Control.q) tbl.Control.regs
+    @ List.map
+        (fun (Control.Bit x | Control.Choice (x, _)) -> x)
+        tbl.Control.inputs
+  in
+  List.iter
+    (fun x -> Hashtbl.replace slots x (Hashtbl.length slots))
+    (bound
+     @ List.filter (fun x -> not (Hashtbl.mem bits x)) (List.map fst assigns));
+  let s = Array.make (Hashtbl.length slots) (-1) in
+  let width, load, payload = bindings ws t s in
+  if width <> List.length bound then
+    invalid_arg "Instance.evaluator: bindings do not match the table";
+  let leaf x k =
+    match Hashtbl.find_opt bits x with
+    | Some (w, f, _) -> Fn (fst (bit w k f))
+    | None -> Slot (Hashtbl.find slots x, k)
+  in
+  let stmt (net, e) =
+    let f = closure s (compile s leaf 0 e) in
+    match Hashtbl.find_opt bits net with
+    | None ->
+      let n = Hashtbl.find slots net in
+      fun () -> s.(n) <- f ()
+    | Some (w, fld, p) ->
+      let set = snd (bit w 0 fld) in
+      (match p, fld with
+       | Netlist.Out j, "vp" ->
+         let payload = payload j in
+         fun () ->
+           let c = f () in
+           if c <> 0 then set ws w (c = 3);
+           payload c
+       | _ -> fun () -> let c = f () in if c <> 0 then set ws w (c = 3))
+  in
+  let stmts = Array.of_list (List.map stmt assigns) in
+  fun () ->
+    load ();
+    for i = 0 to Array.length stmts - 1 do
+      stmts.(i) ()
+    done
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)

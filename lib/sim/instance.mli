@@ -5,10 +5,10 @@ open Elastic_netlist
 (** Runtime semantics of one netlist node.
 
     Each node is evaluated as a monotone function over partially-known
-    channel wires ({!eval} may be called repeatedly within a cycle until a
-    fixed point is reached) and then clocked once with the raw control
-    codes of the cycle, from which it derives the channel boundary
-    events ({!clock}).
+    channel wires (its {!evaluator}, the node's {!Control.table}, may be
+    called repeatedly within a cycle until a fixed point is reached) and
+    then clocked once with the raw control codes of the cycle, from which
+    it derives the channel boundary events ({!clock}).
 
     The implemented controllers follow the paper:
     - standard EB: Fig. 2(a)/Fig. 3 with [Lf = 1], [Lb = 1], [C = 2];
@@ -27,7 +27,7 @@ type choice =
 (** {1 Register state}
 
     The clocked state of each node kind, exposed so the flat-arena
-    evaluator ({!Arena}) can re-implement the eval equations over packed
+    evaluator ({!Arena}) can code the controllers' equations over packed
     integer wire codes while sharing the node registers with this
     module.  By convention only {!begin_cycle}, {!clock} and {!restore}
     mutate these records; evaluators treat them as read-only. *)
@@ -75,9 +75,10 @@ type t
 (** [create node ~ins ~sel ~outs] builds the runtime instance over
     dense channel indices, which must follow port numbering ([ins.(i)]
     is port [In i], etc.).  These are the node's only copy of its
-    ports: {!eval} resolves them through the Reference backend's
+    ports: {!evaluator} resolves them through the Reference backend's
     {!Wires} store, the arena flattens them into its own index pool,
-    and {!clock} reads the elapsed cycle's codes through them.
+    and {!clock} reads the elapsed cycle's codes through them.  No
+    equation table is built here: an arena engine never needs one.
     Buffers must fit their capacity; [Engine.create] rejects an
     over-capacity buffer (E101) before it creates any instance. *)
 val create :
@@ -111,9 +112,19 @@ val scheduler : t -> Scheduler.t option
     behaviour. *)
 val begin_cycle : t -> choice:choice option -> unit
 
-(** One monotone evaluation pass over the Reference backend's store;
-    writes whatever wire values have become determined. *)
-val eval : Wires.t -> t -> unit
+(** [evaluator ws t] compiles [t]'s {!Control.table}, the equations the
+    BLIF, SMV and Verilog exports print, over the Reference backend's
+    store [ws]: once, with every net name resolved.  Each call of the
+    result is one monotone evaluation pass that writes whatever wire
+    values have become determined, payloads included.  Registers and
+    environment inputs read [t]'s state as it stands at the call.
+    @raise Invalid_argument (from the call) on an early multiplexor's
+    out-of-range select, as {!bad_select}. *)
+val evaluator : Wires.t -> t -> unit -> unit
+
+(** [bad_select s] raises [Invalid_argument] naming the out-of-range
+    multiplexor select [s], as {!Func.select} does. *)
+val bad_select : int -> 'a
 
 (** Clock edge.  [codes] holds the elapsed cycle's raw (unresolved)
     control codes ({!Signal.code} layout), indexed by dense channel

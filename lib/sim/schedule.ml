@@ -5,9 +5,10 @@ open Elastic_netlist
    Each channel wire is split into two write groups with a single owner
    each: the forward group F(c) = {V+, data, S-} written by the channel's
    source node, and the backward group B(c) = {S+, V-} written by its
-   destination node.  A node depends on another when its [Instance.eval]
-   reads a group the other writes; the read sets below mirror the eval
-   functions in instance.ml kind by kind.  Condensing the strongly
+   destination node.  A node depends on another when its equations (its
+   [Control.table], which the Reference evaluates, and the arena's
+   hand-written evaluator) read a group the other writes; the read sets
+   below follow those equations kind by kind.  Condensing the strongly
    connected components of that graph and ordering the condensation
    topologically yields a schedule in which every acyclic node settles in
    one evaluation and only the cyclic elastic-control regions iterate. *)

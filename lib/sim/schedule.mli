@@ -5,9 +5,9 @@ open Elastic_netlist
     The channel wires of an elastic netlist have single-writer field
     groups: the forward group [F(c)] ([V+], data, [S-]) is written by
     [c]'s source node and the backward group [B(c)] ([S+], [V-]) by its
-    destination.  A node {e depends} on another when its
-    {!Instance.eval} reads a group the other writes; the per-kind read
-    sets mirror the eval equations (an [Eb] reads nothing — its outputs
+    destination.  A node {e depends} on another when its equations
+    ({!Control.table}) read a group the other writes; the per-kind read
+    sets follow those equations (an [Eb] reads nothing — its outputs
     are pure register functions — which is what keeps most of the graph
     acyclic).
 

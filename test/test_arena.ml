@@ -108,17 +108,18 @@ let test_e102_parity () =
        Alcotest.(check string) "same rendering" (snd (List.hd errors)) msg)
     errors
 
-(* A mux whose select stream goes out of range mid-run: the per-node
-   [Invalid_argument] must surface as the same invariant error — node
-   provenance included — from the packed evaluator as from the record
-   fixpoint.  (The arena recovers the node from its last-eval cursor.) *)
+(* A mux, lazy or early, whose select stream goes out of range mid-run:
+   the per-node [Invalid_argument] must surface as the same invariant
+   error — node provenance included, and naming the select — from the
+   packed evaluator as from the reference fixpoint.  (The arena
+   recovers the node from its last-eval cursor.) *)
 let test_invariant_parity () =
-  let build () =
+  let build early =
     let b = builder () in
     let sel = src_stream b ~name:"sel" [ 0; 1; 7 ] in
     let s0 = src_counter b ~name:"s0" () in
     let s1 = src_counter b ~name:"s1" () in
-    let m = add b ~name:"mux" (Mux { ways = 2; early = false }) in
+    let m = add b ~name:"mux" (Mux { ways = 2; early }) in
     let k = sink b ~name:"snk" () in
     let _ = conn b (sel, Out 0) (m, Sel) in
     let _ = conn b (s0, Out 0) (m, In 0) in
@@ -126,20 +127,25 @@ let test_invariant_parity () =
     let _ = conn b (m, Out 0) (k, In 0) in
     b.net
   in
-  let errors =
-    List.map
-      (fun mode ->
-         rendered_error (fun () ->
-             let eng = Engine.create ~mode (build ()) in
-             Engine.run eng 20))
-      modes
-  in
   List.iter
-    (fun (_, msg) ->
-       Alcotest.(check bool) "names the out-of-range select" true
-         (Helpers.contains msg "select: index 7 out of range");
-       Alcotest.(check string) "same rendering" (snd (List.hd errors)) msg)
-    errors
+    (fun early ->
+       let errors =
+         List.map
+           (fun mode ->
+              rendered_error (fun () ->
+                  let eng = Engine.create ~mode (build early) in
+                  Engine.run eng 20))
+           modes
+       in
+       List.iter
+         (fun (_, msg) ->
+            Alcotest.(check bool)
+              (Fmt.str "early=%b names the out-of-range select" early)
+              true
+              (Helpers.contains msg "select: index 7 out of range");
+            Alcotest.(check string) "same rendering" (snd (List.hd errors)) msg)
+         errors)
+    [ false; true ]
 
 (* --- golden artefacts ------------------------------------------------ *)
 

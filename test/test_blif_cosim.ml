@@ -165,6 +165,27 @@ let fork_into_early_mux () =
   let _ = conn b (m, Out 0) (k, In 0) in
   (b.net, m)
 
+(* A variable-latency unit behind a stalling sink: odd values take the
+   slow path.  Returns the unit's input channel. *)
+let varlat () =
+  let b = builder () in
+  let s = add b ~name:"src" (Source (Stream (ints [ 0; 1; 0; 0; 1; 1; 0; 0 ]))) in
+  let vl =
+    add b ~name:"vl"
+      (Varlat
+         { fast = Func.identity ~delay:1.0 ~area:1.0 ();
+           slow = Func.identity ~delay:2.0 ~area:1.0 ();
+           err =
+             Func.make ~name:"odd" ~arity:1 ~delay:0.5 ~area:1.0
+               (function
+                 | [ v ] -> Value.Int (Value.to_int v land 1)
+                 | _ -> assert false) })
+  in
+  let k = add b ~name:"snk" (Sink (Stall_pattern [| false; false; true |])) in
+  let in_ch = conn b (s, Out 0) (vl, In 0) in
+  let _ = conn b (vl, Out 0) (k, In 0) in
+  (b.net, in_ch)
+
 let suite =
   [ Alcotest.test_case "pipeline control network matches gate level"
       `Quick (fun () ->
@@ -270,23 +291,7 @@ let suite =
             @ sink_stall net eng));
     Alcotest.test_case "variable-latency control matches gate level"
       `Quick (fun () ->
-        let b = builder () in
-        let s = add b ~name:"src" (Source (Stream (ints [ 0; 1; 0; 0; 1; 1; 0; 0 ]))) in
-        let vl =
-          add b ~name:"vl"
-            (Varlat
-               { fast = Func.identity ~delay:1.0 ~area:1.0 ();
-                 slow = Func.identity ~delay:2.0 ~area:1.0 ();
-                 err =
-                   Func.make ~name:"odd" ~arity:1 ~delay:0.5 ~area:1.0
-                     (function
-                       | [ v ] -> Value.Int (Value.to_int v land 1)
-                       | _ -> assert false) })
-        in
-        let k = add b ~name:"snk" (Sink (Stall_pattern [| false; false; true |])) in
-        let in_ch = conn b (s, Out 0) (vl, In 0) in
-        let _ = conn b (vl, Out 0) (k, In 0) in
-        let net = b.net in
+        let net, in_ch = varlat () in
         cosim net ~env_inputs:(fun eng ->
             (* slowpick mirrors the error detector on the token entering
                this cycle: odd values take the slow path. *)

@@ -248,7 +248,17 @@ let design_cases =
     case "vl_stalling error-free" (fun () ->
         let ops = Alu.operands ~error_rate_pct:0 ~seed:3 60 in
         (Examples.vl_stalling ~ops).Examples.d_net);
-    case "pc_loop" (fun () -> (Examples.pc_loop ()).Examples.pl_net) ]
+    case "pc_loop" (fun () -> (Examples.pc_loop ()).Examples.pl_net);
+    (* The designs blif.cosim checks the exported tables on gate by
+       gate: each puts a controller where an equation the designs above
+       never exercise matters (a fork's pending anti-token meeting a
+       token, a ready variable-latency result under a stalled sink). *)
+    case "cosim lazy mux" (fun () -> fst (Test_blif_cosim.lazy_mux ()));
+    case "cosim hinted shared" Test_blif_cosim.hinted_shared;
+    case "cosim 3-way fork" Test_blif_cosim.fork3;
+    case "cosim fork into early mux" (fun () ->
+        fst (Test_blif_cosim.fork_into_early_mux ()));
+    case "cosim variable latency" (fun () -> fst (Test_blif_cosim.varlat ())) ]
 
 (* --- degenerate structures ------------------------------------------ *)
 
