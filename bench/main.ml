@@ -1287,7 +1287,7 @@ let json_e9 ~cycles () =
     in
     let matches =
       List.equal Value.equal (stream rf) (stream ar)
-      && String.equal (Engine.state_key rf) (Engine.state_key ar)
+      && Engine.same_future rf (Engine.snapshot ar)
     in
     let speedup = tr /. ta in
     ( [ ("design", Json.Str name);

@@ -65,11 +65,7 @@ let check_static (c : Derivations.chain) =
 (* 2. Three-way agreement. *)
 
 let explore_ok tag net =
-  let config =
-    { Elastic_check.Explore.default_config with
-      Elastic_check.Explore.max_states = 4000 }
-  in
-  match Elastic_check.Explore.explore ~config net with
+  match Elastic_check.Explore.explore ~max_states:4000 net with
   | o ->
     if
       o.Elastic_check.Explore.protocol_violations <> []

@@ -3,10 +3,6 @@ open Elastic_sched
 open Elastic_netlist
 open Elastic_sim
 
-type config = { max_states : int; max_choice_combinations : int }
-
-let default_config = { max_states = 20_000; max_choice_combinations = 64 }
-
 type outcome = {
   explored : int;
   transitions : int;
@@ -34,18 +30,9 @@ let clean o =
   o.complete && o.protocol_violations = [] && o.deadlock_states = []
   && o.starving_channels = []
 
-(* Per-step nondeterministic alternatives of one node. *)
-let node_choices (n : Netlist.node) =
-  match n.Netlist.kind with
-  | Netlist.Source (Netlist.Random_rate _ | Netlist.Nondet _) ->
-    [ Instance.Offer true; Instance.Offer false ]
-  | Netlist.Sink (Netlist.Random_stall _) ->
-    [ Instance.Stall false; Instance.Stall true ]
-  | Netlist.Shared { ways; sched = Scheduler.External; _ } ->
-    List.init ways (fun i -> Instance.Predict i)
-  | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _ | Netlist.Func _
-  | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _ | Netlist.Varlat _ ->
-    []
+(* Cap on the environment choices of one step: beyond it the state graph
+   is too wide to explore exhaustively anyway. *)
+let max_choice_combinations = 64
 
 let cartesian lists =
   List.fold_right
@@ -53,32 +40,39 @@ let cartesian lists =
        List.concat_map (fun o -> List.map (fun rest -> o :: rest) acc) options)
     lists [ [] ]
 
-(* Small growable bitset over channel indices. *)
-module Bits = struct
-  type t = int array
-
-  let create n = Array.make ((n / 62) + 1) 0
-
-  let set t i = t.(i / 62) <- t.(i / 62) lor (1 lsl (i mod 62))
-
-  let mem t i = t.(i / 62) land (1 lsl (i mod 62)) <> 0
-
-  let any t = Array.exists (fun w -> w <> 0) t
-end
-
-type state_info = {
-  id : int;
-  snap : Engine.snap;
-  key : string;
-  mutable parent : (state_info * Signal.t array) option;
-      (** How this state was first reached (for counterexamples). *)
-  mutable in_sigs : Signal.t array list;
-  mutable out_sigs : Signal.t array list;
-  mutable succs : (int * Bits.t * Bits.t) list;
-      (** destination, per-channel progress, per-channel pending. *)
+(* One transition: the cycle's raw control code per dense channel, the
+   payloads Retry+ may compare (tokens offered on persistent channels)
+   and the state it leads to. *)
+type move = {
+  codes : int array;
+  payloads : (int * Value.t option) list;
+  dst : int;
 }
 
-let explore ?(config = default_config) ?mode net =
+type state = {
+  id : int;  (* BFS index *)
+  depth : int;
+  snap : Engine.snap;
+  parent : (state * int array) option;
+      (* how BFS first reached it: the state and the move's codes *)
+  mutable ins : move list;
+  mutable outs : move list;
+}
+
+let exists_channel n f =
+  let rec go i = i < n && (f i || go (i + 1)) in
+  go 0
+
+let progress m i =
+  let ev = Signal.events_of_code m.codes.(i) in
+  ev.Signal.token_out || ev.Signal.anti_out
+
+let pending m i =
+  Signal.resolve_code m.codes.(i)
+  land (Signal.v_plus_bit lor Signal.v_minus_bit)
+  <> 0
+
+let explore ?(max_states = 20_000) ?mode net =
   let eng = Engine.create ~monitor:false ?mode net in
   (* Static context for the dynamic verdict: when exploration finds a
      deadlock or violation, a lint error/warning usually names the
@@ -91,130 +85,117 @@ let explore ?(config = default_config) ?mode net =
   in
   let chans = Array.of_list (Netlist.channels net) in
   let nchan = Array.length chans in
-  (* Shared-module outputs are exempt from forward persistence (§4.2). *)
-  let persistent =
-    Array.map
-      (fun (c : Netlist.channel) ->
-         match (Netlist.node net c.Netlist.src.ep_node).Netlist.kind with
-         | Netlist.Shared _ -> false
-         | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _
-         | Netlist.Func _ | Netlist.Fork _ | Netlist.Mux _
-         | Netlist.Varlat _ -> true)
-      chans
-  in
-  let nondet = Engine.nondet_nodes eng in
+  let persistent = Array.map (Netlist.persistent net) chans in
   let combos =
     cartesian
       (List.map
          (fun (n : Netlist.node) ->
-            List.map (fun c -> (n.Netlist.id, c)) (node_choices n))
-         nondet)
+            List.map (fun c -> (n.Netlist.id, c))
+              (Instance.choices n.Netlist.kind))
+         (Engine.nondet_nodes eng))
   in
-  if List.length combos > config.max_choice_combinations then
+  if List.length combos > max_choice_combinations then
     invalid_arg
       (Fmt.str "Explore: %d choice combinations exceed the cap of %d"
-         (List.length combos) config.max_choice_combinations);
-  let states : (string, state_info) Hashtbl.t = Hashtbl.create 1024 in
-  let rev_states : state_info list ref = ref [] in
+         (List.length combos) max_choice_combinations);
+  (* An [External] scheduler keeps the prediction its last step forced,
+     which no later step reads: every step forces a fresh one.  Resetting
+     it keeps that leftover out of the state identity. *)
+  let externals =
+    List.filter_map
+      (fun (_, s) ->
+         if Scheduler.spec s <> Scheduler.External then None
+         else Some (s, Scheduler.predict s))
+      (Engine.schedulers eng)
+  in
+  let rev_states = ref [] in
+  let count = ref 0 in
+  let buckets : (int, state list) Hashtbl.t = Hashtbl.create 1024 in
   let violations = ref [] in
   let transitions = ref 0 in
   let complete = ref true in
-  let report msg = violations := msg :: !violations in
-  (* Retry persistence between one incoming and one outgoing transition of
-     the same state. *)
-  let check_retry_pair (inc : Signal.t array) (out : Signal.t array) =
+  let report i property msg =
+    violations :=
+      Fmt.str "%s: %s on %s" property msg chans.(i).Netlist.ch_name
+      :: !violations
+  in
+  (* Retry+/Retry- between one incoming and one outgoing move of the
+     same state: the monitor's rule ({!Protocol.retry}). *)
+  let check_pair inc out =
     for i = 0 to nchan - 1 do
-      let si = Signal.resolve inc.(i) and so = Signal.resolve out.(i) in
-      if persistent.(i) && si.Signal.v_plus && si.Signal.s_plus then begin
-        if not so.Signal.v_plus then
-          report
-            (Fmt.str "retry+: token withdrawn on %s"
-               chans.(i).Netlist.ch_name)
-        else if not (Option.equal Value.equal si.Signal.data so.Signal.data)
-        then
-          report
-            (Fmt.str "retry+: data changed during retry on %s"
-               chans.(i).Netlist.ch_name)
-      end;
-      if si.Signal.v_minus && si.Signal.s_minus && not so.Signal.v_minus
-      then
-        report
-          (Fmt.str "retry-: anti-token withdrawn on %s"
-             chans.(i).Netlist.ch_name)
+      match
+        Protocol.retry ~persistent:persistent.(i)
+          ~prev:(Signal.resolve_code inc.codes.(i))
+          (Signal.resolve_code out.codes.(i))
+      with
+      | Protocol.Free -> ()
+      | Protocol.Broken (property, msg) -> report i property msg
+      | Protocol.Held ->
+        let before = List.assoc i inc.payloads
+        and after = List.assoc i out.payloads in
+        if not (Option.equal Value.equal before after) then
+          report i "retry+" (Protocol.data_changed before after)
     done
   in
-  let check_invariant (sigs : Signal.t array) =
-    Array.iteri
-      (fun i s ->
-         if not (s.Signal.v_plus && s.Signal.v_minus) then begin
-           if s.Signal.v_plus && s.Signal.s_minus then
-             report
-               (Fmt.str "invariant: S- with token in flight on %s"
-                  chans.(i).Netlist.ch_name);
-           if s.Signal.v_minus && s.Signal.s_plus then
-             report
-               (Fmt.str "invariant: S+ with anti-token in flight on %s"
-                  chans.(i).Netlist.ch_name)
-         end)
-      sigs
+  let payloads codes =
+    let rec go i acc =
+      if i < 0 then acc
+      else if persistent.(i) && codes.(i) land Signal.v_plus_bit <> 0 then
+        go (i - 1) ((i, Engine.data eng chans.(i).Netlist.ch_id) :: acc)
+      else go (i - 1) acc
+    in
+    go (nchan - 1) []
   in
-  let register snap key =
-    match Hashtbl.find_opt states key with
-    | Some info -> (info, false)
+  (* The engine's state, found by its own identity or added as fresh. *)
+  let find_or_add ~parent =
+    let fp = Engine.fingerprint eng in
+    let bucket = Option.value (Hashtbl.find_opt buckets fp) ~default:[] in
+    match List.find_opt (fun s -> Engine.same_future eng s.snap) bucket with
+    | Some s -> (s, false)
     | None ->
-      let info =
-        { id = Hashtbl.length states; snap; key; parent = None;
-          in_sigs = []; out_sigs = []; succs = [] }
+      let depth = match parent with None -> 0 | Some (p, _) -> p.depth + 1 in
+      let s =
+        { id = !count; depth; snap = Engine.snapshot eng; parent; ins = [];
+          outs = [] }
       in
-      Hashtbl.replace states key info;
-      rev_states := info :: !rev_states;
-      (info, true)
+      rev_states := s :: !rev_states;
+      incr count;
+      Hashtbl.replace buckets fp (s :: bucket);
+      (s, true)
   in
-  let initial_snap = Engine.snapshot eng in
-  let init, _ = register initial_snap (Engine.state_key eng) in
+  let init, _ = find_or_add ~parent:None in
   let queue = Queue.create () in
   Queue.push init queue;
   while not (Queue.is_empty queue) do
     let src = Queue.pop queue in
-    if Hashtbl.length states <= config.max_states then begin
+    if !count <= max_states then
       List.iter
         (fun combo ->
-           let choice_for id =
-             List.assoc_opt id combo
-           in
            Engine.restore eng src.snap;
-           Engine.step ~choices:choice_for eng;
+           Engine.step ~choices:(fun id -> List.assoc_opt id combo) eng;
            incr transitions;
-           let sigs =
-             Array.map
-               (fun (c : Netlist.channel) -> Engine.signal eng c.Netlist.ch_id)
+           let codes =
+             Array.map (fun (c : Netlist.channel) -> Engine.code eng c.ch_id)
                chans
            in
-           let progress = Bits.create nchan in
-           let pending = Bits.create nchan in
+           let payloads = payloads codes in
+           List.iter (fun (s, way) -> Scheduler.force s way) externals;
            Array.iteri
-             (fun i (c : Netlist.channel) ->
-                let ev = Engine.events eng c.Netlist.ch_id in
-                if ev.Signal.token_out || ev.Signal.anti_out then
-                  Bits.set progress i;
-                let s = Signal.resolve sigs.(i) in
-                if s.Signal.v_plus || s.Signal.v_minus then Bits.set pending i)
-             chans;
-           check_invariant sigs;
-           List.iter (fun inc -> check_retry_pair inc sigs) src.in_sigs;
-           src.out_sigs <- sigs :: src.out_sigs;
-           let key = Engine.state_key eng in
-           let dst, fresh = register (Engine.snapshot eng) key in
-           if fresh then dst.parent <- Some (src, sigs);
-           List.iter (fun out -> check_retry_pair sigs out) dst.out_sigs;
-           dst.in_sigs <- sigs :: dst.in_sigs;
-           src.succs <- (dst.id, progress, pending) :: src.succs;
+             (fun i c ->
+                match Protocol.invariant c with
+                | Some msg -> report i "invariant" msg
+                | None -> ())
+             codes;
+           let dst, fresh = find_or_add ~parent:(Some (src, codes)) in
+           let m = { codes; payloads; dst = dst.id } in
+           List.iter (fun inc -> check_pair inc m) src.ins;
+           src.outs <- m :: src.outs;
+           List.iter (fun out -> check_pair m out) dst.outs;
+           dst.ins <- m :: dst.ins;
            if fresh then
-             if Hashtbl.length states <= config.max_states then
-               Queue.push dst queue
+             if !count <= max_states then Queue.push dst queue
              else complete := false)
         combos
-    end
     else complete := false
   done;
   let all = Array.of_list (List.rev !rev_states) in
@@ -222,99 +203,80 @@ let explore ?(config = default_config) ?mode net =
     if not !complete then []
     else
       Array.to_list all
-      |> List.filter_map (fun s ->
-          let stuck =
-            s.succs <> []
-            && List.for_all
-                 (fun (d, prog, _) -> d = s.id && not (Bits.any prog))
-                 s.succs
-            && List.exists (fun (_, _, pend) -> Bits.any pend) s.succs
-          in
-          if stuck then Some s.key else None)
+      |> List.filter (fun s ->
+          s.outs <> []
+          && List.for_all
+               (fun m ->
+                  m.dst = s.id && not (exists_channel nchan (progress m)))
+               s.outs
+          && List.exists (fun m -> exists_channel nchan (pending m)) s.outs)
   in
   (* Starvation: channel i is starving if some reachable state has a
      successor evaluation offering a token/anti-token on i, yet no
      sequence of choices from that state ever makes progress on i. *)
   let starving =
     if not !complete then []
-    else begin
-      let n = Array.length all in
+    else
       List.filteri
         (fun i _ ->
-           let can_progress = Array.make n false in
+           let can_progress = Array.make !count false in
            (* Fixed point of backward reachability to a progress(i) edge. *)
            let changed = ref true in
            while !changed do
              changed := false;
              Array.iter
                (fun s ->
-                  if not can_progress.(s.id) then begin
-                    let ok =
-                      List.exists
-                        (fun (d, prog, _) ->
-                           Bits.mem prog i || can_progress.(d))
-                        s.succs
-                    in
-                    if ok then begin
-                      can_progress.(s.id) <- true;
-                      changed := true
-                    end
+                  if
+                    (not can_progress.(s.id))
+                    && List.exists
+                         (fun m -> progress m i || can_progress.(m.dst))
+                         s.outs
+                  then begin
+                    can_progress.(s.id) <- true;
+                    changed := true
                   end)
                all
            done;
            Array.exists
              (fun s ->
                 (not can_progress.(s.id))
-                && List.exists (fun (_, _, pend) -> Bits.mem pend i) s.succs)
+                && List.exists (fun m -> pending m i) s.outs)
              all)
         (Array.to_list chans)
       |> List.map (fun (c : Netlist.channel) -> c.Netlist.ch_name)
-    end
   in
-  (* Render the path to the first problematic state, Table-1 style. *)
-  let render_trace (target : state_info) =
+  (* Render the path to a state, Table-1 style. *)
+  let render_trace target =
     let rec collect acc s =
       match s.parent with
       | None -> acc
-      | Some (p, sigs) -> collect (sigs :: acc) p
+      | Some (p, codes) -> collect (codes :: acc) p
     in
-    let steps = collect [] target in
-    if steps = [] then []
-    else
-      let cell (sig_ : Signal.t) =
-        let s = Signal.resolve sig_ in
-        if s.Signal.v_plus && s.Signal.v_minus then "X"
-        else if s.Signal.v_plus then if s.Signal.s_plus then "R" else "T"
-        else if s.Signal.v_minus then "-"
-        else "."
-      in
+    (* Indexed by the resolved code: V+ and V- cancel (X), V+ with S+
+       retries (R), V+ alone transfers (T), V- alone is an anti-token. *)
+    let cell c = String.make 1 ".T.R-X-X.T.R-X-X".[Signal.resolve_code c] in
+    match collect [] target with
+    | [] -> []
+    | steps ->
       List.mapi
         (fun i (c : Netlist.channel) ->
            Fmt.str "%-28s %s" c.Netlist.ch_name
-             (String.concat " "
-                (List.map (fun sigs -> cell sigs.(i)) steps)))
+             (String.concat " " (List.map (fun codes -> cell codes.(i)) steps)))
         (Array.to_list chans)
   in
   let counterexample =
     match deadlocks with
-    | _ :: _ ->
-      (* First deadlock state. *)
-      (match
-         Array.find_opt
-           (fun s -> List.mem s.key deadlocks)
-           (Array.of_list (List.rev !rev_states))
-       with
-       | Some s ->
-         "path to the deadlock (T=transfer R=retry -=anti X=cancel .=idle):"
-         :: render_trace s
-       | None -> [])
+    | s :: _ ->
+      "path to the deadlock (T=transfer R=retry -=anti X=cancel .=idle):"
+      :: render_trace s
     | [] -> []
   in
-  { explored = Hashtbl.length states;
+  { explored = !count;
     transitions = !transitions;
     complete = !complete;
     protocol_violations = List.rev !violations;
-    deadlock_states = deadlocks;
+    deadlock_states =
+      List.map (fun s -> Fmt.str "state %d (depth %d)" s.id s.depth) deadlocks;
     starving_channels = starving;
     counterexample;
     static_hints }

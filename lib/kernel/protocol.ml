@@ -35,48 +35,57 @@ let vm = Signal.v_minus_bit
 
 let sm = Signal.s_minus_bit
 
+let[@inline] invariant raw =
+  (* Checked on the raw drive: an endpoint must not stop the very item it
+     is killing once the cancellation is in flight, unless the resolution
+     rule masks it.  On a cancelling channel resolution forces stops low,
+     which is the implementation of the invariant; nothing to report. *)
+  if raw land (vp lor vm) = vp lor vm then None
+  else if raw land vp <> 0 && raw land sm <> 0 then
+    Some "S- asserted while a token is in flight"
+  else if raw land vm <> 0 && raw land sp <> 0 then
+    Some "S+ asserted while an anti-token is in flight"
+  else None
+
+type retry = Free | Held | Broken of string * string
+
+(* On resolved codes a cancelling cycle has both stops low, so a token
+   retry and an anti-token retry never share a cycle: one verdict. *)
+let[@inline] retry ~persistent ~prev cur =
+  if persistent && Signal.in_retry prev then
+    if cur land vp = 0 then Broken ("retry+", "token withdrawn during retry")
+    else Held
+  else if prev land (vm lor sm) = vm lor sm && cur land vm = 0 then
+    Broken ("retry-", "anti-token withdrawn during retry")
+  else Free
+
+let data_changed before after =
+  let pp = Fmt.(option ~none:(any "_") Value.pp) in
+  Fmt.str "data changed during retry: %a -> %a" pp before pp after
+
 let step m ~cycle ~data ~chan raw =
+  (match invariant raw with
+   | Some msg -> report m ~cycle "invariant" msg
+   | None -> ());
   let s = Signal.resolve_code raw in
-  (* Invariant: kill and stop are mutually exclusive.  Checked on the raw
-     drive: an endpoint must not stop the very item it is killing once the
-     cancellation is in flight, unless the resolution rule masks it.  On a
-     cancelling channel resolution forces stops low, which is the
-     implementation of the invariant; nothing to report. *)
-  if raw land (vp lor vm) <> vp lor vm then begin
-    if s land vp <> 0 && s land sm <> 0 then
-      report m ~cycle "invariant" "S- asserted while a token is in flight";
-    if s land vm <> 0 && s land sp <> 0 then
-      report m ~cycle "invariant"
-        "S+ asserted while an anti-token is in flight"
-  end;
-  let has_prev = m.state land no_prev = 0 in
-  let p = m.state land 15 in
+  let verdict =
+    if m.state land no_prev <> 0 then Free
+    else
+      retry ~persistent:m.check_forward_persistence ~prev:(m.state land 15)
+        s
+  in
   (* The payload is read only while a retry is pending: to keep this
      cycle's for the next, or to compare it with the previous one's. *)
+  let held = match verdict with Held -> true | Free | Broken _ -> false in
   let payload =
-    if
-      s land vp <> 0
-      && (Signal.in_retry s
-          || (has_prev && m.check_forward_persistence && Signal.in_retry p))
-    then
-      data chan
-    else None
+    if s land vp <> 0 && (Signal.in_retry s || held) then data chan else None
   in
-  if has_prev then begin
-    if m.check_forward_persistence && Signal.in_retry p then begin
-      if s land vp = 0 then
-        report m ~cycle "retry+" "token withdrawn during retry"
-      else if not (Option.equal Value.equal m.retry_data payload) then
-        report m ~cycle "retry+"
-          (Fmt.str "data changed during retry: %a -> %a"
-             Fmt.(option ~none:(any "_") Value.pp)
-             m.retry_data
-             Fmt.(option ~none:(any "_") Value.pp)
-             payload)
-    end;
-    if p land (vm lor sm) = vm lor sm && s land vm = 0 then
-      report m ~cycle "retry-" "anti-token withdrawn during retry"
-  end;
+  (match verdict with
+   | Free -> ()
+   | Held ->
+     if not (Option.equal Value.equal m.retry_data payload) then
+       report m ~cycle "retry+" (data_changed m.retry_data payload)
+   | Broken (property, msg) -> report m ~cycle property msg);
   (* Liveness watchdog: something pending, nothing moving. *)
   let ev = Signal.events_of_code s in
   let pending = s land (vp lor vm) <> 0 in

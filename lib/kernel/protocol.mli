@@ -40,6 +40,28 @@ val create :
   unit ->
   monitor
 
+(** {1 The per-cycle rule}
+
+    What {!step} checks, on {!Signal.code}s; the model checker
+    ([Elastic_check.Explore]) applies it to its transitions too. *)
+
+(** The kill/stop invariant on a raw code: the message of its breach
+    (property ["invariant"]), if any. *)
+val invariant : int -> string option
+
+type retry =
+  | Free
+  | Held  (** A stalled token offered again: its payload must not change. *)
+  | Broken of string * string  (** Property and message of a withdrawal. *)
+
+(** [retry ~persistent ~prev cur]: Retry+ (on a [persistent] channel,
+    see [Netlist.persistent]) and Retry- across two consecutive
+    cycles' resolved codes. *)
+val retry : persistent:bool -> prev:int -> int -> retry
+
+(** Message of a [Held] token's payload change (property ["retry+"]). *)
+val data_changed : Value.t option -> Value.t option -> string
+
 (** [step m ~cycle ~data ~chan code] feeds one cycle of a channel's raw
     (pre-resolution) control code ({!Signal.code}).  [data chan] is the
     channel's payload this cycle; the monitor calls it only while a

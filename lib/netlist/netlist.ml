@@ -164,6 +164,11 @@ let channel_at t id port =
        || (c.dst.ep_node = id && port_equal c.dst.ep_port port))
     (channels t)
 
+let persistent t c =
+  match (node t c.src.ep_node).kind with
+  | Shared _ -> false
+  | Source _ | Sink _ | Buffer _ | Func _ | Fork _ | Mux _ | Varlat _ -> true
+
 let port_exists kind port ~as_output =
   let valid =
     if as_output then required_outputs kind else required_inputs kind

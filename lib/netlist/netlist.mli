@@ -170,6 +170,11 @@ val outgoing : t -> node_id -> channel list
 (** The channel attached to a specific port of a node, if any. *)
 val channel_at : t -> node_id -> port -> channel option
 
+(** Does Retry+ (forward persistence) bind this channel?  False on a
+    shared module's outputs: §4.2 lets the scheduler withdraw a stalled
+    token to change its prediction. *)
+val persistent : t -> channel -> bool
+
 (** Input ports a node of this kind must have connected. *)
 val required_inputs : kind -> port list
 

@@ -230,8 +230,8 @@ let state t =
     t.hist; Bool.to_int t.in_miss; t.served_total ]
   @ Array.to_list t.table
 
-(* Behaviourally relevant state only — statistics excluded so that the
-   model checker's state keys merge states that differ only in counts. *)
+(* Behaviourally relevant state only — statistics excluded so that
+   [same_future] relates states that differ only in counts. *)
 let key t =
   match t.spec with
   | Static _ | External -> []

@@ -102,12 +102,13 @@ val mispredictions : t -> int
 (** Tokens served so far. *)
 val serves : t -> int
 
-(** Internal state encoded as ints — used by the model checker to include
-    the scheduler in the system state. *)
+(** Internal state encoded as ints — what an engine snapshot keeps of
+    the scheduler. *)
 val state : t -> int list
 
 (** Behaviourally relevant part of the state: statistics counters are
-    excluded so that exhaustive exploration merges equivalent states. *)
+    excluded, so {!same_future} (and with it the model checker's state
+    identity) relates states that differ only in counts. *)
 val key : t -> int list
 
 val set_state : t -> int list -> unit

@@ -91,7 +91,7 @@ type t = {
   sink_streams : (Netlist.node_id, Transfer.t ref) Hashtbl.t;
   sinks : sink array;  (* dense node order *)
   starve_wait : int array;  (* per channel, for shared-module inputs *)
-  shared_input : bool array;  (* channel feeds a shared module *)
+  shared_input : bool array;  (* watched: feeds a shared module *)
   mutable starvation : string list;
   mutable injector : injector option;
   mutable overrides_active : bool;
@@ -183,18 +183,8 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     else
       Array.map
         (fun (c : Netlist.channel) ->
-           (* §4.2: shared-module outputs need not be persistent. *)
-           let src_kind =
-             (Netlist.node net c.Netlist.src.ep_node).Netlist.kind
-           in
-           let persistent =
-             match src_kind with
-             | Netlist.Shared _ -> false
-             | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _
-             | Netlist.Func _ | Netlist.Fork _ | Netlist.Mux _
-             | Netlist.Varlat _ -> true
-           in
-           Protocol.create ~check_forward_persistence:persistent
+           Protocol.create
+             ~check_forward_persistence:(Netlist.persistent net c)
              ~liveness_bound ~name:c.Netlist.ch_name ())
         chans
   in
@@ -272,6 +262,8 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     shared_input =
       Array.map
         (fun (c : Netlist.channel) ->
+           monitor
+           &&
            match (Netlist.node net c.Netlist.dst.ep_node).Netlist.kind with
            | Netlist.Shared _ -> true
            | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _
@@ -561,6 +553,8 @@ let signal t cid =
   let i = dense_index t cid in
   Signal.of_code t.codes.(i) ~data:(t.data_at i)
 
+let data t cid = t.data_at (dense_index t cid)
+
 let events t cid = Signal.events_of_code t.codes.(dense_index t cid)
 
 let code t cid = t.codes.(dense_index t cid)
@@ -630,7 +624,8 @@ let schedulers t =
 let nondet_nodes t =
   Array.to_list t.insts
   |> List.filter_map (fun inst ->
-      if Instance.is_nondet inst then Some (Instance.node inst) else None)
+      let n = Instance.node inst in
+      if Instance.choices n.Netlist.kind = [] then None else Some n)
 
 (* Consecutive snapshots of one engine share every part that did not
    change between them: an unchanged node, monitor, counter array or
@@ -701,11 +696,6 @@ let restore t snap =
   List.iter
     (fun (nid, s) -> Hashtbl.find t.sink_streams nid := s)
     snap.sn_sinks
-
-let state_key t =
-  Fmt.str "%a"
-    Fmt.(array ~sep:(any "|") Instance.pp_snap)
-    (Array.map Instance.snapshot t.insts)
 
 let same_future t snap =
   let rec all2 f a b i =

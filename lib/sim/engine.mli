@@ -18,9 +18,10 @@ open Elastic_netlist
       Payloads stay in the backend and are read only where a token
       moves or a monitor's retry is pending.
 
-    The engine also runs the paper's verification conditions online: the
-    SELF protocol monitors of §3.1 on every channel and a starvation
-    watchdog for the leads-to constraint (1) on shared-module inputs. *)
+    A monitored engine (see [monitor] in {!create}) also runs the
+    paper's verification conditions online: the SELF protocol monitors
+    of §3.1 on every channel and a starvation watchdog for the leads-to
+    constraint (1) on shared-module inputs. *)
 
 (** Structured simulation failure: the cycle it occurred on and, when
     known, the offending node and channel, so shells and fault-campaign
@@ -93,7 +94,9 @@ val default_mode : eval_mode
 (** [create netlist] compiles and validates the netlist; it raises
     {!Simulation_error} on an invalid one (see [err_code] in {!error}).
 
-    @param monitor enable protocol monitors (default [true]).
+    @param monitor run both online checks (default [true]): the
+    protocol monitors ({!violations}) and the leads-to watchdog
+    ({!starvation_violations}); an unmonitored engine reports neither.
     @param liveness_bound watchdog threshold in cycles (default [64]).
     @param mode combinational evaluation strategy (default
     {!default_mode}).
@@ -173,6 +176,9 @@ val run :
     payload. *)
 val signal : t -> Netlist.channel_id -> Signal.t
 
+(** The [data] of a channel's {!signal}, without building the record. *)
+val data : t -> Netlist.channel_id -> Value.t option
+
 (** Boundary events of a channel ({!Signal.events_of_code} of its
     {!code}; allocates nothing). *)
 val events : t -> Netlist.channel_id -> Signal.events
@@ -216,7 +222,8 @@ val violations : t -> (string * Protocol.violation) list
 (** [List.length (violations t)], without building the list. *)
 val violation_count : t -> int
 
-(** Leads-to (starvation) violations observed at shared-module inputs. *)
+(** Leads-to (starvation) violations observed at shared-module inputs;
+    always [[]] on an engine created with [~monitor:false]. *)
 val starvation_violations : t -> string list
 
 (** Shared-module schedulers, for misprediction statistics. *)
@@ -260,10 +267,6 @@ val snapshot : t -> snap
     monitor setting. *)
 val restore : t -> snap -> unit
 
-(** Stable key identifying the register state (cycle counters of
-    environment pattern nodes included). *)
-val state_key : t -> string
-
 (** Will [t] and an engine restored from the snapshot behave alike from
     now on, given the same choices and no injected faults?  Compares the
     state that decides every later cycle: node registers (random-
@@ -273,9 +276,11 @@ val state_key : t -> string
     counters, the streams and the violations so far are history: two
     engines that agree here produce the same signals, transfers and
     violations from now on, shifted by the difference of their cycle
-    counts. *)
+    counts.  The fault cut-off ([Elastic_fault.Recovery]) and the model
+    checker's state table ([Elastic_check.Explore]) both rest on it. *)
 val same_future : t -> snap -> bool
 
 (** Hash of the node registers {!same_future} compares: engines with
-    the same future have the same fingerprint. *)
+    the same future have the same fingerprint, so it buckets snapshots
+    for {!same_future}. *)
 val fingerprint : t -> int

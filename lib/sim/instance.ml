@@ -125,14 +125,15 @@ let create node ~ins ~sel ~outs =
   in
   { node; ins; sel; outs; state; view }
 
-let is_nondet t =
-  match t.node.Netlist.kind with
-  | Netlist.Source (Netlist.Random_rate _ | Netlist.Nondet _) -> true
-  | Netlist.Sink (Netlist.Random_stall _) -> true
-  | Netlist.Shared { sched = Scheduler.External; _ } -> true
+let choices = function
+  | Netlist.Source (Netlist.Random_rate _ | Netlist.Nondet _) ->
+    [ Offer true; Offer false ]
+  | Netlist.Sink (Netlist.Random_stall _) -> [ Stall false; Stall true ]
+  | Netlist.Shared { ways; sched = Scheduler.External; _ } ->
+    List.init ways (fun i -> Predict i)
   | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _ | Netlist.Func _
   | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _ | Netlist.Varlat _ ->
-    false
+    []
 
 let scheduler t =
   match t.state with S_shared s -> Some s | _ -> None
@@ -658,7 +659,9 @@ type snap =
   | Sn_eb0 of Value.t option
   | Sn_fork of bool list * int list
   | Sn_emux of int list
-  | Sn_shared of int list * int list  (* full state, behavioural key *)
+  | Sn_shared of int list * int list
+      (* full state, behavioural key (unread, but counted in E7's exact
+         golden_record_words) *)
   | Sn_varlat of (Value.t * int) option
 
 let snapshot t =
@@ -707,27 +710,6 @@ let restore t snap =
     | S_emux _ | S_shared _ | S_varlat _ ),
     _ ->
     invalid_arg "Instance.restore: snapshot kind mismatch"
-
-let pp_snap ppf = function
-  | Sn_none -> Fmt.string ppf "-"
-  | Sn_source (idx, pk, retry, _) ->
-    Fmt.pf ppf "src(idx=%d,kill=%d,retry=%b)" idx pk retry
-  | Sn_sink (cyc, _) -> Fmt.pf ppf "sink(cyc=%d)" cyc
-  | Sn_eb (n, q) ->
-    Fmt.pf ppf "eb(n=%d,[%a])" n Fmt.(list ~sep:(any ";") Value.pp) q
-  | Sn_eb0 v ->
-    Fmt.pf ppf "eb0(%a)" Fmt.(option ~none:(any "empty") Value.pp) v
-  | Sn_fork (d, p) ->
-    Fmt.pf ppf "fork(done=[%a],pend=[%a])"
-      Fmt.(list ~sep:(any ";") bool)
-      d
-      Fmt.(list ~sep:(any ";") int)
-      p
-  | Sn_emux q -> Fmt.pf ppf "emux(q=[%a])" Fmt.(list ~sep:(any ";") int) q
-  | Sn_shared (_, k) ->
-    Fmt.pf ppf "sched([%a])" Fmt.(list ~sep:(any ";") int) k
-  | Sn_varlat None -> Fmt.string ppf "varlat(empty)"
-  | Sn_varlat (Some (v, c)) -> Fmt.pf ppf "varlat(%a,%d)" Value.pp v c
 
 let same_future t snap =
   match t.state, snap with

@@ -101,8 +101,9 @@ val state : t -> state
 (** Next value a source would offer (its stream head), if any. *)
 val source_peek : source_state -> Value.t option
 
-(** Does this instance consume a nondeterministic choice each cycle? *)
-val is_nondet : t -> bool
+(** The alternatives of the nondeterministic decision a node of this kind
+    takes each cycle; [[]] when it takes none. *)
+val choices : Netlist.kind -> choice list
 
 (** The shared-module scheduler, if this node has one. *)
 val scheduler : t -> Scheduler.t option
@@ -144,8 +145,6 @@ type snap
 val snapshot : t -> snap
 
 val restore : t -> snap -> unit
-
-val pp_snap : Format.formatter -> snap -> unit
 
 (** Do the live registers of [t] and the snapshot give the same future
     on the same inputs?  Every register counts, random-generator states

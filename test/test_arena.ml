@@ -216,9 +216,10 @@ let test_arena_determinism () =
         (Examples.rs_speculative ~ops).Examples.d_net
     in
     Engine.run eng 120;
-    Engine.state_key eng
+    eng
   in
-  Alcotest.(check string) "state keys agree" (mk ()) (mk ())
+  Alcotest.(check bool) "same future" true
+    (Engine.same_future (mk ()) (Engine.snapshot (mk ())))
 
 (* The E5/E6 experiment designs, rendered to Prometheus text off a
    deterministic tick clock — including the settle-seconds gauges,

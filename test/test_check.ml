@@ -11,8 +11,8 @@ let nsrc b ?name vs = add b ?name (Source (Nondet vs))
 
 let nsink b ?name () = add b ?name (Sink (Random_stall { pct = 50; seed = 1 }))
 
-let explore_clean ?config name net =
-  let o = Explore.explore ?config net in
+let explore_clean name net =
+  let o = Explore.explore net in
   if not (Explore.clean o) then
     Alcotest.failf "%s: %a@.%a" name Explore.pp_outcome o
       Fmt.(list ~sep:(any "@.") string)
@@ -27,6 +27,38 @@ let pipeline_of mk_buffer =
   let k = nsink b () in
   let _ = conn b (s, Out 0) (e, In 0) in
   let _ = conn b (e, Out 0) (k, In 0) in
+  b.net
+
+(* The speculation loop of Fig. 4: two users share F, an early mux
+   picks the result, and G alternates the select, so the module must
+   serve both users in turn. *)
+let speculation_loop sched =
+  let b = builder () in
+  let s0 = nsrc b ~name:"in0" [ Value.Int 0 ] in
+  let s1 = nsrc b ~name:"in1" [ Value.Int 1 ] in
+  let f = Func.make ~name:"F" ~arity:1 ~delay:1.0 ~area:1.0
+      (function [ v ] -> v | _ -> assert false)
+  in
+  let sh = add b ~name:"sh" (Shared { ways = 2; f; sched; hinted = false }) in
+  let m = add b (Mux { ways = 2; early = true }) in
+  let e = eb b ~init:[ Value.Int 0 ] () in
+  let fk = add b (Fork 2) in
+  let g = add b
+      (Func
+         (Func.make ~name:"G" ~arity:1 ~delay:1.0 ~area:1.0 (function
+            | [ v ] -> Value.Int (1 - Value.to_int v)
+            | _ -> assert false)))
+  in
+  let k = nsink b () in
+  let _ = conn b (s0, Out 0) (sh, In 0) in
+  let _ = conn b (s1, Out 0) (sh, In 1) in
+  let _ = conn b (sh, Out 0) (m, In 0) in
+  let _ = conn b (sh, Out 1) (m, In 1) in
+  let _ = conn b (m, Out 0) (e, In 0) in
+  let _ = conn b (e, Out 0) (fk, In 0) in
+  let _ = conn b (fk, Out 0) (g, In 0) in
+  let _ = conn b (g, Out 0) (m, Sel) in
+  let _ = conn b (fk, Out 1) (k, In 0) in
   b.net
 
 let suite =
@@ -155,110 +187,114 @@ let suite =
            sequences; cleanliness shows no reachable state is stuck for
            every scheduler, i.e. a leads-to-compliant scheduler can always
            proceed (the paper's refinement argument). *)
-        let b = builder () in
-        let s0 = nsrc b ~name:"in0" [ Value.Int 0 ] in
-        let s1 = nsrc b ~name:"in1" [ Value.Int 1 ] in
-        let f = Func.make ~name:"F" ~arity:1 ~delay:1.0 ~area:1.0
-            (function [ v ] -> v | _ -> assert false)
-        in
-        let sh =
-          add b (Shared { ways = 2; f; sched = Scheduler.External;
-                          hinted = false })
-        in
-        let m = add b (Mux { ways = 2; early = true }) in
-        let e = eb b ~init:[ Value.Int 0 ] () in
-        let fk = add b (Fork 2) in
-        let g = add b
-            (Func
-               (Func.make ~name:"G" ~arity:1 ~delay:1.0 ~area:1.0 (function
-                  | [ v ] -> Value.Int (1 - Value.to_int v)
-                  | _ -> assert false)))
-        in
-        let k = nsink b () in
-        let _ = conn b (s0, Out 0) (sh, In 0) in
-        let _ = conn b (s1, Out 0) (sh, In 1) in
-        let _ = conn b (sh, Out 0) (m, In 0) in
-        let _ = conn b (sh, Out 1) (m, In 1) in
-        let _ = conn b (m, Out 0) (e, In 0) in
-        let _ = conn b (e, Out 0) (fk, In 0) in
-        let _ = conn b (fk, Out 0) (g, In 0) in
-        let _ = conn b (g, Out 0) (m, Sel) in
-        let _ = conn b (fk, Out 1) (k, In 0) in
-        ignore (explore_clean "speculation-loop" b.net));
+        ignore
+          (explore_clean "speculation-loop"
+             (speculation_loop Scheduler.External)));
     Alcotest.test_case
       "same loop with a static scheduler starves (leads-to violated)"
       `Quick (fun () ->
+        let net = speculation_loop (Scheduler.Static 0) in
+        (* The never-predicted user starves, and the loop behind it. *)
+        Alcotest.(check bool) "starving channel found" true
+          (List.mem "in1.out0->sh.in1"
+             (Explore.explore net).Explore.starving_channels);
+        (* The leads-to watchdog is an online check like the monitors:
+           [~monitor:false] turns both off.  Explore, which runs an
+           unmonitored engine, finds the starvation by graph search. *)
+        let starvation monitor =
+          let eng = Elastic_sim.Engine.create ~monitor net in
+          Elastic_sim.Engine.run eng 200;
+          Elastic_sim.Engine.starvation_violations eng
+        in
+        Alcotest.(check bool) "monitored engine reports starvation" true
+          (starvation true <> []);
+        Alcotest.(check (list string)) "unmonitored engine reports none" []
+          (starvation false));
+    Alcotest.test_case "Explore judges Retry+ by the monitor's rule" `Quick
+      (fun () ->
+        (* A lazy join behind a shared-module output inherits the
+           output's §4.2 licence to withdraw a stalled token, but its own
+           output is bound by Retry+.  Explore and the monitor apply one
+           rule ([Protocol.retry]), so they name the same breach. *)
         let b = builder () in
         let s0 = nsrc b ~name:"in0" [ Value.Int 0 ] in
         let s1 = nsrc b ~name:"in1" [ Value.Int 1 ] in
-        let f = Func.make ~name:"F" ~arity:1 ~delay:1.0 ~area:1.0
-            (function [ v ] -> v | _ -> assert false)
-        in
+        let f = Func.identity ~delay:1.0 ~area:1.0 () in
         let sh =
-          add b (Shared { ways = 2; f; sched = Scheduler.Static 0;
-                          hinted = false })
+          add b ~name:"sh"
+            (Shared { ways = 2; f; sched = Scheduler.External;
+                      hinted = false })
         in
-        let m = add b (Mux { ways = 2; early = true }) in
-        let e = eb b ~init:[ Value.Int 0 ] () in
-        let fk = add b (Fork 2) in
-        let g = add b
-            (Func
-               (Func.make ~name:"G" ~arity:1 ~delay:1.0 ~area:1.0 (function
-                  | [ v ] -> Value.Int (1 - Value.to_int v)
-                  | _ -> assert false)))
-        in
-        let k = nsink b () in
+        let f0 = add b ~name:"f0" (Func f) in
+        let k0 = nsink b ~name:"k0" () in
+        let k1 = nsink b ~name:"k1" () in
         let _ = conn b (s0, Out 0) (sh, In 0) in
         let _ = conn b (s1, Out 0) (sh, In 1) in
-        let _ = conn b (sh, Out 0) (m, In 0) in
-        let _ = conn b (sh, Out 1) (m, In 1) in
-        let _ = conn b (m, Out 0) (e, In 0) in
-        let _ = conn b (e, Out 0) (fk, In 0) in
-        let _ = conn b (fk, Out 0) (g, In 0) in
-        let _ = conn b (g, Out 0) (m, Sel) in
-        let _ = conn b (fk, Out 1) (k, In 0) in
+        let _ = conn b (sh, Out 0) (f0, In 0) in
+        let _ = conn b (f0, Out 0) (k0, In 0) in
+        let _ = conn b (sh, Out 1) (k1, In 0) in
+        let explored =
+          List.sort_uniq compare
+            (Explore.explore b.net).Explore.protocol_violations
+        in
+        (* The same breach in simulation: offer, stall k0 under
+           prediction 0, then predict 1. *)
+        let eng = Elastic_sim.Engine.create b.net in
+        List.iter
+          (fun (way, stall) ->
+             Elastic_sim.Engine.step eng ~choices:(fun id ->
+                 if id = sh then Some (Elastic_sim.Instance.Predict way)
+                 else if id = k0 || id = k1 then
+                   Some (Elastic_sim.Instance.Stall stall)
+                 else Some (Elastic_sim.Instance.Offer true)))
+          [ (0, true); (1, true) ];
+        let monitored =
+          List.map
+            (fun (ch, (v : Protocol.violation)) ->
+               Fmt.str "%s: %s on %s" v.Protocol.property v.Protocol.message
+                 ch)
+            (Elastic_sim.Engine.violations eng)
+        in
+        Alcotest.(check (list string)) "Explore's breaches"
+          [ "retry+: token withdrawn during retry on f0.out0->k0.in0" ]
+          explored;
+        Alcotest.(check (list string)) "the monitor's breaches" explored
+          monitored);
+    Alcotest.test_case "Explore compares retried payloads by the monitor's rule"
+      `Quick (fun () ->
+        (* A datapath stage that computes a fresh payload on every
+           evaluation, unlike any node of the library, changes the
+           data of a stalled token: the [Held] half of Retry+. *)
+        let b = builder () in
+        let s = nsrc b ~name:"s" [ Value.Int 0 ] in
+        let evals = ref 0 in
+        let fresh =
+          Func.make ~name:"fresh" ~arity:1 ~delay:1.0 ~area:1.0 (fun _ ->
+              incr evals;
+              Value.Int !evals)
+        in
+        let f = add b ~name:"f" (Func fresh) in
+        let k = nsink b ~name:"k" () in
+        let _ = conn b (s, Out 0) (f, In 0) in
+        let _ = conn b (f, Out 0) (k, In 0) in
         let o = Explore.explore b.net in
-        Alcotest.(check bool) "starving channel found" true
-          (o.Explore.starving_channels <> []));
+        let breach = "retry+: data changed during retry: " in
+        Alcotest.(check bool) "breaches found" true
+          (o.Explore.protocol_violations <> []);
+        List.iter
+          (fun v ->
+             Alcotest.(check bool) v true
+               (String.starts_with ~prefix:breach v
+                && String.ends_with ~suffix:" on f.out0->k.in0" v))
+          o.Explore.protocol_violations);
     Alcotest.test_case "sticky scheduler loop verified clean" `Quick
       (fun () ->
-        let b = builder () in
-        let s0 = nsrc b ~name:"in0" [ Value.Int 0 ] in
-        let s1 = nsrc b ~name:"in1" [ Value.Int 1 ] in
-        let f = Func.make ~name:"F" ~arity:1 ~delay:1.0 ~area:1.0
-            (function [ v ] -> v | _ -> assert false)
-        in
-        let sh =
-          add b (Shared { ways = 2; f; sched = Scheduler.Sticky;
-                          hinted = false })
-        in
-        let m = add b (Mux { ways = 2; early = true }) in
-        let e = eb b ~init:[ Value.Int 0 ] () in
-        let fk = add b (Fork 2) in
-        let g = add b
-            (Func
-               (Func.make ~name:"G" ~arity:1 ~delay:1.0 ~area:1.0 (function
-                  | [ v ] -> Value.Int (1 - Value.to_int v)
-                  | _ -> assert false)))
-        in
-        let k = nsink b () in
-        let _ = conn b (s0, Out 0) (sh, In 0) in
-        let _ = conn b (s1, Out 0) (sh, In 1) in
-        let _ = conn b (sh, Out 0) (m, In 0) in
-        let _ = conn b (sh, Out 1) (m, In 1) in
-        let _ = conn b (m, Out 0) (e, In 0) in
-        let _ = conn b (e, Out 0) (fk, In 0) in
-        let _ = conn b (fk, Out 0) (g, In 0) in
-        let _ = conn b (g, Out 0) (m, Sel) in
-        let _ = conn b (fk, Out 1) (k, In 0) in
-        ignore (explore_clean "sticky-loop" b.net));
+        ignore
+          (explore_clean "sticky-loop" (speculation_loop Scheduler.Sticky)));
     Alcotest.test_case "state cap marks the outcome incomplete" `Quick
       (fun () ->
         let net = pipeline_of (fun b -> eb b ()) in
-        let config =
-          { Explore.default_config with Explore.max_states = 3 }
-        in
-        let o = Explore.explore ~config net in
+        let o = Explore.explore ~max_states:3 net in
         Alcotest.(check bool) "incomplete" false o.Explore.complete;
         (* Incomplete exploration draws no liveness conclusions. *)
         Alcotest.(check (list string)) "no deadlock claims" []

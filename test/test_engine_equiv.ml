@@ -199,9 +199,10 @@ let run_pair ~name ?(cycles = 200) ?faults net =
     Alcotest.(check (list (pair string string)))
       (Fmt.str "%s: protocol violations" name)
       (violation_keys ea) (violation_keys er);
-    Alcotest.(check string)
+    Alcotest.(check bool)
       (Fmt.str "%s: final register state" name)
-      (Engine.state_key ea) (Engine.state_key er);
+      true
+      (Engine.same_future ea (Engine.snapshot er));
     (* The rendered event stream is backend-independent: compare the
        full JSONL text byte-for-byte. *)
     Alcotest.(check string)

@@ -224,16 +224,18 @@ let protocol_suite =
         let vs =
           run_monitor [ mk ~vp:true ~sp:true ~d:(Value.Int 1) (); mk () ]
         in
-        Alcotest.(check bool) "retry+ violation" true
-          (List.exists (fun v -> v.Protocol.property = "retry+") vs));
+        Alcotest.(check (list (pair string string))) "retry+ violation"
+          [ ("retry+", "token withdrawn during retry") ]
+          (List.map (fun v -> (v.Protocol.property, v.Protocol.message)) vs));
     Alcotest.test_case "changed data during retry flagged" `Quick (fun () ->
         let vs =
           run_monitor
             [ mk ~vp:true ~sp:true ~d:(Value.Int 1) ();
               mk ~vp:true ~sp:true ~d:(Value.Int 2) () ]
         in
-        Alcotest.(check bool) "retry+ violation" true
-          (List.exists (fun v -> v.Protocol.property = "retry+") vs));
+        Alcotest.(check (list (pair string string))) "retry+ violation"
+          [ ("retry+", "data changed during retry: 1 -> 2") ]
+          (List.map (fun v -> (v.Protocol.property, v.Protocol.message)) vs));
     Alcotest.test_case "non-persistent channels exempt" `Quick (fun () ->
         let vs =
           run_monitor ~check_forward_persistence:false
