@@ -743,13 +743,14 @@ let e7 () =
   let c = secded () in
   let golden =
     Recovery.golden_run ~cycles:c.Examples.sc_cycles
-      ~settle:c.Examples.sc_settle c.Examples.sc_net
+      ~settle:c.Examples.sc_settle ~alarms:c.Examples.sc_alarms
+      c.Examples.sc_net
   in
   let engine = Recovery.faulted_engine golden in
   let stepped = ref [] in
   let run faults =
     let report =
-      Recovery.check ~alarms:c.Examples.sc_alarms ~engine golden ~faults
+      Recovery.check ~engine golden ~faults
     in
     stepped := Profile.cycles (Engine.profile engine) :: !stepped;
     { Campaign.faults; report }
@@ -845,7 +846,8 @@ let json_e7 r =
            ("cycles_after_horizon", tally (List.map fst cut));
            ("lag", tally (List.map snd cut)) ]);
       (* Heap words the golden run adds to its netlist: the per-cycle
-         snapshots and fingerprints every scenario reads. *)
+         snapshots and fingerprints every scenario reads, and the sink
+         entry arrays with their prefix counts. *)
       ("golden_record_words",
        Json.Int
          (Obj.reachable_words (Obj.repr r.e7_golden)

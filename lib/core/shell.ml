@@ -486,7 +486,7 @@ let inject_cmd net target kind rest =
     | _ -> Error inject_usage
   in
   let report =
-    Recovery.check ~alarms:(alarms_of net) (Recovery.golden_run net) ~faults
+    Recovery.check (Recovery.golden_run ~alarms:(alarms_of net) net) ~faults
   in
   Ok (Fmt.str "%a" Recovery.pp_report report)
 

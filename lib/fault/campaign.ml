@@ -46,8 +46,8 @@ let summarize outcomes =
 let run ?cycles ?settle ?alarms net ~scenarios =
   let check =
     lazy
-      (let golden = Recovery.golden_run ?cycles ?settle net in
-       Recovery.check ?alarms ~engine:(Recovery.faulted_engine golden) golden)
+      (let golden = Recovery.golden_run ?cycles ?settle ?alarms net in
+       Recovery.check ~engine:(Recovery.faulted_engine golden) golden)
   in
   summarize
     (List.map

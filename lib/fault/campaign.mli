@@ -33,6 +33,8 @@ val pp_summary : Format.formatter -> summary -> unit
 (** The summary of outcomes checked one by one elsewhere. *)
 val summarize : outcome list -> summary
 
+(** [run net ~scenarios] checks every scenario; [cycles], [settle] and
+    [alarms] go to the golden run ({!Recovery.golden_run}). *)
 val run :
   ?cycles:int ->
   ?settle:int ->

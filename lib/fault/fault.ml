@@ -88,24 +88,27 @@ let flip_value bits v =
   in
   fst (go 0 v)
 
+(* Plain concatenation: a campaign describes every fault it checks, and
+   [Fmt.str] costs a formatter per call. *)
 let describe net f =
+  let int = string_of_int in
   let where =
     match f.target with
     | Channel cid ->
       let c = Netlist.channel net cid in
-      Fmt.str "channel %s (id %d, node %d -> node %d)" c.Netlist.ch_name
-        c.Netlist.ch_id c.Netlist.src.Netlist.ep_node
-        c.Netlist.dst.Netlist.ep_node
+      String.concat ""
+        [ "channel "; c.Netlist.ch_name; " (id "; int c.Netlist.ch_id;
+          ", node "; int c.Netlist.src.Netlist.ep_node; " -> node ";
+          int c.Netlist.dst.Netlist.ep_node; ")" ]
     | Node nid ->
       let n = Netlist.node net nid in
-      Fmt.str "node %s (id %d)" n.Netlist.name nid
+      String.concat "" [ "node "; n.Netlist.name; " (id "; int nid; ")" ]
   in
   let what =
     match f.kind with
-    | Flip_bits [ b ] -> Fmt.str "flip payload bit %d" b
+    | Flip_bits [ b ] -> "flip payload bit " ^ int b
     | Flip_bits bs ->
-      Fmt.str "flip payload bits {%s}"
-        (String.concat "," (List.map string_of_int bs))
+      "flip payload bits {" ^ String.concat "," (List.map int bs) ^ "}"
     | Force_valid true -> "forge valid (V+ stuck high)"
     | Force_valid false -> "drop token (V+ stuck low)"
     | Force_stop true -> "stuck-at stall (S+ high)"
@@ -113,13 +116,15 @@ let describe net f =
     | Force_kill true -> "forge anti-token (V- stuck high)"
     | Force_kill false -> "suppress anti-token (V- stuck low)"
     | Duplicate_token -> "duplicate last token"
-    | Mispredict way -> Fmt.str "force scheduler to way %d" way
+    | Mispredict way -> "force scheduler to way " ^ int way
   in
   let window =
-    if f.duration = 1 then Fmt.str "at cycle %d" f.cycle
-    else Fmt.str "during cycles %d..%d" f.cycle (f.cycle + f.duration - 1)
+    if f.duration = 1 then "at cycle " ^ int f.cycle
+    else
+      String.concat ""
+        [ "during cycles "; int f.cycle; ".."; int (f.cycle + f.duration - 1) ]
   in
-  Fmt.str "%s on %s %s" what where window
+  String.concat " " [ what; "on"; where; window ]
 
 type plan = {
   p_faults : t list;

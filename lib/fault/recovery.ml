@@ -59,12 +59,34 @@ let fresh_violations ~ref_viols ~flt_viols =
     (fun fv -> not (List.exists (fun rv -> key rv = key fv) ref_viols))
     flt_viols
 
+(* One sink of the golden run, over the whole trajectory. *)
+type g_sink = {
+  gs_node : Netlist.node;
+  gs_entries : Transfer.entry array;
+  gs_before : int array;
+      (* [gs_before.(c)]: the entries stamped before cycle [c], for every
+         cycle of the trajectory *)
+}
+
+(* An alarm sink: its index in [g_sinks], its predicate, and
+   [trips.(i)]: how many of the sink's first [i] golden entries it
+   holds for. *)
+type g_alarm = {
+  ga_sink : int;
+  ga_pred : Value.t -> bool;
+  ga_trips : int array;
+}
+
 type golden = {
   g_net : Netlist.t;
   g_cycles : int;
   g_settle : int;
   g_mode : Engine.eval_mode;
-  g_sinks : (Netlist.node * Transfer.entry list) list;  (* first [cycles] *)
+  g_sinks : g_sink array;  (* in netlist order *)
+  g_data : int list;  (* the sinks that are not alarms *)
+  g_alarms : g_alarm list;  (* in the order given *)
+  g_ref_transfers : int;  (* data-sink transfers in the first [cycles] *)
+  g_ref_trips : int;  (* alarm trips in the first [cycles] *)
   g_violations : (string * Protocol.violation) list;
   g_starvation : string list;
   (* The trajectory: [g_snaps.(c)] is the state after [c] cycles, for
@@ -75,12 +97,52 @@ type golden = {
   g_by_fingerprint : int array;
       (* cycles by fingerprint, the latest first among equal ones *)
   g_reports : int array;  (* violations + starvation reports so far *)
-  g_streams : (Netlist.node_id * Transfer.entry list) list;
-      (* every sink's transfers over the whole trajectory *)
 }
 
-let golden_run ?(cycles = 300) ?(settle = 60) ?(mode = Engine.default_mode)
-    net =
+let golden_sink ~last eng (n : Netlist.node) =
+  let entries = Transfer.suffix (Engine.sink_stream eng n.Netlist.id) 0 in
+  let before = Array.make (last + 1) 0 in
+  let i = ref 0 in
+  for c = 0 to last do
+    while !i < Array.length entries && entries.(!i).Transfer.cycle < c do
+      incr i
+    done;
+    before.(c) <- !i
+  done;
+  { gs_node = n; gs_entries = entries; gs_before = before }
+
+(* [trips.(i)]: how many of the first [i] entries [pred] holds for. *)
+let trip_counts pred (entries : Transfer.entry array) =
+  let trips = Array.make (Array.length entries + 1) 0 in
+  Array.iteri
+    (fun i (e : Transfer.entry) ->
+       trips.(i + 1) <- (trips.(i) + if pred e.Transfer.value then 1 else 0))
+    entries;
+  trips
+
+let golden_run ?(cycles = 300) ?(settle = 60) ?(alarms = [])
+    ?(mode = Engine.default_mode) net =
+  let sink_nodes =
+    List.filter
+      (fun (n : Netlist.node) ->
+         match n.Netlist.kind with Netlist.Sink _ -> true | _ -> false)
+      (Netlist.nodes net)
+  in
+  (* Each alarm's sink index, before simulating anything. *)
+  let alarm_sinks =
+    List.map
+      (fun (nid, pred) ->
+         let rec index k = function
+           | [] ->
+             invalid_arg
+               (Fmt.str "Recovery.golden_run: alarm node %d is not a sink"
+                  nid)
+           | (n : Netlist.node) :: rest ->
+             if n.Netlist.id = nid then k else index (k + 1) rest
+         in
+         (index 0 sink_nodes, pred))
+      alarms
+  in
   let eng = Engine.create ~monitor:true ~mode net in
   let trajectory = ref [] in
   let record () =
@@ -108,6 +170,7 @@ let golden_run ?(cycles = 300) ?(settle = 60) ?(mode = Engine.default_mode)
      done
    with _ -> ());
   let trajectory = Array.of_list (List.rev !trajectory) in
+  let last = Array.length trajectory - 1 in
   let fingerprints = Array.map (fun (_, fp, _) -> fp) trajectory in
   let by_fingerprint = Array.init (Array.length trajectory) Fun.id in
   Array.sort
@@ -116,35 +179,44 @@ let golden_run ?(cycles = 300) ?(settle = 60) ?(mode = Engine.default_mode)
        | 0 -> Int.compare b a
        | c -> c)
     by_fingerprint;
-  let sinks =
-    List.filter_map
-      (fun (n : Netlist.node) ->
-         match n.Netlist.kind with
-         | Netlist.Sink _ ->
-           Some (n, Transfer.entries (Engine.sink_stream eng n.Netlist.id))
-         | _ -> None)
-      (Netlist.nodes net)
+  let sinks = Array.of_list (List.map (golden_sink ~last eng) sink_nodes) in
+  let g_data =
+    List.filter
+      (fun k -> not (List.mem_assoc k alarm_sinks))
+      (List.init (Array.length sinks) Fun.id)
+  in
+  let g_alarms =
+    List.map
+      (fun (k, pred) ->
+         { ga_sink = k; ga_pred = pred;
+           ga_trips = trip_counts pred sinks.(k).gs_entries })
+      alarm_sinks
   in
   { g_net = net;
     g_cycles = cycles;
     g_settle = settle;
     g_mode = mode;
-    g_sinks =
-      List.map
-        (fun (n, es) ->
-           (n, List.filter (fun e -> e.Transfer.cycle < cycles) es))
-        sinks;
+    g_sinks = sinks;
+    g_data;
+    g_alarms;
+    g_ref_transfers =
+      List.fold_left (fun a k -> a + sinks.(k).gs_before.(cycles)) 0 g_data;
+    g_ref_trips =
+      List.fold_left
+        (fun a ga ->
+           a + ga.ga_trips.(sinks.(ga.ga_sink).gs_before.(cycles)))
+        0 g_alarms;
     g_violations = violations;
     g_starvation = starvation;
     g_snaps = Array.map (fun (s, _, _) -> s) trajectory;
     g_fingerprints = fingerprints;
     g_by_fingerprint = by_fingerprint;
-    g_reports = Array.map (fun (_, _, r) -> r) trajectory;
-    g_streams =
-      List.map (fun ((n : Netlist.node), es) -> (n.Netlist.id, es)) sinks }
+    g_reports = Array.map (fun (_, _, r) -> r) trajectory }
 
 type faulted = {
-  f_sinks : (Netlist.node_id * Transfer.entry list) list;
+  f_start : int;
+  f_delta : Transfer.entry array array;
+  f_cut : (int * int) option;
   f_violations : (string * Protocol.violation) list;
   f_starvation : string list;
   f_crash : string option;
@@ -240,51 +312,121 @@ let run_faulted ?engine ?observer golden ~faults =
     | Engine.Simulation_error e -> (None, Some (Engine.error_to_string e))
     | e -> (None, Some (Printexc.to_string e))
   in
-  let splice nid golden_entries =
-    let own = Transfer.entries (Engine.sink_stream flt nid) in
-    match cut with
-    | None -> own
-    | Some (c, g) ->
-      let stop = g + total - c in
-      own
-      @ List.filter_map
-          (fun (e : Transfer.entry) ->
-             if e.Transfer.cycle >= g && e.Transfer.cycle < stop then
-               Some { e with Transfer.cycle = e.Transfer.cycle + c - g }
-             else None)
-          golden_entries
-  in
-  { f_sinks =
-      List.map (fun (nid, es) -> (nid, splice nid es)) golden.g_streams;
+  { f_start = start;
+    f_delta =
+      Array.map
+        (fun s ->
+           Transfer.suffix
+             (Engine.sink_stream flt s.gs_node.Netlist.id)
+             s.gs_before.(start))
+        golden.g_sinks;
+    f_cut = cut;
     f_violations = Engine.violations flt;
     f_starvation = Engine.starvation_violations flt;
     f_crash = crash;
     f_stabilized = Option.map (fun (c, g) -> (c - horizon, c - g)) cut }
 
-let classify ?(alarms = []) golden ~faults (f : faulted) =
+(* Where sink [s] of a faulted run gets its stream, by golden entry
+   index: the golden prefix [\[0, pre)] (the entries before the start
+   cycle), then the delta, then the golden range [\[from, upto)] with
+   its stamps shifted by [lag] (the golden run after the cut-off). *)
+type layout = { pre : int; from : int; upto : int; lag : int }
+
+let layout g f s =
+  let pre = s.gs_before.(f.f_start) in
+  match f.f_cut with
+  | None -> { pre; from = 0; upto = 0; lag = 0 }
+  | Some (c, gc) ->
+    { pre;
+      from = s.gs_before.(gc);
+      upto = s.gs_before.(gc + g.g_cycles + g.g_settle - c);
+      lag = c - gc }
+
+let materialize g f =
+  Array.to_list
+    (Array.mapi
+       (fun k s ->
+          let l = layout g f s in
+          let golden i = s.gs_entries.(i) in
+          ( s.gs_node.Netlist.id,
+            List.init l.pre golden
+            @ Array.to_list f.f_delta.(k)
+            @ List.init (l.upto - l.from) (fun i ->
+                let e = golden (l.from + i) in
+                { e with Transfer.cycle = e.Transfer.cycle + l.lag }) ))
+       g.g_sinks)
+
+(* Transfers of sink [k] in the faulted run. *)
+let transfers g f k =
+  let l = layout g f g.g_sinks.(k) in
+  l.pre + Array.length f.f_delta.(k) + l.upto - l.from
+
+(* How many transfers of alarm [a] trip it in the faulted run: the
+   delta is the only part not counted in advance. *)
+let trips g f a =
+  let l = layout g f g.g_sinks.(a.ga_sink) in
+  let t = a.ga_trips in
+  Array.fold_left
+    (fun n (e : Transfer.entry) ->
+       if a.ga_pred e.Transfer.value then n + 1 else n)
+    (t.(l.pre) + t.(l.upto) - t.(l.from))
+    f.f_delta.(a.ga_sink)
+
+(* Data sink [k] of the faulted run against the golden run's first
+   [cycles] cycles, entry by entry: [`Mismatch] at the first differing
+   value, then [`Mismatch] for extra transfers or [`Short] for missing
+   ones, else [`Lag] of the largest delay.  Only the delta is compared
+   entry by entry: the prefix is the golden run's own, and the shifted
+   range lines up with the golden entries when it starts where the
+   delta ends (same entries, delayed by the lag). *)
+let compare_sink g f k =
+  let s = g.g_sinks.(k) in
+  let l = layout g f s in
+  let golden = s.gs_entries and delta = f.f_delta.(k) in
+  let ends = l.pre + Array.length delta in
+  let n = ends + l.upto - l.from in
+  let r = s.gs_before.(g.g_cycles) in
+  let m = min r n in
+  let lag = ref 0 and wrong = ref None in
+  let check_entry i (e : Transfer.entry) shift =
+    let expected = golden.(i) in
+    if Value.equal expected.Transfer.value e.Transfer.value then
+      lag := max !lag (e.Transfer.cycle + shift - expected.Transfer.cycle)
+    else
+      wrong :=
+        Some
+          (Fmt.str "sink %s transfer %d: expected %s, got %s"
+             s.gs_node.Netlist.name i
+             (Value.to_string expected.Transfer.value)
+             (Value.to_string e.Transfer.value))
+  in
+  let i = ref l.pre in
+  while Option.is_none !wrong && !i < min ends m do
+    check_entry !i delta.(!i - l.pre) 0;
+    incr i
+  done;
+  if !i < m && l.from = ends then lag := max !lag l.lag
+  else
+    while Option.is_none !wrong && !i < m do
+      check_entry !i golden.(l.from + !i - ends) l.lag;
+      incr i
+    done;
+  match !wrong with
+  | Some why -> `Mismatch why
+  (* Example workloads are finite streams, so once the reference has
+     drained, anything extra the faulted run delivered is a spurious
+     (duplicated or forged) token. *)
+  | None when n > r ->
+    `Mismatch
+      (Fmt.str "sink %s: %d spurious extra transfer%s"
+         s.gs_node.Netlist.name (n - r)
+         (if n - r = 1 then "" else "s"))
+  | None when n < r -> `Short (r - n)
+  | None -> `Lag !lag
+
+let classify golden ~faults (f : faulted) =
   let net = golden.g_net in
   let settle = golden.g_settle in
-  let data_sinks =
-    List.filter
-      (fun ((n : Netlist.node), _) -> not (List.mem_assoc n.Netlist.id alarms))
-      golden.g_sinks
-  in
-  let flt_entries nid =
-    match List.assoc_opt nid f.f_sinks with
-    | Some es -> es
-    | None ->
-      invalid_arg
-        (Fmt.str "Recovery.classify: alarm node %d is not a sink" nid)
-  in
-  let ref_transfers =
-    List.fold_left (fun a (_, re) -> a + List.length re) 0 data_sinks
-  in
-  let faulted_transfers =
-    List.fold_left
-      (fun a ((n : Netlist.node), _) ->
-         a + List.length (flt_entries n.Netlist.id))
-      0 data_sinks
-  in
   let fresh =
     fresh_violations ~ref_viols:golden.g_violations
       ~flt_viols:f.f_violations
@@ -293,23 +435,6 @@ let classify ?(alarms = []) golden ~faults (f : faulted) =
     List.filter
       (fun s -> not (List.mem s golden.g_starvation))
       f.f_starvation
-  in
-  let alarm_trips entries_of =
-    List.fold_left
-      (fun acc (nid, pred) ->
-         acc
-         + List.length
-             (List.filter (fun e -> pred e.Transfer.value) (entries_of nid)))
-      0 alarms
-  in
-  (* An alarm id that names no sink is missing from the golden run;
-     [flt_entries] rejects it first. *)
-  let ref_entries nid =
-    List.find_map
-      (fun ((n : Netlist.node), re) ->
-         if n.Netlist.id = nid then Some re else None)
-      golden.g_sinks
-    |> Option.value ~default:[]
   in
   let monitor_detection () =
     match fresh with
@@ -333,38 +458,15 @@ let classify ?(alarms = []) golden ~faults (f : faulted) =
       (match fresh_starvation with
        | s :: _ -> Some (Fmt.str "starvation watchdog: %s" s)
        | [] ->
-         let flt_trips = alarm_trips flt_entries in
-         let ref_trips = alarm_trips ref_entries in
-         if flt_trips > ref_trips then
+         let flt_trips =
+           List.fold_left (fun n a -> n + trips golden f a) 0 golden.g_alarms
+         in
+         let extra = flt_trips - golden.g_ref_trips in
+         if extra > 0 then
            Some
-             (Fmt.str "alarm sink tripped %d time%s" (flt_trips - ref_trips)
-                (if flt_trips - ref_trips = 1 then "" else "s"))
+             (Fmt.str "alarm sink tripped %d time%s" extra
+                (if extra = 1 then "" else "s"))
          else None)
-  in
-  let compare_sink ((n : Netlist.node), re) =
-    let rec go i lag rs fs =
-      match (rs, fs) with
-      | [], [] -> `Lag lag
-      (* Example workloads are finite streams, so once the reference has
-         drained, anything extra the faulted run delivered is a spurious
-         (duplicated or forged) token. *)
-      | [], (_ :: _ as extra) ->
-        let k = List.length extra in
-        `Mismatch
-          (Fmt.str "sink %s: %d spurious extra transfer%s" n.Netlist.name k
-             (if k = 1 then "" else "s"))
-      | _ :: _, [] -> `Short (List.length rs)
-      | r :: rs', f :: fs' ->
-        if not (Value.equal r.Transfer.value f.Transfer.value) then
-          `Mismatch
-            (Fmt.str "sink %s transfer %d: expected %s, got %s"
-               n.Netlist.name i
-               (Value.to_string r.Transfer.value)
-               (Value.to_string f.Transfer.value))
-        else go (i + 1) (max lag (f.Transfer.cycle - r.Transfer.cycle)) rs'
-               fs'
-    in
-    go 0 0 re (flt_entries n.Netlist.id)
   in
   let classification =
     match f.f_crash with
@@ -373,7 +475,7 @@ let classify ?(alarms = []) golden ~faults (f : faulted) =
       (match monitor_detection () with
        | Some why -> Detected why
        | None ->
-         let results = List.map compare_sink data_sinks in
+         let results = List.map (compare_sink golden f) golden.g_data in
          let mismatch =
            List.find_map
              (function `Mismatch m -> Some m | _ -> None)
@@ -406,11 +508,11 @@ let classify ?(alarms = []) golden ~faults (f : faulted) =
   in
   { classification;
     fault_desc = List.map (Fault.describe net) faults;
-    ref_transfers;
-    faulted_transfers;
+    ref_transfers = golden.g_ref_transfers;
+    faulted_transfers =
+      List.fold_left (fun n k -> n + transfers golden f k) 0 golden.g_data;
     fresh_violations = fresh;
     stabilized = f.f_stabilized }
 
-let check ?alarms ?observer ?engine golden ~faults =
-  classify ?alarms golden ~faults
-    (run_faulted ?engine ?observer golden ~faults)
+let check ?observer ?engine golden ~faults =
+  classify golden ~faults (run_faulted ?engine ?observer golden ~faults)

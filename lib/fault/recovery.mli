@@ -48,34 +48,68 @@ val pp_classification : Format.formatter -> classification -> unit
 val pp_report : Format.formatter -> report -> unit
 
 (** The fault-free reference of a netlist: every sink's transfer
-    stream, the monitor violations and the starvation list after
-    [cycles] cycles, and the trajectory of [cycles + settle] cycles
-    that {!check} fast-forwards along and splices from: per cycle, an
-    {!Engine.snapshot} and an {!Engine.fingerprint}.  Immutable, so one
-    value can be shared read-only by every scenario of a campaign,
-    across domains too. *)
+    stream over the whole trajectory, as an array with the count of
+    entries stamped before each cycle, the alarm sinks with their trip
+    counts over every prefix of their stream, the monitor violations
+    and the starvation list after [cycles] cycles, and the trajectory
+    of [cycles + settle] cycles that {!check} fast-forwards along and
+    cuts off against: per cycle, an {!Engine.snapshot} and an
+    {!Engine.fingerprint}.  Everything a scenario reads of it is
+    computed once here, so a scenario costs the cycles it steps, not
+    the length of the run.  Immutable, so one value can be shared
+    read-only by every scenario of a campaign, across domains too. *)
 type golden
 
 (** [golden_run net] simulates [net] without faults for [cycles]
     (default 300) plus [settle] (default 60) cycles in [mode] (default
     {!Engine.default_mode}).  Raises whatever {!Engine.create} or
     {!Engine.step} raise on [net] in the first [cycles] cycles; a
-    failure in the settle window only ends the trajectory there. *)
-val golden_run :
-  ?cycles:int -> ?settle:int -> ?mode:Elastic_sim.Engine.eval_mode ->
-  Netlist.t -> golden
+    failure in the settle window only ends the trajectory there.
 
-(** What the faulted engine leaves after [cycles + settle] cycles. *)
+    @param alarms sink nodes that are error {e detectors} rather than
+    data outputs: their streams are excluded from equivalence checking
+    and a fault counts as [Detected] when the predicate holds for more
+    faulted-run values than reference-run values (see {!check}).  The
+    predicates must be pure: every scenario of a campaign calls them,
+    from any domain.
+    @raise Invalid_argument when an alarm id names no sink, before
+    anything is simulated. *)
+val golden_run :
+  ?cycles:int -> ?settle:int ->
+  ?alarms:(Netlist.node_id * (Value.t -> bool)) list ->
+  ?mode:Elastic_sim.Engine.eval_mode -> Netlist.t -> golden
+
+(** What the faulted engine leaves after [cycles + settle] cycles, as a
+    delta on the golden run: the faulted run equals the golden one
+    before [f_start], and from the cut-off on it is the golden run
+    delayed by the lag.  {!materialize} spells out the whole streams. *)
 type faulted = {
-  f_sinks : (Netlist.node_id * Transfer.entry list) list;
-      (** Every sink's transfers with their cycle stamps, in netlist
-          order. *)
+  f_start : int;
+      (** The cycle the faulted engine started from.  Every sink's
+          transfers stamped before it are the golden run's. *)
+  f_delta : Transfer.entry array array;
+      (** Per sink, in netlist order: the transfers the faulted engine
+          delivered from [f_start] until it stopped, with their cycle
+          stamps. *)
+  f_cut : (int * int) option;
+      (** [Some (c, g)] when the engine was cut off at cycle [c], whose
+          state has the future of golden cycle [g]: the rest of the
+          window is the golden run from [g] on, [c - g] cycles later.
+          [None] when it ran to the end or crashed. *)
   f_violations : (string * Protocol.violation) list;
   f_starvation : string list;
   f_crash : string option;
       (** The engine raised; the other fields are as of that cycle. *)
   f_stabilized : (int * int) option;  (** See {!report}. *)
 }
+
+(** Every sink's transfers in the faulted run, with their cycle stamps,
+    in netlist order: the golden prefix, the delta, and the shifted
+    golden stretch after the cut-off.  A run of every cycle is the
+    delta [f_start = 0], [f_cut = None], so this is what such a run's
+    sink streams hold. *)
+val materialize :
+  golden -> faulted -> (Netlist.node_id * Transfer.entry list) list
 
 (** [faulted_engine golden] compiles the engine {!run_faulted} steps:
     [Engine.create ~monitor:true ~mode] on the golden run's netlist and
@@ -95,11 +129,11 @@ val faulted_engine : golden -> Elastic_sim.Engine.t
       the first cycle whose state has the future of some golden cycle
       ({!Engine.same_future}), provided the golden trajectory covers the
       rest of the run from there and reports no violation or starvation
-      in it, and splices that stretch of the golden sink streams,
-      shifted by the lag, onto its own.
-    The result is the one a run of every cycle gives.  [observer] is
-    called once with the faulted engine before its first step, so it
-    sees the cycles from the first fault to the cut-off.
+      in it; the rest of the run is that stretch of the golden run,
+      shifted by the lag.
+    The result ({!materialize}) is the one a run of every cycle gives.
+    [observer] is called once with the faulted engine before its first
+    step, so it sees the cycles from the first fault to the cut-off.
 
     @param engine the engine to step, from {!faulted_engine} [golden]
     (default: a new one).  Before restoring it from the golden snapshot,
@@ -117,30 +151,24 @@ val run_faulted :
   faults:Fault.t list -> faulted
 
 (** Classify a faulted run against the golden run's first [cycles]
-    cycles (see {!check}).
-    @raise Invalid_argument when an alarm id names no sink. *)
-val classify :
-  ?alarms:(Netlist.node_id * (Value.t -> bool)) list -> golden ->
-  faults:Fault.t list -> faulted -> report
+    cycles (see {!check}).  It compares the delta with the golden
+    entries at the same indices and reads the rest from the counts the
+    golden run holds, so it costs the delta, not the run. *)
+val classify : golden -> faults:Fault.t list -> faulted -> report
 
 (** [check golden ~faults] is [classify golden ~faults (run_faulted
     golden ~faults)]: the {!golden_run} is the scenario's whole context,
-    its netlist, eval mode, [cycles] and [settle] window.  The checker
-    assumes a {e finite} workload that the reference run drains within
-    [cycles]: transfers beyond the reference stream are reported as
-    spurious (corruption), not run-ahead.
+    its netlist, eval mode, [cycles] and [settle] window, and alarms.
+    The checker assumes a {e finite} workload that the reference run
+    drains within [cycles]: transfers beyond the reference stream are
+    reported as spurious (corruption), not run-ahead.
 
-    @param alarms sink nodes that are error {e detectors} rather than
-    data outputs: their streams are excluded from equivalence checking
-    and the fault counts as [Detected] when the predicate holds for more
-    faulted-run values than reference-run values.
     @param observer called once with the faulted engine before its first
     cycle, so a tracer (e.g. [Elastic_trace.Tracer.attach]) can record
     the fault's propagation from the first fault cycle to the cut-off
     (see {!run_faulted}).  The shared golden run is never observed.
     @param engine a faulted engine to reuse; see {!run_faulted}. *)
 val check :
-  ?alarms:(Netlist.node_id * (Value.t -> bool)) list ->
   ?observer:(Elastic_sim.Engine.t -> unit) ->
   ?engine:Elastic_sim.Engine.t ->
   golden ->

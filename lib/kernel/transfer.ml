@@ -14,6 +14,21 @@ let values t = List.rev_map (fun e -> e.value) t.rev
 
 let length t = t.count
 
+let suffix t n =
+  let k = t.count - max n 0 in
+  match t.rev with
+  | last :: _ when k > 0 ->
+    let a = Array.make k last in
+    let rec fill i = function
+      | e :: rest when i >= 0 ->
+        a.(i) <- e;
+        fill (i - 1) rest
+      | _ -> ()
+    in
+    fill (k - 1) t.rev;
+    a
+  | _ -> [||]
+
 let equivalent a b = List.equal Value.equal (values a) (values b)
 
 let prefix_equivalent a b =

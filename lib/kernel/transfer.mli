@@ -23,6 +23,10 @@ val entries : t -> entry list
 
 val length : t -> int
 
+(** [suffix t n]: the transfers after the first [n], in order (all of
+    them when [n <= 0]).  Costs the length of the suffix, not of [t]. *)
+val suffix : t -> int -> entry array
+
 (** Transfer equivalence: same values in the same order, cycle stamps
     ignored. *)
 val equivalent : t -> t -> bool

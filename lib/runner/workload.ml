@@ -33,7 +33,7 @@ let emit_phases (rc, attempt_id) ~t0 ~t1 ~compile_s profile =
    and then read by every worker.  A lock rather than [Lazy.force], which
    is not domain-safe; a build that raises is not cached, so each task
    that asks reports the failure itself. *)
-let shared_golden ?cycles ?settle net =
+let shared_golden ?cycles ?settle ?alarms net =
   let lock = Pool_backend.create_lock () in
   let cached = ref None in
   fun () ->
@@ -41,7 +41,7 @@ let shared_golden ?cycles ?settle net =
         match !cached with
         | Some g -> g
         | None ->
-          let g = Recovery.golden_run ?cycles ?settle net in
+          let g = Recovery.golden_run ?cycles ?settle ?alarms net in
           cached := Some g;
           g)
 
@@ -69,7 +69,7 @@ let engine_pool () =
   (take, give)
 
 let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
-  let golden = shared_golden ?cycles ?settle net in
+  let golden = shared_golden ?cycles ?settle ?alarms net in
   let take, give = engine_pool () in
   List.mapi
     (fun i faults ->
@@ -84,9 +84,7 @@ let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
                 | None -> 0L
               in
               let engine, compiled = take golden in
-              let report =
-                Recovery.check ?alarms ~engine golden ~faults
-              in
+              let report = Recovery.check ~engine golden ~faults in
               (match ctx.obs with
                | Some ((rc, _) as obs) ->
                  let p = Elastic_sim.Engine.profile engine in

@@ -26,8 +26,8 @@
 
 (** [of_campaign ~name net ~scenarios] — task ids are
     ["<name>/<index>"] (stable across runs: the checkpoint resume key).
-    [cycles] and [settle] size the shared golden run; [alarms] go to
-    [Recovery.check].
+    [cycles], [settle] and [alarms] go to the shared golden run
+    ({!Elastic_fault.Recovery.golden_run}).
     The task body calls [ctx.check_deadline] before
     each check, so shard/campaign wall-clock budgets land between
     simulations, never mid-cycle. *)

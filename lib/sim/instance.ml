@@ -659,9 +659,7 @@ type snap =
   | Sn_eb0 of Value.t option
   | Sn_fork of bool list * int list
   | Sn_emux of int list
-  | Sn_shared of int list * int list
-      (* full state, behavioural key (unread, but counted in E7's exact
-         golden_record_words) *)
+  | Sn_shared of int list
   | Sn_varlat of (Value.t * int) option
 
 let snapshot t =
@@ -675,7 +673,7 @@ let snapshot t =
   | S_fork st -> Sn_fork (Array.to_list st.done_, Array.to_list st.pend)
   | S_emux st -> Sn_emux (Array.to_list st.q)
   | S_shared sched ->
-    Sn_shared (Scheduler.state sched, Scheduler.key sched)
+    Sn_shared (Scheduler.state sched)
   | S_varlat st -> Sn_varlat st.pipe
 
 let restore t snap =
@@ -704,7 +702,7 @@ let restore t snap =
     List.iteri (fun i b -> st.done_.(i) <- b) d;
     List.iteri (fun i v -> st.pend.(i) <- v) p
   | S_emux st, Sn_emux q -> List.iteri (fun i v -> st.q.(i) <- v) q
-  | S_shared sched, Sn_shared (s, _) -> Scheduler.set_state sched s
+  | S_shared sched, Sn_shared s -> Scheduler.set_state sched s
   | S_varlat st, Sn_varlat p -> st.pipe <- p
   | ( S_stateless | S_source _ | S_sink _ | S_eb _ | S_eb0 _ | S_fork _
     | S_emux _ | S_shared _ | S_varlat _ ),
@@ -713,7 +711,7 @@ let restore t snap =
 
 let same_future t snap =
   match t.state, snap with
-  | S_shared sched, Sn_shared (s, _) -> Scheduler.same_future sched s
+  | S_shared sched, Sn_shared s -> Scheduler.same_future sched s
   | _ -> snapshot t = snap
 
 let fingerprint t =

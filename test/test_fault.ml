@@ -28,8 +28,9 @@ let secded ?(n = 60) () =
 
 (* [Recovery.check] against a 120-cycle golden run of [c]. *)
 let check (c : Examples.secded_campaign) ~faults =
-  Recovery.check ~alarms:c.Examples.sc_alarms
-    (Recovery.golden_run ~cycles:120 c.Examples.sc_net)
+  Recovery.check
+    (Recovery.golden_run ~cycles:120 ~alarms:c.Examples.sc_alarms
+       c.Examples.sc_net)
     ~faults
 
 (* ------------------------------------------------------------------ *)
@@ -61,15 +62,34 @@ let test_flip_value () =
   Alcotest.(check bool) "out of range" true
     (Value.equal v (Fault.flip_value [ 999 ] v))
 
+(* Every shape of description, byte for byte: campaign reports
+   ([e7_reports.expected]) and shell output print them. *)
 let test_describe () =
   let c = secded () in
-  let f = Fault.flip_bit ~channel:c.Examples.sc_bus ~cycle:7 17 in
-  let s = Fault.describe c.Examples.sc_net f in
+  let net = c.Examples.sc_net and ch = c.Examples.sc_bus in
+  let stage = (Option.get (Netlist.find_node net "stage")).Netlist.id in
+  let bus = "on channel src.out0->op_fork.in0 (id 0, node 0 -> node 1)" in
   List.iter
-    (fun frag ->
-       Alcotest.(check bool) (Fmt.str "mentions %S" frag) true
-         (Helpers.contains s frag))
-    [ "bit 17"; "cycle 7"; "node" ]
+    (fun (f, expected) ->
+       Alcotest.(check string) expected expected (Fault.describe net f))
+    ([ (Fault.flip_bit ~channel:ch ~cycle:7 17,
+        "flip payload bit 17 " ^ bus ^ " at cycle 7");
+       (Fault.flip_bits ~channel:ch ~cycle:12 [ 3; 40 ],
+        "flip payload bits {3,40} " ^ bus ^ " at cycle 12");
+       (Fault.stuck_stall ~channel:ch ~cycle:5 ~duration:3,
+        "stuck-at stall (S+ high) " ^ bus ^ " during cycles 5..7");
+       (Fault.duplicate_token ~channel:ch ~cycle:60,
+        "duplicate last token " ^ bus ^ " at cycle 60");
+       (Fault.mispredict ~node:stage ~cycle:15 1,
+        "force scheduler to way 1 on node stage (id 8) at cycle 15");
+       ({ Fault.target = Fault.Channel ch; kind = Fault.Force_kill true;
+          cycle = 0; duration = 2 },
+        "forge anti-token (V- stuck high) " ^ bus ^ " during cycles 0..1") ]
+     @ List.map2
+         (fun f d ->
+            (f, Fmt.str "%s %s at cycle %d" d bus f.Fault.cycle))
+         (Fault.control_glitch ~channel:ch ~cycle:20)
+         [ "stuck-at stall (S+ high)"; "drop token (V+ stuck low)" ])
 
 (* ------------------------------------------------------------------ *)
 (* Structured engine errors                                             *)
@@ -129,6 +149,34 @@ let test_control_glitch_detected () =
       (r.Recovery.fresh_violations <> [])
   | c ->
     Alcotest.failf "expected detected, got %a" Recovery.pp_classification c
+
+(* An alarm id that names no sink is rejected by the golden run, before
+   any scenario: the control glitch is detected by a monitor first, so
+   classification alone would never look the alarm up. *)
+let test_bogus_alarm_rejected () =
+  let c = secded () in
+  let faults = Fault.control_glitch ~channel:c.Examples.sc_bus ~cycle:20 in
+  let bogus = (999, fun _ -> true) in
+  let alarms = c.Examples.sc_alarms @ [ bogus ] in
+  let rejected what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted alarm node 999" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check string) what
+        "Recovery.golden_run: alarm node 999 is not a sink" msg
+  in
+  rejected "golden_run" (fun () ->
+      ignore (Recovery.golden_run ~cycles:120 ~alarms c.Examples.sc_net));
+  rejected "Campaign.run" (fun () ->
+      ignore
+        (Campaign.run ~cycles:120 ~alarms c.Examples.sc_net
+           ~scenarios:[ faults ]));
+  match (check c ~faults).Recovery.classification with
+  | Recovery.Detected why ->
+    Alcotest.(check bool) "a monitor detects it first" true
+      (Helpers.contains why "protocol monitor")
+  | cl ->
+    Alcotest.failf "expected detected, got %a" Recovery.pp_classification cl
 
 let test_crash_has_provenance () =
   (* Dropping the valid of a retried token on the early mux's output
@@ -224,6 +272,8 @@ let suite =
       test_double_flip_detected;
     Alcotest.test_case "control glitch -> monitor detection" `Quick
       test_control_glitch_detected;
+    Alcotest.test_case "alarm id naming no sink is rejected" `Quick
+      test_bogus_alarm_rejected;
     Alcotest.test_case "crash carries node provenance" `Quick
       test_crash_has_provenance;
     Alcotest.test_case "forced mispredict -> benign replay" `Quick

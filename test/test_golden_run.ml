@@ -74,7 +74,8 @@ let bench b_name b_net b_alarms =
     b_windows =
       List.map
         (fun (cycles, settle) ->
-           (cycles, settle, Recovery.golden_run ~cycles ~settle b_net))
+           (cycles, settle,
+            Recovery.golden_run ~cycles ~settle ~alarms:b_alarms b_net))
         [ (80, 60); (tight, 2) ] }
 
 let secded_bench name ~ops =
@@ -110,10 +111,10 @@ let scenario_kinds net ~ch ~cycle ~seed =
 let shared_vs_fresh b (cycles, settle, golden) scenarios =
   List.map
     (fun faults ->
-       let shared = Recovery.check ~alarms:b.b_alarms golden ~faults in
+       let shared = Recovery.check golden ~faults in
        let fresh =
-         Recovery.check ~alarms:b.b_alarms
-           (Recovery.golden_run ~cycles ~settle b.b_net)
+         Recovery.check
+           (Recovery.golden_run ~cycles ~settle ~alarms:b.b_alarms b.b_net)
            ~faults
        in
        if shared <> fresh then
@@ -172,9 +173,11 @@ let test_classes_covered () =
 (* [Recovery.run_faulted] starts the faulted engine at the first fault
    cycle and stops it once it rejoins the golden trajectory.  Here every
    cycle is stepped instead, and the two must leave the same sink
-   streams (with stamps), violations, starvation reports and crash, and
-   classify alike. *)
-let full_run net ~cycles ~settle ~faults : Recovery.faulted =
+   streams (with stamps; {!Recovery.materialize} on the cut-off side),
+   violations, starvation reports and crash, and classify alike.  The
+   full run is returned both as the engine's own streams and as the
+   degenerate delta: start 0, no cut, every transfer in the delta. *)
+let full_run net ~cycles ~settle ~faults =
   let plan = Fault.plan net faults in
   let eng = Engine.create ~monitor:true net in
   Engine.set_injector eng (Some (Fault.injector plan));
@@ -192,20 +195,26 @@ let full_run net ~cycles ~settle ~faults : Recovery.faulted =
     | Engine.Simulation_error e -> Some (Engine.error_to_string e)
     | e -> Some (Printexc.to_string e)
   in
-  { Recovery.f_sinks =
-      List.filter_map
-        (fun (n : Netlist.node) ->
-           match n.Netlist.kind with
-           | Netlist.Sink _ ->
-             Some
-               (n.Netlist.id,
-                Transfer.entries (Engine.sink_stream eng n.Netlist.id))
-           | _ -> None)
-        (Netlist.nodes net);
-    f_violations = Engine.violations eng;
-    f_starvation = Engine.starvation_violations eng;
-    f_crash = crash;
-    f_stabilized = None }
+  let streams =
+    List.filter_map
+      (fun (n : Netlist.node) ->
+         match n.Netlist.kind with
+         | Netlist.Sink _ ->
+           Some
+             (n.Netlist.id,
+              Transfer.entries (Engine.sink_stream eng n.Netlist.id))
+         | _ -> None)
+      (Netlist.nodes net)
+  in
+  ( streams,
+    { Recovery.f_start = 0;
+      f_delta =
+        Array.of_list (List.map (fun (_, es) -> Array.of_list es) streams);
+      f_cut = None;
+      f_violations = Engine.violations eng;
+      f_starvation = Engine.starvation_violations eng;
+      f_crash = crash;
+      f_stabilized = None } )
 
 (* A [Random_rate] source through two buffers into a stall-pattern
    sink.  The source offers an endless counter stream, so every faulted
@@ -261,6 +270,34 @@ let counter_pattern () =
   let _ = conn b (e, Netlist.Out 0) (k, Netlist.In 0) in
   b.net
 
+(* An endless constant stream into a sink that stalls two cycles in
+   three: every transfer carries the same value, so runs that deliver
+   at other cycles differ only in their stamps. *)
+let constant_pattern () =
+  let open Helpers in
+  let b = builder () in
+  let c =
+    add b ~name:"c" (Netlist.Source (Netlist.Counter { start = 7; step = 0 }))
+  in
+  let e = eb b ~name:"e" () in
+  let k = sink_pattern b ~name:"k" [| false; true; true |] in
+  let _ = conn b (c, Netlist.Out 0) (e, Netlist.In 0) in
+  let _ = conn b (e, Netlist.Out 0) (k, Netlist.In 0) in
+  b.net
+
+(* The SECDED design with an alarm that trips on every corrected error,
+   so the golden run trips it too: a faulted run's trips are counted in
+   the golden prefix, the delta and the golden stretch after the cut. *)
+let corrected_alarm_bench () =
+  let c =
+    Examples.secded_campaign
+      ~ops:(Examples.rs_ops ~error_rate_pct:20 ~seed:3 30)
+  in
+  bench "rs-alarmed-corrected" c.Examples.sc_net
+    (List.map
+       (fun (nid, _) -> (nid, fun v -> Value.to_int v >= 1))
+       c.Examples.sc_alarms)
+
 let differential_benches =
   lazy
     (Lazy.force benches
@@ -268,7 +305,9 @@ let differential_benches =
            ~ops:(Examples.rs_ops ~error_rate_pct:20 ~seed:3 30);
          bench "random-rate" (random_rate ()) [];
          bench "random-join" (random_join ()) [];
-         bench "counter-pattern" (counter_pattern ()) [] ])
+         bench "counter-pattern" (counter_pattern ()) [];
+         bench "constant-pattern" (constant_pattern ()) [];
+         corrected_alarm_bench () ])
 
 (* Fault kind [kind] (0..8) on channel [ch] at [cycle]; [seed] picks
    bits, durations and the mispredicted way. *)
@@ -299,18 +338,22 @@ let fault_of_kind net ~kind ~ch ~cycle ~seed =
 
 let cut_vs_full b (cycles, settle, golden) faults =
   let cut = Recovery.run_faulted golden ~faults in
-  let full = full_run b.b_net ~cycles ~settle ~faults in
+  let streams, full = full_run b.b_net ~cycles ~settle ~faults in
   let pp_faults = Fmt.(list ~sep:(any "; ") string) in
   let describe = List.map (Fault.describe b.b_net) faults in
-  if { cut with Recovery.f_stabilized = None } <> full then
+  if Recovery.materialize golden cut <> streams
+  || cut.Recovery.f_violations <> full.Recovery.f_violations
+  || cut.Recovery.f_starvation <> full.Recovery.f_starvation
+  || cut.Recovery.f_crash <> full.Recovery.f_crash
+  then
     QCheck.Test.fail_reportf
       "%s, %d+%d cycles, faults [%a]: the cut-off run (stabilized %a) \
        differs from the full run"
       b.b_name cycles settle pp_faults describe
       Fmt.(option ~none:(any "never") (pair ~sep:comma int int))
       cut.Recovery.f_stabilized;
-  let checked = Recovery.check ~alarms:b.b_alarms golden ~faults in
-  let plain = Recovery.classify ~alarms:b.b_alarms golden ~faults full in
+  let checked = Recovery.check golden ~faults in
+  let plain = Recovery.classify golden ~faults full in
   if { checked with Recovery.stabilized = None } <> plain then
     QCheck.Test.fail_reportf "%s, faults [%a]:@.cut-off: %a@.full: %a"
       b.b_name pp_faults describe Recovery.pp_report checked
@@ -320,7 +363,7 @@ let cut_vs_full b (cycles, settle, golden) faults =
 let qcheck_cut_vs_full =
   QCheck.Test.make ~count:300 ~name:"cut-off run == full run"
     QCheck.(
-      pair (quad (int_bound 5) (int_bound 1) (int_bound 8) (int_bound 1000))
+      pair (quad (int_bound 7) (int_bound 1) (int_bound 8) (int_bound 1000))
         (int_bound 10_000))
     (fun ((bi, wi, kind, chi), seed) ->
        let b = List.nth (Lazy.force differential_benches) bi in
@@ -331,6 +374,97 @@ let qcheck_cut_vs_full =
        ignore
          (cut_vs_full b w (fault_of_kind b.b_net ~kind ~ch ~cycle ~seed));
        true)
+
+(* [Recovery.classify] reads a cut-off run by golden entry index and
+   decides the shifted golden stretch in O(1) when it starts where the
+   delta ends; otherwise it walks it.  Real cut-off runs almost always
+   line up, so here the cut of a real run is also moved to earlier
+   golden cycles [g'] (one to three cycles back, and a drawn one), which
+   shifts the stretch against the delta.  Every verdict must be the one
+   for the same streams as a run of every cycle (start 0, no cut, every
+   transfer in the delta). *)
+let degenerate golden (f : Recovery.faulted) =
+  { f with
+    Recovery.f_start = 0;
+    f_cut = None;
+    f_delta =
+      Array.of_list
+        (List.map
+           (fun (_, es) -> Array.of_list es)
+           (Recovery.materialize golden f)) }
+
+let qcheck_classify_by_index =
+  QCheck.Test.make ~count:200
+    ~name:"classify by index == classify the materialized run"
+    QCheck.(
+      pair (quad (int_bound 7) (int_bound 1) (int_bound 8) (int_bound 1000))
+        (pair (int_bound 10_000) (int_bound 1000)))
+    (fun ((bi, wi, kind, chi), (seed, back)) ->
+       let b = List.nth (Lazy.force differential_benches) bi in
+       let cycles, _, golden = List.nth b.b_windows wi in
+       let chans = Netlist.channels b.b_net in
+       let ch = (List.nth chans (chi mod List.length chans)).Netlist.ch_id in
+       let faults =
+         fault_of_kind b.b_net ~kind ~ch ~cycle:(seed mod (cycles + 5)) ~seed
+       in
+       let f = Recovery.run_faulted golden ~faults in
+       (* [g' <= g] keeps the stretch inside the golden trajectory. *)
+       let cuts =
+         match f.Recovery.f_cut with
+         | Some (c, g) ->
+           List.filter_map
+             (fun d -> if d <= g then Some (Some (c, g - d)) else None)
+             [ 0; 1; 2; 3; back mod (g + 1) ]
+         | None -> [ None ]
+       in
+       List.iter
+         (fun cut ->
+            let f = { f with Recovery.f_cut = cut } in
+            let by_index = Recovery.classify golden ~faults f in
+            let plain =
+              Recovery.classify golden ~faults (degenerate golden f)
+            in
+            if by_index <> plain then
+              QCheck.Test.fail_reportf
+                "%s, cut %a:@.by index: %a@.materialized: %a" b.b_name
+                Fmt.(option ~none:(any "none") (pair ~sep:comma int int))
+                cut Recovery.pp_report by_index Recovery.pp_report plain)
+         cuts;
+       true)
+
+(* With no fault the faulted run is the golden run: it has the transfer
+   counts of a plain run's data sinks, in the first [cycles] cycles (the
+   reference) and in all [cycles + settle] (the faulted run). *)
+let test_no_fault () =
+  List.iter
+    (fun b ->
+       List.iter
+         (fun (cycles, settle, golden) ->
+            let eng = Engine.create b.b_net in
+            Engine.run eng (cycles + settle);
+            let count keep =
+              List.fold_left
+                (fun acc (n : Netlist.node) ->
+                   match n.Netlist.kind with
+                   | Netlist.Sink _
+                     when not (List.mem_assoc n.Netlist.id b.b_alarms) ->
+                     acc
+                     + List.length
+                         (List.filter keep
+                            (Transfer.entries
+                               (Engine.sink_stream eng n.Netlist.id)))
+                   | _ -> acc)
+                0 (Netlist.nodes b.b_net)
+            in
+            let r = Recovery.check golden ~faults:[] in
+            let what = Fmt.str "%s, %d+%d cycles" b.b_name cycles settle in
+            Alcotest.(check int) (what ^ ": reference transfers")
+              (count (fun e -> e.Transfer.cycle < cycles))
+              r.Recovery.ref_transfers;
+            Alcotest.(check int) (what ^ ": faulted transfers")
+              (count (fun _ -> true)) r.Recovery.faulted_transfers)
+         b.b_windows)
+    (Lazy.force differential_benches)
 
 (* One scenario per soundness condition of the cut-off, each of which
    goes wrong when that condition is dropped: a duplicated token needs
@@ -369,7 +503,10 @@ let test_e7_stabilizes () =
   let cycles = c.Examples.sc_cycles and settle = c.Examples.sc_settle in
   let b = { b_name = "e7"; b_net = c.Examples.sc_net;
             b_alarms = c.Examples.sc_alarms; b_windows = [] } in
-  let w = (cycles, settle, Recovery.golden_run ~cycles ~settle b.b_net) in
+  let w =
+    (cycles, settle,
+     Recovery.golden_run ~cycles ~settle ~alarms:b.b_alarms b.b_net)
+  in
   List.iter
     (fun faults ->
        match cut_vs_full b w faults with
@@ -378,6 +515,49 @@ let test_e7_stabilizes () =
          Alcotest.(check bool) "stabilizes within 5 cycles" true (after <= 5)
        | None -> Alcotest.fail "E7 scenario ran to the end")
     (Examples.secded_flips c ~count:12)
+
+(* --- words per scenario -------------------------------------------------- *)
+
+(* A faulted run is the golden run plus a delta, classified by index:
+   after the few cycles it steps, a scenario reads only counts the
+   golden run computed once.  So an E7 single flip on a reused engine
+   allocates a fixed number of minor words (deterministic; the budget is
+   the measured 2465 plus ~5%), and the same faults cost the same words
+   on a run ten times as long.  Anything that walks or copies the sink
+   streams per scenario trips both. *)
+let words_per_scenario ~ops ~cycles =
+  let c =
+    Examples.secded_campaign
+      ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:5 ops)
+  in
+  let golden =
+    Recovery.golden_run ~cycles ~settle:c.Examples.sc_settle
+      ~alarms:c.Examples.sc_alarms c.Examples.sc_net
+  in
+  let engine = Recovery.faulted_engine golden in
+  let flips = Examples.secded_flips c ~count:120 in
+  let run () =
+    List.iter
+      (fun faults -> ignore (Recovery.check ~engine golden ~faults))
+      flips
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let w1 = Gc.minor_words () in
+  (w1 -. w0) /. float_of_int (List.length flips)
+
+let test_scenario_words () =
+  let short = words_per_scenario ~ops:400 ~cycles:450 in
+  let long = words_per_scenario ~ops:4000 ~cycles:4500 in
+  if short > 2590. then
+    Alcotest.failf
+      "Recovery.check allocates %.1f words per E7 single flip (budget 2590)"
+      short;
+  if Float.abs (long -. short) > 4. then
+    Alcotest.failf
+      "words per scenario grow with the run: %.1f at 450 cycles, %.1f at \
+       4500" short long
 
 (* --- one faulted engine for many scenarios ------------------------------ *)
 
@@ -407,7 +587,7 @@ let run_scenario ?engine b golden faults =
   let eng, tracer = Option.get !attached in
   let p = Engine.profile eng in
   { r_faulted = f;
-    r_report = Recovery.classify ~alarms:b.b_alarms golden ~faults f;
+    r_report = Recovery.classify golden ~faults f;
     r_counters =
       List.map
         (fun (c : Netlist.channel) ->
@@ -517,7 +697,7 @@ let test_reuse_sweep () =
 let qcheck_reuse_orders =
   QCheck.Test.make ~count:100 ~name:"reused faulted engine == fresh engine"
     QCheck.(
-      triple (int_bound 5) (int_bound 1)
+      triple (int_bound 7) (int_bound 1)
         (list_of_size Gen.(int_range 2 8)
            (triple (int_bound 8) (int_bound 1000) (int_bound 10_000))))
     (fun (bi, wi, picks) ->
@@ -583,9 +763,14 @@ let suite =
     Alcotest.test_case "shared golden reaches every class" `Quick
       test_classes_covered;
     QCheck_alcotest.to_alcotest qcheck_cut_vs_full;
+    QCheck_alcotest.to_alcotest qcheck_classify_by_index;
+    Alcotest.test_case "no fault: the golden run's transfer counts" `Quick
+      test_no_fault;
     Alcotest.test_case "each cut-off condition matters" `Quick test_guards;
     Alcotest.test_case "E7 flips rejoin the golden run one cycle late"
       `Quick test_e7_stabilizes;
+    Alcotest.test_case "a scenario costs what it steps" `Quick
+      test_scenario_words;
     Alcotest.test_case "one engine for a sweep == fresh engines" `Quick
       test_reuse_sweep;
     QCheck_alcotest.to_alcotest qcheck_reuse_orders;
