@@ -86,7 +86,9 @@ type golden = {
   g_data : int list;  (* the sinks that are not alarms *)
   g_alarms : g_alarm list;  (* in the order given *)
   g_ref_transfers : int;  (* data-sink transfers in the first [cycles] *)
-  g_ref_trips : int;  (* alarm trips in the first [cycles] *)
+  (* Over the whole trajectory, the window the faulted runs are read
+     over too: *)
+  g_ref_trips : int;  (* alarm trips *)
   g_violations : (string * Protocol.violation) list;
   g_starvation : string list;
   (* The trajectory: [g_snaps.(c)] is the state after [c] cycles, for
@@ -158,17 +160,16 @@ let golden_run ?(cycles = 300) ?(settle = 60) ?(alarms = [])
     Engine.step eng;
     record ()
   done;
-  let violations = Engine.violations eng in
-  let starvation = Engine.starvation_violations eng in
-  (* Classification reads only the first [cycles] cycles, so a failure
-     in the settle window just ends the trajectory early; no scenario is
-     cut off where the trajectory no longer reaches. *)
+  (* A failure in the settle window just ends the trajectory early; no
+     scenario is cut off where the trajectory no longer reaches. *)
   (try
      for _ = 1 to settle do
        Engine.step eng;
        record ()
      done
    with _ -> ());
+  let violations = Engine.violations eng in
+  let starvation = Engine.starvation_violations eng in
   let trajectory = Array.of_list (List.rev !trajectory) in
   let last = Array.length trajectory - 1 in
   let fingerprints = Array.map (fun (_, fp, _) -> fp) trajectory in
@@ -204,7 +205,7 @@ let golden_run ?(cycles = 300) ?(settle = 60) ?(alarms = [])
     g_ref_trips =
       List.fold_left
         (fun a ga ->
-           a + ga.ga_trips.(sinks.(ga.ga_sink).gs_before.(cycles)))
+           a + ga.ga_trips.(sinks.(ga.ga_sink).gs_before.(last)))
         0 g_alarms;
     g_violations = violations;
     g_starvation = starvation;
@@ -372,10 +373,12 @@ let trips g f a =
     (t.(l.pre) + t.(l.upto) - t.(l.from))
     f.f_delta.(a.ga_sink)
 
-(* Data sink [k] of the faulted run against the golden run's first
-   [cycles] cycles, entry by entry: [`Mismatch] at the first differing
-   value, then [`Mismatch] for extra transfers or [`Short] for missing
-   ones, else [`Lag] of the largest delay.  Only the delta is compared
+(* Data sink [k] of the faulted run against the golden run over the
+   same window, entry by entry: [`Mismatch] at the first differing
+   value, then [`Mismatch] for transfers beyond the golden run's, or
+   [`Short] for transfers the golden run delivered in its first
+   [cycles] cycles and the faulted run still lacks, else [`Lag] of the
+   largest delay.  Only the delta is compared
    entry by entry: the prefix is the golden run's own, and the shifted
    range lines up with the golden entries when it starts where the
    delta ends (same entries, delayed by the lag). *)
@@ -386,7 +389,8 @@ let compare_sink g f k =
   let ends = l.pre + Array.length delta in
   let n = ends + l.upto - l.from in
   let r = s.gs_before.(g.g_cycles) in
-  let m = min r n in
+  let r_all = s.gs_before.(Array.length s.gs_before - 1) in
+  let m = min r_all n in
   let lag = ref 0 and wrong = ref None in
   let check_entry i (e : Transfer.entry) shift =
     let expected = golden.(i) in
@@ -413,14 +417,14 @@ let compare_sink g f k =
     done;
   match !wrong with
   | Some why -> `Mismatch why
-  (* Example workloads are finite streams, so once the reference has
-     drained, anything extra the faulted run delivered is a spurious
-     (duplicated or forged) token. *)
-  | None when n > r ->
+  (* A fault delays transfers, never adds any: more than the golden run
+     delivered in the same window is a spurious (duplicated or forged)
+     token. *)
+  | None when n > r_all ->
     `Mismatch
       (Fmt.str "sink %s: %d spurious extra transfer%s"
-         s.gs_node.Netlist.name (n - r)
-         (if n - r = 1 then "" else "s"))
+         s.gs_node.Netlist.name (n - r_all)
+         (if n - r_all = 1 then "" else "s"))
   | None when n < r -> `Short (r - n)
   | None -> `Lag !lag
 

@@ -29,7 +29,8 @@ type classification =
 type report = {
   classification : classification;
   fault_desc : string list;  (** One line per injected fault. *)
-  ref_transfers : int;  (** Data-sink transfers in the reference run. *)
+  ref_transfers : int;
+      (** Data-sink transfers in the reference run's first [cycles]. *)
   faulted_transfers : int;
   fresh_violations : (string * Protocol.violation) list;
       (** Monitor violations present in the faulted run only. *)
@@ -51,7 +52,7 @@ val pp_report : Format.formatter -> report -> unit
     stream over the whole trajectory, as an array with the count of
     entries stamped before each cycle, the alarm sinks with their trip
     counts over every prefix of their stream, the monitor violations
-    and the starvation list after [cycles] cycles, and the trajectory
+    and the starvation list at its end, and the trajectory
     of [cycles + settle] cycles that {!check} fast-forwards along and
     cuts off against: per cycle, an {!Engine.snapshot} and an
     {!Engine.fingerprint}.  Everything a scenario reads of it is
@@ -150,8 +151,8 @@ val run_faulted :
   ?observer:(Elastic_sim.Engine.t -> unit) -> golden ->
   faults:Fault.t list -> faulted
 
-(** Classify a faulted run against the golden run's first [cycles]
-    cycles (see {!check}).  It compares the delta with the golden
+(** Classify a faulted run against the golden run over the same
+    [cycles + settle] window (see {!check}).  It compares the delta with the golden
     entries at the same indices and reads the rest from the counts the
     golden run holds, so it costs the delta, not the run. *)
 val classify : golden -> faults:Fault.t list -> faulted -> report
@@ -159,9 +160,13 @@ val classify : golden -> faults:Fault.t list -> faulted -> report
 (** [check golden ~faults] is [classify golden ~faults (run_faulted
     golden ~faults)]: the {!golden_run} is the scenario's whole context,
     its netlist, eval mode, [cycles] and [settle] window, and alarms.
-    The checker assumes a {e finite} workload that the reference run
-    drains within [cycles]: transfers beyond the reference stream are
-    reported as spurious (corruption), not run-ahead.
+    Both runs are read over the same [cycles + settle] window: a
+    violation, starvation report or alarm trip counts against the
+    faulted run only when the golden run has none like it in that
+    window, and so do transfers beyond the golden run's (spurious, as
+    a fault delays tokens but never adds any).  The transfers the
+    golden run delivered in its first [cycles] cycles must all have
+    arrived by the end of the window, else the run is a [Deadlock].
 
     @param observer called once with the faulted engine before its first
     cycle, so a tracer (e.g. [Elastic_trace.Tracer.attach]) can record

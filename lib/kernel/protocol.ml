@@ -111,20 +111,31 @@ let violation_count m = List.length m.rev_violations
 let name m = m.name
 
 type snap = {
-  sn_state : int;
-  sn_retry_data : Value.t option;
-  sn_rev_violations : violation list;
+  sn_state : int array;
+  sn_retry_data : Value.t option array;
+  sn_rev_violations : violation list array;
 }
 
-let snapshot m =
-  { sn_state = m.state; sn_retry_data = m.retry_data;
-    sn_rev_violations = m.rev_violations }
+let snapshot ms =
+  { sn_state = Array.map (fun m -> m.state) ms;
+    sn_retry_data = Array.map (fun m -> m.retry_data) ms;
+    sn_rev_violations = Array.map (fun m -> m.rev_violations) ms }
 
-let restore m s =
-  m.state <- s.sn_state;
-  m.retry_data <- s.sn_retry_data;
-  m.rev_violations <- s.sn_rev_violations
+let restore ms s =
+  if Array.length s.sn_state <> Array.length ms then
+    invalid_arg "Protocol.restore: snapshot of another monitor count";
+  for i = 0 to Array.length ms - 1 do
+    let m = ms.(i) in
+    m.state <- s.sn_state.(i);
+    m.retry_data <- s.sn_retry_data.(i);
+    m.rev_violations <- s.sn_rev_violations.(i)
+  done
 
-let same_future m s =
-  m.state = s.sn_state
-  && Option.equal Value.equal m.retry_data s.sn_retry_data
+let rec same_from ms s i =
+  i = Array.length ms
+  || (let m = ms.(i) in
+      m.state = s.sn_state.(i)
+      && Option.equal Value.equal m.retry_data s.sn_retry_data.(i)
+      && same_from ms s (i + 1))
+
+let same_future ms s = Array.length s.sn_state = Array.length ms && same_from ms s 0

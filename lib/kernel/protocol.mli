@@ -86,19 +86,22 @@ val name : monitor -> string
 
 (** {1 Snapshots} *)
 
-(** Immutable copy of a monitor's state: the previous cycle's resolved
-    control code (and its payload while in retry, the only case a later
-    cycle reads it), the stall count and the violations recorded so far.
-    Restoring it gives a monitor that judges every later cycle as the
-    original does. *)
+(** Immutable copy of the state of an array of monitors: each one's
+    previous resolved control code and stall count (one int array), its
+    payload while in retry (the only case a later cycle reads it) and
+    the violations recorded so far.  Restoring it gives monitors that
+    judge every later cycle as the originals do. *)
 type snap
 
-val snapshot : monitor -> snap
+val snapshot : monitor array -> snap
 
-val restore : monitor -> snap -> unit
+(** [restore ms s] puts [ms] back in the state [s] was taken from, without
+    allocating.  @raise Invalid_argument when [s] holds another number
+    of monitors. *)
+val restore : monitor array -> snap -> unit
 
-(** Will [m] and a monitor restored from the snapshot judge every later
-    cycle alike?  Compares what {!snap} keeps of the previous cycle and
-    the stall count; the violations already recorded decide no later
-    verdict. *)
-val same_future : monitor -> snap -> bool
+(** Will [ms] and monitors restored from the snapshot judge every later
+    cycle alike?  Compares the previous codes, the stall counts and the
+    retry payloads, without allocating; the violations already recorded
+    decide no later verdict. *)
+val same_future : monitor array -> snap -> bool

@@ -34,24 +34,35 @@ let spec_name = function
   | Gshare { history_bits } -> Fmt.str "gshare%d" history_bits
 
 
-type t = {
-  spec : spec;
-  ways : int;
-  mutable pred : int;
-  mutable cycle : int;
-  mutable transfers : int;
-      (* oracle script index — wraps, see [observe]; not a statistic *)
-  mutable served_total : int;
-  mutable miss : int;
-  mutable counter : int;  (* two-bit saturating counter *)
-  mutable rng : int;  (* LCG state for the noisy oracle *)
-  mutable committed : int;  (* committed prediction index, -1 if stale *)
-  mutable hist : int;  (* gshare global history register *)
-  table : int array;  (* gshare two-bit counters *)
-  mutable in_miss : bool;
-      (* a misprediction retry is in progress (so learning schedulers
-         train once per event, not once per stalled cycle) *)
-}
+(* A scheduler is a view of [width] int slots of an array, from [o]:
+   its registers, then the gshare table.  An engine lays every node's
+   registers out in one array; [make] gives a standalone scheduler an
+   array of its own. *)
+type t = { spec : spec; ways : int; a : int array; o : int }
+
+(* Register slots, relative to [o]: the prediction; the Toggle/Scripted
+   position; the oracle's script index, which wraps (see [observe]);
+   the two statistics; the two-bit counter; the oracle's LCG state and
+   committed prediction index (-1 if stale); the gshare history; 1 while
+   a misprediction retry is in progress (so learning schedulers train
+   once per event, not once per stalled cycle); from [table] on, the
+   gshare two-bit counters. *)
+let pred = 0 and cycle = 1 and transfers = 2 and served_total = 3 and miss = 4
+and counter = 5 and rng = 6 and committed = 7 and hist = 8 and in_miss = 9
+and table = 10
+
+(* Zero for an out-of-range [history_bits], which [place] refuses. *)
+let table_size = function
+  | Gshare { history_bits } when history_bits >= 1 && history_bits <= 10 ->
+    1 lsl history_bits
+  | Static _ | Toggle | Sticky | Two_bit | Round_robin | Scripted _
+  | Noisy_oracle _ | External | Prefer _ | Hinted_replay | Gshare _ -> 0
+
+let width spec = table + table_size spec
+
+let[@inline] get t k = t.a.(t.o + k)
+
+let[@inline] set t k x = t.a.(t.o + k) <- x
 
 let lcg_next s = ((s * 1103515245) + 12345) land 0x3FFFFFFF
 
@@ -60,15 +71,15 @@ let lcg_next s = ((s * 1103515245) + 12345) land 0x3FFFFFFF
 let oracle_commit t sel accuracy_pct =
   let truth =
     if Array.length sel = 0 then 0
-    else sel.(t.transfers mod Array.length sel)
+    else sel.(get t transfers mod Array.length sel)
   in
-  t.rng <- lcg_next t.rng;
-  let hit = t.rng mod 100 < accuracy_pct in
+  set t rng (lcg_next (get t rng));
+  let hit = get t rng mod 100 < accuracy_pct in
   if hit || t.ways < 2 then truth
   else begin
     (* Pick a wrong channel deterministically from the RNG. *)
-    t.rng <- lcg_next t.rng;
-    let other = t.rng mod (t.ways - 1) in
+    set t rng (lcg_next (get t rng));
+    let other = get t rng mod (t.ways - 1) in
     if other >= truth then other + 1 else other
   end
 
@@ -87,7 +98,7 @@ let initial_pred ~ways spec =
   | Scripted a -> if Array.length a = 0 then 0 else a.(0)
   | Noisy_oracle _ -> 0
 
-let make ~ways spec =
+let place a o ~ways spec =
   if ways < 1 then invalid_arg "Scheduler.make: ways < 1";
   (match spec with
    | Two_bit when ways <> 2 ->
@@ -98,35 +109,38 @@ let make ~ways spec =
      invalid_arg "Scheduler.make: Gshare history_bits out of [1, 10]"
    | Static _ | Toggle | Sticky | Two_bit | Round_robin | Scripted _
    | Noisy_oracle _ | External | Prefer _ | Hinted_replay | Gshare _ -> ());
-  let table_size =
-    match spec with Gshare { history_bits } -> 1 lsl history_bits | _ -> 0
-  in
-  let t =
-    { spec; ways; pred = initial_pred ~ways spec; cycle = 0; transfers = 0;
-      served_total = 0; miss = 0; counter = 1; rng = 0; committed = -1; hist = 0;
-      table = Array.make table_size 1; in_miss = false }
-  in
+  let t = { spec; ways; a; o } in
+  Array.fill a o (width spec) 0;
+  set t pred (initial_pred ~ways spec);
+  set t counter 1;
+  set t committed (-1);
+  Array.fill a (o + table) (table_size spec) 1;
   (match spec with
    | Noisy_oracle { seed; sel; accuracy_pct } ->
-     t.rng <- lcg_next (seed land 0x3FFFFFFF);
-     t.pred <- oracle_commit t sel accuracy_pct;
-     t.committed <- 0
+     set t rng (lcg_next (seed land 0x3FFFFFFF));
+     set t pred (oracle_commit t sel accuracy_pct);
+     set t committed 0
    | Static _ | Toggle | Sticky | Two_bit | Round_robin | Scripted _
    | External | Prefer _ | Hinted_replay | Gshare _ -> ());
   t
 
-let predict t = t.pred
+let make ~ways spec = place (Array.make (width spec) 0) 0 ~ways spec
+
+let predict t = get t pred
 
 let retry_on_predicted t obs =
-  t.pred < Array.length obs.out_valid
-  && obs.out_valid.(t.pred) && obs.out_stop.(t.pred) && obs.served = None
+  let p = get t pred in
+  p < Array.length obs.out_valid
+  && obs.out_valid.(p) && obs.out_stop.(p) && obs.served = None
+
+let next_way t p = set t pred ((p + 1) mod t.ways)
 
 let observe t obs =
   let mispredicted = retry_on_predicted t obs in
   (* Rising edge: a new misprediction event (a stall can last several
      cycles, but it is one mistake). *)
-  let miss_edge = mispredicted && not t.in_miss in
-  if miss_edge then t.miss <- t.miss + 1;
+  let miss_edge = mispredicted && get t in_miss = 0 in
+  if miss_edge then set t miss (get t miss + 1);
   (match obs.served with
    | Some _ ->
      (* Wrap so that exhaustive state exploration stays finite; only the
@@ -137,132 +151,109 @@ let observe t obs =
        | Static _ | Toggle | Sticky | Two_bit | Round_robin | Scripted _
        | External | Prefer _ | Hinted_replay | Gshare _ -> 1 lsl 30
      in
-     t.transfers <- (t.transfers + 1) mod modulus;
-     t.served_total <- t.served_total + 1
+     set t transfers ((get t transfers + 1) mod modulus);
+     set t served_total (get t served_total + 1)
    | None -> ());
-  let finish () = t.in_miss <- mispredicted in
   (* The cycle counter is behavioural only for Toggle and Scripted. *)
   (match t.spec with
-   | Toggle -> t.cycle <- (t.cycle + 1) mod t.ways
-   | Scripted a -> t.cycle <- (t.cycle + 1) mod (max 1 (Array.length a))
+   | Toggle -> set t cycle ((get t cycle + 1) mod t.ways)
+   | Scripted a -> set t cycle ((get t cycle + 1) mod max 1 (Array.length a))
    | Static _ | Sticky | Two_bit | Round_robin | Noisy_oracle _ | External
    | Prefer _ | Hinted_replay | Gshare _ -> ());
+  let p = get t pred in
   (match t.spec with
-  | Static i -> t.pred <- i
-  | Toggle -> t.pred <- t.cycle mod t.ways
+  | Static i -> set t pred i
+  | Toggle -> set t pred (get t cycle mod t.ways)
   | Scripted a ->
-    if Array.length a > 0 then t.pred <- a.(t.cycle mod Array.length a)
-  | Sticky -> if mispredicted then t.pred <- (t.pred + 1) mod t.ways
+    if Array.length a > 0 then set t pred a.(get t cycle mod Array.length a)
+  | Sticky -> if mispredicted then next_way t p
   | Round_robin ->
     (match obs.served with
-     | Some _ -> t.pred <- (t.pred + 1) mod t.ways
-     | None -> if mispredicted then t.pred <- (t.pred + 1) mod t.ways)
+     | Some _ -> next_way t p
+     | None -> if mispredicted then next_way t p)
   | Two_bit ->
     (* Train toward the channel that turned out to be needed: the served
        channel on a hit, the other channel on a detected miss. *)
     let toward c =
-      if c = 1 then t.counter <- min 3 (t.counter + 1)
-      else t.counter <- max 0 (t.counter - 1)
+      let n = get t counter in
+      set t counter (if c = 1 then min 3 (n + 1) else max 0 (n - 1))
     in
     (match obs.served with
      | Some s -> toward s
      | None ->
        (* Keep pressing while the retry persists: leads-to requires the
           prediction to flip eventually. *)
-       if mispredicted then toward (1 - t.pred));
-    t.pred <- (if t.counter >= 2 then 1 else 0)
+       if mispredicted then toward (1 - p));
+    set t pred (if get t counter >= 2 then 1 else 0)
   | Noisy_oracle { sel; accuracy_pct; _ } ->
     if mispredicted then begin
       (* The retry reveals the truth for the pending transfer. *)
       let truth =
         if Array.length sel = 0 then 0
-        else sel.(t.transfers mod Array.length sel)
+        else sel.(get t transfers mod Array.length sel)
       in
-      t.pred <- truth
+      set t pred truth
     end
-    else if t.committed <> t.transfers then begin
-      t.pred <- oracle_commit t sel accuracy_pct;
-      t.committed <- t.transfers
+    else if get t committed <> get t transfers then begin
+      set t pred (oracle_commit t sel accuracy_pct);
+      set t committed (get t transfers)
     end
   | External -> ()
   | Prefer home ->
-    if mispredicted then t.pred <- (t.pred + 1) mod t.ways
-    else if t.pred <> home && obs.served <> None then t.pred <- home
+    if mispredicted then next_way t p
+    else if p <> home && obs.served <> None then set t pred home
   | Hinted_replay ->
     (* The hint is authoritative: a stopped output is ordinary
        back-pressure here, not a misprediction, so there is no
        retry-based deviation. *)
     (match obs.hint with
      | Some h when h <> 0 ->
-       t.miss <- t.miss + (if mispredicted then 0 else 1);
-       t.pred <- 1
-     | Some _ | None ->
-       if t.pred <> 0 && obs.served <> None then t.pred <- 0)
+       if not mispredicted then set t miss (get t miss + 1);
+       set t pred 1
+     | Some _ | None -> if p <> 0 && obs.served <> None then set t pred 0)
   | Gshare _ ->
     (* Each serve is one consumed select: train the indexed counter and
        shift the outcome into the global history exactly once.  While a
        misprediction retry persists, keep pressing the current entry
        toward the needed channel (leads-to) without touching history. *)
-    let mask = Array.length t.table - 1 in
+    let mask = table_size t.spec - 1 in
     let train o =
-      let idx = t.hist land mask in
-      let c = t.table.(idx) in
-      t.table.(idx) <- (if o = 1 then min 3 (c + 1) else max 0 (c - 1))
+      let idx = table + (get t hist land mask) in
+      let c = get t idx in
+      set t idx (if o = 1 then min 3 (c + 1) else max 0 (c - 1))
     in
     (match obs.served with
      | Some s ->
        train s;
-       t.hist <- ((t.hist lsl 1) lor s) land mask
-     | None -> if mispredicted then train (1 - t.pred));
-    t.pred <- (if t.table.(t.hist land mask) >= 2 then 1 else 0));
-  finish ()
+       set t hist (((get t hist lsl 1) lor s) land mask)
+     | None -> if mispredicted then train (1 - p));
+    set t pred (if get t (table + (get t hist land mask)) >= 2 then 1 else 0));
+  set t in_miss (Bool.to_int mispredicted)
 
 let force t c =
   if c < 0 || c >= t.ways then invalid_arg "Scheduler.force: bad channel";
-  t.pred <- c
+  set t pred c
 
-let mispredictions t = t.miss
+let mispredictions t = get t miss
 
-let serves t = t.served_total
+let serves t = get t served_total
 
-let state t =
-  [ t.pred; t.cycle; t.transfers; t.miss; t.counter; t.rng; t.committed;
-    t.hist; Bool.to_int t.in_miss; t.served_total ]
-  @ Array.to_list t.table
-
-(* Behaviourally relevant state only — statistics excluded so that
-   [same_future] relates states that differ only in counts. *)
-let key t =
-  match t.spec with
-  | Static _ | External -> []
-  | Toggle | Scripted _ -> [ t.cycle ]
-  | Sticky | Round_robin | Prefer _ | Hinted_replay -> [ t.pred ]
-  | Two_bit -> [ t.counter; Bool.to_int t.in_miss ]
-  | Noisy_oracle _ -> [ t.pred; t.transfers; t.rng; t.committed ]
-  | Gshare _ ->
-    t.pred :: t.hist :: Bool.to_int t.in_miss :: Array.to_list t.table
-
-let set_state t = function
-  | pred :: cycle :: transfers :: miss :: counter :: rng :: committed
-    :: hist :: in_miss :: served_total :: table
-    when List.length table = Array.length t.table ->
-    t.pred <- pred;
-    t.cycle <- cycle;
-    t.transfers <- transfers;
-    t.miss <- miss;
-    t.counter <- counter;
-    t.rng <- rng;
-    t.committed <- committed;
-    t.hist <- hist;
-    t.in_miss <- in_miss <> 0;
-    t.served_total <- served_total;
-    List.iteri (fun i v -> t.table.(i) <- v) table
-  | _ -> invalid_arg "Scheduler.set_state: bad encoding"
-
-let same_future t s =
-  let u = { t with table = Array.copy t.table } in
-  set_state u s;
-  u.pred = t.pred && key u = key t
+(* The prediction and the registers its spec reads; the statistics are
+   left out, so states that differ only in counts have one future.  The
+   prediction counts on its own because an [External] scheduler keeps
+   its last forced channel until it is forced again. *)
+let future t =
+  let key =
+    match t.spec with
+    | Static _ | External | Sticky | Round_robin | Prefer _ | Hinted_replay
+      -> []
+    | Toggle | Scripted _ -> [ cycle ]
+    | Two_bit -> [ counter; in_miss ]
+    | Noisy_oracle _ -> [ transfers; rng; committed ]
+    | Gshare _ ->
+      hist :: in_miss :: List.init (table_size t.spec) (fun i -> table + i)
+  in
+  List.map (fun k -> t.o + k) (pred :: key)
 
 let spec t = t.spec
 
@@ -285,29 +276,30 @@ type 'a watch = {
 }
 
 let watch sched data =
-  { w_sched = sched; w_data = data; w_serves = sched.served_total;
-    w_miss = sched.miss; w_pred = sched.pred; w_squash = -1 }
+  { w_sched = sched; w_data = data; w_serves = serves sched;
+    w_miss = mispredictions sched; w_pred = predict sched; w_squash = -1 }
 
 let payload w = w.w_data
 
 let poll on w ~cycle =
   let s = w.w_sched in
-  for _ = w.w_serves + 1 to s.served_total do
+  let served = serves s and miss = mispredictions s and pred = predict s in
+  for _ = w.w_serves + 1 to served do
     on.serve w.w_data w.w_pred;
     if w.w_squash >= 0 && w.w_squash < cycle then begin
       on.replay w.w_data (cycle - w.w_squash);
       w.w_squash <- -1
     end
   done;
-  w.w_serves <- s.served_total;
-  if s.miss > w.w_miss then begin
-    for _ = w.w_miss + 1 to s.miss do
+  w.w_serves <- served;
+  if miss > w.w_miss then begin
+    for _ = w.w_miss + 1 to miss do
       on.mispredict w.w_data w.w_pred
     done;
-    w.w_miss <- s.miss;
+    w.w_miss <- miss;
     w.w_squash <- cycle
   end;
-  if s.pred <> w.w_pred then begin
-    on.change w.w_data s.pred;
-    w.w_pred <- s.pred
+  if pred <> w.w_pred then begin
+    on.change w.w_data pred;
+    w.w_pred <- pred
   end

@@ -77,12 +77,24 @@ type spec =
 
 val spec_name : spec -> string
 
-(** A running scheduler instance. *)
+(** A running scheduler: a view of {!width} int slots of an array,
+    which hold its registers (prediction, position, counters, random
+    state, gshare history and table) and its statistics.  An engine
+    places every shared module's scheduler in its one register array
+    ({!place}); {!make} gives a standalone scheduler an array of its
+    own.  Restoring the slots restores the scheduler. *)
 type t
 
-(** [make ~ways spec] instantiates a scheduler for a [ways]-input shared
-    module.  @raise Invalid_argument if the spec cannot serve [ways]
-    channels (e.g. [Static i] with [i >= ways]). *)
+(** Int slots a scheduler of this spec occupies. *)
+val width : spec -> int
+
+(** [place a o ~ways spec] instantiates a scheduler for a [ways]-input
+    shared module in the slots of [a] from [o], which it initializes.
+    @raise Invalid_argument if the spec cannot serve [ways] channels
+    (e.g. [Static i] with [i >= ways]). *)
+val place : int array -> int -> ways:int -> spec -> t
+
+(** [make ~ways spec] places a scheduler in an array of its own. *)
 val make : ways:int -> spec -> t
 
 (** Current prediction, a channel index in [0, ways). *)
@@ -102,24 +114,15 @@ val mispredictions : t -> int
 (** Tokens served so far. *)
 val serves : t -> int
 
-(** Internal state encoded as ints — what an engine snapshot keeps of
-    the scheduler. *)
-val state : t -> int list
-
-(** Behaviourally relevant part of the state: statistics counters are
-    excluded, so {!same_future} (and with it the model checker's state
-    identity) relates states that differ only in counts. *)
-val key : t -> int list
-
-val set_state : t -> int list -> unit
-
-(** [same_future t s]: would a scheduler restored to the encoded state
-    [s] (see {!state}) predict what [t] predicts now, and react to every
-    later observation as [t] does?  Compares the prediction and {!key};
-    statistics are ignored.  The prediction matters on its own because
-    an [External] scheduler keeps its last forced channel until it is
+(** The slots, as indices into the array the scheduler was placed in,
+    that decide its future: the prediction and the registers its spec
+    reads.  The statistics ({!mispredictions}, {!serves}) and the
+    registers the spec never reads are left out, so two schedulers
+    whose future slots agree predict alike now and react alike to every
+    later observation.  The prediction counts on its own because an
+    [External] scheduler keeps its last forced channel until it is
     forced again. *)
-val same_future : t -> int list -> bool
+val future : t -> int list
 
 val spec : t -> spec
 

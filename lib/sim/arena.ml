@@ -100,8 +100,16 @@ type t = {
      progress signal. *)
   written : int array;
   mutable written_n : int;
-  (* Flat node table. *)
-  states : Instance.state array;
+  (* Flat node table.  Node [i]'s registers are [regs.(rbase.(i) ..)]
+     and its stored payloads [vals.(vbase.(i) ..)]: the engine's own
+     arrays, which only the clock edge writes (Instance's slot
+     layout). *)
+  insts : Instance.t array;
+  roles : Instance.role array;
+  regs : int array;
+  vals : Value.t array;
+  rbase : int array;
+  vbase : int array;
   ins_base : int array;
   ins_n : int array;
   outs_base : int array;
@@ -128,7 +136,7 @@ type t = {
   mutable forced_any : bool;
 }
 
-let create ~schedule ~profile ~cycle_evals ~nchan insts =
+let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
   let n_nodes = Array.length insts in
   let sz = max n_nodes 1 in
   let ins_base = Array.make sz 0 in
@@ -138,7 +146,9 @@ let create ~schedule ~profile ~cycle_evals ~nchan insts =
   let selw = Array.make sz (-1) in
   let jbase = Array.make sz 0 in
   let jn = Array.make sz 0 in
-  let states = Array.make sz Instance.S_stateless in
+  let roles = Array.make sz Instance.Stateless in
+  let rbase = Array.make sz 0 in
+  let vbase = Array.make sz 0 in
   let fns = Array.make sz (fun _ -> (assert false : Value.t)) in
   let chunks = ref [] in
   let pos = ref 0 in
@@ -153,7 +163,9 @@ let create ~schedule ~profile ~cycle_evals ~nchan insts =
     (fun i inst ->
        let in_ch = Instance.ins inst and out_ch = Instance.outs inst in
        let sel_ch = Instance.sel inst in
-       states.(i) <- Instance.state inst;
+       roles.(i) <- Instance.role inst;
+       rbase.(i) <- Instance.reg_base inst;
+       vbase.(i) <- Instance.val_base inst;
        ins_base.(i) <- alloc in_ch;
        ins_n.(i) <- Array.length in_ch;
        outs_base.(i) <- alloc out_ch;
@@ -201,7 +213,7 @@ let create ~schedule ~profile ~cycle_evals ~nchan insts =
     ov_subst = Array.make csz None;
     written = Array.make ((5 * nchan) + 8) 0;
     written_n = 0;
-    states; ins_base; ins_n; outs_base; outs_n; selw; jbase; jn; ports;
+    insts; roles; regs; vals; rbase; vbase; ins_base; ins_n; outs_base; outs_n; selw; jbase; jn; ports;
     fns;
     schedule;
     dirty = Array.make sz false;
@@ -405,31 +417,40 @@ let copy_data t src dst =
    log dedups per wire, so propagation is unchanged) and never writes
    a field another statement of the same body reads. *)
 
-let eval_source t i (st : Instance.source_state) =
+(* Register [k] and payload slot [k] of node [i] (Instance's layout:
+   slot 0 is a source's offering flag, a sink's stalling flag, a
+   buffer's occupancy, a varlat's countdown). *)
+let[@inline] reg t i k =
+  Array.unsafe_get t.regs (Array.unsafe_get t.rbase i + k)
+
+let[@inline] stored t i k =
+  Array.unsafe_get t.vals (Array.unsafe_get t.vbase i + k)
+
+let eval_source t i =
   let out = out_w t i 0 in
-  set_bool2 t out vp "V+" st.Instance.offering sm "S-" false;
-  if st.Instance.offering then
-    (match Instance.source_peek st with
+  let offering = reg t i 0 = 1 in
+  set_bool2 t out vp "V+" offering sm "S-" false;
+  if offering then
+    (match Instance.source_peek t.insts.(i) with
      | Some v -> set_data t out v
      | None -> assert false)
 
-let eval_sink t i (st : Instance.sink_state) =
+let eval_sink t i =
   let inw = in_w t i 0 in
-  set_bool2 t inw sp "S+" st.Instance.stalling vm "V-" false
+  set_bool2 t inw sp "S+" (reg t i 0 = 1) vm "V-" false
 
-let eval_eb t i (st : Instance.eb_state) =
+let eval_eb t i =
   let inw = in_w t i 0 and out = out_w t i 0 in
-  set_bool2 t inw sp "S+" (st.Instance.n >= 2) vm "V-" (st.Instance.n < 0);
-  set_bool2 t out vp "V+" (st.Instance.n > 0) sm "S-" (st.Instance.n <= -2);
-  (match st.Instance.queue with
-   | v :: _ when st.Instance.n > 0 -> set_data t out v
-   | _ :: _ | [] -> ())
+  let n = reg t i 0 in
+  set_bool2 t inw sp "S+" (n >= 2) vm "V-" (n < 0);
+  set_bool2 t out vp "V+" (n > 0) sm "S-" (n <= -2);
+  if n > 0 then set_data t out (stored t i 0)
 
-let eval_eb0 t i (st : Instance.eb0_state) =
+let eval_eb0 t i =
   let inw = in_w t i 0 and out = out_w t i 0 in
-  if st.Instance.full then begin
+  if reg t i 0 = 1 then begin
     set_bool2 t out vp "V+" true sm "S-" false;
-    set_data t out st.Instance.stored;
+    set_data t out (stored t i 0);
     set_bool t inw vm "V-" false;
     let leaving = korn (get t out vm) (get t out sp) in
     kput t inw sp "S+" (knot leaving)
@@ -524,15 +545,15 @@ let eval_join t i =
   done;
   kput t out sm "S-" (knor (get t out vp) !consumable)
 
-let eval_fork t i (st : Instance.fork_state) =
+(* Slot [j]: branch [j] done; slot [k + j]: its pending anti-tokens. *)
+let eval_fork t i =
   let inw = in_w t i 0 in
   let vin = get t inw vp in
   let k = t.outs_n.(i) in
-  let done_ = st.Instance.done_ and pend = st.Instance.pend in
   let completions = t.scratch in
   for j = 0 to k - 1 do
     let out = out_w t i j in
-    let dj = Array.unsafe_get done_ j and pj = Array.unsafe_get pend j in
+    let dj = reg t i j = 1 and pj = reg t i (k + j) in
     let active = (not dj) && pj = 0 in
     let v_out = if active then vin else 2 in
     kput t out vp "V+" v_out;
@@ -547,12 +568,13 @@ let eval_fork t i (st : Instance.fork_state) =
   done;
   kput t inw sp "S+" (knot !all_c);
   let all_pending = ref true in
-  for j = 0 to Array.length pend - 1 do
-    if Array.unsafe_get pend j <= 0 then all_pending := false
+  for j = 0 to k - 1 do
+    if reg t i (k + j) <= 0 then all_pending := false
   done;
   kput t inw vm "V-" (kandn (code_of_bool !all_pending) vin)
 
-let eval_emux t i (st : Instance.emux_state) =
+(* Slot [j]: the kills not yet delivered to input [j]. *)
+let eval_emux t i =
   let selw = Array.unsafe_get t.selw i and out = out_w t i 0 in
   let sel_v = get t selw vp in
   let sv_known, sv =
@@ -565,12 +587,12 @@ let eval_emux t i (st : Instance.emux_state) =
         | None -> (false, 0)
     else (false, 0)
   in
-  let q = st.Instance.q in
-  if sv_known && (sv < 0 || sv >= Array.length q) then Instance.bad_select sv;
+  let n = Array.unsafe_get t.ins_n i in
+  if sv_known && (sv < 0 || sv >= n) then Instance.bad_select sv;
   let v_out =
     if sel_v = 2 then 2
     else if sv_known then
-      (if Array.unsafe_get q sv > 0 then 2 else get t (in_w t i sv) vp)
+      (if reg t i sv > 0 then 2 else get t (in_w t i sv) vp)
     else 0
   in
   kput t out vp "V+" v_out;
@@ -579,10 +601,9 @@ let eval_emux t i (st : Instance.emux_state) =
   kput t selw sp "S+" (knot fire);
   (* The mux never kills its select stream. *)
   set_bool t selw vm "V-" false;
-  let n = Array.unsafe_get t.ins_n i in
   for j = 0 to n - 1 do
     let inw = in_w t i j in
-    if q.(j) > 0 then begin
+    if reg t i j > 0 then begin
       set_bool t inw vm "V-" true;
       set_bool t inw sp "S+" false
     end
@@ -638,18 +659,19 @@ let eval_shared t i sched =
 (* Pairing note: in the busy/empty branches the last write of the
    original sequence was [inw.sp], so the reverse-order walk touched
    [inw] before [out] — the pair order below keeps that. *)
-let eval_varlat t i (st : Instance.varlat_state) =
+(* Slot 0: cycles before the held result shows, -1 when empty. *)
+let eval_varlat t i =
   let inw = in_w t i 0 and out = out_w t i 0 in
-  match st.Instance.pipe with
-  | Some (v, 0) ->
+  match reg t i 0 with
+  | 0 ->
     set_bool t inw vm "V-" false;
     set_bool2 t out sm "S-" false vp "V+" true;
-    set_data t out v;
+    set_data t out (stored t i 0);
     kput t inw sp "S+" (get t out sp)
-  | Some (_, _) ->
+  | c when c > 0 ->
     set_bool2 t out sm "S-" true vp "V+" false;
     set_bool2 t inw vm "V-" false sp "S+" true
-  | None ->
+  | _ ->
     set_bool2 t out sm "S-" true vp "V+" false;
     set_bool2 t inw vm "V-" false sp "S+" false
 
@@ -658,16 +680,16 @@ let eval_node t i =
   t.pending_evals <- t.pending_evals + 1;
   Array.unsafe_set t.cycle_evals i (Array.unsafe_get t.cycle_evals i + 1);
   t.last_eval <- i;
-  match t.states.(i) with
-  | Instance.S_source st -> eval_source t i st
-  | Instance.S_sink st -> eval_sink t i st
-  | Instance.S_eb st -> eval_eb t i st
-  | Instance.S_eb0 st -> eval_eb0 t i st
-  | Instance.S_fork st -> eval_fork t i st
-  | Instance.S_emux st -> eval_emux t i st
-  | Instance.S_shared sched -> eval_shared t i sched
-  | Instance.S_varlat st -> eval_varlat t i st
-  | Instance.S_stateless ->
+  match Array.unsafe_get t.roles i with
+  | Instance.Source _ -> eval_source t i
+  | Instance.Sink _ -> eval_sink t i
+  | Instance.Eb -> eval_eb t i
+  | Instance.Eb0 -> eval_eb0 t i
+  | Instance.Fork -> eval_fork t i
+  | Instance.Emux -> eval_emux t i
+  | Instance.Shared sched -> eval_shared t i sched
+  | Instance.Varlat _ -> eval_varlat t i
+  | Instance.Stateless ->
     if Array.unsafe_get t.jn i = 1 then eval_join1 t i else eval_join t i
 
 (* ------------------------------------------------------------------ *)

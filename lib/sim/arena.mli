@@ -25,17 +25,21 @@ type t
     engine converts it into its E110 non-convergence error. *)
 exception Did_not_converge
 
-(** [create ~schedule ~profile ~cycle_evals ~nchan insts] compiles the
-    arena from the engine's instances, one per dense node index, and
-    flattens their dense input/sel/output channel indices
+(** [create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts]
+    compiles the arena from the engine's instances, one per dense node
+    index, and flattens their dense input/sel/output channel indices
     ({!Instance.ins}, {!Instance.sel}, {!Instance.outs}) into its own
-    port pool; [profile] and [cycle_evals] are the engine's counters,
-    updated exactly as the reference fixpoint updates them. *)
+    port pool; [regs] and [vals] are the engine's register and payload
+    arrays, which the evaluators read in place, and [profile] and
+    [cycle_evals] are the engine's counters, updated exactly as the
+    reference fixpoint updates them. *)
 val create :
   schedule:Schedule.t ->
   profile:Profile.t ->
   cycle_evals:int array ->
   nchan:int ->
+  regs:int array ->
+  vals:Value.t array ->
   Instance.t array ->
   t
 

@@ -50,13 +50,13 @@ type backend = Reference of Wires.t * (unit -> unit) array | Arena of Arena.t
 
 type snap = {
   sn_cycle : int;
-  sn_insts : Instance.snap array;
-  sn_monitors : Protocol.snap array;
+  sn_regs : int array;
+  sn_vals : Value.t array;
+  sn_monitors : Protocol.snap;
   sn_starve_wait : int array;
   sn_starvation : string list;
-  sn_counters : int array array;
-      (* delivered, killed, valid, retry, anti: see [counter_arrays] *)
-  sn_sinks : (Netlist.node_id * Transfer.t) list;
+  sn_counts : int array;
+  sn_sinks : Transfer.t array;  (* in [sinks] order *)
 }
 
 (* A sink node, its input channel's dense index and its stream (shared
@@ -67,6 +67,9 @@ type t = {
   net : Netlist.t;
   backend : backend;
   insts : Instance.t array;  (* dense node order *)
+  regs : int array;  (* every node's registers, Instance's slot layout *)
+  vals : Value.t array;  (* every node's stored payloads *)
+  future : int array;  (* the [regs] slots [same_future] compares *)
   chans : Netlist.channel array;  (* dense order *)
   ch_index : (Netlist.channel_id, int) Hashtbl.t;
   monitors : Protocol.monitor array;  (* empty if monitoring disabled *)
@@ -83,11 +86,11 @@ type t = {
   data_at : int -> Value.t option;
       (* payload of a dense channel with V+ in [codes], read from the
          backend on demand *)
-  delivered : int array;
-  killed : int array;
-  valid_cycles : int array;  (* cycles with V+ asserted *)
-  retry_cycles : int array;  (* cycles with V+ & S+ (resolved) *)
-  anti_cycles : int array;  (* cycles with V- asserted *)
+  counts : int array;
+      (* of the channel of dense index [i] with [n] channels: tokens
+         delivered at [i] and annihilated at [n + i], cycles with V+
+         asserted at [2n + i], with V+ & S+ (resolved) at [3n + i] and
+         with V- asserted at [4n + i] *)
   sink_streams : (Netlist.node_id, Transfer.t ref) Hashtbl.t;
   sinks : sink array;  (* dense node order *)
   starve_wait : int array;  (* per channel, for shared-module inputs *)
@@ -99,11 +102,9 @@ type t = {
   mutable injected_rev : int list;  (* dense indices overridden this cycle
                                        (tracked only while observed) *)
   clock : Clock.t;
-  mutable last_snap : snap option;  (* parts the next snapshot shares *)
 }
 
-let counter_arrays t =
-  [| t.delivered; t.killed; t.valid_cycles; t.retry_cycles; t.anti_cycles |]
+let[@inline] bump counts i = counts.(i) <- counts.(i) + 1
 
 (* Observers call this per channel per cycle, so it allocates nothing.
    A channel id is usually its own dense index (channels listed in id
@@ -157,6 +158,15 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
   Array.iteri
     (fun i (c : Netlist.channel) -> Hashtbl.add ch_index c.Netlist.ch_id i)
     chans;
+  (* Every node's registers get consecutive slots of one int array and
+     its stored payloads slots of one payload array, in node order. *)
+  let nodes = Array.of_list (Netlist.nodes net) in
+  let total f =
+    Array.fold_left (fun a (n : Netlist.node) -> a + f n.Netlist.kind) 0 nodes
+  in
+  let regs = Array.make (total Instance.int_slots) 0 in
+  let vals = Array.make (total Instance.value_slots) Value.Unit in
+  let next_reg = ref 0 and next_val = ref 0 in
   let compile (n : Netlist.node) =
     let index p =
       match Netlist.channel_at net n.Netlist.id p with
@@ -169,15 +179,21 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
       | Netlist.In _ -> true
       | Netlist.Sel | Netlist.Out _ -> false
     in
-    Instance.create n
-      ~ins:(ports (List.filter is_in inputs))
-      ~sel:
-        (if List.exists (Netlist.port_equal Netlist.Sel) inputs then
-           Some (index Netlist.Sel)
-         else None)
-      ~outs:(ports (Netlist.required_outputs n.Netlist.kind))
+    let inst =
+      Instance.create n
+        ~ins:(ports (List.filter is_in inputs))
+        ~sel:
+          (if List.exists (Netlist.port_equal Netlist.Sel) inputs then
+             Some (index Netlist.Sel)
+           else None)
+        ~outs:(ports (Netlist.required_outputs n.Netlist.kind))
+        ~regs ~r:!next_reg ~vals ~v:!next_val
+    in
+    next_reg := !next_reg + Instance.int_slots n.Netlist.kind;
+    next_val := !next_val + Instance.value_slots n.Netlist.kind;
+    inst
   in
-  let insts = Array.of_list (List.map compile (Netlist.nodes net)) in
+  let insts = Array.map compile nodes in
   let monitors =
     if not monitor then [||]
     else
@@ -217,7 +233,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     | Arena ->
       Arena
         (Arena.create ~schedule ~profile ~cycle_evals
-           ~nchan:(Array.length chans) insts)
+           ~nchan:(Array.length chans) ~regs ~vals insts)
     | Reference ->
       let ws = Wires.create (Array.length chans) in
       Reference (ws, Array.map (Instance.evaluator ws) insts)
@@ -237,7 +253,10 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
      arena packing — is the compile phase of this engine's ledger. *)
   Profile.set_compile_seconds profile
     (Clock.seconds_between compile_t0 (clock ()));
-  { net; backend; insts; chans; ch_index; monitors; liveness_bound;
+  { net; backend; insts; regs; vals;
+    future =
+      Array.of_list (List.concat_map Instance.future (Array.to_list insts));
+    chans; ch_index; monitors; liveness_bound;
     schedule;
     profile;
     max_passes = Option.value max_passes ~default:default_max_passes;
@@ -246,11 +265,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     cycle = 0;
     codes;
     data_at;
-    delivered = Array.make (Array.length chans) 0;
-    killed = Array.make (Array.length chans) 0;
-    valid_cycles = Array.make (Array.length chans) 0;
-    retry_cycles = Array.make (Array.length chans) 0;
-    anti_cycles = Array.make (Array.length chans) 0;
+    counts = Array.make (5 * Array.length chans) 0;
     sink_streams;
     sinks;
     injector = None;
@@ -270,8 +285,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
            | Netlist.Func _ | Netlist.Fork _ | Netlist.Mux _
            | Netlist.Varlat _ -> false)
         chans;
-    starvation = [];
-    last_snap = None }
+    starvation = [] }
 
 let netlist t = t.net
 
@@ -490,12 +504,12 @@ let step ?(choices = fun _ -> None) t =
   done;
   for i = 0 to n - 1 do
     let ev = Signal.events_of_code codes.(i) in
-    if ev.Signal.token_in then t.delivered.(i) <- t.delivered.(i) + 1;
-    if ev.Signal.cancelled then t.killed.(i) <- t.killed.(i) + 1;
+    if ev.Signal.token_in then bump t.counts i;
+    if ev.Signal.cancelled then bump t.counts (n + i);
     let valid = codes.(i) land Signal.v_plus_bit <> 0 in
-    if valid then t.valid_cycles.(i) <- t.valid_cycles.(i) + 1;
-    if ev.Signal.retry then t.retry_cycles.(i) <- t.retry_cycles.(i) + 1;
-    if ev.Signal.anti then t.anti_cycles.(i) <- t.anti_cycles.(i) + 1;
+    if valid then bump t.counts ((2 * n) + i);
+    if ev.Signal.retry then bump t.counts ((3 * n) + i);
+    if ev.Signal.anti then bump t.counts ((4 * n) + i);
     (* Leads-to watchdog on shared-module inputs: a waiting token must
        eventually be served or killed. *)
     if t.shared_input.(i) then begin
@@ -565,9 +579,9 @@ let sink_stream t nid =
   | None ->
     fail ~cycle:t.cycle ~node:nid (Fmt.str "node %d is not a sink" nid)
 
-let delivered t cid = t.delivered.(dense_index t cid)
+let delivered t cid = t.counts.(dense_index t cid)
 
-let killed t cid = t.killed.(dense_index t cid)
+let killed t cid = t.counts.(Array.length t.chans + dense_index t cid)
 
 let throughput t nid =
   if t.cycle = 0 then 0.0
@@ -577,7 +591,8 @@ let throughput t nid =
 
 let activity t cid =
   let i = dense_index t cid in
-  (t.valid_cycles.(i), t.retry_cycles.(i), t.anti_cycles.(i))
+  let n = Array.length t.chans in
+  (t.counts.((2 * n) + i), t.counts.((3 * n) + i), t.counts.((4 * n) + i))
 
 let windowed_throughput t nid =
   match Transfer.entries (sink_stream t nid) with
@@ -627,86 +642,65 @@ let nondet_nodes t =
       let n = Instance.node inst in
       if Instance.choices n.Netlist.kind = [] then None else Some n)
 
-(* Consecutive snapshots of one engine share every part that did not
-   change between them: an unchanged node, monitor, counter array or
-   stream list is the previous snapshot's value.  A run that snapshots
-   every cycle then stores little more than what each cycle changed. *)
-let keep prev x = if compare prev x = 0 then prev else x
-
-let keep_each f prev xs =
-  if Array.length prev <> Array.length xs then Array.map f xs
-  else
-    let shared = Array.mapi (fun i x -> keep prev.(i) (f x)) xs in
-    if Array.for_all2 ( == ) shared prev then prev else shared
-
-let keep_copy prev a =
-  if Array.length prev = Array.length a && Array.for_all2 ( = ) prev a then
-    prev
-  else Array.copy a
-
+(* A snapshot copies the register, payload and counter arrays, the
+   monitors and the watchdog; the sink streams (immutable) it shares. *)
 let snapshot t =
-  let prev =
-    match t.last_snap with
-    | Some p -> p
-    | None ->
-      { sn_cycle = -1; sn_insts = [||]; sn_monitors = [||];
-        sn_starve_wait = [||]; sn_starvation = []; sn_counters = [||];
-        sn_sinks = [] }
-  in
-  let sinks =
-    Hashtbl.fold (fun nid s acc -> (nid, !s) :: acc) t.sink_streams []
-  in
-  let counters = counter_arrays t in
-  let snap =
-    { sn_cycle = t.cycle;
-      sn_insts = keep_each Instance.snapshot prev.sn_insts t.insts;
-      sn_monitors = keep_each Protocol.snapshot prev.sn_monitors t.monitors;
-      sn_starve_wait = keep_copy prev.sn_starve_wait t.starve_wait;
-      sn_starvation = t.starvation;
-      sn_counters =
-        (if Array.length prev.sn_counters = Array.length counters then
-           Array.map2 keep_copy prev.sn_counters counters
-         else Array.map Array.copy counters);
-      sn_sinks =
-        (if List.equal (fun (a, x) (b, y) -> a = b && x == y) prev.sn_sinks
-              sinks
-         then prev.sn_sinks
-         else sinks) }
-  in
-  t.last_snap <- Some snap;
-  snap
+  { sn_cycle = t.cycle;
+    sn_regs = Array.copy t.regs;
+    sn_vals = Array.copy t.vals;
+    sn_monitors = Protocol.snapshot t.monitors;
+    sn_starve_wait = Array.copy t.starve_wait;
+    sn_starvation = t.starvation;
+    sn_counts = Array.copy t.counts;
+    sn_sinks = Array.map (fun sk -> !(sk.sk_stream)) t.sinks }
 
 let restore t snap =
   let n = Array.length t.chans in
-  if Array.length snap.sn_insts <> Array.length t.insts
-  || Array.length snap.sn_monitors <> Array.length t.monitors
+  if Array.length snap.sn_regs <> Array.length t.regs
+  || Array.length snap.sn_vals <> Array.length t.vals
   || Array.length snap.sn_starve_wait <> n
-  || List.exists
-       (fun (nid, _) -> not (Hashtbl.mem t.sink_streams nid))
-       snap.sn_sinks
+  || Array.length snap.sn_sinks <> Array.length t.sinks
   then invalid_arg "Engine.restore: snapshot size mismatch";
-  Array.iteri (fun i s -> Instance.restore t.insts.(i) s) snap.sn_insts;
-  Array.iteri (fun i s -> Protocol.restore t.monitors.(i) s) snap.sn_monitors;
+  Protocol.restore t.monitors snap.sn_monitors;
+  Array.blit snap.sn_regs 0 t.regs 0 (Array.length t.regs);
+  Array.blit snap.sn_vals 0 t.vals 0 (Array.length t.vals);
   t.cycle <- snap.sn_cycle;
   Array.blit snap.sn_starve_wait 0 t.starve_wait 0 n;
   t.starvation <- snap.sn_starvation;
-  Array.iter2
-    (fun s a -> Array.blit s 0 a 0 n)
-    snap.sn_counters (counter_arrays t);
-  List.iter
-    (fun (nid, s) -> Hashtbl.find t.sink_streams nid := s)
-    snap.sn_sinks
+  Array.blit snap.sn_counts 0 t.counts 0 (5 * n);
+  for k = 0 to Array.length t.sinks - 1 do
+    t.sinks.(k).sk_stream := snap.sn_sinks.(k)
+  done
 
+(* [a] and [b] agree on the slots listed in [slots], from [k] on. *)
+let rec same_slots slots a b k =
+  k = Array.length slots
+  || (let i = slots.(k) in
+      a.(i) = b.(i) && same_slots slots a b (k + 1))
+
+let rec same_ints a b i =
+  i = Array.length a || (a.(i) = b.(i) && same_ints a b (i + 1))
+
+let rec same_values a b i =
+  i = Array.length a || (Value.equal a.(i) b.(i) && same_values a b (i + 1))
+
+(* The future slots, every payload slot, the monitors and the watchdog:
+   a masked compare of the arrays, allocating nothing. *)
 let same_future t snap =
-  let rec all2 f a b i =
-    i = Array.length a || (f a.(i) b.(i) && all2 f a b (i + 1))
-  in
-  Array.length snap.sn_insts = Array.length t.insts
-  && Array.length snap.sn_monitors = Array.length t.monitors
-  && all2 Instance.same_future t.insts snap.sn_insts 0
-  && all2 Protocol.same_future t.monitors snap.sn_monitors 0
-  && t.starve_wait = snap.sn_starve_wait
+  Array.length snap.sn_regs = Array.length t.regs
+  && Array.length snap.sn_vals = Array.length t.vals
+  && Array.length snap.sn_starve_wait = Array.length t.starve_wait
+  && same_slots t.future t.regs snap.sn_regs 0
+  && same_values t.vals snap.sn_vals 0
+  && Protocol.same_future t.monitors snap.sn_monitors
+  && same_ints t.starve_wait snap.sn_starve_wait 0
 
 let fingerprint t =
-  Array.fold_left (fun h inst -> (h * 31) + Instance.fingerprint inst) 0
-    t.insts
+  let h = ref 0 in
+  for k = 0 to Array.length t.future - 1 do
+    h := (!h * 31) + t.regs.(t.future.(k))
+  done;
+  for i = 0 to Array.length t.vals - 1 do
+    h := (!h * 31) + Hashtbl.hash t.vals.(i)
+  done;
+  !h

@@ -4,60 +4,57 @@ open Elastic_netlist
 
 type choice = Offer of bool | Stall of bool | Predict of int
 
-type source_state = {
-  sspec : Netlist.source_spec;
-  svals : Value.t array;
-      (* [Stream] payloads as an array: [source_peek] runs every cycle
-         (and on every settle evaluation), so the list's O(idx) nth is
-         a hot-path cost shared by every backend.  Empty otherwise. *)
-  srng : Rng.t;
-  mutable idx : int;
-  mutable pending_kill : int;
-  mutable retry : bool;
-  mutable offering : bool;
-}
+type role =
+  | Stateless
+  | Source of { spec : Netlist.source_spec; svals : Value.t array }
+      (* [svals]: [Stream] payloads as an array, for O(1) peeking;
+         empty otherwise *)
+  | Sink of Netlist.sink_spec
+  | Eb
+  | Eb0
+  | Fork
+  | Emux
+  | Shared of Scheduler.t
+  | Varlat of { fast : Func.t; slow : Func.t; err : Func.t }
 
-type sink_state = {
-  kspec : Netlist.sink_spec;
-  krng : Rng.t;
-  mutable cyc : int;
-  mutable stalling : bool;
-}
+(* Slots of sources and sinks; the flag the evaluators read comes
+   first. *)
+let src_offering = 0 and src_idx = 1 and src_kill = 2 and src_retry = 3
+and src_rng = 4
 
-type eb_state = { mutable n : int; mutable queue : Value.t list }
+let snk_stalling = 0 and snk_cyc = 1 and snk_rng = 2
 
-type eb0_state = { mutable full : bool; mutable stored : Value.t }
+let int_slots = function
+  | Netlist.Source _ -> 5
+  | Netlist.Sink _ -> 3
+  | Netlist.Buffer _ | Netlist.Varlat _ -> 1
+  | Netlist.Fork k -> 2 * k
+  | Netlist.Mux { ways; early = true } -> ways
+  | Netlist.Shared { sched; _ } -> Scheduler.width sched
+  | Netlist.Func _ | Netlist.Mux { early = false; _ } -> 0
 
-type fork_state = { done_ : bool array; pend : int array }
-
-type emux_state = { q : int array }
-
-(* One in-flight token: the precomputed result and the cycles left before
-   it becomes visible at the output. *)
-type varlat_state = { mutable pipe : (Value.t * int) option }
-
-type state =
-  | S_stateless
-  | S_source of source_state
-  | S_sink of sink_state
-  | S_eb of eb_state
-  | S_eb0 of eb0_state
-  | S_fork of fork_state
-  | S_emux of emux_state
-  | S_shared of Scheduler.t
-  | S_varlat of varlat_state
+let value_slots = function
+  | Netlist.Buffer { buffer; _ } -> Netlist.buffer_capacity buffer
+  | Netlist.Varlat _ -> 1
+  | Netlist.Source _ | Netlist.Sink _ | Netlist.Func _ | Netlist.Fork _
+  | Netlist.Mux _ | Netlist.Shared _ -> 0
 
 (* A shared module's scheduler observation, refilled in place at every
    clock edge, and [Some g] for each way [g]. *)
 type shared_view = { obs : Scheduler.observation; served : int option array }
 
-(* Ports are dense channel indices (see [create] in the interface). *)
+(* Ports are dense channel indices (see [create] in the interface); the
+   registers are [regs.(r ..)] and the stored payloads [vals.(v ..)]. *)
 type t = {
   node : Netlist.node;
   ins : int array;
   sel : int option;
   outs : int array;
-  state : state;
+  role : role;
+  regs : int array;
+  r : int;
+  vals : Value.t array;
+  v : int;
   view : shared_view option;  (* shared modules only *)
 }
 
@@ -69,50 +66,59 @@ let sel t = t.sel
 
 let outs t = t.outs
 
-let state t = t.state
+let role t = t.role
 
-let make_state (n : Netlist.node) =
-  match n.Netlist.kind with
-  | Netlist.Source sspec ->
-    let seed =
-      match sspec with
-      | Netlist.Random_rate { seed; _ } -> seed
-      | Netlist.Stream _ | Netlist.Counter _ | Netlist.Nondet _ -> 1
-    in
-    let svals =
-      match sspec with
-      | Netlist.Stream l -> Array.of_list l
-      | Netlist.Counter _ | Netlist.Random_rate _ | Netlist.Nondet _ ->
-        [||]
-    in
-    S_source
-      { sspec; svals; srng = Rng.create ~seed; idx = 0; pending_kill = 0;
-        retry = false; offering = false }
-  | Netlist.Sink kspec ->
-    let seed =
-      match kspec with Netlist.Random_stall { seed; _ } -> seed | _ -> 1
-    in
-    S_sink { kspec; krng = Rng.create ~seed; cyc = 0; stalling = false }
-  | Netlist.Buffer { buffer = Netlist.Eb; init } ->
-    S_eb { n = List.length init; queue = init }
-  | Netlist.Buffer { buffer = Netlist.Eb0; init } ->
-    (match init with
-     | [] -> S_eb0 { full = false; stored = Value.Unit }
-     | v :: _ -> S_eb0 { full = true; stored = v })
-  | Netlist.Func _ -> S_stateless
-  | Netlist.Fork k ->
-    S_fork { done_ = Array.make k false; pend = Array.make k 0 }
-  | Netlist.Mux { ways; early } ->
-    if early then S_emux { q = Array.make ways 0 } else S_stateless
-  | Netlist.Shared { ways; sched; _ } ->
-    S_shared (Scheduler.make ~ways sched)
-  | Netlist.Varlat _ -> S_varlat { pipe = None }
+let reg_base t = t.r
 
-let create node ~ins ~sel ~outs =
-  let state = make_state node in
+let val_base t = t.v
+
+let create (node : Netlist.node) ~ins ~sel ~outs ~regs ~r ~vals ~v =
+  let role =
+    match node.Netlist.kind with
+    | Netlist.Source spec ->
+      let seed =
+        match spec with
+        | Netlist.Random_rate { seed; _ } -> seed
+        | Netlist.Stream _ | Netlist.Counter _ | Netlist.Nondet _ -> 1
+      in
+      regs.(r + src_rng) <- Rng.start ~seed;
+      let svals =
+        match spec with
+        | Netlist.Stream l -> Array.of_list l
+        | Netlist.Counter _ | Netlist.Random_rate _ | Netlist.Nondet _ -> [||]
+      in
+      Source { spec; svals }
+    | Netlist.Sink spec ->
+      let seed =
+        match spec with
+        | Netlist.Random_stall { seed; _ } -> seed
+        | Netlist.Always_ready | Netlist.Stall_pattern _ -> 1
+      in
+      regs.(r + snk_rng) <- Rng.start ~seed;
+      Sink spec
+    | Netlist.Buffer { buffer = Netlist.Eb; init } ->
+      regs.(r) <- List.length init;
+      List.iteri (fun k x -> vals.(v + k) <- x) init;
+      Eb
+    | Netlist.Buffer { buffer = Netlist.Eb0; init } ->
+      (match init with
+       | [] -> ()
+       | x :: _ ->
+         regs.(r) <- 1;
+         vals.(v) <- x);
+      Eb0
+    | Netlist.Func _ -> Stateless
+    | Netlist.Fork _ -> Fork
+    | Netlist.Mux { early; _ } -> if early then Emux else Stateless
+    | Netlist.Shared { ways; sched; _ } ->
+      Shared (Scheduler.place regs r ~ways sched)
+    | Netlist.Varlat { fast; slow; err } ->
+      regs.(r) <- -1;
+      Varlat { fast; slow; err }
+  in
   let view =
-    match state with
-    | S_shared _ ->
+    match role with
+    | Shared _ ->
       let bits ports = Array.make (Array.length ports) false in
       Some
         { obs =
@@ -120,10 +126,19 @@ let create node ~ins ~sel ~outs =
               out_stop = bits outs; out_kill = bits outs; served = None;
               hint = None };
           served = Array.init (Array.length outs) Option.some }
-    | S_stateless | S_source _ | S_sink _ | S_eb _ | S_eb0 _ | S_fork _
-    | S_emux _ | S_varlat _ -> None
+    | Stateless | Source _ | Sink _ | Eb | Eb0 | Fork | Emux | Varlat _ ->
+      None
   in
-  { node; ins; sel; outs; state; view }
+  { node; ins; sel; outs; role; regs; r; vals; v; view }
+
+let future t =
+  let slots = List.map (( + ) t.r) in
+  match t.role with
+  | Source _ -> slots [ src_idx; src_kill; src_retry; src_rng ]
+  | Sink _ -> slots [ snk_cyc; snk_rng ]
+  | Shared sched -> Scheduler.future sched
+  | Stateless | Eb | Eb0 | Fork | Emux | Varlat _ ->
+    List.init (int_slots t.node.Netlist.kind) (( + ) t.r)
 
 let choices = function
   | Netlist.Source (Netlist.Random_rate _ | Netlist.Nondet _) ->
@@ -135,194 +150,237 @@ let choices = function
   | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _ | Netlist.Varlat _ ->
     []
 
-let scheduler t =
-  match t.state with S_shared s -> Some s | _ -> None
+let scheduler t = match t.role with Shared s -> Some s | _ -> None
+
+(* One draw of the generator in slot [k]: true with probability
+   [pct]/100, as [Rng.percent]. *)
+let draw regs k pct =
+  let s = Rng.advance regs.(k) in
+  regs.(k) <- s;
+  s mod 100 < pct
 
 (* ------------------------------------------------------------------ *)
 (* Sources                                                             *)
 
-let source_peek st =
-  match st.sspec with
-  | Netlist.Stream _ ->
-    if st.idx < Array.length st.svals then Some st.svals.(st.idx)
-    else None
-  | Netlist.Counter { start; step } ->
-    Some (Value.Int (start + (step * st.idx)))
-  | Netlist.Random_rate _ -> Some (Value.Int st.idx)
-  | Netlist.Nondet vs ->
-    (match vs with
-     | [] -> None
-     | _ :: _ -> Some (List.nth vs (st.idx mod List.length vs)))
+let source_peek t =
+  match t.role with
+  | Source { spec; svals } ->
+    let idx = t.regs.(t.r + src_idx) in
+    (match spec with
+     | Netlist.Stream _ ->
+       if idx < Array.length svals then Some svals.(idx) else None
+     | Netlist.Counter { start; step } -> Some (Value.Int (start + (step * idx)))
+     | Netlist.Random_rate _ -> Some (Value.Int idx)
+     | Netlist.Nondet vs ->
+       (match vs with
+        | [] -> None
+        | _ :: _ -> Some (List.nth vs (idx mod List.length vs))))
+  | Stateless | Sink _ | Eb | Eb0 | Fork | Emux | Shared _ | Varlat _ -> None
 
-(* [source_peek st <> None] without building the option. *)
-let source_has st =
-  match st.sspec with
-  | Netlist.Stream _ -> st.idx < Array.length st.svals
+(* [source_peek t <> None] without building the option. *)
+let source_has spec svals idx =
+  match spec with
+  | Netlist.Stream _ -> idx < Array.length svals
   | Netlist.Counter _ | Netlist.Random_rate _ -> true
   | Netlist.Nondet vs -> vs <> []
 
-(* Pending anti-tokens kill the items the source would offer next. *)
-let rec source_drain st =
-  if st.pending_kill > 0 && source_has st then begin
-    (match st.sspec with
-     | Netlist.Nondet vs -> st.idx <- (st.idx + 1) mod max 1 (List.length vs)
-     | Netlist.Stream _ | Netlist.Counter _ | Netlist.Random_rate _ ->
-       st.idx <- st.idx + 1);
-    st.pending_kill <- st.pending_kill - 1;
-    source_drain st
-  end
+(* The index after one item leaves, offered or killed. *)
+let source_bump spec idx =
+  match spec with
+  | Netlist.Nondet vs -> (idx + 1) mod max 1 (List.length vs)
+  | Netlist.Stream _ | Netlist.Counter _ | Netlist.Random_rate _ -> idx + 1
 
-let source_begin st ~choice =
-  source_drain st;
-  let have = source_has st in
+let source_begin t spec svals ~choice =
+  let regs = t.regs and r = t.r in
+  (* Pending anti-tokens kill the items the source would offer next. *)
+  while
+    regs.(r + src_kill) > 0
+    && source_has spec svals regs.(r + src_idx)
+  do
+    regs.(r + src_idx) <- source_bump spec regs.(r + src_idx);
+    regs.(r + src_kill) <- regs.(r + src_kill) - 1
+  done;
+  let have = source_has spec svals regs.(r + src_idx) in
   let fresh_offer =
     match choice with
     | Some (Offer b) -> b
     | Some (Stall _ | Predict _) | None -> (
-        match st.sspec with
+        match spec with
         | Netlist.Stream _ | Netlist.Counter _ -> true
-        | Netlist.Random_rate { pct; _ } -> Rng.percent st.srng pct
-        | Netlist.Nondet _ -> Rng.percent st.srng 50)
+        | Netlist.Random_rate { pct; _ } -> draw regs (r + src_rng) pct
+        | Netlist.Nondet _ -> draw regs (r + src_rng) 50)
   in
   (* Retry+ persistence: a stalled token must stay offered. *)
-  st.offering <- have && (st.retry || fresh_offer)
+  regs.(r + src_offering) <-
+    Bool.to_int (have && (regs.(r + src_retry) = 1 || fresh_offer))
 
 (* The clock edge reads the elapsed cycle's raw control codes, indexed
    by dense channel index, and asks [data] for a payload only when a
    token actually moves. *)
 let events_at codes c = Signal.events_of_code codes.(c)
 
-let source_clock t st ~codes =
+let source_clock t spec ~codes =
+  let regs = t.regs and r = t.r in
   let ev = events_at codes t.outs.(0) in
   if ev.Signal.token_out then begin
-    (let bump = st.idx + 1 in
-     match st.sspec with
-     | Netlist.Nondet vs -> st.idx <- bump mod max 1 (List.length vs)
-     | Netlist.Stream _ | Netlist.Counter _ | Netlist.Random_rate _ ->
-       st.idx <- bump);
-    st.retry <- false
+    regs.(r + src_idx) <- source_bump spec regs.(r + src_idx);
+    regs.(r + src_retry) <- 0
   end
-  else st.retry <- st.offering;
-  if ev.Signal.anti_in then st.pending_kill <- st.pending_kill + 1
+  else regs.(r + src_retry) <- regs.(r + src_offering);
+  if ev.Signal.anti_in then
+    regs.(r + src_kill) <- regs.(r + src_kill) + 1
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                               *)
 
-let sink_begin st ~choice =
-  st.stalling <-
-    (match choice with
-     | Some (Stall b) -> b
-     | Some (Offer _ | Predict _) | None -> (
-         match st.kspec with
-         | Netlist.Always_ready -> false
-         | Netlist.Stall_pattern p ->
-           Array.length p > 0 && p.(st.cyc mod Array.length p)
-         | Netlist.Random_stall { pct; _ } -> Rng.percent st.krng pct))
+let sink_begin t spec ~choice =
+  let regs = t.regs and r = t.r in
+  regs.(r + snk_stalling) <-
+    Bool.to_int
+      (match choice with
+       | Some (Stall b) -> b
+       | Some (Offer _ | Predict _) | None -> (
+           match spec with
+           | Netlist.Always_ready -> false
+           | Netlist.Stall_pattern p ->
+             Array.length p > 0
+             && p.(regs.(r + snk_cyc) mod Array.length p)
+           | Netlist.Random_stall { pct; _ } ->
+             draw regs (r + snk_rng) pct))
 
-let sink_clock st =
-  match st.kspec with
+let sink_clock t spec =
+  match spec with
   | Netlist.Stall_pattern p ->
-    st.cyc <- (st.cyc + 1) mod max 1 (Array.length p)
+    let k = t.r + snk_cyc in
+    t.regs.(k) <- (t.regs.(k) + 1) mod max 1 (Array.length p)
   | Netlist.Always_ready | Netlist.Random_stall _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Standard elastic buffer: Lf = 1, Lb = 1, C = 2 (Fig. 2(a)/Fig. 3).  *)
 (* State is a signed count [n]: n > 0 stores tokens (with data), n < 0 *)
 (* stores anti-tokens.  All outputs are functions of registers only.   *)
+(* The tokens sit in the payload slots oldest first; a slot past the   *)
+(* last token holds [Unit], so equal slots mean equal queues.          *)
 
-let eb_clock t st ~codes ~data =
+(* Drop the oldest of [len] stored tokens. *)
+let eb_pop vals v len =
+  for k = v to v + len - 2 do
+    vals.(k) <- vals.(k + 1)
+  done;
+  vals.(v + len - 1) <- Value.Unit
+
+let eb_clock t ~codes ~data =
+  let regs = t.regs and vals = t.vals and v = t.v in
   let i = t.ins.(0) in
   let in_ev = events_at codes i and out_ev = events_at codes t.outs.(0) in
+  let n = regs.(t.r) in
+  let len = ref (max n 0) in
   (* Pop before push so a full buffer can stream through. *)
-  if out_ev.Signal.token_out then
-    (match st.queue with
-     | _ :: rest -> st.queue <- rest
-     | [] -> assert false);
+  if out_ev.Signal.token_out then begin
+    assert (!len > 0);
+    eb_pop vals v !len;
+    decr len
+  end;
   if in_ev.Signal.token_in then (
     match data i with
-    | Some v -> st.queue <- st.queue @ [ v ]
+    | Some x ->
+      assert (!len < Netlist.buffer_capacity Netlist.Eb);
+      vals.(v + !len) <- x;
+      incr len
     | None -> assert false);
   (* An anti-token reaching the output kills the oldest stored token
      (Fig. 3: the rd pointer advances). *)
-  if out_ev.Signal.anti_in then
-    (match st.queue with v :: rest -> ignore v; st.queue <- rest | [] -> ());
+  if out_ev.Signal.anti_in && !len > 0 then begin
+    eb_pop vals v !len;
+    decr len
+  end;
   let incr_in = Bool.to_int in_ev.Signal.token_in in
   let incr_ain = Bool.to_int in_ev.Signal.anti_out in
   let decr_out = Bool.to_int out_ev.Signal.token_out in
   let decr_aout = Bool.to_int out_ev.Signal.anti_in in
-  st.n <- st.n + incr_in + incr_ain - decr_out - decr_aout;
-  assert (st.n >= -2 && st.n <= 2);
-  assert (List.length st.queue = max st.n 0)
+  let n = n + incr_in + incr_ain - decr_out - decr_aout in
+  regs.(t.r) <- n;
+  assert (n >= -2 && n <= 2);
+  assert (!len = max n 0)
 
 (* ------------------------------------------------------------------ *)
 (* Zero-backward-latency EB: Lf = 1, Lb = 0, C = 1 (Fig. 5).  Stop and *)
 (* kill traverse the controller combinationally.                      *)
 
-let eb0_clock t st ~codes ~data =
+let eb0_clock t ~codes ~data =
   let i = t.ins.(0) in
   let in_ev = events_at codes i and out_ev = events_at codes t.outs.(0) in
   let tin = in_ev.Signal.token_in and tout = out_ev.Signal.token_out in
-  assert (not (tin && st.full && not tout));
+  let full = t.regs.(t.r) = 1 in
+  assert (not (tin && full && not tout));
   if tin then (
     match data i with
-    | Some v ->
-      st.stored <- v;
-      st.full <- true
+    | Some x ->
+      t.vals.(t.v) <- x;
+      t.regs.(t.r) <- 1
     | None -> assert false)
-  else if tout then st.full <- false
+  else if tout then begin
+    t.vals.(t.v) <- Value.Unit;
+    t.regs.(t.r) <- 0
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Eager fork with anti-token join.                                    *)
+(* Eager fork with anti-token join.  Slot [j] is branch [j]'s done     *)
+(* flag, slot [k + j] its count of pending anti-tokens.                *)
 
-let fork_clock t st ~codes =
+let fork_clock t ~codes =
+  let regs = t.regs and r = t.r in
   let in_ev = events_at codes t.ins.(0) in
   let k = Array.length t.outs in
-  for i = 0 to k - 1 do
-    let ev = events_at codes t.outs.(i) in
-    if ev.Signal.anti_in then st.pend.(i) <- st.pend.(i) + 1;
-    if ev.Signal.token_out then st.done_.(i) <- true
+  let pend j = r + k + j in
+  for j = 0 to k - 1 do
+    let ev = events_at codes t.outs.(j) in
+    if ev.Signal.anti_in then regs.(pend j) <- regs.(pend j) + 1;
+    if ev.Signal.token_out then regs.(r + j) <- 1
   done;
   if in_ev.Signal.token_in then begin
     (* The input token is fully distributed: branches not served by a
        transfer were cancelled by a stored anti-token. *)
-    for i = 0 to k - 1 do
-      if not st.done_.(i) then begin
-        assert (st.pend.(i) > 0);
-        st.pend.(i) <- st.pend.(i) - 1
+    for j = 0 to k - 1 do
+      if regs.(r + j) = 0 then begin
+        assert (regs.(pend j) > 0);
+        regs.(pend j) <- regs.(pend j) - 1
       end;
-      st.done_.(i) <- false
+      regs.(r + j) <- 0
     done
   end;
   if in_ev.Signal.anti_out then
-    for i = 0 to k - 1 do
-      assert (st.pend.(i) > 0);
-      st.pend.(i) <- st.pend.(i) - 1
+    for j = 0 to k - 1 do
+      assert (regs.(pend j) > 0);
+      regs.(pend j) <- regs.(pend j) - 1
     done
 
 (* ------------------------------------------------------------------ *)
 (* Early-evaluation multiplexor (§2, §4.1): fires on select + selected *)
 (* data, emitting one anti-token into every non-selected input per     *)
-(* transfer.  [q] holds the kills not yet delivered; it is unbounded   *)
-(* in this model (a physical controller would stop firing at some      *)
-(* queue depth), which over-approximates the paper's behavior and only *)
-(* matters if an upstream refuses anti-tokens indefinitely.            *)
+(* transfer.  Slot [j] holds the kills not yet delivered to input [j]; *)
+(* it is unbounded in this model (a physical controller would stop     *)
+(* firing at some queue depth), which over-approximates the paper's    *)
+(* behavior and only matters if an upstream refuses anti-tokens        *)
+(* indefinitely.                                                       *)
 
-let emux_clock t st ~codes ~data =
+let emux_clock t ~codes ~data =
+  let regs = t.regs and r = t.r in
   let k = Array.length t.ins in
   if (events_at codes t.outs.(0)).Signal.token_out then begin
     let s =
       match data (Option.get t.sel) with
-      | Some v -> Value.to_int v
+      | Some x -> Value.to_int x
       | None -> assert false
     in
     for i = 0 to k - 1 do
-      if i <> s then st.q.(i) <- st.q.(i) + 1
+      if i <> s then regs.(r + i) <- regs.(r + i) + 1
     done
   end;
   for i = 0 to k - 1 do
     if (events_at codes t.ins.(i)).Signal.anti_out then begin
-      assert (st.q.(i) > 0);
-      st.q.(i) <- st.q.(i) - 1
+      assert (regs.(r + i) > 0);
+      regs.(r + i) <- regs.(r + i) - 1
     end
   done
 
@@ -358,50 +416,50 @@ let shared_clock t sched ~codes ~data =
 (* Stalling variable-latency unit (Fig. 6(a)).  A token is served in one *)
 (* cycle when the approximation is correct, two otherwise; the sender is *)
 (* stalled while the slow path completes.  The unit neither emits nor    *)
-(* accepts anti-tokens (the non-speculative design has none).           *)
+(* accepts anti-tokens (the non-speculative design has none).  The int   *)
+(* slot counts the cycles before the held result becomes visible at the *)
+(* output, -1 when empty; the payload slot holds the precomputed result. *)
 
-let varlat_clock t st ~codes ~data ~fast ~slow ~err =
+let varlat_clock t ~codes ~data ~fast ~slow ~err =
+  let regs = t.regs and r = t.r in
   let i = t.ins.(0) in
-  if (events_at codes t.outs.(0)).Signal.token_out then st.pipe <- None;
+  if (events_at codes t.outs.(0)).Signal.token_out then begin
+    regs.(r) <- -1;
+    t.vals.(t.v) <- Value.Unit
+  end;
   if (events_at codes i).Signal.token_in then (
     match data i with
-    | Some v ->
-      let wrong = Value.to_int (Func.apply err [ v ]) <> 0 in
-      let result = Func.apply (if wrong then slow else fast) [ v ] in
-      st.pipe <- Some (result, if wrong then 2 else 1)
+    | Some x ->
+      let wrong = Value.to_int (Func.apply err [ x ]) <> 0 in
+      t.vals.(t.v) <- Func.apply (if wrong then slow else fast) [ x ];
+      regs.(r) <- (if wrong then 2 else 1)
     | None -> assert false);
-  (match st.pipe with
-   | Some (v, c) when c > 0 -> st.pipe <- Some (v, c - 1)
-   | Some _ | None -> ())
+  if regs.(r) > 0 then regs.(r) <- regs.(r) - 1
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 
 let begin_cycle t ~choice =
-  match t.state with
-  | S_source st -> source_begin st ~choice
-  | S_sink st -> sink_begin st ~choice
-  | S_shared sched ->
+  match t.role with
+  | Source { spec; svals } -> source_begin t spec svals ~choice
+  | Sink spec -> sink_begin t spec ~choice
+  | Shared sched ->
     (match choice with
      | Some (Predict c) -> Scheduler.force sched c
      | Some (Offer _ | Stall _) | None -> ())
-  | S_stateless | S_eb _ | S_eb0 _ | S_fork _ | S_emux _ | S_varlat _ -> ()
+  | Stateless | Eb | Eb0 | Fork | Emux | Varlat _ -> ()
 
 let clock t ~codes ~data =
-  match t.state with
-  | S_source st -> source_clock t st ~codes
-  | S_sink st -> sink_clock st
-  | S_eb st -> eb_clock t st ~codes ~data
-  | S_eb0 st -> eb0_clock t st ~codes ~data
-  | S_fork st -> fork_clock t st ~codes
-  | S_emux st -> emux_clock t st ~codes ~data
-  | S_shared sched -> shared_clock t sched ~codes ~data
-  | S_varlat st ->
-    (match t.node.Netlist.kind with
-     | Netlist.Varlat { fast; slow; err } ->
-       varlat_clock t st ~codes ~data ~fast ~slow ~err
-     | _ -> assert false)
-  | S_stateless -> ()
+  match t.role with
+  | Source { spec; _ } -> source_clock t spec ~codes
+  | Sink spec -> sink_clock t spec
+  | Eb -> eb_clock t ~codes ~data
+  | Eb0 -> eb0_clock t ~codes ~data
+  | Fork -> fork_clock t ~codes
+  | Emux -> emux_clock t ~codes ~data
+  | Shared sched -> shared_clock t sched ~codes ~data
+  | Varlat { fast; slow; err } -> varlat_clock t ~codes ~data ~fast ~slow ~err
+  | Stateless -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The Reference evaluator: the node's [Control.table], the equations  *)
@@ -506,12 +564,14 @@ let bit w k =
    code of each register, then the code of each [Bit] input or the
    value of each [Choice] input (-1 while unknown), into the [width]
    slots from 0 up, in the table's declared order (control.mli gives
-   the encoding).  [payload j c] follows [Out j]'s V+ := c. *)
+   the encoding), reading the node's register slots.  [payload j c]
+   follows [Out j]'s V+ := c. *)
 let bindings ws t s =
   let wire c = Wires.wire ws c in
   let set_out j v = Wires.set_data ws (wire t.outs.(j)) v in
   let copy_in i j = Option.iter (set_out j) (Wires.data (wire t.ins.(i))) in
   let bind width load payload = (width, load, payload) in
+  let regs = t.regs and r = t.r and vals = t.vals and v = t.v in
   (* States 0, 1 and 2 of a counter clamped at 2, from slot [n]. *)
   let count3 n c =
     for k = 0 to 2 do s.(n + k) <- of_bool (Int.min c 2 = k) done
@@ -525,67 +585,69 @@ let bindings ws t s =
         if c = 3 && List.for_all has ins then
           set_out 0 (fn (List.map (fun w -> Option.get (Wires.data w)) ins)))
   in
-  match t.state, t.node.Netlist.kind with
-  | S_source st, _ ->
+  match t.role, t.node.Netlist.kind with
+  | Source _, _ ->
     (* retry is held low: [offering] already includes it *)
-    bind 2 (fun () -> s.(0) <- 2; s.(1) <- of_bool st.offering) (fun _ c ->
-        if c = 3 then Option.iter (set_out 0) (source_peek st))
-  | S_sink st, _ ->
-    bind 1 (fun () -> s.(0) <- of_bool st.stalling) (fun _ _ -> ())
-  | S_eb st, _ ->
-    bind 5 (fun () -> for k = 0 to 4 do s.(k) <- of_bool (st.n + 2 = k) done)
-      (fun _ c ->
-         match st.queue with v :: _ when c = 3 -> set_out 0 v | _ -> ())
-  | S_eb0 st, _ ->
-    bind 1 (fun () -> s.(0) <- of_bool st.full) (fun _ c ->
-        if c = 3 then set_out 0 st.stored)
-  | S_fork st, _ ->
+    bind 2
+      (fun () ->
+         s.(0) <- 2;
+         s.(1) <- of_bool (regs.(r + src_offering) = 1))
+      (fun _ c -> if c = 3 then Option.iter (set_out 0) (source_peek t))
+  | Sink _, _ ->
+    bind 1
+      (fun () -> s.(0) <- of_bool (regs.(r + snk_stalling) = 1))
+      (fun _ _ -> ())
+  | Eb, _ ->
+    bind 5 (fun () -> for k = 0 to 4 do s.(k) <- of_bool (regs.(r) + 2 = k) done)
+      (fun _ c -> if c = 3 && regs.(r) > 0 then set_out 0 vals.(v))
+  | Eb0, _ ->
+    bind 1 (fun () -> s.(0) <- of_bool (regs.(r) = 1)) (fun _ c ->
+        if c = 3 then set_out 0 vals.(v))
+  | Fork, _ ->
     let k = Array.length t.outs in
     bind (4 * k)
       (fun () ->
          for j = 0 to k - 1 do
-           s.(4 * j) <- of_bool st.done_.(j);
-           count3 ((4 * j) + 1) st.pend.(j)
+           s.(4 * j) <- of_bool (regs.(r + j) = 1);
+           count3 ((4 * j) + 1) regs.(r + k + j)
          done)
       (fun j c -> if c = 3 then copy_in 0 j)
-  | S_emux st, _ ->
+  | Emux, _ ->
     let sel = wire (Option.get t.sel) and w = Array.length t.ins in
     bind ((3 * w) + 1)
       (fun () ->
-         for j = 0 to w - 1 do count3 (3 * j) st.q.(j) done;
+         for j = 0 to w - 1 do count3 (3 * j) regs.(r + j) done;
          (* The select value stays unknown until the select is valid
             with data. *)
          s.(3 * w) <-
            (match Wires.v_plus sel, Wires.data sel with
-            | Some true, Some v ->
-              let v = Value.to_int v in
-              if v < 0 || v >= w then bad_select v;
-              v
+            | Some true, Some x ->
+              let x = Value.to_int x in
+              if x < 0 || x >= w then bad_select x;
+              x
             | _ -> -1))
       (fun _ c -> if c = 3 then copy_in s.(3 * w) 0)
-  | S_shared sched, Netlist.Shared { f; _ } ->
+  | Shared sched, Netlist.Shared { f; _ } ->
     (* The granted way's payload, whenever its input is valid. *)
     bind 1 (fun () -> s.(0) <- Scheduler.predict sched) (fun j _ ->
         let inw = wire t.ins.(j) in
         if j = s.(0) then
           match Wires.v_plus inw, Wires.data inw with
-          | Some true, Some v -> set_out j (Func.apply f [ v ])
+          | Some true, Some x -> set_out j (Func.apply f [ x ])
           | _ -> ())
-  | S_varlat st, _ ->
+  | Varlat _, _ ->
     bind 4
       (fun () ->
-         let state =
-           match st.pipe with None -> 0 | Some (_, 0) -> 1 | Some _ -> 2
-         in
+         (* States: empty, result visible, result pending. *)
+         let state = Int.min (regs.(r) + 1) 2 in
          for k = 0 to 2 do s.(k) <- of_bool (state = k) done;
          s.(3) <- 2 (* the slow pick: read by next-state nets only *))
-      (fun _ c ->
-         match st.pipe with Some (v, 0) when c = 3 -> set_out 0 v | _ -> ())
-  | S_stateless, Netlist.Func f -> join t.ins (Func.apply f) 0
-  | S_stateless, Netlist.Mux { ways; _ } ->
+      (fun _ c -> if c = 3 && regs.(r) = 0 then set_out 0 vals.(v))
+  | Stateless, Netlist.Func f -> join t.ins (Func.apply f) 0
+  | Stateless, Netlist.Mux { ways; _ } ->
     join (Array.append [| Option.get t.sel |] t.ins)
       (Func.apply (Func.select ~ways ())) 1
-  | (S_shared _ | S_stateless), _ -> assert false
+  | (Shared _ | Stateless), _ -> assert false
 
 let evaluator ws t =
   (* Channel bits are named "<dense index>.<field>", apart from the
@@ -649,90 +711,11 @@ let evaluator ws t =
     done
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots                                                           *)
-
-type snap =
-  | Sn_none
-  | Sn_source of int * int * bool * int
-  | Sn_sink of int * int
-  | Sn_eb of int * Value.t list
-  | Sn_eb0 of Value.t option
-  | Sn_fork of bool list * int list
-  | Sn_emux of int list
-  | Sn_shared of int list
-  | Sn_varlat of (Value.t * int) option
-
-let snapshot t =
-  match t.state with
-  | S_stateless -> Sn_none
-  | S_source st ->
-    Sn_source (st.idx, st.pending_kill, st.retry, Rng.state st.srng)
-  | S_sink st -> Sn_sink (st.cyc, Rng.state st.krng)
-  | S_eb st -> Sn_eb (st.n, st.queue)
-  | S_eb0 st -> Sn_eb0 (if st.full then Some st.stored else None)
-  | S_fork st -> Sn_fork (Array.to_list st.done_, Array.to_list st.pend)
-  | S_emux st -> Sn_emux (Array.to_list st.q)
-  | S_shared sched ->
-    Sn_shared (Scheduler.state sched)
-  | S_varlat st -> Sn_varlat st.pipe
-
-let restore t snap =
-  match t.state, snap with
-  | S_stateless, Sn_none -> ()
-  | S_source st, Sn_source (idx, pk, retry, rng) ->
-    st.idx <- idx;
-    st.pending_kill <- pk;
-    st.retry <- retry;
-    Rng.set_state st.srng rng
-  | S_sink st, Sn_sink (cyc, rng) ->
-    st.cyc <- cyc;
-    Rng.set_state st.krng rng
-  | S_eb st, Sn_eb (n, queue) ->
-    st.n <- n;
-    st.queue <- queue
-  | S_eb0 st, Sn_eb0 stored ->
-    (match stored with
-     | Some v ->
-       st.full <- true;
-       st.stored <- v
-     | None ->
-       st.full <- false;
-       st.stored <- Value.Unit)
-  | S_fork st, Sn_fork (d, p) ->
-    List.iteri (fun i b -> st.done_.(i) <- b) d;
-    List.iteri (fun i v -> st.pend.(i) <- v) p
-  | S_emux st, Sn_emux q -> List.iteri (fun i v -> st.q.(i) <- v) q
-  | S_shared sched, Sn_shared s -> Scheduler.set_state sched s
-  | S_varlat st, Sn_varlat p -> st.pipe <- p
-  | ( S_stateless | S_source _ | S_sink _ | S_eb _ | S_eb0 _ | S_fork _
-    | S_emux _ | S_shared _ | S_varlat _ ),
-    _ ->
-    invalid_arg "Instance.restore: snapshot kind mismatch"
-
-let same_future t snap =
-  match t.state, snap with
-  | S_shared sched, Sn_shared s -> Scheduler.same_future sched s
-  | _ -> snapshot t = snap
-
-let fingerprint t =
-  match t.state with
-  | S_stateless -> 0
-  | S_source st ->
-    Hashtbl.hash (st.idx, st.pending_kill, st.retry, Rng.state st.srng)
-  | S_sink st -> Hashtbl.hash (st.cyc, Rng.state st.krng)
-  | S_eb st -> Hashtbl.hash (st.n, st.queue)
-  | S_eb0 st -> if st.full then Hashtbl.hash st.stored else 0
-  | S_fork st -> Hashtbl.hash (st.done_, st.pend)
-  | S_emux st -> Hashtbl.hash st.q
-  | S_shared sched ->
-    Hashtbl.hash (Scheduler.predict sched, Scheduler.key sched)
-  | S_varlat st -> Hashtbl.hash st.pipe
+(* Introspection                                                       *)
 
 let buffer_occupancy t =
-  match t.state with
-  | S_eb st -> Some st.n
-  | S_eb0 st -> Some (if st.full then 1 else 0)
-  | S_varlat st -> Some (if st.pipe = None then 0 else 1)
-  | S_stateless | S_source _ | S_sink _ | S_fork _ | S_emux _ | S_shared _
-    ->
-    None
+  match t.role with
+  | Eb -> Some t.regs.(t.r)
+  | Eb0 -> Some t.regs.(t.r)
+  | Varlat _ -> Some (if t.regs.(t.r) < 0 then 0 else 1)
+  | Stateless | Source _ | Sink _ | Fork | Emux | Shared _ -> None

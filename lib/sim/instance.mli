@@ -26,55 +26,56 @@ type choice =
 
 (** {1 Register state}
 
-    The clocked state of each node kind, exposed so the flat-arena
-    evaluator ({!Arena}) can code the controllers' equations over packed
-    integer wire codes while sharing the node registers with this
-    module.  By convention only {!begin_cycle}, {!clock} and {!restore}
-    mutate these records; evaluators treat them as read-only. *)
+    An engine keeps the registers of all its nodes in one [int array]
+    and their stored payloads in one [Value.t array], laid out at
+    [Engine.create]: each node owns {!int_slots} consecutive int slots
+    from {!reg_base} and {!value_slots} payload slots from {!val_base}.
+    Only {!create}, {!begin_cycle} and {!clock} write them (and the
+    engine's restore, which blits whole arrays); the evaluators read
+    them.  The slots, relative to a node's base:
+    - source: the offering flag, the stream index, the pending
+      anti-token count, the retry flag and the random-generator state
+      ({!Rng.start});
+    - sink: the stalling flag, the stall-pattern position and the
+      random-generator state;
+    - EB: the signed occupancy [n] (tokens > 0, anti-tokens < 0); its
+      [C = 2] payload slots hold the tokens oldest first;
+    - EB0: 1 when full; one payload slot for the token;
+    - [Fork k]: slot [j] is 1 once branch [j] has taken the current
+      token, slot [k + j] counts the anti-tokens pending on branch [j];
+    - early mux: slot [j] counts the kills not yet delivered to input
+      [j];
+    - shared module: its scheduler's slots ({!Scheduler.place});
+    - varlat: the cycles before the held result shows, -1 when empty;
+      one payload slot for the result.
+    A payload slot holds [Value.Unit] while it stores no token, so two
+    nodes whose slots are equal hold equal queues.  Flags are 0 or 1. *)
 
-type source_state = {
-  sspec : Netlist.source_spec;
-  svals : Value.t array;  (** [Stream] payloads, for O(1) peeking. *)
-  srng : Rng.t;
-  mutable idx : int;
-  mutable pending_kill : int;
-  mutable retry : bool;
-  mutable offering : bool;
-}
+(** What a node does at the clock edge, with its static parameters. *)
+type role =
+  | Stateless  (** function stage or lazy multiplexor *)
+  | Source of { spec : Netlist.source_spec; svals : Value.t array }
+      (** [svals]: a [Stream]'s payloads, for O(1) peeking. *)
+  | Sink of Netlist.sink_spec
+  | Eb
+  | Eb0
+  | Fork
+  | Emux
+  | Shared of Scheduler.t  (** a view of the node's slots *)
+  | Varlat of { fast : Func.t; slow : Func.t; err : Func.t }
 
-type sink_state = {
-  kspec : Netlist.sink_spec;
-  krng : Rng.t;
-  mutable cyc : int;
-  mutable stalling : bool;
-}
+(** Int slots a node of this kind occupies. *)
+val int_slots : Netlist.kind -> int
 
-type eb_state = { mutable n : int; mutable queue : Value.t list }
-
-type eb0_state = { mutable full : bool; mutable stored : Value.t }
-
-type fork_state = { done_ : bool array; pend : int array }
-
-type emux_state = { q : int array }
-
-type varlat_state = { mutable pipe : (Value.t * int) option }
-
-type state =
-  | S_stateless
-  | S_source of source_state
-  | S_sink of sink_state
-  | S_eb of eb_state
-  | S_eb0 of eb0_state
-  | S_fork of fork_state
-  | S_emux of emux_state
-  | S_shared of Scheduler.t
-  | S_varlat of varlat_state
+(** Payload slots a node of this kind occupies. *)
+val value_slots : Netlist.kind -> int
 
 type t
 
-(** [create node ~ins ~sel ~outs] builds the runtime instance over
-    dense channel indices, which must follow port numbering ([ins.(i)]
-    is port [In i], etc.).  These are the node's only copy of its
+(** [create node ~ins ~sel ~outs ~regs ~r ~vals ~v] builds the runtime
+    instance over dense channel indices, which must follow port
+    numbering ([ins.(i)] is port [In i], etc.), and writes its initial
+    registers into [regs] from slot [r] and [vals] from slot [v].  These are the node's only copy of its
     ports: {!evaluator} resolves them through the Reference backend's
     {!Wires} store, the arena flattens them into its own index pool,
     and {!clock} reads the elapsed cycle's codes through them.  No
@@ -82,7 +83,15 @@ type t
     Buffers must fit their capacity; [Engine.create] rejects an
     over-capacity buffer (E101) before it creates any instance. *)
 val create :
-  Netlist.node -> ins:int array -> sel:int option -> outs:int array -> t
+  Netlist.node ->
+  ins:int array ->
+  sel:int option ->
+  outs:int array ->
+  regs:int array ->
+  r:int ->
+  vals:Value.t array ->
+  v:int ->
+  t
 
 val node : t -> Netlist.node
 
@@ -95,11 +104,24 @@ val sel : t -> int option
 (** Dense channel index of each [Out] port, in port order. *)
 val outs : t -> int array
 
-(** The node's register state (shared with the arena evaluator). *)
-val state : t -> state
+val role : t -> role
 
-(** Next value a source would offer (its stream head), if any. *)
-val source_peek : source_state -> Value.t option
+(** The node's first slot in the engine's register array and in its
+    payload array. *)
+val reg_base : t -> int
+
+val val_base : t -> int
+
+(** The int slots, as indices into {!regs}, whose values decide the
+    node's future: all of them, but for a source's offering flag and a
+    sink's stalling flag, which {!begin_cycle} recomputes before any
+    reader, and a scheduler's statistics ({!Scheduler.future}).  With
+    the payload slots, they are what [Engine.same_future] compares. *)
+val future : t -> int list
+
+(** Next value a source would offer (its stream head), if any; [None]
+    for other nodes. *)
+val source_peek : t -> Value.t option
 
 (** The alternatives of the nondeterministic decision a node of this kind
     takes each cycle; [[]] when it takes none. *)
@@ -136,24 +158,6 @@ val bad_select : int -> 'a
     on a cancelling channel included) to a shared module's
     scheduler. *)
 val clock : t -> codes:int array -> data:(int -> Value.t option) -> unit
-
-(** {1 State snapshots (for the model checker)} *)
-
-(** Marshalable register state of a node. *)
-type snap
-
-val snapshot : t -> snap
-
-val restore : t -> snap -> unit
-
-(** Do the live registers of [t] and the snapshot give the same future
-    on the same inputs?  Every register counts, random-generator states
-    included; of a shared module's scheduler only the prediction and
-    {!Scheduler.key} count (see {!Scheduler.same_future}). *)
-val same_future : t -> snap -> bool
-
-(** Hash of the registers {!same_future} compares. *)
-val fingerprint : t -> int
 
 (** {1 Introspection} *)
 

@@ -1,9 +1,13 @@
+let start ~seed = (seed lxor 0x2545F491) land 0x3FFFFFFF
+
+let advance s = ((s * 1103515245) + 12345) land 0x3FFFFFFF
+
 type t = { mutable s : int }
 
-let create ~seed = { s = (seed lxor 0x2545F491) land 0x3FFFFFFF }
+let create ~seed = { s = start ~seed }
 
 let next t =
-  t.s <- ((t.s * 1103515245) + 12345) land 0x3FFFFFFF;
+  t.s <- advance t.s;
   t.s
 
 let int t bound =
@@ -11,7 +15,3 @@ let int t bound =
   next t mod bound
 
 let percent t pct = int t 100 < pct
-
-let state t = t.s
-
-let set_state t s = t.s <- s

@@ -14,7 +14,13 @@ val int : t -> int -> int
 (** [percent t pct] is true with probability [pct]/100. *)
 val percent : t -> int -> bool
 
-(** Current internal state (for checkpointing in the model checker). *)
-val state : t -> int
+(** {1 The generator as a plain int}
 
-val set_state : t -> int -> unit
+    A node keeps its generator's state in an engine register slot:
+    [start ~seed] is the state {!create} starts from, and [advance s]
+    the state after one draw, whose result is that state.  So
+    [percent] on a generator in state [s] is [advance s mod 100 < pct]. *)
+
+val start : seed:int -> int
+
+val advance : int -> int

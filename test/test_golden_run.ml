@@ -434,7 +434,9 @@ let qcheck_classify_by_index =
 
 (* With no fault the faulted run is the golden run: it has the transfer
    counts of a plain run's data sinks, in the first [cycles] cycles (the
-   reference) and in all [cycles + settle] (the faulted run). *)
+   reference) and in all [cycles + settle] (the faulted run), and it is
+   masked, also where the sources never run dry or a report falls in the
+   settle window. *)
 let test_no_fault () =
   List.iter
     (fun b ->
@@ -462,7 +464,10 @@ let test_no_fault () =
               (count (fun e -> e.Transfer.cycle < cycles))
               r.Recovery.ref_transfers;
             Alcotest.(check int) (what ^ ": faulted transfers")
-              (count (fun _ -> true)) r.Recovery.faulted_transfers)
+              (count (fun _ -> true)) r.Recovery.faulted_transfers;
+            Alcotest.(check string) (what ^ ": classification") "masked"
+              (Fmt.str "%a" Recovery.pp_classification
+                 r.Recovery.classification))
          b.b_windows)
     (Lazy.force differential_benches)
 

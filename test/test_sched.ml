@@ -27,6 +27,136 @@ let drive sched outcomes =
        g)
     outcomes
 
+(* --- a scheduler's state in an engine ------------------------------ *)
+
+module Engine = Elastic_sim.Engine
+module Instance = Elastic_sim.Instance
+
+(* Two users share a module, an early mux always selects way 0 and the
+   sink never stalls.  With every choice fixed (sources offer, an
+   [External] scheduler predicts 0) the run is deterministic and its
+   state space finite, so the run comes back to earlier states, with
+   more tokens served. *)
+let shared_engine sched =
+  let open Elastic_netlist.Netlist in
+  let add kind name (net, ids) =
+    let net, id = add_node ~name net kind in
+    (net, (name, id) :: ids)
+  in
+  let nondet v = Source (Nondet [ Elastic_kernel.Value.Int v ]) in
+  let f = Elastic_netlist.Func.identity ~delay:1.0 ~area:1.0 () in
+  let net, ids =
+    (empty, [])
+    |> add (nondet 0) "in0" |> add (nondet 1) "in1" |> add (nondet 0) "sel"
+    |> add (Shared { ways = 2; f; sched; hinted = false }) "sh"
+    |> add (Mux { ways = 2; early = true }) "mux"
+    |> add (Sink Always_ready) "snk"
+  in
+  let id name = List.assoc name ids in
+  let net =
+    List.fold_left
+      (fun net (a, p, b, q) -> fst (connect net (id a, p) (id b, q)))
+      net
+      [ ("in0", Out 0, "sh", In 0); ("in1", Out 0, "sh", In 1);
+        ("sh", Out 0, "mux", In 0); ("sh", Out 1, "mux", In 1);
+        ("sel", Out 0, "mux", Sel); ("mux", Out 0, "snk", In 0) ]
+  in
+  let eng = Engine.create net in
+  (eng, List.assoc (id "sh") (Engine.schedulers eng))
+
+(* One cycle with every choice fixed. *)
+let fixed eng =
+  let net = Engine.netlist eng in
+  Engine.step eng ~choices:(fun id ->
+      match
+        Instance.choices (Elastic_netlist.Netlist.node net id).Elastic_netlist.Netlist.kind
+      with
+      | Instance.Predict _ :: _ -> Some (Instance.Predict 0)
+      | _ -> Some (Instance.Offer true))
+
+let every_spec =
+  Scheduler.
+    [ Static 0; Toggle; Sticky; Two_bit; Round_robin; Scripted [| 0; 1 |];
+      Noisy_oracle { sel = [| 0 |]; accuracy_pct = 70; seed = 5 }; External;
+      Prefer 0; Hinted_replay; Gshare { history_bits = 2 } ]
+
+(* [same_future] must tell apart a state whose scheduler differs in one
+   key register: [tweak] changes it through the scheduler's own
+   operations and puts the prediction back. *)
+let differs_in_key spec tweak =
+  let eng, s = shared_engine spec in
+  for _ = 1 to 20 do fixed eng done;
+  let snap = Engine.snapshot eng in
+  let pred = Scheduler.predict s in
+  tweak s;
+  Scheduler.force s pred;
+  Alcotest.(check bool)
+    (Scheduler.spec_name spec ^ ": one key register apart")
+    false (Engine.same_future eng snap)
+
+let serve s =
+  let g = Scheduler.predict s in
+  let out_valid = Array.make 2 false in
+  out_valid.(g) <- true;
+  Scheduler.observe s (obs ~out_valid ~served:g ())
+
+let test_engine_state () =
+  List.iter
+    (fun spec ->
+       let name = Scheduler.spec_name spec in
+       let eng, s = shared_engine spec in
+       (* restore (snapshot e) round-trips, statistics included. *)
+       for _ = 1 to 15 do fixed eng done;
+       let snap = Engine.snapshot eng in
+       let at_snap s =
+         (Scheduler.predict s, Scheduler.serves s, Scheduler.mispredictions s)
+       in
+       let before = at_snap s in
+       let run () =
+         List.init 15 (fun _ ->
+             fixed eng;
+             (Engine.code eng 0, at_snap s))
+       in
+       let first = run () in
+       Engine.restore eng snap;
+       Alcotest.(check bool) (name ^ ": restored") true
+         (Engine.same_future eng snap);
+       Alcotest.(check (triple int int int)) (name ^ ": statistics") before
+         (at_snap s);
+       if run () <> first then Alcotest.failf "%s: replay differs" name;
+       (* Two states of the run apart only in counts (served tokens,
+          mispredictions, the cycle count and the channel counters) have
+          one future. *)
+       let seen = ref [] and found = ref false in
+       for _ = 1 to 60 do
+         fixed eng;
+         if
+           List.exists
+             (fun (snap, served) ->
+                served <> Scheduler.serves s && Engine.same_future eng snap)
+             !seen
+         then found := true;
+         seen := (Engine.snapshot eng, Scheduler.serves s) :: !seen
+       done;
+       Alcotest.(check bool) (name ^ ": counts ignored") true !found)
+    every_spec;
+  (* The toggle position: one idle cycle moves it, and the prediction
+     is put back. *)
+  differs_in_key Scheduler.Toggle (fun s -> Scheduler.observe s (obs ()));
+  (* The oracle's random state: two serves bring its script index back
+     round a two-entry script, after two fresh rolls. *)
+  differs_in_key
+    (Scheduler.Noisy_oracle { sel = [| 0; 0 |]; accuracy_pct = 70; seed = 5 })
+    (fun s -> serve s; serve s);
+  (* A gshare counter: a retry trains the current history's counter
+     toward the other way and leaves the history, and an idle cycle
+     ends the retry. *)
+  differs_in_key (Scheduler.Gshare { history_bits = 2 }) (fun s ->
+      let out_valid = Array.make 2 false in
+      out_valid.(Scheduler.predict s) <- true;
+      Scheduler.observe s (obs ~out_valid ~out_stop:out_valid ());
+      Scheduler.observe s (obs ()))
+
 let suite =
   [ Alcotest.test_case "static always predicts its channel" `Quick
       (fun () ->
@@ -176,12 +306,4 @@ let suite =
             (obs ~out_valid:[| true; false |] ~out_stop:[| true; false |] ())
         done;
         Alcotest.(check int) "one miss" 1 (Scheduler.mispredictions s));
-    Alcotest.test_case "state round-trips" `Quick (fun () ->
-        let s = Scheduler.make ~ways:2 Scheduler.Two_bit in
-        let _ = drive s [ `Retry; `Serve ] in
-        let st = Scheduler.state s in
-        let s' = Scheduler.make ~ways:2 Scheduler.Two_bit in
-        Scheduler.set_state s' st;
-        Alcotest.(check int) "same prediction" (Scheduler.predict s)
-          (Scheduler.predict s');
-        Alcotest.(check (list int)) "same encoding" st (Scheduler.state s')) ]
+    Alcotest.test_case "state round-trips" `Quick test_engine_state ]
