@@ -86,10 +86,8 @@ type golden = {
   g_data : int list;  (* the sinks that are not alarms *)
   g_alarms : g_alarm list;  (* in the order given *)
   g_ref_transfers : int;  (* data-sink transfers in the first [cycles] *)
-  (* Over the whole trajectory, the window the faulted runs are read
-     over too: *)
-  g_ref_trips : int;  (* alarm trips *)
-  g_violations : (string * Protocol.violation) list;
+  g_ref_trips : int;  (* alarm trips, over the whole trajectory *)
+  g_violations : (string * Protocol.violation) list;  (* at its end *)
   g_starvation : string list;
   (* The trajectory: [g_snaps.(c)] is the state after [c] cycles, for
      [c] up to [cycles + settle] (fewer when the fault-free run failed

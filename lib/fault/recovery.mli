@@ -152,21 +152,18 @@ val run_faulted :
   faults:Fault.t list -> faulted
 
 (** Classify a faulted run against the golden run over the same
-    [cycles + settle] window (see {!check}).  It compares the delta with the golden
-    entries at the same indices and reads the rest from the counts the
-    golden run holds, so it costs the delta, not the run. *)
+    [cycles + settle] window (see {!check}).  It compares the delta with
+    the golden entries at the same indices and reads the rest from the
+    counts the golden run holds, so it costs the delta, not the run. *)
 val classify : golden -> faults:Fault.t list -> faulted -> report
 
 (** [check golden ~faults] is [classify golden ~faults (run_faulted
     golden ~faults)]: the {!golden_run} is the scenario's whole context,
     its netlist, eval mode, [cycles] and [settle] window, and alarms.
-    Both runs are read over the same [cycles + settle] window: a
-    violation, starvation report or alarm trip counts against the
-    faulted run only when the golden run has none like it in that
-    window, and so do transfers beyond the golden run's (spurious, as
-    a fault delays tokens but never adds any).  The transfers the
-    golden run delivered in its first [cycles] cycles must all have
-    arrived by the end of the window, else the run is a [Deadlock].
+    Both runs are read over the same [cycles + settle] window, where
+    reports, alarm trips and transfers beyond the golden run's count
+    against the faulted run; the transfers the golden run delivered in
+    its first [cycles] cycles must all have arrived by its end.
 
     @param observer called once with the faulted engine before its first
     cycle, so a tracer (e.g. [Elastic_trace.Tracer.attach]) can record

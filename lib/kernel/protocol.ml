@@ -110,16 +110,23 @@ let violation_count m = List.length m.rev_violations
 
 let name m = m.name
 
+(* The retry payloads and violations are mostly [None] and [[]]: an
+   array of them is left out ([[||]]) when every monitor's is. *)
 type snap = {
   sn_state : int array;
   sn_retry_data : Value.t option array;
   sn_rev_violations : violation list array;
 }
 
+let unless_all f empty ms =
+  if Array.for_all (fun m -> f m = empty) ms then [||] else Array.map f ms
+
 let snapshot ms =
   { sn_state = Array.map (fun m -> m.state) ms;
-    sn_retry_data = Array.map (fun m -> m.retry_data) ms;
-    sn_rev_violations = Array.map (fun m -> m.rev_violations) ms }
+    sn_retry_data = unless_all (fun m -> m.retry_data) None ms;
+    sn_rev_violations = unless_all (fun m -> m.rev_violations) [] ms }
+
+let[@inline] nth a i empty = if Array.length a = 0 then empty else a.(i)
 
 let restore ms s =
   if Array.length s.sn_state <> Array.length ms then
@@ -127,15 +134,16 @@ let restore ms s =
   for i = 0 to Array.length ms - 1 do
     let m = ms.(i) in
     m.state <- s.sn_state.(i);
-    m.retry_data <- s.sn_retry_data.(i);
-    m.rev_violations <- s.sn_rev_violations.(i)
+    m.retry_data <- nth s.sn_retry_data i None;
+    m.rev_violations <- nth s.sn_rev_violations i []
   done
 
 let rec same_from ms s i =
   i = Array.length ms
   || (let m = ms.(i) in
       m.state = s.sn_state.(i)
-      && Option.equal Value.equal m.retry_data s.sn_retry_data.(i)
+      && Option.equal Value.equal m.retry_data (nth s.sn_retry_data i None)
       && same_from ms s (i + 1))
 
-let same_future ms s = Array.length s.sn_state = Array.length ms && same_from ms s 0
+let same_future ms s =
+  Array.length s.sn_state = Array.length ms && same_from ms s 0

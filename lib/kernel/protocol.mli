@@ -87,21 +87,21 @@ val name : monitor -> string
 (** {1 Snapshots} *)
 
 (** Immutable copy of the state of an array of monitors: each one's
-    previous resolved control code and stall count (one int array), its
-    payload while in retry (the only case a later cycle reads it) and
-    the violations recorded so far.  Restoring it gives monitors that
-    judge every later cycle as the originals do. *)
+    previous resolved control code, stall count, payload while in retry
+    (the only case a later cycle reads it) and violations so far.
+    Restoring it gives monitors that judge every later cycle as the
+    originals do. *)
 type snap
 
 val snapshot : monitor array -> snap
 
-(** [restore ms s] puts [ms] back in the state [s] was taken from, without
-    allocating.  @raise Invalid_argument when [s] holds another number
-    of monitors. *)
+(** [restore ms s] puts [ms] back in the state [s] was taken from,
+    without allocating.
+    @raise Invalid_argument when [s] holds another number of monitors. *)
 val restore : monitor array -> snap -> unit
 
 (** Will [ms] and monitors restored from the snapshot judge every later
-    cycle alike?  Compares the previous codes, the stall counts and the
-    retry payloads, without allocating; the violations already recorded
-    decide no later verdict. *)
+    cycle alike?  Compares the previous codes, stall counts and retry
+    payloads, without allocating; the violations already recorded decide
+    no later verdict. *)
 val same_future : monitor array -> snap -> bool

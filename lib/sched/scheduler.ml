@@ -257,8 +257,6 @@ let future t =
 
 let spec t = t.spec
 
-let ways t = t.ways
-
 type 'a on_activity = {
   serve : 'a -> int -> unit;
   replay : 'a -> int -> unit;

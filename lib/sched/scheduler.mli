@@ -126,8 +126,6 @@ val future : t -> int list
 
 val spec : t -> spec
 
-val ways : t -> int
-
 (** {1 Activity from counter deltas}
 
     An end-of-cycle observer polls a {!type-watch} once per cycle and hears

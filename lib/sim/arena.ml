@@ -100,16 +100,12 @@ type t = {
      progress signal. *)
   written : int array;
   mutable written_n : int;
-  (* Flat node table.  Node [i]'s registers are [regs.(rbase.(i) ..)]
-     and its stored payloads [vals.(vbase.(i) ..)]: the engine's own
-     arrays, which only the clock edge writes (Instance's slot
-     layout). *)
+  (* Flat node table.  The nodes' registers and stored payloads are
+     the engine's own arrays, which only the clock edge writes, in
+     Instance's slot layout. *)
   insts : Instance.t array;
-  roles : Instance.role array;
   regs : int array;
   vals : Value.t array;
-  rbase : int array;
-  vbase : int array;
   ins_base : int array;
   ins_n : int array;
   outs_base : int array;
@@ -146,9 +142,6 @@ let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
   let selw = Array.make sz (-1) in
   let jbase = Array.make sz 0 in
   let jn = Array.make sz 0 in
-  let roles = Array.make sz Instance.Stateless in
-  let rbase = Array.make sz 0 in
-  let vbase = Array.make sz 0 in
   let fns = Array.make sz (fun _ -> (assert false : Value.t)) in
   let chunks = ref [] in
   let pos = ref 0 in
@@ -163,9 +156,6 @@ let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
     (fun i inst ->
        let in_ch = Instance.ins inst and out_ch = Instance.outs inst in
        let sel_ch = Instance.sel inst in
-       roles.(i) <- Instance.role inst;
-       rbase.(i) <- Instance.reg_base inst;
-       vbase.(i) <- Instance.val_base inst;
        ins_base.(i) <- alloc in_ch;
        ins_n.(i) <- Array.length in_ch;
        outs_base.(i) <- alloc out_ch;
@@ -213,8 +203,8 @@ let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
     ov_subst = Array.make csz None;
     written = Array.make ((5 * nchan) + 8) 0;
     written_n = 0;
-    insts; roles; regs; vals; rbase; vbase; ins_base; ins_n; outs_base; outs_n; selw; jbase; jn; ports;
-    fns;
+    insts; regs; vals; ins_base; ins_n; outs_base; outs_n;
+    selw; jbase; jn; ports; fns;
     schedule;
     dirty = Array.make sz false;
     queue = Array.make !qcap 0;
@@ -417,14 +407,16 @@ let copy_data t src dst =
    log dedups per wire, so propagation is unchanged) and never writes
    a field another statement of the same body reads. *)
 
-(* Register [k] and payload slot [k] of node [i] (Instance's layout:
+(* Register [k] and payload slot [k] of node [i], in Instance's layout:
    slot 0 is a source's offering flag, a sink's stalling flag, a
-   buffer's occupancy, a varlat's countdown). *)
+   buffer's occupancy or a varlat's countdown (-1 when empty); a fork
+   with [k] branches keeps its done flags from slot 0 and its pending
+   anti-tokens from slot [k]; an early mux its undelivered kills. *)
 let[@inline] reg t i k =
-  Array.unsafe_get t.regs (Array.unsafe_get t.rbase i + k)
+  Array.unsafe_get t.regs (Instance.reg_base (Array.unsafe_get t.insts i) + k)
 
 let[@inline] stored t i k =
-  Array.unsafe_get t.vals (Array.unsafe_get t.vbase i + k)
+  Array.unsafe_get t.vals (Instance.val_base (Array.unsafe_get t.insts i) + k)
 
 let eval_source t i =
   let out = out_w t i 0 in
@@ -545,7 +537,6 @@ let eval_join t i =
   done;
   kput t out sm "S-" (knor (get t out vp) !consumable)
 
-(* Slot [j]: branch [j] done; slot [k + j]: its pending anti-tokens. *)
 let eval_fork t i =
   let inw = in_w t i 0 in
   let vin = get t inw vp in
@@ -573,7 +564,6 @@ let eval_fork t i =
   done;
   kput t inw vm "V-" (kandn (code_of_bool !all_pending) vin)
 
-(* Slot [j]: the kills not yet delivered to input [j]. *)
 let eval_emux t i =
   let selw = Array.unsafe_get t.selw i and out = out_w t i 0 in
   let sel_v = get t selw vp in
@@ -659,7 +649,6 @@ let eval_shared t i sched =
 (* Pairing note: in the busy/empty branches the last write of the
    original sequence was [inw.sp], so the reverse-order walk touched
    [inw] before [out] — the pair order below keeps that. *)
-(* Slot 0: cycles before the held result shows, -1 when empty. *)
 let eval_varlat t i =
   let inw = in_w t i 0 and out = out_w t i 0 in
   match reg t i 0 with
@@ -680,14 +669,14 @@ let eval_node t i =
   t.pending_evals <- t.pending_evals + 1;
   Array.unsafe_set t.cycle_evals i (Array.unsafe_get t.cycle_evals i + 1);
   t.last_eval <- i;
-  match Array.unsafe_get t.roles i with
+  match Instance.role (Array.unsafe_get t.insts i) with
   | Instance.Source _ -> eval_source t i
   | Instance.Sink _ -> eval_sink t i
   | Instance.Eb -> eval_eb t i
   | Instance.Eb0 -> eval_eb0 t i
   | Instance.Fork -> eval_fork t i
   | Instance.Emux -> eval_emux t i
-  | Instance.Shared sched -> eval_shared t i sched
+  | Instance.Shared { sched; _ } -> eval_shared t i sched
   | Instance.Varlat _ -> eval_varlat t i
   | Instance.Stateless ->
     if Array.unsafe_get t.jn i = 1 then eval_join1 t i else eval_join t i

@@ -29,10 +29,9 @@ exception Did_not_converge
     compiles the arena from the engine's instances, one per dense node
     index, and flattens their dense input/sel/output channel indices
     ({!Instance.ins}, {!Instance.sel}, {!Instance.outs}) into its own
-    port pool; [regs] and [vals] are the engine's register and payload
-    arrays, which the evaluators read in place, and [profile] and
-    [cycle_evals] are the engine's counters, updated exactly as the
-    reference fixpoint updates them. *)
+    port pool.  The evaluators read the engine's register and payload
+    arrays [regs] and [vals] in place; [profile] and [cycle_evals] are
+    the engine's counters, updated as the reference fixpoint does. *)
 val create :
   schedule:Schedule.t ->
   profile:Profile.t ->

@@ -53,7 +53,6 @@ type snap = {
   sn_regs : int array;
   sn_vals : Value.t array;
   sn_monitors : Protocol.snap;
-  sn_starve_wait : int array;
   sn_starvation : string list;
   sn_counts : int array;
   sn_sinks : Transfer.t array;  (* in [sinks] order *)
@@ -88,13 +87,14 @@ type t = {
          backend on demand *)
   counts : int array;
       (* of the channel of dense index [i] with [n] channels: tokens
-         delivered at [i] and annihilated at [n + i], cycles with V+
-         asserted at [2n + i], with V+ & S+ (resolved) at [3n + i] and
-         with V- asserted at [4n + i] *)
+         delivered at [i] and annihilated at [n + i], cycles with V+ &
+         S+ (resolved) at [2n + i] and with V- asserted at [3n + i].  A
+         cycle with V+ asserted is one of the first three. *)
   sink_streams : (Netlist.node_id, Transfer.t ref) Hashtbl.t;
   sinks : sink array;  (* dense node order *)
-  starve_wait : int array;  (* per channel, for shared-module inputs *)
-  shared_input : bool array;  (* watched: feeds a shared module *)
+  wait_slot : int array;
+      (* per channel feeding a shared module, the [regs] slot of the
+         leads-to watchdog's wait counter; -1 for the others *)
   mutable starvation : string list;
   mutable injector : injector option;
   mutable overrides_active : bool;
@@ -158,16 +158,8 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
   Array.iteri
     (fun i (c : Netlist.channel) -> Hashtbl.add ch_index c.Netlist.ch_id i)
     chans;
-  (* Every node's registers get consecutive slots of one int array and
-     its stored payloads slots of one payload array, in node order. *)
-  let nodes = Array.of_list (Netlist.nodes net) in
-  let total f =
-    Array.fold_left (fun a (n : Netlist.node) -> a + f n.Netlist.kind) 0 nodes
-  in
-  let regs = Array.make (total Instance.int_slots) 0 in
-  let vals = Array.make (total Instance.value_slots) Value.Unit in
-  let next_reg = ref 0 and next_val = ref 0 in
-  let compile (n : Netlist.node) =
+  (* Each node's dense input, select and output channel indices. *)
+  let node_ports (n : Netlist.node) =
     let index p =
       match Netlist.channel_at net n.Netlist.id p with
       | Some c -> Hashtbl.find ch_index c.Netlist.ch_id
@@ -179,21 +171,29 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
       | Netlist.In _ -> true
       | Netlist.Sel | Netlist.Out _ -> false
     in
-    let inst =
-      Instance.create n
-        ~ins:(ports (List.filter is_in inputs))
-        ~sel:
-          (if List.exists (Netlist.port_equal Netlist.Sel) inputs then
-             Some (index Netlist.Sel)
-           else None)
-        ~outs:(ports (Netlist.required_outputs n.Netlist.kind))
-        ~regs ~r:!next_reg ~vals ~v:!next_val
-    in
-    next_reg := !next_reg + Instance.int_slots n.Netlist.kind;
-    next_val := !next_val + Instance.value_slots n.Netlist.kind;
-    inst
+    ( ports (List.filter is_in inputs),
+      (if List.exists (Netlist.port_equal Netlist.Sel) inputs then
+         Some (index Netlist.Sel)
+       else None),
+      ports (Netlist.required_outputs n.Netlist.kind) )
   in
-  let insts = Array.map compile nodes in
+  (* The watchdog's wait counters: one int slot after the nodes' for
+     each shared-module input, numbered here from 0. *)
+  let waits = ref 0 in
+  let wait_slot =
+    Array.map
+      (fun (c : Netlist.channel) ->
+         match (Netlist.node net c.Netlist.dst.ep_node).Netlist.kind with
+         | Netlist.Shared _ when monitor -> incr waits; !waits - 1
+         | _ -> -1)
+      chans
+  in
+  let regs, vals, insts =
+    Instance.layout (Netlist.nodes net) ~ports:node_ports ~spare:!waits
+  in
+  let base = Array.length regs - !waits in
+  let wait_slot = Array.map (fun w -> if w < 0 then w else base + w) wait_slot
+  in
   let monitors =
     if not monitor then [||]
     else
@@ -255,7 +255,9 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     (Clock.seconds_between compile_t0 (clock ()));
   { net; backend; insts; regs; vals;
     future =
-      Array.of_list (List.concat_map Instance.future (Array.to_list insts));
+      Array.of_list
+        (List.concat_map Instance.future (Array.to_list insts)
+         @ List.filter (fun s -> s >= 0) (Array.to_list wait_slot));
     chans; ch_index; monitors; liveness_bound;
     schedule;
     profile;
@@ -265,7 +267,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     cycle = 0;
     codes;
     data_at;
-    counts = Array.make (5 * Array.length chans) 0;
+    counts = Array.make (4 * Array.length chans) 0;
     sink_streams;
     sinks;
     injector = None;
@@ -273,18 +275,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     observers = [||];
     injected_rev = [];
     clock;
-    starve_wait = Array.make (Array.length chans) 0;
-    shared_input =
-      Array.map
-        (fun (c : Netlist.channel) ->
-           monitor
-           &&
-           match (Netlist.node net c.Netlist.dst.ep_node).Netlist.kind with
-           | Netlist.Shared _ -> true
-           | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _
-           | Netlist.Func _ | Netlist.Fork _ | Netlist.Mux _
-           | Netlist.Varlat _ -> false)
-        chans;
+    wait_slot;
     starvation = [] }
 
 let netlist t = t.net
@@ -506,23 +497,23 @@ let step ?(choices = fun _ -> None) t =
     let ev = Signal.events_of_code codes.(i) in
     if ev.Signal.token_in then bump t.counts i;
     if ev.Signal.cancelled then bump t.counts (n + i);
-    let valid = codes.(i) land Signal.v_plus_bit <> 0 in
-    if valid then bump t.counts ((2 * n) + i);
-    if ev.Signal.retry then bump t.counts ((3 * n) + i);
-    if ev.Signal.anti then bump t.counts ((4 * n) + i);
+    if ev.Signal.retry then bump t.counts ((2 * n) + i);
+    if ev.Signal.anti then bump t.counts ((3 * n) + i);
     (* Leads-to watchdog on shared-module inputs: a waiting token must
        eventually be served or killed. *)
-    if t.shared_input.(i) then begin
-      if valid && not ev.Signal.token_out then begin
-        t.starve_wait.(i) <- t.starve_wait.(i) + 1;
-        if t.starve_wait.(i) = t.liveness_bound then
+    let w = t.wait_slot.(i) in
+    if w >= 0 then begin
+      if codes.(i) land Signal.v_plus_bit <> 0 && not ev.Signal.token_out
+      then begin
+        bump t.regs w;
+        if t.regs.(w) = t.liveness_bound then
           t.starvation <-
             Fmt.str
               "cycle %d: token starved for %d cycles at shared input %s"
               t.cycle t.liveness_bound t.chans.(i).Netlist.ch_name
             :: t.starvation
       end
-      else t.starve_wait.(i) <- 0
+      else t.regs.(w) <- 0
     end
   done;
   (* Record sink transfer streams. *)
@@ -591,8 +582,9 @@ let throughput t nid =
 
 let activity t cid =
   let i = dense_index t cid in
-  let n = Array.length t.chans in
-  (t.counts.((2 * n) + i), t.counts.((3 * n) + i), t.counts.((4 * n) + i))
+  let n = Array.length t.chans and c = t.counts in
+  let retry = c.((2 * n) + i) in
+  (c.(i) + c.(n + i) + retry, retry, c.((3 * n) + i))
 
 let windowed_throughput t nid =
   match Transfer.entries (sink_stream t nid) with
@@ -632,9 +624,10 @@ let starvation_violations t = List.rev t.starvation
 let schedulers t =
   Array.to_list t.insts
   |> List.filter_map (fun inst ->
-      match Instance.scheduler inst with
-      | Some s -> Some ((Instance.node inst).Netlist.id, s)
-      | None -> None)
+      match Instance.role inst with
+      | Instance.Shared { sched; _ } ->
+        Some ((Instance.node inst).Netlist.id, sched)
+      | _ -> None)
 
 let nondet_nodes t =
   Array.to_list t.insts
@@ -642,32 +635,30 @@ let nondet_nodes t =
       let n = Instance.node inst in
       if Instance.choices n.Netlist.kind = [] then None else Some n)
 
-(* A snapshot copies the register, payload and counter arrays, the
-   monitors and the watchdog; the sink streams (immutable) it shares. *)
+(* A snapshot copies the register (the watchdog's too), payload and
+   counter arrays and the monitors; the sink streams (immutable) it
+   shares. *)
 let snapshot t =
   { sn_cycle = t.cycle;
     sn_regs = Array.copy t.regs;
     sn_vals = Array.copy t.vals;
     sn_monitors = Protocol.snapshot t.monitors;
-    sn_starve_wait = Array.copy t.starve_wait;
     sn_starvation = t.starvation;
     sn_counts = Array.copy t.counts;
     sn_sinks = Array.map (fun sk -> !(sk.sk_stream)) t.sinks }
 
 let restore t snap =
-  let n = Array.length t.chans in
   if Array.length snap.sn_regs <> Array.length t.regs
   || Array.length snap.sn_vals <> Array.length t.vals
-  || Array.length snap.sn_starve_wait <> n
+  || Array.length snap.sn_counts <> Array.length t.counts
   || Array.length snap.sn_sinks <> Array.length t.sinks
   then invalid_arg "Engine.restore: snapshot size mismatch";
   Protocol.restore t.monitors snap.sn_monitors;
   Array.blit snap.sn_regs 0 t.regs 0 (Array.length t.regs);
   Array.blit snap.sn_vals 0 t.vals 0 (Array.length t.vals);
   t.cycle <- snap.sn_cycle;
-  Array.blit snap.sn_starve_wait 0 t.starve_wait 0 n;
   t.starvation <- snap.sn_starvation;
-  Array.blit snap.sn_counts 0 t.counts 0 (5 * n);
+  Array.blit snap.sn_counts 0 t.counts 0 (Array.length t.counts);
   for k = 0 to Array.length t.sinks - 1 do
     t.sinks.(k).sk_stream := snap.sn_sinks.(k)
   done
@@ -678,22 +669,17 @@ let rec same_slots slots a b k =
   || (let i = slots.(k) in
       a.(i) = b.(i) && same_slots slots a b (k + 1))
 
-let rec same_ints a b i =
-  i = Array.length a || (a.(i) = b.(i) && same_ints a b (i + 1))
-
 let rec same_values a b i =
   i = Array.length a || (Value.equal a.(i) b.(i) && same_values a b (i + 1))
 
-(* The future slots, every payload slot, the monitors and the watchdog:
-   a masked compare of the arrays, allocating nothing. *)
+(* The future slots (the watchdog's among them), every payload slot and
+   the monitors: a masked compare of the arrays, allocating nothing. *)
 let same_future t snap =
   Array.length snap.sn_regs = Array.length t.regs
   && Array.length snap.sn_vals = Array.length t.vals
-  && Array.length snap.sn_starve_wait = Array.length t.starve_wait
   && same_slots t.future t.regs snap.sn_regs 0
   && same_values t.vals snap.sn_vals 0
   && Protocol.same_future t.monitors snap.sn_monitors
-  && same_ints t.starve_wait snap.sn_starve_wait 0
 
 let fingerprint t =
   let h = ref 0 in

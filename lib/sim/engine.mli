@@ -234,53 +234,55 @@ val nondet_nodes : t -> Netlist.node list
 
 (** {1 State snapshots}
 
-    A snapshot is an immutable copy of everything later cycles and
-    observations read: every node's registers (random-generator states
-    included), the cycle count, each protocol monitor's previous
-    code, stall count and violations, the leads-to watchdog's wait
-    counters and starvation reports, the per-channel counters
-    ({!delivered}, {!killed}, {!activity}) and every sink's transfer
-    stream.  It shares no mutable data with the engine, so one snapshot
-    can be read by several domains and restored into any engine created
-    from the same netlist with the same [monitor] setting.  The profile,
-    the injector, the observer and the elapsed cycle's {!code}s are
-    not part of it.  The model checker ([Elastic_check.Explore]) and
-    the fault checker ([Elastic_fault.Recovery]) restore from them. *)
+    An engine holds every node's registers in one int array and every
+    stored payload in one payload array, in the slot layout
+    {!Instance.layout} gives at {!create}.  A snapshot is an immutable
+    copy of everything later cycles and observations read: both arrays
+    (random-generator states and scheduler statistics included), the
+    cycle count, each protocol monitor's previous code, stall count,
+    retry payload and violations, the leads-to watchdog's wait counters
+    and starvation reports, the per-channel counters ({!delivered},
+    {!killed}, {!activity}) and every sink's transfer stream.  Its size
+    does not grow with the cycle count.  It shares no mutable data with
+    the engine, so one snapshot can be read by several domains and
+    restored into any engine created from the same netlist with the same
+    [monitor] setting.  The profile, the injector, the observer and the
+    elapsed cycle's {!code}s are not part of it.  The model checker
+    ([Elastic_check.Explore]) and the fault checker
+    ([Elastic_fault.Recovery]) restore from them. *)
 
 type snap
 
 val snapshot : t -> snap
 
-(** Put the engine in the snapshot's state, whatever it did before —
-    also after a {!step} that raised part-way through a cycle.  It
-    brings back every node's registers (random-generator states and
-    scheduler statistics included), each protocol monitor's previous
-    code, stall count and violations, the leads-to watchdog's wait
-    counters and starvation reports, the per-channel counters, every
-    sink's transfer stream and the {!cycle} count, so later steps,
-    observations and snapshots are those of the engine the snapshot was
-    taken from.  It leaves alone the observers, the injector and the
-    {!profile}; [Elastic_fault.Recovery.run_faulted] resets those itself
-    when it reuses an engine.  {!code}, {!signal}, {!events} and
-    {!injected} are unspecified until the next {!step}.
+(** Put the engine in the snapshot's state by blitting it back, whatever
+    the engine did before — also after a {!step} that raised part-way
+    through a cycle — so later steps, observations and snapshots are
+    those of the engine the snapshot was taken from.  Allocates nothing.
+    It leaves alone the observers, the injector and the {!profile};
+    [Elastic_fault.Recovery.run_faulted] resets those itself when it
+    reuses an engine.  {!code}, {!signal}, {!events} and {!injected} are
+    unspecified until the next {!step}.
     @raise Invalid_argument on a snapshot of another netlist shape or
     monitor setting. *)
 val restore : t -> snap -> unit
 
 (** Will [t] and an engine restored from the snapshot behave alike from
-    now on, given the same choices and no injected faults?  Compares the
-    state that decides every later cycle: node registers (random-
-    generator states included, scheduler statistics not; see
-    {!Instance.same_future}), the monitors' previous codes and stall
-    counts, and the watchdog's wait counters.  The cycle count, the
-    counters, the streams and the violations so far are history: two
+    now on, given the same choices and no injected faults?  Compares,
+    without allocating, the state that decides every later cycle: the
+    register slots of the engine's {e future mask}, built at {!create}
+    ({!Instance.future}: every register but a scheduler's statistics
+    and the source and sink flags each cycle recomputes), every payload
+    slot ({!Value.equal}), the monitors' previous codes, stall counts and
+    retry payloads, and the watchdog's wait counters.  The cycle count,
+    the counters, the streams and the violations so far are history: two
     engines that agree here produce the same signals, transfers and
     violations from now on, shifted by the difference of their cycle
     counts.  The fault cut-off ([Elastic_fault.Recovery]) and the model
     checker's state table ([Elastic_check.Explore]) both rest on it. *)
 val same_future : t -> snap -> bool
 
-(** Hash of the node registers {!same_future} compares: engines with
-    the same future have the same fingerprint, so it buckets snapshots
-    for {!same_future}. *)
+(** Hash of the register and payload slots {!same_future} compares,
+    computed without allocating: engines with the same future have the
+    same fingerprint, so it buckets snapshots for {!same_future}. *)
 val fingerprint : t -> int

@@ -14,7 +14,11 @@ type role =
   | Eb0
   | Fork
   | Emux
-  | Shared of Scheduler.t
+  | Shared of {
+      sched : Scheduler.t;
+      obs : Scheduler.observation;  (* refilled in place at every edge *)
+      served : int option array;  (* [Some g] for each way [g] *)
+    }
   | Varlat of { fast : Func.t; slow : Func.t; err : Func.t }
 
 (* Slots of sources and sinks; the flag the evaluators read comes
@@ -39,10 +43,6 @@ let value_slots = function
   | Netlist.Source _ | Netlist.Sink _ | Netlist.Func _ | Netlist.Fork _
   | Netlist.Mux _ | Netlist.Shared _ -> 0
 
-(* A shared module's scheduler observation, refilled in place at every
-   clock edge, and [Some g] for each way [g]. *)
-type shared_view = { obs : Scheduler.observation; served : int option array }
-
 (* Ports are dense channel indices (see [create] in the interface); the
    registers are [regs.(r ..)] and the stored payloads [vals.(v ..)]. *)
 type t = {
@@ -55,7 +55,6 @@ type t = {
   r : int;
   vals : Value.t array;
   v : int;
-  view : shared_view option;  (* shared modules only *)
 }
 
 let node t = t.node
@@ -76,17 +75,13 @@ let create (node : Netlist.node) ~ins ~sel ~outs ~regs ~r ~vals ~v =
   let role =
     match node.Netlist.kind with
     | Netlist.Source spec ->
-      let seed =
+      let seed, svals =
         match spec with
-        | Netlist.Random_rate { seed; _ } -> seed
-        | Netlist.Stream _ | Netlist.Counter _ | Netlist.Nondet _ -> 1
+        | Netlist.Random_rate { seed; _ } -> (seed, [||])
+        | Netlist.Stream l -> (1, Array.of_list l)
+        | Netlist.Counter _ | Netlist.Nondet _ -> (1, [||])
       in
       regs.(r + src_rng) <- Rng.start ~seed;
-      let svals =
-        match spec with
-        | Netlist.Stream l -> Array.of_list l
-        | Netlist.Counter _ | Netlist.Random_rate _ | Netlist.Nondet _ -> [||]
-      in
       Source { spec; svals }
     | Netlist.Sink spec ->
       let seed =
@@ -96,49 +91,55 @@ let create (node : Netlist.node) ~ins ~sel ~outs ~regs ~r ~vals ~v =
       in
       regs.(r + snk_rng) <- Rng.start ~seed;
       Sink spec
-    | Netlist.Buffer { buffer = Netlist.Eb; init } ->
+    | Netlist.Buffer { buffer; init } ->
+      (* Occupancy and the initial tokens, which fit (E101). *)
       regs.(r) <- List.length init;
       List.iteri (fun k x -> vals.(v + k) <- x) init;
-      Eb
-    | Netlist.Buffer { buffer = Netlist.Eb0; init } ->
-      (match init with
-       | [] -> ()
-       | x :: _ ->
-         regs.(r) <- 1;
-         vals.(v) <- x);
-      Eb0
+      (match buffer with Netlist.Eb -> Eb | Netlist.Eb0 -> Eb0)
     | Netlist.Func _ -> Stateless
     | Netlist.Fork _ -> Fork
     | Netlist.Mux { early; _ } -> if early then Emux else Stateless
     | Netlist.Shared { ways; sched; _ } ->
-      Shared (Scheduler.place regs r ~ways sched)
-    | Netlist.Varlat { fast; slow; err } ->
-      regs.(r) <- -1;
-      Varlat { fast; slow; err }
-  in
-  let view =
-    match role with
-    | Shared _ ->
       let bits ports = Array.make (Array.length ports) false in
-      Some
-        { obs =
+      Shared
+        { sched = Scheduler.place regs r ~ways sched;
+          obs =
             { Scheduler.in_valid = bits ins; out_valid = bits outs;
               out_stop = bits outs; out_kill = bits outs; served = None;
               hint = None };
           served = Array.init (Array.length outs) Option.some }
-    | Stateless | Source _ | Sink _ | Eb | Eb0 | Fork | Emux | Varlat _ ->
-      None
+    | Netlist.Varlat { fast; slow; err } ->
+      regs.(r) <- -1;
+      Varlat { fast; slow; err }
   in
-  { node; ins; sel; outs; role; regs; r; vals; v; view }
+  { node; ins; sel; outs; role; regs; r; vals; v }
 
+let layout ?(spare = 0) nodes ~ports =
+  let nodes = Array.of_list nodes in
+  let total f =
+    Array.fold_left (fun a (n : Netlist.node) -> a + f n.Netlist.kind) 0 nodes
+  in
+  let regs = Array.make (total int_slots + spare) 0 in
+  let vals = Array.make (total value_slots) Value.Unit in
+  let r = ref 0 and v = ref 0 in
+  let place (n : Netlist.node) =
+    let ins, sel, outs = ports n in
+    let t = create n ~ins ~sel ~outs ~regs ~r:!r ~vals ~v:!v in
+    r := !r + int_slots n.Netlist.kind;
+    v := !v + value_slots n.Netlist.kind;
+    t
+  in
+  let insts = Array.map place nodes in
+  (regs, vals, insts)
+
+(* Every register but a scheduler's statistics and the flag in a source's
+   or sink's slot 0, which [begin_cycle] recomputes. *)
 let future t =
-  let slots = List.map (( + ) t.r) in
+  let n = int_slots t.node.Netlist.kind in
   match t.role with
-  | Source _ -> slots [ src_idx; src_kill; src_retry; src_rng ]
-  | Sink _ -> slots [ snk_cyc; snk_rng ]
-  | Shared sched -> Scheduler.future sched
-  | Stateless | Eb | Eb0 | Fork | Emux | Varlat _ ->
-    List.init (int_slots t.node.Netlist.kind) (( + ) t.r)
+  | Shared { sched; _ } -> Scheduler.future sched
+  | Source _ | Sink _ -> List.init (n - 1) (fun k -> t.r + 1 + k)
+  | Stateless | Eb | Eb0 | Fork | Emux | Varlat _ -> List.init n (( + ) t.r)
 
 let choices = function
   | Netlist.Source (Netlist.Random_rate _ | Netlist.Nondet _) ->
@@ -149,8 +150,6 @@ let choices = function
   | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _ | Netlist.Func _
   | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _ | Netlist.Varlat _ ->
     []
-
-let scheduler t = match t.role with Shared s -> Some s | _ -> None
 
 (* One draw of the generator in slot [k]: true with probability
    [pct]/100, as [Rng.percent]. *)
@@ -169,7 +168,8 @@ let source_peek t =
     (match spec with
      | Netlist.Stream _ ->
        if idx < Array.length svals then Some svals.(idx) else None
-     | Netlist.Counter { start; step } -> Some (Value.Int (start + (step * idx)))
+     | Netlist.Counter { start; step } ->
+       Some (Value.Int (start + (step * idx)))
      | Netlist.Random_rate _ -> Some (Value.Int idx)
      | Netlist.Nondet vs ->
        (match vs with
@@ -332,10 +332,11 @@ let fork_clock t ~codes =
   let regs = t.regs and r = t.r in
   let in_ev = events_at codes t.ins.(0) in
   let k = Array.length t.outs in
-  let pend j = r + k + j in
+  (* Branch [j]'s pending anti-token count is slot [p + j]. *)
+  let p = r + k in
   for j = 0 to k - 1 do
     let ev = events_at codes t.outs.(j) in
-    if ev.Signal.anti_in then regs.(pend j) <- regs.(pend j) + 1;
+    if ev.Signal.anti_in then regs.(p + j) <- regs.(p + j) + 1;
     if ev.Signal.token_out then regs.(r + j) <- 1
   done;
   if in_ev.Signal.token_in then begin
@@ -343,16 +344,16 @@ let fork_clock t ~codes =
        transfer were cancelled by a stored anti-token. *)
     for j = 0 to k - 1 do
       if regs.(r + j) = 0 then begin
-        assert (regs.(pend j) > 0);
-        regs.(pend j) <- regs.(pend j) - 1
+        assert (regs.(p + j) > 0);
+        regs.(p + j) <- regs.(p + j) - 1
       end;
       regs.(r + j) <- 0
     done
   end;
   if in_ev.Signal.anti_out then
     for j = 0 to k - 1 do
-      assert (regs.(pend j) > 0);
-      regs.(pend j) <- regs.(pend j) - 1
+      assert (regs.(p + j) > 0);
+      regs.(p + j) <- regs.(p + j) - 1
     done
 
 (* ------------------------------------------------------------------ *)
@@ -394,9 +395,7 @@ let fill_bits bits ports codes bit =
 
 (* The scheduler sees the raw drive: a stop is a stop even on a
    cancelling channel. *)
-let shared_clock t sched ~codes ~data =
-  let v = Option.get t.view in
-  let obs = v.obs in
+let shared_clock t sched obs served ~codes ~data =
   let g = Scheduler.predict sched in
   obs.Scheduler.hint <-
     (match t.sel with
@@ -408,7 +407,7 @@ let shared_clock t sched ~codes ~data =
   fill_bits obs.Scheduler.out_stop t.outs codes Signal.s_plus_bit;
   fill_bits obs.Scheduler.out_kill t.outs codes Signal.v_minus_bit;
   obs.Scheduler.served <-
-    (if (events_at codes t.outs.(g)).Signal.token_out then v.served.(g)
+    (if (events_at codes t.outs.(g)).Signal.token_out then served.(g)
      else None);
   Scheduler.observe sched obs
 
@@ -443,7 +442,7 @@ let begin_cycle t ~choice =
   match t.role with
   | Source { spec; svals } -> source_begin t spec svals ~choice
   | Sink spec -> sink_begin t spec ~choice
-  | Shared sched ->
+  | Shared { sched; _ } ->
     (match choice with
      | Some (Predict c) -> Scheduler.force sched c
      | Some (Offer _ | Stall _) | None -> ())
@@ -457,7 +456,8 @@ let clock t ~codes ~data =
   | Eb0 -> eb0_clock t ~codes ~data
   | Fork -> fork_clock t ~codes
   | Emux -> emux_clock t ~codes ~data
-  | Shared sched -> shared_clock t sched ~codes ~data
+  | Shared { sched; obs; served } ->
+    shared_clock t sched obs served ~codes ~data
   | Varlat { fast; slow; err } -> varlat_clock t ~codes ~data ~fast ~slow ~err
   | Stateless -> ()
 
@@ -598,7 +598,8 @@ let bindings ws t s =
       (fun () -> s.(0) <- of_bool (regs.(r + snk_stalling) = 1))
       (fun _ _ -> ())
   | Eb, _ ->
-    bind 5 (fun () -> for k = 0 to 4 do s.(k) <- of_bool (regs.(r) + 2 = k) done)
+    bind 5
+      (fun () -> for k = 0 to 4 do s.(k) <- of_bool (regs.(r) + 2 = k) done)
       (fun _ c -> if c = 3 && regs.(r) > 0 then set_out 0 vals.(v))
   | Eb0, _ ->
     bind 1 (fun () -> s.(0) <- of_bool (regs.(r) = 1)) (fun _ c ->
@@ -627,7 +628,7 @@ let bindings ws t s =
               x
             | _ -> -1))
       (fun _ c -> if c = 3 then copy_in s.(3 * w) 0)
-  | Shared sched, Netlist.Shared { f; _ } ->
+  | Shared { sched; _ }, Netlist.Shared { f; _ } ->
     (* The granted way's payload, whenever its input is valid. *)
     bind 1 (fun () -> s.(0) <- Scheduler.predict sched) (fun j _ ->
         let inw = wire t.ins.(j) in

@@ -28,9 +28,9 @@ type choice =
 
     An engine keeps the registers of all its nodes in one [int array]
     and their stored payloads in one [Value.t array], laid out at
-    [Engine.create]: each node owns {!int_slots} consecutive int slots
-    from {!reg_base} and {!value_slots} payload slots from {!val_base}.
-    Only {!create}, {!begin_cycle} and {!clock} write them (and the
+    [Engine.create] ({!layout}): each node owns consecutive int slots
+    from {!reg_base} and payload slots from {!val_base}.  Only
+    {!layout}, {!begin_cycle} and {!clock} write them (and the
     engine's restore, which blits whole arrays); the evaluators read
     them.  The slots, relative to a node's base:
     - source: the offering flag, the stream index, the pending
@@ -61,37 +61,33 @@ type role =
   | Eb0
   | Fork
   | Emux
-  | Shared of Scheduler.t  (** a view of the node's slots *)
+  | Shared of {
+      sched : Scheduler.t;  (** a view of the node's slots *)
+      obs : Scheduler.observation;  (** refilled in place at every edge *)
+      served : int option array;  (** [Some g] for each way [g] *)
+    }
   | Varlat of { fast : Func.t; slow : Func.t; err : Func.t }
-
-(** Int slots a node of this kind occupies. *)
-val int_slots : Netlist.kind -> int
-
-(** Payload slots a node of this kind occupies. *)
-val value_slots : Netlist.kind -> int
 
 type t
 
-(** [create node ~ins ~sel ~outs ~regs ~r ~vals ~v] builds the runtime
-    instance over dense channel indices, which must follow port
-    numbering ([ins.(i)] is port [In i], etc.), and writes its initial
-    registers into [regs] from slot [r] and [vals] from slot [v].  These are the node's only copy of its
-    ports: {!evaluator} resolves them through the Reference backend's
-    {!Wires} store, the arena flattens them into its own index pool,
-    and {!clock} reads the elapsed cycle's codes through them.  No
-    equation table is built here: an arena engine never needs one.
-    Buffers must fit their capacity; [Engine.create] rejects an
-    over-capacity buffer (E101) before it creates any instance. *)
-val create :
-  Netlist.node ->
-  ins:int array ->
-  sel:int option ->
-  outs:int array ->
-  regs:int array ->
-  r:int ->
-  vals:Value.t array ->
-  v:int ->
-  t
+(** [layout nodes ~ports] builds the runtime instances of [nodes], in
+    order, with the register and payload arrays that hold all their
+    state, initialized.  [ports n] gives node [n]'s dense channel
+    indices [(ins, sel, outs)], which must follow port numbering
+    ([ins.(i)] is port [In i], etc.).  They are the node's only copy of
+    its ports: {!evaluator} resolves them through the Reference
+    backend's {!Wires} store, the arena flattens them into its own
+    index pool, and {!clock} reads the elapsed cycle's codes through
+    them.  No equation table is built here: an arena engine never needs
+    one.  Buffers must fit their capacity; [Engine.create] rejects an
+    over-capacity buffer (E101) before it lays out any instance.
+    [spare] (default 0) more int slots follow every node's, for the
+    engine's own registers. *)
+val layout :
+  ?spare:int ->
+  Netlist.node list ->
+  ports:(Netlist.node -> int array * int option * int array) ->
+  int array * Value.t array * t array
 
 val node : t -> Netlist.node
 
@@ -126,9 +122,6 @@ val source_peek : t -> Value.t option
 (** The alternatives of the nondeterministic decision a node of this kind
     takes each cycle; [[]] when it takes none. *)
 val choices : Netlist.kind -> choice list
-
-(** The shared-module scheduler, if this node has one. *)
-val scheduler : t -> Scheduler.t option
 
 (** Start-of-cycle hook: environment nodes decide what to offer/accept.
     [choice] overrides the node's own (pseudo-random or scripted)

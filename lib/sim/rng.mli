@@ -14,13 +14,9 @@ val int : t -> int -> int
 (** [percent t pct] is true with probability [pct]/100. *)
 val percent : t -> int -> bool
 
-(** {1 The generator as a plain int}
-
-    A node keeps its generator's state in an engine register slot:
-    [start ~seed] is the state {!create} starts from, and [advance s]
-    the state after one draw, whose result is that state.  So
-    [percent] on a generator in state [s] is [advance s mod 100 < pct]. *)
-
+(** A generator kept as a plain int (an engine register slot):
+    [start ~seed] is the state {!create} starts from, and a draw moves
+    state [s] to [advance s], the draw's result. *)
 val start : seed:int -> int
 
 val advance : int -> int

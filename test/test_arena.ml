@@ -275,7 +275,7 @@ let test_window_golden_e6 () =
    histogram's option).  Allocation counts are deterministic: the
    control-only pipeline's budget is its exact count (12 words, all
    timer bookkeeping; nothing after settle), and the E5/E6 budgets add
-   ~5% to the measured 105 and 135 words.  Any new per-cycle
+   ~5% to the measured 100 and 130 words.  Any new per-cycle
    allocation, such as a per-channel record or per-node port views at
    the clock edge, trips them. *)
 let words_per_cycle net =
@@ -307,14 +307,42 @@ let test_settle_allocation_guard () =
 (* E5/E6 with monitors on (the [Engine.create] default), long enough
    that tokens flow through every measured cycle. *)
 let test_e5_allocation_guard () =
-  check_budget "E5 (vl_speculative)" ~budget:110.
+  check_budget "E5 (vl_speculative)" ~budget:105.
     (Examples.vl_speculative
        ~ops:(Alu.operands ~error_rate_pct:10 ~seed:7 2400)).Examples.d_net
 
 let test_e6_allocation_guard () =
-  check_budget "E6 (rs_speculative)" ~budget:142.
+  check_budget "E6 (rs_speculative)" ~budget:136.
     (Examples.rs_speculative
        ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:5 2400)).Examples.d_net
+
+(* The engine state is two arrays: on the E7 design, comparing it with
+   a snapshot, hashing it and restoring one allocate nothing, and a
+   snapshot costs as much at cycle 400 as at cycle 50. *)
+let test_state_allocation_guard () =
+  let c =
+    Examples.secded_campaign
+      ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:5 400)
+  in
+  let eng = Engine.create c.Examples.sc_net in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  Engine.run eng 50;
+  let at_50 = words (fun () -> ignore (Engine.snapshot eng)) in
+  let s50 = Engine.snapshot eng in
+  Engine.run eng 350;
+  let at_400 = words (fun () -> ignore (Engine.snapshot eng)) in
+  let s400 = Engine.snapshot eng in
+  Alcotest.(check (float 0.)) "snapshot at 50 and 400" at_50 at_400;
+  List.iter
+    (fun (what, f) -> Alcotest.(check (float 0.)) what 0. (words f))
+    [ ("same_future, equal", fun () -> ignore (Engine.same_future eng s400));
+      ("same_future, unequal", fun () -> ignore (Engine.same_future eng s50));
+      ("fingerprint", fun () -> ignore (Engine.fingerprint eng));
+      ("restore", fun () -> Engine.restore eng s50) ]
 
 (* [Sampler.observe] with no window reads the engine's counters only at
    snapshot time and refreshes no gauge, so it allocates nothing on any
@@ -386,5 +414,7 @@ let suite =
       test_e5_allocation_guard;
     Alcotest.test_case "E6 step allocation budget" `Quick
       test_e6_allocation_guard;
+    Alcotest.test_case "state compare, hash and restore allocate nothing"
+      `Quick test_state_allocation_guard;
     Alcotest.test_case "sampler observe allocation budget" `Quick
       test_observe_allocation_guard ]
