@@ -2,6 +2,7 @@ open Elastic_kernel
 open Elastic_sched
 open Elastic_netlist
 open Elastic_check
+open Elastic_fault
 open Helpers
 
 (* Controller zoo: small closed systems with fully nondeterministic
@@ -186,10 +187,11 @@ let withdrawing_join () =
   b.net
 
 (* ------------------------------------------------------------------ *)
-(* [Engine.same_future] as a bisimulation.  A monitored engine (with a
-   short watchdog bound, so that liveness and starvation reports fall
-   inside the explored depth) walks its reachable states breadth-first,
-   keeping one representative per [same_future] class.  Every other
+(* [Engine.same_future] as a bisimulation.  An engine walks its
+   reachable states breadth-first, keeping one representative per
+   [same_future] class: unmonitored, as Explore runs it, and monitored
+   with a short watchdog bound, so that liveness and starvation reports
+   fall inside the explored depth.  Every other
    reached state the relation puts in a class is checked against the
    representative: equal fingerprints, and under every environment
    choice the same control codes, sink deliveries and new reports, and
@@ -249,8 +251,8 @@ type rep = {
 }
 
 (* [(pairs checked, representatives)]; fails on the first breach. *)
-let bisimulation ?(max_states = 120) name net =
-  let eng = Engine.create ~monitor:true ~liveness_bound:3 net in
+let bisimulation ?(max_states = 120) ~monitor name net =
+  let eng = Engine.create ~monitor ~liveness_bound:3 net in
   let channels = Netlist.channels net in
   let sinks =
     List.filter_map
@@ -271,24 +273,46 @@ let bisimulation ?(max_states = 120) name net =
   let pairs = ref [] in
   let queue = Queue.create () in
   let fail fmt = Alcotest.failf ("%s: " ^^ fmt) name in
-  (* The representative related to the engine's current state, if any;
-     else the state becomes one. *)
-  let classify () =
+  (* The representative related to the engine's current state, if any,
+     with which the state makes a pair to check. *)
+  let related () =
     let fp = Engine.fingerprint eng in
     match List.find_opt (fun r -> Engine.same_future eng r.r_snap) !reps with
     | Some r ->
       if fp <> r.r_fp then
         fail "related states with fingerprints %d and %d" r.r_fp fp;
       pairs := (r, Engine.snapshot eng) :: !pairs;
-      r
-    | None ->
-      let r = { r_snap = Engine.snapshot eng; r_fp = fp; r_next = None } in
+      true
+    | None -> false
+  in
+  (* Else the state becomes a representative. *)
+  let classify () =
+    if not (related ()) then begin
+      let r =
+        { r_snap = Engine.snapshot eng; r_fp = Engine.fingerprint eng;
+          r_next = None }
+      in
       reps := r :: !reps;
       incr n_reps;
-      if !n_reps <= max_states then Queue.push r queue;
-      r
+      if !n_reps <= max_states then Queue.push r queue
+    end
   in
-  ignore (classify ());
+  (* A payload flipped on channel [c] by a fault during one step from
+     [r]: the fault cut-off compares such states with golden ones.  They
+     are checked when related to a representative, and not explored. *)
+  let flip r (c : Netlist.channel) =
+    Engine.restore eng r.r_snap;
+    let cycle = Engine.cycle eng in
+    Engine.set_injector eng
+      (Some
+         (Fault.injector
+            (Fault.plan net [ Fault.flip_bit ~channel:c.ch_id ~cycle 0 ])));
+    (match Engine.step ~choices:(fun id -> List.assoc_opt id combos.(0)) eng with
+     | () -> ignore (related ())
+     | exception Engine.Simulation_error _ -> ());
+    Engine.set_injector eng None
+  in
+  classify ();
   while not (Queue.is_empty queue) do
     let r = Queue.pop queue in
     r.r_next <-
@@ -298,9 +322,10 @@ let bisimulation ?(max_states = 120) name net =
               Engine.restore eng r.r_snap;
               let seen = step_seen eng channels sinks combo in
               let snap = Engine.snapshot eng in
-              ignore (classify ());
+              classify ();
               (seen, snap))
-           combos)
+           combos);
+    if monitor then List.iter (flip r) channels
   done;
   let checked = ref 0 in
   List.iter
@@ -486,9 +511,11 @@ let suite =
         (* The designs explored above, which include the E3 shapes
            (bench/main.ml's zoo: the EB and EB0 pipes, the early mux
            and the shared module with External and Sticky schedulers)
-           under the same builders.  Two designs above stay out: the
-           payload-changing stage is not a function of the state, and
-           the choice explosion is what Explore refuses. *)
+           under the same builders, and the shared module with the
+           schedulers whose registers go beyond a prediction.  Two
+           designs above stay out: the payload-changing stage is not a
+           function of the state, and the choice explosion is what
+           Explore refuses. *)
         let designs =
           [ ("eb pipe", pipeline_of (fun b -> eb b ()));
             ("eb0 pipe", pipeline_of (fun b -> eb0 b ()));
@@ -500,11 +527,18 @@ let suite =
             ("shared external", speculation_loop Scheduler.External);
             ("shared sticky", speculation_loop Scheduler.Sticky);
             ("shared static", speculation_loop (Scheduler.Static 0));
-            ("withdrawing join", withdrawing_join ()) ]
+            ("withdrawing join", withdrawing_join ());
+            ("shared toggle", speculation_loop Scheduler.Toggle);
+            ("shared two-bit", speculation_loop Scheduler.Two_bit);
+            ("shared gshare",
+             speculation_loop (Scheduler.Gshare { history_bits = 2 })) ]
         in
         let pairs =
           List.fold_left
-            (fun acc (name, net) -> acc + fst (bisimulation name net))
+            (fun acc (name, net) ->
+               acc
+               + fst (bisimulation ~monitor:false name net)
+               + fst (bisimulation ~monitor:true name net))
             0 designs
         in
         Alcotest.(check bool) "related pairs checked" true (pairs > 0));
