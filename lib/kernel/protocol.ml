@@ -110,8 +110,9 @@ let violation_count m = List.length m.rev_violations
 
 let name m = m.name
 
-(* The retry payloads and violations are mostly [None] and [[]]: an
-   array of them is left out ([[||]]) when every monitor's is. *)
+(* A fault campaign's golden run snapshots every cycle, and on most
+   cycles no monitor holds a retry payload or a violation: the array of
+   them is then left out ([[||]]). *)
 type snap = {
   sn_state : int array;
   sn_retry_data : Value.t option array;

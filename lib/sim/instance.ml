@@ -114,7 +114,7 @@ let create (node : Netlist.node) ~ins ~sel ~outs ~regs ~r ~vals ~v =
   in
   { node; ins; sel; outs; role; regs; r; vals; v }
 
-let layout ?(spare = 0) nodes ~ports =
+let layout nodes ~ports ~spare =
   let nodes = Array.of_list nodes in
   let total f =
     Array.fold_left (fun a (n : Netlist.node) -> a + f n.Netlist.kind) 0 nodes

@@ -81,12 +81,12 @@ type t
     them.  No equation table is built here: an arena engine never needs
     one.  Buffers must fit their capacity; [Engine.create] rejects an
     over-capacity buffer (E101) before it lays out any instance.
-    [spare] (default 0) more int slots follow every node's, for the
-    engine's own registers. *)
+    [spare] more int slots follow every node's, for the engine's own
+    registers. *)
 val layout :
-  ?spare:int ->
   Netlist.node list ->
   ports:(Netlist.node -> int array * int option * int array) ->
+  spare:int ->
   int array * Value.t array * t array
 
 val node : t -> Netlist.node
