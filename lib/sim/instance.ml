@@ -43,7 +43,7 @@ let value_slots = function
   | Netlist.Source _ | Netlist.Sink _ | Netlist.Func _ | Netlist.Fork _
   | Netlist.Mux _ | Netlist.Shared _ -> 0
 
-(* Ports are dense channel indices (see [create] in the interface); the
+(* Ports are dense channel indices (see [layout] in the interface); the
    registers are [regs.(r ..)] and the stored payloads [vals.(v ..)]. *)
 type t = {
   node : Netlist.node;
