@@ -1,18 +1,9 @@
 let table : (string, Func.t) Hashtbl.t = Hashtbl.create 32
 
-type resolver =
-  name:string -> arity:int -> delay:float -> area:float -> Func.t option
-
-let resolvers : resolver list ref = ref []
-
 let register f = Hashtbl.replace table f.Func.name f
 
-let register_resolver r = resolvers := !resolvers @ [ r ]
-
 (* The standard function families of {!Func}. *)
-let builtin ~name ~arity ~delay ~area =
-  ignore delay;
-  ignore area;
+let builtin ~name ~arity =
   if String.equal name "id" && arity = 1 then Some (Func.identity ())
   else if String.equal name "add" then Some (Func.add_int ~arity ())
   else
@@ -32,8 +23,6 @@ let builtin ~name ~arity ~delay ~area =
          Some (Func.select ~ways ())
        | Some _ | None -> None)
 
-let () = register_resolver builtin
-
 let resolve ~name ~arity ~delay ~area =
   let restore f = { f with Func.delay; area } in
   match Hashtbl.find_opt table name with
@@ -43,16 +32,11 @@ let resolve ~name ~arity ~delay ~area =
       (Fmt.str "function %s registered with arity %d, file says %d" name
          f.Func.arity arity)
   | None ->
-    let rec try_resolvers = function
-      | [] ->
-        Error
-          (Fmt.str
-             "unknown function %S: register it with Library.register \
-              before loading"
-             name)
-      | r :: rest ->
-        (match r ~name ~arity ~delay ~area with
-         | Some f when f.Func.arity = arity -> Ok (restore f)
-         | Some _ | None -> try_resolvers rest)
-    in
-    try_resolvers !resolvers
+    (match builtin ~name ~arity with
+     | Some f when f.Func.arity = arity -> Ok (restore f)
+     | Some _ | None ->
+       Error
+         (Fmt.str
+            "unknown function %S: register it with Library.register before \
+             loading"
+            name))
