@@ -3,30 +3,6 @@ type violation = { cycle : int; property : string; message : string }
 let pp_violation ppf v =
   Fmt.pf ppf "[cycle %d] %s: %s" v.cycle v.property v.message
 
-(* [state] packs the previous cycle's resolved control code (bits 0-3,
-   {!Signal.code} layout; bit 4 set before the first cycle) and the stall
-   count (from bit 5).  [retry_data] is the previous payload while that
-   cycle was in retry, the one case [step] reads it.  Snapshots copy
-   these fields as they are. *)
-type monitor = {
-  name : string;
-  check_forward_persistence : bool;
-  liveness_bound : int;
-  mutable state : int;
-  mutable retry_data : Value.t option;
-  mutable rev_violations : violation list;
-}
-
-let no_prev = 16
-
-let create ?(check_forward_persistence = true) ?(liveness_bound = 64) ~name
-    () =
-  { name; check_forward_persistence; liveness_bound; state = no_prev;
-    retry_data = None; rev_violations = [] }
-
-let report m ~cycle property message =
-  m.rev_violations <- { cycle; property; message } :: m.rev_violations
-
 let vp = Signal.v_plus_bit
 
 let sp = Signal.s_plus_bit
@@ -63,88 +39,71 @@ let data_changed before after =
   let pp = Fmt.(option ~none:(any "_") Value.pp) in
   Fmt.str "data changed during retry: %a -> %a" pp before pp after
 
-let step m ~cycle ~data ~chan raw =
-  (match invariant raw with
-   | Some msg -> report m ~cycle "invariant" msg
-   | None -> ());
+(* A monitor's int slot: the previous cycle's resolved control code
+   (bits 0-3, {!Signal.code} layout), [no_prev] before the first cycle,
+   [present] while the payload slot holds the previous cycle's payload
+   (a retry on a channel Retry+ covers), and the stall count from bit
+   [stall_shift].  A payload slot holds [Value.Unit] when [present] is
+   clear, so equal slot pairs judge alike. *)
+let no_prev = 16
+
+let present = 32
+
+let stall_shift = 6
+
+let fresh = no_prev
+
+let step ~regs ~slot ~vals ~vslot ~liveness_bound ~cycle ~data ~chan raw =
+  let w = regs.(slot) in
+  let persistent = vslot >= 0 in
   let s = Signal.resolve_code raw in
   let verdict =
-    if m.state land no_prev <> 0 then Free
-    else
-      retry ~persistent:m.check_forward_persistence ~prev:(m.state land 15)
-        s
+    if w land no_prev <> 0 then Free else retry ~persistent ~prev:(w land 15) s
   in
-  (* The payload is read only while a retry is pending: to keep this
-     cycle's for the next, or to compare it with the previous one's. *)
+  (* The payload is read only while a Retry+ retry is pending: to keep
+     this cycle's for the next, or to compare it with the previous one's. *)
   let held = match verdict with Held -> true | Free | Broken _ -> false in
-  let payload =
-    if s land vp <> 0 && (Signal.in_retry s || held) then data chan else None
-  in
-  (match verdict with
-   | Free -> ()
-   | Held ->
-     if not (Option.equal Value.equal m.retry_data payload) then
-       report m ~cycle "retry+" (data_changed m.retry_data payload)
-   | Broken (property, msg) -> report m ~cycle property msg);
+  let keep = persistent && Signal.in_retry s in
+  let payload = if keep || held then data chan else None in
   (* Liveness watchdog: something pending, nothing moving. *)
   let ev = Signal.events_of_code s in
-  let pending = s land (vp lor vm) <> 0 in
-  let moved = ev.Signal.token_out || ev.Signal.anti_out in
   let stalled_for =
-    if pending && not moved then begin
-      let n = (m.state lsr 5) + 1 in
-      if n = m.liveness_bound then
-        report m ~cycle "liveness"
-          (Fmt.str "channel stalled for %d consecutive cycles"
-             m.liveness_bound);
-      n
-    end
+    if s land (vp lor vm) <> 0
+    && not (ev.Signal.token_out || ev.Signal.anti_out)
+    then (w lsr stall_shift) + 1
     else 0
   in
-  m.state <- (stalled_for lsl 5) lor s;
-  m.retry_data <- (if Signal.in_retry s then payload else None)
-
-let violations m = List.rev m.rev_violations
-
-let violation_count m = List.length m.rev_violations
-
-let name m = m.name
-
-(* A fault campaign's golden run snapshots every cycle, and on most
-   cycles no monitor holds a retry payload or a violation: the array of
-   them is then left out ([[||]]). *)
-type snap = {
-  sn_state : int array;
-  sn_retry_data : Value.t option array;
-  sn_rev_violations : violation list array;
-}
-
-let unless_all f empty ms =
-  if Array.for_all (fun m -> f m = empty) ms then [||] else Array.map f ms
-
-let snapshot ms =
-  { sn_state = Array.map (fun m -> m.state) ms;
-    sn_retry_data = unless_all (fun m -> m.retry_data) None ms;
-    sn_rev_violations = unless_all (fun m -> m.rev_violations) [] ms }
-
-let[@inline] nth a i empty = if Array.length a = 0 then empty else a.(i)
-
-let restore ms s =
-  if Array.length s.sn_state <> Array.length ms then
-    invalid_arg "Protocol.restore: snapshot of another monitor count";
-  for i = 0 to Array.length ms - 1 do
-    let m = ms.(i) in
-    m.state <- s.sn_state.(i);
-    m.retry_data <- nth s.sn_retry_data i None;
-    m.rev_violations <- nth s.sn_rev_violations i []
-  done
-
-let rec same_from ms s i =
-  i = Array.length ms
-  || (let m = ms.(i) in
-      m.state = s.sn_state.(i)
-      && Option.equal Value.equal m.retry_data (nth s.sn_retry_data i None)
-      && same_from ms s (i + 1))
-
-let same_future ms s =
-  Array.length s.sn_state = Array.length ms && same_from ms s 0
+  let found =
+    if stalled_for <> 0 && stalled_for = liveness_bound then
+      [ { cycle; property = "liveness";
+          message =
+            Fmt.str "channel stalled for %d consecutive cycles"
+              liveness_bound } ]
+    else []
+  in
+  let found =
+    match verdict with
+    | Free -> found
+    | Broken (property, message) -> { cycle; property; message } :: found
+    | Held ->
+      (* Compared in place: a stall builds no option. *)
+      let had = w land present <> 0 in
+      (match payload with
+       | Some v when had && Value.equal vals.(vslot) v -> found
+       | None when not had -> found
+       | Some _ | None ->
+         let before = if had then Some vals.(vslot) else None in
+         { cycle; property = "retry+"; message = data_changed before payload }
+         :: found)
+  in
+  let kept =
+    match payload with
+    | Some v when keep -> vals.(vslot) <- v; present
+    | Some _ | None ->
+      if w land present <> 0 then vals.(vslot) <- Value.Unit;
+      0
+  in
+  regs.(slot) <- (stalled_for lsl stall_shift) lor kept lor s;
+  match invariant raw with
+  | None -> found
+  | Some message -> { cycle; property = "invariant"; message } :: found

@@ -1,7 +1,7 @@
 (** Runtime monitors for the SELF protocol properties of §3.1.
 
-    One {!monitor} instance watches one channel, cycle by cycle, and
-    accumulates violations of:
+    A monitor watches one channel, cycle by cycle, and reports violations
+    of:
 
     - {b Retry+}: [G ((V+ /\ S+) => X V+)] — a stalled token is held
       (persistently, with the same data) until it transfers.
@@ -15,7 +15,15 @@
 
     §4.2 notes that the output channels of shared modules are {e not}
     required to be persistent (the scheduler may change its prediction
-    after a retry), so Retry+ checking is switchable per channel. *)
+    after a retry), so Retry+ is checked only on a channel that has a
+    payload slot.
+
+    This module holds only the rules.  A monitor's state is two slots of
+    the engine's state arrays: one int (the previous code, the stall
+    count and whether a payload is held) and, on a channel Retry+ covers,
+    one payload slot for the retried token's data.  The engine lays them
+    out, snapshots, restores and compares them with the rest of its
+    state, and keeps the violations {!step} returns. *)
 
 type violation = {
   cycle : int;
@@ -24,21 +32,6 @@ type violation = {
 }
 
 val pp_violation : Format.formatter -> violation -> unit
-
-type monitor
-
-(** [create ~name ()] makes a monitor for the channel called [name].
-
-    @param check_forward_persistence disable for shared-module outputs
-      (default [true]).
-    @param liveness_bound cycles a pending token/anti-token may stall
-      before the watchdog fires (default [64]). *)
-val create :
-  ?check_forward_persistence:bool ->
-  ?liveness_bound:int ->
-  name:string ->
-  unit ->
-  monitor
 
 (** {1 The per-cycle rule}
 
@@ -62,46 +55,31 @@ val retry : persistent:bool -> prev:int -> int -> retry
 (** Message of a [Held] token's payload change (property ["retry+"]). *)
 val data_changed : Value.t option -> Value.t option -> string
 
-(** [step m ~cycle ~data ~chan code] feeds one cycle of a channel's raw
-    (pre-resolution) control code ({!Signal.code}).  [data chan] is the
-    channel's payload this cycle; the monitor calls it only while a
-    token retry is pending (V+ asserted and this cycle or a checked
-    previous one in retry), so a cycle without one reads no payload
-    and allocates nothing. *)
+(** {1 The monitor step} *)
+
+(** The word a monitor's int slot starts from: no previous cycle, no
+    stall, no payload held. *)
+val fresh : int
+
+(** [step ~regs ~slot ~vals ~vslot ~liveness_bound ~cycle ~data ~chan
+    code] feeds one cycle of a channel's raw (pre-resolution) control
+    code ({!Signal.code}) to the monitor whose int slot is [regs.(slot)]
+    and whose payload slot is [vals.(vslot)]; [vslot < 0] means the
+    channel has none and Retry+ is not checked on it.  It updates both
+    slots and returns the cycle's violations in the order invariant,
+    retry, liveness ([[]] on a clean cycle, allocating nothing).
+    [data chan] is the channel's payload this cycle; it is called only
+    while a Retry+ retry is pending (V+ asserted and this cycle or the
+    previous one in retry).  The payload slot keeps a [None] payload (a
+    forged V+) apart from [Some Value.Unit]. *)
 val step :
-  monitor ->
+  regs:int array ->
+  slot:int ->
+  vals:Value.t array ->
+  vslot:int ->
+  liveness_bound:int ->
   cycle:int ->
   data:(int -> Value.t option) ->
   chan:int ->
   int ->
-  unit
-
-(** Violations recorded so far, oldest first. *)
-val violations : monitor -> violation list
-
-(** [List.length (violations m)], without building the list. *)
-val violation_count : monitor -> int
-
-val name : monitor -> string
-
-(** {1 Snapshots} *)
-
-(** Immutable copy of the state of an array of monitors: each one's
-    previous resolved control code, stall count, payload while in retry
-    (the only case a later cycle reads it) and violations so far.
-    Restoring it gives monitors that judge every later cycle as the
-    originals do. *)
-type snap
-
-val snapshot : monitor array -> snap
-
-(** [restore ms s] puts [ms] back in the state [s] was taken from,
-    without allocating.
-    @raise Invalid_argument when [s] holds another number of monitors. *)
-val restore : monitor array -> snap -> unit
-
-(** Will [ms] and monitors restored from the snapshot judge every later
-    cycle alike?  Compares the previous codes, stall counts and retry
-    payloads, without allocating; the violations already recorded decide
-    no later verdict. *)
-val same_future : monitor array -> snap -> bool
+  violation list

@@ -52,7 +52,7 @@ type snap = {
   sn_cycle : int;
   sn_regs : int array;
   sn_vals : Value.t array;
-  sn_monitors : Protocol.snap;
+  sn_violations : (int * Protocol.violation) list;
   sn_starvation : string list;
   sn_counts : int array;
   sn_sinks : Transfer.t array;  (* in [sinks] order *)
@@ -66,12 +66,18 @@ type t = {
   net : Netlist.t;
   backend : backend;
   insts : Instance.t array;  (* dense node order *)
-  regs : int array;  (* every node's registers, Instance's slot layout *)
-  vals : Value.t array;  (* every node's stored payloads *)
+  regs : int array;
+      (* every node's registers, Instance's slot layout, then the
+         monitors' and the watchdog's *)
+  vals : Value.t array;  (* every node's stored payloads, then the monitors' *)
   future : int array;  (* the [regs] slots [same_future] compares *)
   chans : Netlist.channel array;  (* dense order *)
   ch_index : (Netlist.channel_id, int) Hashtbl.t;
-  monitors : Protocol.monitor array;  (* empty if monitoring disabled *)
+  mon_base : int;  (* the monitor of dense channel [i] has [regs] slot
+                      [mon_base + i] *)
+  mon_vals : int array;
+      (* per channel, the [vals] slot of its monitor's retry payload, -1
+         where Retry+ is not checked; empty if monitoring disabled *)
   liveness_bound : int;
   schedule : Schedule.t;
   profile : Profile.t;
@@ -95,6 +101,8 @@ type t = {
   wait_slot : int array;
       (* per channel feeding a shared module, the [regs] slot of the
          leads-to watchdog's wait counter; -1 for the others *)
+  mutable violation_log : (int * Protocol.violation) list;
+      (* newest first, each with its dense channel index *)
   mutable starvation : string list;
   mutable injector : injector option;
   mutable overrides_active : bool;
@@ -177,32 +185,37 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
        else None),
       ports (Netlist.required_outputs n.Netlist.kind) )
   in
-  (* The watchdog's wait counters: one int slot after the nodes' for
-     each shared-module input, numbered here from 0. *)
-  let waits = ref 0 in
-  let wait_slot =
-    Array.map
-      (fun (c : Netlist.channel) ->
-         match (Netlist.node net c.Netlist.dst.ep_node).Netlist.kind with
-         | Netlist.Shared _ when monitor -> incr waits; !waits - 1
-         | _ -> -1)
-      chans
-  in
-  let regs, vals, insts =
-    Instance.layout (Netlist.nodes net) ~ports:node_ports ~spare:!waits
-  in
-  let base = Array.length regs - !waits in
-  let wait_slot = Array.map (fun w -> if w < 0 then w else base + w) wait_slot
-  in
-  let monitors =
-    if not monitor then [||]
-    else
-      Array.map
-        (fun (c : Netlist.channel) ->
-           Protocol.create
-             ~check_forward_persistence:(Netlist.persistent net c)
-             ~liveness_bound ~name:c.Netlist.ch_name ())
+  (* A monitored engine's own slots follow the nodes': an int slot per
+     channel for its protocol monitor, then one for the watchdog's wait
+     counter on each shared-module input; and a payload slot per channel
+     Retry+ covers, for the monitor's retry payload.  Numbered here from
+     0 within each group. *)
+  let count f =
+    let k = ref 0 in
+    let slots =
+      Array.map (fun c -> if monitor && f c then (incr k; !k - 1) else -1)
         chans
+    in
+    (!k, slots)
+  in
+  let waits, wait_slot =
+    count (fun (c : Netlist.channel) ->
+        match (Netlist.node net c.Netlist.dst.ep_node).Netlist.kind with
+        | Netlist.Shared _ -> true
+        | _ -> false)
+  in
+  let paid, mon_vals = count (Netlist.persistent net) in
+  let nmon = if monitor then Array.length chans else 0 in
+  let regs, vals, insts =
+    Instance.layout (Netlist.nodes net) ~ports:node_ports
+      ~spare:(nmon + waits) ~spare_vals:paid
+  in
+  let mon_base = Array.length regs - waits - nmon in
+  Array.fill regs mon_base nmon Protocol.fresh;
+  let shift base = Array.map (fun k -> if k < 0 then k else base + k) in
+  let wait_slot = shift (mon_base + nmon) wait_slot in
+  let mon_vals =
+    if monitor then shift (Array.length vals - paid) mon_vals else [||]
   in
   let sinks =
     Array.to_list insts
@@ -257,8 +270,9 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     future =
       Array.of_list
         (List.concat_map Instance.future (Array.to_list insts)
+         @ List.init nmon (( + ) mon_base)
          @ List.filter (fun s -> s >= 0) (Array.to_list wait_slot));
-    chans; ch_index; monitors; liveness_bound;
+    chans; ch_index; mon_base; mon_vals; liveness_bound;
     schedule;
     profile;
     max_passes = Option.value max_passes ~default:default_max_passes;
@@ -276,6 +290,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     injected_rev = [];
     clock;
     wait_slot;
+    violation_log = [];
     starvation = [] }
 
 let netlist t = t.net
@@ -454,6 +469,12 @@ let settle_arena t ar =
     invariant_error t
       ~node:(Instance.node t.insts.(Arena.last_eval ar)).Netlist.id e
 
+let rec log_violations t i = function
+  | [] -> ()
+  | v :: rest ->
+    t.violation_log <- (i, v) :: t.violation_log;
+    log_violations t i rest
+
 let step ?(choices = fun _ -> None) t =
   check_cycle_budget t;
   (match t.backend with
@@ -489,9 +510,14 @@ let step ?(choices = fun _ -> None) t =
      for i = 0 to n - 1 do
        codes.(i) <- Wires.code (Wires.wire ws i)
      done);
-  for i = 0 to Array.length t.monitors - 1 do
-    Protocol.step t.monitors.(i) ~cycle:t.cycle ~data:t.data_at ~chan:i
-      codes.(i)
+  for i = 0 to Array.length t.mon_vals - 1 do
+    match
+      Protocol.step ~regs:t.regs ~slot:(t.mon_base + i) ~vals:t.vals
+        ~vslot:t.mon_vals.(i) ~liveness_bound:t.liveness_bound
+        ~cycle:t.cycle ~data:t.data_at ~chan:i codes.(i)
+    with
+    | [] -> ()
+    | found -> log_violations t i found
   done;
   for i = 0 to n - 1 do
     let ev = Signal.events_of_code codes.(i) in
@@ -611,13 +637,13 @@ let stored_tokens t =
        | None -> acc)
     0 t.insts
 
+(* Channel order, and oldest first within a channel. *)
 let violations t =
-  Array.to_list t.monitors
-  |> List.concat_map (fun m ->
-      List.map (fun v -> (Protocol.name m, v)) (Protocol.violations m))
+  List.rev t.violation_log
+  |> List.stable_sort (fun (i, _) (j, _) -> Int.compare i j)
+  |> List.map (fun (i, v) -> (t.chans.(i).Netlist.ch_name, v))
 
-let violation_count t =
-  Array.fold_left (fun n m -> n + Protocol.violation_count m) 0 t.monitors
+let violation_count t = List.length t.violation_log
 
 let starvation_violations t = List.rev t.starvation
 
@@ -635,14 +661,14 @@ let nondet_nodes t =
       let n = Instance.node inst in
       if Instance.choices n.Netlist.kind = [] then None else Some n)
 
-(* A snapshot copies the register (the watchdog's too), payload and
-   counter arrays and the monitors; the sink streams (immutable) it
-   shares. *)
+(* A snapshot copies the register (the monitors' and the watchdog's
+   too), payload and counter arrays; the logs and sink streams
+   (immutable) it shares. *)
 let snapshot t =
   { sn_cycle = t.cycle;
     sn_regs = Array.copy t.regs;
     sn_vals = Array.copy t.vals;
-    sn_monitors = Protocol.snapshot t.monitors;
+    sn_violations = t.violation_log;
     sn_starvation = t.starvation;
     sn_counts = Array.copy t.counts;
     sn_sinks = Array.map (fun sk -> !(sk.sk_stream)) t.sinks }
@@ -653,10 +679,10 @@ let restore t snap =
   || Array.length snap.sn_counts <> Array.length t.counts
   || Array.length snap.sn_sinks <> Array.length t.sinks
   then invalid_arg "Engine.restore: snapshot size mismatch";
-  Protocol.restore t.monitors snap.sn_monitors;
   Array.blit snap.sn_regs 0 t.regs 0 (Array.length t.regs);
   Array.blit snap.sn_vals 0 t.vals 0 (Array.length t.vals);
   t.cycle <- snap.sn_cycle;
+  t.violation_log <- snap.sn_violations;
   t.starvation <- snap.sn_starvation;
   Array.blit snap.sn_counts 0 t.counts 0 (Array.length t.counts);
   for k = 0 to Array.length t.sinks - 1 do
@@ -672,14 +698,14 @@ let rec same_slots slots a b k =
 let rec same_values a b i =
   i = Array.length a || (Value.equal a.(i) b.(i) && same_values a b (i + 1))
 
-(* The future slots (the watchdog's among them), every payload slot and
-   the monitors: a masked compare of the arrays, allocating nothing. *)
+(* The future slots (the monitors' and the watchdog's among them) and
+   every payload slot: a masked compare of the arrays, allocating
+   nothing. *)
 let same_future t snap =
   Array.length snap.sn_regs = Array.length t.regs
   && Array.length snap.sn_vals = Array.length t.vals
   && same_slots t.future t.regs snap.sn_regs 0
   && same_values t.vals snap.sn_vals 0
-  && Protocol.same_future t.monitors snap.sn_monitors
 
 let fingerprint t =
   let h = ref 0 in

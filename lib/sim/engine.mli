@@ -215,8 +215,9 @@ val occupancies : t -> (Netlist.node_id * int) list
     anti-tokens) — used by conservation tests. *)
 val stored_tokens : t -> int
 
-(** Protocol violations accumulated by the channel monitors, tagged with
-    the channel name. *)
+(** Protocol violations reported by the channel monitors, tagged with
+    the channel name: in channel order, and oldest first within a
+    channel. *)
 val violations : t -> (string * Protocol.violation) list
 
 (** [List.length (violations t)], without building the list. *)
@@ -234,19 +235,23 @@ val nondet_nodes : t -> Netlist.node list
 
 (** {1 State snapshots}
 
-    An engine holds every node's registers in one int array and every
-    stored payload in one payload array, in the slot layout
-    {!Instance.layout} gives at {!create}.  A snapshot is an immutable
-    copy of everything later cycles and observations read: both arrays
-    (random-generator states and scheduler statistics included), the
-    cycle count, each protocol monitor's previous code, stall count,
-    retry payload and violations, the leads-to watchdog's wait counters
-    and starvation reports, the per-channel counters ({!delivered},
-    {!killed}, {!activity}) and every sink's transfer stream.  Its size
+    An engine holds every register in one int array and every stored
+    payload in one payload array, in the slot layout {!Instance.layout}
+    gives at {!create}: the nodes' slots first, then, on a monitored
+    engine, one int slot per channel for its protocol monitor (previous
+    code, stall count, payload held), one for the leads-to watchdog's
+    wait counter on each shared-module input, and one payload slot per
+    channel Retry+ covers for the monitor's retry payload.  A snapshot
+    is an immutable copy of everything later cycles and observations
+    read: both arrays (random-generator states and scheduler statistics
+    included) plus the history, that is the cycle count, the per-channel
+    counters ({!delivered}, {!killed}, {!activity}), every sink's
+    transfer stream, and the violation and starvation logs.  Its size
     does not grow with the cycle count.  It shares no mutable data with
     the engine, so one snapshot can be read by several domains and
     restored into any engine created from the same netlist with the same
-    [monitor] setting.  The profile, the injector, the observer and the
+    [monitor] setting (an unmonitored engine lays out no monitor or
+    watchdog slot).  The profile, the injector, the observer and the
     elapsed cycle's {!code}s are not part of it.  The model checker
     ([Elastic_check.Explore]) and the fault checker
     ([Elastic_fault.Recovery]) restore from them. *)
@@ -272,17 +277,19 @@ val restore : t -> snap -> unit
     without allocating, the state that decides every later cycle: the
     register slots of the engine's {e future mask}, built at {!create}
     ({!Instance.future}: every register but a scheduler's statistics
-    and the source and sink flags each cycle recomputes), every payload
-    slot ({!Value.equal}), the monitors' previous codes, stall counts and
-    retry payloads, and the watchdog's wait counters.  The cycle count,
-    the counters, the streams and the violations so far are history: two
+    and the source and sink flags each cycle recomputes; the monitors'
+    and the watchdog's slots included) and every payload slot
+    ({!Value.equal}; the monitors' retry payloads included).  The cycle
+    count, the counters, the streams and the violations so far are
+    history: two
     engines that agree here produce the same signals, transfers and
     violations from now on, shifted by the difference of their cycle
     counts.  The fault cut-off ([Elastic_fault.Recovery]) and the model
     checker's state table ([Elastic_check.Explore]) both rest on it. *)
 val same_future : t -> snap -> bool
 
-(** Hash of the register and payload slots {!same_future} compares,
-    computed without allocating: engines with the same future have the
-    same fingerprint, so it buckets snapshots for {!same_future}. *)
+(** Hash of the register and payload slots {!same_future} compares (the
+    monitors' among them), computed without allocating: engines with the
+    same future have the same fingerprint, so it buckets snapshots for
+    {!same_future}. *)
 val fingerprint : t -> int

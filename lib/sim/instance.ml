@@ -114,13 +114,13 @@ let create (node : Netlist.node) ~ins ~sel ~outs ~regs ~r ~vals ~v =
   in
   { node; ins; sel; outs; role; regs; r; vals; v }
 
-let layout nodes ~ports ~spare =
+let layout nodes ~ports ~spare ~spare_vals =
   let nodes = Array.of_list nodes in
   let total f =
     Array.fold_left (fun a (n : Netlist.node) -> a + f n.Netlist.kind) 0 nodes
   in
   let regs = Array.make (total int_slots + spare) 0 in
-  let vals = Array.make (total value_slots) Value.Unit in
+  let vals = Array.make (total value_slots + spare_vals) Value.Unit in
   let r = ref 0 and v = ref 0 in
   let place (n : Netlist.node) =
     let ins, sel, outs = ports n in

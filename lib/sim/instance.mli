@@ -29,10 +29,12 @@ type choice =
     An engine keeps the registers of all its nodes in one [int array]
     and their stored payloads in one [Value.t array], laid out at
     [Engine.create] ({!layout}): each node owns consecutive int slots
-    from {!reg_base} and payload slots from {!val_base}.  Only
-    {!layout}, {!begin_cycle} and {!clock} write them (and the
-    engine's restore, which blits whole arrays); the evaluators read
-    them.  The slots, relative to a node's base:
+    from {!reg_base} and payload slots from {!val_base}, and the
+    engine's own slots (its protocol monitors' and leads-to watchdog's)
+    follow every node's.  Of a node's slots, only {!layout},
+    {!begin_cycle} and {!clock} write them (and the engine's restore,
+    which blits whole arrays); the evaluators read them.  The slots,
+    relative to a node's base:
     - source: the offering flag, the stream index, the pending
       anti-token count, the retry flag and the random-generator state
       ({!Rng.start});
@@ -81,12 +83,14 @@ type t
     them.  No equation table is built here: an arena engine never needs
     one.  Buffers must fit their capacity; [Engine.create] rejects an
     over-capacity buffer (E101) before it lays out any instance.
-    [spare] more int slots follow every node's, for the engine's own
-    registers. *)
+    [spare] more int slots follow every node's, and [spare_vals] more
+    payload slots, for the engine's own registers: its protocol
+    monitors' and leads-to watchdog's. *)
 val layout :
   Netlist.node list ->
   ports:(Netlist.node -> int array * int option * int array) ->
   spare:int ->
+  spare_vals:int ->
   int array * Value.t array * t array
 
 val node : t -> Netlist.node

@@ -198,17 +198,18 @@ let transfer_suite =
         Alcotest.(check bool) "mismatch" false
           (Transfer.prefix_equivalent (mk [ 1; 9 ]) (mk [ 1; 2; 3 ]))) ]
 
-let run_monitor ?check_forward_persistence ?liveness_bound steps =
-  let m =
-    Protocol.create ?check_forward_persistence ?liveness_bound
-      ~name:"test" ()
-  in
-  List.iteri
-    (fun cycle s ->
-       Protocol.step m ~cycle ~data:(fun _ -> s.Signal.data) ~chan:0
-         (Signal.code s))
-    steps;
-  Protocol.violations m
+(* One monitor in slot form: its int slot and, when Retry+ is checked,
+   its payload slot, fed one cycle per step. *)
+let run_monitor ?(check_forward_persistence = true) ?(liveness_bound = 64)
+    steps =
+  let regs = [| Protocol.fresh |] and vals = [| Value.Unit |] in
+  let vslot = if check_forward_persistence then 0 else -1 in
+  List.concat
+    (List.mapi
+       (fun cycle s ->
+          Protocol.step ~regs ~slot:0 ~vals ~vslot ~liveness_bound ~cycle
+            ~data:(fun _ -> s.Signal.data) ~chan:0 (Signal.code s))
+       steps)
 
 let protocol_suite =
   [ Alcotest.test_case "clean retry sequence passes" `Quick (fun () ->
@@ -235,6 +236,16 @@ let protocol_suite =
         in
         Alcotest.(check (list (pair string string))) "retry+ violation"
           [ ("retry+", "data changed during retry: 1 -> 2") ]
+          (List.map (fun v -> (v.Protocol.property, v.Protocol.message)) vs));
+    Alcotest.test_case "no payload then unit during retry flagged" `Quick
+      (fun () ->
+        let vs =
+          run_monitor
+            [ mk ~vp:true ~sp:true (); (* a forged V+: no payload *)
+              mk ~vp:true ~sp:true ~d:Value.Unit () ]
+        in
+        Alcotest.(check (list (pair string string))) "retry+ violation"
+          [ ("retry+", "data changed during retry: _ -> ()") ]
           (List.map (fun v -> (v.Protocol.property, v.Protocol.message)) vs));
     Alcotest.test_case "non-persistent channels exempt" `Quick (fun () ->
         let vs =

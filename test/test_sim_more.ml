@@ -181,6 +181,57 @@ let suite =
              Engine.restore e1 (Engine.snapshot e2);
              false
            with Invalid_argument _ -> true));
+    Alcotest.test_case "monitored restore round trip" `Quick (fun () ->
+        (* The sink stalls six cycles in eight, so the EB's output
+           channel sits in retry with a payload and a growing stall
+           count, and the watchdog (bound 3) fires in every stall run. *)
+        let b = builder () in
+        let s = src_counter b () in
+        let e = eb b () in
+        let k =
+          sink_pattern b
+            [| false; true; true; true; true; true; true; false |]
+        in
+        let _ = conn b (s, Out 0) (e, In 0) in
+        let out = conn b (e, Out 0) (k, In 0) in
+        List.iter
+          (fun mode ->
+             let name = Engine.mode_name mode in
+             let create () = Engine.create ~liveness_bound:3 ~mode b.net in
+             let orig = create () in
+             Engine.run orig 10;
+             Alcotest.(check bool) (name ^ ": retry pending") true
+               ((Engine.events orig out).Signal.retry
+                && Engine.data orig out <> None);
+             let snap = Engine.snapshot orig in
+             let copy = create () in
+             Engine.restore copy snap;
+             let report eng =
+               List.map
+                 (fun (ch, (v : Protocol.violation)) ->
+                    Fmt.str "%s %a" ch Protocol.pp_violation v)
+                 (Engine.violations eng)
+             in
+             for _ = 1 to 12 do
+               Engine.step orig;
+               Engine.step copy;
+               Alcotest.(check (list string)) (name ^ ": violations")
+                 (report orig) (report copy)
+             done;
+             Alcotest.(check bool) (name ^ ": a breach after the snapshot")
+               true
+               (List.exists
+                  (fun (_, (v : Protocol.violation)) ->
+                     v.Protocol.property = "liveness" && v.Protocol.cycle >= 10)
+                  (Engine.violations copy));
+             Alcotest.(check bool) (name ^ ": unmonitored engine refuses")
+               true
+               (try
+                  Engine.restore (Engine.create ~monitor:false ~mode b.net)
+                    snap;
+                  false
+                with Invalid_argument _ -> true))
+          [ Engine.Arena; Engine.Reference ]);
     Alcotest.test_case "scheduler force validates the channel" `Quick
       (fun () ->
         let sc = Elastic_sched.Scheduler.make ~ways:2
