@@ -41,8 +41,6 @@ let control_glitch ~channel ~cycle =
 
 let mispredict ~node ~cycle way = make (Node node) (Mispredict way) cycle
 
-let active f ~cycle = cycle >= f.cycle && cycle < f.cycle + f.duration
-
 let rec value_width = function
   | Value.Unit | Value.Str _ -> 0
   | Value.Bool _ -> 1
@@ -50,59 +48,59 @@ let rec value_width = function
   | Value.Word _ -> 64
   | Value.Tuple vs -> List.fold_left (fun a v -> a + value_width v) 0 vs
 
+(* [x] with [flip x k] applied for each of [bits] at [off + k], [k] in
+   [\[0, width)]: once per occurrence, so a bit listed twice stays. *)
+let rec toggle flip off width x = function
+  | [] -> x
+  | b :: bits ->
+    toggle flip off width
+      (if b >= off && b < off + width then flip x (b - off) else x)
+      bits
+
+(* A flip runs on every faulted token, so it rebuilds only the tuples:
+   a scalar no bit reaches is returned as it is. *)
 let flip_value bits v =
   let rec go off v =
     match v with
-    | Value.Unit | Value.Str _ -> (v, off)
-    | Value.Bool b ->
-      let v' = if List.mem off bits then Value.Bool (not b) else v in
-      (v', off + 1)
+    | Value.Unit | Value.Str _ -> v
+    | Value.Bool b -> if List.mem off bits then Value.Bool (not b) else v
     | Value.Int n ->
-      let n' =
-        List.fold_left
-          (fun n b ->
-             if b >= off && b < off + 8 then n lxor (1 lsl (b - off))
-             else n)
-          n bits
-      in
-      (Value.Int n', off + 8)
+      let n' = toggle (fun n k -> n lxor (1 lsl k)) off 8 n bits in
+      if n' = n then v else Value.Int n'
     | Value.Word w ->
       let w' =
-        List.fold_left
-          (fun w b ->
-             if b >= off && b < off + 64 then
-               Int64.logxor w (Int64.shift_left 1L (b - off))
-             else w)
-          w bits
+        toggle (fun w k -> Int64.logxor w (Int64.shift_left 1L k)) off 64 w bits
       in
-      (Value.Word w', off + 64)
-    | Value.Tuple vs ->
-      let off, rev =
-        List.fold_left
-          (fun (off, acc) v ->
-             let v', off' = go off v in
-             (off', v' :: acc))
-          (off, []) vs
-      in
-      (Value.Tuple (List.rev rev), off)
+      if Int64.equal w' w then v else Value.Word w'
+    | Value.Tuple vs -> Value.Tuple (go_list off vs)
+  and go_list off = function
+    | [] -> []
+    | v :: vs ->
+      let v' = go off v in
+      v' :: go_list (off + value_width v) vs
   in
-  fst (go 0 v)
+  go 0 v
 
 (* Plain concatenation: a campaign describes every fault it checks, and
-   [Fmt.str] costs a formatter per call. *)
+   [Fmt.str] costs a formatter per call.  An id the netlist does not
+   have is named as such. *)
 let describe net f =
   let int = string_of_int in
   let where =
     match f.target with
-    | Channel cid ->
-      let c = Netlist.channel net cid in
-      String.concat ""
-        [ "channel "; c.Netlist.ch_name; " (id "; int c.Netlist.ch_id;
-          ", node "; int c.Netlist.src.Netlist.ep_node; " -> node ";
-          int c.Netlist.dst.Netlist.ep_node; ")" ]
-    | Node nid ->
-      let n = Netlist.node net nid in
-      String.concat "" [ "node "; n.Netlist.name; " (id "; int nid; ")" ]
+    | Channel cid -> (
+        match Netlist.channel net cid with
+        | c ->
+          String.concat ""
+            [ "channel "; c.Netlist.ch_name; " (id "; int c.Netlist.ch_id;
+              ", node "; int c.Netlist.src.Netlist.ep_node; " -> node ";
+              int c.Netlist.dst.Netlist.ep_node; ")" ]
+        | exception Invalid_argument _ -> "channel id " ^ int cid)
+    | Node nid -> (
+        match Netlist.node net nid with
+        | n ->
+          String.concat "" [ "node "; n.Netlist.name; " (id "; int nid; ")" ]
+        | exception Invalid_argument _ -> "node id " ^ int nid)
   in
   let what =
     match f.kind with
@@ -126,30 +124,39 @@ let describe net f =
   in
   String.concat " " [ what; "on"; where; window ]
 
-type plan = {
-  p_faults : t list;
-  last_data : (Netlist.channel_id, Value.t) Hashtbl.t;
-  dup_channels : Netlist.channel_id list;
-}
+type plan = Engine.fault_schedule
 
-let plan _net faults =
-  let dup_channels =
-    List.filter_map
-      (fun f ->
-         match (f.target, f.kind) with
-         | Channel cid, Duplicate_token -> Some cid
-         | _ -> None)
-      faults
-    |> List.sort_uniq compare
-  in
-  { p_faults = faults; last_data = Hashtbl.create 4; dup_channels }
+let known lookup net id =
+  match lookup net id with
+  | _ -> true
+  | exception Invalid_argument _ -> false
 
-let faults p = p.p_faults
+let refuse net f why =
+  invalid_arg (String.concat "" [ "Fault.plan: "; describe net f; ": "; why ])
 
-let horizon p =
-  List.fold_left (fun a f -> max a (f.cycle + f.duration)) 0 p.p_faults
+(* Refuse a fault that cannot act, naming it. *)
+let validate net f =
+  match (f.target, f.kind) with
+  | Channel cid, _ when not (known Netlist.channel net cid) ->
+    refuse net f "the netlist has no such channel"
+  | Node nid, _ when not (known Netlist.node net nid) ->
+    refuse net f "the netlist has no such node"
+  | Channel _, Mispredict _ -> refuse net f "a scheduler fault needs a node"
+  | Node _, (Flip_bits _ | Force_valid _ | Force_stop _ | Force_kill _
+            | Duplicate_token) ->
+    refuse net f "a wire fault needs a channel"
+  | Node nid, Mispredict way -> (
+      match (Netlist.node net nid).Netlist.kind with
+      | Netlist.Shared { ways; _ } when way >= 0 && way < ways -> ()
+      | Netlist.Shared { ways; _ } ->
+        refuse net f ("the module has ways 0.." ^ string_of_int (ways - 1))
+      | _ -> refuse net f "the node is not a shared module")
+  | Channel _, _ -> ()
 
-let merge_override p cid ov f =
+let active f c = c >= f.cycle && c < f.cycle + f.duration
+
+(* Faults on one channel and cycle merge in list order. *)
+let merge_override ov f =
   match f.kind with
   | Flip_bits bits ->
     let flip = flip_value bits in
@@ -162,44 +169,55 @@ let merge_override p cid ov f =
   | Force_valid b -> { ov with Wires.force_v_plus = Some b }
   | Force_stop b -> { ov with Wires.force_s_plus = Some b }
   | Force_kill b -> { ov with Wires.force_v_minus = Some b }
-  | Duplicate_token ->
-    let subst =
-      match Hashtbl.find_opt p.last_data cid with
-      | Some v -> v
-      | None -> Value.Int 0
-    in
-    { ov with Wires.force_v_plus = Some true; subst_data = Some subst }
+  | Duplicate_token -> { ov with Wires.force_v_plus = Some true }
   | Mispredict _ -> ov
 
-let injector p : Engine.injector =
- fun ~cycle cid ->
-  let applicable =
-    List.filter
-      (fun f ->
-         match f.target with
-         | Channel c -> c = cid && active f ~cycle
-         | Node _ -> false)
-      p.p_faults
-  in
-  match applicable with
-  | [] -> None
-  | fs ->
-    Some (List.fold_left (fun ov f -> merge_override p cid ov f)
-            Wires.no_override fs)
+let no_faults = { Engine.fr_wires = [||]; fr_predict = [] }
 
-let choices p ~cycle nid =
-  List.find_map
-    (fun f ->
-       match (f.target, f.kind) with
-       | Node n, Mispredict way when n = nid && active f ~cycle ->
-         Some (Instance.Predict way)
-       | _ -> None)
-    p.p_faults
+(* Cycle [c]'s row: the active channel faults grouped by channel in
+   channel-id order (the engine's), and the active mispredictions. *)
+let row faults c =
+  match List.filter (fun f -> active f c) faults with
+  | [] -> no_faults
+  | now ->
+    let chans =
+      match
+        List.filter_map
+          (fun f -> match f.target with Channel c -> Some c | Node _ -> None)
+          now
+      with
+      | ([] | [ _ ]) as one -> one  (* [sort_uniq] allocates closures *)
+      | cids -> List.sort_uniq Int.compare cids
+    in
+    let wire cid =
+      let on =
+        List.filter
+          (fun f -> match f.target with Channel c -> c = cid | Node _ -> false)
+          now
+      in
+      { Engine.fw_chan = cid;
+        fw_override = List.fold_left merge_override Wires.no_override on;
+        fw_replay = List.exists (fun f -> f.kind = Duplicate_token) on }
+    in
+    { Engine.fr_wires = Array.of_list (List.map wire chans);
+      fr_predict =
+        List.filter_map
+          (fun f ->
+             match (f.target, f.kind) with
+             | Node nid, Mispredict way -> Some (nid, way)
+             | _ -> None)
+          now }
 
-let observe p eng =
-  List.iter
-    (fun cid ->
-       match (Engine.signal eng cid).Signal.data with
-       | Some v -> Hashtbl.replace p.last_data cid v
-       | None -> ())
-    p.dup_channels
+let plan net faults =
+  List.iter (validate net) faults;
+  match faults with
+  | [] -> { Engine.fs_first = 0; fs_rows = [||] }
+  | f :: rest ->
+    let first = List.fold_left (fun a f -> min a f.cycle) f.cycle rest in
+    let last =
+      List.fold_left (fun a f -> max a (f.cycle + f.duration)) 0 faults
+    in
+    { Engine.fs_first = first;
+      fs_rows = Array.init (last - first) (fun r -> row faults (first + r)) }
+
+let horizon (p : plan) = p.Engine.fs_first + Array.length p.Engine.fs_rows

@@ -6,14 +6,12 @@ open Elastic_sim
 
     A fault perturbs one channel wire (or one scheduler decision) during
     a window of cycles.  Faults are pure descriptions; {!plan} compiles a
-    list of them into the hooks the engine consumes: an
-    {!Engine.injector} for wire-level perturbations and a [choices]
-    function for forced mispredictions.  Datapath corruption operates on
-    the {e flattened bit image} of the payload: scalars are concatenated
-    depth-first with [Bool] = 1 bit, [Int] = 8 bits and [Word] = 64
-    bits, which matches the SECDED(72,64) layout used by the resilient
-    designs ([Tuple [Word data; Int check]] = bits 0..63 data, 64..71
-    check). *)
+    list of them once into the {!Engine.fault_schedule} the engine reads.
+    Datapath corruption operates on the {e flattened bit image} of the
+    payload: scalars are concatenated depth-first with [Bool] = 1 bit,
+    [Int] = 8 bits and [Word] = 64 bits, which matches the SECDED(72,64)
+    layout used by the resilient designs ([Tuple [Word data; Int
+    check]] = bits 0..63 data, 64..71 check). *)
 
 type kind =
   | Flip_bits of int list
@@ -61,9 +59,6 @@ val mispredict : node:Netlist.node_id -> cycle:int -> int -> t
 
 (** {1 Inspection} *)
 
-(** Is the fault active on the given cycle? *)
-val active : t -> cycle:int -> bool
-
 (** Flattened payload width of a value in bits (see module header). *)
 val value_width : Value.t -> int
 
@@ -76,22 +71,16 @@ val describe : Netlist.t -> t -> string
 
 (** {1 Compilation} *)
 
-type plan
+type plan = Engine.fault_schedule
 
+(** [plan net faults] has a row per cycle from the first fault to
+    {!horizon}; the faults on one channel and cycle merge in list order.
+    Install it with [Engine.set_faults eng (Some plan)] and step.
+    @raise Invalid_argument naming a fault that cannot act: an unknown
+    channel or node, a wire fault on a node, or a [Mispredict] on a
+    channel, on a node that is not a shared module or with a way outside
+    its ways. *)
 val plan : Netlist.t -> t list -> plan
-
-val faults : plan -> t list
-
-(** Wire-level injector to install with {!Engine.set_injector}. *)
-val injector : plan -> Engine.injector
-
-(** Forced-misprediction choices for {!Engine.step}'s [~choices]. *)
-val choices :
-  plan -> cycle:int -> Netlist.node_id -> Instance.choice option
-
-(** Call after every {!Engine.step} on the faulted engine: tracks the
-    last payload seen per channel so [Duplicate_token] can replay it. *)
-val observe : plan -> Engine.t -> unit
 
 (** First cycle by which every fault window has closed. *)
 val horizon : plan -> int

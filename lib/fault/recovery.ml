@@ -261,18 +261,17 @@ let run_faulted ?engine ?observer golden ~faults =
   let start =
     if List.exists (fun f -> f.Fault.kind = Fault.Duplicate_token) faults
     then 0
-    else
-      List.fold_left (fun a f -> min a f.Fault.cycle) horizon faults
-      |> min last |> max 0
+    else max 0 (min last plan.Engine.fs_first)
   in
   let flt =
     match engine with Some e -> e | None -> faulted_engine golden
   in
-  (* [restore] leaves a reused engine's observers, injector and profile
-     alone: reset them so this scenario starts as on a fresh engine. *)
+  (* [restore] leaves a reused engine's observers, fault schedule and
+     profile alone: reset them so this scenario starts as on a fresh
+     engine. *)
   Engine.set_observer flt None;
   Profile.reset (Engine.profile flt);
-  Engine.set_injector flt (Some (Fault.injector plan));
+  Engine.set_faults flt (Some plan);
   Engine.restore flt golden.g_snaps.(start);
   (match observer with
    | None -> ()
@@ -300,10 +299,7 @@ let run_faulted ?engine ?observer golden ~faults =
       match if c >= horizon then converged () else None with
       | Some g -> Some (c, g)
       | None ->
-        Engine.step
-          ~choices:(fun nid -> Fault.choices plan ~cycle:c nid)
-          flt;
-        Fault.observe plan flt;
+        Engine.step flt;
         go ()
   in
   let cut, crash =

@@ -140,12 +140,15 @@ val faulted_engine : golden -> Elastic_sim.Engine.t
     (default: a new one).  Before restoring it from the golden snapshot,
     [run_faulted] removes its observers ({!Engine.set_observer} [None]),
     resets its {!Elastic_sim.Profile} and installs this scenario's
-    injector, so a reused engine gives exactly what a fresh one gives:
+    fault plan ({!Elastic_sim.Engine.set_faults}, which also forgets the
+    payloads kept for duplicated tokens), so a reused engine gives
+    exactly what a fresh one gives:
     the same result, profile counts and observed cycles.  It stays
     usable after a scenario that crashed.  Its profile then covers this
     scenario alone, and keeps the compile time of the engine's creation.
     @raise Invalid_argument when [engine] was built for another netlist
-    (physical equality) or eval mode than [golden]. *)
+    (physical equality) or eval mode than [golden], or from {!Fault.plan}
+    for a fault that cannot act, before any cycle runs. *)
 val run_faulted :
   ?engine:Elastic_sim.Engine.t ->
   ?observer:(Elastic_sim.Engine.t -> unit) -> golden ->

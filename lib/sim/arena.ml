@@ -790,7 +790,6 @@ let set_override t c (ov : Wires.override) =
     pack ov.Wires.force_v_plus vp 0
     |> pack ov.Wires.force_s_plus sp
     |> pack ov.Wires.force_v_minus vm
-    |> pack ov.Wires.force_s_minus sm
   in
   t.force.(c) <- f;
   if f <> 0 then t.forced_any <- true;
@@ -806,8 +805,7 @@ let set_override t c (ov : Wires.override) =
   in
   seed vp;
   seed sp;
-  seed vm;
-  seed sm
+  seed vm
 
 let unknown_count t =
   let n = ref 0 in

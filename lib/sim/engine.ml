@@ -29,7 +29,18 @@ let pp_error ppf e =
 
 let error_to_string e = Fmt.str "%a" pp_error e
 
-type injector = cycle:int -> Netlist.channel_id -> Wires.override option
+type fault_wire = {
+  fw_chan : Netlist.channel_id;
+  fw_override : Wires.override;
+  fw_replay : bool;
+}
+
+type fault_row = {
+  fr_wires : fault_wire array;
+  fr_predict : (Netlist.node_id * int) list;
+}
+
+type fault_schedule = { fs_first : int; fs_rows : fault_row array }
 
 type eval_mode = Reference | Arena
 
@@ -104,11 +115,13 @@ type t = {
   mutable violation_log : (int * Protocol.violation) list;
       (* newest first, each with its dense channel index *)
   mutable starvation : string list;
-  mutable injector : injector option;
-  mutable overrides_active : bool;
+  mutable faults : fault_schedule option;
+  mutable row : fault_wire array;  (* installed by the last step *)
+  mutable replay : int array;  (* dense channels the schedule replays *)
+  mutable kept : Value.t array;
+      (* per dense channel, its last payload seen; sized only for a
+         schedule that replays *)
   mutable observers : (t -> unit) array;  (* run in order, end of cycle *)
-  mutable injected_rev : int list;  (* dense indices overridden this cycle
-                                       (tracked only while observed) *)
   clock : Clock.t;
 }
 
@@ -284,10 +297,11 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     counts = Array.make (4 * Array.length chans) 0;
     sink_streams;
     sinks;
-    injector = None;
-    overrides_active = false;
+    faults = None;
+    row = [||];
+    replay = [||];
+    kept = [||];
     observers = [||];
-    injected_rev = [];
     clock;
     wait_slot;
     violation_log = [];
@@ -405,44 +419,64 @@ let check_determined t =
                (String.concat ", " names))))
   end
 
-let set_injector t inj = t.injector <- inj
+(* Checks every channel up front; the payloads kept for the replay
+   channels start afresh. *)
+let set_faults t faults =
+  let rows = match faults with Some fs -> fs.fs_rows | None -> [||] in
+  let replay = ref [] in
+  for r = 0 to Array.length rows - 1 do
+    let wires = rows.(r).fr_wires in
+    for k = 0 to Array.length wires - 1 do
+      let i = dense_index t wires.(k).fw_chan in
+      if wires.(k).fw_replay && not (List.mem i !replay) then
+        replay := i :: !replay
+    done
+  done;
+  t.faults <- faults;
+  t.replay <- Array.of_list !replay;
+  if Array.length t.replay > 0 then
+    t.kept <- Array.make (Array.length t.chans) (Value.Int 0)
 
 let add_observer t f = t.observers <- Array.append t.observers [| f |]
 
 let set_observer t obs =
   t.observers <- (match obs with None -> [||] | Some f -> [| f |])
 
-(* Observers call this every cycle; an empty log costs no closure. *)
+(* Observers call this every cycle; a cycle without faults costs no
+   allocation. *)
 let injected t =
-  match t.injected_rev with
-  | [] -> []
-  | l -> List.rev_map (fun i -> t.chans.(i).Netlist.ch_id) l
+  if Array.length t.row = 0 then []
+  else Array.fold_right (fun w acc -> w.fw_chan :: acc) t.row []
 
-let install_overrides t =
-  if t.overrides_active then begin
+(* Clear the last step's overrides and install the schedule's row for
+   this cycle, if it has one; returns the row's forced predictions. *)
+let install_faults t =
+  if Array.length t.row > 0 then begin
     (match t.backend with
      | Arena ar -> Arena.clear_overrides ar
      | Reference (ws, _) -> Wires.clear_overrides ws);
-    t.overrides_active <- false
+    t.row <- [||]
   end;
-  match t.injector with
-  | None -> ()
-  | Some f ->
-    (* The injected-channel log is consumed by the end-of-cycle observer;
-       without one, skip the bookkeeping so injection stays allocation-
-       neutral on the hot path. *)
-    let log = Array.length t.observers > 0 in
-    Array.iteri
-      (fun i (c : Netlist.channel) ->
-         match f ~cycle:t.cycle c.Netlist.ch_id with
-         | Some ov ->
-           (match t.backend with
-            | Arena ar -> Arena.set_override ar i ov
-            | Reference (ws, _) -> Wires.set_override ws i ov);
-           t.overrides_active <- true;
-           if log then t.injected_rev <- i :: t.injected_rev
-         | None -> ())
-      t.chans
+  match t.faults with
+  | Some fs
+    when t.cycle >= fs.fs_first
+         && t.cycle - fs.fs_first < Array.length fs.fs_rows ->
+    let row = fs.fs_rows.(t.cycle - fs.fs_first) in
+    for k = 0 to Array.length row.fr_wires - 1 do
+      let w = row.fr_wires.(k) in
+      let i = dense_index t w.fw_chan in
+      let ov =
+        if w.fw_replay then
+          { w.fw_override with Wires.subst_data = Some t.kept.(i) }
+        else w.fw_override
+      in
+      match t.backend with
+      | Arena ar -> Arena.set_override ar i ov
+      | Reference (ws, _) -> Wires.set_override ws i ov
+    done;
+    t.row <- row.fr_wires;
+    row.fr_predict
+  | Some _ | None -> []
 
 (* The cycle-budget watchdog: a task that keeps stepping a pathological
    netlist (runaway replay storm, non-draining workload) hits a typed
@@ -480,8 +514,15 @@ let step ?(choices = fun _ -> None) t =
   (match t.backend with
    | Arena ar -> Arena.reset ar
    | Reference (ws, _) -> Wires.reset ws);
-  t.injected_rev <- [];
-  install_overrides t;
+  let choices =
+    match install_faults t with
+    | [] -> choices
+    | forced -> (
+        fun nid ->
+          match List.assoc_opt nid forced with
+          | Some way -> Some (Instance.Predict way)
+          | None -> choices nid)
+  in
   for k = 0 to Array.length t.insts - 1 do
     let inst = t.insts.(k) in
     Instance.begin_cycle inst ~choice:(choices (Instance.node inst).Netlist.id)
@@ -510,6 +551,14 @@ let step ?(choices = fun _ -> None) t =
      for i = 0 to n - 1 do
        codes.(i) <- Wires.code (Wires.wire ws i)
      done);
+  (* Keep the replay channels' payloads until the schedule ends. *)
+  (match t.faults with
+   | Some fs when t.cycle < fs.fs_first + Array.length fs.fs_rows ->
+     for j = 0 to Array.length t.replay - 1 do
+       let i = t.replay.(j) in
+       match t.data_at i with Some v -> t.kept.(i) <- v | None -> ()
+     done
+   | Some _ | None -> ());
   for i = 0 to Array.length t.mon_vals - 1 do
     match
       Protocol.step ~regs:t.regs ~slot:(t.mon_base + i) ~vals:t.vals

@@ -49,10 +49,26 @@ val pp_error : Format.formatter -> error -> unit
 
 val error_to_string : error -> string
 
-(** Fault-injection hook: called once per channel per cycle (before the
-    combinational phase); returning an override perturbs that channel's
-    wire for the cycle.  See {!Wires.override}. *)
-type injector = cycle:int -> Netlist.channel_id -> Wires.override option
+(** A fault schedule is data, compiled by [Elastic_fault.Fault.plan]:
+    [fs_rows.(k)] says what to perturb on cycle [fs_first + k].  A row
+    overrides [fr_wires] (in channel-id order, the engine's, one merged
+    override per channel) and forces each scheduler of [fr_predict]
+    (a shared module's node, a way).  A [fw_replay] wire duplicates a
+    token: the engine sets its [subst_data] to the last payload it kept
+    for the channel, [Int 0] if none.  A schedule holds no mutable
+    state, so any number of engines of its netlist can share one. *)
+type fault_wire = {
+  fw_chan : Netlist.channel_id;
+  fw_override : Wires.override;
+  fw_replay : bool;
+}
+
+type fault_row = {
+  fr_wires : fault_wire array;
+  fr_predict : (Netlist.node_id * int) list;
+}
+
+type fault_schedule = { fs_first : int; fs_rows : fault_row array }
 
 type t
 
@@ -130,10 +146,14 @@ val profile : t -> Profile.t
     its statistics). *)
 val schedule : t -> Schedule.t
 
-(** Install (or remove, with [None]) the fault injector consulted at the
-    start of every subsequent {!step}.  The engine itself is unchanged:
-    with no injector the backend's store carries no overrides. *)
-val set_injector : t -> injector option -> unit
+(** Install (or remove, with [None]) the fault schedule every later
+    {!step} reads.  On a cycle with a row, the step installs the row's
+    overrides before the combinational phase, and the row's predictions
+    take precedence over [~choices]; any other cycle is the plain step.
+    Until the last row the engine keeps the last payload seen on each
+    replay channel; [set_faults] forgets those kept so far.
+    @raise Simulation_error on a channel the netlist does not have. *)
+val set_faults : t -> fault_schedule option -> unit
 
 (** Append a per-cycle observer.  Observers run in the order they were
     added, at the very end of every {!step} — after monitors, counters
@@ -148,8 +168,7 @@ val add_observer : t -> (t -> unit) -> unit
     [None] removes them all. *)
 val set_observer : t -> (t -> unit) option -> unit
 
-(** Channels perturbed by the injector during the elapsed cycle.  Only
-    tracked while an observer is installed (always [[]] otherwise). *)
+(** Channels the fault schedule's row overrode in the elapsed cycle. *)
 val injected : t -> Netlist.channel_id list
 
 (** Simulate one cycle.  [choices] overrides nondeterministic decisions of
@@ -251,8 +270,8 @@ val nondet_nodes : t -> Netlist.node list
     the engine, so one snapshot can be read by several domains and
     restored into any engine created from the same netlist with the same
     [monitor] setting (an unmonitored engine lays out no monitor or
-    watchdog slot).  The profile, the injector, the observer and the
-    elapsed cycle's {!code}s are not part of it.  The model checker
+    watchdog slot).  The profile, the fault schedule, the observers and
+    the elapsed cycle's {!code}s are not part of it.  The model checker
     ([Elastic_check.Explore]) and the fault checker
     ([Elastic_fault.Recovery]) restore from them. *)
 
@@ -264,7 +283,7 @@ val snapshot : t -> snap
     the engine did before — also after a {!step} that raised part-way
     through a cycle — so later steps, observations and snapshots are
     those of the engine the snapshot was taken from.  Allocates nothing.
-    It leaves alone the observers, the injector and the {!profile};
+    It leaves alone the observers, the fault schedule and the {!profile};
     [Elastic_fault.Recovery.run_faulted] resets those itself when it
     reuses an engine.  {!code}, {!signal}, {!events} and {!injected} are
     unspecified until the next {!step}.

@@ -4,14 +4,13 @@ type override = {
   force_v_plus : bool option;
   force_s_plus : bool option;
   force_v_minus : bool option;
-  force_s_minus : bool option;
   map_data : (Value.t -> Value.t) option;
   subst_data : Value.t option;
 }
 
 let no_override =
   { force_v_plus = None; force_s_plus = None; force_v_minus = None;
-    force_s_minus = None; map_data = None; subst_data = None }
+    map_data = None; subst_data = None }
 
 exception Conflict of { wire : int; field : string }
 
@@ -81,8 +80,7 @@ let set_override t i ov =
   in
   seed (fun w -> w.v_plus) (fun w v -> w.v_plus <- v) ov.force_v_plus;
   seed (fun w -> w.s_plus) (fun w v -> w.s_plus <- v) ov.force_s_plus;
-  seed (fun w -> w.v_minus) (fun w v -> w.v_minus <- v) ov.force_v_minus;
-  seed (fun w -> w.s_minus) (fun w v -> w.s_minus <- v) ov.force_s_minus
+  seed (fun w -> w.v_minus) (fun w v -> w.v_minus <- v) ov.force_v_minus
 
 let clear_overrides t =
   Array.iter (fun w -> w.ov <- no_override) t.wires
@@ -126,7 +124,7 @@ let set_v_minus t w b =
     (fun w -> w.v_minus) (fun w v -> w.v_minus <- v) b
 
 let set_s_minus t w b =
-  set_bit t w "S-" w.ov.force_s_minus
+  set_bit t w "S-" None
     (fun w -> w.s_minus) (fun w v -> w.s_minus <- v) b
 
 let set_data t w v =

@@ -19,14 +19,13 @@ open Elastic_kernel
     perturbed wire. *)
 
 (** A fault overlay for one channel wire during one cycle.  [force_*]
-    pin a control bit; [map_data] transforms the payload the driver
+    pin V+, S+ or V- (no fault forces S-); [map_data] transforms the payload the driver
     writes; [subst_data] supplies a payload when the wire is forced
     valid but carries no driven data (token forgery / duplication). *)
 type override = {
   force_v_plus : bool option;
   force_s_plus : bool option;
   force_v_minus : bool option;
-  force_s_minus : bool option;
   map_data : (Value.t -> Value.t) option;
   subst_data : Value.t option;
 }

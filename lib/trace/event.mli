@@ -40,7 +40,8 @@ type kind =
       (** The first serve after a squash, [penalty] cycles later — the
           squash penalty of the paper's replay recipe. *)
   | Inject
-      (** The fault injector perturbed this channel's wire this cycle. *)
+      (** The engine's fault schedule overrode this channel's wire this
+          cycle ({!Elastic_sim.Engine.injected}). *)
   | Violation of { property : string }
       (** A SELF protocol monitor flagged this channel. *)
 

@@ -189,20 +189,15 @@ let test_injected_parity () =
   let ops = Examples.rs_ops ~error_rate_pct:5 ~seed:5 60 in
   let net = (Examples.rs_speculative ~ops).Examples.d_net in
   let ch = (List.hd (Netlist.channels net)).Netlist.ch_id in
-  let plan =
-    Fault.plan net
-      [ Fault.flip_bit ~channel:ch ~cycle:5 1;
-        Fault.stuck_stall ~channel:ch ~cycle:12 ~duration:4;
-        Fault.duplicate_token ~channel:ch ~cycle:20 ]
-  in
   let eng = Engine.create net in
-  Engine.set_injector eng (Some (Fault.injector plan));
+  Engine.set_faults eng
+    (Some
+       (Fault.plan net
+          [ Fault.flip_bit ~channel:ch ~cycle:5 1;
+            Fault.stuck_stall ~channel:ch ~cycle:12 ~duration:4;
+            Fault.duplicate_token ~channel:ch ~cycle:20 ]));
   let tr = Tracer.attach eng in
-  for _ = 1 to 40 do
-    Engine.step eng ~choices:(fun nid ->
-        Fault.choices plan ~cycle:(Engine.cycle eng) nid);
-    Fault.observe plan eng
-  done;
+  Engine.run eng 40;
   check_golden "e6_inject.trace.jsonl.expected"
     (Jsonl.to_string net (Tracer.events tr))
 
@@ -344,6 +339,57 @@ let test_state_allocation_guard () =
       ("fingerprint", fun () -> ignore (Engine.fingerprint eng));
       ("restore", fun () -> Engine.restore eng s50) ]
 
+(* A faulted engine reads its fault schedule only on cycles that have a
+   row.  Past the last row it steps exactly like a plain monitored
+   engine, allocation included, and inside the window a step costs at
+   most [window_words] more.  The two engines always step from the same
+   snapshot of the plain run, so they start every measured cycle in one
+   state.  The window holds a flip, a stuck stall, a duplicated token
+   (whose channel's payloads the engine keeps through the window) and a
+   forced misprediction.  The flip costs the most, 58 words on OCaml
+   5.1, most of it the rebuilt payload; the other cycles cost 0 to 19. *)
+let window_words = 96.
+
+let test_fault_allocation_guard () =
+  let open Elastic_fault in
+  let c =
+    Examples.secded_campaign
+      ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:5 400)
+  in
+  let net = c.Examples.sc_net and bus = c.Examples.sc_bus in
+  let stage = (Option.get (Netlist.find_node net "stage")).Netlist.id in
+  let plan =
+    Fault.plan net
+      [ Fault.flip_bit ~channel:bus ~cycle:30 17;
+        Fault.stuck_stall ~channel:bus ~cycle:32 ~duration:2;
+        Fault.duplicate_token ~channel:bus ~cycle:36;
+        Fault.mispredict ~node:stage ~cycle:38 1 ]
+  in
+  let plain = Engine.create net and faulted = Engine.create net in
+  let snaps =
+    Array.init 60 (fun _ ->
+        let s = Engine.snapshot plain in
+        Engine.step plain;
+        s)
+  in
+  let words eng snap n =
+    Engine.restore eng snap;
+    let w0 = Gc.minor_words () in
+    Engine.run eng n;
+    Gc.minor_words () -. w0
+  in
+  Engine.set_faults faulted (Some plan);
+  Engine.run faulted 50;
+  Alcotest.(check (float 0.)) "past the window: 200 cycles as plain"
+    (words plain snaps.(50) 200) (words faulted snaps.(50) 200);
+  Engine.set_faults faulted (Some plan);
+  for k = 30 to Fault.horizon plan - 1 do
+    let extra = words faulted snaps.(k) 1 -. words plain snaps.(k) 1 in
+    if extra > window_words then
+      Alcotest.failf "cycle %d of the window: %.0f words over a plain step \
+                      (budget %.0f)" k extra window_words
+  done
+
 (* [Sampler.observe] with no window reads the engine's counters only at
    snapshot time and refreshes no gauge, so it allocates nothing on any
    design, schedulers included.  Its calls are measured one by one from
@@ -416,5 +462,7 @@ let suite =
       test_e6_allocation_guard;
     Alcotest.test_case "state compare, hash and restore allocate nothing"
       `Quick test_state_allocation_guard;
+    Alcotest.test_case "a faulted step allocates as a plain one" `Quick
+      test_fault_allocation_guard;
     Alcotest.test_case "sampler observe allocation budget" `Quick
       test_observe_allocation_guard ]

@@ -303,14 +303,12 @@ let bisimulation ?(max_states = 120) ~monitor name net =
   let flip r (c : Netlist.channel) =
     Engine.restore eng r.r_snap;
     let cycle = Engine.cycle eng in
-    Engine.set_injector eng
-      (Some
-         (Fault.injector
-            (Fault.plan net [ Fault.flip_bit ~channel:c.ch_id ~cycle 0 ])));
+    Engine.set_faults eng
+      (Some (Fault.plan net [ Fault.flip_bit ~channel:c.ch_id ~cycle 0 ]));
     (match Engine.step ~choices:(fun id -> List.assoc_opt id combos.(0)) eng with
      | () -> ignore (related ())
      | exception Engine.Simulation_error _ -> ());
-    Engine.set_injector eng None
+    Engine.set_faults eng None
   in
   classify ();
   while not (Queue.is_empty queue) do

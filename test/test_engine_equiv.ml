@@ -55,37 +55,26 @@ type harnessed = {
   h_eng : Engine.t;
   h_tracer : Tracer.t;
   h_sampler : Sampler.t;
-  h_step : unit -> unit;
 }
 
 (* Run both modes in lockstep, comparing every channel's raw signal,
    control code, events and counters and the violation count on every
    cycle, then the cumulative observations, the
-   rendered trace event stream and the metrics snapshot.  Fault plans
-   are stateful, so each engine gets its own identical plan.  If one
-   mode raises, the other must raise the same error on the same cycle.
+   rendered trace event stream and the metrics snapshot.  Both engines
+   run the one plan value: a plan holds no state.  If one mode raises,
+   the other must raise the same error on the same cycle.
    Engines run on deterministic tick clocks, so even the settle-seconds
    gauges must agree byte-for-byte. *)
 let run_pair ~name ?(cycles = 200) ?faults net =
+  let plan = Option.map (Elastic_fault.Fault.plan net) faults in
   let make mode =
     let eng =
       Engine.create ~mode ~clock:(Clock.ticker ~step_ns:100L) net
     in
     let tracer = Tracer.attach ~capacity:1_000_000 eng in
     let sampler = Sampler.attach eng in
-    let step =
-      match faults with
-      | None -> fun () -> Engine.step eng
-      | Some fs ->
-        let plan = Elastic_fault.Fault.plan net fs in
-        Engine.set_injector eng (Some (Elastic_fault.Fault.injector plan));
-        fun () ->
-          Engine.step eng ~choices:(fun nid ->
-              Elastic_fault.Fault.choices plan ~cycle:(Engine.cycle eng)
-                nid);
-          Elastic_fault.Fault.observe plan eng
-    in
-    { h_eng = eng; h_tracer = tracer; h_sampler = sampler; h_step = step }
+    Engine.set_faults eng plan;
+    { h_eng = eng; h_tracer = tracer; h_sampler = sampler }
   in
   let ar = make Engine.Arena and rf = make Engine.Reference in
   let chans = Netlist.channels net in
@@ -100,7 +89,7 @@ let run_pair ~name ?(cycles = 200) ?faults net =
   let count a k b = if b then a.(k) <- a.(k) + 1 in
   let safe h =
     try
-      h.h_step ();
+      Engine.step h.h_eng;
       None
     with Engine.Simulation_error e -> Some (Engine.error_to_string e)
   in

@@ -91,6 +91,50 @@ let test_describe () =
          (Fault.control_glitch ~channel:ch ~cycle:20)
          [ "stuck-at stall (S+ high)"; "drop token (V+ stuck low)" ])
 
+(* A fault that cannot act is refused by [Fault.plan], naming it,
+   before any cycle runs; [Recovery.check] passes the refusal on. *)
+let test_plan_rejects () =
+  let c = secded () in
+  let net = c.Examples.sc_net and bus = c.Examples.sc_bus in
+  let id name = (Option.get (Netlist.find_node net name)).Netlist.id in
+  let src = id "src" and stage = id "stage" in
+  let on_bus = "on channel src.out0->op_fork.in0 (id 0, node 0 -> node 1)" in
+  let refused (f, expected) =
+    match Fault.plan net [ Fault.flip_bit ~channel:bus ~cycle:3 1; f ] with
+    | _ -> Alcotest.failf "accepted: %s" expected
+    | exception Invalid_argument msg ->
+      Alcotest.(check string) expected expected msg
+  in
+  List.iter refused
+    [ (Fault.flip_bit ~channel:999 ~cycle:5 3,
+       "Fault.plan: flip payload bit 3 on channel id 999 at cycle 5: the \
+        netlist has no such channel");
+      (Fault.mispredict ~node:999 ~cycle:5 1,
+       "Fault.plan: force scheduler to way 1 on node id 999 at cycle 5: the \
+        netlist has no such node");
+      (Fault.mispredict ~node:src ~cycle:10 1,
+       "Fault.plan: force scheduler to way 1 on node src (id 0) at cycle \
+        10: the node is not a shared module");
+      (Fault.mispredict ~node:stage ~cycle:15 2,
+       "Fault.plan: force scheduler to way 2 on node stage (id 8) at cycle \
+        15: the module has ways 0..1");
+      (Fault.mispredict ~node:stage ~cycle:15 (-1),
+       "Fault.plan: force scheduler to way -1 on node stage (id 8) at cycle \
+        15: the module has ways 0..1");
+      ({ Fault.target = Fault.Node stage; kind = Fault.Force_stop true;
+         cycle = 4; duration = 2 },
+       "Fault.plan: stuck-at stall (S+ high) on node stage (id 8) during \
+        cycles 4..5: a wire fault needs a channel");
+      ({ Fault.target = Fault.Channel bus; kind = Fault.Mispredict 0;
+         cycle = 7; duration = 1 },
+       "Fault.plan: force scheduler to way 0 " ^ on_bus
+       ^ " at cycle 7: a scheduler fault needs a node") ];
+  match check c ~faults:[ Fault.mispredict ~node:src ~cycle:10 1 ] with
+  | _ -> Alcotest.fail "Recovery.check accepted a mispredicted source"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "Recovery.check names the fault" true
+      (Helpers.contains msg "not a shared module")
+
 (* ------------------------------------------------------------------ *)
 (* Structured engine errors                                             *)
 
@@ -102,11 +146,25 @@ let test_structured_error () =
      Alcotest.(check bool) "message rendered" true
        (Helpers.contains (Engine.error_to_string e) "not a sink")
    | _ -> Alcotest.fail "expected Simulation_error");
-  match Engine.signal eng 424242 with
+  (match Engine.signal eng 424242 with
+   | exception Engine.Simulation_error e ->
+     Alcotest.(check (option int)) "channel id" (Some 424242)
+       e.Engine.err_channel
+   | _ -> Alcotest.fail "expected Simulation_error");
+  let wire =
+    { Engine.fw_chan = 424242; fw_override = Wires.no_override;
+      fw_replay = false }
+  in
+  match
+    Engine.set_faults eng
+      (Some
+         { Engine.fs_first = 5;
+           fs_rows = [| { Engine.fr_wires = [| wire |]; fr_predict = [] } |] })
+  with
   | exception Engine.Simulation_error e ->
-    Alcotest.(check (option int)) "channel id" (Some 424242)
+    Alcotest.(check (option int)) "schedule channel id" (Some 424242)
       e.Engine.err_channel
-  | _ -> Alcotest.fail "expected Simulation_error"
+  | () -> Alcotest.fail "set_faults accepted an unknown channel"
 
 (* ------------------------------------------------------------------ *)
 (* Recovery classification on the §5.2 resilient adder                  *)
@@ -264,6 +322,8 @@ let test_campaign_double_flips_detected () =
 let suite =
   [ Alcotest.test_case "flip_value flattening" `Quick test_flip_value;
     Alcotest.test_case "describe provenance" `Quick test_describe;
+    Alcotest.test_case "plan refuses faults that cannot act" `Quick
+      test_plan_rejects;
     Alcotest.test_case "structured simulation errors" `Quick
       test_structured_error;
     Alcotest.test_case "single bit flip -> corrected(1)" `Quick

@@ -176,20 +176,20 @@ let test_classes_covered () =
    streams (with stamps; {!Recovery.materialize} on the cut-off side),
    violations, starvation reports and crash, and classify alike.  The
    full run is returned both as the engine's own streams and as the
-   degenerate delta: start 0, no cut, every transfer in the delta. *)
-let full_run net ~cycles ~settle ~faults =
-  let plan = Fault.plan net faults in
-  let eng = Engine.create ~monitor:true net in
-  Engine.set_injector eng (Some (Fault.injector plan));
+   degenerate delta: start 0, no cut, every transfer in the delta.  It
+   runs on [engine], put back at cycle 0, or on a fresh engine. *)
+let full_run ?engine net ~cycles ~settle plan =
+  let eng =
+    match engine with
+    | Some (eng, start) ->
+      Engine.restore eng start;
+      eng
+    | None -> Engine.create ~monitor:true net
+  in
+  Engine.set_faults eng (Some plan);
   let crash =
     try
-      for _ = 1 to cycles + settle do
-        Engine.step
-          ~choices:(fun nid ->
-              Fault.choices plan ~cycle:(Engine.cycle eng) nid)
-          eng;
-        Fault.observe plan eng
-      done;
+      Engine.run eng (cycles + settle);
       None
     with
     | Engine.Simulation_error e -> Some (Engine.error_to_string e)
@@ -338,7 +338,9 @@ let fault_of_kind net ~kind ~ch ~cycle ~seed =
 
 let cut_vs_full b (cycles, settle, golden) faults =
   let cut = Recovery.run_faulted golden ~faults in
-  let streams, full = full_run b.b_net ~cycles ~settle ~faults in
+  let streams, full =
+    full_run b.b_net ~cycles ~settle (Fault.plan b.b_net faults)
+  in
   let pp_faults = Fmt.(list ~sep:(any "; ") string) in
   let describe = List.map (Fault.describe b.b_net) faults in
   if Recovery.materialize golden cut <> streams
@@ -527,7 +529,7 @@ let test_e7_stabilizes () =
    after the few cycles it steps, a scenario reads only counts the
    golden run computed once.  So an E7 single flip on a reused engine
    allocates a fixed number of minor words (deterministic; the budget is
-   the measured 2021 plus ~5%), and the same faults cost the same words
+   the measured 1068 plus ~5%), and the same faults cost the same words
    on a run ten times as long.  Anything that walks or copies the sink
    streams per scenario trips both. *)
 let words_per_scenario ~ops ~cycles =
@@ -555,9 +557,9 @@ let words_per_scenario ~ops ~cycles =
 let test_scenario_words () =
   let short = words_per_scenario ~ops:400 ~cycles:450 in
   let long = words_per_scenario ~ops:4000 ~cycles:4500 in
-  if short > 2120. then
+  if short > 1122. then
     Alcotest.failf
-      "Recovery.check allocates %.1f words per E7 single flip (budget 2120)"
+      "Recovery.check allocates %.1f words per E7 single flip (budget 1122)"
       short;
   if Float.abs (long -. short) > 4. then
     Alcotest.failf
@@ -638,6 +640,43 @@ let reused_vs_fresh b (cycles, settle, golden) scenarios =
        if reused.r_trace () <> fresh.r_trace () then differs "trace")
     runs;
   List.map (fun (_, reused, _) -> reused.r_report) runs
+
+(* A plan holds no state: one plan value run as two consecutive
+   scenarios on one engine leaves the same faulted run twice.  A
+   duplicated token replays a payload the engine keeps, and
+   [Engine.set_faults] starts that afresh: forged at cycle 0 on the slow
+   path's buffer output, before any token got there, it is [Int 0]
+   both times, not the payload the first run kept for the second
+   duplicate. *)
+let test_plan_shared () =
+  let c =
+    Examples.secded_campaign
+      ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:5 60)
+  in
+  let net = c.Examples.sc_net and ch = c.Examples.sc_bus in
+  let id name = (Option.get (Netlist.find_node net name)).Netlist.id in
+  let stage = id "stage" in
+  let slow =
+    (List.find
+       (fun (c : Netlist.channel) -> c.Netlist.src.Netlist.ep_node = id "EBx")
+       (Netlist.channels net)).Netlist.ch_id
+  in
+  let eng = Engine.create ~monitor:true net in
+  let engine = (eng, Engine.snapshot eng) in
+  List.iter
+    (fun faults ->
+       let plan = Fault.plan net faults in
+       let run () = full_run ~engine net ~cycles:120 ~settle:60 plan in
+       let first = run () in
+       Alcotest.(check bool)
+         (String.concat " + " (List.map (Fault.describe net) faults))
+         true (first = run ()))
+    [ [ Fault.flip_bit ~channel:ch ~cycle:20 17 ];
+      [ Fault.duplicate_token ~channel:slow ~cycle:0;
+        Fault.duplicate_token ~channel:slow ~cycle:40 ];
+      Fault.control_glitch ~channel:ch ~cycle:30
+      @ [ Fault.mispredict ~node:stage ~cycle:33 1;
+          Fault.duplicate_token ~channel:ch ~cycle:35 ] ]
 
 let classes_of reports =
   List.sort_uniq String.compare
@@ -779,6 +818,8 @@ let suite =
     Alcotest.test_case "one engine for a sweep == fresh engines" `Quick
       test_reuse_sweep;
     QCheck_alcotest.to_alcotest qcheck_reuse_orders;
+    Alcotest.test_case "one plan, two scenarios on one engine" `Quick
+      test_plan_shared;
     Alcotest.test_case "mismatched golden run is rejected" `Quick
       test_misuse;
     Alcotest.test_case "empty campaign builds no golden run" `Quick

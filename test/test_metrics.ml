@@ -557,13 +557,12 @@ let test_sampler_attached_mid_run () =
   let ops = Examples.rs_ops ~error_rate_pct:10 ~seed:5 100 in
   let net = (Examples.rs_speculative ~ops).Examples.d_net in
   let ch = (List.nth (Netlist.channels net) 1).Netlist.ch_id in
-  let plan =
-    Elastic_fault.Fault.plan net
-      (Elastic_fault.Fault.control_glitch ~channel:ch ~cycle:20
-       @ Elastic_fault.Fault.control_glitch ~channel:ch ~cycle:80)
-  in
   let eng = Engine.create net in
-  Engine.set_injector eng (Some (Elastic_fault.Fault.injector plan));
+  Engine.set_faults eng
+    (Some
+       (Elastic_fault.Fault.plan net
+          (Elastic_fault.Fault.control_glitch ~channel:ch ~cycle:20
+           @ Elastic_fault.Fault.control_glitch ~channel:ch ~cycle:80)));
   Engine.run eng 50;
   let evals () = Elastic_sim.Profile.evals (Engine.profile eng) in
   let evals0 = evals () and violations0 = Engine.violation_count eng in

@@ -128,6 +128,14 @@ let suite =
           (Helpers.contains out "corrected");
         Alcotest.(check bool) "provenance" true
           (Helpers.contains out "channel src.out0->op_fork.in0"));
+    Alcotest.test_case "inject refuses a fault that cannot act" `Quick
+      (fun () ->
+        let s = Shell.create () in
+        let _ = exec s "load rs-alarmed" in
+        Alcotest.(check string) "a source has no scheduler"
+          "Fault.plan: force scheduler to way 1 on node src (id 0) at cycle \
+           10: the node is not a shared module"
+          (expect_error s "inject src mispredict 10 1"));
     Alcotest.test_case "campaign summarizes seeded fault runs" `Quick
       (fun () ->
         let s = Shell.create () in
