@@ -11,6 +11,52 @@ let expect_error s line =
   | Ok out -> Alcotest.failf "command %S unexpectedly succeeded: %s" line out
   | Error m -> m
 
+(* [runner status] on fixed checkpoint files, byte for byte.  The first
+   has a retried shard (index 2), two missing shards (1 and 4), a
+   pre-spans entry without seconds (index 3), entries out of index
+   order and a truncated final line; the second holds only pre-spans
+   entries (no slowest shard); the third only a header. *)
+let status_fixtures =
+  [ ( {|{"schema":"elastic-speculation/checkpoint/v1","campaign":"pinned","command":"campaign flips src.out0->op_fork.in0 5 42 --par 2","shards":5,"seed":42}
+{"shard":"pinned/0003","index":3,"attempts":1,"samples":[]}
+{"shard":"pinned/0000","index":0,"attempts":1,"seconds":0.25,"samples":[]}
+{"shard":"pinned/0002","index":2,"attempts":3,"seconds":1.5,"samples":[]}
+{"shard":"pinned/0004","index":4,"atte|},
+      {|campaign "pinned": 3/5 shards checkpointed (final line truncated, dropped); resume command: "campaign flips src.out0->op_fork.in0 5 42 --par 2"
+shards: 3 completed (1 after retries), 2 failed or not run
+attempts: 5 across completed shards, 1.750s total
+slowest shard: pinned/0002 (index 2) 1.500s, 3 attempts|},
+      {|{"schema":"elastic-speculation/status/v1","source":"checkpoint","campaign":"pinned","shards":5,"pending":2,"running":0,"completed":3,"failed":0,"resumed":0,"retried":1,"attempts":5,"elapsed_seconds":1.75,"eta_seconds":null,"healthy":true,"stalls":0,"workers":[],"slowest":{"shard":"pinned/0002","index":2,"seconds":1.5,"attempts":3},"truncated":true,"command":"campaign flips src.out0->op_fork.in0 5 42 --par 2"}|}
+    );
+    ( {|{"schema":"elastic-speculation/checkpoint/v1","campaign":"old","command":null,"shards":3,"seed":1}
+{"shard":"old/1","index":1,"attempts":2,"samples":[]}
+{"shard":"old/0","index":0,"attempts":1,"samples":[]}
+|},
+      {|campaign "old": 2/3 shards checkpointed
+shards: 2 completed (1 after retries), 1 failed or not run
+attempts: 3 across completed shards, 0.000s total|},
+      {|{"schema":"elastic-speculation/status/v1","source":"checkpoint","campaign":"old","shards":3,"pending":1,"running":0,"completed":2,"failed":0,"resumed":0,"retried":1,"attempts":3,"elapsed_seconds":0,"eta_seconds":null,"healthy":true,"stalls":0,"workers":[],"slowest":null,"truncated":false,"command":null}|}
+    );
+    ( {|{"schema":"elastic-speculation/checkpoint/v1","campaign":"empty","command":null,"shards":2,"seed":1}
+|},
+      {|campaign "empty": 0/2 shards checkpointed|},
+      {|{"schema":"elastic-speculation/status/v1","source":"checkpoint","campaign":"empty","shards":2,"pending":2,"running":0,"completed":0,"failed":0,"resumed":0,"retried":0,"attempts":0,"elapsed_seconds":0,"eta_seconds":null,"healthy":true,"stalls":0,"workers":[],"slowest":null,"truncated":false,"command":null}|}
+    ) ]
+
+let test_runner_status_pinned () =
+  let s = Shell.create () in
+  List.iteri
+    (fun k (contents, text, json) ->
+       let file = Filename.temp_file "shell_status" ".jsonl" in
+       Out_channel.with_open_bin file (fun oc ->
+           Out_channel.output_string oc contents);
+       let got_text = exec s (Fmt.str "runner status %s" file) in
+       let got_json = exec s (Fmt.str "runner status %s --json" file) in
+       Sys.remove file;
+       Alcotest.(check string) (Fmt.str "fixture %d: text" k) text got_text;
+       Alcotest.(check string) (Fmt.str "fixture %d: json" k) json got_json)
+    status_fixtures
+
 let suite =
   [ Alcotest.test_case "help lists the commands" `Quick (fun () ->
         let s = Shell.create () in
@@ -322,6 +368,8 @@ let suite =
         let m = expect_error s (Fmt.str "runner status %s" file) in
         Alcotest.(check bool) "missing checkpoint is an error" true
           (String.length m > 0));
+    Alcotest.test_case "runner status text and JSON, byte for byte" `Quick
+      test_runner_status_pinned;
     Alcotest.test_case "on-error continue keeps scripts going" `Quick
       (fun () ->
         let s = Shell.create () in
