@@ -365,7 +365,8 @@ let phase2 () =
   if healthz () <> 200 then die "phase 2: unhealthy before any shard runs";
   (* A worker picks up shard 0 and dies: one initial heartbeat, then
      silence.  Shard 1 stays pending — pending shards never stall. *)
-  Progress.start_shard progress ~shard:0 ~worker:0 ~attempt:1;
+  Progress.start_shard progress ~shard:0 ~worker:0 ~attempt:1
+    ~now:(clock ());
   let rec await want attempts =
     if attempts = 0 then
       die "phase 2: /healthz never reached %d" want
@@ -388,7 +389,7 @@ let phase2 () =
       (stalls ());
   (* The shard completes: the stall flag clears, health returns, and
      the episode counter stays at 1. *)
-  Progress.complete progress ~shard:0 ~seconds:1.0 [];
+  Progress.complete progress ~shard:0 ~now:(clock ()) ~seconds:1.0 [];
   await 200 400;
   if stalls () <> 1 then
     die "phase 2: stall episodes moved to %d after recovery, want 1"

@@ -1441,7 +1441,7 @@ let rec execute_cmd s line =
                      bound))))
   | [ "runner"; "status"; file ] -> (
       match Elastic_runner.Checkpoint.load file with
-      | Ok cp -> Ok (Fmt.str "%a" Elastic_runner.Checkpoint.pp_status cp)
+      | Ok cp -> Ok (Fmt.str "%a" Elastic_runner.Status.pp_checkpoint cp)
       | Error m -> Error (Fmt.str "%s: %s" file m))
   | [ "runner"; "status"; file; "--json" ] -> (
       (* The same elastic-speculation/status/v1 document the live

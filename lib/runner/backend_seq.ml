@@ -1,7 +1,7 @@
 (* Sequential fallback backend (OCaml 4.14, no Domain).  Copied to
    pool_backend.ml by the dune rule; see pool_backend.mli for the
    contract.  Workers run one after another in index order, so worker 0
-   typically drains its own deque and then steals the rest — merged
+   drains the shared queue and the others find it empty — merged
    results are still identical because the runner merges by shard index,
    not by executing worker. *)
 

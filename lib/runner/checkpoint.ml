@@ -172,44 +172,3 @@ let load path =
     in
     let* entries, truncated = go [] 2 entry_lines in
     Ok { header; entries; truncated }
-
-let pp_status ppf t =
-  Fmt.pf ppf "@[<v>";
-  Fmt.pf ppf "campaign %S: %d/%d shards checkpointed%s%a" t.header.campaign
-    (List.length t.entries) t.header.shards
-    (if t.truncated then " (final line truncated, dropped)" else "")
-    (fun ppf -> function
-       | Some c -> Fmt.pf ppf "; resume command: %S" c
-       | None -> ())
-    t.header.command;
-  (* Per-shard outcomes.  Only completed shards reach the file, so
-     "missing" covers both failed and never-started shards — the resume
-     work list. *)
-  (match t.entries with
-  | [] -> ()
-  | e0 :: _ ->
-    let completed = List.length t.entries in
-    let retried =
-      List.length (List.filter (fun e -> e.e_attempts > 1) t.entries)
-    in
-    let missing = max 0 (t.header.shards - completed) in
-    let attempts_total =
-      List.fold_left (fun acc e -> acc + e.e_attempts) 0 t.entries
-    in
-    let seconds_total =
-      List.fold_left (fun acc e -> acc +. e.e_seconds) 0.0 t.entries
-    in
-    let slowest =
-      List.fold_left
-        (fun acc e -> if e.e_seconds > acc.e_seconds then e else acc)
-        e0 t.entries
-    in
-    Fmt.pf ppf
-      "@,shards: %d completed (%d after retries), %d failed or not run@,\
-       attempts: %d across completed shards, %.3fs total"
-      completed retried missing attempts_total seconds_total;
-    if slowest.e_seconds > 0.0 then
-      Fmt.pf ppf "@,slowest shard: %s (index %d) %.3fs, %d attempt%s"
-        slowest.e_id slowest.e_index slowest.e_seconds slowest.e_attempts
-        (if slowest.e_attempts = 1 then "" else "s"));
-  Fmt.pf ppf "@]"

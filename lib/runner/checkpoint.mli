@@ -12,8 +12,6 @@
     corrupt {e interior} line is a hard [Error] naming the line number
     and byte offset. *)
 
-val schema : string
-
 type header = {
   campaign : string;
   command : string option;  (** shell command to re-run on resume *)
@@ -37,12 +35,6 @@ type t = {
   truncated : bool;  (** final line was cut off and dropped *)
 }
 
-val header_to_json : header -> Elastic_metrics.Json.t
-
-val entry_to_json : entry -> Elastic_metrics.Json.t
-
-val entry_of_json : Elastic_metrics.Json.t -> (entry, string) result
-
 (** Atomically (re)create [path] holding the header plus [entries] —
     used at run start to seed a fresh file or carry adopted entries
     forward. *)
@@ -54,9 +46,3 @@ val append : path:string -> entry -> unit
 (** Never raises on bad content; I/O errors and malformed interior
     lines come back as [Error]. *)
 val load : string -> (t, string) result
-
-(** Human completeness summary: shards done / total, truncation flag,
-    then a per-shard outcome digest from the entries — completed /
-    retried / missing counts, total attempts and wall seconds, and the
-    slowest checkpointed shard. *)
-val pp_status : Format.formatter -> t -> unit

@@ -14,15 +14,26 @@ type counts = {
   c_failed : int;
 }
 
+type classification =
+  | Transient
+  | Permanent
+
+type failure = {
+  f_exn : string;
+  f_class : classification;
+}
+
 (* One slot per shard, written only by the worker executing that shard
    (plain stores, no locks — see the .mli for the tearing contract). *)
 type slot = {
   mutable s_state : state;
   mutable s_attempts : int;
   mutable s_worker : int;
+  mutable s_timeouts : int;
   mutable s_beat_ns : int64;
   mutable s_seconds : float;
   mutable s_samples : Metrics.sample list;
+  mutable s_failure : failure option;
   mutable s_resumed : bool;
 }
 
@@ -42,8 +53,8 @@ let create ?(clock = Clock.monotonic) ~name ~ids () =
     p_slots =
       Array.init (Array.length ids) (fun _ ->
           { s_state = Pending; s_attempts = 0; s_worker = -1;
-            s_beat_ns = 0L; s_seconds = 0.0; s_samples = [];
-            s_resumed = false }) }
+            s_timeouts = 0; s_beat_ns = 0L; s_seconds = 0.0;
+            s_samples = []; s_failure = None; s_resumed = false }) }
 
 let name t = t.p_name
 
@@ -51,65 +62,59 @@ let shards t = Array.length t.p_slots
 
 let clock t = t.p_clock
 
-let check t shard =
+let slot t shard =
   if shard < 0 || shard >= Array.length t.p_slots then
     invalid_arg
       (Fmt.str "Progress: shard %d out of range [0, %d)" shard
-         (Array.length t.p_slots))
+         (Array.length t.p_slots));
+  t.p_slots.(shard)
 
-let start_shard t ~shard ~worker ~attempt =
-  check t shard;
-  let s = t.p_slots.(shard) in
+let start_shard t ~shard ~worker ~attempt ~now =
+  let s = slot t shard in
   s.s_worker <- worker;
   s.s_attempts <- attempt;
-  s.s_beat_ns <- t.p_clock ();
+  s.s_beat_ns <- now;
   s.s_state <- Running
 
-let beat_at t ~shard now =
-  check t shard;
-  t.p_slots.(shard).s_beat_ns <- now
+let beat_at t ~shard now = (slot t shard).s_beat_ns <- now
 
 let beat t ~shard = beat_at t ~shard (t.p_clock ())
 
-let complete t ~shard ~seconds samples =
-  check t shard;
-  let s = t.p_slots.(shard) in
+let note_timeout t ~shard =
+  let s = slot t shard in
+  s.s_timeouts <- s.s_timeouts + 1
+
+let complete t ~shard ~now ~seconds samples =
+  let s = slot t shard in
   s.s_samples <- samples;
   s.s_seconds <- seconds;
-  s.s_beat_ns <- t.p_clock ();
+  s.s_beat_ns <- now;
   s.s_state <- Completed
 
-let fail t ~shard =
-  check t shard;
-  let s = t.p_slots.(shard) in
-  s.s_beat_ns <- t.p_clock ();
+let fail t ~shard failure =
+  let s = slot t shard in
+  s.s_failure <- Some failure;
   s.s_state <- Failed
 
 let adopt t ~shard samples =
-  check t shard;
-  let s = t.p_slots.(shard) in
+  let s = slot t shard in
   s.s_samples <- samples;
   s.s_resumed <- true;
   s.s_state <- Completed
 
-let state t i =
-  check t i;
-  t.p_slots.(i).s_state
-
-let last_beat_ns t i =
-  check t i;
-  t.p_slots.(i).s_beat_ns
-
 let counts t =
-  Array.fold_left
-    (fun c s ->
+  let pending = ref 0 and running = ref 0 and completed = ref 0
+  and failed = ref 0 in
+  Array.iter
+    (fun s ->
        match s.s_state with
-       | Pending -> { c with c_pending = c.c_pending + 1 }
-       | Running -> { c with c_running = c.c_running + 1 }
-       | Completed -> { c with c_completed = c.c_completed + 1 }
-       | Failed -> { c with c_failed = c.c_failed + 1 })
-    { c_pending = 0; c_running = 0; c_completed = 0; c_failed = 0 }
-    t.p_slots
+       | Pending -> incr pending
+       | Running -> incr running
+       | Completed -> incr completed
+       | Failed -> incr failed)
+    t.p_slots;
+  { c_pending = !pending; c_running = !running; c_completed = !completed;
+    c_failed = !failed }
 
 let attempts_total t =
   Array.fold_left (fun acc s -> acc + s.s_attempts) 0 t.p_slots

@@ -22,7 +22,7 @@ type task = {
   work : ctx -> Metrics.sample list;
 }
 
-type classification =
+type classification = Progress.classification =
   | Transient
   | Permanent
 
@@ -32,7 +32,7 @@ let default_classify = function
     Permanent
   | Deadline_exceeded _ | Killed _ | _ -> Transient
 
-type failure = {
+type failure = Progress.failure = {
   f_exn : string;
   f_class : classification;
 }
@@ -56,7 +56,6 @@ type worker_stats = {
   w_completed : int;
   w_retries : int;
   w_timeouts : int;
-  w_steals : int;
 }
 
 type report = {
@@ -75,14 +74,49 @@ let class_name = function
   | Transient -> "transient"
   | Permanent -> "permanent"
 
-(* Mutable per-worker accounting, touched only by the owning worker. *)
-type w_acc = {
-  mutable a_tasks : int;
-  mutable a_completed : int;
-  mutable a_retries : int;
-  mutable a_timeouts : int;
-  mutable a_steals : int;
-}
+(* The report, folded from the plane's slots once the workers joined.
+   Every attempt of a shard runs on the worker recorded in its slot, so
+   the per-worker sums are exact. *)
+let fold_report ~name ~workers ~stopped (tasks : task array) plane =
+  let slot = Progress.slot plane in
+  let shard i =
+    let s = slot i in
+    { sh_id = tasks.(i).id;
+      sh_index = i;
+      sh_status =
+        (match s.s_state with
+         | Progress.Completed -> Completed s.s_samples
+         | Progress.Failed -> Failed (Option.get s.s_failure)
+         | Progress.Pending | Progress.Running -> Not_run);
+      sh_attempts = s.s_attempts;
+      sh_worker = s.s_worker;
+      sh_resumed = s.s_resumed }
+  in
+  let worker_stats w =
+    let attempts = ref 0 and completed = ref 0 and retries = ref 0
+    and timeouts = ref 0 in
+    for i = 0 to Progress.shards plane - 1 do
+      let s = slot i in
+      if s.s_worker = w then begin
+        attempts := !attempts + s.s_attempts;
+        if s.s_state = Progress.Completed then incr completed;
+        retries := !retries + s.s_attempts - 1;
+        timeouts := !timeouts + s.s_timeouts
+      end
+    done;
+    { w_tasks = !attempts; w_completed = !completed; w_retries = !retries;
+      w_timeouts = !timeouts }
+  in
+  let c = Progress.counts plane in
+  { r_name = name;
+    r_shards = List.init (Array.length tasks) shard;
+    r_merged = Progress.merged plane;
+    r_completed = c.c_completed;
+    r_failed = c.c_failed;
+    r_not_run = c.c_pending + c.c_running;
+    r_resumed = Progress.resumed plane;
+    r_workers = Array.init workers worker_stats;
+    r_stopped = stopped }
 
 let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
     ?(seed = 2009) ?(classify = default_classify) ?shard_deadline
@@ -104,6 +138,8 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
      invalid_arg
        (Fmt.str "Runner.run: progress plane has %d shards, campaign has %d"
           (Progress.shards p) n)
+   | Some p when (Progress.counts p).c_pending <> n ->
+     invalid_arg "Runner.run: progress plane already in use"
    | Some _ | None -> ());
   let ids = Hashtbl.create n in
   Array.iter
@@ -112,7 +148,15 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
          invalid_arg (Fmt.str "Runner.run: duplicate task id %S" t.id);
        Hashtbl.add ids t.id ())
     tasks;
-  let start = clock () in
+  let plane =
+    match progress with
+    | Some p -> p
+    | None ->
+      Progress.create ~clock ~name ~ids:(Array.map (fun t -> t.id) tasks) ()
+  in
+  let start =
+    match campaign_deadline with Some _ -> clock () | None -> 0L
+  in
   (* Adopt checkpointed shards: matched by task id, never re-run. *)
   let adopted = Hashtbl.create 16 in
   (match resume with
@@ -123,47 +167,29 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
           if Hashtbl.mem ids e.e_id then
             Hashtbl.replace adopted e.e_id e)
        cp.entries);
-  let statuses = Array.make n Not_run in
-  let attempts = Array.make n 0 in
-  let finished_by = Array.make n (-1) in
-  let resumed = Array.make n false in
   let carried = ref [] in
   Array.iteri
     (fun i t ->
        match Hashtbl.find_opt adopted t.id with
        | Some (e : Checkpoint.entry) ->
-         statuses.(i) <- Completed e.e_samples;
-         resumed.(i) <- true;
-         (match progress with
-          | Some p -> Progress.adopt p ~shard:i e.e_samples
-          | None -> ());
+         Progress.adopt plane ~shard:i e.e_samples;
          carried := { e with Checkpoint.e_index = i } :: !carried
        | None -> ())
     tasks;
   let carried = List.rev !carried in
   (* Seed (or re-seed) the checkpoint file with the header plus carried
      entries, atomically; workers then append one line per shard. *)
-  let global = Pool_backend.create_lock () in
   (match checkpoint with
    | None -> ()
    | Some path ->
      Checkpoint.write ~path
        { Checkpoint.campaign = name; command; shards = n; seed }
        carried);
-  (* Per-worker deques of shard indices: shard i starts on worker
-     [i mod nw]; idle workers steal from siblings. *)
-  let deques = Array.make nw [] in
-  let deque_locks = Array.init nw (fun _ -> Pool_backend.create_lock ()) in
-  for i = n - 1 downto 0 do
-    if not resumed.(i) then
-      let w = i mod nw in
-      deques.(w) <- i :: deques.(w)
-  done;
-  let stats =
-    Array.init nw (fun _ ->
-        { a_tasks = 0; a_completed = 0; a_retries = 0; a_timeouts = 0;
-          a_steals = 0 })
-  in
+  (* One queue: [next] walks the shard indices in order past the
+     adopted ones.  It advances under [global], which also guards the
+     stop flag and the completion count. *)
+  let global = Pool_backend.create_lock () in
+  let next = ref 0 in
   let stopped = ref false in
   let completions = ref 0 in
   (* Span ledger: one single-writer recorder per worker, a campaign
@@ -191,11 +217,16 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
     | Some sc -> Recorder.id sc
     | None -> Span.no_parent
   in
-  let note_completion ?ckpt_span e =
+  let note_completion ?ckpt_span ~attempt ~seconds i samples =
     Pool_backend.with_lock global (fun () ->
         incr completions;
         (match checkpoint with
          | Some path -> (
+             let e =
+               { Checkpoint.e_id = tasks.(i).id; e_index = i;
+                 e_attempts = attempt; e_seconds = seconds;
+                 e_samples = samples }
+             in
              match ckpt_span with
              | Some (r, parent) ->
                let sc =
@@ -215,47 +246,37 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
     | Some d -> Clock.seconds_between start now > d
     | None -> false
   in
-  let pop_own w =
-    Pool_backend.with_lock deque_locks.(w) (fun () ->
-        match deques.(w) with
-        | [] -> None
-        | i :: rest ->
-          deques.(w) <- rest;
-          Some i)
-  in
-  let steal thief =
-    let rec try_from k =
-      if k >= nw then None
-      else
-        let victim = (thief + k) mod nw in
-        match
-          Pool_backend.with_lock deque_locks.(victim) (fun () ->
-              match List.rev deques.(victim) with
-              | [] -> None
-              | i :: rest_rev ->
-                deques.(victim) <- List.rev rest_rev;
-                Some i)
-        with
-        | Some i -> Some i
-        | None -> try_from (k + 1)
-    in
-    try_from 1
-  in
-  let take w =
-    if Pool_backend.with_lock global (fun () -> !stopped) then None
-    else if campaign_expired (clock ()) then begin
-      Pool_backend.with_lock global (fun () -> stopped := true);
+  (* Defined once, so a dispatch allocates no closure. *)
+  let take_locked () =
+    while !next < n && (Progress.slot plane !next).s_resumed do
+      incr next
+    done;
+    if !stopped || !next >= n then None
+    else if Option.is_some campaign_deadline && campaign_expired (clock ())
+    then begin
+      stopped := true;
       None
     end
-    else
-      match pop_own w with
-      | Some i -> Some (i, false)
-      | None -> (
-          match steal w with
-          | Some i -> Some (i, true)
-          | None -> None)
+    else begin
+      incr next;
+      Some (!next - 1)
+    end
   in
-  let run_shard w rng ~stolen i =
+  let take () = Pool_backend.with_lock global take_locked in
+  (* Deadline margin at the attempt's end: how much of the shard's
+     wall-clock budget was left (negative when it fired). *)
+  let leave_attempt r att_scope attempt_start =
+    match (r, att_scope) with
+    | Some rc, Some sc ->
+      (match shard_deadline with
+       | Some d ->
+         Recorder.add_attr sc "deadline_margin_s"
+           (Span.Float (d -. Clock.seconds_between attempt_start (clock ())))
+       | None -> ());
+      Recorder.leave rc sc
+    | _ -> ()
+  in
+  let run_shard w rng i =
     let t = tasks.(i) in
     let r = orec w in
     let shard_scope =
@@ -264,10 +285,7 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
       | Some rc ->
         Some
           (Recorder.enter rc ~parent:camp_id Span.Shard t.id
-             ~attrs:
-               [ ("worker", Span.Int w);
-                 ("index", Span.Int i);
-                 ("stolen", Span.Bool stolen) ])
+             ~attrs:[ ("worker", Span.Int w); ("index", Span.Int i) ])
     in
     let shard_id =
       match shard_scope with
@@ -275,12 +293,9 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
       | None -> Span.no_parent
     in
     let rec attempt_loop attempt =
-      stats.(w).a_tasks <- stats.(w).a_tasks + 1;
-      attempts.(i) <- attempt;
-      (match progress with
-       | Some p -> Progress.start_shard p ~shard:i ~worker:w ~attempt
-       | None -> ());
       let attempt_start = clock () in
+      Progress.start_shard plane ~shard:i ~worker:w ~attempt
+        ~now:attempt_start;
       let att_scope =
         match r with
         | None -> None
@@ -290,27 +305,11 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
                (Fmt.str "attempt-%d" attempt)
                ~attrs:[ ("attempt", Span.Int attempt) ])
       in
-      (* Deadline margin at the attempt's end: how much of the shard's
-         wall-clock budget was left (negative when it fired). *)
-      let leave_attempt () =
-        match (r, att_scope) with
-        | Some rc, Some sc ->
-          (match shard_deadline with
-           | Some d ->
-             Recorder.add_attr sc "deadline_margin_s"
-               (Span.Float
-                  (d -. Clock.seconds_between attempt_start (clock ())))
-           | None -> ());
-          Recorder.leave rc sc
-        | _ -> ()
-      in
       let check_deadline () =
         let now = clock () in
         (* Heartbeat for the telemetry watchdog, reusing the reading the
            deadline check just made — no extra clock traffic. *)
-        (match progress with
-         | Some p -> Progress.beat_at p ~shard:i now
-         | None -> ());
+        Progress.beat_at plane ~shard:i now;
         if campaign_expired now then
           raise
             (Deadline_exceeded
@@ -333,13 +332,9 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
       in
       match t.work ctx with
       | samples ->
-        statuses.(i) <- Completed samples;
-        finished_by.(i) <- w;
-        stats.(w).a_completed <- stats.(w).a_completed + 1;
-        let seconds = Clock.seconds_between attempt_start (clock ()) in
-        (match progress with
-         | Some p -> Progress.complete p ~shard:i ~seconds samples
-         | None -> ());
+        let now = clock () in
+        let seconds = Clock.seconds_between attempt_start now in
+        Progress.complete plane ~shard:i ~now ~seconds samples;
         Option.iter
           (fun sc -> Recorder.add_attr sc "status" (Span.Str "ok"))
           att_scope;
@@ -348,14 +343,11 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
             (match (r, att_scope) with
              | Some rc, Some sc -> Some (rc, Recorder.id sc)
              | _ -> None)
-          { Checkpoint.e_id = t.id; e_index = i; e_attempts = attempt;
-            e_seconds = seconds;
-            e_samples = samples };
-        leave_attempt ()
+          ~attempt ~seconds i samples;
+        leave_attempt r att_scope attempt_start
       | exception e ->
         (match e with
-         | Deadline_exceeded _ ->
-           stats.(w).a_timeouts <- stats.(w).a_timeouts + 1
+         | Deadline_exceeded _ -> Progress.note_timeout plane ~shard:i
          | _ -> ());
         let cls = classify e in
         (match att_scope with
@@ -365,7 +357,6 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
            Recorder.add_attr sc "error" (Span.Str (Printexc.to_string e))
          | None -> ());
         if cls = Transient && attempt < max_attempts then begin
-          stats.(w).a_retries <- stats.(w).a_retries + 1;
           let delay = Backoff.delay backoff ~rng ~attempt in
           (match (r, att_scope) with
            | Some rc, Some sc ->
@@ -379,29 +370,26 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
              sleep delay;
              Recorder.leave rc bsc
            | _ -> sleep delay);
-          leave_attempt ();
+          leave_attempt r att_scope attempt_start;
           attempt_loop (attempt + 1)
         end
         else begin
-          statuses.(i) <-
-            Failed { f_exn = Printexc.to_string e; f_class = cls };
-          finished_by.(i) <- w;
-          (match progress with
-           | Some p -> Progress.fail p ~shard:i
-           | None -> ());
-          leave_attempt ()
+          Progress.fail plane ~shard:i
+            { f_exn = Printexc.to_string e; f_class = cls };
+          leave_attempt r att_scope attempt_start
         end
     in
     attempt_loop 1;
     match (r, shard_scope) with
     | Some rc, Some sc ->
-      Recorder.add_attr sc "attempts" (Span.Int attempts.(i));
+      let s = Progress.slot plane i in
+      Recorder.add_attr sc "attempts" (Span.Int s.s_attempts);
       Recorder.add_attr sc "status"
         (Span.Str
-           (match statuses.(i) with
-            | Completed _ -> "completed"
-            | Failed _ -> "failed"
-            | Not_run -> "not-run"));
+           (match s.s_state with
+            | Progress.Completed -> "completed"
+            | Progress.Failed -> "failed"
+            | Progress.Pending | Progress.Running -> "not-run"));
       Recorder.leave rc sc
     | _ -> ()
   in
@@ -410,11 +398,10 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
        from the campaign seed. *)
     let rng = Rng.create ~seed:(seed + (7919 * w)) in
     let rec loop () =
-      match take w with
+      match take () with
       | None -> ()
-      | Some (i, stolen) ->
-        if stolen then stats.(w).a_steals <- stats.(w).a_steals + 1;
-        run_shard w rng ~stolen i;
+      | Some i ->
+        run_shard w rng i;
         loop ()
     in
     loop ()
@@ -436,72 +423,34 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
    | Some c, Some reg ->
      Collector.note_gauges c ~wall_seconds:campaign_wall_seconds reg
    | _ -> ());
-  (* Assemble the report: shards in index order, merge in index order —
-     this is what makes merged results worker-count-independent. *)
-  let shards =
-    List.init n (fun i ->
-        { sh_id = tasks.(i).id;
-          sh_index = i;
-          sh_status = statuses.(i);
-          sh_attempts = attempts.(i);
-          sh_worker = finished_by.(i);
-          sh_resumed = resumed.(i) })
-  in
-  let merged =
-    List.fold_left
-      (fun acc sh ->
-         match sh.sh_status with
-         | Completed samples -> Metrics.merge acc samples
-         | Failed _ | Not_run -> acc)
-      [] shards
-  in
-  let count p = List.length (List.filter p shards) in
-  let workers_stats =
-    Array.map
-      (fun a ->
-         { w_tasks = a.a_tasks; w_completed = a.a_completed;
-           w_retries = a.a_retries; w_timeouts = a.a_timeouts;
-           w_steals = a.a_steals })
-      stats
+  let report =
+    fold_report ~name ~workers:nw
+      ~stopped:(Pool_backend.with_lock global (fun () -> !stopped))
+      tasks plane
   in
   (match registry with
    | None -> ()
    | Some reg ->
      Array.iteri
-       (fun w a ->
+       (fun w s ->
           let labels = [ ("worker", string_of_int w) ] in
           Metrics.Counter.add
             (Metrics.counter reg ~labels
                ~help:"shard attempts started by this worker"
                "elastic_runner_tasks_total")
-            a.a_tasks;
+            s.w_tasks;
           Metrics.Counter.add
             (Metrics.counter reg ~labels
                ~help:"transient-failure retries by this worker"
                "elastic_runner_retries_total")
-            a.a_retries;
+            s.w_retries;
           Metrics.Counter.add
             (Metrics.counter reg ~labels
                ~help:"wall-clock deadline hits observed by this worker"
                "elastic_runner_timeouts_total")
-            a.a_timeouts;
-          Metrics.Counter.add
-            (Metrics.counter reg ~labels
-               ~help:"tasks stolen from sibling deques"
-               "elastic_runner_steals_total")
-            a.a_steals)
-       stats);
-  { r_name = name;
-    r_shards = shards;
-    r_merged = merged;
-    r_completed = count (fun s -> match s.sh_status with
-        | Completed _ -> true | _ -> false);
-    r_failed = count (fun s -> match s.sh_status with
-        | Failed _ -> true | _ -> false);
-    r_not_run = count (fun s -> s.sh_status = Not_run);
-    r_resumed = count (fun s -> s.sh_resumed);
-    r_workers = workers_stats;
-    r_stopped = Pool_backend.with_lock global (fun () -> !stopped) }
+            s.w_timeouts)
+       report.r_workers);
+  report
 
 let pp_report ppf r =
   Fmt.pf ppf "campaign %S: %d shards — %d completed" r.r_name
@@ -524,9 +473,8 @@ let pp_report ppf r =
   Array.iteri
     (fun w s ->
        Fmt.pf ppf
-         "  worker %d: %d attempts, %d completed, %d retries, %d timeouts, \
-          %d steals@,"
-         w s.w_tasks s.w_completed s.w_retries s.w_timeouts s.w_steals)
+         "  worker %d: %d attempts, %d completed, %d retries, %d timeouts@,"
+         w s.w_tasks s.w_completed s.w_retries s.w_timeouts)
     r.r_workers
 
 let report_json r =
@@ -554,8 +502,7 @@ let report_json r =
         ("tasks", Json.Int s.w_tasks);
         ("completed", Json.Int s.w_completed);
         ("retries", Json.Int s.w_retries);
-        ("timeouts", Json.Int s.w_timeouts);
-        ("steals", Json.Int s.w_steals) ]
+        ("timeouts", Json.Int s.w_timeouts) ]
   in
   Json.Obj
     [ ("campaign", Json.Str r.r_name);

@@ -50,7 +50,7 @@ type task = {
   work : ctx -> Elastic_metrics.Metrics.sample list;
 }
 
-type classification =
+type classification = Progress.classification =
   | Transient  (** worth retrying: timeouts, kills, unknown exceptions *)
   | Permanent  (** deterministic: same inputs will fail the same way *)
 
@@ -59,7 +59,7 @@ type classification =
     {!Deadline_exceeded}, {!Killed} and anything else {!Transient}. *)
 val default_classify : exn -> classification
 
-type failure = {
+type failure = Progress.failure = {
   f_exn : string;  (** [Printexc.to_string] of the last attempt *)
   f_class : classification;
 }
@@ -83,7 +83,6 @@ type worker_stats = {
   w_completed : int;
   w_retries : int;
   w_timeouts : int;  (** {!Deadline_exceeded} observations *)
-  w_steals : int;  (** tasks taken from a sibling's deque *)
 }
 
 type report = {
@@ -102,8 +101,12 @@ type report = {
 (** [run ~name tasks] executes every task and never raises on task
     failure.
 
-    @param workers pool size (default [Pool_backend.recommended ()]);
-      shard [i] starts on worker [i mod workers], idle workers steal.
+    Workers take shards from one shared queue in index order.  Every
+    per-shard transition is written to a {!Progress} plane, and the
+    report is folded from that plane after the workers join: [run]
+    keeps no other per-shard or per-worker record.
+
+    @param workers pool size (default [Pool_backend.recommended ()]).
     @param max_attempts per shard, >= 1 (default 3).
     @param backoff retry delay policy (default {!Backoff.default}).
     @param seed drives backoff jitter only (default 2009).
@@ -111,7 +114,10 @@ type report = {
     @param shard_deadline wall seconds per {e attempt}.
     @param campaign_deadline wall seconds for the whole run; shards not
       started in time report [Not_run].
-    @param clock injectable time source (default [Clock.monotonic]).
+    @param clock injectable time source (default [Clock.monotonic]),
+      read at each attempt's start and end, at each
+      [ctx.check_deadline], and at each dispatch only when there is a
+      campaign deadline.
     @param sleep injectable backoff sleep (default [Unix.sleepf]).
     @param checkpoint path to write JSONL checkpoints to.
     @param resume adopt [Completed] entries by task id from a loaded
@@ -127,21 +133,21 @@ type report = {
     @param obs span ledger: one single-writer recorder per worker is
       prepared in the collector, and the run records the
       [campaign -> shard -> attempt -> {checkpoint-write,
-      backoff-sleep}] hierarchy (worker id, steal provenance, retry
-      counts, failure classification, deadline margins as attributes);
+      backoff-sleep}] hierarchy (worker id, shard index, retry counts,
+      failure classification, deadline margins as attributes);
       task bodies add compile/settle phase spans through [ctx.obs].
       Off by default and adds nothing to the hot paths when absent.
-    @param progress live progress plane (see {!Progress}): workers
-      publish per-shard state transitions and heartbeats as they go —
+    @param progress the ledger to write into (see {!Progress}), so the
+      telemetry server can read it while the run goes on; a fresh
+      private plane on the runner's clock when absent.  Workers record
       attempt starts, every [ctx.check_deadline] call (reusing the
-      clock reading the deadline check already made, so no extra clock
-      reads), completions and failures — and checkpoint-adopted shards
-      appear [Completed] before the workers start.  The telemetry
-      server reads it concurrently.  Off by default and adds nothing
-      when absent.
+      clock reading the deadline check already made), timeouts,
+      completions and failures; checkpoint-adopted shards appear
+      [Completed] before the workers start.  The plane adds no clock
+      reads: it stores the readings the runner makes anyway.
     @raise Invalid_argument on non-positive [workers]/[max_attempts],
       duplicate task ids, or a [progress] plane sized for a different
-      shard count. *)
+      shard count or already written to. *)
 val run :
   ?workers:int ->
   ?max_attempts:int ->
@@ -164,7 +170,7 @@ val run :
   report
 
 (** Completeness report: shard totals, failures with provenance,
-    worker/steal/retry accounting. *)
+    worker/retry accounting. *)
 val pp_report : Format.formatter -> report -> unit
 
 val report_json : report -> Elastic_metrics.Json.t

@@ -33,10 +33,10 @@ let check t =
   let healthy = ref true in
   for i = 0 to Progress.shards t.wd_progress - 1 do
     let stalled =
-      match Progress.state t.wd_progress i with
+      let s = Progress.slot t.wd_progress i in
+      match s.s_state with
       | Progress.Running ->
-        let beat = Progress.last_beat_ns t.wd_progress i in
-        Int64.compare (Int64.sub now beat) t.wd_deadline_ns > 0
+        Int64.compare (Int64.sub now s.s_beat_ns) t.wd_deadline_ns > 0
       | Progress.Pending | Progress.Completed | Progress.Failed -> false
     in
     if stalled then begin

@@ -288,6 +288,73 @@ let test_runner_campaign_deadline () =
   Alcotest.(check int) "accounted" 8
     (r.Runner.r_completed + r.Runner.r_failed + r.Runner.r_not_run)
 
+(* A campaign that ends before its deadline is not "stopped early":
+   once every shard is taken, the last [take] must not read the clock
+   and then stop the campaign.  Two trivial shards on one worker, a
+   1 ms-per-reading clock and deadlines that expire only after the
+   second shard completed. *)
+let test_runner_finished_not_stopped () =
+  List.iter
+    (fun deadline ->
+       let clock = Clock.ticker ~step_ns:1_000_000L in
+       let tasks = List.init 2 (fun i -> counting_task (Fmt.str "t%d" i) 1) in
+       let r =
+         Runner.run ~workers:1 ~clock ~campaign_deadline:deadline
+           ~sleep:sleep_stub ~name:"fin" tasks
+       in
+       let what = Fmt.str "deadline %gs" deadline in
+       Alcotest.(check int) (what ^ ": completed") 2 r.Runner.r_completed;
+       Alcotest.(check int) (what ^ ": not run") 0 r.Runner.r_not_run;
+       Alcotest.(check bool) (what ^ ": not stopped") false r.Runner.r_stopped;
+       Alcotest.(check bool) (what ^ ": report") false
+         (Helpers.contains (Fmt.str "%a" Runner.pp_report r) "stopped early"))
+    [ 0.0045; 0.0055; 0.0065 ]
+
+(* The runner reads the clock at an attempt's start and end and nowhere
+   else on a deadline-free run without spans: at most 2k + 1 readings
+   for k trivial shards. *)
+let test_runner_clock_reads () =
+  List.iter
+    (fun k ->
+       let reads = ref 0 in
+       let clock () =
+         incr reads;
+         Int64.of_int (!reads * 1000)
+       in
+       let tasks = List.init k (fun i -> counting_task (Fmt.str "t%d" i) 1) in
+       let r =
+         Runner.run ~workers:1 ~clock ~sleep:sleep_stub ~name:"reads" tasks
+       in
+       Alcotest.(check int) (Fmt.str "k=%d: completed" k) k r.Runner.r_completed;
+       if !reads > (2 * k) + 1 then
+         Alcotest.failf "%d shards read the clock %d times (at most %d)" k
+           !reads ((2 * k) + 1))
+    [ 1; 10; 100 ]
+
+(* The runner's own cost per shard: 20 000 tasks that return one shared
+   empty snapshot, measured after a warm-up run.  The count repeats
+   exactly; the budget is the measured 95 words plus ~5%.  It covers
+   the plane's slot, the attempt's closures and context, the clock
+   readings and the report's shard record. *)
+let test_runner_words_per_shard () =
+  let empty = Metrics.snapshot (Metrics.create ()) in
+  let n = 20_000 in
+  let tasks =
+    List.init n (fun i ->
+        { Runner.id = Fmt.str "w/%05d" i; work = (fun _ -> empty) })
+  in
+  let run () =
+    ignore (Runner.run ~workers:1 ~sleep:sleep_stub ~name:"words" tasks)
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let w1 = Gc.minor_words () in
+  let per = (w1 -. w0) /. float_of_int n in
+  if per > 100. then
+    Alcotest.failf "Runner.run allocates %.1f words per shard (budget 100)"
+      per
+
 let test_runner_duplicate_ids () =
   Alcotest.check_raises "duplicate ids rejected"
     (Invalid_argument "Runner.run: duplicate task id \"dup\"") (fun () ->
@@ -634,6 +701,12 @@ let suite =
       test_runner_shard_deadline;
     Alcotest.test_case "campaign deadline stops dispatch" `Quick
       test_runner_campaign_deadline;
+    Alcotest.test_case "a finished campaign is not stopped early" `Quick
+      test_runner_finished_not_stopped;
+    Alcotest.test_case "two clock readings per shard" `Quick
+      test_runner_clock_reads;
+    Alcotest.test_case "runner words per shard" `Quick
+      test_runner_words_per_shard;
     Alcotest.test_case "duplicate task ids are rejected" `Quick
       test_runner_duplicate_ids;
     Alcotest.test_case "kill, checkpoint, resume: identical merge" `Quick

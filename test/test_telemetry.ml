@@ -91,9 +91,9 @@ let qcheck_http =
 (* Watchdog on a deterministic clock                                   *)
 
 (* One ticker reading = one second.  Readings: Progress.create takes
-   one, start_shard/beat/complete take one each, every Watchdog.check
-   takes exactly one — so stall timing below is exact, not timing
-   dependent. *)
+   one, the test takes one for start_shard and complete, beat takes
+   one, every Watchdog.check takes exactly one — so stall timing below
+   is exact, not timing dependent. *)
 let test_watchdog_stall_recover () =
   let clock = Clock.ticker ~step_ns:1_000_000_000L in
   let p = Progress.create ~clock ~name:"wd" ~ids:[| "a"; "b" |] () in
@@ -101,7 +101,7 @@ let test_watchdog_stall_recover () =
   let w = Watchdog.create ~deadline_s:3.0 ~registry:reg p in
   Watchdog.check w;
   Alcotest.(check bool) "idle plane is healthy" true (Watchdog.healthy w);
-  Progress.start_shard p ~shard:0 ~worker:0 ~attempt:1;
+  Progress.start_shard p ~shard:0 ~worker:0 ~attempt:1 ~now:(clock ());
   (* beat at t=3s; checks read t=4,5,6 (age 1,2,3 <= deadline)... *)
   Watchdog.check w;
   Watchdog.check w;
@@ -129,7 +129,7 @@ let test_watchdog_stall_recover () =
   Alcotest.(check int) "two episodes" 2 (Watchdog.stalls w);
   (* Completion clears the flag for good: completed shards never
      stall, however stale their last beat. *)
-  Progress.complete p ~shard:0 ~seconds:1.0 [];
+  Progress.complete p ~shard:0 ~now:(clock ()) ~seconds:1.0 [];
   Watchdog.check w;
   Watchdog.check w;
   Watchdog.check w;
@@ -222,14 +222,21 @@ let test_handle_live_campaign () =
   let code, _, _ = Telemetry.handle hub ~meth:"GET" ~target:"/healthz" in
   Alcotest.(check int) "healthy after the run" 200 code;
   (* A progress plane whose width disagrees with the task list must be
-     rejected up front, not half-published. *)
+     rejected up front, not half-published; so must a plane a run has
+     already written, whose slots would leak into the new report. *)
   (try
      ignore
        (Runner.run ~workers:1 ~sleep:(fun _ -> ()) ~progress:p
           ~name:"short"
           [ { Runner.id = "only"; Runner.work = (fun _ -> []) } ]);
      Alcotest.fail "shard-count mismatch accepted"
-   with Invalid_argument _ -> ())
+   with Invalid_argument _ -> ());
+  Alcotest.check_raises "a used plane is rejected"
+    (Invalid_argument "Runner.run: progress plane already in use")
+    (fun () ->
+       ignore
+         (Runner.run ~workers:1 ~sleep:(fun _ -> ()) ~progress:p
+            ~name:"tiny" tasks))
 
 (* ------------------------------------------------------------------ *)
 (* Socket server end to end                                            *)
