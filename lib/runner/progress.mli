@@ -5,7 +5,7 @@
     timestamp, completed samples or failure), read concurrently by the
     telemetry plane ([lib/telemetry]'s [/status] and [/metrics]
     endpoints and the heartbeat watchdog).  It is also the runner's only
-    per-shard record: {!Runner.run} writes every transition here (into
+    per-shard record: [Runner.run] writes every transition here (into
     the caller's plane, or a private one) and folds its report — shard
     outcomes, merged samples, per-worker accounting — from the slots
     after the workers join.  The report, [/status], [/metrics] and
