@@ -701,12 +701,6 @@ let suite =
       test_runner_shard_deadline;
     Alcotest.test_case "campaign deadline stops dispatch" `Quick
       test_runner_campaign_deadline;
-    Alcotest.test_case "a finished campaign is not stopped early" `Quick
-      test_runner_finished_not_stopped;
-    Alcotest.test_case "two clock readings per shard" `Quick
-      test_runner_clock_reads;
-    Alcotest.test_case "runner words per shard" `Quick
-      test_runner_words_per_shard;
     Alcotest.test_case "duplicate task ids are rejected" `Quick
       test_runner_duplicate_ids;
     Alcotest.test_case "kill, checkpoint, resume: identical merge" `Quick
@@ -725,4 +719,10 @@ let suite =
     Alcotest.test_case "max_cycles raises typed E110" `Quick
       test_engine_max_cycles;
     Alcotest.test_case "settle exhaustion is typed E110" `Quick
-      test_engine_settle_budget_code ]
+      test_engine_settle_budget_code;
+    Alcotest.test_case "a finished campaign is not stopped early" `Quick
+      test_runner_finished_not_stopped;
+    Alcotest.test_case "two clock readings per shard" `Quick
+      test_runner_clock_reads;
+    Alcotest.test_case "runner words per shard" `Quick
+      test_runner_words_per_shard ]
