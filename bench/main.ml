@@ -13,13 +13,14 @@
      E8  runner scaling — the SECDED campaign sharded at 1/2/4/8 workers
      E9  arena backend  — speedup over the reference fixpoint
      E10 runner spans   — scheduling overhead from the span ledger
+     E13 compile scaling — netlist build + Engine.create at 256-4096 channels
      A1  §4.1/§4.3      — ablation: recovery-buffer backward latency
      A2  schedulers     — ablation: prediction strategies on Fig. 1(d)
      A3  §1 motivation  — branch predictors on the next-PC loop
 
-   The default mode prints E1-E7 and A1-A3; E8-E10 are --json records
-   only.  Each experiment runs once: e1, e2, e3, e5, e6 and e7 return a
-   typed result, and its text section (print_e<k>) and its
+   The default mode prints E1-E7 and A1-A3; E8-E10 and E13 are --json
+   records only.  Each experiment runs once: e1, e2, e3, e5, e6 and e7
+   return a typed result, and its text section (print_e<k>) and its
    BENCH_E<k>.json record (json_e<k>) are two readings of that value.
    A record also carries the paper claims it failed, evaluated on the
    same OCaml values where the record is built, and --check reports
@@ -1321,6 +1322,62 @@ let json_e9 ~cycles () =
     [ designs ]
 
 (* ------------------------------------------------------------------ *)
+(* E13: compile scaling.  Netlist build ([Examples.lanes] of the E5     *)
+(* speculative design, 16 channels a lane) and [Engine.create] at 256,  *)
+(* 1024 and 4096 channels, in seconds and minor words per channel.  The *)
+(* words depend on the OCaml version's stdlib as well as on the code,   *)
+(* so the gate skips them and holds the ratio of total words per        *)
+(* channel at 4096 to that at 256 under the bound: a per-port cost that *)
+(* grows with the design shows there as a ratio far above 1.            *)
+
+let e13_ratio_bound = 1.5
+
+let json_e13 () =
+  let base =
+    (Examples.vl_speculative
+       ~ops:(Alu.operands ~error_rate_pct:5 ~seed:42 97)).Examples.d_net
+  in
+  let timed f =
+    let w0 = Gc.minor_words () in
+    let t0 = Elastic_sim.Clock.monotonic () in
+    let x = f () in
+    let t1 = Elastic_sim.Clock.monotonic () in
+    (x, Elastic_sim.Clock.seconds_between t0 t1, Gc.minor_words () -. w0)
+  in
+  let measure lanes =
+    let net, build_s, build_w = timed (fun () -> Examples.lanes lanes base) in
+    let _, create_s, create_w = timed (fun () -> Engine.create net) in
+    let nchan = float_of_int (Netlist.channel_count net) in
+    ((build_w +. create_w) /. nchan,
+     [ ("lanes", Json.Int lanes);
+       ("nodes", Json.Int (Netlist.node_count net));
+       ("channels", Json.Int (Netlist.channel_count net));
+       ("build_seconds", Json.Float build_s);
+       ("create_seconds", Json.Float create_s);
+       ("build_words_per_channel", Json.Float (build_w /. nchan));
+       ("create_words_per_channel", Json.Float (create_w /. nchan)) ])
+  in
+  (* One lane first, so no size pays the process's first-use costs. *)
+  ignore (measure 1);
+  let sizes = List.map measure [ 16; 64; 256 ] in
+  let words = List.map fst sizes in
+  let ratio = List.nth words 2 /. List.hd words in
+  let ok = ratio <= e13_ratio_bound in
+  record
+    ~failed:
+      (claim ok "words_ratio_ok"
+         (Fmt.str
+            "words per channel at 4096 channels are %.2fx those at 256 \
+             (bound %gx)"
+            ratio e13_ratio_bound))
+    ~experiment:"E13" ~title:"compile scaling: netlist build + Engine.create"
+    [ ("design", Json.Str "vl_speculative lanes");
+      ("sizes", Json.List (List.map (fun (_, f) -> Json.Obj f) sizes));
+      ("words_per_channel_ratio", Json.Float ratio);
+      ("ratio_bound", Json.Float e13_ratio_bound);
+      ("words_ratio_ok", Json.Bool ok) ]
+
+(* ------------------------------------------------------------------ *)
 (* --check: the regression gate.  Reports the paper claims each record  *)
 (* failed, then diffs each record against its committed baseline        *)
 (* (bench/baselines/) with the shared Gate rules.  Any failure names    *)
@@ -1391,7 +1448,8 @@ let json_mode ~quick ~trace () =
       (fun () -> json_e7 (e7 ()));
       (fun () -> json_e8 ~count:(if quick then 24 else 96) ());
       (fun () -> json_e9 ~cycles:(if quick then 4_000 else 20_000) ());
-      (fun () -> json_e10 ~trace ~count:(if quick then 24 else 60) ()) ]
+      (fun () -> json_e10 ~trace ~count:(if quick then 24 else 60) ());
+      json_e13 ]
 
 let () =
   let args = Array.to_list Sys.argv in

@@ -140,6 +140,33 @@ let vl_reference ops =
     (fun (op, a, b) -> Value.Int ((Alu.exact op a b + 1) land 0xFF))
     ops
 
+let lanes k net =
+  let nodes = Netlist.nodes net and chans = Netlist.channels net in
+  let lane acc i =
+    let ids = Hashtbl.create 16 in
+    let acc =
+      List.fold_left
+        (fun acc (n : Netlist.node) ->
+           let acc, id =
+             Netlist.add_node ~name:(Fmt.str "l%d.%s" i n.Netlist.name) acc
+               n.Netlist.kind
+           in
+           Hashtbl.add ids n.Netlist.id id;
+           acc)
+        acc nodes
+    in
+    let ep (e : Netlist.endpoint) =
+      (Hashtbl.find ids e.Netlist.ep_node, e.Netlist.ep_port)
+    in
+    List.fold_left
+      (fun acc (c : Netlist.channel) ->
+         fst
+           (Netlist.connect ~width:c.Netlist.width acc (ep c.Netlist.src)
+              (ep c.Netlist.dst)))
+      acc chans
+  in
+  List.fold_left lane Netlist.empty (List.init k Fun.id)
+
 (* ------------------------------------------------------------------ *)
 (* §5.2 Resilient adder                                                 *)
 

@@ -39,6 +39,14 @@ val vl_speculative_with :
 (** Golden results: [G (exact op)] for each operation. *)
 val vl_reference : (Alu.op * int * int) list -> Value.t list
 
+(** [lanes k net] is [k] disjoint copies of [net], built with
+    {!Netlist.add_node} and {!Netlist.connect}: lane [i] names its nodes
+    ["l<i>.<name>"] and keeps the kinds, ports and widths.  [lanes 256]
+    of a {!vl_speculative} netlist has 4096 channels, the shape of the
+    perfbench wide-cycles design; bench E13 and the compile-scaling test
+    time netlist build and [Engine.create] on it. *)
+val lanes : int -> Netlist.t -> Netlist.t
+
 (** {1 §5.2 — Resilient (SECDED-protected) adder (Fig. 7)} *)
 
 type rs_op = {

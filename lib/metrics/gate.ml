@@ -28,6 +28,11 @@ let wall_clock_key path =
      resolution. *)
   || suffixed "_utilization"
   || suffixed "_overhead"
+  (* Compile-scaling allocation (bench E13): minor words depend on the
+     OCaml version's stdlib as well as on the code; the bench gates
+     their 4096/256-channel ratio via the words_ratio_ok bool instead. *)
+  || suffixed "_words_per_channel"
+  || String.equal last "words_per_channel_ratio"
 
 (* Leaves of a record, as [path -> value] in document order.  Array
    elements are indexed ([points[2].spec_throughput]) so a reordering

@@ -10,7 +10,9 @@
     ([settle_us_per_cycle], [*_seconds], [*_per_second], [*_speedup],
     [*_utilization], [*_overhead])
     are skipped by default — they measure the machine, not the
-    design. *)
+    design — and so are the compile-scaling allocation keys
+    ([*_words_per_channel], [words_per_channel_ratio]), which vary with
+    the OCaml version. *)
 
 type diff = {
   d_path : string;  (** e.g. [points[2].spec_throughput] *)

@@ -3,6 +3,7 @@ open Elastic_kernel
 open Elastic_sched
 
 module IntMap = Map.Make (Int)
+module IntSet = Set.Make (Int)
 
 type node_id = int
 
@@ -85,13 +86,35 @@ type channel = {
 type t = {
   node_map : node IntMap.t;
   channel_map : channel IntMap.t;
+  (* Node id -> ids of the channels with an endpoint (source or
+     destination) on it; a node with none has no entry.  Keyed by id
+     alone, so [unsafe_connect]'s endpoints on absent nodes are indexed
+     too.  Every writer of [channel_map] keeps it in step. *)
+  attached : IntSet.t IntMap.t;
   next_node : int;
   next_channel : int;
 }
 
 let empty =
-  { node_map = IntMap.empty; channel_map = IntMap.empty; next_node = 0;
-    next_channel = 0 }
+  { node_map = IntMap.empty; channel_map = IntMap.empty;
+    attached = IntMap.empty; next_node = 0; next_channel = 0 }
+
+let attach c attached =
+  let add nid =
+    IntMap.update nid (fun s ->
+        Some (IntSet.add c.ch_id (Option.value s ~default:IntSet.empty)))
+  in
+  add c.dst.ep_node (add c.src.ep_node attached)
+
+let detach c attached =
+  let remove nid =
+    IntMap.update nid (function
+      | None -> None
+      | Some s ->
+        let s = IntSet.remove c.ch_id s in
+        if IntSet.is_empty s then None else Some s)
+  in
+  remove c.dst.ep_node (remove c.src.ep_node attached)
 
 let required_inputs = function
   | Source _ -> []
@@ -151,18 +174,25 @@ let find_node t name =
       else acc)
     t.node_map None
 
-let incoming t id =
-  List.filter (fun c -> c.dst.ep_node = id) (channels t)
+(* The channels attached to node [id] in ascending id order, the order
+   of [channels]: a walk over them meets the matches a scan of the whole
+   list would, in the same order. *)
+let channels_of t id =
+  match IntMap.find_opt id t.attached with
+  | None -> []
+  | Some s ->
+    List.map (fun cid -> IntMap.find cid t.channel_map) (IntSet.elements s)
 
-let outgoing t id =
-  List.filter (fun c -> c.src.ep_node = id) (channels t)
+let incoming t id = List.filter (fun c -> c.dst.ep_node = id) (channels_of t id)
+
+let outgoing t id = List.filter (fun c -> c.src.ep_node = id) (channels_of t id)
 
 let channel_at t id port =
   List.find_opt
     (fun c ->
        (c.src.ep_node = id && port_equal c.src.ep_port port)
        || (c.dst.ep_node = id && port_equal c.dst.ep_port port))
-    (channels t)
+    (channels_of t id)
 
 let persistent t c =
   match (node t c.src.ep_node).kind with
@@ -211,7 +241,7 @@ let connect ?name ?(width = 8) t (n1, p1) (n2, p2) =
       dst = { ep_node = n2; ep_port = p2 }; width }
   in
   ({ t with channel_map = IntMap.add id c t.channel_map;
-            next_channel = id + 1 },
+            attached = attach c t.attached; next_channel = id + 1 },
    id)
 
 (* Raw channel insertion with no direction, arity or occupancy checks —
@@ -235,21 +265,17 @@ let unsafe_connect ?name ?(width = 8) t (n1, p1) (n2, p2) =
       dst = { ep_node = n2; ep_port = p2 }; width }
   in
   ({ t with channel_map = IntMap.add id c t.channel_map;
-            next_channel = id + 1 },
+            attached = attach c t.attached; next_channel = id + 1 },
    id)
 
 let remove_channel t id =
-  let _ = channel t id in
-  { t with channel_map = IntMap.remove id t.channel_map }
+  let c = channel t id in
+  { t with channel_map = IntMap.remove id t.channel_map;
+           attached = detach c t.attached }
 
 let remove_node t id =
   let n = node t id in
-  let attached =
-    List.filter
-      (fun c -> c.src.ep_node = id || c.dst.ep_node = id)
-      (channels t)
-  in
-  (match attached with
+  (match channels_of t id with
    | [] -> ()
    | c :: _ ->
      invalid_arg
@@ -283,7 +309,8 @@ let set_end t cid (nid, port) ~src =
          (if src then "src" else "dst") n.name pp_port port);
   let ep = { ep_node = nid; ep_port = port } in
   let c' = if src then { c with src = ep } else { c with dst = ep } in
-  { t with channel_map = IntMap.add cid c' t.channel_map }
+  { t with channel_map = IntMap.add cid c' t.channel_map;
+           attached = attach c' (detach c t.attached) }
 
 let set_src t cid ep = set_end t cid ep ~src:true
 
@@ -297,6 +324,7 @@ let diagnostics t =
   let add p = problems := p :: !problems in
   IntMap.iter
     (fun _ n ->
+       let mine = channels_of t n.id in
        let check_port ~as_output port =
          let uses =
            List.filter
@@ -304,7 +332,7 @@ let diagnostics t =
                 if as_output then
                   c.src.ep_node = n.id && port_equal c.src.ep_port port
                 else c.dst.ep_node = n.id && port_equal c.dst.ep_port port)
-             (channels t)
+             mine
          in
          match uses with
          | [ _ ] -> ()

@@ -180,6 +180,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     (fun i (c : Netlist.channel) -> Hashtbl.add ch_index c.Netlist.ch_id i)
     chans;
   (* Each node's dense input, select and output channel indices. *)
+  let nodes = Array.of_list (Netlist.nodes net) in
   let node_ports (n : Netlist.node) =
     let index p =
       match Netlist.channel_at net n.Netlist.id p with
@@ -198,6 +199,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
        else None),
       ports (Netlist.required_outputs n.Netlist.kind) )
   in
+  let ports = Array.map node_ports nodes in
   (* A monitored engine's own slots follow the nodes': an int slot per
      channel for its protocol monitor, then one for the watchdog's wait
      counter on each shared-module input; and a payload slot per channel
@@ -220,7 +222,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
   let paid, mon_vals = count (Netlist.persistent net) in
   let nmon = if monitor then Array.length chans else 0 in
   let regs, vals, insts =
-    Instance.layout (Netlist.nodes net) ~ports:node_ports
+    Instance.layout nodes ~ports
       ~spare:(nmon + waits) ~spare_vals:paid
   in
   let mon_base = Array.length regs - waits - nmon in
@@ -251,7 +253,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
      once, so [5 * nchan] passes always suffice; the slack covers the
      final no-progress pass on tiny netlists. *)
   let default_max_passes = (5 * Array.length chans) + 16 in
-  let schedule = Schedule.build net in
+  let schedule = Schedule.build net ~ports in
   let profile = Profile.create ~n_nodes:(Array.length insts) in
   let cycle_evals = Array.make (max (Array.length insts) 1) 0 in
   let backend =

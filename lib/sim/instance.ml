@@ -115,21 +115,20 @@ let create (node : Netlist.node) ~ins ~sel ~outs ~regs ~r ~vals ~v =
   { node; ins; sel; outs; role; regs; r; vals; v }
 
 let layout nodes ~ports ~spare ~spare_vals =
-  let nodes = Array.of_list nodes in
   let total f =
     Array.fold_left (fun a (n : Netlist.node) -> a + f n.Netlist.kind) 0 nodes
   in
   let regs = Array.make (total int_slots + spare) 0 in
   let vals = Array.make (total value_slots + spare_vals) Value.Unit in
   let r = ref 0 and v = ref 0 in
-  let place (n : Netlist.node) =
-    let ins, sel, outs = ports n in
+  let place i (n : Netlist.node) =
+    let ins, sel, outs = ports.(i) in
     let t = create n ~ins ~sel ~outs ~regs ~r:!r ~vals ~v:!v in
     r := !r + int_slots n.Netlist.kind;
     v := !v + value_slots n.Netlist.kind;
     t
   in
-  let insts = Array.map place nodes in
+  let insts = Array.mapi place nodes in
   (regs, vals, insts)
 
 (* Every register but a scheduler's statistics and the flag in a source's

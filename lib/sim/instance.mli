@@ -74,7 +74,7 @@ type t
 
 (** [layout nodes ~ports] builds the runtime instances of [nodes], in
     order, with the register and payload arrays that hold all their
-    state, initialized.  [ports n] gives node [n]'s dense channel
+    state, initialized.  [ports.(i)] gives [nodes.(i)]'s dense channel
     indices [(ins, sel, outs)], which must follow port numbering
     ([ins.(i)] is port [In i], etc.).  They are the node's only copy of
     its ports: {!evaluator} resolves them through the Reference
@@ -87,8 +87,8 @@ type t
     payload slots, for the engine's own registers: its protocol
     monitors' and leads-to watchdog's. *)
 val layout :
-  Netlist.node list ->
-  ports:(Netlist.node -> int array * int option * int array) ->
+  Netlist.node array ->
+  ports:(int array * int option * int array) array ->
   spare:int ->
   spare_vals:int ->
   int array * Value.t array * t array

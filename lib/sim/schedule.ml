@@ -27,26 +27,10 @@ type t = {
 (* Channels whose forward / backward groups the node's eval reads.
    [Eb] is fully registered (reads nothing), which is what breaks the
    src->dst / dst->src cycles every channel would otherwise induce. *)
-let read_sets net (n : Netlist.node) ~ch_index =
-  let ch p =
-    match Netlist.channel_at net n.Netlist.id p with
-    | Some c -> ch_index c.Netlist.ch_id
-    | None -> assert false (* the engine validates before scheduling *)
-  in
-  let in_chs =
-    List.filter_map
-      (fun p -> match p with Netlist.In _ -> Some (ch p) | _ -> None)
-      (Netlist.required_inputs n.Netlist.kind)
-  in
-  let sel_ch =
-    if
-      List.exists
-        (fun p -> Netlist.port_equal p Netlist.Sel)
-        (Netlist.required_inputs n.Netlist.kind)
-    then [ ch Netlist.Sel ]
-    else []
-  in
-  let out_chs = List.map ch (Netlist.required_outputs n.Netlist.kind) in
+let read_sets (n : Netlist.node) (ins, sel, outs) =
+  let in_chs = Array.to_list ins in
+  let sel_ch = Option.to_list sel in
+  let out_chs = Array.to_list outs in
   match n.Netlist.kind with
   | Netlist.Source _ | Netlist.Sink _
   | Netlist.Buffer { buffer = Netlist.Eb; _ } ->
@@ -57,14 +41,11 @@ let read_sets net (n : Netlist.node) ~ch_index =
   | Netlist.Shared _ -> (in_chs @ sel_ch, out_chs)
   | Netlist.Varlat _ -> ([], out_chs)
 
-let build net =
+let build net ~ports =
   let chans = Array.of_list (Netlist.channels net) in
   let nodes = Array.of_list (Netlist.nodes net) in
   let nchan = Array.length chans and nnode = Array.length nodes in
-  let ch_tbl = Hashtbl.create 64 and nd_tbl = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (c : Netlist.channel) -> Hashtbl.add ch_tbl c.Netlist.ch_id i)
-    chans;
+  let nd_tbl = Hashtbl.create 64 in
   Array.iteri
     (fun i (n : Netlist.node) -> Hashtbl.add nd_tbl n.Netlist.id i)
     nodes;
@@ -80,11 +61,7 @@ let build net =
          Hashtbl.find nd_tbl c.Netlist.dst.Netlist.ep_node)
       chans
   in
-  let reads =
-    Array.map
-      (fun n -> read_sets net n ~ch_index:(Hashtbl.find ch_tbl))
-      nodes
-  in
+  let reads = Array.map2 read_sets nodes ports in
   let readers_f = Array.make nchan [] and readers_b = Array.make nchan [] in
   Array.iteri
     (fun v (rf, rb) ->

@@ -34,11 +34,14 @@ type t = {
   dst_of : int array;  (** Channel index -> writer node of [B(c)]. *)
 }
 
-(** [build net] computes the schedule.  Node index [i] refers to the
-    [i]-th element of [Netlist.nodes net] and channel index [j] to the
-    [j]-th element of [Netlist.channels net] — the same dense numbering
-    the engine uses.  The netlist must be valid. *)
-val build : Netlist.t -> t
+(** [build net ~ports] computes the schedule.  Node index [i] refers to
+    the [i]-th element of [Netlist.nodes net] and channel index [j] to
+    the [j]-th element of [Netlist.channels net] — the same dense
+    numbering the engine uses.  [ports.(i)] is node [i]'s dense
+    [(ins, sel, outs)] channel indices, as the engine resolved them for
+    {!Instance.layout}.  The netlist must be valid. *)
+val build :
+  Netlist.t -> ports:(int array * int option * int array) array -> t
 
 (** {1 Statistics (for profiling reports)} *)
 

@@ -431,6 +431,30 @@ let test_observe_allocation_guard () =
     (Examples.rs_speculative
        ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:5 2400)).Examples.d_net
 
+(* Netlist build plus [Engine.create] must cost about as many words per
+   channel at 4096 channels as at 256: every port lookup walks only its
+   node's own channels.  When each lookup scanned the whole channel list,
+   [Engine.create] alone went from 9.5k to 148k words per channel. *)
+let test_compile_scaling_guard () =
+  let base =
+    (Examples.vl_speculative
+       ~ops:(Alu.operands ~error_rate_pct:5 ~seed:42 97)).Examples.d_net
+  in
+  let words_per_channel lanes =
+    let w0 = Gc.minor_words () in
+    let net = Examples.lanes lanes base in
+    ignore (Engine.create net : Engine.t);
+    (Gc.minor_words () -. w0) /. float_of_int (Netlist.channel_count net)
+  in
+  (* One lane first, so neither size pays the process's first-use costs. *)
+  ignore (words_per_channel 1 : float);
+  let small = words_per_channel 16 and large = words_per_channel 256 in
+  if large > 1.5 *. small then
+    Alcotest.failf
+      "netlist build + Engine.create: %.0f words/channel at 4096 channels, \
+       %.0f at 256 (bound 1.5x)"
+      large small
+
 let suite =
   [ Alcotest.test_case "mode names round-trip" `Quick test_mode_names;
     Alcotest.test_case "default backend is arena" `Quick test_default_mode;
@@ -465,4 +489,6 @@ let suite =
     Alcotest.test_case "a faulted step allocates as a plain one" `Quick
       test_fault_allocation_guard;
     Alcotest.test_case "sampler observe allocation budget" `Quick
-      test_observe_allocation_guard ]
+      test_observe_allocation_guard;
+    Alcotest.test_case "compile words per channel do not grow with size"
+      `Quick test_compile_scaling_guard ]

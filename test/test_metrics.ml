@@ -675,7 +675,9 @@ let test_gate_wall_clock_suffixes () =
       "designs[0].arena_settle_seconds";
       "designs[1].arena_cycles_per_second";
       "designs[1].reference_cycles_per_second";
-      "designs[0].arena_speedup" ];
+      "designs[0].arena_speedup";
+      "sizes[2].create_words_per_channel";
+      "words_per_channel_ratio" ];
   List.iter
     (fun path ->
        Alcotest.(check bool) ("compared: " ^ path) true
@@ -684,6 +686,8 @@ let test_gate_wall_clock_suffixes () =
       "designs[0].speedup_ok";
       "designs[0].arena_matches_reference";
       "designs[0].cycles";
+      "sizes[2].channels";
+      "words_ratio_ok";
       (* the suffix must be a strict suffix of a longer key, not the
          whole key wearing a disguise *)
       "speedup.total" ]

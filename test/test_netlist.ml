@@ -2,6 +2,212 @@ open Elastic_kernel
 open Elastic_netlist
 open Helpers
 
+(* The per-node channel index against linear scans of [Netlist.channels]
+   (the definitions of [channel_at], [incoming], [outgoing],
+   [remove_node]'s attachment check and [diagnostics] before the index
+   existed), after every edit of a random edit sequence. *)
+module Index_oracle = struct
+  open Netlist
+
+  type edit =
+    | Add of int
+    | Connect of (int * port) * (int * port)
+    | Unsafe of (int * port) * (int * port)
+    | Set_src of int * (int * port)
+    | Set_dst of int * (int * port)
+    | Remove_channel of int
+    | Remove_node of int
+
+  (* Node ids range over [0, max_node], so edits also name nodes not yet
+     added or already removed; channel ids likewise.  A sequence starts
+     by adding [first_nodes] nodes. *)
+  let max_node = 7
+
+  let first_nodes = 5
+
+  let max_channel = 11
+
+  let inputs = [ Sel; In 0; In 1; In 2 ]
+
+  let outputs = [ Out 0; Out 1; Out 2 ]
+
+  let ports = inputs @ outputs
+
+  let kinds =
+    [| Source (Counter { start = 0; step = 1 }); Sink Always_ready;
+       Buffer { buffer = Eb; init = [] }; Func (Func.identity ());
+       Fork 2; Mux { ways = 2; early = true } |]
+
+  let pp_end ppf (n, p) = Fmt.pf ppf "%d.%a" n pp_port p
+
+  let pp_edit ppf = function
+    | Add k -> Fmt.pf ppf "add %s" (kind_name kinds.(k))
+    | Connect (a, b) -> Fmt.pf ppf "connect %a %a" pp_end a pp_end b
+    | Unsafe (a, b) -> Fmt.pf ppf "unsafe_connect %a %a" pp_end a pp_end b
+    | Set_src (c, e) -> Fmt.pf ppf "set_src %d %a" c pp_end e
+    | Set_dst (c, e) -> Fmt.pf ppf "set_dst %d %a" c pp_end e
+    | Remove_channel c -> Fmt.pf ppf "remove_channel %d" c
+    | Remove_node n -> Fmt.pf ppf "remove_node %d" n
+
+  (* [connect], [set_src] and [set_dst] get ports of the right
+     direction, so that most of them go through; [unsafe_connect] gets
+     any port. *)
+  let gen_edits =
+    let open QCheck.Gen in
+    let node = int_bound max_node and chan = int_bound max_channel in
+    let add = map (fun k -> Add k) (int_bound (Array.length kinds - 1)) in
+    let endp ps = pair node (oneofl ps) in
+    let edit =
+      frequency
+        [ (2, add);
+          (4, map2 (fun a b -> Connect (a, b)) (endp outputs) (endp inputs));
+          (2, map2 (fun a b -> Unsafe (a, b)) (endp ports) (endp ports));
+          (2, map2 (fun c e -> Set_src (c, e)) chan (endp outputs));
+          (2, map2 (fun c e -> Set_dst (c, e)) chan (endp inputs));
+          (2, map (fun c -> Remove_channel c) chan);
+          (3, map (fun n -> Remove_node n) node) ]
+    in
+    map2 ( @ ) (list_repeat first_nodes add) (list_size (int_range 1 50) edit)
+
+  let arb =
+    QCheck.make ~print:(Fmt.str "%a" (Fmt.list ~sep:Fmt.semi pp_edit))
+      gen_edits
+
+  let ref_channel_at net id port =
+    List.find_opt
+      (fun c ->
+         (c.src.ep_node = id && port_equal c.src.ep_port port)
+         || (c.dst.ep_node = id && port_equal c.dst.ep_port port))
+      (channels net)
+
+  let ref_attached net id =
+    List.filter
+      (fun c -> c.src.ep_node = id || c.dst.ep_node = id)
+      (channels net)
+
+  let exists net id = List.exists (fun n -> n.id = id) (nodes net)
+
+  let ref_diagnostics net =
+    let problems = ref [] in
+    let add p = problems := p :: !problems in
+    List.iter
+      (fun n ->
+         let check_port ~as_output port =
+           let uses =
+             List.filter
+               (fun c ->
+                  if as_output then
+                    c.src.ep_node = n.id && port_equal c.src.ep_port port
+                  else c.dst.ep_node = n.id && port_equal c.dst.ep_port port)
+               (channels net)
+           in
+           match uses with
+           | [ _ ] -> ()
+           | [] ->
+             add
+               (Diagnostic.make ~code:"E001" ~rule:"unconnected-port"
+                  ~severity:Diagnostic.Error ~node:n.id ~node_name:n.name
+                  (Fmt.str "node %s (%s): %s port %a is unconnected" n.name
+                     (kind_name n.kind)
+                     (if as_output then "output" else "input")
+                     pp_port port))
+           | _ :: c :: _ ->
+             add
+               (Diagnostic.make ~code:"E002" ~rule:"multi-connected-port"
+                  ~severity:Diagnostic.Error ~node:n.id ~node_name:n.name
+                  ~channel:c.ch_id ~channel_name:c.ch_name
+                  (Fmt.str "node %s: port %a connected more than once"
+                     n.name pp_port port))
+         in
+         List.iter (check_port ~as_output:false) (required_inputs n.kind);
+         List.iter (check_port ~as_output:true) (required_outputs n.kind))
+      (nodes net);
+    List.iter
+      (fun c ->
+         let dangling which nid =
+           if not (exists net nid) then
+             add
+               (Diagnostic.make ~code:"E003" ~rule:"dangling-endpoint"
+                  ~severity:Diagnostic.Error ~channel:c.ch_id
+                  ~channel_name:c.ch_name
+                  (Fmt.str "channel %s: dangling %s node" c.ch_name which))
+         in
+         dangling "source" c.src.ep_node;
+         dangling "destination" c.dst.ep_node;
+         if c.width < 1 then
+           add
+             (Diagnostic.make ~code:"E004" ~rule:"bad-width"
+                ~severity:Diagnostic.Error ~channel:c.ch_id
+                ~channel_name:c.ch_name
+                (Fmt.str "channel %s: width %d < 1" c.ch_name c.width)))
+      (channels net);
+    List.rev !problems
+
+  let ids l = List.map (fun c -> c.ch_id) l
+
+  let check_state net =
+    for id = 0 to max_node do
+      List.iter
+        (fun p ->
+           let got = Option.map (fun c -> c.ch_id) (channel_at net id p) in
+           let want = Option.map (fun c -> c.ch_id) (ref_channel_at net id p) in
+           if got <> want then
+             QCheck.Test.fail_reportf "channel_at %a" pp_end (id, p))
+        ports;
+      if ids (incoming net id)
+         <> ids (List.filter (fun c -> c.dst.ep_node = id) (channels net))
+      then QCheck.Test.fail_reportf "incoming %d" id;
+      if ids (outgoing net id)
+         <> ids (List.filter (fun c -> c.src.ep_node = id) (channels net))
+      then QCheck.Test.fail_reportf "outgoing %d" id
+    done;
+    if diagnostics net <> ref_diagnostics net then
+      QCheck.Test.fail_report "diagnostics"
+
+  (* [remove_node] must refuse exactly when the node is missing or a
+     channel is still attached, naming the first attached channel. *)
+  let remove_node_checked net n =
+    let result =
+      try Ok (remove_node net n) with Invalid_argument m -> Error m
+    in
+    match result, ref_attached net n with
+    | Ok net', [] when exists net n -> net'
+    | Error _, _ when not (exists net n) -> net
+    | Error m, c :: _
+      when String.equal m
+          (Fmt.str "Netlist.remove_node: %s still attached to channel %s"
+             (node net n).name c.ch_name) -> net
+    | Ok _, _ | Error _, _ ->
+      QCheck.Test.fail_reportf "remove_node %d: %s" n
+        (match result with Ok _ -> "removed" | Error m -> m)
+
+  let apply net edit =
+    let tolerant f = try f () with Invalid_argument _ -> net in
+    match edit with
+    | Add k -> fst (add_node net kinds.(k))
+    | Connect (a, b) -> tolerant (fun () -> fst (connect net a b))
+    | Unsafe (a, b) -> fst (unsafe_connect net a b)
+    | Set_src (c, e) -> tolerant (fun () -> set_src net c e)
+    | Set_dst (c, e) -> tolerant (fun () -> set_dst net c e)
+    | Remove_channel c -> tolerant (fun () -> remove_channel net c)
+    | Remove_node n -> remove_node_checked net n
+
+  let test =
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"qcheck: the per-node channel index agrees with list scans"
+         ~count:500 arb (fun edits ->
+           ignore
+             (List.fold_left
+                (fun net e ->
+                   let net = apply net e in
+                   check_state net;
+                   net)
+                empty edits
+              : t);
+           true))
+end
+
 let suite =
   [ Alcotest.test_case "connect rejects occupied ports" `Quick (fun () ->
         let b = builder () in
@@ -145,4 +351,5 @@ let suite =
         let _ = conn b (s, Out 0) (k, In 0) in
         let dot = Dot.to_string b.net in
         Alcotest.(check bool) "source" true (contains dot "my_source");
-        Alcotest.(check bool) "sink" true (contains dot "my_sink")) ]
+        Alcotest.(check bool) "sink" true (contains dot "my_sink"));
+    Index_oracle.test ]
