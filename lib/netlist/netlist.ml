@@ -11,10 +11,15 @@ type channel_id = int
 
 type port = Sel | In of int | Out of int
 
-let pp_port ppf = function
-  | Sel -> Fmt.string ppf "sel"
-  | In i -> Fmt.pf ppf "in%d" i
-  | Out i -> Fmt.pf ppf "out%d" i
+(* Default names are built by concatenation: they are made for every
+   node and channel of a netlist, where [Fmt.str] costs several hundred
+   words a name. *)
+let port_name = function
+  | Sel -> "sel"
+  | In i -> "in" ^ string_of_int i
+  | Out i -> "out" ^ string_of_int i
+
+let pp_port ppf p = Fmt.string ppf (port_name p)
 
 let port_equal a b =
   match a, b with
@@ -59,17 +64,18 @@ let kind_name = function
   | Source _ -> "source"
   | Sink _ -> "sink"
   | Buffer { buffer; init } ->
-    Fmt.str "%s[%d]" (buffer_kind_name buffer) (List.length init)
+    String.concat ""
+      [ buffer_kind_name buffer; "["; string_of_int (List.length init); "]" ]
   | Func f -> f.Func.name
-  | Fork n -> Fmt.str "fork%d" n
+  | Fork n -> "fork" ^ string_of_int n
   | Mux { ways; early } ->
-    Fmt.str "%smux%d" (if early then "e" else "") ways
+    (if early then "emux" else "mux") ^ string_of_int ways
   | Shared { ways; f; sched; hinted } ->
-    Fmt.str "shared%d%s(%s,%s)" ways
-      (if hinted then "h" else "")
-      f.Func.name (Scheduler.spec_name sched)
+    String.concat ""
+      [ "shared"; string_of_int ways; (if hinted then "h" else ""); "(";
+        f.Func.name; ","; Scheduler.spec_name sched; ")" ]
   | Varlat { fast; slow; _ } ->
-    Fmt.str "varlat(%s|%s)" fast.Func.name slow.Func.name
+    String.concat "" [ "varlat("; fast.Func.name; "|"; slow.Func.name; ")" ]
 
 type node = { id : node_id; name : string; kind : kind }
 
@@ -143,7 +149,9 @@ let is_output_port = function Out _ -> true | In _ | Sel -> false
 let add_node ?name t kind =
   let id = t.next_node in
   let name =
-    match name with Some n -> n | None -> Fmt.str "%s_%d" (kind_name kind) id
+    match name with
+    | Some n -> n
+    | None -> String.concat "" [ kind_name kind; "_"; string_of_int id ]
   in
   let node = { id; name; kind } in
   ({ t with node_map = IntMap.add id node t.node_map; next_node = id + 1 },
@@ -169,10 +177,9 @@ let node_count t = IntMap.cardinal t.node_map
 let channel_count t = IntMap.cardinal t.channel_map
 
 let find_node t name =
-  IntMap.fold
-    (fun _ n acc -> if acc = None && String.equal n.name name then Some n
-      else acc)
-    t.node_map None
+  Seq.find_map
+    (fun (_, n) -> if String.equal n.name name then Some n else None)
+    (IntMap.to_seq t.node_map)
 
 (* The channels attached to node [id] in ascending id order, the order
    of [channels]: a walk over them meets the matches a scan of the whole
@@ -233,8 +240,9 @@ let connect ?name ?(width = 8) t (n1, p1) (n2, p2) =
     match name with
     | Some n -> n
     | None ->
-      Fmt.str "%s.%a->%s.%a" (node t n1).name pp_port p1 (node t n2).name
-        pp_port p2
+      String.concat ""
+        [ (node t n1).name; "."; port_name p1; "->"; (node t n2).name; ".";
+          port_name p2 ]
   in
   let c =
     { ch_id = id; ch_name; src = { ep_node = n1; ep_port = p1 };
@@ -252,13 +260,13 @@ let unsafe_connect ?name ?(width = 8) t (n1, p1) (n2, p2) =
   let id = t.next_channel in
   let ep_name nid p =
     match IntMap.find_opt nid t.node_map with
-    | Some n -> Fmt.str "%s.%a" n.name pp_port p
-    | None -> Fmt.str "n%d.%a" nid pp_port p
+    | Some n -> String.concat "" [ n.name; "."; port_name p ]
+    | None -> String.concat "" [ "n"; string_of_int nid; "."; port_name p ]
   in
   let ch_name =
     match name with
     | Some n -> n
-    | None -> Fmt.str "%s->%s" (ep_name n1 p1) (ep_name n2 p2)
+    | None -> String.concat "" [ ep_name n1 p1; "->"; ep_name n2 p2 ]
   in
   let c =
     { ch_id = id; ch_name; src = { ep_node = n1; ep_port = p1 };

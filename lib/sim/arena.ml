@@ -23,9 +23,10 @@
      Code 0 = unknown, 2 = known-false, 3 = known-true, so
      "known" is bit 1 and negation is [lxor 1] on known codes.
    - [force.(c)]: override codes in the same packing (0 = unforced).
-   - data is split by tag ([dtag]): unboxed ints in [dint], 64-bit
-     words in the [dbig] Bigarray, everything else as a [Value.t]
-     pointer in [dval].
+   - [driven.(c)]/[dval.(c)]: whether the channel's payload is driven
+     this cycle, and the [Value.t] the producing node wrote, stored and
+     handed on as it is (payloads ride beside the handshake; only the
+     mux select is read).
    - [written]/[written_n]: bump-allocated write log replacing the
      [Wires.written] cons list (iterated top-down = most-recent-first).
    - node "instructions" are index arrays into the shared [ports]
@@ -90,10 +91,8 @@ type t = {
   (* Per-channel packed state. *)
   ctrl : int array;
   force : int array;
-  dtag : int array;  (* 0 none / 1 int / 2 word / 3 boxed *)
-  dint : int array;
-  dbig : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  dval : Value.t array;
+  driven : bool array;
+  dval : Value.t array;  (* meaningful where [driven] *)
   ov_map : (Value.t -> Value.t) option array;
   ov_subst : Value.t option array;
   (* Write log since the last [clear_progress]; a non-empty log is the
@@ -195,9 +194,7 @@ let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
   { nchan;
     ctrl = Array.make csz 0;
     force = Array.make csz 0;
-    dtag = Array.make csz 0;
-    dint = Array.make csz 0;
-    dbig = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout csz;
+    driven = Array.make csz false;
     dval = Array.make csz Value.Unit;
     ov_map = Array.make csz None;
     ov_subst = Array.make csz None;
@@ -305,97 +302,43 @@ let[@inline] set_bool2 t c off1 f1 b1 off2 f2 b2 =
 let[@inline] kput t c off field code =
   if code <> 0 then set_code t c off field code
 
-let materialize t c =
-  match Array.unsafe_get t.dtag c with
-  | 1 -> Value.Int (Array.unsafe_get t.dint c)
-  | 2 -> Value.Word (Bigarray.Array1.unsafe_get t.dbig c)
-  | _ -> Array.unsafe_get t.dval c
-
 (* Mirrors [Wires.data]: a forced-valid wire with no driven data yields
    the substitute payload (token duplication / forgery faults). *)
-let data_opt t c =
-  if Array.unsafe_get t.dtag c = 0 then
-    if Array.unsafe_get t.force c land 3 = 3 then t.ov_subst.(c)
-    else None
-  else Some (materialize t c)
+let[@inline] subst t c =
+  if Array.unsafe_get t.force c land 3 = 3 then t.ov_subst.(c) else None
 
-let[@inline] has_data t c =
-  Array.unsafe_get t.dtag c <> 0
-  || (Array.unsafe_get t.force c land 3 = 3 && t.ov_subst.(c) <> None)
+let data t c =
+  if Array.unsafe_get t.driven c then Some (Array.unsafe_get t.dval c)
+  else subst t c
 
+let[@inline] has_data t c = Array.unsafe_get t.driven c || subst t c <> None
+
+(* The payload of a channel that [has_data]. *)
+let payload t c =
+  if Array.unsafe_get t.driven c then Array.unsafe_get t.dval c
+  else match subst t c with Some v -> v | None -> assert false
+
+(* Write-once payload: a re-write must be the stored value or an equal
+   one, since a map-data override builds a fresh value each time the
+   writer re-evaluates in a cyclic region. *)
 let set_data t c v =
   let v =
     match Array.unsafe_get t.ov_map c with None -> v | Some f -> f v
   in
-  if Array.unsafe_get t.dtag c = 0 then begin
-    (match v with
-     | Value.Int n ->
-       Array.unsafe_set t.dtag c 1;
-       Array.unsafe_set t.dint c n
-     | Value.Word w ->
-       Array.unsafe_set t.dtag c 2;
-       Bigarray.Array1.unsafe_set t.dbig c w
-     | v ->
-       Array.unsafe_set t.dtag c 3;
-       Array.unsafe_set t.dval c v);
+  if not (Array.unsafe_get t.driven c) then begin
+    Array.unsafe_set t.driven c true;
+    Array.unsafe_set t.dval c v;
     push_written t c
   end
   else begin
-    let eq =
-      match v with
-      | Value.Int n ->
-        Array.unsafe_get t.dtag c = 1 && n = Array.unsafe_get t.dint c
-      | Value.Word w ->
-        Array.unsafe_get t.dtag c = 2
-        && Int64.equal w (Bigarray.Array1.unsafe_get t.dbig c)
-      | v ->
-        Array.unsafe_get t.dtag c = 3
-        && Value.equal v (Array.unsafe_get t.dval c)
-    in
-    if not eq then raise (Wires.Conflict { wire = c; field = "data" })
+    let old = Array.unsafe_get t.dval c in
+    if not (v == old || Value.equal v old) then
+      raise (Wires.Conflict { wire = c; field = "data" })
   end
 
-(* Verbatim data move (fork / mux): copy by tag so the int fast path
-   never materializes a [Value.t].  Falls back to [set_data] when the
-   destination has a map-data override or the source only has a
-   substitute payload. *)
+(* Verbatim data move (fork / mux). *)
 let copy_data t src dst =
-  let stag = Array.unsafe_get t.dtag src in
-  if stag = 0 then begin
-    if Array.unsafe_get t.force src land 3 = 3 then
-      match t.ov_subst.(src) with
-      | Some v -> set_data t dst v
-      | None -> ()
-  end
-  else if Array.unsafe_get t.ov_map dst <> None then
-    set_data t dst (materialize t src)
-  else if Array.unsafe_get t.dtag dst = 0 then begin
-    Array.unsafe_set t.dtag dst stag;
-    (match stag with
-     | 1 -> Array.unsafe_set t.dint dst (Array.unsafe_get t.dint src)
-     | 2 ->
-       Bigarray.Array1.unsafe_set t.dbig dst
-         (Bigarray.Array1.unsafe_get t.dbig src)
-     | _ -> Array.unsafe_set t.dval dst (Array.unsafe_get t.dval src));
-    push_written t dst
-  end
-  else begin
-    let eq =
-      Array.unsafe_get t.dtag dst = stag
-      && (match stag with
-          | 1 ->
-            Array.unsafe_get t.dint dst = Array.unsafe_get t.dint src
-          | 2 ->
-            Int64.equal
-              (Bigarray.Array1.unsafe_get t.dbig dst)
-              (Bigarray.Array1.unsafe_get t.dbig src)
-          | _ ->
-            Value.equal
-              (Array.unsafe_get t.dval dst)
-              (Array.unsafe_get t.dval src))
-    in
-    if not eq then raise (Wires.Conflict { wire = dst; field = "data" })
-  end
+  if has_data t src then set_data t dst (payload t src)
 
 (* ------------------------------------------------------------------ *)
 (* Node evaluation: each controller's equations, hand-written onto
@@ -464,10 +407,8 @@ let eval_join1 t i =
   let out = out_w t i 0 in
   let v = get t inw vp in
   kput t out vp "V+" v;
-  if v = 3 && Array.unsafe_get t.dtag out = 0 && has_data t inw then
-    (match data_opt t inw with
-     | Some d -> set_data t out (Array.unsafe_get t.fns i [ d ])
-     | None -> assert false);
+  if v = 3 && (not (Array.unsafe_get t.driven out)) && has_data t inw then
+    set_data t out (Array.unsafe_get t.fns i [ payload t inw ]);
   let s_eff = kandn (get t out sp) (get t out vm) in
   kput t inw sp "S+" s_eff;
   let consumable = korn v (get t inw sm) in
@@ -494,7 +435,7 @@ let eval_join t i =
      payload is driven a re-evaluation inside an SCC would recompute
      the same value ([set_data] would compare equal) — skip the
      argument-list build and application entirely. *)
-  if !all_valid = 3 && Array.unsafe_get t.dtag out = 0 then begin
+  if !all_valid = 3 && not (Array.unsafe_get t.driven out) then begin
     let all_data = ref true in
     for j = 0 to n - 1 do
       if not (has_data t (Array.unsafe_get ports (base + j))) then
@@ -504,10 +445,7 @@ let eval_join t i =
       let rec datas j =
         if j >= n then []
         else
-          (match data_opt t (Array.unsafe_get ports (base + j)) with
-           | Some v -> v
-           | None -> assert false)
-          :: datas (j + 1)
+          payload t (Array.unsafe_get ports (base + j)) :: datas (j + 1)
       in
       set_data t out (Array.unsafe_get t.fns i (datas 0))
     end
@@ -568,13 +506,7 @@ let eval_emux t i =
   let selw = Array.unsafe_get t.selw i and out = out_w t i 0 in
   let sel_v = get t selw vp in
   let sv_known, sv =
-    if sel_v = 3 then
-      if Array.unsafe_get t.dtag selw = 1 then
-        (true, Array.unsafe_get t.dint selw)
-      else
-        match data_opt t selw with
-        | Some v -> (true, Value.to_int v)
-        | None -> (false, 0)
+    if sel_v = 3 && has_data t selw then (true, Value.to_int (payload t selw))
     else (false, 0)
   in
   let n = Array.unsafe_get t.ins_n i in
@@ -623,10 +555,9 @@ let eval_shared t i sched =
   kput t out_g vp "V+" (kand (get t in_g vp) hint_v);
   (* Same pure-function skip as [eval_join]: once driven, a re-eval
      would recompute the identical payload. *)
-  if get t in_g vp = 3 && Array.unsafe_get t.dtag out_g = 0 then
-    (match data_opt t in_g with
-     | Some v -> set_data t out_g (t.fns.(i) [ v ])
-     | None -> ());
+  if get t in_g vp = 3 && (not (Array.unsafe_get t.driven out_g))
+     && has_data t in_g
+  then set_data t out_g (t.fns.(i) [ payload t in_g ]);
   let fire = kand (get t out_g vp) (korn (get t out_g vm) (get t out_g sp)) in
   kput t in_g sp "S+" (knot fire);
   if hint >= 0 then begin
@@ -771,7 +702,7 @@ let settle t =
 
 let reset t =
   Array.fill t.ctrl 0 (Array.length t.ctrl) 0;
-  Array.fill t.dtag 0 (Array.length t.dtag) 0;
+  Array.fill t.driven 0 (Array.length t.driven) false;
   t.written_n <- 0
 
 let clear_overrides t =
@@ -850,5 +781,3 @@ let fill_codes t codes =
     Array.unsafe_set codes c
       (Array.unsafe_get code_of_ctrl (Array.unsafe_get t.ctrl c))
   done
-
-let data = data_opt

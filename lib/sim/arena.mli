@@ -3,9 +3,9 @@ open Elastic_kernel
 (** Flat-arena evaluator for the combinational phase of a cycle.
 
     Channel state lives in preallocated flat arrays — four 2-bit Kleene
-    codes packed per channel into an [int] control word, data split into
-    an unboxed int array, an [int64] {!Bigarray} for word buses and a
-    boxed [Value.t] spill array — and the levelized schedule is
+    codes packed per channel into an [int] control word, and one
+    [Value.t] payload slot per channel with a presence flag, holding
+    the value its producer wrote — and the levelized schedule is
     compiled to flat index arrays walked by a tight loop.
 
     This is the engine's default backend ([Engine.Arena]).  Its
@@ -42,7 +42,7 @@ val create :
   Instance.t array ->
   t
 
-(** Clear all wire codes and data tags for a new cycle (overrides
+(** Clear all wire codes and payload flags for a new cycle (overrides
     persist, mirroring [Wires.reset]). *)
 val reset : t -> unit
 
@@ -76,5 +76,6 @@ val last_eval : t -> int
 val fill_codes : t -> int array -> unit
 
 (** Payload of a dense channel index after settle, mirroring
-    {!Wires.data} (including the substitute-payload fallback). *)
+    {!Wires.data} (including the substitute-payload fallback): the
+    value the producing node wrote, not a copy. *)
 val data : t -> int -> Value.t option

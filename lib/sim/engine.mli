@@ -79,8 +79,8 @@ type t
     flat preallocated arena backend ({!Arena}): acyclic nodes settle in
     a single evaluation and only cyclic elastic-control regions iterate
     locally, driven by a dirty set of changed wires.  Channel state is
-    packed integer wire codes, Bigarray data buses and flat instruction
-    arrays instead of per-channel records and closures.
+    packed integer wire codes, one payload slot per channel and flat
+    instruction arrays instead of per-channel records and closures.
 
     [Reference] is the original blind fixpoint over the {!Wires}
     records — every node is re-evaluated in every pass until no wire
@@ -191,8 +191,8 @@ val run :
 (** Raw (unresolved) drive of a channel: the four control bits as the
     endpoints drove them, with the payload when V+ is asserted.  Apply
     {!Signal.resolve} for the cancellation-adjusted view.  Built on
-    demand: each call allocates the record and materializes the
-    payload. *)
+    demand: each call allocates the record and the payload's
+    option. *)
 val signal : t -> Netlist.channel_id -> Signal.t
 
 (** The [data] of a channel's {!signal}, without building the record. *)

@@ -392,7 +392,7 @@ let diamond_equiv =
 (* --- word-width datapaths ------------------------------------------- *)
 
 type word_pipe = {
-  w_width : int;  (* 1 / 32 / 63 / 64 — the Bigarray boundary cases *)
+  w_width : int;  (* 1 / 32 / 63 / 64 — the int64 boundary cases *)
   w_vals : int64 list;
   w_stages : int;
   w_stall : int;
@@ -428,8 +428,7 @@ let print_word_pipe w =
     Fmt.(list ~sep:semi (fun ppf v -> pf ppf "%Lx" v))
     w.w_vals
 
-(* Word payloads ride the arena's Bigarray data plane; an int64
-   rotate keeps every stage's payload width-exact. *)
+(* An int64 rotate keeps every stage's word payload width-exact. *)
 let build_word_pipe w =
   let b = builder () in
   let s =
@@ -592,10 +591,75 @@ let convergence_error_names_channels () =
     if named = [] then
       Alcotest.failf "no channel named in: %s" err.Engine.err_msg
 
+(* Every payload constructor crosses the arena's payload store: a
+   fork, an EB, an EB0 and a lazy mux on one branch, an early mux on the
+   other.  Both sinks receive the input stream in order, in both modes. *)
+let test_payload_constructors () =
+  let payloads =
+    Value.
+      [ Unit; Bool true; Int (-7); Word Int64.min_int; Str "payload";
+        Tuple [ Int 1; Tuple [ Str ""; Bool false; Word (-1L) ]; Unit ];
+        Bool false; Int min_int ]
+  in
+  let n = List.length payloads in
+  let b = builder () in
+  (* A source offering [n] copies of [v]. *)
+  let repeat ~name v =
+    add b ~name (Source (Stream (List.init n (fun _ -> v))))
+  in
+  let src = add b ~name:"src" (Source (Stream payloads)) in
+  let fork = add b ~name:"fork" (Fork 2) in
+  let e1 = eb b ~name:"eb" () and e2 = eb0 b ~name:"eb0" () in
+  let lazy_mux = add b ~name:"lmux" (Mux { ways = 2; early = false }) in
+  let early_mux = add b ~name:"emux" (Mux { ways = 2; early = true }) in
+  let k1 = sink b ~name:"k1" () and k2 = sink b ~name:"k2" () in
+  let _ = conn b (src, Out 0) (fork, In 0) in
+  let _ = conn b (fork, Out 0) (e1, In 0) in
+  let _ = conn b (e1, Out 0) (e2, In 0) in
+  let _ = conn b (e2, Out 0) (lazy_mux, In 0) in
+  let _ = conn b (repeat ~name:"pad1" Value.Unit, Out 0) (lazy_mux, In 1) in
+  let _ = conn b (repeat ~name:"sel1" (Value.Int 0), Out 0) (lazy_mux, Sel) in
+  let _ = conn b (lazy_mux, Out 0) (k1, In 0) in
+  let _ = conn b (repeat ~name:"pad2" Value.Unit, Out 0) (early_mux, In 0) in
+  let _ = conn b (fork, Out 1) (early_mux, In 1) in
+  let _ = conn b (repeat ~name:"sel2" (Value.Int 1), Out 0) (early_mux, Sel) in
+  let _ = conn b (early_mux, Out 0) (k2, In 0) in
+  run_pair ~name:"payload constructors" ~cycles:40 b.net;
+  let eng = run_net ~cycles:40 b.net in
+  List.iter
+    (fun k ->
+       Alcotest.(check (list value)) "sink stream is the input" payloads
+         (sink_values eng k))
+    [ k1; k2 ]
+
+(* Flips on a fork branch of the E6 design: the fork re-evaluates in
+   its cyclic region and re-writes the flipped payload, a fresh but
+   equal box each time, which is no conflict. *)
+let test_flip_rewritten_in_cycle () =
+  let open Elastic_fault in
+  let net =
+    (Examples.rs_speculative
+       ~ops:(Examples.rs_ops ~error_rate_pct:5 ~seed:5 60)).Examples.d_net
+  in
+  let ch =
+    (List.find
+       (fun c -> c.Netlist.ch_name = "op_fork.out0->fast.in0")
+       (Netlist.channels net)).Netlist.ch_id
+  in
+  run_pair ~name:"fork branch flips" ~cycles:120
+    ~faults:
+      [ Fault.flip_bit ~channel:ch ~cycle:10 3;
+        Fault.flip_bit ~channel:ch ~cycle:40 0 ]
+    net
+
 let suite =
   design_cases @ degenerate_cases @ fault_cases
   @ List.map QCheck_alcotest.to_alcotest
       [ pipe_equiv; diamond_equiv; word_pipe_equiv; shared_equiv;
         faulted_pipe_equiv ]
   @ [ Alcotest.test_case "non-convergence error names the channels" `Quick
-        convergence_error_names_channels ]
+        convergence_error_names_channels;
+      Alcotest.test_case "every payload constructor crosses the arena" `Quick
+        test_payload_constructors;
+      Alcotest.test_case "a flipped payload re-written in a cyclic region"
+        `Quick test_flip_rewritten_in_cycle ]

@@ -208,6 +208,74 @@ module Index_oracle = struct
            true))
 end
 
+(* Default node and channel names are built by concatenation; they read
+   byte for byte as the [Fmt] forms below, for every node kind and every
+   port kind, with multi-digit ids and port indices. *)
+let test_default_names () =
+  let open Netlist in
+  let fmt_port = function
+    | Sel -> "sel"
+    | In i -> Fmt.str "in%d" i
+    | Out i -> Fmt.str "out%d" i
+  in
+  let fmt_kind = function
+    | Source _ -> "source"
+    | Sink _ -> "sink"
+    | Buffer { buffer; init } ->
+      Fmt.str "%s[%d]" (buffer_kind_name buffer) (List.length init)
+    | Func f -> f.Func.name
+    | Fork n -> Fmt.str "fork%d" n
+    | Mux { ways; early } -> Fmt.str "%smux%d" (if early then "e" else "") ways
+    | Shared { ways; f; sched; hinted } ->
+      Fmt.str "shared%d%s(%s,%s)" ways
+        (if hinted then "h" else "")
+        f.Func.name
+        (Elastic_sched.Scheduler.spec_name sched)
+    | Varlat { fast; slow; _ } ->
+      Fmt.str "varlat(%s|%s)" fast.Func.name slow.Func.name
+  in
+  let f = Func.inc ~step:1 () and g = Func.identity () in
+  let kinds =
+    [ Source (Counter { start = 0; step = 1 }); Sink Always_ready;
+      Buffer { buffer = Eb; init = [] };
+      Buffer { buffer = Eb0; init = ints (List.init 12 Fun.id) };
+      Func f; Fork 3; Fork 12; Mux { ways = 2; early = false };
+      Mux { ways = 11; early = true };
+      Shared { ways = 2; f; sched = Elastic_sched.Scheduler.Static 0;
+               hinted = false };
+      Shared { ways = 3; f; sched = Elastic_sched.Scheduler.Round_robin;
+               hinted = true };
+      Varlat { fast = f; slow = g; err = f } ]
+  in
+  let b = builder () in
+  let ids = List.map (fun k -> add b k) kinds in
+  List.iter2
+    (fun k id ->
+       Alcotest.(check string) "kind_name" (fmt_kind k) (kind_name k);
+       Alcotest.(check string) "node name"
+         (Fmt.str "%s_%d" (fmt_kind k) id)
+         (node b.net id).name)
+    kinds ids;
+  let id k = List.nth ids k in
+  let ep (n, p) =
+    match node b.net n with
+    | nd -> Fmt.str "%s.%s" nd.name (fmt_port p)
+    | exception Invalid_argument _ -> Fmt.str "n%d.%s" n (fmt_port p)
+  in
+  let check_channel ~unsafe e1 e2 =
+    let net, c =
+      if unsafe then unsafe_connect b.net e1 e2 else connect b.net e1 e2
+    in
+    b.net <- net;
+    Alcotest.(check string) "channel name"
+      (Fmt.str "%s->%s" (ep e1) (ep e2))
+      (channel b.net c).ch_name
+  in
+  check_channel ~unsafe:false (id 6, Out 11) (id 8, In 10);
+  check_channel ~unsafe:false (id 0, Out 0) (id 8, Sel);
+  check_channel ~unsafe:true (id 5, Out 2) (99, In 12);
+  check_channel ~unsafe:true (100, Sel) (id 1, In 0)
+
 let suite =
   [ Alcotest.test_case "connect rejects occupied ports" `Quick (fun () ->
         let b = builder () in
@@ -352,4 +420,16 @@ let suite =
         let dot = Dot.to_string b.net in
         Alcotest.(check bool) "source" true (contains dot "my_source");
         Alcotest.(check bool) "sink" true (contains dot "my_sink"));
-    Index_oracle.test ]
+    Index_oracle.test;
+    Alcotest.test_case "default node and channel names" `Quick
+      test_default_names;
+    Alcotest.test_case "find_node returns the lowest-id match" `Quick
+      (fun () ->
+        let b = builder () in
+        let _ = sink b ~name:"other" () in
+        let first = sink b ~name:"dup" () in
+        let _ = src_counter b ~name:"dup" () in
+        Alcotest.(check (option int)) "lowest id" (Some first)
+          (Option.map
+             (fun n -> n.Netlist.id)
+             (Netlist.find_node b.net "dup"))) ]
