@@ -102,9 +102,8 @@ let replay_stage ?recovery ~name ~source ~fast ~slow ~err ~stage_f ~width
 (* The downstream stage logic that gets shared (the shaded G of
    Fig. 6(b)): a light post-processing block, here result + 1. *)
 let vl_g () =
-  Func.make ~name:"G" ~arity:1 ~delay:1.5 ~area:40.0 (function
-    | [ v ] -> Value.Int ((Value.to_int v + 1) land 0xFF)
-    | _ -> assert false)
+  Func.unary ~name:"G" ~delay:1.5 ~area:40.0 (fun v ->
+      Value.Int ((Value.to_int v + 1) land 0xFF))
 
 let vl_stream ops =
   Netlist.Stream (List.map (fun (op, a, b) -> Alu.operand_value op a b) ops)
@@ -226,16 +225,16 @@ let corrected_word v =
 
 (* One SECDED corrector per operand: a whole pipeline stage (§5.2). *)
 let rs_correct_pair () =
-  Func.make ~name:"secded2" ~arity:1 ~delay:7.0 ~area:640.0 (function
-    | [ Value.Tuple [ va; vb ] ] ->
+  Func.unary ~name:"secded2" ~delay:7.0 ~area:640.0 (function
+    | Value.Tuple [ va; vb ] ->
       Value.Tuple [ Value.Word (corrected_word va); Value.Word (corrected_word vb) ]
     | _ -> assert false)
 
 (* Strip the check bits; the raw (possibly corrupted) operands feed the
    speculative addition. *)
 let rs_raw_pair () =
-  Func.make ~name:"raw2" ~arity:1 ~delay:0.5 ~area:4.0 (function
-    | [ Value.Tuple [ va; vb ] ] ->
+  Func.unary ~name:"raw2" ~delay:0.5 ~area:4.0 (function
+    | Value.Tuple [ va; vb ] ->
       Value.Tuple
         [ Value.Word (codeword_of va).Secded.data;
           Value.Word (codeword_of vb).Secded.data ]
@@ -244,16 +243,16 @@ let rs_raw_pair () =
 (* The error flag is a tap off the SECDED syndrome logic (no double
    counting of the corrector's area). *)
 let rs_err () =
-  Func.make ~name:"secded_err" ~arity:1 ~delay:7.0 ~area:24.0 (function
-    | [ Value.Tuple [ va; vb ] ] ->
+  Func.unary ~name:"secded_err" ~delay:7.0 ~area:24.0 (function
+    | Value.Tuple [ va; vb ] ->
       let clean v = Secded.decode (codeword_of v) = Secded.No_error in
       Value.Int (if clean va && clean vb then 0 else 1)
     | _ -> assert false)
 
 (* 64-bit prefix adder (§5.2 uses one). *)
 let rs_adder () =
-  Func.make ~name:"add64" ~arity:1 ~delay:8.0 ~area:900.0 (function
-    | [ Value.Tuple [ Value.Word a; Value.Word b ] ] ->
+  Func.unary ~name:"add64" ~delay:8.0 ~area:900.0 (function
+    | Value.Tuple [ Value.Word a; Value.Word b ] ->
       Value.Word (Int64.add a b)
     | _ -> assert false)
 
@@ -311,8 +310,8 @@ let rs_speculative ~ops = rs_speculative_with ~recovery:Netlist.Eb0 ~ops
    1 = single error (corrected), 2 = double error (detected but
    uncorrectable).  A tap off the same syndrome logic as [rs_err]. *)
 let rs_severity () =
-  Func.make ~name:"secded_sev" ~arity:1 ~delay:7.0 ~area:24.0 (function
-    | [ Value.Tuple [ va; vb ] ] ->
+  Func.unary ~name:"secded_sev" ~delay:7.0 ~area:24.0 (function
+    | Value.Tuple [ va; vb ] ->
       let sev v =
         match Secded.decode (codeword_of v) with
         | Secded.No_error -> 0
@@ -387,33 +386,25 @@ let pl_taken ~step ~pc =
   match pc with 3 -> step mod 4 <> 3 | 6 -> true | _ -> false
 
 let pl_resolve =
-  Func.make ~name:"resolve" ~arity:1 ~delay:6.0 ~area:150.0 (function
-    | [ v ] ->
+  Func.unary ~name:"resolve" ~delay:6.0 ~area:150.0 (fun v ->
       let v = Value.to_int v in
       Value.Int
         (if pl_is_branch (pc_of v) && pl_taken ~step:(pl_step v) ~pc:(pc_of v)
          then 1
-         else 0)
-    | _ -> assert false)
+         else 0))
 
 let pl_nextpc =
-  Func.make ~name:"nextpc" ~arity:1 ~delay:1.0 ~area:20.0 (function
-    | [ v ] ->
+  Func.unary ~name:"nextpc" ~delay:1.0 ~area:20.0 (fun v ->
       let v = Value.to_int v in
-      Value.Int (pl_encode ~step:(pl_step v + 1) ~pc:(pc_of v + 1))
-    | _ -> assert false)
+      Value.Int (pl_encode ~step:(pl_step v + 1) ~pc:(pc_of v + 1)))
 
 let pl_tgt =
-  Func.make ~name:"target" ~arity:1 ~delay:1.0 ~area:20.0 (function
-    | [ v ] ->
+  Func.unary ~name:"target" ~delay:1.0 ~area:20.0 (fun v ->
       let v = Value.to_int v in
-      Value.Int (pl_encode ~step:(pl_step v + 1) ~pc:(pl_target (pc_of v)))
-    | _ -> assert false)
+      Value.Int (pl_encode ~step:(pl_step v + 1) ~pc:(pl_target (pc_of v))))
 
 let pl_fetch =
-  Func.make ~name:"fetch" ~arity:1 ~delay:5.0 ~area:120.0 (function
-    | [ v ] -> v
-    | _ -> assert false)
+  Func.unary ~name:"fetch" ~delay:5.0 ~area:120.0 Fun.id
 
 let pc_loop () =
   let net = Netlist.empty in

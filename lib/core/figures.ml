@@ -28,16 +28,12 @@ type handles = {
    makes G yield sel.(0) for the first fire. *)
 let g_func p =
   let n = Array.length p.sel in
-  Func.make ~name:"G" ~arity:1 ~delay:p.g_delay ~area:p.g_area (function
-    | [ v ] ->
+  Func.unary ~name:"G" ~delay:p.g_delay ~area:p.g_area (fun v ->
       let i = (Value.to_int v asr 1) + 1 in
-      Value.Int p.sel.(((i mod n) + n) mod n)
-    | _ -> assert false)
+      Value.Int p.sel.(((i mod n) + n) mod n))
 
 let f_func p =
-  Func.make ~name:"F" ~arity:1 ~delay:p.f_delay ~area:p.f_area (function
-    | [ v ] -> v
-    | _ -> assert false)
+  Func.unary ~name:"F" ~delay:p.f_delay ~area:p.f_area Fun.id
 
 let fig1a ?(params = default_params) () =
   let net = Netlist.empty in
@@ -136,12 +132,11 @@ type table1_handles = {
    D(1), E(0), F(0), so G(A)=1, G(B)=1, G(D)=0, G(E)=0; the initial loop
    token yields the first select 0. *)
 let table1_g =
-  Func.make ~name:"G_table1" ~arity:1 ~delay:4.0 ~area:60.0 (function
-    | [ Value.Str "A" ] -> Value.Int 1
-    | [ Value.Str "B" ] -> Value.Int 1
-    | [ Value.Str ("D" | "E" | "F") ] -> Value.Int 0
-    | [ _ ] -> Value.Int 0
-    | _ -> assert false)
+  Func.unary ~name:"G_table1" ~delay:4.0 ~area:60.0 (function
+    | Value.Str "A" -> Value.Int 1
+    | Value.Str "B" -> Value.Int 1
+    | Value.Str ("D" | "E" | "F") -> Value.Int 0
+    | _ -> Value.Int 0)
 
 let table1 () =
   let str s = Value.Str s in
@@ -158,10 +153,7 @@ let table1 () =
       (Netlist.Source
          (Netlist.Stream [ str "x1"; str "B"; str "D"; str "x2"; str "G" ]))
   in
-  let f = Func.make ~name:"F" ~arity:1 ~delay:5.0 ~area:80.0 (function
-      | [ v ] -> v
-      | _ -> assert false)
-  in
+  let f = Func.unary ~name:"F" ~delay:5.0 ~area:80.0 Fun.id in
   let net, sh =
     Netlist.add_node ~name:"sharedF" net
       (Netlist.Shared

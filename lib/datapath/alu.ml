@@ -42,34 +42,27 @@ let approx_correct op a b = approx op a b = exact op a b
 let operand_value op a b =
   Value.Tuple [ Value.Int (int_of_op op); Value.Int a; Value.Int b ]
 
-let decode_operands v =
-  match v with
-  | Value.Tuple [ o; a; b ] ->
-    (op_of_int (Value.to_int o), Value.to_int a, Value.to_int b)
-  | Value.Unit | Value.Bool _ | Value.Int _ | Value.Word _ | Value.Str _
-  | Value.Tuple _ ->
-    invalid_arg (Fmt.str "Alu: not an operand triple: %a" Value.pp v)
+(* The three fields of an operand triple are read in place: an
+   application builds only its result. *)
+let operand_func ~name ~delay ~area f =
+  Func.unary ~name ~delay ~area (function
+    | Value.Tuple [ o; a; b ] ->
+      f (op_of_int (Value.to_int o)) (Value.to_int a) (Value.to_int b)
+    | (Value.Unit | Value.Bool _ | Value.Int _ | Value.Word _ | Value.Str _
+      | Value.Tuple _) as v ->
+      invalid_arg (Fmt.str "Alu: not an operand triple: %a" Value.pp v))
 
 let exact_func () =
-  Func.make ~name:"alu_exact" ~arity:1 ~delay:10.0 ~area:900.0 (function
-    | [ v ] ->
-      let op, a, b = decode_operands v in
-      Value.Int (exact op a b)
-    | _ -> assert false)
+  operand_func ~name:"alu_exact" ~delay:10.0 ~area:900.0 (fun op a b ->
+      Value.Int (exact op a b))
 
 let approx_func () =
-  Func.make ~name:"alu_approx" ~arity:1 ~delay:6.0 ~area:640.0 (function
-    | [ v ] ->
-      let op, a, b = decode_operands v in
-      Value.Int (approx op a b)
-    | _ -> assert false)
+  operand_func ~name:"alu_approx" ~delay:6.0 ~area:640.0 (fun op a b ->
+      Value.Int (approx op a b))
 
 let error_func () =
-  Func.make ~name:"alu_err" ~arity:1 ~delay:3.8 ~area:60.0 (function
-    | [ v ] ->
-      let op, a, b = decode_operands v in
-      Value.Int (if approx_correct op a b then 0 else 1)
-    | _ -> assert false)
+  operand_func ~name:"alu_err" ~delay:3.8 ~area:60.0 (fun op a b ->
+      Value.Int (if approx_correct op a b then 0 else 1))
 
 (* Local deterministic generator; the datapath library stays independent
    of the simulator's RNG. *)

@@ -112,14 +112,12 @@ let codeword_of_value v =
     invalid_arg (Fmt.str "Secded: not a codeword: %a" Value.pp v)
 
 let corrector_func () =
-  Func.make ~name:"secded_cor" ~arity:1 ~delay:7.0 ~area:320.0 (function
-    | [ v ] ->
+  Func.unary ~name:"secded_cor" ~delay:7.0 ~area:320.0 (fun v ->
       let cw = codeword_of_value v in
-      let corrected, err =
-        match decode cw with
-        | No_error -> (cw.data, 0)
-        | Corrected d -> (d, 1)
-        | Double_error -> (cw.data, 2)
+      let out corrected err =
+        Value.Tuple [ Value.Word corrected; Value.Int err ]
       in
-      Value.Tuple [ Value.Word corrected; Value.Int err ]
-    | _ -> assert false)
+      match decode cw with
+      | No_error -> out cw.data 0
+      | Corrected d -> out d 1
+      | Double_error -> out cw.data 2)

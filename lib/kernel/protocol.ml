@@ -53,7 +53,8 @@ let stall_shift = 6
 
 let fresh = no_prev
 
-let step ~regs ~slot ~vals ~vslot ~liveness_bound ~cycle ~data ~chan raw =
+let step ~regs ~slot ~vals ~vslot ~liveness_bound ~cycle ~has_data ~payload
+    ~chan raw =
   let w = regs.(slot) in
   let persistent = vslot >= 0 in
   let s = Signal.resolve_code raw in
@@ -64,7 +65,7 @@ let step ~regs ~slot ~vals ~vslot ~liveness_bound ~cycle ~data ~chan raw =
      this cycle's for the next, or to compare it with the previous one's. *)
   let held = match verdict with Held -> true | Free | Broken _ -> false in
   let keep = persistent && Signal.in_retry s in
-  let payload = if keep || held then data chan else None in
+  let has = (keep || held) && has_data chan in
   (* Liveness watchdog: something pending, nothing moving. *)
   let ev = Signal.events_of_code s in
   let stalled_for =
@@ -88,20 +89,23 @@ let step ~regs ~slot ~vals ~vslot ~liveness_bound ~cycle ~data ~chan raw =
     | Held ->
       (* Compared in place: a stall builds no option. *)
       let had = w land present <> 0 in
-      (match payload with
-       | Some v when had && Value.equal vals.(vslot) v -> found
-       | None when not had -> found
-       | Some _ | None ->
-         let before = if had then Some vals.(vslot) else None in
-         { cycle; property = "retry+"; message = data_changed before payload }
-         :: found)
+      if has && had && Value.equal vals.(vslot) (payload chan) then found
+      else if (not has) && not had then found
+      else
+        let before = if had then Some vals.(vslot) else None in
+        let after = if has then Some (payload chan) else None in
+        { cycle; property = "retry+"; message = data_changed before after }
+        :: found
   in
   let kept =
-    match payload with
-    | Some v when keep -> vals.(vslot) <- v; present
-    | Some _ | None ->
+    if has && keep then begin
+      vals.(vslot) <- payload chan;
+      present
+    end
+    else begin
       if w land present <> 0 then vals.(vslot) <- Value.Unit;
       0
+    end
   in
   regs.(slot) <- (stalled_for lsl stall_shift) lor kept lor s;
   match invariant raw with

@@ -61,17 +61,18 @@ val data_changed : Value.t option -> Value.t option -> string
     stall, no payload held. *)
 val fresh : int
 
-(** [step ~regs ~slot ~vals ~vslot ~liveness_bound ~cycle ~data ~chan
-    code] feeds one cycle of a channel's raw (pre-resolution) control
-    code ({!Signal.code}) to the monitor whose int slot is [regs.(slot)]
-    and whose payload slot is [vals.(vslot)]; [vslot < 0] means the
-    channel has none and Retry+ is not checked on it.  It updates both
-    slots and returns the cycle's violations in the order invariant,
-    retry, liveness ([[]] on a clean cycle, allocating nothing).
-    [data chan] is the channel's payload this cycle; it is called only
+(** [step ~regs ~slot ~vals ~vslot ~liveness_bound ~cycle ~has_data
+    ~payload ~chan code] feeds one cycle of a channel's raw
+    (pre-resolution) control code ({!Signal.code}) to the monitor whose
+    int slot is [regs.(slot)] and whose payload slot is [vals.(vslot)];
+    [vslot < 0] means the channel has none and Retry+ is not checked on
+    it.  It updates both slots and returns the cycle's violations in the
+    order invariant, retry, liveness ([[]] on a clean cycle, allocating
+    nothing).  [has_data chan] says whether the channel carries a
+    payload this cycle and [payload chan] reads it; they are called only
     while a Retry+ retry is pending (V+ asserted and this cycle or the
-    previous one in retry).  The payload slot keeps a [None] payload (a
-    forged V+) apart from [Some Value.Unit]. *)
+    previous one in retry).  The payload slot keeps a missing payload (a
+    forged V+) apart from [Value.Unit]. *)
 val step :
   regs:int array ->
   slot:int ->
@@ -79,7 +80,8 @@ val step :
   vslot:int ->
   liveness_bound:int ->
   cycle:int ->
-  data:(int -> Value.t option) ->
+  has_data:(int -> bool) ->
+  payload:(int -> Value.t) ->
   chan:int ->
   int ->
   violation list

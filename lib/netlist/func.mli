@@ -11,15 +11,32 @@ type t = {
   name : string;
   arity : int;  (** Number of data inputs. *)
   eval : Value.t list -> Value.t;
+      (** The list form: one argument per input, in port order.  It does
+          not check the argument count; {!apply} does. *)
+  eval1 : Value.t -> Value.t;
+      (** The unary entry: the function of its one argument, with no list
+          built per application.  The simulator's unary stages, shared
+          modules and variable-latency units call it; [Engine.create]
+          checks their arity once.  A function whose arity is not 1
+          raises [Invalid_argument] from it. *)
   delay : float;
   area : float;
 }
 
-(** [make ~name ~arity ~delay ~area eval] builds a function spec.
+(** [make ~name ~arity ~delay ~area eval] builds a function spec from its
+    list form; at arity 1 its [eval1] is [fun v -> eval [ v ]].
     @raise Invalid_argument if [arity < 0] or delay/area are negative. *)
 val make :
   name:string -> arity:int -> delay:float -> area:float ->
   (Value.t list -> Value.t) -> t
+
+(** [unary ~name ~delay ~area f] builds an arity-1 function spec from its
+    unary form [f]; its list form applies [f] to the element of a
+    one-element list and raises [Invalid_argument] on any other length,
+    with {!apply}'s message.
+    @raise Invalid_argument if delay/area are negative. *)
+val unary :
+  name:string -> delay:float -> area:float -> (Value.t -> Value.t) -> t
 
 (** [apply f vs] evaluates [f] and checks the argument count.
     @raise Invalid_argument on arity mismatch. *)

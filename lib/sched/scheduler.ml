@@ -4,7 +4,8 @@ type observation = {
   out_stop : bool array;
   out_kill : bool array;
   mutable served : int option;
-  mutable hint : int option;
+  mutable has_hint : bool;
+  mutable hint : int;
 }
 
 type spec =
@@ -206,11 +207,11 @@ let observe t obs =
     (* The hint is authoritative: a stopped output is ordinary
        back-pressure here, not a misprediction, so there is no
        retry-based deviation. *)
-    (match obs.hint with
-     | Some h when h <> 0 ->
-       if not mispredicted then set t miss (get t miss + 1);
-       set t pred 1
-     | Some _ | None -> if p <> 0 && obs.served <> None then set t pred 0)
+    if obs.has_hint && obs.hint <> 0 then begin
+      if not mispredicted then set t miss (get t miss + 1);
+      set t pred 1
+    end
+    else if p <> 0 && obs.served <> None then set t pred 0
   | Gshare _ ->
     (* Each serve is one consumed select: train the indexed counter and
        shift the outcome into the global history exactly once.  While a

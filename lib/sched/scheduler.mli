@@ -27,10 +27,14 @@ type observation = {
   mutable served : int option;
       (** Channel whose token actually traversed the shared module and was
           accepted downstream this cycle. *)
-  mutable hint : int option;
-      (** Value of the hint token consumed this cycle, when the shared
-          module has a hint input (e.g. the error detector's outcome wired
-          straight into the scheduler, as §5.1/§5.2 prescribe). *)
+  mutable has_hint : bool;
+      (** A hint token was consumed this cycle: the shared module has a
+          hint input (e.g. the error detector's outcome wired straight
+          into the scheduler, as §5.1/§5.2 prescribe) and a token left
+          it. *)
+  mutable hint : int;
+      (** That token's value, unboxed; meaningful only when
+          [has_hint]. *)
 }
 
 (** Prediction strategy specification — a declarative description so that

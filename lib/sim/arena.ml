@@ -26,13 +26,20 @@
    - [driven.(c)]/[dval.(c)]: whether the channel's payload is driven
      this cycle, and the [Value.t] the producing node wrote, stored and
      handed on as it is (payloads ride beside the handshake; only the
-     mux select is read).
+     mux select is read).  [has_data]/[payload] read it, and the
+     substitute of a forced-valid wire, without building an option.
    - [written]/[written_n]: bump-allocated write log replacing the
      [Wires.written] cons list (iterated top-down = most-recent-first).
    - node "instructions" are index arrays into the shared [ports]
      pool: per node a slice of input wires, output wires and (for
      joins) the data-function argument list, flattened at [create]
-     from the dense channel indices each [Instance.t] holds. *)
+     from the dense channel indices each [Instance.t] holds.
+   - [fns1.(i)]/[fns.(i)]: node [i]'s data function, its unary entry
+     ([Func.eval1]) and its list form.  A join of one input and a
+     shared module apply [fns1] to the payload itself, and a lazy mux
+     forwards the input its select names, so a step allocates only
+     what the functions return; only a join of several inputs builds
+     an argument list. *)
 
 open Elastic_kernel
 open Elastic_sched
@@ -113,7 +120,10 @@ type t = {
   jbase : int array;  (* join argument list (sel-prefixed for late mux) *)
   jn : int array;
   ports : int array;  (* shared index pool for all the slices above *)
-  fns : (Value.t list -> Value.t) array;  (* join / shared data function *)
+  fns : (Value.t list -> Value.t) array;  (* join data function, list form *)
+  fns1 : (Value.t -> Value.t) array;
+      (* unary join / shared data function ([Func.eval1]), applied to the
+         payload itself *)
   (* Settle machinery (preallocated). *)
   schedule : Schedule.t;
   dirty : bool array;
@@ -142,6 +152,7 @@ let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
   let jbase = Array.make sz 0 in
   let jn = Array.make sz 0 in
   let fns = Array.make sz (fun _ -> (assert false : Value.t)) in
+  let fns1 = Array.make sz (fun _ -> (assert false : Value.t)) in
   let chunks = ref [] in
   let pos = ref 0 in
   let alloc arr =
@@ -151,6 +162,12 @@ let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
     b
   in
   let max_fan = ref 1 in
+  (* Both forms of a node's data function: joins of one input (unary
+     stages, shared modules) apply [eval1] to the payload itself. *)
+  let func i f =
+    fns.(i) <- f.Func.eval;
+    fns1.(i) <- f.Func.eval1
+  in
   Array.iteri
     (fun i inst ->
        let in_ch = Instance.ins inst and out_ch = Instance.outs inst in
@@ -166,17 +183,18 @@ let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
        | Netlist.Func f ->
          jbase.(i) <- ins_base.(i);
          jn.(i) <- Array.length in_ch;
-         fns.(i) <- Func.apply f
+         func i f
        | Netlist.Mux { ways; early = false } ->
-         (* The late mux is a join over [sel :: ins] with a select
-            data function — both precomputed here, where the record
-            engine rebuilds them on every evaluation. *)
+         (* The late mux is a join over [sel :: ins]: [eval_join]
+            forwards the selected input itself, and [Func.select]
+            remains only for a mux with no data input, whose join of
+            one takes the unary path. *)
          let all = Array.append [| Option.get sel_ch |] in_ch in
          jbase.(i) <- alloc all;
          jn.(i) <- Array.length all;
          max_fan := max !max_fan jn.(i);
-         fns.(i) <- Func.apply (Func.select ~ways ())
-       | Netlist.Shared { f; _ } -> fns.(i) <- Func.apply f
+         func i (Func.select ~ways ())
+       | Netlist.Shared { f; _ } -> func i f
        | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _
        | Netlist.Fork _ | Netlist.Mux _ | Netlist.Varlat _ -> ())
     insts;
@@ -201,7 +219,7 @@ let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
     written = Array.make ((5 * nchan) + 8) 0;
     written_n = 0;
     insts; regs; vals; ins_base; ins_n; outs_base; outs_n;
-    selw; jbase; jn; ports; fns;
+    selw; jbase; jn; ports; fns; fns1;
     schedule;
     dirty = Array.make sz false;
     queue = Array.make !qcap 0;
@@ -307,11 +325,8 @@ let[@inline] kput t c off field code =
 let[@inline] subst t c =
   if Array.unsafe_get t.force c land 3 = 3 then t.ov_subst.(c) else None
 
-let data t c =
-  if Array.unsafe_get t.driven c then Some (Array.unsafe_get t.dval c)
-  else subst t c
-
-let[@inline] has_data t c = Array.unsafe_get t.driven c || subst t c <> None
+let[@inline] has_data t c =
+  Array.unsafe_get t.driven c || Option.is_some (subst t c)
 
 (* The payload of a channel that [has_data]. *)
 let payload t c =
@@ -365,10 +380,7 @@ let eval_source t i =
   let out = out_w t i 0 in
   let offering = reg t i 0 = 1 in
   set_bool2 t out vp "V+" offering sm "S-" false;
-  if offering then
-    (match Instance.source_peek t.insts.(i) with
-     | Some v -> set_data t out v
-     | None -> assert false)
+  if offering then set_data t out (Instance.source_value t.insts.(i))
 
 let eval_sink t i =
   let inw = in_w t i 0 in
@@ -408,7 +420,7 @@ let eval_join1 t i =
   let v = get t inw vp in
   kput t out vp "V+" v;
   if v = 3 && (not (Array.unsafe_get t.driven out)) && has_data t inw then
-    set_data t out (Array.unsafe_get t.fns i [ payload t inw ]);
+    set_data t out (Array.unsafe_get t.fns1 i (payload t inw));
   let s_eff = kandn (get t out sp) (get t out vm) in
   kput t inw sp "S+" s_eff;
   let consumable = korn v (get t inw sm) in
@@ -442,12 +454,24 @@ let eval_join t i =
         all_data := false
     done;
     if !all_data then begin
-      let rec datas j =
-        if j >= n then []
-        else
-          payload t (Array.unsafe_get ports (base + j)) :: datas (j + 1)
-      in
-      set_data t out (Array.unsafe_get t.fns i (datas 0))
+      let sel = Array.unsafe_get t.selw i in
+      if sel >= 0 then begin
+        (* A lazy mux (its join list is [sel :: ins]) forwards the data
+           input its select names, as [Func.select] does, with no
+           argument list. *)
+        let s = Value.to_int (payload t sel) in
+        if s < 0 || s >= n - 1 then Instance.bad_select s;
+        set_data t out (payload t (Array.unsafe_get ports (base + 1 + s)))
+      end
+      else begin
+        (* Built back to front by a loop: a local recursive function
+           would allocate its closure on every application. *)
+        let args = ref [] in
+        for j = n - 1 downto 0 do
+          args := payload t (Array.unsafe_get ports (base + j)) :: !args
+        done;
+        set_data t out (Array.unsafe_get t.fns i !args)
+      end
     end
   end;
   let s_eff = kandn (get t out sp) (get t out vm) in
@@ -557,7 +581,7 @@ let eval_shared t i sched =
      would recompute the identical payload. *)
   if get t in_g vp = 3 && (not (Array.unsafe_get t.driven out_g))
      && has_data t in_g
-  then set_data t out_g (t.fns.(i) [ payload t in_g ]);
+  then set_data t out_g (Array.unsafe_get t.fns1 i (payload t in_g));
   let fire = kand (get t out_g vp) (korn (get t out_g vm) (get t out_g sp)) in
   kput t in_g sp "S+" (knot fire);
   if hint >= 0 then begin
@@ -638,12 +662,14 @@ let settle_loop t =
       let comp = comp_of.(members.(0)) in
       t.qh <- 0;
       t.qt <- 0;
-      Array.iter
-        (fun i ->
-           dirty.(i) <- true;
-           queue.(t.qt) <- i;
-           t.qt <- (t.qt + 1) land qmask)
-        members;
+      (* A loop, not [Array.iter]: its closure would be the settle
+         loop's only allocation. *)
+      for m = 0 to Array.length members - 1 do
+        let i = members.(m) in
+        dirty.(i) <- true;
+        queue.(t.qt) <- i;
+        t.qt <- (t.qt + 1) land qmask
+      done;
       (* Monotone write-once wires bound the iteration; the budget is a
          safety valve against a non-monotone eval bug. *)
       let budget =

@@ -75,7 +75,11 @@ val last_eval : t -> int
     [codes], indexed by dense channel index.  Allocates nothing. *)
 val fill_codes : t -> int array -> unit
 
-(** Payload of a dense channel index after settle, mirroring
-    {!Wires.data} (including the substitute-payload fallback): the
-    value the producing node wrote, not a copy. *)
-val data : t -> int -> Value.t option
+(** [has_data t c] says whether dense channel [c] carries a payload
+    after settle, mirroring {!Wires.has_data} (including the
+    substitute-payload fallback); [payload t c] reads a payload that
+    [has_data]: the value the producing node wrote, not a copy.  Neither
+    allocates. *)
+val has_data : t -> int -> bool
+
+val payload : t -> int -> Value.t

@@ -13,6 +13,12 @@ type t = unit -> int64
 (** The system monotonic clock — immune to wall-time steps. *)
 val monotonic : t
 
+(** [read_ns t] is one reading of [t] as an [int] count of nanoseconds.
+    A reading of {!monotonic} allocates nothing (the engine's settle
+    timer takes two per cycle); any other clock is called once, as
+    [Int64.to_int (t ())]. *)
+val read_ns : t -> int
+
 (** [ticker ~step_ns] returns a deterministic clock advancing by
     [step_ns] nanoseconds per reading, starting at 0 (the first reading
     returns [step_ns]). *)

@@ -99,9 +99,11 @@ type t = {
   codes : int array;
       (* the elapsed cycle's raw control code per dense channel
          ([Signal.code] layout), filled after settle *)
-  data_at : int -> Value.t option;
-      (* payload of a dense channel with V+ in [codes], read from the
-         backend on demand *)
+  has_data : int -> bool;
+      (* does a dense channel with V+ in [codes] carry a payload? *)
+  payload : int -> Value.t;
+      (* the payload of a channel that [has_data], read from the backend
+         on demand; neither builds an option *)
   counts : int array;
       (* of the channel of dense index [i] with [n] channels: tokens
          delivered at [i] and annihilated at [n + i], cycles with V+ &
@@ -159,9 +161,21 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
             (List.map
                (fun (d : Diagnostic.t) -> d.Diagnostic.message)
                ds)));
+  let nodes = Array.of_list (Netlist.nodes net) in
+  (* A shared module and a variable-latency unit apply their functions
+     to one payload through [Func.eval1]: their arity is checked here,
+     once, and never per application.  (A function stage's arity is its
+     input count by construction.) *)
+  let unary (n : Netlist.node) (f : Func.t) =
+    if f.Func.arity <> 1 then
+      fail ~cycle:0 ~node:n.Netlist.id
+        (Fmt.str "node %s: function %s has arity %d, but a shared module \
+                  or variable-latency unit applies it to one payload"
+           n.Netlist.name f.Func.name f.Func.arity)
+  in
   (* "E101" is Elastic_lint's buffer-overfilled rule, quoted like E102
      in [check_determined]; checked before any node is compiled. *)
-  List.iter
+  Array.iter
     (fun (n : Netlist.node) ->
        match n.Netlist.kind with
        | Netlist.Buffer { buffer; init }
@@ -172,15 +186,19 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
               n.Netlist.name (List.length init)
               (Netlist.buffer_kind_name buffer)
               (Netlist.buffer_capacity buffer))
+       | Netlist.Shared { f; _ } -> unary n f
+       | Netlist.Varlat { fast; slow; err } ->
+         unary n fast;
+         unary n slow;
+         unary n err
        | _ -> ())
-    (Netlist.nodes net);
+    nodes;
   let chans = Array.of_list (Netlist.channels net) in
   let ch_index = Hashtbl.create 64 in
   Array.iteri
     (fun i (c : Netlist.channel) -> Hashtbl.add ch_index c.Netlist.ch_id i)
     chans;
   (* Each node's dense input, select and output channel indices. *)
-  let nodes = Array.of_list (Netlist.nodes net) in
   let node_ports (n : Netlist.node) =
     let index p =
       match Netlist.channel_at net n.Netlist.id p with
@@ -267,15 +285,14 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
       Reference (ws, Array.map (Instance.evaluator ws) insts)
   in
   let codes = Array.make (Array.length chans) 0 in
-  let data_at =
+  let valid i = codes.(i) land Signal.v_plus_bit <> 0 in
+  let has_data, payload =
     match backend with
     | Arena ar ->
-      fun i ->
-        if codes.(i) land Signal.v_plus_bit = 0 then None else Arena.data ar i
+      ((fun i -> valid i && Arena.has_data ar i), Arena.payload ar)
     | Reference (ws, _) ->
-      fun i ->
-        if codes.(i) land Signal.v_plus_bit = 0 then None
-        else Wires.data (Wires.wire ws i)
+      ( (fun i -> valid i && Wires.has_data (Wires.wire ws i)),
+        fun i -> Wires.payload (Wires.wire ws i) )
   in
   (* Everything above — diagnostics, node compilation, schedule build,
      arena packing — is the compile phase of this engine's ledger. *)
@@ -295,7 +312,8 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     cycle_evals;
     cycle = 0;
     codes;
-    data_at;
+    has_data;
+    payload;
     counts = Array.make (4 * Array.length chans) 0;
     sink_streams;
     sinks;
@@ -530,21 +548,21 @@ let step ?(choices = fun _ -> None) t =
     Instance.begin_cycle inst ~choice:(choices (Instance.node inst).Netlist.id)
   done;
   Array.fill t.cycle_evals 0 (Array.length t.cycle_evals) 0;
-  let t0 = t.clock () in
+  let t0 = Clock.read_ns t.clock in
   (match t.backend with
    | Arena ar -> settle_arena t ar
    | Reference (ws, evals) -> fixpoint t ws evals);
   (* Stop the settle timer before the determinism check and pass fold so
-     the recorded seconds cover only the settle phase itself — the E9
+     the recorded time covers only the settle phase itself — the E9
      speedup record compares backends on this number. *)
-  let settle_seconds = Clock.seconds_between t0 (t.clock ()) in
+  let settle_ns = Clock.read_ns t.clock - t0 in
   check_determined t;
   let passes = Array.fold_left max 0 t.cycle_evals in
-  Profile.record_cycle t.profile ~passes ~seconds:settle_seconds;
+  Profile.record_cycle t.profile ~passes ~ns:settle_ns;
   (* Post-settle: everything below reads the packed codes; payloads
      are fetched only where a token moves (or a monitor's retry is
-     pending).  Nothing here allocates in a fault-free cycle beyond
-     what the nodes' own payload handling does. *)
+     pending).  Nothing here allocates in a fault-free cycle but the
+     sinks' [Transfer] records. *)
   let n = Array.length t.chans in
   let codes = t.codes in
   (match t.backend with
@@ -558,14 +576,15 @@ let step ?(choices = fun _ -> None) t =
    | Some fs when t.cycle < fs.fs_first + Array.length fs.fs_rows ->
      for j = 0 to Array.length t.replay - 1 do
        let i = t.replay.(j) in
-       match t.data_at i with Some v -> t.kept.(i) <- v | None -> ()
+       if t.has_data i then t.kept.(i) <- t.payload i
      done
    | Some _ | None -> ());
   for i = 0 to Array.length t.mon_vals - 1 do
     match
       Protocol.step ~regs:t.regs ~slot:(t.mon_base + i) ~vals:t.vals
         ~vslot:t.mon_vals.(i) ~liveness_bound:t.liveness_bound
-        ~cycle:t.cycle ~data:t.data_at ~chan:i codes.(i)
+        ~cycle:t.cycle ~has_data:t.has_data ~payload:t.payload ~chan:i
+        codes.(i)
     with
     | [] -> ()
     | found -> log_violations t i found
@@ -597,10 +616,11 @@ let step ?(choices = fun _ -> None) t =
   for k = 0 to Array.length t.sinks - 1 do
     let sk = t.sinks.(k) in
     if (Signal.events_of_code codes.(sk.sk_chan)).Signal.token_in then
-      match t.data_at sk.sk_chan with
-      | Some v ->
-        sk.sk_stream := Transfer.record !(sk.sk_stream) ~cycle:t.cycle v
-      | None ->
+      if t.has_data sk.sk_chan then
+        sk.sk_stream :=
+          Transfer.record !(sk.sk_stream) ~cycle:t.cycle
+            (t.payload sk.sk_chan)
+      else
         (* Unreachable in a healthy run; reachable when a fault forges a
            valid bit without a payload. *)
         fail ~cycle:t.cycle ~node:sk.sk_node
@@ -610,7 +630,7 @@ let step ?(choices = fun _ -> None) t =
   (* Clock edge: each node reads its ports straight out of [codes]. *)
   for k = 0 to Array.length t.insts - 1 do
     let inst = t.insts.(k) in
-    try Instance.clock inst ~codes ~data:t.data_at
+    try Instance.clock inst ~codes ~has_data:t.has_data ~payload:t.payload
     with (Assert_failure _ | Invalid_argument _) as e ->
       fail ~cycle:t.cycle ~node:(Instance.node inst).Netlist.id
         (Fmt.str "node invariant violated at the clock edge: %s"
@@ -631,11 +651,13 @@ let run ?choices t n =
     step ?choices t
   done
 
+let data_at t i = if t.has_data i then Some (t.payload i) else None
+
 let signal t cid =
   let i = dense_index t cid in
-  Signal.of_code t.codes.(i) ~data:(t.data_at i)
+  Signal.of_code t.codes.(i) ~data:(data_at t i)
 
-let data t cid = t.data_at (dense_index t cid)
+let data t cid = data_at t (dense_index t cid)
 
 let events t cid = Signal.events_of_code t.codes.(dense_index t cid)
 

@@ -106,7 +106,7 @@ let create (node : Netlist.node) ~ins ~sel ~outs ~regs ~r ~vals ~v =
           obs =
             { Scheduler.in_valid = bits ins; out_valid = bits outs;
               out_stop = bits outs; out_kill = bits outs; served = None;
-              hint = None };
+              has_hint = false; hint = 0 };
           served = Array.init (Array.length outs) Option.some }
     | Netlist.Varlat { fast; slow; err } ->
       regs.(r) <- -1;
@@ -160,28 +160,31 @@ let draw regs k pct =
 (* ------------------------------------------------------------------ *)
 (* Sources                                                             *)
 
-let source_peek t =
-  match t.role with
-  | Source { spec; svals } ->
-    let idx = t.regs.(t.r + src_idx) in
-    (match spec with
-     | Netlist.Stream _ ->
-       if idx < Array.length svals then Some svals.(idx) else None
-     | Netlist.Counter { start; step } ->
-       Some (Value.Int (start + (step * idx)))
-     | Netlist.Random_rate _ -> Some (Value.Int idx)
-     | Netlist.Nondet vs ->
-       (match vs with
-        | [] -> None
-        | _ :: _ -> Some (List.nth vs (idx mod List.length vs))))
-  | Stateless | Sink _ | Eb | Eb0 | Fork | Emux | Shared _ | Varlat _ -> None
-
-(* [source_peek t <> None] without building the option. *)
+(* Whether a source has an item at index [idx]. *)
 let source_has spec svals idx =
   match spec with
   | Netlist.Stream _ -> idx < Array.length svals
   | Netlist.Counter _ | Netlist.Random_rate _ -> true
   | Netlist.Nondet vs -> vs <> []
+
+let source_value t =
+  match t.role with
+  | Source { spec; svals } ->
+    let idx = t.regs.(t.r + src_idx) in
+    (match spec with
+     | Netlist.Stream _ -> svals.(idx)
+     | Netlist.Counter { start; step } -> Value.Int (start + (step * idx))
+     | Netlist.Random_rate _ -> Value.Int idx
+     | Netlist.Nondet vs -> List.nth vs (idx mod List.length vs))
+  | Stateless | Sink _ | Eb | Eb0 | Fork | Emux | Shared _ | Varlat _ ->
+    invalid_arg "Instance.source_value: not a source"
+
+let source_peek t =
+  match t.role with
+  | Source { spec; svals } ->
+    if source_has spec svals t.regs.(t.r + src_idx) then Some (source_value t)
+    else None
+  | Stateless | Sink _ | Eb | Eb0 | Fork | Emux | Shared _ | Varlat _ -> None
 
 (* The index after one item leaves, offered or killed. *)
 let source_bump spec idx =
@@ -214,8 +217,9 @@ let source_begin t spec svals ~choice =
     Bool.to_int (have && (regs.(r + src_retry) = 1 || fresh_offer))
 
 (* The clock edge reads the elapsed cycle's raw control codes, indexed
-   by dense channel index, and asks [data] for a payload only when a
-   token actually moves. *)
+   by dense channel index, and reads a payload only when a token
+   actually moves: [has_data c] says whether channel [c] carries one,
+   [payload c] reads it. *)
 let events_at codes c = Signal.events_of_code codes.(c)
 
 let source_clock t spec ~codes =
@@ -268,7 +272,7 @@ let eb_pop vals v len =
   done;
   vals.(v + len - 1) <- Value.Unit
 
-let eb_clock t ~codes ~data =
+let eb_clock t ~codes ~has_data ~payload =
   let regs = t.regs and vals = t.vals and v = t.v in
   let i = t.ins.(0) in
   let in_ev = events_at codes i and out_ev = events_at codes t.outs.(0) in
@@ -280,13 +284,12 @@ let eb_clock t ~codes ~data =
     eb_pop vals v !len;
     decr len
   end;
-  if in_ev.Signal.token_in then (
-    match data i with
-    | Some x ->
-      assert (!len < Netlist.buffer_capacity Netlist.Eb);
-      vals.(v + !len) <- x;
-      incr len
-    | None -> assert false);
+  if in_ev.Signal.token_in then begin
+    assert (has_data i);
+    assert (!len < Netlist.buffer_capacity Netlist.Eb);
+    vals.(v + !len) <- payload i;
+    incr len
+  end;
   (* An anti-token reaching the output kills the oldest stored token
      (Fig. 3: the rd pointer advances). *)
   if out_ev.Signal.anti_in && !len > 0 then begin
@@ -306,18 +309,17 @@ let eb_clock t ~codes ~data =
 (* Zero-backward-latency EB: Lf = 1, Lb = 0, C = 1 (Fig. 5).  Stop and *)
 (* kill traverse the controller combinationally.                      *)
 
-let eb0_clock t ~codes ~data =
+let eb0_clock t ~codes ~has_data ~payload =
   let i = t.ins.(0) in
   let in_ev = events_at codes i and out_ev = events_at codes t.outs.(0) in
   let tin = in_ev.Signal.token_in and tout = out_ev.Signal.token_out in
   let full = t.regs.(t.r) = 1 in
   assert (not (tin && full && not tout));
-  if tin then (
-    match data i with
-    | Some x ->
-      t.vals.(t.v) <- x;
-      t.regs.(t.r) <- 1
-    | None -> assert false)
+  if tin then begin
+    assert (has_data i);
+    t.vals.(t.v) <- payload i;
+    t.regs.(t.r) <- 1
+  end
   else if tout then begin
     t.vals.(t.v) <- Value.Unit;
     t.regs.(t.r) <- 0
@@ -364,15 +366,13 @@ let fork_clock t ~codes =
 (* behavior and only matters if an upstream refuses anti-tokens        *)
 (* indefinitely.                                                       *)
 
-let emux_clock t ~codes ~data =
+let emux_clock t ~codes ~has_data ~payload =
   let regs = t.regs and r = t.r in
   let k = Array.length t.ins in
   if (events_at codes t.outs.(0)).Signal.token_out then begin
-    let s =
-      match data (Option.get t.sel) with
-      | Some x -> Value.to_int x
-      | None -> assert false
-    in
+    let sel = Option.get t.sel in
+    assert (has_data sel);
+    let s = Value.to_int (payload sel) in
     for i = 0 to k - 1 do
       if i <> s then regs.(r + i) <- regs.(r + i) + 1
     done
@@ -394,13 +394,13 @@ let fill_bits bits ports codes bit =
 
 (* The scheduler sees the raw drive: a stop is a stop even on a
    cancelling channel. *)
-let shared_clock t sched obs served ~codes ~data =
+let shared_clock t sched obs served ~codes ~has_data ~payload =
   let g = Scheduler.predict sched in
-  obs.Scheduler.hint <-
-    (match t.sel with
-     | Some h when (events_at codes h).Signal.token_out ->
-       Option.map Value.to_int (data h)
-     | Some _ | None -> None);
+  (match t.sel with
+   | Some h when (events_at codes h).Signal.token_out && has_data h ->
+     obs.Scheduler.has_hint <- true;
+     obs.Scheduler.hint <- Value.to_int (payload h)
+   | Some _ | None -> obs.Scheduler.has_hint <- false);
   fill_bits obs.Scheduler.in_valid t.ins codes Signal.v_plus_bit;
   fill_bits obs.Scheduler.out_valid t.outs codes Signal.v_plus_bit;
   fill_bits obs.Scheduler.out_stop t.outs codes Signal.s_plus_bit;
@@ -418,20 +418,20 @@ let shared_clock t sched obs served ~codes ~data =
 (* slot counts the cycles before the held result becomes visible at the *)
 (* output, -1 when empty; the payload slot holds the precomputed result. *)
 
-let varlat_clock t ~codes ~data ~fast ~slow ~err =
+let varlat_clock t ~codes ~has_data ~payload ~fast ~slow ~err =
   let regs = t.regs and r = t.r in
   let i = t.ins.(0) in
   if (events_at codes t.outs.(0)).Signal.token_out then begin
     regs.(r) <- -1;
     t.vals.(t.v) <- Value.Unit
   end;
-  if (events_at codes i).Signal.token_in then (
-    match data i with
-    | Some x ->
-      let wrong = Value.to_int (Func.apply err [ x ]) <> 0 in
-      t.vals.(t.v) <- Func.apply (if wrong then slow else fast) [ x ];
-      regs.(r) <- (if wrong then 2 else 1)
-    | None -> assert false);
+  if (events_at codes i).Signal.token_in then begin
+    assert (has_data i);
+    let x = payload i in
+    let wrong = Value.to_int (err.Func.eval1 x) <> 0 in
+    t.vals.(t.v) <- (if wrong then slow else fast).Func.eval1 x;
+    regs.(r) <- (if wrong then 2 else 1)
+  end;
   if regs.(r) > 0 then regs.(r) <- regs.(r) - 1
 
 (* ------------------------------------------------------------------ *)
@@ -447,17 +447,18 @@ let begin_cycle t ~choice =
      | Some (Offer _ | Stall _) | None -> ())
   | Stateless | Eb | Eb0 | Fork | Emux | Varlat _ -> ()
 
-let clock t ~codes ~data =
+let clock t ~codes ~has_data ~payload =
   match t.role with
   | Source { spec; _ } -> source_clock t spec ~codes
   | Sink spec -> sink_clock t spec
-  | Eb -> eb_clock t ~codes ~data
-  | Eb0 -> eb0_clock t ~codes ~data
+  | Eb -> eb_clock t ~codes ~has_data ~payload
+  | Eb0 -> eb0_clock t ~codes ~has_data ~payload
   | Fork -> fork_clock t ~codes
-  | Emux -> emux_clock t ~codes ~data
+  | Emux -> emux_clock t ~codes ~has_data ~payload
   | Shared { sched; obs; served } ->
-    shared_clock t sched obs served ~codes ~data
-  | Varlat { fast; slow; err } -> varlat_clock t ~codes ~data ~fast ~slow ~err
+    shared_clock t sched obs served ~codes ~has_data ~payload
+  | Varlat { fast; slow; err } ->
+    varlat_clock t ~codes ~has_data ~payload ~fast ~slow ~err
   | Stateless -> ()
 
 (* ------------------------------------------------------------------ *)

@@ -123,6 +123,11 @@ val future : t -> int list
     for other nodes. *)
 val source_peek : t -> Value.t option
 
+(** [source_value t] is the value a source offers while its offering
+    flag is set, read without building an option.
+    @raise Invalid_argument if [t] is not a source. *)
+val source_value : t -> Value.t
+
 (** The alternatives of the nondeterministic decision a node of this kind
     takes each cycle; [[]] when it takes none. *)
 val choices : Netlist.kind -> choice list
@@ -148,13 +153,16 @@ val bad_select : int -> 'a
 
 (** Clock edge.  [codes] holds the elapsed cycle's raw (unresolved)
     control codes ({!Signal.code} layout), indexed by dense channel
-    index; [data c] is channel [c]'s payload, asked for only when a
-    token moves on [c].  The node reads its own ports through {!ins},
+    index; [has_data c] says whether channel [c] carries a payload and
+    [payload c] reads it, asked for only when a token moves on [c], so
+    the edge builds no option.  The node reads its own ports through {!ins},
     {!sel} and {!outs}, takes boundary events from
     {!Signal.events_of_code} and hands the raw drive (a stop asserted
     on a cancelling channel included) to a shared module's
     scheduler. *)
-val clock : t -> codes:int array -> data:(int -> Value.t option) -> unit
+val clock :
+  t -> codes:int array -> has_data:(int -> bool) ->
+  payload:(int -> Value.t) -> unit
 
 (** {1 Introspection} *)
 

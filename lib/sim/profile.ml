@@ -6,12 +6,15 @@ type t = {
   per_node : int array;  (* cumulative eval calls per dense node index *)
   mutable cycles : int;
   mutable evals : int;
-  mutable settle_seconds : float;
+  mutable settle_ns : int;
   mutable compile_seconds : float;
       (* engine-construction cost (schedule build, arena compile);
          survives [reset] — compilation happened once, before any
          window *)
-  hist : (int, int) Hashtbl.t;  (* settle passes -> number of cycles *)
+  mutable hist : int array;
+      (* [hist.(p)]: cycles that took [p] settle passes; grown (by
+         doubling) the first time a cycle takes more passes than it
+         has rows *)
   mutable max_passes : int;
   mutable last_passes : int;
 }
@@ -21,9 +24,9 @@ let create ~n_nodes =
     per_node = Array.make (max n_nodes 1) 0;
     cycles = 0;
     evals = 0;
-    settle_seconds = 0.0;
+    settle_ns = 0;
     compile_seconds = 0.0;
-    hist = Hashtbl.create 8;
+    hist = Array.make 8 0;
     max_passes = 0;
     last_passes = 0 }
 
@@ -31,8 +34,8 @@ let reset t =
   Array.fill t.per_node 0 (Array.length t.per_node) 0;
   t.cycles <- 0;
   t.evals <- 0;
-  t.settle_seconds <- 0.0;
-  Hashtbl.reset t.hist;
+  t.settle_ns <- 0;
+  Array.fill t.hist 0 (Array.length t.hist) 0;
   t.max_passes <- 0;
   t.last_passes <- 0
 
@@ -48,13 +51,17 @@ let per_node_array t = t.per_node
 
 let add_evals t n = t.evals <- t.evals + n
 
-let record_cycle t ~passes ~seconds =
+let record_cycle t ~passes ~ns =
   t.cycles <- t.cycles + 1;
-  t.settle_seconds <- t.settle_seconds +. seconds;
+  t.settle_ns <- t.settle_ns + ns;
   t.max_passes <- max t.max_passes passes;
   t.last_passes <- passes;
-  let prev = Option.value ~default:0 (Hashtbl.find_opt t.hist passes) in
-  Hashtbl.replace t.hist passes (prev + 1)
+  if passes >= Array.length t.hist then begin
+    let h = Array.make (max (passes + 1) (2 * Array.length t.hist)) 0 in
+    Array.blit t.hist 0 h 0 (Array.length t.hist);
+    t.hist <- h
+  end;
+  t.hist.(passes) <- t.hist.(passes) + 1
 
 let set_compile_seconds t s = t.compile_seconds <- s
 
@@ -62,7 +69,7 @@ let cycles t = t.cycles
 
 let evals t = t.evals
 
-let settle_seconds t = t.settle_seconds
+let settle_seconds t = float_of_int t.settle_ns *. 1e-9
 
 let compile_seconds t = t.compile_seconds
 
@@ -77,8 +84,11 @@ let last_passes t = t.last_passes
 
 (* Settle-pass histogram, ascending by pass count. *)
 let pass_histogram t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.hist []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let rec rows p acc =
+    if p < 0 then acc
+    else rows (p - 1) (if t.hist.(p) = 0 then acc else (p, t.hist.(p)) :: acc)
+  in
+  rows (Array.length t.hist - 1) []
 
 (* The [n] nodes with the most eval calls, descending. *)
 let top_nodes t n =
@@ -94,9 +104,9 @@ let pp ?(name = string_of_int) ppf t =
      settle passes per cycle (max %d):"
     t.cycles t.evals (evals_per_cycle t) t.n_nodes
     (t.compile_seconds *. 1e3)
-    (t.settle_seconds *. 1e3)
+    (settle_seconds t *. 1e3)
     (if t.cycles = 0 then 0.0
-     else t.settle_seconds *. 1e6 /. float_of_int t.cycles)
+     else settle_seconds t *. 1e6 /. float_of_int t.cycles)
     t.max_passes;
   List.iter
     (fun (p, n) -> Fmt.pf ppf "@,  %3d pass%s: %d cycles" p

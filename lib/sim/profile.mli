@@ -37,8 +37,10 @@ val per_node_array : t -> int array
 val add_evals : t -> int -> unit
 
 (** End of one settle phase: the cycle's pass count (the most times any
-    single node was evaluated) and its wall-clock duration. *)
-val record_cycle : t -> passes:int -> seconds:float -> unit
+    single node was evaluated) and its wall-clock duration in
+    nanoseconds.  It allocates nothing unless the cycle took more passes
+    than any before it and the histogram has to grow. *)
+val record_cycle : t -> passes:int -> ns:int -> unit
 
 (** Engine-construction cost (netlist compile, schedule build, arena
     packing), stamped once by [Engine.create].  Unlike the per-cycle
@@ -55,7 +57,8 @@ val evals : t -> int
 
 val evals_per_cycle : t -> float
 
-(** Accumulated wall-clock seconds spent in settle phases. *)
+(** Accumulated wall-clock seconds spent in settle phases (kept as
+    whole nanoseconds). *)
 val settle_seconds : t -> float
 
 (** Wall-clock seconds [Engine.create] spent compiling (0 until the

@@ -101,6 +101,13 @@ let data w =
        payload (token duplication / forgery faults). *)
     if w.ov.force_v_plus = Some true then w.ov.subst_data else None
 
+let has_data w = match data w with Some _ -> true | None -> false
+
+let payload w =
+  match data w with
+  | Some v -> v
+  | None -> invalid_arg "Wires.payload: no payload"
+
 let set_bit t w field_name force get set b =
   let b = Option.value force ~default:b in
   match get w with

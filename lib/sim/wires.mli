@@ -83,6 +83,14 @@ val s_minus : wire -> bool option
 (** Data is meaningful only when [v_plus = Some true]. *)
 val data : wire -> Value.t option
 
+(** [has_data w] is [data w <> None], and [payload w] the value [data w]
+    holds, read without building an option: the engine's clock edge,
+    sinks and monitors read payloads this way.
+    @raise Invalid_argument from [payload] when [has_data] is false. *)
+val has_data : wire -> bool
+
+val payload : wire -> Value.t
+
 (** {1 Writing}  @raise Conflict on conflicting writes. *)
 
 val set_v_plus : t -> wire -> bool -> unit

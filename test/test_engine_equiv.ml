@@ -652,6 +652,63 @@ let test_flip_rewritten_in_cycle () =
         Fault.flip_bit ~channel:ch ~cycle:40 0 ]
     net
 
+(* Unary stages beside list-form ones: perfbench's G ([Func.make] at
+   arity 1, applied through its derived unary entry) as the shared
+   module's function of the §5.1 replay stage, whose ALU stages are
+   unary, and between unary stages in a pipeline.  The arena applies
+   [Func.eval1], the Reference each function's list form: both agree
+   on every cycle and on the sink streams. *)
+let test_mixed_func_forms () =
+  let g =
+    Func.make ~name:"G" ~arity:1 ~delay:1.5 ~area:40.0 (function
+      | [ v ] -> Value.Int ((Value.to_int v + 1) land 0xFF)
+      | _ -> invalid_arg "G: arity")
+  in
+  let d =
+    Examples.vl_speculative
+      ~ops:(Alu.operands ~error_rate_pct:20 ~seed:3 200)
+  in
+  let net = d.Examples.d_net in
+  let stage = Option.get (Netlist.find_node net "stage") in
+  let net =
+    match stage.Netlist.kind with
+    | Shared sh ->
+      Netlist.replace_kind net stage.Netlist.id (Shared { sh with f = g })
+    | _ -> Alcotest.fail "vl_speculative has no shared stage"
+  in
+  run_pair ~name:"replay stage with a list-form G" ~cycles:300 net;
+  let b = builder () in
+  let s = src_stream b ~name:"src" (List.init 150 (fun i -> i * 7)) in
+  let g1 = add b ~name:"g1" (Func g) in
+  let inc = add b ~name:"inc" (Func (Func.inc ~step:3 ())) in
+  let e = eb b ~name:"e" () and g2 = add b ~name:"g2" (Func g) in
+  let k = add b ~name:"snk" (Sink (Random_stall { pct = 30; seed = 9 })) in
+  let _ = conn b (s, Out 0) (g1, In 0) in
+  let _ = conn b (g1, Out 0) (inc, In 0) in
+  let _ = conn b (inc, Out 0) (e, In 0) in
+  let _ = conn b (e, Out 0) (g2, In 0) in
+  let _ = conn b (g2, Out 0) (k, In 0) in
+  run_pair ~name:"list-form and unary pipeline" ~cycles:300 b.net;
+  (* A join of three inputs keeps its arguments in port order. *)
+  let b = builder () in
+  let tuple3 =
+    Func.make ~name:"tuple3" ~arity:3 ~delay:1.0 ~area:1.0 (fun vs ->
+        Value.Tuple vs)
+  in
+  let srcs =
+    List.init 3 (fun k ->
+        src_stream b ~name:(Fmt.str "s%d" k)
+          (List.init 20 (fun i -> (10 * k) + i)))
+  in
+  let j = add b ~name:"j" (Func tuple3) and k = sink b ~name:"snk" () in
+  List.iteri (fun p s -> ignore (conn b (s, Out 0) (j, In p))) srcs;
+  let _ = conn b (j, Out 0) (k, In 0) in
+  run_pair ~name:"three-input join" ~cycles:40 b.net;
+  Alcotest.(check (list value)) "arguments in port order"
+    (List.init 20 (fun i ->
+         Value.Tuple [ Value.Int i; Value.Int (10 + i); Value.Int (20 + i) ]))
+    (sink_values (run_net ~cycles:40 b.net) k)
+
 let suite =
   design_cases @ degenerate_cases @ fault_cases
   @ List.map QCheck_alcotest.to_alcotest
@@ -662,4 +719,6 @@ let suite =
       Alcotest.test_case "every payload constructor crosses the arena" `Quick
         test_payload_constructors;
       Alcotest.test_case "a flipped payload re-written in a cyclic region"
-        `Quick test_flip_rewritten_in_cycle ]
+        `Quick test_flip_rewritten_in_cycle;
+      Alcotest.test_case "list-form and unary functions agree in lockstep"
+        `Quick test_mixed_func_forms ]

@@ -151,4 +151,118 @@ let rs_suite =
           true
           (overhead > 0.15 && overhead < 0.60)) ]
 
-let suite = vl_suite @ rs_suite
+(* --- the unary entry of every library function ----------------------- *)
+
+open Elastic_netlist
+
+(* Every function the bundled designs apply, with the standard families
+   and perfbench's list-form G (a [Func.make] of arity 1). *)
+let library_funcs () =
+  let of_net net =
+    List.concat_map
+      (fun (n : Netlist.node) ->
+         match n.Netlist.kind with
+         | Netlist.Func f | Netlist.Shared { f; _ } -> [ f ]
+         | Netlist.Varlat { fast; slow; err } -> [ fast; slow; err ]
+         | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _
+         | Netlist.Fork _ | Netlist.Mux _ -> [])
+      (Netlist.nodes net)
+  in
+  let ops = Alu.operands ~error_rate_pct:10 ~seed:1 4 in
+  let rs = Examples.rs_ops ~error_rate_pct:10 ~seed:1 4 in
+  List.concat_map of_net
+    [ (Figures.fig1a ()).Figures.net;
+      (Figures.table1 ()).Figures.t1_net;
+      (Examples.vl_stalling ~ops).Examples.d_net;
+      (Examples.vl_speculative ~ops).Examples.d_net;
+      (Examples.rs_nonspeculative ~ops:rs).Examples.d_net;
+      (fst (Examples.rs_speculative_alarmed ~ops:rs)).Examples.d_net;
+      (Examples.pc_loop ()).Examples.pl_net ]
+  @ [ Func.identity (); Func.const (Value.Int 3); Func.inc ~step:2 ();
+      Func.add_int ~arity:1 (); Alu.exact_func (); Alu.approx_func ();
+      Alu.error_func (); Secded.corrector_func ();
+      Func.make ~name:"G" ~arity:1 ~delay:1.5 ~area:40.0 (function
+        | [ v ] -> Value.Int ((Value.to_int v + 1) land 0xFF)
+        | _ -> invalid_arg "G: arity") ]
+
+(* Payloads of every shape the library reads, well-formed or not: ALU
+   operand triples, SECDED codewords with up to two flipped bits, pairs
+   of them, word pairs, scalars and strings. *)
+let gen_payload =
+  let open QCheck.Gen in
+  let word = map Int64.of_int int in
+  let codeword =
+    map2
+      (fun w bits ->
+         let cw =
+           List.fold_left
+             (fun cw b -> if b < 72 then Secded.flip_bit cw b else cw)
+             (Secded.encode w) bits
+         in
+         Value.Tuple [ Value.Word cw.Secded.data; Value.Int cw.Secded.check ])
+      word
+      (list_size (int_bound 2) (int_bound 90))
+  in
+  oneof
+    [ map3
+        (fun op a b -> Alu.operand_value (Alu.op_of_int op) a b)
+        (int_bound 4) (int_bound 255) (int_bound 255);
+      map (fun i -> Value.Int i) (int_range (-300) 300);
+      map (fun w -> Value.Word w) word;
+      map (fun s -> Value.Str s) (oneofl [ "A"; "B"; "D"; "E"; "F"; "x0" ]);
+      codeword;
+      map2 (fun a b -> Value.Tuple [ a; b ]) codeword codeword;
+      map2 (fun a b -> Value.Tuple [ Value.Word a; Value.Word b ]) word word;
+      return Value.Unit ]
+
+(* A result, or the exception it raised, rendered. *)
+let outcome f v =
+  match f v with r -> Ok r | exception e -> Error (Printexc.to_string e)
+
+let unary_entry_agrees =
+  let funcs = library_funcs () in
+  QCheck.Test.make ~name:"qcheck: eval [v] = eval1 v for every library function"
+    ~count:300
+    (QCheck.make ~print:Value.to_string gen_payload)
+    (fun v ->
+       List.iter
+         (fun (f : Func.t) ->
+            match
+              (outcome (fun v -> f.Func.eval [ v ]) v, outcome f.Func.eval1 v)
+            with
+            | Ok a, Ok b when Value.equal a b -> ()
+            | Error a, Error b when String.equal a b -> ()
+            | _ ->
+              QCheck.Test.fail_reportf "%s: list and unary forms differ on %a"
+                f.Func.name Value.pp v)
+         funcs;
+       true)
+
+(* [Func.apply] checks the count as it did before the unary entry: every
+   library function takes exactly one argument, and a function of
+   another arity has no unary entry. *)
+let test_wrong_arity () =
+  List.iter
+    (fun (f : Func.t) ->
+       Alcotest.(check int) (f.Func.name ^ " is unary") 1 f.Func.arity;
+       List.iter
+         (fun args ->
+            Alcotest.check_raises
+              (Fmt.str "%s on %d arguments" f.Func.name (List.length args))
+              (Invalid_argument
+                 (Fmt.str "Func.apply %s: expected 1 arguments, got %d"
+                    f.Func.name (List.length args)))
+              (fun () -> ignore (Func.apply f args : Value.t)))
+         [ []; [ Value.Int 1; Value.Int 2 ] ])
+    (library_funcs ());
+  let add2 = Func.add_int ~arity:2 () in
+  match add2.Func.eval1 (Value.Int 1) with
+  | _ -> Alcotest.fail "a binary function has no unary entry"
+  | exception Invalid_argument _ -> ()
+
+let func_suite =
+  [ QCheck_alcotest.to_alcotest unary_entry_agrees;
+    Alcotest.test_case "wrong-arity argument lists raise as before" `Quick
+      test_wrong_arity ]
+
+let suite = vl_suite @ rs_suite @ func_suite

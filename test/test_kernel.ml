@@ -208,7 +208,9 @@ let run_monitor ?(check_forward_persistence = true) ?(liveness_bound = 64)
     (List.mapi
        (fun cycle s ->
           Protocol.step ~regs ~slot:0 ~vals ~vslot ~liveness_bound ~cycle
-            ~data:(fun _ -> s.Signal.data) ~chan:0 (Signal.code s))
+            ~has_data:(fun _ -> Option.is_some s.Signal.data)
+            ~payload:(fun _ -> Option.get s.Signal.data)
+            ~chan:0 (Signal.code s))
        steps)
 
 let protocol_suite =

@@ -3,7 +3,8 @@ open Elastic_sched
 let obs ?(in_valid = [| true; true |]) ?(out_valid = [| false; false |])
     ?(out_stop = [| false; false |]) ?(out_kill = [| false; false |])
     ?served ?hint () =
-  { Scheduler.in_valid; out_valid; out_stop; out_kill; served; hint }
+  { Scheduler.in_valid; out_valid; out_stop; out_kill; served;
+    has_hint = Option.is_some hint; hint = Option.value hint ~default:0 }
 
 (* Drive a scheduler through a cycle list; each entry is [`Serve g] (the
    predicted channel's token went through) or [`Retry] (the predicted
