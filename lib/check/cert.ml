@@ -132,9 +132,3 @@ let record b ~before ~after kind =
 let recorded b = List.length b.rev_steps
 
 let certificate b = { steps = List.rev b.rev_steps }
-
-let pp_step ppf s =
-  Fmt.pf ppf "%-13s lemma %-22s +%d -%d node(s)" (kind_name s.kind)
-    s.lemma
-    (List.length s.added_nodes)
-    (List.length s.removed_nodes)

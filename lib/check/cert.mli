@@ -91,5 +91,3 @@ val recorded : builder -> int
 (** Freeze the builder into a checkable certificate.  The builder stays
     usable: later steps extend later certificates. *)
 val certificate : builder -> t
-
-val pp_step : Format.formatter -> step -> unit

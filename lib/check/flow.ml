@@ -89,6 +89,10 @@ let entries net =
   ( List.sort compare (List.map node_entry (Netlist.nodes net)),
     List.sort compare (List.map channel_entry (Netlist.channels net)) )
 
+(* Structural identity: same node ids, names and kinds, same channels
+   (endpoints, ports, widths).  Function blocks compare by signature
+   (name, arity, delay, area) — the evaluation closure is not
+   comparable.  This is the relation the replayer must reproduce. *)
 let structural_equal a b = entries a = entries b
 
 (* First element in one sorted list but not the other — the witness the

@@ -62,12 +62,6 @@ type proof = {
 
 val pp_proof : Format.formatter -> proof -> unit
 
-(** Structural identity: same node ids, names and kinds, same channels
-    (endpoints, ports, widths).  Function blocks compare by signature
-    (name, arity, delay, area) — the evaluation closure is not
-    comparable.  This is the relation the replayer must reproduce. *)
-val structural_equal : Netlist.t -> Netlist.t -> bool
-
 (** [verify ~source ~derived cert] checks the certificate derivation as
     described above.  Zero engine cycles are run.  An empty certificate
     proves equivalence only when [source] and [derived] are structurally
@@ -82,10 +76,6 @@ val verify :
     inserted (empty) buffers, not renamings. *)
 val equiv_static :
   ?design:string -> Netlist.t -> Netlist.t -> (proof, Diagnostic.t) result
-
-(** The normalized form used by {!equiv_static}: every token-free
-    buffer with both endpoints connected spliced out. *)
-val normalize : Netlist.t -> Netlist.t
 
 (** JSONL report, schema [elastic-speculation/proof/v1]: a header line
     with the verdict (["proved"] / ["refuted"] plus the refuting

@@ -55,9 +55,7 @@ let rs_slack_chain ~name ~describe (d : Examples.design) =
   { c_name = name; c_describe = describe; c_source = d.Examples.d_net;
     c_derived = net; c_cert = Cert.certificate cert }
 
-let default_ops = 12
-
-let all ?(ops = default_ops) () =
+let all ?(ops = 12) () =
   [ fig_chain ~name:"fig1b"
       ~describe:
         "Fig. 1(a) -> 1(b): bubble inserted in the critical cycle"

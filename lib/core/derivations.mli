@@ -19,15 +19,13 @@ type chain = {
   c_cert : Cert.t;
 }
 
-(** Workload length used by the E5/E6 chains when [?ops] is omitted;
-    kept small so the three-way agreement harness can afford exhaustive
-    exploration of the same designs. *)
-val default_ops : int
-
 (** All five chains: [fig1b], [fig1c], [fig1d] (the Fig. 1 derivation
     steps of §2) and [vl-slack], [rs-slack] (the §5 designs with extra
     certified buffering on the sink feed, the fresh stage converted to
-    the Eb0 implementation of §4.3). *)
+    the Eb0 implementation of §4.3).  [ops] (default 12) is the
+    workload length of the E5/E6 chains, kept small so the three-way
+    agreement harness can afford exhaustive exploration of the same
+    designs. *)
 val all : ?ops:int -> unit -> chain list
 
 val find : ?ops:int -> string -> chain option

@@ -299,12 +299,10 @@ let rs_nonspeculative ~ops =
   Netlist.validate_exn net;
   { d_net = net; d_sink = sink; d_name = "rs-nonspeculative" }
 
-let rs_speculative_with ~recovery ~ops =
-  replay_stage ~recovery ~name:"rs-speculative" ~source:(rs_stream ops)
-    ~fast:(rs_raw_pair ()) ~slow:(rs_correct_pair ()) ~err:(rs_err ())
-    ~stage_f:(rs_adder ()) ~width:128 ~out_width:64 ()
-
-let rs_speculative ~ops = rs_speculative_with ~recovery:Netlist.Eb0 ~ops
+let rs_speculative ~ops =
+  replay_stage ~recovery:Netlist.Eb0 ~name:"rs-speculative"
+    ~source:(rs_stream ops) ~fast:(rs_raw_pair ()) ~slow:(rs_correct_pair ())
+    ~err:(rs_err ()) ~stage_f:(rs_adder ()) ~width:128 ~out_width:64 ()
 
 (* Maximum SECDED decode status over the two operands: 0 = clean,
    1 = single error (corrected), 2 = double error (detected but

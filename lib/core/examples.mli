@@ -67,12 +67,6 @@ val rs_nonspeculative : ops:rs_op list -> design
     error the addition replays with the corrected values. *)
 val rs_speculative : ops:rs_op list -> design
 
-(** Like {!rs_speculative} but choosing the recovery-buffer
-    implementation ([Eb0] is the default; with plain [Eb] the returning
-    anti-tokens crawl — see {!vl_speculative_with} and lint W104). *)
-val rs_speculative_with :
-  recovery:Netlist.buffer_kind -> ops:rs_op list -> design
-
 (** {!rs_speculative} plus an error-severity tap: a fourth fork way feeds
     [max] of the two operands' SECDED decode status (0 = clean,
     1 = corrected, 2 = double error detected) into a dedicated "alarm"

@@ -10,8 +10,6 @@ type op = Add | Sub | And | Or | Xor
 
 val op_of_int : int -> op
 
-val int_of_op : op -> int
-
 (** Exact 8-bit result (wraps mod 256). *)
 val exact : op -> int -> int -> int
 

@@ -62,7 +62,11 @@ let leaf_text = function
   | Json.Str s -> Fmt.str "%S" s
   | Json.List _ | Json.Obj _ -> "<composite>"
 
-let compare_values ~rel_tol path baseline current =
+(* Float tolerance, relative to the larger magnitude (absolute below
+   1.0). *)
+let rel_tol = 1e-4
+
+let compare_values path baseline current =
   let mismatch reason = Some { d_path = path; d_reason = reason } in
   match (baseline : Json.t), (current : Json.t) with
   (* Two ints compare exactly: the simulation is deterministic, and a
@@ -94,8 +98,7 @@ let compare_values ~rel_tol path baseline current =
       (Fmt.str "baseline %s, current %s (kind changed)" (leaf_text b)
          (leaf_text c))
 
-let compare ?(rel_tol = 1e-4) ?(skip = wall_clock_key) ~baseline ~current
-    () =
+let compare ~baseline ~current () =
   let b = flatten baseline in
   let c = flatten current in
   let current_tbl = Hashtbl.create (List.length c) in
@@ -104,18 +107,18 @@ let compare ?(rel_tol = 1e-4) ?(skip = wall_clock_key) ~baseline ~current
   let emit d = diffs := d :: !diffs in
   List.iter
     (fun (path, bv) ->
-       if not (skip path) then
+       if not (wall_clock_key path) then
          match Hashtbl.find_opt current_tbl path with
          | None ->
            emit { d_path = path; d_reason = "missing from current run" }
          | Some cv ->
-           Option.iter emit (compare_values ~rel_tol path bv cv))
+           Option.iter emit (compare_values path bv cv))
     b;
   let baseline_paths = Hashtbl.create (List.length b) in
   List.iter (fun (p, _) -> Hashtbl.replace baseline_paths p ()) b;
   List.iter
     (fun (path, cv) ->
-       if (not (skip path)) && not (Hashtbl.mem baseline_paths path) then
+       if (not (wall_clock_key path)) && not (Hashtbl.mem baseline_paths path) then
          emit
            { d_path = path;
              d_reason =

@@ -19,16 +19,14 @@ type diff = {
   d_reason : string;  (** baseline/current values and the delta *)
 }
 
-(** Default [skip] predicate: true on wall-clock-dependent leaf keys. *)
+(** True on the wall-clock-dependent leaf keys {!compare} skips. *)
 val wall_clock_key : string -> bool
 
 (** [compare ~baseline ~current ()] — [[]] means the gate passes.
-    @param rel_tol float tolerance, relative to the larger magnitude
-    (absolute below 1.0); default [1e-4].
-    @param skip paths to exclude; default {!wall_clock_key}. *)
+    Floats agree within [1e-4] relative to the larger magnitude
+    (absolute below 1.0); paths where {!wall_clock_key} holds are
+    skipped. *)
 val compare :
-  ?rel_tol:float ->
-  ?skip:(string -> bool) ->
   baseline:Json.t ->
   current:Json.t ->
   unit ->

@@ -29,7 +29,9 @@ let node_width t (n : Netlist.node) =
   in
   List.fold_left max 1 ws
 
-let node_area ?(params = default) t (n : Netlist.node) =
+(* Area of a single node; channel widths are taken from the attached
+   channels (the widest one for multi-channel primitives). *)
+let node_area ~params t (n : Netlist.node) =
   let w = float_of_int (node_width t n) in
   match n.Netlist.kind with
   | Netlist.Source _ | Netlist.Sink _ -> 0.0

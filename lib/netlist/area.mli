@@ -23,9 +23,5 @@ type params = {
 
 val default : params
 
-(** Area of a single node; channel widths are taken from the attached
-    channels (the widest one for multi-channel primitives). *)
-val node_area : ?params:params -> Netlist.t -> Netlist.node -> float
-
 (** Total area of the netlist in gate equivalents. *)
 val total : ?params:params -> Netlist.t -> float

@@ -55,8 +55,6 @@ val reject : t -> 'a
 
 val severity_name : severity -> string
 
-val pp_fixit : Format.formatter -> fixit -> unit
-
 (** ["E102 error [node 3 mux_3]: message (fix: ...)"] *)
 val pp : Format.formatter -> t -> unit
 

@@ -46,7 +46,7 @@ let write_jsonl ~path ?campaign spans =
    coarse for timestamps), one [tid] per worker track named by an [M]
    metadata event, [X] events sorted by start so timestamps are
    monotone in file order — the CI validator asserts exactly that. *)
-let chrome_json ?(process_name = "elastic-speculation") spans =
+let chrome_json spans =
   let spans =
     List.sort
       (fun (a : Span.t) (b : Span.t) ->
@@ -67,7 +67,7 @@ let chrome_json ?(process_name = "elastic-speculation") spans =
         ("ph", Json.Str "M");
         ("pid", Json.Int 1);
         ("tid", Json.Int 0);
-        ("args", Json.Obj [ ("name", Json.Str process_name) ]) ]
+        ("args", Json.Obj [ ("name", Json.Str "elastic-speculation") ]) ]
     :: List.map
          (fun tid ->
             Json.Obj
@@ -104,8 +104,8 @@ let chrome_json ?(process_name = "elastic-speculation") spans =
     [ ("traceEvents", Json.List (meta @ events));
       ("displayTimeUnit", Json.Str "ms") ]
 
-let write_chrome ~path ?process_name spans =
-  write_file path (Json.to_string ~indent:1 (chrome_json ?process_name spans) ^ "\n")
+let write_chrome ~path spans =
+  write_file path (Json.to_string ~indent:1 (chrome_json spans) ^ "\n")
 
 (* Collapsed stacks aggregate by the kind path (campaign;shard;attempt;
    settle), not by span name: a flamegraph over thousands of shards

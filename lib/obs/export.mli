@@ -7,8 +7,8 @@
       line naming the schema, campaign and time base, then one
       {!Span.to_json} object per line;
     - {!chrome_json}: Chrome trace-event JSON (the ["traceEvents"]
-      array form) loadable in Perfetto / [chrome://tracing], one named
-      track per worker, ["X"] complete events with microsecond
+      array form) loadable in Perfetto / [chrome://tracing], process
+      ["elastic-speculation"] with one named track per worker, ["X"] complete events with microsecond
       timestamps sorted monotonically;
     - {!folded}: collapsed stacks ([campaign;shard;attempt;settle N])
       with self-time values in microseconds, aggregated by kind path,
@@ -24,11 +24,9 @@ val jsonl : ?campaign:string -> Span.t list -> string
 
 val write_jsonl : path:string -> ?campaign:string -> Span.t list -> unit
 
-val chrome_json :
-  ?process_name:string -> Span.t list -> Elastic_metrics.Json.t
+val chrome_json : Span.t list -> Elastic_metrics.Json.t
 
-val write_chrome :
-  path:string -> ?process_name:string -> Span.t list -> unit
+val write_chrome : path:string -> Span.t list -> unit
 
 val folded : Span.t list -> string
 

@@ -180,9 +180,9 @@ let critical_cycle net =
        | None -> None)
   end
 
-let effective_cycle_time ?timing net =
+let effective_cycle_time net =
   let ct =
-    match Timing.analyze ?params:timing net with
+    match Timing.analyze net with
     | Ok r -> r.Timing.cycle_time
     | Error msg ->
       invalid_arg ("Marked_graph.effective_cycle_time: " ^ msg)

@@ -37,6 +37,6 @@ val throughput_bound : Netlist.t -> float
     {!throughput_bound}. *)
 val critical_cycle : Netlist.t -> cycle option
 
-(** [effective_cycle_time net] is cycle time divided by the throughput
-    bound — the paper's figure of merit for comparing design points. *)
-val effective_cycle_time : ?timing:Timing.params -> Netlist.t -> float
+(** [effective_cycle_time net] is cycle time ({!Timing.analyze} with
+    its default parameters) divided by the throughput bound — the paper's figure of merit for comparing design points. *)
+val effective_cycle_time : Netlist.t -> float

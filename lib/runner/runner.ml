@@ -118,8 +118,8 @@ let fold_report ~name ~workers ~stopped (tasks : task array) plane =
     r_workers = Array.init workers worker_stats;
     r_stopped = stopped }
 
-let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
-    ?(seed = 2009) ?(classify = default_classify) ?shard_deadline
+let run ?workers ?(max_attempts = 3) ?(seed = 2009)
+    ?(classify = default_classify) ?shard_deadline
     ?campaign_deadline ?(clock = Clock.monotonic) ?(sleep = Unix.sleepf)
     ?checkpoint ?resume ?command ?stop_after ?registry ?obs ?progress
     ~name tasks =
@@ -357,7 +357,7 @@ let run ?workers ?(max_attempts = 3) ?(backoff = Backoff.default)
            Recorder.add_attr sc "error" (Span.Str (Printexc.to_string e))
          | None -> ());
         if cls = Transient && attempt < max_attempts then begin
-          let delay = Backoff.delay backoff ~rng ~attempt in
+          let delay = Backoff.delay Backoff.default ~rng ~attempt in
           (match (r, att_scope) with
            | Some rc, Some sc ->
              let bsc =

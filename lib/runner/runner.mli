@@ -54,11 +54,6 @@ type classification = Progress.classification =
   | Transient  (** worth retrying: timeouts, kills, unknown exceptions *)
   | Permanent  (** deterministic: same inputs will fail the same way *)
 
-(** [Simulation_error], [Diagnostic.Reject], [Invalid_argument],
-    [Failure] and [Assert_failure] are {!Permanent};
-    {!Deadline_exceeded}, {!Killed} and anything else {!Transient}. *)
-val default_classify : exn -> classification
-
 type failure = Progress.failure = {
   f_exn : string;  (** [Printexc.to_string] of the last attempt *)
   f_class : classification;
@@ -107,10 +102,13 @@ type report = {
     keeps no other per-shard or per-worker record.
 
     @param workers pool size (default [Pool_backend.recommended ()]).
-    @param max_attempts per shard, >= 1 (default 3).
-    @param backoff retry delay policy (default {!Backoff.default}).
+    @param max_attempts per shard, >= 1 (default 3); a retry waits
+      as {!Backoff.default} says.
     @param seed drives backoff jitter only (default 2009).
-    @param classify failure triage (default {!default_classify}).
+    @param classify failure triage (default: [Simulation_error],
+      [Diagnostic.Reject], [Invalid_argument], [Failure] and
+      [Assert_failure] are {!Permanent}; {!Deadline_exceeded},
+      {!Killed} and anything else {!Transient}).
     @param shard_deadline wall seconds per {e attempt}.
     @param campaign_deadline wall seconds for the whole run; shards not
       started in time report [Not_run].
@@ -151,7 +149,6 @@ type report = {
 val run :
   ?workers:int ->
   ?max_attempts:int ->
-  ?backoff:Backoff.policy ->
   ?seed:int ->
   ?classify:(exn -> classification) ->
   ?shard_deadline:float ->

@@ -6,8 +6,8 @@
    is the second, independent coding of the same controllers: it
    compiles the levelized schedule ([Schedule]) onto preallocated flat
    arrays: channel ids index packed integer control words, node ids
-   index flat port/instruction arrays, and the settle loop is a tight
-   int loop with no per-field closures or record allocation.
+   index the engine's [Instance.t] array, and the settle loop is a
+   tight int loop with no per-field closures or record allocation.
 
    Correctness contract: the evaluation order, the dirty-set
    propagation (written wires walked most-recent-first, readers queued
@@ -30,10 +30,12 @@
      substitute of a forced-valid wire, without building an option.
    - [written]/[written_n]: bump-allocated write log replacing the
      [Wires.written] cons list (iterated top-down = most-recent-first).
-   - node "instructions" are index arrays into the shared [ports]
-     pool: per node a slice of input wires, output wires and (for
-     joins) the data-function argument list, flattened at [create]
-     from the dense channel indices each [Instance.t] holds.
+   - a node's ports are its [Instance.t]'s own ([Instance.ins],
+     [outs], [sel] of [insts.(i)]), read in place; the only derived
+     port list is a lazy mux's join list [sel :: ins] in [joins] (a
+     function stage's join list is [Instance.ins] itself).
+   - [pn]: [Profile.per_node], the one eval counter, bumped in place;
+     [settle] returns the cycle's pass count, taken from its growth.
    - [fns1.(i)]/[fns.(i)]: node [i]'s data function, its unary entry
      ([Func.eval1]) and its list form.  A join of one input and a
      shared module apply [fns1] to the payload itself, and a lazy mux
@@ -112,14 +114,9 @@ type t = {
   insts : Instance.t array;
   regs : int array;
   vals : Value.t array;
-  ins_base : int array;
-  ins_n : int array;
-  outs_base : int array;
-  outs_n : int array;
-  selw : int array;  (* sel wire index, -1 when absent *)
-  jbase : int array;  (* join argument list (sel-prefixed for late mux) *)
-  jn : int array;
-  ports : int array;  (* shared index pool for all the slices above *)
+  joins : int array array;
+      (* a join's inputs, argument order: [Instance.ins] itself for a
+         function stage, [sel :: ins] for a lazy mux, empty otherwise *)
   fns : (Value.t list -> Value.t) array;  (* join data function, list form *)
   fns1 : (Value.t -> Value.t) array;
       (* unary join / shared data function ([Func.eval1]), applied to the
@@ -131,36 +128,19 @@ type t = {
   mutable qh : int;
   mutable qt : int;
   scratch : int array;  (* per-port Kleene codes (valids / completions) *)
-  profile : Profile.t;
   pn : int array;  (* [profile]'s per-node counters, bumped in place *)
-  mutable pending_evals : int;  (* folded into [profile] per settle *)
-  cycle_evals : int array;
+  entry : int array;  (* a cyclic region member's [pn] count on entry *)
   mutable last_eval : int;  (* node evaluating when an exception escaped *)
   (* Any control-field force installed?  [set_code] skips the per-write
      force lookup in the (benchmarked) fault-free case. *)
   mutable forced_any : bool;
 }
 
-let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
+let create ~schedule ~profile ~nchan ~regs ~vals insts =
   let n_nodes = Array.length insts in
   let sz = max n_nodes 1 in
-  let ins_base = Array.make sz 0 in
-  let ins_n = Array.make sz 0 in
-  let outs_base = Array.make sz 0 in
-  let outs_n = Array.make sz 0 in
-  let selw = Array.make sz (-1) in
-  let jbase = Array.make sz 0 in
-  let jn = Array.make sz 0 in
   let fns = Array.make sz (fun _ -> (assert false : Value.t)) in
   let fns1 = Array.make sz (fun _ -> (assert false : Value.t)) in
-  let chunks = ref [] in
-  let pos = ref 0 in
-  let alloc arr =
-    let b = !pos in
-    pos := !pos + Array.length arr;
-    chunks := (b, arr) :: !chunks;
-    b
-  in
   let max_fan = ref 1 in
   (* Both forms of a node's data function: joins of one input (unary
      stages, shared modules) apply [eval1] to the payload itself. *)
@@ -168,40 +148,33 @@ let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
     fns.(i) <- f.Func.eval;
     fns1.(i) <- f.Func.eval1
   in
-  Array.iteri
-    (fun i inst ->
-       let in_ch = Instance.ins inst and out_ch = Instance.outs inst in
-       let sel_ch = Instance.sel inst in
-       ins_base.(i) <- alloc in_ch;
-       ins_n.(i) <- Array.length in_ch;
-       outs_base.(i) <- alloc out_ch;
-       outs_n.(i) <- Array.length out_ch;
-       (match sel_ch with Some s -> selw.(i) <- s | None -> ());
-       max_fan :=
-         max !max_fan (max (Array.length in_ch) (Array.length out_ch));
-       match (Instance.node inst).Netlist.kind with
-       | Netlist.Func f ->
-         jbase.(i) <- ins_base.(i);
-         jn.(i) <- Array.length in_ch;
-         func i f
-       | Netlist.Mux { ways; early = false } ->
-         (* The late mux is a join over [sel :: ins]: [eval_join]
-            forwards the selected input itself, and [Func.select]
-            remains only for a mux with no data input, whose join of
-            one takes the unary path. *)
-         let all = Array.append [| Option.get sel_ch |] in_ch in
-         jbase.(i) <- alloc all;
-         jn.(i) <- Array.length all;
-         max_fan := max !max_fan jn.(i);
-         func i (Func.select ~ways ())
-       | Netlist.Shared { f; _ } -> func i f
-       | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _
-       | Netlist.Fork _ | Netlist.Mux _ | Netlist.Varlat _ -> ())
-    insts;
-  let ports = Array.make (max !pos 1) 0 in
-  List.iter
-    (fun (b, arr) -> Array.blit arr 0 ports b (Array.length arr))
-    !chunks;
+  let joins =
+    Array.mapi
+      (fun i inst ->
+         let ins = Instance.ins inst in
+         max_fan :=
+           max !max_fan
+             (max (Array.length ins) (Array.length (Instance.outs inst)));
+         match (Instance.node inst).Netlist.kind with
+         | Netlist.Func f ->
+           func i f;
+           ins
+         | Netlist.Mux { ways; early = false } ->
+           (* The late mux is a join over [sel :: ins]: [eval_join]
+              forwards the selected input itself, and [Func.select]
+              remains only for a mux with no data input, whose join of
+              one takes the unary path. *)
+           let all = Array.append [| Option.get (Instance.sel inst) |] ins in
+           max_fan := max !max_fan (Array.length all);
+           func i (Func.select ~ways ());
+           all
+         | Netlist.Shared { f; _ } ->
+           func i f;
+           [||]
+         | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _
+         | Netlist.Fork _ | Netlist.Mux _ | Netlist.Varlat _ -> [||])
+      insts
+  in
   (* Power-of-two ring capacity so the settle loop wraps with [land]
      instead of an integer division. *)
   let qcap = ref 1 in
@@ -218,18 +191,15 @@ let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
     ov_subst = Array.make csz None;
     written = Array.make ((5 * nchan) + 8) 0;
     written_n = 0;
-    insts; regs; vals; ins_base; ins_n; outs_base; outs_n;
-    selw; jbase; jn; ports; fns; fns1;
+    insts; regs; vals; joins; fns; fns1;
     schedule;
     dirty = Array.make sz false;
     queue = Array.make !qcap 0;
     qh = 0;
     qt = 0;
     scratch = Array.make !max_fan 0;
-    profile;
     pn = Profile.per_node_array profile;
-    pending_evals = 0;
-    cycle_evals;
+    entry = Array.make sz 0;
     last_eval = 0;
     forced_any = false }
 
@@ -247,11 +217,20 @@ let create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts =
 
 let[@inline] get t c off = (Array.unsafe_get t.ctrl c lsr off) land 3
 
-let[@inline] in_w t i j =
-  Array.unsafe_get t.ports (Array.unsafe_get t.ins_base i + j)
+(* Node [i]'s ports, read from its instance: the dense channel indices
+   of its inputs, outputs and select (-1 when it has none). *)
+let[@inline] ins t i = Instance.ins (Array.unsafe_get t.insts i)
 
-let[@inline] out_w t i j =
-  Array.unsafe_get t.ports (Array.unsafe_get t.outs_base i + j)
+let[@inline] outs t i = Instance.outs (Array.unsafe_get t.insts i)
+
+let[@inline] in_w t i j = Array.unsafe_get (ins t i) j
+
+let[@inline] out_w t i j = Array.unsafe_get (outs t i) j
+
+let[@inline] sel_w t i =
+  match Instance.sel (Array.unsafe_get t.insts i) with
+  | Some s -> s
+  | None -> -1
 
 let[@inline] push_written t c =
   Array.unsafe_set t.written t.written_n c;
@@ -414,8 +393,7 @@ let eval_eb0 t i =
    members" conjunction is vacuous, so the stall passthrough is just
    the effective output stall.  Same writes in the same order as
    [eval_join] at [n = 1]. *)
-let eval_join1 t i =
-  let inw = Array.unsafe_get t.ports (Array.unsafe_get t.jbase i) in
+let eval_join1 t i inw =
   let out = out_w t i 0 in
   let v = get t inw vp in
   kput t out vp "V+" v;
@@ -430,15 +408,13 @@ let eval_join1 t i =
   kput t inw vm "V-" anti_backward;
   kput t out sm "S-" (knor (get t out vp) consumable)
 
-let eval_join t i =
-  let base = Array.unsafe_get t.jbase i
-  and n = Array.unsafe_get t.jn i in
-  let ports = t.ports in
+let eval_join t i ports =
+  let n = Array.length ports in
   let out = out_w t i 0 in
   let valids = t.scratch in
   let all_valid = ref 3 in
   for j = 0 to n - 1 do
-    let v = get t (Array.unsafe_get ports (base + j)) vp in
+    let v = get t (Array.unsafe_get ports j) vp in
     Array.unsafe_set valids j v;
     all_valid := kand !all_valid v
   done;
@@ -450,28 +426,26 @@ let eval_join t i =
   if !all_valid = 3 && not (Array.unsafe_get t.driven out) then begin
     let all_data = ref true in
     for j = 0 to n - 1 do
-      if not (has_data t (Array.unsafe_get ports (base + j))) then
+      if not (has_data t (Array.unsafe_get ports j)) then
         all_data := false
     done;
     if !all_data then begin
-      let sel = Array.unsafe_get t.selw i in
-      if sel >= 0 then begin
+      match Instance.sel (Array.unsafe_get t.insts i) with
+      | Some sel ->
         (* A lazy mux (its join list is [sel :: ins]) forwards the data
            input its select names, as [Func.select] does, with no
            argument list. *)
         let s = Value.to_int (payload t sel) in
         if s < 0 || s >= n - 1 then Instance.bad_select s;
-        set_data t out (payload t (Array.unsafe_get ports (base + 1 + s)))
-      end
-      else begin
+        set_data t out (payload t (Array.unsafe_get ports (1 + s)))
+      | None ->
         (* Built back to front by a loop: a local recursive function
            would allocate its closure on every application. *)
         let args = ref [] in
         for j = n - 1 downto 0 do
-          args := payload t (Array.unsafe_get ports (base + j)) :: !args
+          args := payload t (Array.unsafe_get ports j) :: !args
         done;
         set_data t out (Array.unsafe_get t.fns i !args)
-      end
     end
   end;
   let s_eff = kandn (get t out sp) (get t out vm) in
@@ -480,7 +454,7 @@ let eval_join t i =
     for l = 0 to n - 1 do
       if l <> j then others := kand !others (Array.unsafe_get valids l)
     done;
-    kput t (Array.unsafe_get ports (base + j)) sp "S+"
+    kput t (Array.unsafe_get ports j) sp "S+"
       (knot (kandn !others s_eff))
   done;
   let consumable = ref 3 in
@@ -489,23 +463,24 @@ let eval_join t i =
       kand !consumable
         (korn
            (Array.unsafe_get valids j)
-           (get t (Array.unsafe_get ports (base + j)) sm))
+           (get t (Array.unsafe_get ports j) sm))
   done;
   let anti_backward =
     kand (kandn (get t out vm) (get t out vp)) !consumable
   in
   for j = 0 to n - 1 do
-    kput t (Array.unsafe_get ports (base + j)) vm "V-" anti_backward
+    kput t (Array.unsafe_get ports j) vm "V-" anti_backward
   done;
   kput t out sm "S-" (knor (get t out vp) !consumable)
 
 let eval_fork t i =
   let inw = in_w t i 0 in
   let vin = get t inw vp in
-  let k = t.outs_n.(i) in
+  let outs = outs t i in
+  let k = Array.length outs in
   let completions = t.scratch in
   for j = 0 to k - 1 do
-    let out = out_w t i j in
+    let out = Array.unsafe_get outs j in
     let dj = reg t i j = 1 and pj = reg t i (k + j) in
     let active = (not dj) && pj = 0 in
     let v_out = if active then vin else 2 in
@@ -527,28 +502,29 @@ let eval_fork t i =
   kput t inw vm "V-" (kandn (code_of_bool !all_pending) vin)
 
 let eval_emux t i =
-  let selw = Array.unsafe_get t.selw i and out = out_w t i 0 in
+  let selw = sel_w t i and out = out_w t i 0 in
   let sel_v = get t selw vp in
   let sv_known, sv =
     if sel_v = 3 && has_data t selw then (true, Value.to_int (payload t selw))
     else (false, 0)
   in
-  let n = Array.unsafe_get t.ins_n i in
+  let ins = ins t i in
+  let n = Array.length ins in
   if sv_known && (sv < 0 || sv >= n) then Instance.bad_select sv;
   let v_out =
     if sel_v = 2 then 2
     else if sv_known then
-      (if reg t i sv > 0 then 2 else get t (in_w t i sv) vp)
+      (if reg t i sv > 0 then 2 else get t (Array.unsafe_get ins sv) vp)
     else 0
   in
   kput t out vp "V+" v_out;
-  if v_out = 3 && sv_known then copy_data t (in_w t i sv) out;
+  if v_out = 3 && sv_known then copy_data t (Array.unsafe_get ins sv) out;
   let fire = kand v_out (korn (get t out vm) (get t out sp)) in
   kput t selw sp "S+" (knot fire);
   (* The mux never kills its select stream. *)
   set_bool t selw vm "V-" false;
   for j = 0 to n - 1 do
-    let inw = in_w t i j in
+    let inw = Array.unsafe_get ins j in
     if reg t i j > 0 then begin
       set_bool t inw vm "V-" true;
       set_bool t inw sp "S+" false
@@ -569,12 +545,13 @@ let eval_emux t i =
 
 let eval_shared t i sched =
   let g = Scheduler.predict sched in
-  let k = Array.unsafe_get t.ins_n i in
+  let ins = ins t i and outs = outs t i in
+  let k = Array.length ins in
   for j = 0 to k - 1 do
-    if j <> g then set_bool t (out_w t i j) vp "V+" false
+    if j <> g then set_bool t (Array.unsafe_get outs j) vp "V+" false
   done;
-  let in_g = in_w t i g and out_g = out_w t i g in
-  let hint = Array.unsafe_get t.selw i in
+  let in_g = Array.unsafe_get ins g and out_g = Array.unsafe_get outs g in
+  let hint = sel_w t i in
   let hint_v = if hint >= 0 && g = 0 then get t hint vp else 3 in
   kput t out_g vp "V+" (kand (get t in_g vp) hint_v);
   (* Same pure-function skip as [eval_join]: once driven, a re-eval
@@ -590,7 +567,7 @@ let eval_shared t i sched =
     else set_bool t hint sp "S+" true
   end;
   for j = 0 to k - 1 do
-    let inw = in_w t i j and out = out_w t i j in
+    let inw = Array.unsafe_get ins j and out = Array.unsafe_get outs j in
     if j = g then
       kput t inw vm "V-" (kandn (get t out vm) (get t out vp))
     else begin
@@ -621,8 +598,6 @@ let eval_varlat t i =
 
 let eval_node t i =
   Array.unsafe_set t.pn i (Array.unsafe_get t.pn i + 1);
-  t.pending_evals <- t.pending_evals + 1;
-  Array.unsafe_set t.cycle_evals i (Array.unsafe_get t.cycle_evals i + 1);
   t.last_eval <- i;
   match Instance.role (Array.unsafe_get t.insts i) with
   | Instance.Source _ -> eval_source t i
@@ -634,17 +609,21 @@ let eval_node t i =
   | Instance.Shared { sched; _ } -> eval_shared t i sched
   | Instance.Varlat _ -> eval_varlat t i
   | Instance.Stateless ->
-    if Array.unsafe_get t.jn i = 1 then eval_join1 t i else eval_join t i
+    let ports = Array.unsafe_get t.joins i in
+    if Array.length ports = 1 then eval_join1 t i (Array.unsafe_get ports 0)
+    else eval_join t i ports
 
 (* ------------------------------------------------------------------ *)
 (* Settle driver: the levelized schedule on the flat state — an
    acyclic node settles in one evaluation; inside a cyclic region a
    node re-evaluates only when a wire it reads was written since its
-   last evaluation.                                                    *)
+   last evaluation.  The cycle's pass count, the most evaluations of
+   any one node, is 1 for an acyclic node and, for a cyclic region,
+   the largest growth of a member's [pn] counter across the region. *)
 
 let clear_progress t = t.written_n <- 0
 
-let settle_loop t =
+let settle t =
   let sched = t.schedule in
   let order = sched.Schedule.order in
   let comp_of = sched.Schedule.comp_of
@@ -653,11 +632,14 @@ let settle_loop t =
   and readers_b = sched.Schedule.readers_b in
   let queue = t.queue and dirty = t.dirty and written = t.written in
   let qmask = Array.length queue - 1 in
+  let pn = t.pn and entry = t.entry in
+  let passes = ref 0 in
   for oi = 0 to Array.length order - 1 do
     match Array.unsafe_get order oi with
     | Schedule.Single i ->
       clear_progress t;
-      eval_node t i
+      eval_node t i;
+      if !passes = 0 then passes := 1
     | Schedule.Scc members ->
       let comp = comp_of.(members.(0)) in
       t.qh <- 0;
@@ -666,6 +648,7 @@ let settle_loop t =
          loop's only allocation. *)
       for m = 0 to Array.length members - 1 do
         let i = members.(m) in
+        entry.(i) <- pn.(i);
         dirty.(i) <- true;
         queue.(t.qt) <- i;
         t.qt <- (t.qt + 1) land qmask
@@ -706,22 +689,14 @@ let settle_loop t =
               end
             done
           done
+      done;
+      for m = 0 to Array.length members - 1 do
+        let i = members.(m) in
+        let grown = pn.(i) - entry.(i) in
+        if grown > !passes then passes := grown
       done
-  done
-
-(* The eval total is folded into the profile once per settle — on both
-   the normal and the exceptional exit, so error-path metrics match the
-   record backends' per-eval accounting. *)
-let settle t =
-  t.pending_evals <- 0;
-  match settle_loop t with
-  | () ->
-    Profile.add_evals t.profile t.pending_evals;
-    t.pending_evals <- 0
-  | exception e ->
-    Profile.add_evals t.profile t.pending_evals;
-    t.pending_evals <- 0;
-    raise e
+  done;
+  !passes
 
 (* ------------------------------------------------------------------ *)
 (* Cycle bookkeeping and observation                                   *)

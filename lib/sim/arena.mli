@@ -25,17 +25,18 @@ type t
     engine converts it into its E110 non-convergence error. *)
 exception Did_not_converge
 
-(** [create ~schedule ~profile ~cycle_evals ~nchan ~regs ~vals insts]
-    compiles the arena from the engine's instances, one per dense node
-    index, and flattens their dense input/sel/output channel indices
-    ({!Instance.ins}, {!Instance.sel}, {!Instance.outs}) into its own
-    port pool.  The evaluators read the engine's register and payload
-    arrays [regs] and [vals] in place; [profile] and [cycle_evals] are
-    the engine's counters, updated as the reference fixpoint does. *)
+(** [create ~schedule ~profile ~nchan ~regs ~vals insts] compiles the
+    arena from the engine's instances, one per dense node index.  The
+    evaluators read each node's dense input/sel/output channel indices
+    ({!Instance.ins}, {!Instance.sel}, {!Instance.outs}) from its
+    instance, and the engine's register and payload arrays [regs] and
+    [vals], in place; the only port list built here is a lazy
+    multiplexor's argument list [sel :: ins].  Each evaluation of node
+    [i] bumps [profile]'s per-node counter ({!Profile.per_node_array})
+    in place, as the reference fixpoint does. *)
 val create :
   schedule:Schedule.t ->
   profile:Profile.t ->
-  cycle_evals:int array ->
   nchan:int ->
   regs:int array ->
   vals:Value.t array ->
@@ -52,10 +53,14 @@ val set_override : t -> int -> Wires.override -> unit
 
 val clear_overrides : t -> unit
 
-(** Run the combinational phase to its fixed point.
+(** Run the combinational phase to its fixed point and return the
+    cycle's pass count, the most times any one node was evaluated: 1
+    when some node is acyclic, and for each cyclic region the largest
+    growth of a member's per-node counter across the region; 0 when
+    there are no nodes.
     @raise Wires.Conflict on a contradictory wire write.
     @raise Did_not_converge when an SCC budget is exhausted. *)
-val settle : t -> unit
+val settle : t -> int
 
 (** Control bits still unknown after [settle] (combinational cycle). *)
 val unknown_count : t -> int

@@ -1,4 +1,5 @@
 open Elastic_kernel
+open Elastic_sched
 open Elastic_netlist
 
 type error = {
@@ -94,7 +95,6 @@ type t = {
   profile : Profile.t;
   max_passes : int;
   max_cycles : int option;
-  cycle_evals : int array;  (* per-node eval calls within this cycle *)
   mutable cycle : int;
   codes : int array;
       (* the elapsed cycle's raw control code per dense channel
@@ -119,6 +119,9 @@ type t = {
   mutable starvation : string list;
   mutable faults : fault_schedule option;
   mutable row : fault_wire array;  (* installed by the last step *)
+  mutable forced : (Scheduler.t * int) array array;
+      (* per schedule row, its forced predictions resolved to the
+         scheduler and way; empty when no row forces one *)
   mutable replay : int array;  (* dense channels the schedule replays *)
   mutable kept : Value.t array;
       (* per dense channel, its last payload seen; sized only for a
@@ -273,13 +276,12 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
   let default_max_passes = (5 * Array.length chans) + 16 in
   let schedule = Schedule.build net ~ports in
   let profile = Profile.create ~n_nodes:(Array.length insts) in
-  let cycle_evals = Array.make (max (Array.length insts) 1) 0 in
   let backend =
     match mode with
     | Arena ->
       Arena
-        (Arena.create ~schedule ~profile ~cycle_evals
-           ~nchan:(Array.length chans) ~regs ~vals insts)
+        (Arena.create ~schedule ~profile ~nchan:(Array.length chans) ~regs
+           ~vals insts)
     | Reference ->
       let ws = Wires.create (Array.length chans) in
       Reference (ws, Array.map (Instance.evaluator ws) insts)
@@ -309,7 +311,6 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     profile;
     max_passes = Option.value max_passes ~default:default_max_passes;
     max_cycles;
-    cycle_evals;
     cycle = 0;
     codes;
     has_data;
@@ -319,6 +320,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     sinks;
     faults = None;
     row = [||];
+    forced = [||];
     replay = [||];
     kept = [||];
     observers = [||];
@@ -354,7 +356,6 @@ let invariant_error t ~node e =
 
 let eval_node t evals i =
   Profile.note_eval t.profile i;
-  t.cycle_evals.(i) <- t.cycle_evals.(i) + 1;
   try evals.(i) () with
   | Wires.Conflict { wire; field } -> conflict_error t ~wire ~field
   | (Assert_failure _ | Invalid_argument _) as e ->
@@ -390,6 +391,8 @@ let non_convergence_error t ~passes =
              passes
              (String.concat ", " names))))
 
+(* Returns the number of passes it ran: each evaluates every node
+   once, so with no nodes there is nothing to count. *)
 let fixpoint t ws evals =
   let rec go pass =
     Wires.clear_progress ws;
@@ -400,8 +403,9 @@ let fixpoint t ws evals =
       if pass >= t.max_passes then
         non_convergence_error t ~passes:(pass + 1)
       else go (pass + 1)
+    else pass + 1
   in
-  go 0
+  if Array.length t.insts = 0 then 0 else go 0
 
 let check_determined t =
   let unknown =
@@ -439,10 +443,37 @@ let check_determined t =
                (String.concat ", " names))))
   end
 
-(* Checks every channel up front; the payloads kept for the replay
-   channels start afresh. *)
+(* A forced prediction as the scheduler it forces and the way. *)
+let forced_prediction t (nid, way) =
+  let refuse why =
+    fail ~cycle:t.cycle ~node:nid
+      (Fmt.str "forced prediction %d at node %d: %s" way nid why)
+  in
+  match
+    Array.find_opt
+      (fun inst -> (Instance.node inst).Netlist.id = nid)
+      t.insts
+  with
+  | None -> refuse "the netlist has no such node"
+  | Some inst -> (
+      match (Instance.role inst, (Instance.node inst).Netlist.kind) with
+      | Instance.Shared { sched; _ }, Netlist.Shared { ways; _ } ->
+        if way < 0 || way >= ways then
+          refuse (Fmt.str "the module has ways 0..%d" (ways - 1))
+        else (sched, way)
+      | _ -> refuse "the node is not a shared module")
+
+(* Checks every channel and forced prediction up front; the payloads
+   kept for the replay channels start afresh. *)
 let set_faults t faults =
   let rows = match faults with Some fs -> fs.fs_rows | None -> [||] in
+  let forced =
+    if Array.for_all (fun r -> r.fr_predict = []) rows then [||]
+    else
+      Array.map
+        (fun r -> Array.of_list (List.map (forced_prediction t) r.fr_predict))
+        rows
+  in
   let replay = ref [] in
   for r = 0 to Array.length rows - 1 do
     let wires = rows.(r).fr_wires in
@@ -453,6 +484,7 @@ let set_faults t faults =
     done
   done;
   t.faults <- faults;
+  t.forced <- forced;
   t.replay <- Array.of_list !replay;
   if Array.length t.replay > 0 then
     t.kept <- Array.make (Array.length t.chans) (Value.Int 0)
@@ -469,7 +501,8 @@ let injected t =
   else Array.fold_right (fun w acc -> w.fw_chan :: acc) t.row []
 
 (* Clear the last step's overrides and install the schedule's row for
-   this cycle, if it has one; returns the row's forced predictions. *)
+   this cycle, if it has one; returns the row's forced predictions,
+   resolved by [set_faults]. *)
 let install_faults t =
   if Array.length t.row > 0 then begin
     (match t.backend with
@@ -495,8 +528,9 @@ let install_faults t =
       | Reference (ws, _) -> Wires.set_override ws i ov
     done;
     t.row <- row.fr_wires;
-    row.fr_predict
-  | Some _ | None -> []
+    if Array.length t.forced = 0 then [||]
+    else t.forced.(t.cycle - fs.fs_first)
+  | Some _ | None -> [||]
 
 (* The cycle-budget watchdog: a task that keeps stepping a pathological
    netlist (runaway replay storm, non-draining workload) hits a typed
@@ -512,9 +546,10 @@ let check_cycle_budget t =
          t.cycle budget)
   | Some _ | None -> ()
 
-(* Arena settle: the same exceptions as the reference fixpoint, mapped
-   to the same errors ([eval_node] catches per node; here the evaluating
-   node is recovered from the arena's last-eval cursor). *)
+(* Arena settle, returning the pass count: the same exceptions as the
+   reference fixpoint, mapped to the same errors ([eval_node] catches
+   per node; here the evaluating node is recovered from the arena's
+   last-eval cursor). *)
 let settle_arena t ar =
   try Arena.settle ar with
   | Wires.Conflict { wire; field } -> conflict_error t ~wire ~field
@@ -534,30 +569,27 @@ let step ?(choices = fun _ -> None) t =
   (match t.backend with
    | Arena ar -> Arena.reset ar
    | Reference (ws, _) -> Wires.reset ws);
-  let choices =
-    match install_faults t with
-    | [] -> choices
-    | forced -> (
-        fun nid ->
-          match List.assoc_opt nid forced with
-          | Some way -> Some (Instance.Predict way)
-          | None -> choices nid)
-  in
+  let forced = install_faults t in
   for k = 0 to Array.length t.insts - 1 do
     let inst = t.insts.(k) in
     Instance.begin_cycle inst ~choice:(choices (Instance.node inst).Netlist.id)
   done;
-  Array.fill t.cycle_evals 0 (Array.length t.cycle_evals) 0;
+  (* Forced after [choices], so a fault's prediction wins. *)
+  for k = 0 to Array.length forced - 1 do
+    let sched, way = forced.(k) in
+    Scheduler.force sched way
+  done;
   let t0 = Clock.read_ns t.clock in
-  (match t.backend with
-   | Arena ar -> settle_arena t ar
-   | Reference (ws, evals) -> fixpoint t ws evals);
-  (* Stop the settle timer before the determinism check and pass fold so
-     the recorded time covers only the settle phase itself — the E9
-     speedup record compares backends on this number. *)
+  let passes =
+    match t.backend with
+    | Arena ar -> settle_arena t ar
+    | Reference (ws, evals) -> fixpoint t ws evals
+  in
+  (* Stop the settle timer before the determinism check so the recorded
+     time covers only the settle phase itself — the E9 speedup record
+     compares backends on this number. *)
   let settle_ns = Clock.read_ns t.clock - t0 in
   check_determined t;
-  let passes = Array.fold_left max 0 t.cycle_evals in
   Profile.record_cycle t.profile ~passes ~ns:settle_ns;
   (* Post-settle: everything below reads the packed codes; payloads
      are fetched only where a token moves (or a monitor's retry is

@@ -45,15 +45,15 @@ type error = {
 
 exception Simulation_error of error
 
-val pp_error : Format.formatter -> error -> unit
-
 val error_to_string : error -> string
 
 (** A fault schedule is data, compiled by [Elastic_fault.Fault.plan]:
     [fs_rows.(k)] says what to perturb on cycle [fs_first + k].  A row
     overrides [fr_wires] (in channel-id order, the engine's, one merged
     override per channel) and forces each scheduler of [fr_predict]
-    (a shared module's node, a way).  A [fw_replay] wire duplicates a
+    (a shared module's node, a way; {!set_faults} resolves each pair to
+    the module's scheduler once, so a step forces it without a lookup
+    or an allocation).  A [fw_replay] wire duplicates a
     token: the engine sets its [subst_data] to the last payload it kept
     for the channel, [Int 0] if none.  A schedule holds no mutable
     state, so any number of engines of its netlist can share one. *)
@@ -148,11 +148,14 @@ val schedule : t -> Schedule.t
 
 (** Install (or remove, with [None]) the fault schedule every later
     {!step} reads.  On a cycle with a row, the step installs the row's
-    overrides before the combinational phase, and the row's predictions
-    take precedence over [~choices]; any other cycle is the plain step.
+    overrides before the combinational phase, and forces the row's
+    predictions after [~choices] has been applied, so a fault's
+    prediction wins; any other cycle is the plain step.
     Until the last row the engine keeps the last payload seen on each
     replay channel; [set_faults] forgets those kept so far.
-    @raise Simulation_error on a channel the netlist does not have. *)
+    @raise Simulation_error on a channel the netlist does not have, and
+    on a forced prediction at a node that is not a shared module or at
+    a way the module does not have (the error names the node). *)
 val set_faults : t -> fault_schedule option -> unit
 
 (** Append a per-cycle observer.  Observers run in the order they were

@@ -179,6 +179,8 @@ let source_value t =
   | Stateless | Sink _ | Eb | Eb0 | Fork | Emux | Shared _ | Varlat _ ->
     invalid_arg "Instance.source_value: not a source"
 
+(* Next value a source would offer (its stream head), if any; [None]
+   for other nodes. *)
 let source_peek t =
   match t.role with
   | Source { spec; svals } ->

@@ -119,10 +119,6 @@ val val_base : t -> int
     the payload slots, they are what [Engine.same_future] compares. *)
 val future : t -> int list
 
-(** Next value a source would offer (its stream head), if any; [None]
-    for other nodes. *)
-val source_peek : t -> Value.t option
-
 (** [source_value t] is the value a source offers while its offering
     flag is set, read without building an option.
     @raise Invalid_argument if [t] is not a source. *)

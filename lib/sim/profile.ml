@@ -3,9 +3,10 @@
 
 type t = {
   n_nodes : int;
-  per_node : int array;  (* cumulative eval calls per dense node index *)
+  per_node : int array;
+      (* cumulative eval calls per dense node index: the only eval
+         counter, so the total is their sum *)
   mutable cycles : int;
-  mutable evals : int;
   mutable settle_ns : int;
   mutable compile_seconds : float;
       (* engine-construction cost (schedule build, arena compile);
@@ -23,7 +24,6 @@ let create ~n_nodes =
   { n_nodes;
     per_node = Array.make (max n_nodes 1) 0;
     cycles = 0;
-    evals = 0;
     settle_ns = 0;
     compile_seconds = 0.0;
     hist = Array.make 8 0;
@@ -33,23 +33,14 @@ let create ~n_nodes =
 let reset t =
   Array.fill t.per_node 0 (Array.length t.per_node) 0;
   t.cycles <- 0;
-  t.evals <- 0;
   t.settle_ns <- 0;
   Array.fill t.hist 0 (Array.length t.hist) 0;
   t.max_passes <- 0;
   t.last_passes <- 0
 
-let note_eval t i =
-  t.per_node.(i) <- t.per_node.(i) + 1;
-  t.evals <- t.evals + 1
+let note_eval t i = t.per_node.(i) <- t.per_node.(i) + 1
 
-(* Batched accounting for the flat-arena settle loop: it bumps the
-   per-node counters in place and folds the eval total in once per
-   settle, keeping [evals] = sum of [per_node] at every observation
-   point outside the loop. *)
 let per_node_array t = t.per_node
-
-let add_evals t n = t.evals <- t.evals + n
 
 let record_cycle t ~passes ~ns =
   t.cycles <- t.cycles + 1;
@@ -67,7 +58,7 @@ let set_compile_seconds t s = t.compile_seconds <- s
 
 let cycles t = t.cycles
 
-let evals t = t.evals
+let evals t = Array.fold_left ( + ) 0 t.per_node
 
 let settle_seconds t = float_of_int t.settle_ns *. 1e-9
 
@@ -75,7 +66,7 @@ let compile_seconds t = t.compile_seconds
 
 let evals_per_cycle t =
   if t.cycles = 0 then 0.0
-  else float_of_int t.evals /. float_of_int t.cycles
+  else float_of_int (evals t) /. float_of_int t.cycles
 
 let max_passes t = t.max_passes
 
@@ -102,7 +93,7 @@ let pp ?(name = string_of_int) ppf t =
     "@[<v>%d cycles, %d node evaluations (%.2f evals/cycle, %d nodes)@,\
      compile phase %.3f ms, settle phase %.3f ms (%.2f us/cycle)@,\
      settle passes per cycle (max %d):"
-    t.cycles t.evals (evals_per_cycle t) t.n_nodes
+    t.cycles (evals t) (evals_per_cycle t) t.n_nodes
     (t.compile_seconds *. 1e3)
     (settle_seconds t *. 1e3)
     (if t.cycles = 0 then 0.0

@@ -12,8 +12,8 @@ type t
     indices. *)
 val create : n_nodes:int -> t
 
-(** Zero every per-cycle counter: cycles, evals, per-node evals, settle
-    seconds, the pass histogram and maxima.  {!compile_seconds} is left
+(** Zero every per-cycle counter: cycles, per-node evals (and so their
+    total), settle seconds, the pass histogram and maxima.  {!compile_seconds} is left
     alone.  [Elastic_fault.Recovery.run_faulted] resets the faulted
     engine's profile before each scenario, so on a reused engine the
     profile covers that scenario and still holds the compile time of the
@@ -27,18 +27,14 @@ val reset : t -> unit
 (** One evaluation of node [i]. *)
 val note_eval : t -> int -> unit
 
-(** Batched recording for the flat-arena settle loop: the per-node
-    counter array, updated in place by the caller, paired with a bulk
-    fold into the eval total once per settle.  Callers must keep
-    [evals] equal to the sum of the per-node counters at every
-    observation point outside the loop. *)
+(** The per-node counters themselves, for the flat-arena settle loop to
+    bump in place: one increment per evaluation, as {!note_eval}.  They
+    are the profile's only evaluation counter; {!evals} sums them. *)
 val per_node_array : t -> int array
 
-val add_evals : t -> int -> unit
-
 (** End of one settle phase: the cycle's pass count (the most times any
-    single node was evaluated) and its wall-clock duration in
-    nanoseconds.  It allocates nothing unless the cycle took more passes
+    single node was evaluated, which the settle loop reports) and its
+    wall-clock duration in nanoseconds.  It allocates nothing unless the cycle took more passes
     than any before it and the histogram has to grow. *)
 val record_cycle : t -> passes:int -> ns:int -> unit
 
@@ -52,7 +48,9 @@ val set_compile_seconds : t -> float -> unit
 
 val cycles : t -> int
 
-(** Total node evaluations across all cycles. *)
+(** Total node evaluations across all cycles: the sum of the per-node
+    counters, computed at each call (one pass over the nodes), so read
+    it at snapshot time rather than every cycle. *)
 val evals : t -> int
 
 val evals_per_cycle : t -> float

@@ -31,5 +31,3 @@ val parse : string -> (request, error) result
 (** [response ~status ~content_type body] renders a complete
     [Connection: close] response with [Content-Length]. *)
 val response : ?status:int -> ?content_type:string -> string -> string
-
-val status_reason : int -> string

@@ -9,9 +9,11 @@ module Export = Elastic_obs.Export
 
 let version = "1.0"
 
-let build_info ?(version = version) reg =
-  (* Standard Prometheus practice: a constant-1 gauge whose labels
-     identify the binary behind the scrape. *)
+(* Registers and sets the constant-1 [elastic_build_info] gauge with
+   [version], [pool] ([domains]/[seq]) and [eval_mode] labels
+   (idempotent): standard Prometheus practice, a constant-1 gauge whose
+   labels identify the binary behind the scrape. *)
+let build_info reg =
   Metrics.Gauge.set
     (Metrics.gauge reg
        ~help:"constant 1; labels identify the serving binary"

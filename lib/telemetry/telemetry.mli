@@ -29,10 +29,6 @@ type t
 (** Version string stamped into [elastic_build_info]. *)
 val version : string
 
-(** [build_info registry] registers and sets the constant-1
-    [elastic_build_info] gauge with [version], [pool]
-    ([domains]/[seq]) and [eval_mode] labels.  Idempotent. *)
-val build_info : ?version:string -> Elastic_metrics.Metrics.t -> unit
 
 (** [create ()] — a hub with no progress plane and no collector.
     @param clock used for the uptime gauge (default

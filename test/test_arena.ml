@@ -159,9 +159,11 @@ let read_file path =
 let check_golden path got =
   Alcotest.(check string) (path ^ " byte-exact") (read_file path) got
 
-(* The arena batches its eval accounting ([Profile.add_evals] once per
-   settle); totals, per-node counters and the pass histogram must still
-   equal the golden one-note_eval-per-eval stream. *)
+(* The arena bumps the profile's per-node counters in place, the only
+   eval counter ([Profile.evals] is their sum), and its settle loop
+   reports each cycle's pass count itself; totals, per-node counters
+   and the pass histogram must still equal the golden
+   one-note_eval-per-eval stream. *)
 let test_profile_parity () =
   let ops = Examples.rs_ops ~error_rate_pct:10 ~seed:5 100 in
   let net = (Examples.rs_speculative ~ops).Examples.d_net in
@@ -349,8 +351,11 @@ let test_state_allocation_guard () =
    (whose channel's payloads the engine keeps through the window) and a
    forced misprediction.  The flip costs the most, 56 words on OCaml
    5.1.1, nearly all of it the rebuilt payload; the other cycles cost 0
-   to 14.  The budget adds ~5%. *)
+   to 14.  The budget adds ~5%.  The forced misprediction, resolved to
+   its scheduler once by [set_faults], costs exactly nothing. *)
 let window_words = 59.
+
+let mispredict_cycle = 38
 
 let test_fault_allocation_guard () =
   let open Elastic_fault in
@@ -365,7 +370,7 @@ let test_fault_allocation_guard () =
       [ Fault.flip_bit ~channel:bus ~cycle:30 17;
         Fault.stuck_stall ~channel:bus ~cycle:32 ~duration:2;
         Fault.duplicate_token ~channel:bus ~cycle:36;
-        Fault.mispredict ~node:stage ~cycle:38 1 ]
+        Fault.mispredict ~node:stage ~cycle:mispredict_cycle 1 ]
   in
   let plain = Engine.create net and faulted = Engine.create net in
   let snaps =
@@ -387,10 +392,78 @@ let test_fault_allocation_guard () =
   Engine.set_faults faulted (Some plan);
   for k = 30 to Fault.horizon plan - 1 do
     let extra = words faulted snaps.(k) 1 -. words plain snaps.(k) 1 in
-    if extra > window_words then
+    if k = mispredict_cycle then
+      Alcotest.(check (float 0.)) "the forced misprediction costs nothing"
+        0. extra
+    else if extra > window_words then
       Alcotest.failf "cycle %d of the window: %.0f words over a plain step \
                       (budget %.0f)" k extra window_words
   done
+
+(* A two-way shared module with an [External] scheduler, which keeps
+   the way it was last forced to, so a step's prediction can be read
+   after it. *)
+let external_shared () =
+  let b = builder () in
+  let m =
+    add b ~name:"m"
+      (Shared
+         { ways = 2; f = Func.identity (); sched = Elastic_sched.Scheduler.External;
+           hinted = false })
+  in
+  for w = 0 to 1 do
+    let s = src_counter b ~name:(Fmt.str "s%d" w) () in
+    let k = sink b ~name:(Fmt.str "k%d" w) () in
+    ignore (conn b (s, Out 0) (m, In w));
+    ignore (conn b (m, Out w) (k, In 0))
+  done;
+  (b.net, m)
+
+let predict_row ~cycle predict =
+  { Engine.fs_first = cycle;
+    fs_rows = [| { Engine.fr_wires = [||]; fr_predict = predict } |] }
+
+(* A fault's forced prediction and a [~choices] prediction on the same
+   shared module in the same cycle: the fault's way wins, in both
+   backends, and a [~choices] prediction alone still takes effect. *)
+let test_fault_prediction_wins () =
+  let net, m = external_shared () in
+  let choices nid = if nid = m then Some (Instance.Predict 0) else None in
+  let way_after mode plan =
+    let eng = Engine.create ~mode net in
+    Engine.set_faults eng plan;
+    Engine.run eng 3;
+    Engine.step ~choices eng;
+    Elastic_sched.Scheduler.predict (List.assoc m (Engine.schedulers eng))
+  in
+  List.iter
+    (fun mode ->
+       let name = Engine.mode_name mode in
+       Alcotest.(check int) (name ^ ": the choice alone") 0
+         (way_after mode None);
+       Alcotest.(check int) (name ^ ": the fault wins over the choice") 1
+         (way_after mode (Some (predict_row ~cycle:3 [ (m, 1) ]))))
+    modes
+
+(* [set_faults] resolves each forced prediction once and refuses, with a
+   typed error, one at a node that is not a shared module or at a way
+   the module does not have. *)
+let test_forced_prediction_checked () =
+  let net, m = external_shared () in
+  let src = (Option.get (Netlist.find_node net "s0")).Netlist.id in
+  let refused what predict why =
+    let eng = Engine.create net in
+    match Engine.set_faults eng (Some (predict_row ~cycle:0 predict)) with
+    | () -> Alcotest.failf "set_faults accepted %s" what
+    | exception Engine.Simulation_error err ->
+      Alcotest.(check (option int)) (what ^ ": names the node") (Some (fst (List.hd predict)))
+        err.Engine.err_node;
+      if not (Helpers.contains err.Engine.err_msg why) then
+        Alcotest.failf "%s: %S does not say %S" what err.Engine.err_msg why
+  in
+  refused "a source" [ (src, 0) ] "not a shared module";
+  refused "way 2 of two" [ (m, 2) ] "ways 0..1";
+  refused "way -1" [ (m, -1) ] "ways 0..1"
 
 (* [Sampler.observe] with no window reads the engine's counters only at
    snapshot time and refreshes no gauge, so it allocates nothing on any
@@ -758,4 +831,8 @@ let suite =
     Alcotest.test_case "pass histogram grows past its rows" `Quick
       test_pass_histogram_growth;
     Alcotest.test_case "a select equal to the way count is refused" `Quick
-      test_select_at_way_count ]
+      test_select_at_way_count;
+    Alcotest.test_case "a fault's prediction wins over ~choices" `Quick
+      test_fault_prediction_wins;
+    Alcotest.test_case "set_faults checks forced predictions" `Quick
+      test_forced_prediction_checked ]

@@ -709,6 +709,76 @@ let test_mixed_func_forms () =
          Value.Tuple [ Value.Int i; Value.Int (10 + i); Value.Int (20 + i) ]))
     (sink_values (run_net ~cycles:40 b.net) k)
 
+(* --- the settle pass count ------------------------------------------ *)
+
+(* The pass count a step records is the most evaluations of any one
+   node in that cycle.  An observer diffs the per-node counters
+   ([Profile.top_nodes]) every cycle and checks [Profile.last_passes]
+   against the largest delta, on the random designs above, in both
+   modes. *)
+let gen_random_design =
+  let open QCheck.Gen in
+  let pipe p =
+    let net, _, _, _ = Test_sim_property.build_pipe p in
+    net
+  in
+  oneof
+    [ map (fun p -> ("pipe " ^ Test_sim_property.print_pipe p, pipe p))
+        Test_sim_property.gen_pipe;
+      map (fun d -> ("diamond " ^ print_diamond d, build_diamond d))
+        gen_diamond;
+      map (fun w -> ("word pipe " ^ print_word_pipe w, build_word_pipe w))
+        gen_word_pipe;
+      map (fun s -> ("shared " ^ print_shared s, build_shared s)) gen_shared ]
+
+let check_pass_counts ~mode net =
+  let eng = Engine.create ~mode net in
+  let n = List.length (Netlist.nodes net) in
+  let before = Array.make n 0 in
+  Engine.set_observer eng
+    (Some
+       (fun e ->
+          let p = Engine.profile e in
+          let passes = ref 0 in
+          List.iter
+            (fun (i, c) ->
+               passes := max !passes (c - before.(i));
+               before.(i) <- c)
+            (Profile.top_nodes p n);
+          if Profile.last_passes p <> !passes then
+            Alcotest.failf "%s, cycle %d: %d passes recorded, largest \
+                            per-node delta %d"
+              (Engine.mode_name mode) (Engine.cycle e)
+              (Profile.last_passes p) !passes));
+  match Engine.run eng 150 with
+  | () -> ()
+  | exception Engine.Simulation_error _ -> ()
+
+let pass_count_is_largest_delta =
+  let open QCheck in
+  Test.make
+    ~name:"qcheck: the pass count is the largest per-node eval delta"
+    ~count:100
+    (make ~print:fst gen_random_design)
+    (fun (_, net) ->
+       check_pass_counts ~mode:Engine.Arena net;
+       check_pass_counts ~mode:Engine.Reference net;
+       true)
+
+let test_no_nodes_no_passes () =
+  List.iter
+    (fun mode ->
+       let eng = Engine.create ~mode Netlist.empty in
+       Engine.run eng 3;
+       let p = Engine.profile eng in
+       Alcotest.(check (pair int int))
+         (Engine.mode_name mode ^ ": no passes, no evaluations")
+         (0, 0) (Profile.max_passes p, Profile.evals p);
+       Alcotest.(check (list (pair int int)))
+         (Engine.mode_name mode ^ ": three cycles of 0 passes")
+         [ (0, 3) ] (Profile.pass_histogram p))
+    [ Engine.Arena; Engine.Reference ]
+
 let suite =
   design_cases @ degenerate_cases @ fault_cases
   @ List.map QCheck_alcotest.to_alcotest
@@ -721,4 +791,7 @@ let suite =
       Alcotest.test_case "a flipped payload re-written in a cyclic region"
         `Quick test_flip_rewritten_in_cycle;
       Alcotest.test_case "list-form and unary functions agree in lockstep"
-        `Quick test_mixed_func_forms ]
+        `Quick test_mixed_func_forms;
+      QCheck_alcotest.to_alcotest pass_count_is_largest_delta;
+      Alcotest.test_case "a netlist with no nodes reads 0 passes" `Quick
+        test_no_nodes_no_passes ]
