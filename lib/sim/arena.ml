@@ -3,17 +3,17 @@
    The Reference backend evaluates each node's [Control.table] (the
    equations the exports print) over per-channel records of
    [bool option] fields ([Wires] + [Instance.evaluator]).  This module
-   is the second, independent coding of the same controllers: it
-   compiles the levelized schedule ([Schedule]) onto preallocated flat
-   arrays: channel ids index packed integer control words, node ids
-   index the engine's [Instance.t] array, and the settle loop is a
-   tight int loop with no per-field closures or record allocation.
+   is the second, independent coding of the same controllers: it runs
+   the static half-node sweep ([Schedule]) on preallocated flat arrays:
+   channel ids index packed integer control words, node ids index the
+   engine's [Instance.t] array, and the settle loop is a tight int loop
+   with no per-field closures or record allocation.
 
-   Correctness contract: the evaluation order, the dirty-set
-   propagation (written wires walked most-recent-first, readers queued
-   in array order) and the budgets are fixed, so eval counts, settle
-   passes, traces and metrics must stay byte-identical to the committed
-   goldens (test/*.expected).  The differential suite checks the arena
+   Correctness contract: Kleene monotonicity gives one fixed point
+   whatever the evaluation order, so wires, payloads, traces, errors and
+   metrics are the reference fixpoint's; the sweep alone fixes the eval
+   counts and settle passes, which the committed goldens
+   (test/*.expected) lock.  The differential suite checks the arena
    against the reference fixpoint over the exported tables, an
    independent oracle that reaches the same unique fixed point.
 
@@ -29,7 +29,8 @@
      mux select is read).  [has_data]/[payload] read it, and the
      substitute of a forced-valid wire, without building an option.
    - [written]/[written_n]: bump-allocated write log replacing the
-     [Wires.written] cons list (iterated top-down = most-recent-first).
+     [Wires.written] cons list: a cyclic region's progress signal and
+     the E110 provenance (iterated top-down = most-recent-first).
    - a node's ports are its [Instance.t]'s own ([Instance.ins],
      [outs], [sel] of [insts.(i)]), read in place; the only derived
      port list is a lazy mux's join list [sel :: ins] in [joins] (a
@@ -104,8 +105,8 @@ type t = {
   dval : Value.t array;  (* meaningful where [driven] *)
   ov_map : (Value.t -> Value.t) option array;
   ov_subst : Value.t option array;
-  (* Write log since the last [clear_progress]; a non-empty log is the
-     progress signal. *)
+  (* Write log since the reset or the current region sweep began; a
+     non-empty log is a region's progress signal. *)
   written : int array;
   mutable written_n : int;
   (* Flat node table.  The nodes' registers and stored payloads are
@@ -122,14 +123,10 @@ type t = {
       (* unary join / shared data function ([Func.eval1]), applied to the
          payload itself *)
   (* Settle machinery (preallocated). *)
-  schedule : Schedule.t;
-  dirty : bool array;
-  queue : int array;  (* ring buffer of dirty SCC members *)
-  mutable qh : int;
-  mutable qt : int;
+  sweep : int array;  (* [Schedule.sweep] *)
+  regions : int array array;  (* [Schedule.regions] *)
   scratch : int array;  (* per-port Kleene codes (valids / completions) *)
   pn : int array;  (* [profile]'s per-node counters, bumped in place *)
-  entry : int array;  (* a cyclic region member's [pn] count on entry *)
   mutable last_eval : int;  (* node evaluating when an exception escaped *)
   (* Any control-field force installed?  [set_code] skips the per-write
      force lookup in the (benchmarked) fault-free case. *)
@@ -175,12 +172,6 @@ let create ~schedule ~profile ~nchan ~regs ~vals insts =
          | Netlist.Fork _ | Netlist.Mux _ | Netlist.Varlat _ -> [||])
       insts
   in
-  (* Power-of-two ring capacity so the settle loop wraps with [land]
-     instead of an integer division. *)
-  let qcap = ref 1 in
-  while !qcap < n_nodes + 1 do
-    qcap := !qcap * 2
-  done;
   let csz = max nchan 1 in
   { nchan;
     ctrl = Array.make csz 0;
@@ -192,14 +183,10 @@ let create ~schedule ~profile ~nchan ~regs ~vals insts =
     written = Array.make ((5 * nchan) + 8) 0;
     written_n = 0;
     insts; regs; vals; joins; fns; fns1;
-    schedule;
-    dirty = Array.make sz false;
-    queue = Array.make !qcap 0;
-    qh = 0;
-    qt = 0;
+    sweep = schedule.Schedule.sweep;
+    regions = schedule.Schedule.regions;
     scratch = Array.make !max_fan 0;
     pn = Profile.per_node_array profile;
-    entry = Array.make sz 0;
     last_eval = 0;
     forced_any = false }
 
@@ -261,10 +248,9 @@ let[@inline] set_bool t c off field b =
 
 (* Combined write of two control fields of one wire: one ctrl load and
    store, one write-log entry.  Only for nonzero codes (unconditional
-   writes).  Equivalent to two [set_code] calls: the write log dedups
-   through the dirty flags, so one entry propagates exactly like two,
-   and conflict precedence follows field order.  Overrides fall back to
-   the per-field path. *)
+   writes).  Equivalent to two [set_code] calls: the log is only a
+   progress signal, so one entry serves as two, and conflict precedence
+   follows field order.  Overrides fall back to the per-field path. *)
 let set_code2 t c off1 field1 code1 off2 field2 code2 =
   if t.forced_any then begin
     set_code t c off1 field1 code1;
@@ -336,13 +322,9 @@ let copy_data t src dst =
 
 (* ------------------------------------------------------------------ *)
 (* Node evaluation: each controller's equations, hand-written onto
-   packed codes.  They compute what the node's [Control.table] states,
-   in the write order the goldens lock — it drives the written log,
-   hence dirty propagation, hence eval counts. *)
-
-(* The paired writes below reorder only writes of the same wire (the
-   log dedups per wire, so propagation is unchanged) and never writes
-   a field another statement of the same body reads. *)
+   packed codes.  They compute what the node's [Control.table] states;
+   the paired writes below never write a field another statement of
+   the same body reads. *)
 
 (* Register [k] and payload slot [k] of node [i], in Instance's layout:
    slot 0 is a source's offering flag, a sink's stalling flag, a
@@ -578,9 +560,6 @@ let eval_shared t i sched =
       (kand (knot (get t out vp)) (kandn (get t inw sm) (get t inw vp)))
   done
 
-(* Pairing note: in the busy/empty branches the last write of the
-   original sequence was [inw.sp], so the reverse-order walk touched
-   [inw] before [out] — the pair order below keeps that. *)
 let eval_varlat t i =
   let inw = in_w t i 0 and out = out_w t i 0 in
   match reg t i 0 with
@@ -614,87 +593,41 @@ let eval_node t i =
     else eval_join t i ports
 
 (* ------------------------------------------------------------------ *)
-(* Settle driver: the levelized schedule on the flat state — an
-   acyclic node settles in one evaluation; inside a cyclic region a
-   node re-evaluates only when a wire it reads was written since its
-   last evaluation.  The cycle's pass count, the most evaluations of
-   any one node, is 1 for an acyclic node and, for a cyclic region,
-   the largest growth of a member's [pn] counter across the region. *)
+(* Settle driver: the static sweep on the flat state.  Each entry of
+   [sweep] evaluates one node at one of its half positions; a negative
+   entry sweeps a cyclic region's members until a sweep writes nothing.
+   The cycle's pass count is 1, or the most sweeps any region took (0
+   with no nodes). *)
 
-let clear_progress t = t.written_n <- 0
+(* Monotone write-once wires bound a region to [5 * nchan] writing
+   sweeps; the budget, the engine's default pass budget, is a safety
+   valve against a non-monotone eval bug. *)
+let settle_region t members =
+  let budget = (5 * t.nchan) + 16 in
+  (* Loops, not a local recursive function, whose closure would be
+     allocated on every call. *)
+  let sweeps = ref 0 and writing = ref true in
+  while !writing do
+    incr sweeps;
+    if !sweeps > budget then raise Did_not_converge;
+    t.written_n <- 0;
+    for m = 0 to Array.length members - 1 do
+      eval_node t (Array.unsafe_get members m)
+    done;
+    writing := t.written_n > 0
+  done;
+  !sweeps
 
 let settle t =
-  let sched = t.schedule in
-  let order = sched.Schedule.order in
-  let comp_of = sched.Schedule.comp_of
-  and src_of = sched.Schedule.src_of
-  and readers_f = sched.Schedule.readers_f
-  and readers_b = sched.Schedule.readers_b in
-  let queue = t.queue and dirty = t.dirty and written = t.written in
-  let qmask = Array.length queue - 1 in
-  let pn = t.pn and entry = t.entry in
-  let passes = ref 0 in
-  for oi = 0 to Array.length order - 1 do
-    match Array.unsafe_get order oi with
-    | Schedule.Single i ->
-      clear_progress t;
-      eval_node t i;
-      if !passes = 0 then passes := 1
-    | Schedule.Scc members ->
-      let comp = comp_of.(members.(0)) in
-      t.qh <- 0;
-      t.qt <- 0;
-      (* A loop, not [Array.iter]: its closure would be the settle
-         loop's only allocation. *)
-      for m = 0 to Array.length members - 1 do
-        let i = members.(m) in
-        entry.(i) <- pn.(i);
-        dirty.(i) <- true;
-        queue.(t.qt) <- i;
-        t.qt <- (t.qt + 1) land qmask
-      done;
-      (* Monotone write-once wires bound the iteration; the budget is a
-         safety valve against a non-monotone eval bug. *)
-      let budget =
-        ref ((Array.length members * ((5 * t.nchan) + 2)) + 16)
-      in
-      while t.qh <> t.qt do
-        decr budget;
-        if !budget < 0 then raise Did_not_converge;
-        let i = Array.unsafe_get queue t.qh in
-        t.qh <- (t.qh + 1) land qmask;
-        Array.unsafe_set dirty i false;
-        clear_progress t;
-        eval_node t i;
-        if t.written_n > 0 then
-          (* Most-recent-first: this walk order fixes the eval counts
-             locked by the golden fixtures. *)
-          for wi = t.written_n - 1 downto 0 do
-            let c = Array.unsafe_get written wi in
-            let readers =
-              if Array.unsafe_get src_of c = i then
-                Array.unsafe_get readers_f c
-              else Array.unsafe_get readers_b c
-            in
-            for ri = 0 to Array.length readers - 1 do
-              let r = Array.unsafe_get readers ri in
-              if
-                Array.unsafe_get comp_of r = comp
-                && (not (Array.unsafe_get dirty r))
-                && r <> i
-              then begin
-                Array.unsafe_set dirty r true;
-                Array.unsafe_set queue t.qt r;
-                t.qt <- (t.qt + 1) land qmask
-              end
-            done
-          done
-      done;
-      for m = 0 to Array.length members - 1 do
-        let i = members.(m) in
-        let grown = pn.(i) - entry.(i) in
-        if grown > !passes then passes := grown
-      done
+  let sweep = t.sweep in
+  let passes = ref (if Array.length sweep = 0 then 0 else 1) in
+  for k = 0 to Array.length sweep - 1 do
+    let i = Array.unsafe_get sweep k in
+    if i >= 0 then eval_node t i
+    else begin
+      let sweeps = settle_region t (Array.unsafe_get t.regions (-1 - i)) in
+      if sweeps > !passes then passes := sweeps
+    end
   done;
   !passes
 

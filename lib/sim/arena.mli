@@ -5,14 +5,14 @@ open Elastic_kernel
     Channel state lives in preallocated flat arrays — four 2-bit Kleene
     codes packed per channel into an [int] control word, and one
     [Value.t] payload slot per channel with a presence flag, holding
-    the value its producer wrote — and the levelized schedule is
-    compiled to flat index arrays walked by a tight loop.
+    the value its producer wrote — and the cycle settles in the static
+    half-node sweep of {!Schedule}, walked by a tight loop.
 
-    This is the engine's default backend ([Engine.Arena]).  Its
-    evaluation order, dirty-set propagation and budgets are fixed, so
-    eval counts, settle passes, traces and metrics are deterministic and
-    locked by committed goldens; it reaches the same fixed point as the
-    blind reference fixpoint over {!Wires}.  An arena engine builds no
+    This is the engine's default backend ([Engine.Arena]).  The sweep
+    fixes its eval counts and settle passes, so they, like its traces
+    and metrics, are deterministic and locked by committed goldens; it
+    reaches the same fixed point as the blind reference fixpoint over
+    {!Wires}.  An arena engine builds no
     {!Wires} store: it shares only {!Wires.override} and
     {!Wires.Conflict}.  [Engine] owns the mode dispatch, error
     rendering and everything outside the settle loop; node register
@@ -21,8 +21,9 @@ open Elastic_kernel
 
 type t
 
-(** Raised when a cyclic region exhausts its iteration budget; the
-    engine converts it into its E110 non-convergence error. *)
+(** Raised when a cyclic region exhausts its sweep budget
+    ([5 * nchan + 16] sweeps); the engine converts it into its E110
+    non-convergence error. *)
 exception Did_not_converge
 
 (** [create ~schedule ~profile ~nchan ~regs ~vals insts] compiles the
@@ -53,13 +54,13 @@ val set_override : t -> int -> Wires.override -> unit
 
 val clear_overrides : t -> unit
 
-(** Run the combinational phase to its fixed point and return the
-    cycle's pass count, the most times any one node was evaluated: 1
-    when some node is acyclic, and for each cyclic region the largest
-    growth of a member's per-node counter across the region; 0 when
-    there are no nodes.
+(** Run the combinational phase to its fixed point: evaluate each entry
+    of the sweep in order, sweeping a cyclic region's members until a
+    sweep writes nothing.  Returns the cycle's pass count: 1 with no
+    cyclic region, the most sweeps any cyclic region took otherwise, 0
+    when there are no nodes.
     @raise Wires.Conflict on a contradictory wire write.
-    @raise Did_not_converge when an SCC budget is exhausted. *)
+    @raise Did_not_converge when a region's budget is exhausted. *)
 val settle : t -> int
 
 (** Control bits still unknown after [settle] (combinational cycle). *)
@@ -68,8 +69,9 @@ val unknown_count : t -> int
 (** Does the channel have an undetermined control field? *)
 val undetermined : t -> int -> bool
 
-(** Channels written during the last evaluation, most-recent-first —
-    the non-convergence provenance set (error paths only). *)
+(** Channels written during the last sweep of a cyclic region,
+    most-recent-first — the non-convergence provenance set (error paths
+    only). *)
 val written_channels : t -> int list
 
 (** Dense index of the node whose evaluation raised (error paths). *)

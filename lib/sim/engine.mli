@@ -74,11 +74,12 @@ type t
 
 (** How the combinational phase of each cycle is evaluated.
 
-    [Arena] (the default) evaluates nodes in the topological order of
-    the condensed dependency graph computed by {!Schedule.build}, on the
-    flat preallocated arena backend ({!Arena}): acyclic nodes settle in
-    a single evaluation and only cyclic elastic-control regions iterate
-    locally, driven by a dirty set of changed wires.  Channel state is
+    [Arena] (the default) evaluates nodes in the static sweep computed
+    by {!Schedule.build}, on the flat preallocated arena backend
+    ({!Arena}): each node is evaluated at the positions of its forward
+    and backward halves in the topological order of the half graph, and
+    only a cyclic half-region (a real combinational loop) iterates, a
+    sweep of its members at a time.  Channel state is
     packed integer wire codes, one payload slot per channel and flat
     instruction arrays instead of per-channel records and closures.
 

@@ -32,10 +32,13 @@ val note_eval : t -> int -> unit
     are the profile's only evaluation counter; {!evals} sums them. *)
 val per_node_array : t -> int array
 
-(** End of one settle phase: the cycle's pass count (the most times any
-    single node was evaluated, which the settle loop reports) and its
-    wall-clock duration in nanoseconds.  It allocates nothing unless the cycle took more passes
-    than any before it and the histogram has to grow. *)
+(** End of one settle phase: the cycle's pass count, which the settle
+    loop reports, and its wall-clock duration in nanoseconds.  The
+    Reference fixpoint counts the passes it ran over every node; the
+    arena counts 1 for a sweep with no cyclic region, the most sweeps
+    any cyclic region took otherwise, and 0 with no nodes.  It
+    allocates nothing unless the cycle took more passes than any before
+    it and the histogram has to grow. *)
 val record_cycle : t -> passes:int -> ns:int -> unit
 
 (** Engine-construction cost (netlist compile, schedule build, arena

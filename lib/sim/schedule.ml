@@ -5,24 +5,21 @@ open Elastic_netlist
    Each channel wire is split into two write groups with a single owner
    each: the forward group F(c) = {V+, data, S-} written by the channel's
    source node, and the backward group B(c) = {S+, V-} written by its
-   destination node.  A node depends on another when its equations (its
-   [Control.table], which the Reference evaluates, and the arena's
-   hand-written evaluator) read a group the other writes; the read sets
-   below follow those equations kind by kind.  Condensing the strongly
-   connected components of that graph and ordering the condensation
-   topologically yields a schedule in which every acyclic node settles in
-   one evaluation and only the cyclic elastic-control regions iterate. *)
+   destination node.  So each node has two halves: F(i) writes its
+   outputs' forward groups, B(i) its inputs' backward groups.  A node
+   reads groups according to its equations (its [Control.table], which
+   the Reference evaluates, and the arena's hand-written evaluator); the
+   read sets below follow those equations kind by kind, and no kind's
+   forward outputs read a backward group.  The half graph's edges are
+   F(src c) -> F(i) when node i reads F(c); B(dst c) -> B(i) when it
+   reads B(c); and F(i) -> B(i), which also orders F(src c) before B(i)
+   (a B-half may read the forward groups its F-half reads).  Condensing its strongly connected
+   components and ordering the condensation topologically yields one
+   static sweep in which every acyclic half settles in one evaluation of
+   its node; only a cyclic half-region (a real combinational loop)
+   iterates. *)
 
-type component = Single of int | Scc of int array
-
-type t = {
-  order : component array;
-  comp_of : int array;
-  readers_f : int array array;
-  readers_b : int array array;
-  src_of : int array;
-  dst_of : int array;
-}
+type t = { sweep : int array; regions : int array array; components : int }
 
 (* Channels whose forward / backward groups the node's eval reads.
    [Eb] is fully registered (reads nothing), which is what breaks the
@@ -41,47 +38,49 @@ let read_sets (n : Netlist.node) (ins, sel, outs) =
   | Netlist.Shared _ -> (in_chs @ sel_ch, out_chs)
   | Netlist.Varlat _ -> ([], out_chs)
 
+(* Half vertices: F(i) = 2i, B(i) = 2i + 1. *)
+let f_half i = 2 * i
+
+let b_half i = (2 * i) + 1
+
 let build net ~ports =
   let chans = Array.of_list (Netlist.channels net) in
   let nodes = Array.of_list (Netlist.nodes net) in
-  let nchan = Array.length chans and nnode = Array.length nodes in
+  let nnode = Array.length nodes in
+  let nhalf = 2 * nnode in
   let nd_tbl = Hashtbl.create 64 in
   Array.iteri
     (fun i (n : Netlist.node) -> Hashtbl.add nd_tbl n.Netlist.id i)
     nodes;
-  let src_of =
-    Array.map
-      (fun (c : Netlist.channel) ->
-         Hashtbl.find nd_tbl c.Netlist.src.Netlist.ep_node)
-      chans
-  in
-  let dst_of =
-    Array.map
-      (fun (c : Netlist.channel) ->
-         Hashtbl.find nd_tbl c.Netlist.dst.Netlist.ep_node)
-      chans
-  in
+  let node_of ep = Hashtbl.find nd_tbl ep.Netlist.ep_node in
+  let src_of = Array.map (fun c -> node_of c.Netlist.src) chans in
+  let dst_of = Array.map (fun c -> node_of c.Netlist.dst) chans in
   let reads = Array.map2 read_sets nodes ports in
-  let readers_f = Array.make nchan [] and readers_b = Array.make nchan [] in
+  (* Edges writer half -> reader half; a node's reads of its own writes
+     are dropped (an eval call reads its own writes consistently within
+     the call). *)
+  let succs = Array.make nhalf [] in
+  let edge u v = succs.(u) <- v :: succs.(u) in
   Array.iteri
     (fun v (rf, rb) ->
-       List.iter (fun c -> readers_f.(c) <- v :: readers_f.(c)) rf;
-       List.iter (fun c -> readers_b.(c) <- v :: readers_b.(c)) rb)
-    reads;
-  (* Edges writer -> reader, self-edges dropped (an eval call reads its
-     own writes consistently within the call). *)
-  let succs = Array.make nnode [] in
-  Array.iteri
-    (fun v (rf, rb) ->
-       let edge u = if u <> v then succs.(u) <- v :: succs.(u) in
-       List.iter (fun c -> edge src_of.(c)) rf;
-       List.iter (fun c -> edge dst_of.(c)) rb)
+       edge (f_half v) (b_half v);
+       List.iter
+         (fun c ->
+            let u = src_of.(c) in
+            if u <> v then edge (f_half u) (f_half v))
+         rf;
+       List.iter
+         (fun c ->
+            let u = dst_of.(c) in
+            if u <> v then edge (b_half u) (b_half v))
+         rb)
     reads;
   (* Tarjan; SCCs complete in reverse topological order (readers before
-     the writers they depend on), so the list is reversed at the end. *)
-  let index = Array.make nnode (-1) in
-  let lowlink = Array.make nnode 0 in
-  let on_stack = Array.make nnode false in
+     the writers they depend on), so prepending each leaves [sccs] in
+     topological order. *)
+  let index = Array.make nhalf (-1) in
+  let lowlink = Array.make nhalf 0 in
+  let on_stack = Array.make nhalf false in
   let stack = ref [] in
   let counter = ref 0 in
   let sccs = ref [] in
@@ -111,49 +110,57 @@ let build net ~ports =
       sccs := pop [] :: !sccs
     end
   in
-  for v = 0 to nnode - 1 do
+  for v = 0 to nhalf - 1 do
     if index.(v) < 0 then strongconnect v
   done;
-  let order =
-    Array.of_list
-      (List.map
-         (function
-           | [ v ] -> Single v
-           | members -> Scc (Array.of_list members))
-         !sccs)
+  let order = Array.of_list !sccs in
+  let pos = Array.make nhalf 0 in
+  Array.iteri (fun k comp -> List.iter (fun h -> pos.(h) <- k) comp) order;
+  let single h = match order.(pos.(h)) with [ _ ] -> true | _ -> false in
+  (* A node that reads nothing writes everything at its F position.  A
+     node whose F-half feeds nothing that comes before its B-half can
+     wait for its B position: evaluating later than a half's position is
+     always safe, and nothing needs the F writes earlier. *)
+  let reads_nothing i = reads.(i) = ([], []) in
+  let merged i =
+    let b = b_half i in
+    (not (reads_nothing i)) && single (f_half i) && single b
+    && List.for_all (fun s -> s = b || pos.(s) > pos.(b)) succs.(f_half i)
   in
-  let comp_of = Array.make nnode 0 in
-  Array.iteri
-    (fun i comp ->
-       match comp with
-       | Single v -> comp_of.(v) <- i
-       | Scc ms -> Array.iter (fun v -> comp_of.(v) <- i) ms)
-    order;
-  { order;
-    comp_of;
-    readers_f = Array.map Array.of_list readers_f;
-    readers_b = Array.map Array.of_list readers_b;
-    src_of;
-    dst_of }
+  let regions = ref [] and nregions = ref 0 in
+  let sweep =
+    Array.to_list order
+    |> List.filter_map (function
+      | [ h ] ->
+        let i = h / 2 in
+        if h = f_half i && merged i then None
+        else if h = b_half i && reads_nothing i then None
+        else Some i
+      | halves ->
+        (* Each node once, in the order the search reached its halves. *)
+        let members =
+          List.fold_left
+            (fun acc h -> if List.mem (h / 2) acc then acc else (h / 2) :: acc)
+            [] halves
+        in
+        regions := Array.of_list (List.rev members) :: !regions;
+        incr nregions;
+        Some (- !nregions))
+  in
+  { sweep = Array.of_list sweep;
+    regions = Array.of_list (List.rev !regions);
+    components = Array.length order }
 
-let components t = Array.length t.order
+let components t = t.components
 
-let scc_count t =
-  Array.fold_left
-    (fun acc c -> match c with Scc _ -> acc + 1 | Single _ -> acc)
-    0 t.order
+let scc_count t = Array.length t.regions
 
 let largest_scc t =
-  Array.fold_left
-    (fun acc c ->
-       match c with Scc ms -> max acc (Array.length ms) | Single _ -> acc)
-    0 t.order
+  Array.fold_left (fun acc ms -> max acc (Array.length ms)) 0 t.regions
 
 let scc_nodes t =
-  Array.fold_left
-    (fun acc c ->
-       match c with Scc ms -> acc + Array.length ms | Single _ -> acc)
-    0 t.order
+  List.length
+    (List.sort_uniq compare (List.concat_map Array.to_list (Array.to_list t.regions)))
 
 let pp_stats ppf t =
   Fmt.pf ppf

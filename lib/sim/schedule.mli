@@ -5,33 +5,37 @@ open Elastic_netlist
     The channel wires of an elastic netlist have single-writer field
     groups: the forward group [F(c)] ([V+], data, [S-]) is written by
     [c]'s source node and the backward group [B(c)] ([S+], [V-]) by its
-    destination.  A node {e depends} on another when its equations
-    ({!Control.table}) read a group the other writes; the per-kind read
-    sets follow those equations (an [Eb] reads nothing — its outputs
-    are pure register functions — which is what keeps most of the graph
-    acyclic).
+    destination.  Each node therefore has two {e halves}: its F-half
+    writes its outputs' forward groups and its B-half its inputs'
+    backward groups.  The per-kind read sets follow the node's equations
+    ({!Control.table}); an [Eb] reads nothing — its outputs are pure
+    register functions — which is what keeps most of the graph acyclic.
+    A half depends on the halves that write what its node reads:
+    [F(src c)] precedes the F-half of a node that reads [F(c)],
+    [B(dst c)] precedes the B-half of a node that reads [B(c)], and
+    every node's F-half precedes its own B-half (so [F(src c)] precedes
+    that B-half too).  No controller's
+    forward outputs read a backward group, so the halves of a
+    zero-latency control cluster form a chain rather than a cycle.
 
-    {!build} condenses the strongly connected components of this graph
-    and orders the condensation topologically.  Evaluating in that order,
-    an acyclic node settles in exactly one evaluation; only the cyclic
-    combinational regions (zero-latency elastic control clusters around
-    [Eb0]s, early muxes, forks and shared modules) iterate locally, and
-    within them a node is re-evaluated only when a wire it reads has
-    actually changed. *)
-
-type component =
-  | Single of int  (** Acyclic node: one evaluation settles it. *)
-  | Scc of int array  (** Cyclic region: iterate members to fixpoint. *)
+    {!build} condenses the strongly connected components of this half
+    graph once and flattens the topological order of the condensation
+    into a sweep: each node is evaluated (whole) at each of its half
+    positions, and then every wire it writes is settled.  A node that
+    reads nothing is evaluated once, at its F position, and a node whose
+    F-half feeds nothing before its B-half once, at its B position.
+    Only a cyclic half-region — a real combinational loop — iterates:
+    its members are swept until a sweep writes nothing. *)
 
 type t = {
-  order : component array;  (** Topological order of the condensation. *)
-  comp_of : int array;  (** Node index -> component index. *)
-  readers_f : int array array;
-      (** Channel index -> nodes whose eval reads [F(c)]. *)
-  readers_b : int array array;
-      (** Channel index -> nodes whose eval reads [B(c)]. *)
-  src_of : int array;  (** Channel index -> writer node of [F(c)]. *)
-  dst_of : int array;  (** Channel index -> writer node of [B(c)]. *)
+  sweep : int array;
+      (** The cycle's evaluations in order: an entry [i >= 0] evaluates
+          node [i]; an entry [-1 - r] sweeps cyclic region [r] to its
+          fixed point. *)
+  regions : int array array;
+      (** Cyclic half-regions: the distinct nodes with a half in each,
+          in the order one sweep of the region evaluates them. *)
+  components : int;  (** Components of the half graph's condensation. *)
 }
 
 (** [build net ~ports] computes the schedule.  Node index [i] refers to
@@ -47,13 +51,13 @@ val build :
 
 val components : t -> int
 
-(** Number of cyclic (iterating) components. *)
+(** Number of cyclic (iterating) regions. *)
 val scc_count : t -> int
 
-(** Size of the largest cyclic component. *)
+(** Node count of the largest cyclic region. *)
 val largest_scc : t -> int
 
-(** Total nodes inside cyclic components. *)
+(** Distinct nodes with a half in some cyclic region. *)
 val scc_nodes : t -> int
 
 val pp_stats : Format.formatter -> t -> unit

@@ -206,10 +206,8 @@ let run_pair ~name ?(cycles = 200) ?faults net =
 
 (* --- the paper's designs ------------------------------------------- *)
 
-let design_cases =
-  let case name mk =
-    Alcotest.test_case name `Quick (fun () -> run_pair ~name (mk ()))
-  in
+let designs =
+  let case name (mk : unit -> Netlist.t) = (name, mk) in
   [ case "fig1a" (fun () -> (Figures.fig1a ()).Figures.net);
     case "fig1b" (fun () -> (Figures.fig1b ()).Figures.net);
     case "fig1c" (fun () -> (Figures.fig1c ()).Figures.net);
@@ -249,6 +247,12 @@ let design_cases =
     case "cosim fork into early mux" (fun () ->
         fst (Test_blif_cosim.fork_into_early_mux ()));
     case "cosim variable latency" (fun () -> fst (Test_blif_cosim.varlat ())) ]
+
+let design_cases =
+  List.map
+    (fun (name, mk) ->
+       Alcotest.test_case name `Quick (fun () -> run_pair ~name (mk ())))
+    designs
 
 (* --- degenerate structures ------------------------------------------ *)
 
@@ -711,11 +715,14 @@ let test_mixed_func_forms () =
 
 (* --- the settle pass count ------------------------------------------ *)
 
-(* The pass count a step records is the most evaluations of any one
-   node in that cycle.  An observer diffs the per-node counters
-   ([Profile.top_nodes]) every cycle and checks [Profile.last_passes]
-   against the largest delta, on the random designs above, in both
-   modes. *)
+(* The pass count a step records and the evaluations behind it.  The
+   reference fixpoint evaluates every node once per pass.  The arena's
+   static sweep evaluates a node once when it reads nothing (a source,
+   a sink, an EB) or its halves merged, and at most twice otherwise;
+   with no cyclic region that is one pass.  A node in a cyclic region
+   is evaluated at most twice per sweep of it, and the pass count is
+   the most sweeps any region took.  An observer diffs the per-node
+   counters ([Profile.top_nodes]) every cycle and checks them. *)
 let gen_random_design =
   let open QCheck.Gen in
   let pipe p =
@@ -731,38 +738,99 @@ let gen_random_design =
         gen_word_pipe;
       map (fun s -> ("shared " ^ print_shared s, build_shared s)) gen_shared ]
 
+let reads_nothing (n : Netlist.node) =
+  match n.Netlist.kind with
+  | Netlist.Source _ | Netlist.Sink _
+  | Netlist.Buffer { buffer = Netlist.Eb; _ } ->
+    true
+  | Netlist.Buffer { buffer = Netlist.Eb0; _ }
+  | Netlist.Func _ | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _
+  | Netlist.Varlat _ ->
+    false
+
 let check_pass_counts ~mode net =
   let eng = Engine.create ~mode net in
-  let n = List.length (Netlist.nodes net) in
-  let before = Array.make n 0 in
+  let sched = Engine.schedule eng in
+  let nodes = Array.of_list (Netlist.nodes net) in
+  let n = Array.length nodes in
+  let before = Array.make n 0 and delta = Array.make n 0 in
+  let sweeps_of i =
+    Array.fold_left (fun k j -> if j = i then k + 1 else k) 0
+      sched.Schedule.sweep
+  in
+  let once =
+    Array.mapi (fun i nd -> reads_nothing nd || sweeps_of i = 1) nodes
+  in
   Engine.set_observer eng
     (Some
        (fun e ->
           let p = Engine.profile e in
-          let passes = ref 0 in
+          Array.fill delta 0 n 0;
           List.iter
             (fun (i, c) ->
-               passes := max !passes (c - before.(i));
+               delta.(i) <- c - before.(i);
                before.(i) <- c)
             (Profile.top_nodes p n);
-          if Profile.last_passes p <> !passes then
-            Alcotest.failf "%s, cycle %d: %d passes recorded, largest \
-                            per-node delta %d"
-              (Engine.mode_name mode) (Engine.cycle e)
-              (Profile.last_passes p) !passes));
+          let passes = Profile.last_passes p in
+          let fail fmt =
+            Alcotest.failf ("%s, cycle %d: " ^^ fmt) (Engine.mode_name mode)
+              (Engine.cycle e)
+          in
+          Array.iteri
+            (fun i d ->
+               let name = nodes.(i).Netlist.name in
+               match mode with
+               | Engine.Reference ->
+                 if d <> passes then
+                   fail "%s evaluated %d times in %d passes" name d passes
+               | Engine.Arena ->
+                 if Schedule.scc_count sched = 0 then begin
+                   if passes <> 1 then
+                     fail "%d passes, no cyclic region" passes;
+                   if (once.(i) && d <> 1) || d < 1 || d > 2 then
+                     fail "%s evaluated %d times (once: %b)" name d once.(i)
+                 end
+                 else if d < 1 || d > 2 * passes then
+                   fail "%s evaluated %d times in %d passes" name d passes)
+            delta;
+          if n = 0 && passes <> 0 then fail "%d passes, no nodes" passes));
   match Engine.run eng 150 with
   | () -> ()
   | exception Engine.Simulation_error _ -> ()
 
-let pass_count_is_largest_delta =
+let pass_count_is_largest_sweeps =
   let open QCheck in
   Test.make
-    ~name:"qcheck: the pass count is the largest per-node eval delta"
+    ~name:"qcheck: the pass count is the largest number of sweeps"
     ~count:100
     (make ~print:fst gen_random_design)
     (fun (_, net) ->
        check_pass_counts ~mode:Engine.Arena net;
        check_pass_counts ~mode:Engine.Reference net;
+       true)
+
+(* --- the schedule's shape ------------------------------------------ *)
+
+(* Only a real combinational loop may compile to a cyclic half-region:
+   a read set that grows a spurious cycle would silently fall back to
+   the iterating path.  Every bundled design and every design the
+   cases and generators above build is acyclic at half granularity. *)
+let acyclic ~name net =
+  let sched = Engine.schedule (Engine.create net) in
+  if Schedule.scc_count sched <> 0 then
+    Alcotest.failf "%s: %a" name Schedule.pp_stats sched
+
+let test_bundled_designs_acyclic () =
+  List.iter (fun (name, mk) -> acyclic ~name (mk ())) Shell.designs;
+  List.iter (fun (name, mk) -> acyclic ~name (mk ())) designs
+
+let random_designs_acyclic =
+  let open QCheck in
+  Test.make ~name:"qcheck: random designs schedule with no cyclic region"
+    ~count:200
+    (make ~print:fst gen_random_design)
+    (fun (name, net) ->
+       acyclic ~name net;
        true)
 
 let test_no_nodes_no_passes () =
@@ -792,6 +860,9 @@ let suite =
         `Quick test_flip_rewritten_in_cycle;
       Alcotest.test_case "list-form and unary functions agree in lockstep"
         `Quick test_mixed_func_forms;
-      QCheck_alcotest.to_alcotest pass_count_is_largest_delta;
+      QCheck_alcotest.to_alcotest pass_count_is_largest_sweeps;
+      Alcotest.test_case "bundled designs schedule with no cyclic region"
+        `Quick test_bundled_designs_acyclic;
+      QCheck_alcotest.to_alcotest random_designs_acyclic;
       Alcotest.test_case "a netlist with no nodes reads 0 passes" `Quick
         test_no_nodes_no_passes ]

@@ -323,7 +323,11 @@ let test_settle_zero_overhead () =
   in
   let a1 = alloc_of_run () in
   let a2 = alloc_of_run () in
-  Alcotest.(check (float 0.0)) "per-cycle allocation is reproducible" a1 a2
+  Alcotest.(check (float 0.0)) "per-cycle allocation is reproducible" a1 a2;
+  (* Table 1 is quiescent after its warm-up: a cycle allocates only the
+     ticker's two boxed [Int64] readings (3 words each). *)
+  Alcotest.(check (float 0.0)) "a cycle allocates only the clock readings"
+    (40. *. 2. *. 3.) a1
 
 let suite =
   [ Alcotest.test_case "recorder: ring keeps newest, counts drops" `Quick
