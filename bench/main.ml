@@ -139,12 +139,7 @@ let engine_record ?arena ~cycles net =
       [ ("nodes", Json.Int (List.length (Netlist.nodes net)));
         ("channels", Json.Int (List.length (Netlist.channels net)));
         ("schedule",
-         Elastic_sim.Schedule.(
-           Json.Obj
-             [ ("components", Json.Int (components sched));
-               ("cyclic", Json.Int (scc_count sched));
-               ("nodes_in_cycles", Json.Int (scc_nodes sched));
-               ("largest_scc", Json.Int (largest_scc sched)) ]));
+         Json.Obj [ ("halves", Json.Int (Elastic_sim.Schedule.halves sched)) ]);
         ("arena", prof ar);
         ("reference", prof rf);
         ("eval_reduction", Json.Float reduction) ],

@@ -3,40 +3,37 @@
    The Reference backend evaluates each node's [Control.table] (the
    equations the exports print) over per-channel records of
    [bool option] fields ([Wires] + [Instance.evaluator]).  This module
-   is the second, independent coding of the same controllers: it runs
-   the static half-node sweep ([Schedule]) on preallocated flat arrays:
-   channel ids index packed integer control words, node ids index the
-   engine's [Instance.t] array, and the settle loop is a tight int loop
-   with no per-field closures or record allocation.
+   is the second, independent coding of the same controllers, split
+   into the two halves of the static sweep ([Schedule]): a node's F
+   half writes its outputs' V+, payload and S-, its B half its inputs'
+   S+ and V-.  The sweep is acyclic (the engine refuses a cyclic half
+   graph), so every field a half reads is settled before it runs, each
+   half runs once per cycle and control is two-valued.
 
-   Correctness contract: Kleene monotonicity gives one fixed point
-   whatever the evaluation order, so wires, payloads, traces, errors and
-   metrics are the reference fixpoint's; the sweep alone fixes the eval
-   counts and settle passes, which the committed goldens
-   (test/*.expected) lock.  The differential suite checks the arena
-   against the reference fixpoint over the exported tables, an
-   independent oracle that reaches the same unique fixed point.
+   Correctness contract: wires, payloads, traces, errors and metrics are
+   the reference fixpoint's; only the evaluation counts differ (one per
+   half), which the committed goldens (test/*.expected) lock.  The
+   differential suite checks the arena against the reference fixpoint
+   over the exported tables, an independent oracle.
 
    Memory layout (see DESIGN.md §5e):
-   - [ctrl.(c)]: four 2-bit Kleene codes packed per channel —
-     V+ at bit 0, S+ at bit 2, V- at bit 4, S- at bit 6.
-     Code 0 = unknown, 2 = known-false, 3 = known-true, so
-     "known" is bit 1 and negation is [lxor 1] on known codes.
-   - [force.(c)]: override codes in the same packing (0 = unforced).
+   - [ctrl.(c)]: channel [c]'s raw control code ([Signal.code] layout),
+     the engine's own [codes] array, which the post-settle phases read
+     in place.  A half ORs its fields in; [reset] clears them.
+   - [force.(c)]: the override, packed as [(mask lsl 4) lor level]; a
+     forced field reads [(computed land lnot mask) lor level], applied
+     on every write ([put]).
    - [driven.(c)]/[dval.(c)]: whether the channel's payload is driven
      this cycle, and the [Value.t] the producing node wrote, stored and
      handed on as it is (payloads ride beside the handshake; only the
      mux select is read).  [has_data]/[payload] read it, and the
      substitute of a forced-valid wire, without building an option.
-   - [written]/[written_n]: bump-allocated write log replacing the
-     [Wires.written] cons list: a cyclic region's progress signal and
-     the E110 provenance (iterated top-down = most-recent-first).
    - a node's ports are its [Instance.t]'s own ([Instance.ins],
      [outs], [sel] of [insts.(i)]), read in place; the only derived
      port list is a lazy mux's join list [sel :: ins] in [joins] (a
      function stage's join list is [Instance.ins] itself).
-   - [pn]: [Profile.per_node], the one eval counter, bumped in place;
-     [settle] returns the cycle's pass count, taken from its growth.
+   - [pn]: [Profile.per_node], the one eval counter, bumped in place
+     once per half.
    - [fns1.(i)]/[fns.(i)]: node [i]'s data function, its unary entry
      ([Func.eval1]) and its list form.  A join of one input and a
      shared module apply [fns1] to the payload itself, and a lazy mux
@@ -48,67 +45,24 @@ open Elastic_kernel
 open Elastic_sched
 open Elastic_netlist
 
-(* Raised when an SCC iteration exhausts its safety budget; the engine
-   converts it into the E110 non-convergence error. *)
-exception Did_not_converge
+exception Undetermined
 
-(* 2-bit Kleene codes over ints, as 16-entry truth tables indexed by
-   [(a lsl 2) lor b].  The settle loop's Kleene operands are
-   data-dependent, so table lookups (always L1-hot) beat the
-   mispredict-prone compare chains; rows for the invalid code 1 are
-   don't-cares. *)
-let kand_tab = [| 0; 0; 2; 0; 0; 0; 0; 0; 2; 2; 2; 2; 0; 0; 2; 3 |]
+let vp = Signal.v_plus_bit
 
-let kor_tab = [| 0; 0; 0; 3; 0; 0; 0; 0; 0; 0; 2; 3; 3; 3; 3; 3 |]
+let sp = Signal.s_plus_bit
 
-let knot_tab = [| 0; 0; 3; 2 |]
+let vm = Signal.v_minus_bit
 
-let[@inline] knot x = Array.unsafe_get knot_tab x
-
-let[@inline] kand a b = Array.unsafe_get kand_tab ((a lsl 2) lor b)
-
-(* Fused forms of the recurring [knot] compositions, one lookup each:
-   [kandn a b] = a AND NOT b, [korn a b] = a OR NOT b,
-   [knor a b] = NOT (a OR b). *)
-let fuse2 f =
-  Array.init 16 (fun x -> f (x lsr 2) (x land 3))
-
-let kandn_tab = fuse2 (fun a b -> Array.unsafe_get kand_tab ((a lsl 2) lor Array.unsafe_get knot_tab b))
-
-let korn_tab = fuse2 (fun a b -> Array.unsafe_get kor_tab ((a lsl 2) lor Array.unsafe_get knot_tab b))
-
-let knor_tab = fuse2 (fun a b -> Array.unsafe_get knot_tab (Array.unsafe_get kor_tab ((a lsl 2) lor b)))
-
-let[@inline] kandn a b = Array.unsafe_get kandn_tab ((a lsl 2) lor b)
-
-let[@inline] korn a b = Array.unsafe_get korn_tab ((a lsl 2) lor b)
-
-let[@inline] knor a b = Array.unsafe_get knor_tab ((a lsl 2) lor b)
-
-let[@inline] code_of_bool b = 2 lor Bool.to_int b
-
-(* Field offsets inside a packed control word. *)
-let vp = 0
-
-let sp = 2
-
-let vm = 4
-
-let sm = 6
+let sm = Signal.s_minus_bit
 
 type t = {
-  nchan : int;
-  (* Per-channel packed state. *)
+  (* Per-channel state. *)
   ctrl : int array;
   force : int array;
   driven : bool array;
   dval : Value.t array;  (* meaningful where [driven] *)
   ov_map : (Value.t -> Value.t) option array;
   ov_subst : Value.t option array;
-  (* Write log since the reset or the current region sweep began; a
-     non-empty log is a region's progress signal. *)
-  written : int array;
-  mutable written_n : int;
   (* Flat node table.  The nodes' registers and stored payloads are
      the engine's own arrays, which only the clock edge writes, in
      Instance's slot layout. *)
@@ -122,23 +76,16 @@ type t = {
   fns1 : (Value.t -> Value.t) array;
       (* unary join / shared data function ([Func.eval1]), applied to the
          payload itself *)
-  (* Settle machinery (preallocated). *)
   sweep : int array;  (* [Schedule.sweep] *)
-  regions : int array array;  (* [Schedule.regions] *)
-  scratch : int array;  (* per-port Kleene codes (valids / completions) *)
   pn : int array;  (* [profile]'s per-node counters, bumped in place *)
   mutable last_eval : int;  (* node evaluating when an exception escaped *)
-  (* Any control-field force installed?  [set_code] skips the per-write
-     force lookup in the (benchmarked) fault-free case. *)
-  mutable forced_any : bool;
 }
 
-let create ~schedule ~profile ~nchan ~regs ~vals insts =
+let create ~schedule ~profile ~codes ~regs ~vals insts =
   let n_nodes = Array.length insts in
   let sz = max n_nodes 1 in
   let fns = Array.make sz (fun _ -> (assert false : Value.t)) in
   let fns1 = Array.make sz (fun _ -> (assert false : Value.t)) in
-  let max_fan = ref 1 in
   (* Both forms of a node's data function: joins of one input (unary
      stages, shared modules) apply [eval1] to the payload itself. *)
   let func i f =
@@ -149,22 +96,17 @@ let create ~schedule ~profile ~nchan ~regs ~vals insts =
     Array.mapi
       (fun i inst ->
          let ins = Instance.ins inst in
-         max_fan :=
-           max !max_fan
-             (max (Array.length ins) (Array.length (Instance.outs inst)));
          match (Instance.node inst).Netlist.kind with
          | Netlist.Func f ->
            func i f;
            ins
          | Netlist.Mux { ways; early = false } ->
-           (* The late mux is a join over [sel :: ins]: [eval_join]
+           (* The late mux is a join over [sel :: ins]: [f_join]
               forwards the selected input itself, and [Func.select]
               remains only for a mux with no data input, whose join of
               one takes the unary path. *)
-           let all = Array.append [| Option.get (Instance.sel inst) |] ins in
-           max_fan := max !max_fan (Array.length all);
            func i (Func.select ~ways ());
-           all
+           Array.append [| Option.get (Instance.sel inst) |] ins
          | Netlist.Shared { f; _ } ->
            func i f;
            [||]
@@ -172,23 +114,17 @@ let create ~schedule ~profile ~nchan ~regs ~vals insts =
          | Netlist.Fork _ | Netlist.Mux _ | Netlist.Varlat _ -> [||])
       insts
   in
-  let csz = max nchan 1 in
-  { nchan;
-    ctrl = Array.make csz 0;
+  let csz = max (Array.length codes) 1 in
+  { ctrl = codes;
     force = Array.make csz 0;
     driven = Array.make csz false;
     dval = Array.make csz Value.Unit;
     ov_map = Array.make csz None;
     ov_subst = Array.make csz None;
-    written = Array.make ((5 * nchan) + 8) 0;
-    written_n = 0;
     insts; regs; vals; joins; fns; fns1;
     sweep = schedule.Schedule.sweep;
-    regions = schedule.Schedule.regions;
-    scratch = Array.make !max_fan 0;
     pn = Profile.per_node_array profile;
-    last_eval = 0;
-    forced_any = false }
+    last_eval = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Wire access                                                         *)
@@ -196,13 +132,23 @@ let create ~schedule ~profile ~nchan ~regs ~vals insts =
 (* Hot-path indices below are structural — compiled from the schedule
    at [create] and bounded by construction — so the accessors skip the
    bounds checks.  The one data-dependent index in the evaluator (the
-   mux select in [eval_emux]) gets an explicit range check: the
+   mux select in [select]) gets an explicit range check: the
    [Instance.bad_select] error it raises on an out-of-range select is
-   part of the error contract shared with the Reference.  The write log
-   cannot overflow: every entry is guarded by a write-once test, so at
-   most five writes per channel fit the [5 * nchan + 8] buffer. *)
+   part of the error contract shared with the Reference. *)
 
-let[@inline] get t c off = (Array.unsafe_get t.ctrl c lsr off) land 3
+(* Is field [f] of channel [c] asserted? *)
+let[@inline] is t c f = Array.unsafe_get t.ctrl c land f <> 0
+
+let[@inline] bit b f = if b then f else 0
+
+(* Write the fields [b] of channel [c]: a forced field keeps its forced
+   level whatever the half computed. *)
+let[@inline] put t c b =
+  let f = Array.unsafe_get t.force c in
+  Array.unsafe_set t.ctrl c
+    (Array.unsafe_get t.ctrl c lor (b land lnot (f lsr 4)) lor (f land 15))
+
+let[@inline] forced t c f = (Array.unsafe_get t.force c lsr 4) land f <> 0
 
 (* Node [i]'s ports, read from its instance: the dense channel indices
    of its inputs, outputs and select (-1 when it has none). *)
@@ -219,76 +165,10 @@ let[@inline] sel_w t i =
   | Some s -> s
   | None -> -1
 
-let[@inline] push_written t c =
-  Array.unsafe_set t.written t.written_n c;
-  t.written_n <- t.written_n + 1
-
-(* Write-once semantics of [Wires.set_bit]: an override replaces the
-   written value; a first write logs progress; a contradicting re-write
-   raises the same [Wires.Conflict] the Reference raises (the field
-   names must match for identical error rendering). *)
-let set_code t c off field code =
-  let code =
-    if not t.forced_any then code
-    else begin
-      let f = (Array.unsafe_get t.force c lsr off) land 3 in
-      if f <> 0 then f else code
-    end
-  in
-  let w = Array.unsafe_get t.ctrl c in
-  let cur = (w lsr off) land 3 in
-  if cur = 0 then begin
-    Array.unsafe_set t.ctrl c (w lor (code lsl off));
-    push_written t c
-  end
-  else if cur <> code then raise (Wires.Conflict { wire = c; field })
-
-let[@inline] set_bool t c off field b =
-  set_code t c off field (code_of_bool b)
-
-(* Combined write of two control fields of one wire: one ctrl load and
-   store, one write-log entry.  Only for nonzero codes (unconditional
-   writes).  Equivalent to two [set_code] calls: the log is only a
-   progress signal, so one entry serves as two, and conflict precedence
-   follows field order.  Overrides fall back to the per-field path. *)
-let set_code2 t c off1 field1 code1 off2 field2 code2 =
-  if t.forced_any then begin
-    set_code t c off1 field1 code1;
-    set_code t c off2 field2 code2
-  end
-  else begin
-    let w = Array.unsafe_get t.ctrl c in
-    let cur1 = (w lsr off1) land 3 in
-    let add =
-      if cur1 = 0 then code1 lsl off1
-      else if cur1 <> code1 then
-        raise (Wires.Conflict { wire = c; field = field1 })
-      else 0
-    in
-    let cur2 = (w lsr off2) land 3 in
-    let add =
-      if cur2 = 0 then add lor (code2 lsl off2)
-      else if cur2 <> code2 then
-        raise (Wires.Conflict { wire = c; field = field2 })
-      else add
-    in
-    if add <> 0 then begin
-      Array.unsafe_set t.ctrl c (w lor add);
-      push_written t c
-    end
-  end
-
-let[@inline] set_bool2 t c off1 f1 b1 off2 f2 b2 =
-  set_code2 t c off1 f1 (code_of_bool b1) off2 f2 (code_of_bool b2)
-
-(* Write only once determined, as the Reference does. *)
-let[@inline] kput t c off field code =
-  if code <> 0 then set_code t c off field code
-
 (* Mirrors [Wires.data]: a forced-valid wire with no driven data yields
    the substitute payload (token duplication / forgery faults). *)
 let[@inline] subst t c =
-  if Array.unsafe_get t.force c land 3 = 3 then t.ov_subst.(c) else None
+  if Array.unsafe_get t.force c land vp <> 0 then t.ov_subst.(c) else None
 
 let[@inline] has_data t c =
   Array.unsafe_get t.driven c || Option.is_some (subst t c)
@@ -298,33 +178,23 @@ let payload t c =
   if Array.unsafe_get t.driven c then Array.unsafe_get t.dval c
   else match subst t c with Some v -> v | None -> assert false
 
-(* Write-once payload: a re-write must be the stored value or an equal
-   one, since a map-data override builds a fresh value each time the
-   writer re-evaluates in a cyclic region. *)
 let set_data t c v =
   let v =
     match Array.unsafe_get t.ov_map c with None -> v | Some f -> f v
   in
-  if not (Array.unsafe_get t.driven c) then begin
-    Array.unsafe_set t.driven c true;
-    Array.unsafe_set t.dval c v;
-    push_written t c
-  end
-  else begin
-    let old = Array.unsafe_get t.dval c in
-    if not (v == old || Value.equal v old) then
-      raise (Wires.Conflict { wire = c; field = "data" })
-  end
+  Array.unsafe_set t.driven c true;
+  Array.unsafe_set t.dval c v
 
 (* Verbatim data move (fork / mux). *)
 let copy_data t src dst =
   if has_data t src then set_data t dst (payload t src)
 
 (* ------------------------------------------------------------------ *)
-(* Node evaluation: each controller's equations, hand-written onto
-   packed codes.  They compute what the node's [Control.table] states;
-   the paired writes below never write a field another statement of
-   the same body reads. *)
+(* Node halves: each controller's equations, hand-written onto the raw
+   codes.  They compute what the node's [Control.table] states, reading
+   every channel field as the wire shows it (a forced field at its
+   forced level), own outputs included.  A payload follows the V+ a
+   half computes, as the Reference's does. *)
 
 (* Register [k] and payload slot [k] of node [i], in Instance's layout:
    slot 0 is a source's offering flag, a sink's stalling flag, a
@@ -337,81 +207,50 @@ let[@inline] reg t i k =
 let[@inline] stored t i k =
   Array.unsafe_get t.vals (Instance.val_base (Array.unsafe_get t.insts i) + k)
 
-let eval_source t i =
+let f_source t i =
   let out = out_w t i 0 in
   let offering = reg t i 0 = 1 in
-  set_bool2 t out vp "V+" offering sm "S-" false;
+  put t out (bit offering vp);
   if offering then set_data t out (Instance.source_value t.insts.(i))
 
-let eval_sink t i =
-  let inw = in_w t i 0 in
-  set_bool2 t inw sp "S+" (reg t i 0 = 1) vm "V-" false
+let b_sink t i = put t (in_w t i 0) (bit (reg t i 0 = 1) sp)
 
-let eval_eb t i =
-  let inw = in_w t i 0 and out = out_w t i 0 in
-  let n = reg t i 0 in
-  set_bool2 t inw sp "S+" (n >= 2) vm "V-" (n < 0);
-  set_bool2 t out vp "V+" (n > 0) sm "S-" (n <= -2);
+let f_eb t i =
+  let out = out_w t i 0 and n = reg t i 0 in
+  put t out (bit (n > 0) vp lor bit (n <= -2) sm);
   if n > 0 then set_data t out (stored t i 0)
 
-let eval_eb0 t i =
+let b_eb t i =
+  let n = reg t i 0 in
+  put t (in_w t i 0) (bit (n >= 2) sp lor bit (n < 0) vm)
+
+let f_eb0 t i =
   let inw = in_w t i 0 and out = out_w t i 0 in
-  if reg t i 0 = 1 then begin
-    set_bool2 t out vp "V+" true sm "S-" false;
-    set_data t out (stored t i 0);
-    set_bool t inw vm "V-" false;
-    let leaving = korn (get t out vm) (get t out sp) in
-    kput t inw sp "S+" (knot leaving)
-  end
-  else begin
-    set_bool t out vp "V+" false;
-    set_bool t inw sp "S+" false;
-    kput t inw vm "V-" (get t out vm);
-    kput t out sm "S-" (get t inw sm)
-  end
+  let full = reg t i 0 = 1 in
+  put t out (bit full vp lor bit ((not full) && is t inw sm) sm);
+  if full then set_data t out (stored t i 0)
 
-(* Arity-1 joins (unary [Func] stages — the common datapath case)
-   collapse the generic join equations: the lone input's "other
-   members" conjunction is vacuous, so the stall passthrough is just
-   the effective output stall.  Same writes in the same order as
-   [eval_join] at [n = 1]. *)
-let eval_join1 t i inw =
-  let out = out_w t i 0 in
-  let v = get t inw vp in
-  kput t out vp "V+" v;
-  if v = 3 && (not (Array.unsafe_get t.driven out)) && has_data t inw then
-    set_data t out (Array.unsafe_get t.fns1 i (payload t inw));
-  let s_eff = kandn (get t out sp) (get t out vm) in
-  kput t inw sp "S+" s_eff;
-  let consumable = korn v (get t inw sm) in
-  let anti_backward =
-    kand (kandn (get t out vm) (get t out vp)) consumable
-  in
-  kput t inw vm "V-" anti_backward;
-  kput t out sm "S-" (knor (get t out vp) consumable)
+let b_eb0 t i =
+  let inw = in_w t i 0 and out = out_w t i 0 in
+  let full = reg t i 0 = 1 in
+  let leaving = full && ((not (is t out sp)) || is t out vm) in
+  put t inw
+    (bit (full && not leaving) sp lor bit ((not full) && is t out vm) vm)
 
-let eval_join t i ports =
+(* A lazy join: the output is valid when every input is; an input is
+   consumable unless it is invalid with an anti-token stopped at it. *)
+let join_data t i ports =
   let n = Array.length ports in
   let out = out_w t i 0 in
-  let valids = t.scratch in
-  let all_valid = ref 3 in
+  let all_data = ref true in
   for j = 0 to n - 1 do
-    let v = get t (Array.unsafe_get ports j) vp in
-    Array.unsafe_set valids j v;
-    all_valid := kand !all_valid v
+    if not (has_data t (Array.unsafe_get ports j)) then all_data := false
   done;
-  kput t out vp "V+" !all_valid;
-  (* Data functions are pure combinational maps, so once the output
-     payload is driven a re-evaluation inside an SCC would recompute
-     the same value ([set_data] would compare equal) — skip the
-     argument-list build and application entirely. *)
-  if !all_valid = 3 && not (Array.unsafe_get t.driven out) then begin
-    let all_data = ref true in
-    for j = 0 to n - 1 do
-      if not (has_data t (Array.unsafe_get ports j)) then
-        all_data := false
-    done;
-    if !all_data then begin
+  if !all_data then
+    if n = 1 then
+      set_data t out
+        (Array.unsafe_get t.fns1 i (payload t (Array.unsafe_get ports 0)))
+    else
       match Instance.sel (Array.unsafe_get t.insts i) with
       | Some sel ->
         (* A lazy mux (its join list is [sel :: ins]) forwards the data
@@ -428,290 +267,237 @@ let eval_join t i ports =
           args := payload t (Array.unsafe_get ports j) :: !args
         done;
         set_data t out (Array.unsafe_get t.fns i !args)
-    end
-  end;
-  let s_eff = kandn (get t out sp) (get t out vm) in
-  for j = 0 to n - 1 do
-    let others = ref 3 in
-    for l = 0 to n - 1 do
-      if l <> j then others := kand !others (Array.unsafe_get valids l)
-    done;
-    kput t (Array.unsafe_get ports j) sp "S+"
-      (knot (kandn !others s_eff))
-  done;
-  let consumable = ref 3 in
-  for j = 0 to n - 1 do
-    consumable :=
-      kand !consumable
-        (korn
-           (Array.unsafe_get valids j)
-           (get t (Array.unsafe_get ports j) sm))
-  done;
-  let anti_backward =
-    kand (kandn (get t out vm) (get t out vp)) !consumable
-  in
-  for j = 0 to n - 1 do
-    kput t (Array.unsafe_get ports j) vm "V-" anti_backward
-  done;
-  kput t out sm "S-" (knor (get t out vp) !consumable)
 
-let eval_fork t i =
-  let inw = in_w t i 0 in
-  let vin = get t inw vp in
-  let outs = outs t i in
-  let k = Array.length outs in
-  let completions = t.scratch in
-  for j = 0 to k - 1 do
-    let out = Array.unsafe_get outs j in
-    let dj = reg t i j = 1 and pj = reg t i (k + j) in
-    let active = (not dj) && pj = 0 in
-    let v_out = if active then vin else 2 in
-    kput t out vp "V+" v_out;
-    if v_out = 3 then copy_data t inw out;
-    set_bool t out sm "S-" (pj >= 2);
-    let t_out = kand v_out (korn (get t out vm) (get t out sp)) in
-    Array.unsafe_set completions j (if dj || pj > 0 then 3 else t_out)
-  done;
-  let all_c = ref 3 in
-  for j = 0 to k - 1 do
-    all_c := kand !all_c (Array.unsafe_get completions j)
-  done;
-  kput t inw sp "S+" (knot !all_c);
-  let all_pending = ref true in
-  for j = 0 to k - 1 do
-    if reg t i (k + j) <= 0 then all_pending := false
-  done;
-  kput t inw vm "V-" (kandn (code_of_bool !all_pending) vin)
-
-let eval_emux t i =
-  let selw = sel_w t i and out = out_w t i 0 in
-  let sel_v = get t selw vp in
-  let sv_known, sv =
-    if sel_v = 3 && has_data t selw then (true, Value.to_int (payload t selw))
-    else (false, 0)
-  in
-  let ins = ins t i in
-  let n = Array.length ins in
-  if sv_known && (sv < 0 || sv >= n) then Instance.bad_select sv;
-  let v_out =
-    if sel_v = 2 then 2
-    else if sv_known then
-      (if reg t i sv > 0 then 2 else get t (Array.unsafe_get ins sv) vp)
-    else 0
-  in
-  kput t out vp "V+" v_out;
-  if v_out = 3 && sv_known then copy_data t (Array.unsafe_get ins sv) out;
-  let fire = kand v_out (korn (get t out vm) (get t out sp)) in
-  kput t selw sp "S+" (knot fire);
-  (* The mux never kills its select stream. *)
-  set_bool t selw vm "V-" false;
-  for j = 0 to n - 1 do
-    let inw = Array.unsafe_get ins j in
-    if reg t i j > 0 then begin
-      set_bool t inw vm "V-" true;
-      set_bool t inw sp "S+" false
-    end
-    else begin
-      let fresh_kill =
-        if sel_v = 2 then 2
-        else if sv_known then (if j = sv then 2 else fire)
-        else 0
-      in
-      kput t inw vm "V-" fresh_kill;
-      if sv_known && j = sv then kput t inw sp "S+" (knot fire)
-      else kput t inw sp "S+" (knot fresh_kill)
+let f_join t i =
+  let ports = Array.unsafe_get t.joins i in
+  let out = out_w t i 0 in
+  let all_valid = ref true and consumable = ref true in
+  for j = 0 to Array.length ports - 1 do
+    let c = Array.unsafe_get ports j in
+    if not (is t c vp) then begin
+      all_valid := false;
+      if is t c sm then consumable := false
     end
   done;
-  (* Anti-tokens reaching the mux output wait for a token to cancel. *)
-  kput t out sm "S-" (knot v_out)
+  put t out (bit !all_valid vp);
+  if !all_valid then join_data t i ports;
+  put t out (bit ((not (is t out vp)) && not !consumable) sm)
 
-let eval_shared t i sched =
-  let g = Scheduler.predict sched in
-  let ins = ins t i and outs = outs t i in
-  let k = Array.length ins in
-  for j = 0 to k - 1 do
-    if j <> g then set_bool t (Array.unsafe_get outs j) vp "V+" false
+(* An input's stop: the other inputs all valid and the output's
+   effective stop low, negated. *)
+let b_join t i =
+  let ports = Array.unsafe_get t.joins i in
+  let out = out_w t i 0 in
+  let invalid = ref 0 and consumable = ref true in
+  for j = 0 to Array.length ports - 1 do
+    let c = Array.unsafe_get ports j in
+    if not (is t c vp) then begin
+      incr invalid;
+      if is t c sm then consumable := false
+    end
   done;
-  let in_g = Array.unsafe_get ins g and out_g = Array.unsafe_get outs g in
-  let hint = sel_w t i in
-  let hint_v = if hint >= 0 && g = 0 then get t hint vp else 3 in
-  kput t out_g vp "V+" (kand (get t in_g vp) hint_v);
-  (* Same pure-function skip as [eval_join]: once driven, a re-eval
-     would recompute the identical payload. *)
-  if get t in_g vp = 3 && (not (Array.unsafe_get t.driven out_g))
-     && has_data t in_g
-  then set_data t out_g (Array.unsafe_get t.fns1 i (payload t in_g));
-  let fire = kand (get t out_g vp) (korn (get t out_g vm) (get t out_g sp)) in
-  kput t in_g sp "S+" (knot fire);
-  if hint >= 0 then begin
-    set_bool t hint vm "V-" false;
-    if g = 0 then kput t hint sp "S+" (knot fire)
-    else set_bool t hint sp "S+" true
-  end;
-  for j = 0 to k - 1 do
-    let inw = Array.unsafe_get ins j and out = Array.unsafe_get outs j in
-    if j = g then
-      kput t inw vm "V-" (kandn (get t out vm) (get t out vp))
-    else begin
-      kput t inw vm "V-" (get t out vm);
-      kput t inw sp "S+" (knot (get t out vm))
-    end;
-    kput t out sm "S-"
-      (kand (knot (get t out vp)) (kandn (get t inw sm) (get t inw vp)))
+  let s_eff = is t out sp && not (is t out vm) in
+  let kill = is t out vm && (not (is t out vp)) && !consumable in
+  for j = 0 to Array.length ports - 1 do
+    let c = Array.unsafe_get ports j in
+    let others_valid = !invalid = 0 || (!invalid = 1 && not (is t c vp)) in
+    put t c (bit (s_eff || not others_valid) sp lor bit kill vm)
   done
 
-let eval_varlat t i =
-  let inw = in_w t i 0 and out = out_w t i 0 in
-  match reg t i 0 with
-  | 0 ->
-    set_bool t inw vm "V-" false;
-    set_bool2 t out sm "S-" false vp "V+" true;
-    set_data t out (stored t i 0);
-    kput t inw sp "S+" (get t out sp)
-  | c when c > 0 ->
-    set_bool2 t out sm "S-" true vp "V+" false;
-    set_bool2 t inw vm "V-" false sp "S+" true
-  | _ ->
-    set_bool2 t out sm "S-" true vp "V+" false;
-    set_bool2 t inw vm "V-" false sp "S+" false
+let f_fork t i =
+  let inw = in_w t i 0 in
+  let vin = is t inw vp in
+  let outs = outs t i in
+  let k = Array.length outs in
+  for j = 0 to k - 1 do
+    let out = Array.unsafe_get outs j in
+    let pj = reg t i (k + j) in
+    let v = vin && reg t i j = 0 && pj = 0 in
+    put t out (bit v vp lor bit (pj >= 2) sm);
+    if v then copy_data t inw out
+  done
 
-let eval_node t i =
+(* The input stops until every branch is complete: done, owed an
+   anti-token, or taking the token now. *)
+let b_fork t i =
+  let inw = in_w t i 0 in
+  let outs = outs t i in
+  let k = Array.length outs in
+  let all_complete = ref true and all_pending = ref true in
+  for j = 0 to k - 1 do
+    let out = Array.unsafe_get outs j in
+    let pj = reg t i (k + j) in
+    let taking = is t out vp && ((not (is t out sp)) || is t out vm) in
+    if not (reg t i j = 1 || pj > 0 || taking) then all_complete := false;
+    if pj <= 0 then all_pending := false
+  done;
+  put t inw
+    (bit (not !all_complete) sp
+     lor bit (!all_pending && not (is t inw vp)) vm)
+
+(* The select value: the payload of a valid select, -1 while the select
+   is invalid or carries no payload. *)
+let select t selw n =
+  if is t selw vp && has_data t selw then begin
+    let s = Value.to_int (payload t selw) in
+    if s < 0 || s >= n then Instance.bad_select s;
+    s
+  end
+  else -1
+
+(* An early mux fires on a valid select and the selected input, unless
+   that input is owed a kill.  A valid select with no payload leaves
+   the output undetermined unless no input could be selected. *)
+let f_emux t i =
+  let selw = sel_w t i and out = out_w t i 0 and ins = ins t i in
+  let n = Array.length ins in
+  let sv = select t selw n in
+  let v =
+    if sv >= 0 then reg t i sv = 0 && is t (Array.unsafe_get ins sv) vp
+    else begin
+      if is t selw vp && not (forced t out vp) then
+        for j = 0 to n - 1 do
+          if reg t i j = 0 && is t (Array.unsafe_get ins j) vp then
+            raise Undetermined
+        done;
+      false
+    end
+  in
+  put t out (bit v vp);
+  if v then copy_data t (Array.unsafe_get ins sv) out;
+  (* Anti-tokens reaching the mux output wait for a token to cancel. *)
+  put t out (bit (not (is t out vp)) sm)
+
+(* On firing, every input but the selected one takes a kill; an input
+   owed one takes it first.  The mux never kills its select stream. *)
+let b_emux t i =
+  let selw = sel_w t i and out = out_w t i 0 and ins = ins t i in
+  let n = Array.length ins in
+  let fire = is t out vp && ((not (is t out sp)) || is t out vm) in
+  put t selw (bit (not fire) sp);
+  let sv = if fire then select t selw n else -1 in
+  for j = 0 to n - 1 do
+    let c = Array.unsafe_get ins j in
+    if reg t i j > 0 then put t c vm
+    else if not fire then put t c sp
+    else if sv >= 0 then put t c (bit (j <> sv) vm)
+    else begin
+      (* A forced output fires with no select value: which inputs take
+         a kill is undetermined, and so is the lone input's stop while
+         the select is valid. *)
+      let selv = is t selw vp in
+      if (n > 1 && not (forced t c vm))
+      || ((n > 1 || selv) && not (forced t c sp))
+      then raise Undetermined;
+      put t c (bit (not selv) sp)
+    end
+  done
+
+(* The granted way [g] passes its token, gated on the hint for way 0;
+   the other ways stall their inputs. *)
+let f_shared t i sched =
+  let g = Scheduler.predict sched in
+  let ins = ins t i and outs = outs t i in
+  let hint = sel_w t i in
+  for j = 0 to Array.length ins - 1 do
+    let inw = Array.unsafe_get ins j and out = Array.unsafe_get outs j in
+    let vin = is t inw vp in
+    let gate = hint < 0 || j <> 0 || is t hint vp in
+    put t out (bit (j = g && vin && gate) vp);
+    if j = g && vin && has_data t inw then
+      set_data t out (Array.unsafe_get t.fns1 i (payload t inw));
+    put t out
+      (bit ((not (is t out vp)) && is t inw sm && not vin) sm)
+  done
+
+let b_shared t i sched =
+  let g = Scheduler.predict sched in
+  let ins = ins t i and outs = outs t i in
+  let hint = sel_w t i in
+  for j = 0 to Array.length ins - 1 do
+    let inw = Array.unsafe_get ins j and out = Array.unsafe_get outs j in
+    let kill = is t out vm in
+    if j = g then begin
+      let fire = is t out vp && ((not (is t out sp)) || kill) in
+      put t inw
+        (bit (not fire) sp lor bit (kill && not (is t out vp)) vm);
+      if hint >= 0 && j = 0 then put t hint (bit (not fire) sp)
+    end
+    else begin
+      put t inw (bit (not kill) sp lor bit kill vm);
+      if hint >= 0 && j = 0 then put t hint sp
+    end
+  done
+
+let f_varlat t i =
+  let out = out_w t i 0 in
+  let ready = reg t i 0 = 0 in
+  put t out (bit ready vp lor bit (not ready) sm);
+  if ready then set_data t out (stored t i 0)
+
+let b_varlat t i =
+  let c = reg t i 0 in
+  put t (in_w t i 0) (bit (c > 0 || (c = 0 && is t (out_w t i 0) sp)) sp)
+
+(* Half [h] of node [h / 2]: its F half when [h] is even.  A source has
+   no B half and a sink no F half; the sweep lists neither. *)
+let eval_half t h =
+  let i = h lsr 1 in
   Array.unsafe_set t.pn i (Array.unsafe_get t.pn i + 1);
   t.last_eval <- i;
-  match Instance.role (Array.unsafe_get t.insts i) with
-  | Instance.Source _ -> eval_source t i
-  | Instance.Sink _ -> eval_sink t i
-  | Instance.Eb -> eval_eb t i
-  | Instance.Eb0 -> eval_eb0 t i
-  | Instance.Fork -> eval_fork t i
-  | Instance.Emux -> eval_emux t i
-  | Instance.Shared { sched; _ } -> eval_shared t i sched
-  | Instance.Varlat _ -> eval_varlat t i
-  | Instance.Stateless ->
-    let ports = Array.unsafe_get t.joins i in
-    if Array.length ports = 1 then eval_join1 t i (Array.unsafe_get ports 0)
-    else eval_join t i ports
-
-(* ------------------------------------------------------------------ *)
-(* Settle driver: the static sweep on the flat state.  Each entry of
-   [sweep] evaluates one node at one of its half positions; a negative
-   entry sweeps a cyclic region's members until a sweep writes nothing.
-   The cycle's pass count is 1, or the most sweeps any region took (0
-   with no nodes). *)
-
-(* Monotone write-once wires bound a region to [5 * nchan] writing
-   sweeps; the budget, the engine's default pass budget, is a safety
-   valve against a non-monotone eval bug. *)
-let settle_region t members =
-  let budget = (5 * t.nchan) + 16 in
-  (* Loops, not a local recursive function, whose closure would be
-     allocated on every call. *)
-  let sweeps = ref 0 and writing = ref true in
-  while !writing do
-    incr sweeps;
-    if !sweeps > budget then raise Did_not_converge;
-    t.written_n <- 0;
-    for m = 0 to Array.length members - 1 do
-      eval_node t (Array.unsafe_get members m)
-    done;
-    writing := t.written_n > 0
-  done;
-  !sweeps
+  if h land 1 = 0 then
+    match Instance.role (Array.unsafe_get t.insts i) with
+    | Instance.Source _ -> f_source t i
+    | Instance.Eb -> f_eb t i
+    | Instance.Eb0 -> f_eb0 t i
+    | Instance.Fork -> f_fork t i
+    | Instance.Emux -> f_emux t i
+    | Instance.Shared { sched; _ } -> f_shared t i sched
+    | Instance.Varlat _ -> f_varlat t i
+    | Instance.Stateless -> f_join t i
+    | Instance.Sink _ -> ()
+  else
+    match Instance.role (Array.unsafe_get t.insts i) with
+    | Instance.Sink _ -> b_sink t i
+    | Instance.Eb -> b_eb t i
+    | Instance.Eb0 -> b_eb0 t i
+    | Instance.Fork -> b_fork t i
+    | Instance.Emux -> b_emux t i
+    | Instance.Shared { sched; _ } -> b_shared t i sched
+    | Instance.Varlat _ -> b_varlat t i
+    | Instance.Stateless -> b_join t i
+    | Instance.Source _ -> ()
 
 let settle t =
   let sweep = t.sweep in
-  let passes = ref (if Array.length sweep = 0 then 0 else 1) in
   for k = 0 to Array.length sweep - 1 do
-    let i = Array.unsafe_get sweep k in
-    if i >= 0 then eval_node t i
-    else begin
-      let sweeps = settle_region t (Array.unsafe_get t.regions (-1 - i)) in
-      if sweeps > !passes then passes := sweeps
-    end
+    eval_half t (Array.unsafe_get sweep k)
   done;
-  !passes
+  if Array.length sweep = 0 then 0 else 1
 
 (* ------------------------------------------------------------------ *)
-(* Cycle bookkeeping and observation                                   *)
+(* Cycle bookkeeping                                                   *)
 
 let reset t =
   Array.fill t.ctrl 0 (Array.length t.ctrl) 0;
-  Array.fill t.driven 0 (Array.length t.driven) false;
-  t.written_n <- 0
+  Array.fill t.driven 0 (Array.length t.driven) false
 
 let clear_overrides t =
-  t.forced_any <- false;
   Array.fill t.force 0 (Array.length t.force) 0;
   Array.fill t.ov_map 0 (Array.length t.ov_map) None;
   Array.fill t.ov_subst 0 (Array.length t.ov_subst) None
 
 let set_override t c (ov : Wires.override) =
-  let pack o off acc =
+  let pack o f acc =
     match o with
     | None -> acc
-    | Some b -> acc lor ((if b then 3 else 2) lsl off)
+    | Some b -> acc lor (f lsl 4) lor bit b f
   in
-  let f =
+  t.force.(c) <-
     pack ov.Wires.force_v_plus vp 0
     |> pack ov.Wires.force_s_plus sp
-    |> pack ov.Wires.force_v_minus vm
-  in
-  t.force.(c) <- f;
-  if f <> 0 then t.forced_any <- true;
+    |> pack ov.Wires.force_v_minus vm;
   t.ov_map.(c) <- ov.Wires.map_data;
-  t.ov_subst.(c) <- ov.Wires.subst_data;
-  (* Seed forced bits so readers see them before (and regardless of) the
-     driving node's write — mirrors [Wires.set_override]: no progress or
-     written-log bookkeeping. *)
-  let seed off =
-    let fc = (f lsr off) land 3 in
-    if fc <> 0 && (t.ctrl.(c) lsr off) land 3 = 0 then
-      t.ctrl.(c) <- t.ctrl.(c) lor (fc lsl off)
-  in
-  seed vp;
-  seed sp;
-  seed vm
-
-let unknown_count t =
-  let n = ref 0 in
-  for c = 0 to t.nchan - 1 do
-    let x = t.ctrl.(c) in
-    if (x lsr vp) land 2 = 0 then incr n;
-    if (x lsr sp) land 2 = 0 then incr n;
-    if (x lsr vm) land 2 = 0 then incr n;
-    if (x lsr sm) land 2 = 0 then incr n
-  done;
-  !n
-
-let undetermined t c =
-  let x = t.ctrl.(c) in
-  (x lsr vp) land 2 = 0
-  || (x lsr sp) land 2 = 0
-  || (x lsr vm) land 2 = 0
-  || (x lsr sm) land 2 = 0
-
-(* Channels in the write log, most-recent-first (error paths only). *)
-let written_channels t =
-  let rec go wi acc =
-    if wi >= t.written_n then acc
-    else go (wi + 1) (t.written.(wi) :: acc)
-  in
-  go 0 []
+  t.ov_subst.(c) <- ov.Wires.subst_data
 
 let last_eval t = t.last_eval
-
-(* Raw control code ([Signal.code] layout) of each packed control
-   word: a bit is asserted when its field is known-true. *)
-let code_of_ctrl =
-  Array.init 256 (fun x ->
-      let bit off b = if (x lsr off) land 3 = 3 then b else 0 in
-      bit vp Signal.v_plus_bit
-      lor bit sp Signal.s_plus_bit
-      lor bit vm Signal.v_minus_bit
-      lor bit sm Signal.s_minus_bit)
-
-let fill_codes t codes =
-  for c = 0 to t.nchan - 1 do
-    Array.unsafe_set codes c
-      (Array.unsafe_get code_of_ctrl (Array.unsafe_get t.ctrl c))
-  done

@@ -2,85 +2,72 @@ open Elastic_kernel
 
 (** Flat-arena evaluator for the combinational phase of a cycle.
 
-    Channel state lives in preallocated flat arrays — four 2-bit Kleene
-    codes packed per channel into an [int] control word, and one
+    Channel state lives in preallocated flat arrays — each channel's
+    raw control code ({!Signal.code} layout) in an [int], and one
     [Value.t] payload slot per channel with a presence flag, holding
-    the value its producer wrote — and the cycle settles in the static
-    half-node sweep of {!Schedule}, walked by a tight loop.
+    the value its producer wrote — and the cycle settles in one pass
+    over the static half sweep of {!Schedule}: a node's F half writes
+    its outputs' V+, payload and S-, its B half its inputs' S+ and V-.
+    The sweep is acyclic, so each half runs once, after everything it
+    reads, and control is two-valued.
 
     This is the engine's default backend ([Engine.Arena]).  The sweep
-    fixes its eval counts and settle passes, so they, like its traces
-    and metrics, are deterministic and locked by committed goldens; it
-    reaches the same fixed point as the blind reference fixpoint over
-    {!Wires}.  An arena engine builds no
-    {!Wires} store: it shares only {!Wires.override} and
-    {!Wires.Conflict}.  [Engine] owns the mode dispatch, error
+    fixes its eval counts (one per half), so they, like its traces and
+    metrics, are deterministic and locked by committed goldens; it
+    reaches the fixed point of the reference fixpoint over {!Wires}.
+    An arena engine builds no {!Wires} store: it shares only
+    {!Wires.override}.  [Engine] owns the mode dispatch, error
     rendering and everything outside the settle loop; node register
     state and each node's port indices stay in {!Instance} and are
     shared. *)
 
 type t
 
-(** Raised when a cyclic region exhausts its sweep budget
-    ([5 * nchan + 16] sweeps); the engine converts it into its E110
-    non-convergence error. *)
-exception Did_not_converge
+(** Raised by {!settle} on the one field two-valued control cannot
+    settle: an early multiplexor whose select is valid but carries no
+    payload (only a forged-valid fault makes one), with an input it
+    might select, or forced to fire.  The Reference leaves that field
+    undetermined; the engine renders the Reference's error. *)
+exception Undetermined
 
-(** [create ~schedule ~profile ~nchan ~regs ~vals insts] compiles the
-    arena from the engine's instances, one per dense node index.  The
-    evaluators read each node's dense input/sel/output channel indices
-    ({!Instance.ins}, {!Instance.sel}, {!Instance.outs}) from its
-    instance, and the engine's register and payload arrays [regs] and
-    [vals], in place; the only port list built here is a lazy
-    multiplexor's argument list [sel :: ins].  Each evaluation of node
-    [i] bumps [profile]'s per-node counter ({!Profile.per_node_array})
-    in place, as the reference fixpoint does. *)
+(** [create ~schedule ~profile ~codes ~regs ~vals insts] compiles the
+    arena from the engine's instances, one per dense node index.
+    [codes] is the engine's per-channel code array: the arena settles
+    each channel's control code into it in place.  The halves read each
+    node's dense input/sel/output channel indices ({!Instance.ins},
+    {!Instance.sel}, {!Instance.outs}) from its instance, and the
+    engine's register and payload arrays [regs] and [vals], in place;
+    the only port list built here is a lazy multiplexor's argument list
+    [sel :: ins].  Each half evaluation of node [i] bumps [profile]'s
+    per-node counter ({!Profile.per_node_array}) in place. *)
 val create :
   schedule:Schedule.t ->
   profile:Profile.t ->
-  nchan:int ->
+  codes:int array ->
   regs:int array ->
   vals:Value.t array ->
   Instance.t array ->
   t
 
-(** Clear all wire codes and payload flags for a new cycle (overrides
-    persist, mirroring [Wires.reset]). *)
+(** Clear all control codes and payload flags for a new cycle
+    (overrides persist, mirroring [Wires.reset]). *)
 val reset : t -> unit
 
-(** Install a fault-injection override on a dense channel index, seeding
-    forced bits (mirrors [Wires.set_override]). *)
+(** Install a fault-injection override on a dense channel index: a
+    forced field reads its forced level whatever its half computes
+    (mirrors [Wires.set_override]). *)
 val set_override : t -> int -> Wires.override -> unit
 
 val clear_overrides : t -> unit
 
-(** Run the combinational phase to its fixed point: evaluate each entry
-    of the sweep in order, sweeping a cyclic region's members until a
-    sweep writes nothing.  Returns the cycle's pass count: 1 with no
-    cyclic region, the most sweeps any cyclic region took otherwise, 0
-    when there are no nodes.
-    @raise Wires.Conflict on a contradictory wire write.
-    @raise Did_not_converge when a region's budget is exhausted. *)
+(** Run the combinational phase: evaluate each half of the sweep once,
+    in order.  Returns the cycle's pass count: 1, or 0 when there are
+    no nodes.
+    @raise Undetermined as described there. *)
 val settle : t -> int
-
-(** Control bits still unknown after [settle] (combinational cycle). *)
-val unknown_count : t -> int
-
-(** Does the channel have an undetermined control field? *)
-val undetermined : t -> int -> bool
-
-(** Channels written during the last sweep of a cyclic region,
-    most-recent-first — the non-convergence provenance set (error paths
-    only). *)
-val written_channels : t -> int list
 
 (** Dense index of the node whose evaluation raised (error paths). *)
 val last_eval : t -> int
-
-(** [fill_codes t codes] writes every channel's raw control code
-    ({!Signal.code} layout; a bit still unknown reads as low) into
-    [codes], indexed by dense channel index.  Allocates nothing. *)
-val fill_codes : t -> int array -> unit
 
 (** [has_data t c] says whether dense channel [c] carries a payload
     after settle, mirroring {!Wires.has_data} (including the

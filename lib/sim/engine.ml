@@ -56,8 +56,9 @@ let mode_of_string s =
 let default_mode = Arena
 
 (* The combinational-phase store: Reference's [Wires] records, with each
-   node's compiled [Control.table] evaluator, or the arena's packed
-   codes.  An arena engine builds neither a [Wires] store nor a table. *)
+   node's compiled [Control.table] evaluator, or the arena's flat
+   codes.  An arena engine builds neither a [Wires] store nor a table,
+   but on the error path of [arena_error]. *)
 type backend = Reference of Wires.t * (unit -> unit) array | Arena of Arena.t
 
 type snap = {
@@ -98,7 +99,8 @@ type t = {
   mutable cycle : int;
   codes : int array;
       (* the elapsed cycle's raw control code per dense channel
-         ([Signal.code] layout), filled after settle *)
+         ([Signal.code] layout): the arena settles into it, the
+         Reference's wires are copied into it after settle *)
   has_data : int -> bool;
       (* does a dense channel with V+ in [codes] carry a payload? *)
   payload : int -> Value.t;
@@ -145,6 +147,23 @@ let dense_index t cid =
     | exception Not_found ->
       fail ~cycle:t.cycle ~channel:cid (Fmt.str "unknown channel id %d" cid)
 
+(* "E102" is Elastic_lint's comb-cycle rule: the static analogue of a
+   combinational cycle, found by [create] in the half graph or by the
+   Reference at runtime (the sim layer cannot depend on the lint
+   library, so the code is quoted; a registry test keeps it honest). *)
+let undetermined_error ~cycle (undetermined : Netlist.channel list) =
+  let names =
+    List.map (fun (c : Netlist.channel) -> c.Netlist.ch_name) undetermined
+  in
+  let node, channel =
+    match undetermined with
+    | [] -> (None, None)
+    | c :: _ -> (Some c.Netlist.src.Netlist.ep_node, Some c.Netlist.ch_id)
+  in
+  error ~code:"E102" ?node ?channel ~cycle
+    (Fmt.str "combinational cycle, undetermined channels: %s"
+       (String.concat ", " names))
+
 let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     ?max_cycles ?(clock = Clock.monotonic) net =
   let mode : eval_mode = Option.value mode ~default:default_mode in
@@ -177,7 +196,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
            n.Netlist.name f.Func.name f.Func.arity)
   in
   (* "E101" is Elastic_lint's buffer-overfilled rule, quoted like E102
-     in [check_determined]; checked before any node is compiled. *)
+     in [undetermined_error]; checked before any node is compiled. *)
   Array.iter
     (fun (n : Netlist.node) ->
        match n.Netlist.kind with
@@ -274,19 +293,26 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
      once, so [5 * nchan] passes always suffice; the slack covers the
      final no-progress pass on tiny netlists. *)
   let default_max_passes = (5 * Array.length chans) + 16 in
-  let schedule = Schedule.build net ~ports in
+  (* A cyclic half graph is a combinational loop, refused in both modes
+     with the code and wording of the runtime check below. *)
+  let schedule =
+    match Schedule.build net ~ports with
+    | Ok s -> s
+    | Error cs ->
+      raise
+        (Simulation_error
+           (undetermined_error ~cycle:0
+              (List.map (fun i -> chans.(i)) cs)))
+  in
   let profile = Profile.create ~n_nodes:(Array.length insts) in
+  let codes = Array.make (Array.length chans) 0 in
   let backend =
     match mode with
-    | Arena ->
-      Arena
-        (Arena.create ~schedule ~profile ~nchan:(Array.length chans) ~regs
-           ~vals insts)
+    | Arena -> Arena (Arena.create ~schedule ~profile ~codes ~regs ~vals insts)
     | Reference ->
       let ws = Wires.create (Array.length chans) in
       Reference (ws, Array.map (Instance.evaluator ws) insts)
   in
-  let codes = Array.make (Array.length chans) 0 in
   let valid i = codes.(i) land Signal.v_plus_bit <> 0 in
   let has_data, payload =
     match backend with
@@ -363,15 +389,11 @@ let eval_node t evals i =
 
 (* Name the channels whose wires changed during the final pass — the
    diff of the last two passes is exactly the non-converging set.
-   "E110" is the settle/cycle-budget timeout code (see check_determined
-   for the E102 convention on quoting lint codes here). *)
-let non_convergence_error t ~passes =
-  let written =
-    match t.backend with
-    | Arena ar -> Arena.written_channels ar
-    | Reference (ws, _) -> Wires.written ws
-  in
-  let changing = List.sort_uniq compare written in
+   "E110" is the settle/cycle-budget timeout code (see
+   [undetermined_error] for the convention on quoting lint codes
+   here). *)
+let non_convergence_error t ws ~passes =
+  let changing = List.sort_uniq compare (Wires.written ws) in
   let names =
     List.map (fun i -> t.chans.(i).Netlist.ch_name) changing
   in
@@ -401,47 +423,22 @@ let fixpoint t ws evals =
     done;
     if Wires.progress ws then
       if pass >= t.max_passes then
-        non_convergence_error t ~passes:(pass + 1)
+        non_convergence_error t ws ~passes:(pass + 1)
       else go (pass + 1)
     else pass + 1
   in
   if Array.length t.insts = 0 then 0 else go 0
 
-let check_determined t =
-  let unknown =
-    match t.backend with
-    | Arena ar -> Arena.unknown_count ar
-    | Reference (ws, _) -> Wires.unknown_count ws
-  in
-  if unknown > 0 then begin
-    let undetermined =
-      Array.to_list t.chans
-      |> List.filteri (fun i _ ->
-          match t.backend with
-          | Arena ar -> Arena.undetermined ar i
-          | Reference (ws, _) ->
-            let w = Wires.wire ws i in
-            Wires.v_plus w = None || Wires.s_plus w = None
-            || Wires.v_minus w = None || Wires.s_minus w = None)
-    in
-    let names =
-      List.map (fun (c : Netlist.channel) -> c.Netlist.ch_name) undetermined
-    in
-    let node, channel =
-      match undetermined with
-      | [] -> (None, None)
-      | c :: _ ->
-        (Some c.Netlist.src.Netlist.ep_node, Some c.Netlist.ch_id)
-    in
-    (* "E102" is Elastic_lint's comb-cycle rule: the static analogue of
-       this dynamic failure (the sim layer cannot depend on the lint
-       library, so the code is quoted; a registry test keeps it honest). *)
+let check_determined t ws =
+  if Wires.unknown_count ws > 0 then
     raise
       (Simulation_error
-         (error ~code:"E102" ?node ?channel ~cycle:t.cycle
-            (Fmt.str "combinational cycle, undetermined channels: %s"
-               (String.concat ", " names))))
-  end
+         (undetermined_error ~cycle:t.cycle
+            (Array.to_list t.chans
+             |> List.filteri (fun i _ ->
+                 let w = Wires.wire ws i in
+                 Wires.v_plus w = None || Wires.s_plus w = None
+                 || Wires.v_minus w = None || Wires.s_minus w = None))))
 
 (* A forced prediction as the scheduler it forces and the way. *)
 let forced_prediction t (nid, way) =
@@ -500,6 +497,12 @@ let injected t =
   if Array.length t.row = 0 then []
   else Array.fold_right (fun w acc -> w.fw_chan :: acc) t.row []
 
+(* The override a row's wire installs: a replay duplicates the payload
+   kept for the channel. *)
+let row_override t w i =
+  if w.fw_replay then { w.fw_override with Wires.subst_data = Some t.kept.(i) }
+  else w.fw_override
+
 (* Clear the last step's overrides and install the schedule's row for
    this cycle, if it has one; returns the row's forced predictions,
    resolved by [set_faults]. *)
@@ -518,11 +521,7 @@ let install_faults t =
     for k = 0 to Array.length row.fr_wires - 1 do
       let w = row.fr_wires.(k) in
       let i = dense_index t w.fw_chan in
-      let ov =
-        if w.fw_replay then
-          { w.fw_override with Wires.subst_data = Some t.kept.(i) }
-        else w.fw_override
-      in
+      let ov = row_override t w i in
       match t.backend with
       | Arena ar -> Arena.set_override ar i ov
       | Reference (ws, _) -> Wires.set_override ws i ov
@@ -546,14 +545,29 @@ let check_cycle_budget t =
          t.cycle budget)
   | Some _ | None -> ()
 
+(* The arena's one undetermined field (see [Arena.Undetermined]): the
+   cycle is settled again over a Reference store, its overrides and the
+   nodes' state as they stand, and the Reference's error is raised. *)
+let arena_error t =
+  let ws = Wires.create (Array.length t.chans) in
+  Array.iter
+    (fun w ->
+       let i = dense_index t w.fw_chan in
+       Wires.set_override ws i (row_override t w i))
+    t.row;
+  ignore (fixpoint t ws (Array.map (Instance.evaluator ws) t.insts));
+  check_determined t ws;
+  (* The arena raises only where the Reference leaves a field
+     undetermined. *)
+  assert false
+
 (* Arena settle, returning the pass count: the same exceptions as the
    reference fixpoint, mapped to the same errors ([eval_node] catches
    per node; here the evaluating node is recovered from the arena's
    last-eval cursor). *)
 let settle_arena t ar =
   try Arena.settle ar with
-  | Wires.Conflict { wire; field } -> conflict_error t ~wire ~field
-  | Arena.Did_not_converge -> non_convergence_error t ~passes:t.max_passes
+  | Arena.Undetermined -> arena_error t
   | (Assert_failure _ | Invalid_argument _) as e ->
     invariant_error t
       ~node:(Instance.node t.insts.(Arena.last_eval ar)).Netlist.id e
@@ -585,24 +599,24 @@ let step ?(choices = fun _ -> None) t =
     | Arena ar -> settle_arena t ar
     | Reference (ws, evals) -> fixpoint t ws evals
   in
-  (* Stop the settle timer before the determinism check so the recorded
-     time covers only the settle phase itself — the E9 speedup record
-     compares backends on this number. *)
+  (* Stop the settle timer before the Reference's determinism check so
+     the recorded time covers only the settle phase itself — the E9
+     speedup record compares backends on this number. *)
   let settle_ns = Clock.read_ns t.clock - t0 in
-  check_determined t;
-  Profile.record_cycle t.profile ~passes ~ns:settle_ns;
-  (* Post-settle: everything below reads the packed codes; payloads
-     are fetched only where a token moves (or a monitor's retry is
-     pending).  Nothing here allocates in a fault-free cycle but the
-     sinks' [Transfer] records. *)
   let n = Array.length t.chans in
   let codes = t.codes in
   (match t.backend with
-   | Arena ar -> Arena.fill_codes ar codes
+   | Arena _ -> ()
    | Reference (ws, _) ->
+     check_determined t ws;
      for i = 0 to n - 1 do
        codes.(i) <- Wires.code (Wires.wire ws i)
      done);
+  Profile.record_cycle t.profile ~passes ~ns:settle_ns;
+  (* Post-settle: everything below reads the codes; payloads are
+     fetched only where a token moves (or a monitor's retry is
+     pending).  Nothing here allocates in a fault-free cycle but the
+     sinks' [Transfer] records. *)
   (* Keep the replay channels' payloads until the schedule ends. *)
   (match t.faults with
    | Some fs when t.cycle < fs.fs_first + Array.length fs.fs_rows ->

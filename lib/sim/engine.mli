@@ -6,17 +6,19 @@ open Elastic_netlist
 
     Each cycle proceeds in three phases:
     + environment nodes decide what they offer/accept ({!Instance.begin_cycle});
-    + all nodes are evaluated to a combinational fixed point over the
-      channel wires — control bits start unknown and node equations are
-      monotone, so the fixed point is unique; if bits remain unknown the
-      netlist has a true combinational cycle and {!step} raises;
-    + the backend's settled wires are packed into one preallocated
-      array of raw control codes, one per channel ({!Signal.code}
-      layout); from it, without allocating, channel boundary events are
-      derived (including token/anti-token cancellation), protocol
-      monitors run, statistics are updated, and every node is clocked.
-      Payloads stay in the backend and are read only where a token
-      moves or a monitor's retry is pending.
+    + the combinational phase settles every channel wire: the default
+      backend runs each node's forward and backward half once, in the
+      static order of {!Schedule}, over two-valued control codes (a
+      design whose halves form a combinational cycle is refused by
+      {!create}); the Reference backend iterates every node to the
+      fixed point of its monotone equations over three-valued wires;
+    + the settled wires are one preallocated array of raw control
+      codes, one per channel ({!Signal.code} layout); from it, without
+      allocating, channel boundary events are derived (including
+      token/anti-token cancellation), protocol monitors run,
+      statistics are updated, and every node is clocked.  Payloads
+      stay in the backend and are read only where a token moves or a
+      monitor's retry is pending.
 
     A monitored engine (see [monitor] in {!create}) also runs the
     paper's verification conditions online: the SELF protocol monitors
@@ -34,8 +36,11 @@ type error = {
       (** Lint rule code when the failure has a known static cause — the
           structural code (E001-E004) that made [create] refuse the
           netlist, ["E101"] when [create] found a buffer holding more
-          initial tokens than its capacity, or ["E102"] when the
-          combinational phase found an unbroken cycle at runtime — or the runtime diagnostic code
+          initial tokens than its capacity, or ["E102"] when [create]
+          found a combinational cycle in the half graph ({!Schedule}),
+          or when a fault left a channel field undetermined at runtime
+          (a forged valid on an early multiplexor's select with no
+          payload) — or the runtime diagnostic code
           ["E110"] when a budget watchdog fired: the settle loop
           exceeded its pass budget without converging, or the engine's
           cycle budget ([max_cycles]) was exhausted.  Campaign runners
@@ -74,26 +79,27 @@ type t
 
 (** How the combinational phase of each cycle is evaluated.
 
-    [Arena] (the default) evaluates nodes in the static sweep computed
-    by {!Schedule.build}, on the flat preallocated arena backend
-    ({!Arena}): each node is evaluated at the positions of its forward
-    and backward halves in the topological order of the half graph, and
-    only a cyclic half-region (a real combinational loop) iterates, a
-    sweep of its members at a time.  Channel state is
-    packed integer wire codes, one payload slot per channel and flat
-    instruction arrays instead of per-channel records and closures.
+    [Arena] (the default) evaluates the static sweep computed by
+    {!Schedule.build}, on the flat preallocated arena backend
+    ({!Arena}): each node's forward half and backward half runs once,
+    in the topological order of the half graph.  Channel state is each
+    channel's raw control code, the array the post-settle phases read,
+    one payload slot per channel and flat instruction arrays instead of
+    per-channel records and closures.
 
     [Reference] is the original blind fixpoint over the {!Wires}
     records — every node is re-evaluated in every pass until no wire
     changes — and evaluates each node's {!Control.table}, the equations
     the BLIF, SMV and Verilog exports print, compiled once per engine
     ({!Instance.evaluator}).  It is kept as the independent oracle for
-    differential testing: both modes reach the same unique fixed point
-    (node equations are monotone over the 3-valued wires), so traces,
-    sink streams and errors agree; only eval counts differ.
+    differential testing: both modes settle every wire alike (node
+    equations are monotone over the 3-valued wires, so the fixed point
+    is unique), so traces, sink streams and errors agree; only eval
+    counts differ.
 
     An engine holds exactly one of the two stores: an [Arena] engine
-    never builds a {!Wires} store or an equation table, and a
+    builds a {!Wires} store and an equation table only to render the
+    error of a cycle it cannot settle ({!Arena.Undetermined}), and a
     [Reference] engine builds no arena.  Both read each node's ports from the same dense channel
     indices in {!Instance}. *)
 type eval_mode = Reference | Arena
@@ -109,7 +115,9 @@ val mode_of_string : string -> eval_mode option
 val default_mode : eval_mode
 
 (** [create netlist] compiles and validates the netlist; it raises
-    {!Simulation_error} on an invalid one (see [err_code] in {!error}).
+    {!Simulation_error} on an invalid one (see [err_code] in {!error}),
+    in both modes on a combinational cycle: E102, "combinational cycle,
+    undetermined channels:" and the channels of the cycle.
 
     @param monitor run both online checks (default [true]): the
     protocol monitors ({!violations}) and the leads-to watchdog
@@ -143,8 +151,8 @@ val mode : t -> eval_mode
 (** Evaluation-cost counters accumulated since creation. *)
 val profile : t -> Profile.t
 
-(** The static evaluation schedule (also built in [Reference] mode, for
-    its statistics). *)
+(** The static evaluation schedule (also built in [Reference] mode,
+    which refuses the same cyclic designs). *)
 val schedule : t -> Schedule.t
 
 (** Install (or remove, with [None]) the fault schedule every later
@@ -177,7 +185,7 @@ val injected : t -> Netlist.channel_id list
 
 (** Simulate one cycle.  [choices] overrides nondeterministic decisions of
     environment nodes and [External] schedulers, keyed by node id.
-    @raise Simulation_error on combinational cycles. *)
+    @raise Simulation_error on a fault the design cannot survive. *)
 val step : ?choices:(Netlist.node_id -> Instance.choice option) -> t -> unit
 
 (** [run t n] simulates [n] cycles ({!step} [n] times). *)

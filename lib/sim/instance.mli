@@ -78,9 +78,8 @@ type t
     indices [(ins, sel, outs)], which must follow port numbering
     ([ins.(i)] is port [In i], etc.).  They are the node's only copy of
     its ports: {!evaluator} resolves them through the Reference
-    backend's {!Wires} store, the arena flattens them into its own
-    index pool, and {!clock} reads the elapsed cycle's codes through
-    them.  No equation table is built here: an arena engine never needs
+    backend's {!Wires} store, the arena's halves read them in place,
+    and {!clock} reads the elapsed cycle's codes through them.  No equation table is built here: an arena engine never needs
     one.  Buffers must fit their capacity; [Engine.create] rejects an
     over-capacity buffer (E101) before it lays out any instance.
     [spare] more int slots follow every node's, and [spare_vals] more

@@ -90,7 +90,7 @@ let top_nodes t n =
 
 let pp ?(name = string_of_int) ppf t =
   Fmt.pf ppf
-    "@[<v>%d cycles, %d node evaluations (%.2f evals/cycle, %d nodes)@,\
+    "@[<v>%d cycles, %d evaluations (%.2f evals/cycle, %d nodes)@,\
      compile phase %.3f ms, settle phase %.3f ms (%.2f us/cycle)@,\
      settle passes per cycle (max %d):"
     t.cycles (evals t) (evals_per_cycle t) t.n_nodes

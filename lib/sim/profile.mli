@@ -1,10 +1,12 @@
 (** Evaluation-cost observability for the engine.
 
-    Every {!Engine.step} records how many node evaluations the
-    combinational settle phase took, how those evaluations distribute
-    over nodes, how many passes the slowest region needed, and the wall
-    clock spent settling.  The shell's [profile] command and the bench's
-    [--json] trajectory records are rendered from this. *)
+    Every {!Engine.step} records how many evaluations the combinational
+    settle phase took — one per half a node runs in the arena's sweep,
+    one per node and pass in the Reference fixpoint — how those
+    evaluations distribute over nodes, how many passes the cycle took,
+    and the wall clock spent settling.  The shell's [profile] command
+    and the bench's [--json] trajectory records are rendered from
+    this. *)
 
 type t
 
@@ -24,19 +26,18 @@ val reset : t -> unit
 
 (** {1 Recording (called by the engine)} *)
 
-(** One evaluation of node [i]. *)
+(** One evaluation of node [i] (the Reference fixpoint's). *)
 val note_eval : t -> int -> unit
 
 (** The per-node counters themselves, for the flat-arena settle loop to
-    bump in place: one increment per evaluation, as {!note_eval}.  They
-    are the profile's only evaluation counter; {!evals} sums them. *)
+    bump in place: one increment per half evaluation.  They are the
+    profile's only evaluation counter; {!evals} sums them. *)
 val per_node_array : t -> int array
 
 (** End of one settle phase: the cycle's pass count, which the settle
     loop reports, and its wall-clock duration in nanoseconds.  The
     Reference fixpoint counts the passes it ran over every node; the
-    arena counts 1 for a sweep with no cyclic region, the most sweeps
-    any cyclic region took otherwise, and 0 with no nodes.  It
+    arena's one sweep counts 1; both count 0 with no nodes.  It
     allocates nothing unless the cycle took more passes than any before
     it and the histogram has to grow. *)
 val record_cycle : t -> passes:int -> ns:int -> unit
@@ -51,7 +52,7 @@ val set_compile_seconds : t -> float -> unit
 
 val cycles : t -> int
 
-(** Total node evaluations across all cycles: the sum of the per-node
+(** Total evaluations across all cycles: the sum of the per-node
     counters, computed at each call (one pass over the nodes), so read
     it at snapshot time rather than every cycle. *)
 val evals : t -> int

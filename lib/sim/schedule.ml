@@ -8,20 +8,19 @@ open Elastic_netlist
    destination node.  So each node has two halves: F(i) writes its
    outputs' forward groups, B(i) its inputs' backward groups.  A node
    reads groups according to its equations (its [Control.table], which
-   the Reference evaluates, and the arena's hand-written evaluator); the
+   the Reference evaluates, and the arena's hand-written halves); the
    read sets below follow those equations kind by kind, and no kind's
    forward outputs read a backward group.  The half graph's edges are
    F(src c) -> F(i) when node i reads F(c); B(dst c) -> B(i) when it
    reads B(c); and F(i) -> B(i), which also orders F(src c) before B(i)
-   (a B-half may read the forward groups its F-half reads).  Condensing its strongly connected
-   components and ordering the condensation topologically yields one
-   static sweep in which every acyclic half settles in one evaluation of
-   its node; only a cyclic half-region (a real combinational loop)
-   iterates. *)
+   (a B-half may read the forward groups its F-half reads).  A
+   topological order of this graph is the sweep, in which every half
+   runs once, after everything it reads.  A cycle in it is a real
+   combinational loop, which [build] refuses. *)
 
-type t = { sweep : int array; regions : int array array; components : int }
+type t = { sweep : int array }
 
-(* Channels whose forward / backward groups the node's eval reads.
+(* Channels whose forward / backward groups the node's halves read.
    [Eb] is fully registered (reads nothing), which is what breaks the
    src->dst / dst->src cycles every channel would otherwise induce. *)
 let read_sets (n : Netlist.node) (ins, sel, outs) =
@@ -33,9 +32,9 @@ let read_sets (n : Netlist.node) (ins, sel, outs) =
   | Netlist.Buffer { buffer = Netlist.Eb; _ } ->
     ([], [])
   | Netlist.Buffer { buffer = Netlist.Eb0; _ } -> (in_chs, out_chs)
-  | Netlist.Func _ | Netlist.Mux _ -> (in_chs @ sel_ch, out_chs)
+  | Netlist.Func _ | Netlist.Mux _ | Netlist.Shared _ ->
+    (in_chs @ sel_ch, out_chs)
   | Netlist.Fork _ -> (in_chs, out_chs)
-  | Netlist.Shared _ -> (in_chs @ sel_ch, out_chs)
   | Netlist.Varlat _ -> ([], out_chs)
 
 (* Half vertices: F(i) = 2i, B(i) = 2i + 1. *)
@@ -56,24 +55,15 @@ let build net ~ports =
   let src_of = Array.map (fun c -> node_of c.Netlist.src) chans in
   let dst_of = Array.map (fun c -> node_of c.Netlist.dst) chans in
   let reads = Array.map2 read_sets nodes ports in
-  (* Edges writer half -> reader half; a node's reads of its own writes
-     are dropped (an eval call reads its own writes consistently within
-     the call). *)
+  (* Edges writer half -> reader half.  A node reading its own write is
+     a self-loop channel: a combinational cycle, kept as an edge. *)
   let succs = Array.make nhalf [] in
   let edge u v = succs.(u) <- v :: succs.(u) in
   Array.iteri
     (fun v (rf, rb) ->
        edge (f_half v) (b_half v);
-       List.iter
-         (fun c ->
-            let u = src_of.(c) in
-            if u <> v then edge (f_half u) (f_half v))
-         rf;
-       List.iter
-         (fun c ->
-            let u = dst_of.(c) in
-            if u <> v then edge (b_half u) (b_half v))
-         rb)
+       List.iter (fun c -> edge (f_half src_of.(c)) (f_half v)) rf;
+       List.iter (fun c -> edge (b_half dst_of.(c)) (b_half v)) rb)
     reads;
   (* Tarjan; SCCs complete in reverse topological order (readers before
      the writers they depend on), so prepending each leaves [sccs] in
@@ -113,56 +103,36 @@ let build net ~ports =
   for v = 0 to nhalf - 1 do
     if index.(v) < 0 then strongconnect v
   done;
-  let order = Array.of_list !sccs in
-  let pos = Array.make nhalf 0 in
-  Array.iteri (fun k comp -> List.iter (fun h -> pos.(h) <- k) comp) order;
-  let single h = match order.(pos.(h)) with [ _ ] -> true | _ -> false in
-  (* A node that reads nothing writes everything at its F position.  A
-     node whose F-half feeds nothing that comes before its B-half can
-     wait for its B position: evaluating later than a half's position is
-     always safe, and nothing needs the F writes earlier. *)
-  let reads_nothing i = reads.(i) = ([], []) in
-  let merged i =
-    let b = b_half i in
-    (not (reads_nothing i)) && single (f_half i) && single b
-    && List.for_all (fun s -> s = b || pos.(s) > pos.(b)) succs.(f_half i)
-  in
-  let regions = ref [] and nregions = ref 0 in
-  let sweep =
-    Array.to_list order
-    |> List.filter_map (function
-      | [ h ] ->
-        let i = h / 2 in
-        if h = f_half i && merged i then None
-        else if h = b_half i && reads_nothing i then None
-        else Some i
-      | halves ->
-        (* Each node once, in the order the search reached its halves. *)
-        let members =
-          List.fold_left
-            (fun acc h -> if List.mem (h / 2) acc then acc else (h / 2) :: acc)
-            [] halves
-        in
-        regions := Array.of_list (List.rev members) :: !regions;
-        incr nregions;
-        Some (- !nregions))
-  in
-  { sweep = Array.of_list sweep;
-    regions = Array.of_list (List.rev !regions);
-    components = Array.length order }
+  (* A component is cyclic when it holds two halves, or one that reads
+     its own write. *)
+  let cyclic = function [ h ] -> List.mem h succs.(h) | _ -> true in
+  match List.find_opt cyclic !sccs with
+  | Some region ->
+    (* The channels read along the region's edges. *)
+    let inside = Array.make nhalf false in
+    List.iter (fun h -> inside.(h) <- true) region;
+    let read u v c acc = if inside.(u) && inside.(v) then c :: acc else acc in
+    let chans = ref [] in
+    Array.iteri
+      (fun v (rf, rb) ->
+         List.iter
+           (fun c -> chans := read (f_half src_of.(c)) (f_half v) c !chans)
+           rf;
+         List.iter
+           (fun c -> chans := read (b_half dst_of.(c)) (b_half v) c !chans)
+           rb)
+      reads;
+    Error (List.sort_uniq compare !chans)
+  | None ->
+    (* A half that writes nothing — a source's B half, a sink's F
+       half — is left out. *)
+    let writes h =
+      let ins, sel, outs = ports.(h / 2) in
+      if h land 1 = 0 then Array.length outs > 0
+      else Array.length ins > 0 || Option.is_some sel
+    in
+    Ok { sweep = Array.of_list (List.filter writes (List.concat !sccs)) }
 
-let components t = t.components
+let halves t = Array.length t.sweep
 
-let scc_count t = Array.length t.regions
-
-let largest_scc t =
-  Array.fold_left (fun acc ms -> max acc (Array.length ms)) 0 t.regions
-
-let scc_nodes t =
-  List.length
-    (List.sort_uniq compare (List.concat_map Array.to_list (Array.to_list t.regions)))
-
-let pp_stats ppf t =
-  Fmt.pf ppf
-    "%d components (%d cyclic, %d nodes in cycles, largest region %d)"
-    (components t) (scc_count t) (scc_nodes t) (largest_scc t)
+let pp_stats ppf t = Fmt.pf ppf "%d halves in one sweep" (halves t)

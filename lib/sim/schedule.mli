@@ -14,28 +14,20 @@ open Elastic_netlist
     [F(src c)] precedes the F-half of a node that reads [F(c)],
     [B(dst c)] precedes the B-half of a node that reads [B(c)], and
     every node's F-half precedes its own B-half (so [F(src c)] precedes
-    that B-half too).  No controller's
-    forward outputs read a backward group, so the halves of a
-    zero-latency control cluster form a chain rather than a cycle.
+    that B-half too).  No controller's forward outputs read a backward
+    group, so the halves of a zero-latency control cluster form a chain
+    rather than a cycle.
 
-    {!build} condenses the strongly connected components of this half
-    graph once and flattens the topological order of the condensation
-    into a sweep: each node is evaluated (whole) at each of its half
-    positions, and then every wire it writes is settled.  A node that
-    reads nothing is evaluated once, at its F position, and a node whose
-    F-half feeds nothing before its B-half once, at its B position.
-    Only a cyclic half-region — a real combinational loop — iterates:
-    its members are swept until a sweep writes nothing. *)
+    {!build} orders this half graph topologically into a sweep, in
+    which each half runs once, after every half it reads.  A cyclic
+    half graph is a real combinational loop: {!build} refuses it. *)
 
 type t = {
   sweep : int array;
-      (** The cycle's evaluations in order: an entry [i >= 0] evaluates
-          node [i]; an entry [-1 - r] sweeps cyclic region [r] to its
-          fixed point. *)
-  regions : int array array;
-      (** Cyclic half-regions: the distinct nodes with a half in each,
-          in the order one sweep of the region evaluates them. *)
-  components : int;  (** Components of the half graph's condensation. *)
+      (** The cycle's half evaluations in order: entry [h] is half [h]
+          of node [h / 2], its F-half when [h] is even, its B-half when
+          odd.  A half that writes nothing (a source's B-half, a sink's
+          F-half) is not listed. *)
 }
 
 (** [build net ~ports] computes the schedule.  Node index [i] refers to
@@ -43,21 +35,16 @@ type t = {
     the [j]-th element of [Netlist.channels net] — the same dense
     numbering the engine uses.  [ports.(i)] is node [i]'s dense
     [(ins, sel, outs)] channel indices, as the engine resolved them for
-    {!Instance.layout}.  The netlist must be valid. *)
+    {!Instance.layout}.  The netlist must be valid.  [Error cs] when the
+    half graph is cyclic: [cs] are the dense indices, ascending, of the
+    channels read along the first cyclic region's edges. *)
 val build :
-  Netlist.t -> ports:(int array * int option * int array) array -> t
+  Netlist.t ->
+  ports:(int array * int option * int array) array ->
+  (t, int list) result
 
-(** {1 Statistics (for profiling reports)} *)
+(** Number of half evaluations in a cycle: the sweep's length. *)
+val halves : t -> int
 
-val components : t -> int
-
-(** Number of cyclic (iterating) regions. *)
-val scc_count : t -> int
-
-(** Node count of the largest cyclic region. *)
-val largest_scc : t -> int
-
-(** Distinct nodes with a half in some cyclic region. *)
-val scc_nodes : t -> int
-
+(** ["N halves in one sweep"], for profiling reports. *)
 val pp_stats : Format.formatter -> t -> unit

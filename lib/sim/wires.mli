@@ -1,9 +1,10 @@
 open Elastic_kernel
 
 (** The Reference backend's store: per-cycle channel wire values with
-    three-valued (unknown) logic.  Only a [Reference] engine creates
-    one; the arena backend keeps its own packed store and uses only
-    {!override} and {!Conflict} from this module.
+    three-valued (unknown) logic.  A [Reference] engine creates one, and
+    an arena engine only to render the error of a cycle it cannot
+    settle; the arena backend keeps its own store of control codes and
+    uses only {!override} from this module.
 
     During the combinational phase of a cycle each control bit of each
     channel starts unknown and is written at most once by the driving

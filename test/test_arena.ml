@@ -164,9 +164,8 @@ let check_golden path got =
    eval counter ([Profile.evals] is their sum), and its settle loop
    reports each cycle's pass count itself.  The totals, per-node
    counters and pass histogram of E6 are frozen, and every cycle each
-   node gains the evaluations its place in the static sweep gives it:
-   exactly one for a node that reads nothing or whose halves merged, at
-   most two for the others, in one pass. *)
+   node gains one evaluation per half it runs: one for a source or a
+   sink, two for the others, in one pass. *)
 let test_profile_golden () =
   let ops = Examples.rs_ops ~error_rate_pct:10 ~seed:5 100 in
   let net = (Examples.rs_speculative ~ops).Examples.d_net in

@@ -636,10 +636,10 @@ let test_payload_constructors () =
          (sink_values eng k))
     [ k1; k2 ]
 
-(* Flips on a fork branch of the E6 design: the fork re-evaluates in
-   its cyclic region and re-writes the flipped payload, a fresh but
-   equal box each time, which is no conflict. *)
-let test_flip_rewritten_in_cycle () =
+(* Flips on a fork branch of the E6 design: a map-data override on a
+   payload the fork copies, which each backend applies to the value it
+   writes there once per cycle. *)
+let test_flip_on_fork_branch () =
   let open Elastic_fault in
   let net =
     (Examples.rs_speculative
@@ -655,6 +655,64 @@ let test_flip_rewritten_in_cycle () =
       [ Fault.flip_bit ~channel:ch ~cycle:10 3;
         Fault.flip_bit ~channel:ch ~cycle:40 0 ]
     net
+
+(* A forged valid on the select of an early mux whose select source is
+   spent: the select is valid but carries no payload, so the mux cannot
+   tell which input it forwards.  With both inputs offering, its output
+   valid stays undetermined, and both modes raise the same E102 on that
+   cycle, naming every channel the mux leaves undetermined.  With no
+   input offering, the output is known invalid and the cycle settles.
+   A valid forged on the output of a mux whose select is idle fires it
+   with no select value: which input takes a kill is undetermined. *)
+let forged_select_net ~offering =
+  let b = builder () in
+  let sel = src_stream b ~name:"sel" [] in
+  let src name =
+    if offering then src_counter b ~name ()
+    else src_stream b ~name []
+  in
+  let a = src "a" and bs = src "b" in
+  let m = add b ~name:"m" (Mux { ways = 2; early = true }) in
+  let k = sink b ~name:"k" () in
+  let sel_ch = conn b (sel, Out 0) (m, Sel) in
+  let _ = conn b (a, Out 0) (m, In 0) in
+  let _ = conn b (bs, Out 0) (m, In 1) in
+  let _ = conn b (m, Out 0) (k, In 0) in
+  (b.net, sel_ch)
+
+let test_forged_select_error () =
+  let net, sel = forged_select_net ~offering:true in
+  let faults = [ Elastic_fault.Fault.glitch_valid ~channel:sel ~cycle:2 true ] in
+  run_pair ~name:"forged early-mux select" ~cycles:10 ~faults net;
+  List.iter
+    (fun mode ->
+       let eng = Engine.create ~mode net in
+       Engine.set_faults eng (Some (Elastic_fault.Fault.plan net faults));
+       match Engine.run eng 10 with
+       | () -> Alcotest.failf "%s: no error" (Engine.mode_name mode)
+       | exception Engine.Simulation_error e ->
+         Alcotest.(check string) (Engine.mode_name mode)
+           "cycle 2 [E102], node 0, channel 0: combinational cycle, \
+            undetermined channels: sel.out0->m.sel, a.out0->m.in0, \
+            b.out0->m.in1, m.out0->k.in0"
+           (Engine.error_to_string e))
+    [ Engine.Arena; Engine.Reference ];
+  let net, sel = forged_select_net ~offering:false in
+  run_pair ~name:"forged select, idle inputs" ~cycles:10
+    ~faults:[ Elastic_fault.Fault.glitch_valid ~channel:sel ~cycle:2 true ]
+    net;
+  let net, _ = forged_select_net ~offering:true in
+  let out =
+    (List.find
+       (fun c -> c.Netlist.ch_name = "m.out0->k.in0")
+       (Netlist.channels net)).Netlist.ch_id
+  in
+  List.iter
+    (fun level ->
+       run_pair ~name:(Fmt.str "forged mux output %b" level) ~cycles:10
+         ~faults:[ Elastic_fault.Fault.glitch_valid ~channel:out ~cycle:2 level ]
+         net)
+    [ true; false ]
 
 (* Unary stages beside list-form ones: perfbench's G ([Func.make] at
    arity 1, applied through its derived unary entry) as the shared
@@ -717,12 +775,10 @@ let test_mixed_func_forms () =
 
 (* The pass count a step records and the evaluations behind it.  The
    reference fixpoint evaluates every node once per pass.  The arena's
-   static sweep evaluates a node once when it reads nothing (a source,
-   a sink, an EB) or its halves merged, and at most twice otherwise;
-   with no cyclic region that is one pass.  A node in a cyclic region
-   is evaluated at most twice per sweep of it, and the pass count is
-   the most sweeps any region took.  An observer diffs the per-node
-   counters ([Profile.top_nodes]) every cycle and checks them. *)
+   static sweep is one pass (none with no nodes) and evaluates each
+   half once: a source and a sink once a cycle, every other node
+   twice.  An observer diffs the per-node counters
+   ([Profile.top_nodes]) every cycle and checks them. *)
 let gen_random_design =
   let open QCheck.Gen in
   let pipe p =
@@ -738,29 +794,18 @@ let gen_random_design =
         gen_word_pipe;
       map (fun s -> ("shared " ^ print_shared s, build_shared s)) gen_shared ]
 
-let reads_nothing (n : Netlist.node) =
+let halves_of (n : Netlist.node) =
   match n.Netlist.kind with
-  | Netlist.Source _ | Netlist.Sink _
-  | Netlist.Buffer { buffer = Netlist.Eb; _ } ->
-    true
-  | Netlist.Buffer { buffer = Netlist.Eb0; _ }
-  | Netlist.Func _ | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _
-  | Netlist.Varlat _ ->
-    false
+  | Netlist.Source _ | Netlist.Sink _ -> 1
+  | Netlist.Buffer _ | Netlist.Func _ | Netlist.Fork _ | Netlist.Mux _
+  | Netlist.Shared _ | Netlist.Varlat _ ->
+    2
 
 let check_pass_counts ~mode net =
   let eng = Engine.create ~mode net in
-  let sched = Engine.schedule eng in
   let nodes = Array.of_list (Netlist.nodes net) in
   let n = Array.length nodes in
   let before = Array.make n 0 and delta = Array.make n 0 in
-  let sweeps_of i =
-    Array.fold_left (fun k j -> if j = i then k + 1 else k) 0
-      sched.Schedule.sweep
-  in
-  let once =
-    Array.mapi (fun i nd -> reads_nothing nd || sweeps_of i = 1) nodes
-  in
   Engine.set_observer eng
     (Some
        (fun e ->
@@ -784,24 +829,19 @@ let check_pass_counts ~mode net =
                  if d <> passes then
                    fail "%s evaluated %d times in %d passes" name d passes
                | Engine.Arena ->
-                 if Schedule.scc_count sched = 0 then begin
-                   if passes <> 1 then
-                     fail "%d passes, no cyclic region" passes;
-                   if (once.(i) && d <> 1) || d < 1 || d > 2 then
-                     fail "%s evaluated %d times (once: %b)" name d once.(i)
-                 end
-                 else if d < 1 || d > 2 * passes then
-                   fail "%s evaluated %d times in %d passes" name d passes)
+                 if passes <> 1 then fail "%d passes" passes;
+                 if d <> halves_of nodes.(i) then
+                   fail "%s evaluated %d times" name d)
             delta;
           if n = 0 && passes <> 0 then fail "%d passes, no nodes" passes));
   match Engine.run eng 150 with
   | () -> ()
   | exception Engine.Simulation_error _ -> ()
 
-let pass_count_is_largest_sweeps =
+let one_pass_one_eval_a_half =
   let open QCheck in
   Test.make
-    ~name:"qcheck: the pass count is the largest number of sweeps"
+    ~name:"qcheck: one pass a cycle, each half evaluated once"
     ~count:100
     (make ~print:fst gen_random_design)
     (fun (_, net) ->
@@ -811,14 +851,41 @@ let pass_count_is_largest_sweeps =
 
 (* --- the schedule's shape ------------------------------------------ *)
 
-(* Only a real combinational loop may compile to a cyclic half-region:
-   a read set that grows a spurious cycle would silently fall back to
-   the iterating path.  Every bundled design and every design the
-   cases and generators above build is acyclic at half granularity. *)
+(* [Engine.create] refuses a design with E102 exactly when lint finds a
+   combinational cycle (E102) in it: over the lint mutation catalogue
+   below, and over every design [acyclic] checks. *)
+let refusal_matches_lint ~name net =
+  let refused =
+    match Engine.create net with
+    | _ -> false
+    | exception Engine.Simulation_error e -> e.Engine.err_code = Some "E102"
+  in
+  let linted =
+    List.exists
+      (fun (d : Diagnostic.t) -> d.Diagnostic.code = "E102")
+      (Elastic_lint.Lint.run net).Elastic_lint.Lint.diags
+  in
+  if refused <> linted then
+    Alcotest.failf "%s: create refuses with E102: %b, lint finds E102: %b"
+      name refused linted;
+  refused
+
+(* Only a real combinational loop may compile to a cyclic half graph,
+   which [Engine.create] refuses: a read set that grows a spurious
+   cycle would refuse a working design.  Every bundled design and every
+   design the cases and generators above build is acyclic at half
+   granularity, and its sweep lists every half that writes. *)
 let acyclic ~name net =
-  let sched = Engine.schedule (Engine.create net) in
-  if Schedule.scc_count sched <> 0 then
-    Alcotest.failf "%s: %a" name Schedule.pp_stats sched
+  if refusal_matches_lint ~name net then Alcotest.failf "%s: refused" name;
+  match Engine.create net with
+  | exception Engine.Simulation_error e ->
+    Alcotest.failf "%s: %s" name (Engine.error_to_string e)
+  | eng ->
+    let halves =
+      List.fold_left (fun k nd -> k + halves_of nd) 0 (Netlist.nodes net)
+    in
+    Alcotest.(check int) (name ^ ": halves") halves
+      (Schedule.halves (Engine.schedule eng))
 
 let test_bundled_designs_acyclic () =
   List.iter (fun (name, mk) -> acyclic ~name (mk ())) Shell.designs;
@@ -832,6 +899,66 @@ let random_designs_acyclic =
     (fun (name, net) ->
        acyclic ~name net;
        true)
+
+let test_refusal_matches_lint () =
+  let refused =
+    List.filter
+      (fun (m : Elastic_lint.Mutate.t) ->
+         refusal_matches_lint ~name:m.Elastic_lint.Mutate.m_name
+           (m.Elastic_lint.Mutate.m_net ()))
+      Elastic_lint.Mutate.catalogue
+  in
+  Alcotest.(check (list string)) "refused mutants" [ "E102" ]
+    (List.map (fun (m : Elastic_lint.Mutate.t) -> m.Elastic_lint.Mutate.m_code)
+       refused)
+
+(* Anti-tokens that wait: an early mux, its select cycling over five
+   ways, kills inputs that hold them up — variable-latency units, which
+   refuse anti-tokens while they compute, one of them behind an EB0, an
+   EB that stores them, and a join one of whose inputs is often
+   missing, so the kill meets a valid token that is also stopped, on a
+   fork branch and at an EB0.  Kills queue at the mux, and the mux then
+   selects an input it owes one. *)
+let test_waiting_anti_tokens () =
+  let b = builder () in
+  let random ~name pct seed =
+    add b ~name (Source (Random_rate { pct; seed }))
+  in
+  let odd =
+    Func.unary ~name:"odd" ~delay:1.0 ~area:1.0 (fun v ->
+        Value.Int (Value.to_int v land 1))
+  in
+  let id = Func.identity () in
+  let sel =
+    add b ~name:"sel" (Source (Nondet (ints [ 0; 1; 2; 3; 4; 1; 2; 4 ])))
+  in
+  let m = add b ~name:"m" (Mux { ways = 5; early = true }) in
+  let v = add b ~name:"v" (Varlat { fast = id; slow = id; err = odd }) in
+  let v1 = add b ~name:"v1" (Varlat { fast = id; slow = id; err = odd }) in
+  let e = eb b ~name:"e" () and e0 = eb0 b ~name:"e0" () in
+  let e1 = eb0 b ~name:"e1" () in
+  let fk = add b ~name:"fork" (Fork 2) in
+  let j = add b ~name:"j" (Func (Func.add_int ~arity:2 ())) in
+  let out = eb b ~name:"out" () in
+  let stall name seed = add b ~name (Sink (Random_stall { pct = 30; seed })) in
+  let _ = conn b (sel, Out 0) (m, Sel) in
+  let _ = conn b (src_counter b ~name:"a" (), Out 0) (m, In 0) in
+  let _ = conn b (random ~name:"b" 30 3, Out 0) (v, In 0) in
+  let _ = conn b (v, Out 0) (m, In 1) in
+  let _ = conn b (random ~name:"g" 30 15, Out 0) (v1, In 0) in
+  let _ = conn b (v1, Out 0) (e1, In 0) in
+  let _ = conn b (e1, Out 0) (m, In 4) in
+  let _ = conn b (random ~name:"c" 25 5, Out 0) (e, In 0) in
+  let _ = conn b (e, Out 0) (m, In 2) in
+  let _ = conn b (random ~name:"d" 60 7, Out 0) (fk, In 0) in
+  let _ = conn b (fk, Out 0) (j, In 0) in
+  let _ = conn b (fk, Out 1) (stall "k1" 11, In 0) in
+  let _ = conn b (random ~name:"f" 40 9, Out 0) (e0, In 0) in
+  let _ = conn b (e0, Out 0) (j, In 1) in
+  let _ = conn b (j, Out 0) (m, In 3) in
+  let _ = conn b (m, Out 0) (out, In 0) in
+  let _ = conn b (out, Out 0) (stall "k0" 13, In 0) in
+  run_pair ~name:"waiting anti-tokens" ~cycles:400 b.net
 
 let test_no_nodes_no_passes () =
   List.iter
@@ -856,13 +983,19 @@ let suite =
         convergence_error_names_channels;
       Alcotest.test_case "every payload constructor crosses the arena" `Quick
         test_payload_constructors;
-      Alcotest.test_case "a flipped payload re-written in a cyclic region"
-        `Quick test_flip_rewritten_in_cycle;
+      Alcotest.test_case "a flipped payload on a fork branch agrees"
+        `Quick test_flip_on_fork_branch;
       Alcotest.test_case "list-form and unary functions agree in lockstep"
         `Quick test_mixed_func_forms;
-      QCheck_alcotest.to_alcotest pass_count_is_largest_sweeps;
+      QCheck_alcotest.to_alcotest one_pass_one_eval_a_half;
       Alcotest.test_case "bundled designs schedule with no cyclic region"
         `Quick test_bundled_designs_acyclic;
       QCheck_alcotest.to_alcotest random_designs_acyclic;
       Alcotest.test_case "a netlist with no nodes reads 0 passes" `Quick
-        test_no_nodes_no_passes ]
+        test_no_nodes_no_passes;
+      Alcotest.test_case "a forged early-mux select raises E102 in both modes"
+        `Quick test_forged_select_error;
+      Alcotest.test_case "create refuses with E102 what lint finds" `Quick
+        test_refusal_matches_lint;
+      Alcotest.test_case "anti-tokens that wait agree in lockstep" `Quick
+        test_waiting_anti_tokens ]

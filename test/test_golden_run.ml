@@ -95,9 +95,12 @@ let benches =
      [ rs; bench "vl-speculative" vl.Examples.d_net [] ])
 
 (* One scenario of each kind, on channel [ch] at [cycle]; [seed] picks a
-   whole-design storm flip. *)
+   whole-design storm flip.  A forged anti-token (V- pinned high) breaks
+   the invariant of the node that takes it, which crashes the run. *)
 let scenario_kinds net ~ch ~cycle ~seed =
   [ Fault.control_glitch ~channel:ch ~cycle;
+    [ { Fault.target = Fault.Channel ch; kind = Fault.Force_kill true; cycle;
+        duration = 1 } ];
     [ Fault.drop_token ~channel:ch ~cycle ];
     [ Fault.duplicate_token ~channel:ch ~cycle ];
     [ Fault.stuck_stall ~channel:ch ~cycle ~duration:3 ];
