@@ -161,15 +161,15 @@ let merge_override ov f =
   | Flip_bits bits ->
     let flip = flip_value bits in
     let map_data =
-      match ov.Wires.map_data with
+      match ov.Instance.map_data with
       | None -> Some flip
       | Some g -> Some (fun v -> flip (g v))
     in
-    { ov with Wires.map_data }
-  | Force_valid b -> { ov with Wires.force_v_plus = Some b }
-  | Force_stop b -> { ov with Wires.force_s_plus = Some b }
-  | Force_kill b -> { ov with Wires.force_v_minus = Some b }
-  | Duplicate_token -> { ov with Wires.force_v_plus = Some true }
+    { ov with Instance.map_data }
+  | Force_valid b -> { ov with Instance.force_v_plus = Some b }
+  | Force_stop b -> { ov with Instance.force_s_plus = Some b }
+  | Force_kill b -> { ov with Instance.force_v_minus = Some b }
+  | Duplicate_token -> { ov with Instance.force_v_plus = Some true }
   | Mispredict _ -> ov
 
 let no_faults = { Engine.fr_wires = [||]; fr_predict = [] }
@@ -196,7 +196,7 @@ let row faults c =
           now
       in
       { Engine.fw_chan = cid;
-        fw_override = List.fold_left merge_override Wires.no_override on;
+        fw_override = List.fold_left merge_override Instance.no_override on;
         fw_replay = List.exists (fun f -> f.kind = Duplicate_token) on }
     in
     { Engine.fr_wires = Array.of_list (List.map wire chans);

@@ -54,7 +54,7 @@ let pp_report ppf r =
    normally monitor-clean, but this keeps the checker usable on ones with
    pre-existing noise. *)
 let fresh_violations ~ref_viols ~flt_viols =
-  let key (name, (v : Protocol.violation)) = (name, v.Protocol.property) in
+  let key (id, (v : Protocol.violation)) = (id, v.Protocol.property) in
   List.filter
     (fun fv -> not (List.exists (fun rv -> key rv = key fv) ref_viols))
     flt_viols
@@ -87,7 +87,8 @@ type golden = {
   g_alarms : g_alarm list;  (* in the order given *)
   g_ref_transfers : int;  (* data-sink transfers in the first [cycles] *)
   g_ref_trips : int;  (* alarm trips, over the whole trajectory *)
-  g_violations : (string * Protocol.violation) list;  (* at its end *)
+  g_violations : (Netlist.channel_id * Protocol.violation) list;
+      (* at its end *)
   g_starvation : string list;
   (* The trajectory: [g_snaps.(c)] is the state after [c] cycles, for
      [c] up to [cycles + settle] (fewer when the fault-free run failed
@@ -166,7 +167,7 @@ let golden_run ?(cycles = 300) ?(settle = 60) ?(alarms = [])
        record ()
      done
    with _ -> ());
-  let violations = Engine.violations eng in
+  let violations = Engine.violations_by_id eng in
   let starvation = Engine.starvation_violations eng in
   let trajectory = Array.of_list (List.rev !trajectory) in
   let last = Array.length trajectory - 1 in
@@ -216,7 +217,7 @@ type faulted = {
   f_start : int;
   f_delta : Transfer.entry array array;
   f_cut : (int * int) option;
-  f_violations : (string * Protocol.violation) list;
+  f_violations : (Netlist.channel_id * Protocol.violation) list;
   f_starvation : string list;
   f_crash : string option;
   f_stabilized : (int * int) option;
@@ -316,7 +317,7 @@ let run_faulted ?engine ?observer golden ~faults =
              s.gs_before.(start))
         golden.g_sinks;
     f_cut = cut;
-    f_violations = Engine.violations flt;
+    f_violations = Engine.violations_by_id flt;
     f_starvation = Engine.starvation_violations flt;
     f_crash = crash;
     f_stabilized = Option.map (fun (c, g) -> (c - horizon, c - g)) cut }
@@ -436,22 +437,14 @@ let classify golden ~faults (f : faulted) =
   in
   let monitor_detection () =
     match fresh with
-    | (name, v) :: _ ->
-      let endpoints =
-        List.find_opt
-          (fun (c : Netlist.channel) -> c.Netlist.ch_name = name)
-          (Netlist.channels net)
-      in
-      let prov =
-        match endpoints with
-        | Some c ->
-          Fmt.str " (channel id %d, node %d -> node %d)" c.Netlist.ch_id
-            c.Netlist.src.Netlist.ep_node c.Netlist.dst.Netlist.ep_node
-        | None -> ""
-      in
+    | (id, v) :: _ ->
+      let c = Netlist.channel net id in
       Some
-        (Fmt.str "protocol monitor on channel %s%s: %s at cycle %d" name
-           prov v.Protocol.property v.Protocol.cycle)
+        (Fmt.str
+           "protocol monitor on channel %s (channel id %d, node %d -> node \
+            %d): %s at cycle %d"
+           c.Netlist.ch_name id c.Netlist.src.Netlist.ep_node
+           c.Netlist.dst.Netlist.ep_node v.Protocol.property v.Protocol.cycle)
     | [] ->
       (match fresh_starvation with
        | s :: _ -> Some (Fmt.str "starvation watchdog: %s" s)
@@ -509,7 +502,10 @@ let classify golden ~faults (f : faulted) =
     ref_transfers = golden.g_ref_transfers;
     faulted_transfers =
       List.fold_left (fun n k -> n + transfers golden f k) 0 golden.g_data;
-    fresh_violations = fresh;
+    fresh_violations =
+      List.map
+        (fun (id, v) -> ((Netlist.channel net id).Netlist.ch_name, v))
+        fresh;
     stabilized = f.f_stabilized }
 
 let check ?observer ?engine golden ~faults =

@@ -97,7 +97,8 @@ type faulted = {
           state has the future of golden cycle [g]: the rest of the
           window is the golden run from [g] on, [c - g] cycles later.
           [None] when it ran to the end or crashed. *)
-  f_violations : (string * Protocol.violation) list;
+  f_violations : (Netlist.channel_id * Protocol.violation) list;
+      (** {!Engine.violations_by_id}. *)
   f_starvation : string list;
   f_crash : string option;
       (** The engine raised; the other fields are as of that cycle. *)

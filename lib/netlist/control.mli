@@ -6,7 +6,7 @@
     abstraction leaves free (source offers, sink stalls, multiplexor
     select values, shared-module predictions, variable-latency outcomes).
     {!Blif}, {!Smv} and {!Verilog} print these tables, and the
-    simulator's Reference backend evaluates them ([Instance.evaluator]).
+    simulator's Reference backend evaluates them ([Elastic_sim.Reference]).
     The arena backend, which the engine runs by default, codes the same
     controllers a second time, by hand; the differential tests run it
     in lockstep with the Reference and the BLIF co-simulation checks the

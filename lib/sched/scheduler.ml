@@ -1,13 +1,3 @@
-type observation = {
-  in_valid : bool array;
-  out_valid : bool array;
-  out_stop : bool array;
-  out_kill : bool array;
-  mutable served : int option;
-  mutable has_hint : bool;
-  mutable hint : int;
-}
-
 type spec =
   | Static of int
   | Toggle
@@ -129,32 +119,26 @@ let make ~ways spec = place (Array.make (width spec) 0) 0 ~ways spec
 
 let predict t = get t pred
 
-let retry_on_predicted t obs =
-  let p = get t pred in
-  p < Array.length obs.out_valid
-  && obs.out_valid.(p) && obs.out_stop.(p) && obs.served = None
-
 let next_way t p = set t pred ((p + 1) mod t.ways)
 
-let observe t obs =
-  let mispredicted = retry_on_predicted t obs in
+let observe t ~valid ~stop ~served ~hint =
+  let mispredicted = valid && stop && served < 0 in
   (* Rising edge: a new misprediction event (a stall can last several
      cycles, but it is one mistake). *)
   let miss_edge = mispredicted && get t in_miss = 0 in
   if miss_edge then set t miss (get t miss + 1);
-  (match obs.served with
-   | Some _ ->
-     (* Wrap so that exhaustive state exploration stays finite; only the
-        oracle reads this counter, modulo its script length. *)
-     let modulus =
-       match t.spec with
-       | Noisy_oracle { sel; _ } -> max 1 (Array.length sel)
-       | Static _ | Toggle | Sticky | Two_bit | Round_robin | Scripted _
-       | External | Prefer _ | Hinted_replay | Gshare _ -> 1 lsl 30
-     in
-     set t transfers ((get t transfers + 1) mod modulus);
-     set t served_total (get t served_total + 1)
-   | None -> ());
+  if served >= 0 then begin
+    (* Wrap so that exhaustive state exploration stays finite; only the
+       oracle reads this counter, modulo its script length. *)
+    let modulus =
+      match t.spec with
+      | Noisy_oracle { sel; _ } -> max 1 (Array.length sel)
+      | Static _ | Toggle | Sticky | Two_bit | Round_robin | Scripted _
+      | External | Prefer _ | Hinted_replay | Gshare _ -> 1 lsl 30
+    in
+    set t transfers ((get t transfers + 1) mod modulus);
+    set t served_total (get t served_total + 1)
+  end;
   (* The cycle counter is behavioural only for Toggle and Scripted. *)
   (match t.spec with
    | Toggle -> set t cycle ((get t cycle + 1) mod t.ways)
@@ -169,9 +153,7 @@ let observe t obs =
     if Array.length a > 0 then set t pred a.(get t cycle mod Array.length a)
   | Sticky -> if mispredicted then next_way t p
   | Round_robin ->
-    (match obs.served with
-     | Some _ -> next_way t p
-     | None -> if mispredicted then next_way t p)
+    if served >= 0 || mispredicted then next_way t p
   | Two_bit ->
     (* Train toward the channel that turned out to be needed: the served
        channel on a hit, the other channel on a detected miss. *)
@@ -179,12 +161,11 @@ let observe t obs =
       let n = get t counter in
       set t counter (if c = 1 then min 3 (n + 1) else max 0 (n - 1))
     in
-    (match obs.served with
-     | Some s -> toward s
-     | None ->
-       (* Keep pressing while the retry persists: leads-to requires the
-          prediction to flip eventually. *)
-       if mispredicted then toward (1 - p));
+    if served >= 0 then toward served
+    else if mispredicted then
+      (* Keep pressing while the retry persists: leads-to requires the
+         prediction to flip eventually. *)
+      toward (1 - p);
     set t pred (if get t counter >= 2 then 1 else 0)
   | Noisy_oracle { sel; accuracy_pct; _ } ->
     if mispredicted then begin
@@ -202,16 +183,16 @@ let observe t obs =
   | External -> ()
   | Prefer home ->
     if mispredicted then next_way t p
-    else if p <> home && obs.served <> None then set t pred home
+    else if p <> home && served >= 0 then set t pred home
   | Hinted_replay ->
     (* The hint is authoritative: a stopped output is ordinary
        back-pressure here, not a misprediction, so there is no
        retry-based deviation. *)
-    if obs.has_hint && obs.hint <> 0 then begin
+    if hint <> 0 then begin
       if not mispredicted then set t miss (get t miss + 1);
       set t pred 1
     end
-    else if p <> 0 && obs.served <> None then set t pred 0
+    else if p <> 0 && served >= 0 then set t pred 0
   | Gshare _ ->
     (* Each serve is one consumed select: train the indexed counter and
        shift the outcome into the global history exactly once.  While a
@@ -223,11 +204,11 @@ let observe t obs =
       let c = get t idx in
       set t idx (if o = 1 then min 3 (c + 1) else max 0 (c - 1))
     in
-    (match obs.served with
-     | Some s ->
-       train s;
-       set t hist (((get t hist lsl 1) lor s) land mask)
-     | None -> if mispredicted then train (1 - p));
+    if served >= 0 then begin
+      train served;
+      set t hist (((get t hist lsl 1) lor served) land mask)
+    end
+    else if mispredicted then train (1 - p);
     set t pred (if get t (table + (get t hist land mask)) >= 2 then 1 else 0));
   set t in_miss (Bool.to_int mispredicted)
 

@@ -4,38 +4,12 @@
     shared module may use the shared resource — implicitly predicting the
     select signal of the downstream early-evaluation multiplexor.  The
     prediction read by {!predict} must depend only on registered state;
-    the observation of the cycle's outcome is applied at the clock edge by
-    {!observe}.
+    the cycle's outcome is recorded at the clock edge by {!observe}.
 
     For liveness, a scheduler must satisfy the leads-to constraint (1) of
     the paper: every token arriving at the shared module is eventually
     served or killed.  All schedulers here guarantee it by eventually
     switching to any persistently-stalled valid channel. *)
-
-(** What a scheduler can see of one elapsed cycle.  {!observe} keeps no
-    reference to it, so a caller may refill one observation (arrays and
-    mutable fields) in place every cycle. *)
-type observation = {
-  in_valid : bool array;  (** V+ at each shared-module input. *)
-  out_valid : bool array;  (** V+ driven on each shared-module output. *)
-  out_stop : bool array;
-      (** S+ seen on each output: a valid-and-stopped predicted output is
-          the misprediction signal described in §2. *)
-  out_kill : bool array;
-      (** V- arriving at each output (an anti-token racing backwards:
-          evidence the channel was {e not} needed). *)
-  mutable served : int option;
-      (** Channel whose token actually traversed the shared module and was
-          accepted downstream this cycle. *)
-  mutable has_hint : bool;
-      (** A hint token was consumed this cycle: the shared module has a
-          hint input (e.g. the error detector's outcome wired straight
-          into the scheduler, as §5.1/§5.2 prescribe) and a token left
-          it. *)
-  mutable hint : int;
-      (** That token's value, unboxed; meaningful only when
-          [has_hint]. *)
-}
 
 (** Prediction strategy specification — a declarative description so that
     netlists stay comparable and printable. *)
@@ -104,8 +78,16 @@ val make : ways:int -> spec -> t
 (** Current prediction, a channel index in [0, ways). *)
 val predict : t -> int
 
-(** Clock edge: record the cycle's outcome. *)
-val observe : t -> observation -> unit
+(** [observe t ~valid ~stop ~served ~hint] records the elapsed cycle's
+    outcome at the clock edge.  [valid] and [stop] are V+ and S+ as
+    driven on the predicted output ({!predict}): valid and stopped with
+    nothing served is the misprediction signal described in §2.
+    [served] is the way whose token traversed the shared module and was
+    accepted downstream, -1 when none.  [hint] is the value of the hint
+    token consumed this cycle (the error detector's outcome wired
+    straight into the scheduler, as §5.1/§5.2 prescribe), 0 when none
+    left. *)
+val observe : t -> valid:bool -> stop:bool -> served:int -> hint:int -> unit
 
 (** [force t c] overrides the prediction (meaningful for [External]
     schedulers; allowed on any). *)

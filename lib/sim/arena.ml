@@ -1,9 +1,9 @@
 (* Flat-arena evaluator for the combinational phase of a cycle.
 
-   The Reference backend evaluates each node's [Control.table] (the
-   equations the exports print) over per-channel records of
-   [bool option] fields ([Wires] + [Instance.evaluator]).  This module
-   is the second, independent coding of the same controllers, split
+   The Reference backend ([Reference]) evaluates each node's
+   [Control.table] (the equations the exports print) to a Kleene fixed
+   point over its own store.  This module is the second, independent
+   coding of the same controllers, split
    into the two halves of the static sweep ([Schedule]): a node's F
    half writes its outputs' V+, payload and S-, its B half its inputs'
    S+ and V-.  The sweep is acyclic (the engine refuses a cyclic half
@@ -27,7 +27,8 @@
      this cycle, and the [Value.t] the producing node wrote, stored and
      handed on as it is (payloads ride beside the handshake; only the
      mux select is read).  [has_data]/[payload] read it, and the
-     substitute of a forced-valid wire, without building an option.
+     substitute of a forced-valid wire ([replayed.(c)]/[subst.(c)]),
+     without building an option.
    - a node's ports are its [Instance.t]'s own ([Instance.ins],
      [outs], [sel] of [insts.(i)]), read in place; the only derived
      port list is a lazy mux's join list [sel :: ins] in [joins] (a
@@ -62,7 +63,8 @@ type t = {
   driven : bool array;
   dval : Value.t array;  (* meaningful where [driven] *)
   ov_map : (Value.t -> Value.t) option array;
-  ov_subst : Value.t option array;
+  replayed : bool array;
+  subst : Value.t array;  (* meaningful where [replayed] *)
   (* Flat node table.  The nodes' registers and stored payloads are
      the engine's own arrays, which only the clock edge writes, in
      Instance's slot layout. *)
@@ -120,7 +122,8 @@ let create ~schedule ~profile ~codes ~regs ~vals insts =
     driven = Array.make csz false;
     dval = Array.make csz Value.Unit;
     ov_map = Array.make csz None;
-    ov_subst = Array.make csz None;
+    replayed = Array.make csz false;
+    subst = Array.make csz Value.Unit;
     insts; regs; vals; joins; fns; fns1;
     sweep = schedule.Schedule.sweep;
     pn = Profile.per_node_array profile;
@@ -165,18 +168,18 @@ let[@inline] sel_w t i =
   | Some s -> s
   | None -> -1
 
-(* Mirrors [Wires.data]: a forced-valid wire with no driven data yields
-   the substitute payload (token duplication / forgery faults). *)
-let[@inline] subst t c =
-  if Array.unsafe_get t.force c land vp <> 0 then t.ov_subst.(c) else None
+(* As in the Reference: a forced-valid wire with no driven data yields
+   the substitute payload (token duplication). *)
+let[@inline] replays t c =
+  Array.unsafe_get t.replayed c && Array.unsafe_get t.force c land vp <> 0
 
-let[@inline] has_data t c =
-  Array.unsafe_get t.driven c || Option.is_some (subst t c)
+let[@inline] has_data t c = Array.unsafe_get t.driven c || replays t c
 
 (* The payload of a channel that [has_data]. *)
 let payload t c =
   if Array.unsafe_get t.driven c then Array.unsafe_get t.dval c
-  else match subst t c with Some v -> v | None -> assert false
+  else if replays t c then t.subst.(c)
+  else assert false
 
 let set_data t c v =
   let v =
@@ -485,19 +488,15 @@ let reset t =
 let clear_overrides t =
   Array.fill t.force 0 (Array.length t.force) 0;
   Array.fill t.ov_map 0 (Array.length t.ov_map) None;
-  Array.fill t.ov_subst 0 (Array.length t.ov_subst) None
+  Array.fill t.replayed 0 (Array.length t.replayed) false
 
-let set_override t c (ov : Wires.override) =
-  let pack o f acc =
-    match o with
-    | None -> acc
-    | Some b -> acc lor (f lsl 4) lor bit b f
-  in
-  t.force.(c) <-
-    pack ov.Wires.force_v_plus vp 0
-    |> pack ov.Wires.force_s_plus sp
-    |> pack ov.Wires.force_v_minus vm;
-  t.ov_map.(c) <- ov.Wires.map_data;
-  t.ov_subst.(c) <- ov.Wires.subst_data
+let set_override t c (ov : Instance.override) =
+  t.force.(c) <- Instance.force_code ov;
+  t.ov_map.(c) <- ov.Instance.map_data;
+  t.replayed.(c) <- false
+
+let substitute t c v =
+  t.replayed.(c) <- true;
+  t.subst.(c) <- v
 
 let last_eval t = t.last_eval

@@ -14,12 +14,11 @@ open Elastic_kernel
     This is the engine's default backend ([Engine.Arena]).  The sweep
     fixes its eval counts (one per half), so they, like its traces and
     metrics, are deterministic and locked by committed goldens; it
-    reaches the fixed point of the reference fixpoint over {!Wires}.
-    An arena engine builds no {!Wires} store: it shares only
-    {!Wires.override}.  [Engine] owns the mode dispatch, error
-    rendering and everything outside the settle loop; node register
-    state and each node's port indices stay in {!Instance} and are
-    shared. *)
+    reaches the fixed point of the {!Reference} backend, which keeps its
+    own store: the two share only {!Instance.override}, the nodes'
+    register state and each node's port indices, which stay in
+    {!Instance}.  [Engine] owns the mode dispatch, error rendering and
+    everything outside the settle loop. *)
 
 type t
 
@@ -50,14 +49,19 @@ val create :
   t
 
 (** Clear all control codes and payload flags for a new cycle
-    (overrides persist, mirroring [Wires.reset]). *)
+    (overrides persist). *)
 val reset : t -> unit
 
 (** Install a fault-injection override on a dense channel index: a
-    forced field reads its forced level whatever its half computes
-    (mirrors [Wires.set_override]). *)
-val set_override : t -> int -> Wires.override -> unit
+    forced field reads its forced level whatever its half computes. *)
+val set_override : t -> int -> Instance.override -> unit
 
+(** [substitute t c v]: while channel [c]'s V+ is forced high and no
+    half drives a payload on it, [v] is its payload (a replayed token).
+    Call it after {!set_override}, which forgets it. *)
+val substitute : t -> int -> Value.t -> unit
+
+(** Remove every override and substitute. *)
 val clear_overrides : t -> unit
 
 (** Run the combinational phase: evaluate each half of the sweep once,
@@ -70,8 +74,8 @@ val settle : t -> int
 val last_eval : t -> int
 
 (** [has_data t c] says whether dense channel [c] carries a payload
-    after settle, mirroring {!Wires.has_data} (including the
-    substitute-payload fallback); [payload t c] reads a payload that
+    after settle, as {!Reference.has_data} does (the substitute of a
+    replayed token included); [payload t c] reads a payload that
     [has_data]: the value the producing node wrote, not a copy.  Neither
     allocates. *)
 val has_data : t -> int -> bool

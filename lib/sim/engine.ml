@@ -32,7 +32,7 @@ let error_to_string e = Fmt.str "%a" pp_error e
 
 type fault_wire = {
   fw_chan : Netlist.channel_id;
-  fw_override : Wires.override;
+  fw_override : Instance.override;
   fw_replay : bool;
 }
 
@@ -55,11 +55,9 @@ let mode_of_string s =
 
 let default_mode = Arena
 
-(* The combinational-phase store: Reference's [Wires] records, with each
-   node's compiled [Control.table] evaluator, or the arena's flat
-   codes.  An arena engine builds neither a [Wires] store nor a table,
-   but on the error path of [arena_error]. *)
-type backend = Reference of Wires.t * (unit -> unit) array | Arena of Arena.t
+(* The combinational-phase store and evaluators: an arena engine builds
+   no Reference, but on the error path of [arena_error]. *)
+type backend = Reference of Reference.t | Arena of Arena.t
 
 type snap = {
   sn_cycle : int;
@@ -306,21 +304,22 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
   in
   let profile = Profile.create ~n_nodes:(Array.length insts) in
   let codes = Array.make (Array.length chans) 0 in
+  let max_passes = Option.value max_passes ~default:default_max_passes in
   let backend =
     match mode with
     | Arena -> Arena (Arena.create ~schedule ~profile ~codes ~regs ~vals insts)
     | Reference ->
-      let ws = Wires.create (Array.length chans) in
-      Reference (ws, Array.map (Instance.evaluator ws) insts)
+      Reference
+        (Reference.create ~profile ~max_passes ~regs ~vals
+           ~channels:(Array.length chans) insts)
   in
   let valid i = codes.(i) land Signal.v_plus_bit <> 0 in
   let has_data, payload =
     match backend with
     | Arena ar ->
       ((fun i -> valid i && Arena.has_data ar i), Arena.payload ar)
-    | Reference (ws, _) ->
-      ( (fun i -> valid i && Wires.has_data (Wires.wire ws i)),
-        fun i -> Wires.payload (Wires.wire ws i) )
+    | Reference r ->
+      ((fun i -> valid i && Reference.has_data r i), Reference.payload r)
   in
   (* Everything above — diagnostics, node compilation, schedule build,
      arena packing — is the compile phase of this engine's ledger. *)
@@ -335,7 +334,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     chans; ch_index; mon_base; mon_vals; liveness_bound;
     schedule;
     profile;
-    max_passes = Option.value max_passes ~default:default_max_passes;
+    max_passes;
     max_cycles;
     cycle = 0;
     codes;
@@ -366,8 +365,8 @@ let profile t = t.profile
 
 let schedule t = t.schedule
 
-let conflict_error t ~wire ~field =
-  let ch = t.chans.(wire) in
+let conflict_error t ~chan ~field =
+  let ch = t.chans.(chan) in
   fail ~cycle:t.cycle ~node:ch.Netlist.src.Netlist.ep_node
     ~channel:ch.Netlist.ch_id
     (Fmt.str "conflicting write to %s of channel %s" field
@@ -380,20 +379,12 @@ let invariant_error t ~node e =
     (Fmt.str "node invariant violated during evaluation: %s"
        (Printexc.to_string e))
 
-let eval_node t evals i =
-  Profile.note_eval t.profile i;
-  try evals.(i) () with
-  | Wires.Conflict { wire; field } -> conflict_error t ~wire ~field
-  | (Assert_failure _ | Invalid_argument _) as e ->
-    invariant_error t ~node:(Instance.node t.insts.(i)).Netlist.id e
-
 (* Name the channels whose wires changed during the final pass — the
    diff of the last two passes is exactly the non-converging set.
    "E110" is the settle/cycle-budget timeout code (see
    [undetermined_error] for the convention on quoting lint codes
    here). *)
-let non_convergence_error t ws ~passes =
-  let changing = List.sort_uniq compare (Wires.written ws) in
+let non_convergence_error t ~passes changing =
   let names =
     List.map (fun i -> t.chans.(i).Netlist.ch_name) changing
   in
@@ -412,33 +403,6 @@ let non_convergence_error t ws ~passes =
               channels still changing between the last two passes: %s"
              passes
              (String.concat ", " names))))
-
-(* Returns the number of passes it ran: each evaluates every node
-   once, so with no nodes there is nothing to count. *)
-let fixpoint t ws evals =
-  let rec go pass =
-    Wires.clear_progress ws;
-    for i = 0 to Array.length t.insts - 1 do
-      eval_node t evals i
-    done;
-    if Wires.progress ws then
-      if pass >= t.max_passes then
-        non_convergence_error t ws ~passes:(pass + 1)
-      else go (pass + 1)
-    else pass + 1
-  in
-  if Array.length t.insts = 0 then 0 else go 0
-
-let check_determined t ws =
-  if Wires.unknown_count ws > 0 then
-    raise
-      (Simulation_error
-         (undetermined_error ~cycle:t.cycle
-            (Array.to_list t.chans
-             |> List.filteri (fun i _ ->
-                 let w = Wires.wire ws i in
-                 Wires.v_plus w = None || Wires.s_plus w = None
-                 || Wires.v_minus w = None || Wires.s_minus w = None))))
 
 (* A forced prediction as the scheduler it forces and the way. *)
 let forced_prediction t (nid, way) =
@@ -497,11 +461,17 @@ let injected t =
   if Array.length t.row = 0 then []
   else Array.fold_right (fun w acc -> w.fw_chan :: acc) t.row []
 
-(* The override a row's wire installs: a replay duplicates the payload
-   kept for the channel. *)
-let row_override t w i =
-  if w.fw_replay then { w.fw_override with Wires.subst_data = Some t.kept.(i) }
-  else w.fw_override
+(* Install a row's wire: a replay duplicates the payload kept for the
+   channel. *)
+let install t backend w =
+  let i = dense_index t w.fw_chan in
+  match backend with
+  | Arena ar ->
+    Arena.set_override ar i w.fw_override;
+    if w.fw_replay then Arena.substitute ar i t.kept.(i)
+  | Reference r ->
+    Reference.set_override r i w.fw_override;
+    if w.fw_replay then Reference.substitute r i t.kept.(i)
 
 (* Clear the last step's overrides and install the schedule's row for
    this cycle, if it has one; returns the row's forced predictions,
@@ -510,7 +480,7 @@ let install_faults t =
   if Array.length t.row > 0 then begin
     (match t.backend with
      | Arena ar -> Arena.clear_overrides ar
-     | Reference (ws, _) -> Wires.clear_overrides ws);
+     | Reference r -> Reference.clear_overrides r);
     t.row <- [||]
   end;
   match t.faults with
@@ -519,12 +489,7 @@ let install_faults t =
          && t.cycle - fs.fs_first < Array.length fs.fs_rows ->
     let row = fs.fs_rows.(t.cycle - fs.fs_first) in
     for k = 0 to Array.length row.fr_wires - 1 do
-      let w = row.fr_wires.(k) in
-      let i = dense_index t w.fw_chan in
-      let ov = row_override t w i in
-      match t.backend with
-      | Arena ar -> Arena.set_override ar i ov
-      | Reference (ws, _) -> Wires.set_override ws i ov
+      install t t.backend row.fr_wires.(k)
     done;
     t.row <- row.fr_wires;
     if Array.length t.forced = 0 then [||]
@@ -545,32 +510,52 @@ let check_cycle_budget t =
          t.cycle budget)
   | Some _ | None -> ()
 
+(* The Reference's settled codes, into [codes]; a field it left
+   unknown is a combinational cycle. *)
+let export t r =
+  try Reference.export r t.codes with
+  | Reference.Undetermined cs ->
+    raise
+      (Simulation_error
+         (undetermined_error ~cycle:t.cycle
+            (List.map (fun i -> t.chans.(i)) cs)))
+
+(* Settle, returning the pass count, with each backend's typed failures
+   rendered; the evaluating node of an exception that escapes a node's
+   evaluation is the backend's last-eval cursor. *)
+let rec settle t backend =
+  try
+    match backend with
+    | Arena ar -> Arena.settle ar
+    | Reference r -> Reference.settle r
+  with
+  | Arena.Undetermined -> arena_error t
+  | Reference.Conflict { chan; field } -> conflict_error t ~chan ~field
+  | Reference.Diverged { passes; changing } ->
+    non_convergence_error t ~passes changing
+  | (Assert_failure _ | Invalid_argument _) as e ->
+    let i =
+      match backend with
+      | Arena ar -> Arena.last_eval ar
+      | Reference r -> Reference.last_eval r
+    in
+    invariant_error t ~node:(Instance.node t.insts.(i)).Netlist.id e
+
 (* The arena's one undetermined field (see [Arena.Undetermined]): the
-   cycle is settled again over a Reference store, its overrides and the
-   nodes' state as they stand, and the Reference's error is raised. *)
-let arena_error t =
-  let ws = Wires.create (Array.length t.chans) in
-  Array.iter
-    (fun w ->
-       let i = dense_index t w.fw_chan in
-       Wires.set_override ws i (row_override t w i))
-    t.row;
-  ignore (fixpoint t ws (Array.map (Instance.evaluator ws) t.insts));
-  check_determined t ws;
+   cycle is settled again by a Reference, with this row's overrides and
+   the nodes' state as they stand, and the Reference's error is
+   raised. *)
+and arena_error t =
+  let r =
+    Reference.create ~profile:t.profile ~max_passes:t.max_passes
+      ~regs:t.regs ~vals:t.vals ~channels:(Array.length t.chans) t.insts
+  in
+  Array.iter (install t (Reference r)) t.row;
+  ignore (settle t (Reference r));
+  export t r;
   (* The arena raises only where the Reference leaves a field
      undetermined. *)
   assert false
-
-(* Arena settle, returning the pass count: the same exceptions as the
-   reference fixpoint, mapped to the same errors ([eval_node] catches
-   per node; here the evaluating node is recovered from the arena's
-   last-eval cursor). *)
-let settle_arena t ar =
-  try Arena.settle ar with
-  | Arena.Undetermined -> arena_error t
-  | (Assert_failure _ | Invalid_argument _) as e ->
-    invariant_error t
-      ~node:(Instance.node t.insts.(Arena.last_eval ar)).Netlist.id e
 
 let rec log_violations t i = function
   | [] -> ()
@@ -582,7 +567,7 @@ let step ?(choices = fun _ -> None) t =
   check_cycle_budget t;
   (match t.backend with
    | Arena ar -> Arena.reset ar
-   | Reference (ws, _) -> Wires.reset ws);
+   | Reference r -> Reference.reset r);
   let forced = install_faults t in
   for k = 0 to Array.length t.insts - 1 do
     let inst = t.insts.(k) in
@@ -594,24 +579,14 @@ let step ?(choices = fun _ -> None) t =
     Scheduler.force sched way
   done;
   let t0 = Clock.read_ns t.clock in
-  let passes =
-    match t.backend with
-    | Arena ar -> settle_arena t ar
-    | Reference (ws, evals) -> fixpoint t ws evals
-  in
+  let passes = settle t t.backend in
   (* Stop the settle timer before the Reference's determinism check so
      the recorded time covers only the settle phase itself — the E9
      speedup record compares backends on this number. *)
   let settle_ns = Clock.read_ns t.clock - t0 in
+  (match t.backend with Arena _ -> () | Reference r -> export t r);
   let n = Array.length t.chans in
   let codes = t.codes in
-  (match t.backend with
-   | Arena _ -> ()
-   | Reference (ws, _) ->
-     check_determined t ws;
-     for i = 0 to n - 1 do
-       codes.(i) <- Wires.code (Wires.wire ws i)
-     done);
   Profile.record_cycle t.profile ~passes ~ns:settle_ns;
   (* Post-settle: everything below reads the codes; payloads are
      fetched only where a token moves (or a monitor's retry is
@@ -757,10 +732,14 @@ let stored_tokens t =
     0 t.insts
 
 (* Channel order, and oldest first within a channel. *)
-let violations t =
+let tagged_violations t tag =
   List.rev t.violation_log
   |> List.stable_sort (fun (i, _) (j, _) -> Int.compare i j)
-  |> List.map (fun (i, v) -> (t.chans.(i).Netlist.ch_name, v))
+  |> List.map (fun (i, v) -> (tag t.chans.(i), v))
+
+let violations t = tagged_violations t (fun c -> c.Netlist.ch_name)
+
+let violations_by_id t = tagged_violations t (fun c -> c.Netlist.ch_id)
 
 let violation_count t = List.length t.violation_log
 

@@ -59,12 +59,13 @@ val error_to_string : error -> string
     (a shared module's node, a way; {!set_faults} resolves each pair to
     the module's scheduler once, so a step forces it without a lookup
     or an allocation).  A [fw_replay] wire duplicates a
-    token: the engine sets its [subst_data] to the last payload it kept
-    for the channel, [Int 0] if none.  A schedule holds no mutable
+    token: the engine hands the backend the last payload it kept for
+    the channel, [Int 0] if none, as the payload of the forced-valid
+    wire.  A schedule holds no mutable
     state, so any number of engines of its netlist can share one. *)
 type fault_wire = {
   fw_chan : Netlist.channel_id;
-  fw_override : Wires.override;
+  fw_override : Instance.override;
   fw_replay : bool;
 }
 
@@ -87,20 +88,20 @@ type t
     one payload slot per channel and flat instruction arrays instead of
     per-channel records and closures.
 
-    [Reference] is the original blind fixpoint over the {!Wires}
-    records — every node is re-evaluated in every pass until no wire
-    changes — and evaluates each node's {!Control.table}, the equations
-    the BLIF, SMV and Verilog exports print, compiled once per engine
-    ({!Instance.evaluator}).  It is kept as the independent oracle for
+    [Reference] ({!Reference}) is the blind fixpoint: every node is
+    re-evaluated in every pass until no wire changes, by its
+    {!Control.table}, the equations the BLIF, SMV and Verilog exports
+    print, compiled once per engine over the Reference's own store of
+    three-valued fields.  It is kept as the independent oracle for
     differential testing: both modes settle every wire alike (node
     equations are monotone over the 3-valued wires, so the fixed point
     is unique), so traces, sink streams and errors agree; only eval
     counts differ.
 
-    An engine holds exactly one of the two stores: an [Arena] engine
-    builds a {!Wires} store and an equation table only to render the
-    error of a cycle it cannot settle ({!Arena.Undetermined}), and a
-    [Reference] engine builds no arena.  Both read each node's ports from the same dense channel
+    An engine holds exactly one of the two backends: an [Arena] engine
+    builds a Reference only to render the error of a cycle it cannot
+    settle ({!Arena.Undetermined}), and a [Reference] engine builds no
+    arena.  Both read each node's ports from the same dense channel
     indices in {!Instance}. *)
 type eval_mode = Reference | Arena
 
@@ -250,6 +251,9 @@ val stored_tokens : t -> int
     the channel name: in channel order, and oldest first within a
     channel. *)
 val violations : t -> (string * Protocol.violation) list
+
+(** {!violations}, each tagged with its channel's id instead. *)
+val violations_by_id : t -> (Netlist.channel_id * Protocol.violation) list
 
 (** [List.length (violations t)], without building the list. *)
 val violation_count : t -> int

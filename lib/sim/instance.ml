@@ -4,6 +4,27 @@ open Elastic_netlist
 
 type choice = Offer of bool | Stall of bool | Predict of int
 
+type override = {
+  force_v_plus : bool option;
+  force_s_plus : bool option;
+  force_v_minus : bool option;
+  map_data : (Value.t -> Value.t) option;
+}
+
+let no_override =
+  { force_v_plus = None; force_s_plus = None; force_v_minus = None;
+    map_data = None }
+
+let force_code ov =
+  let pack o f acc =
+    match o with
+    | None -> acc
+    | Some b -> acc lor (f lsl 4) lor if b then f else 0
+  in
+  pack ov.force_v_plus Signal.v_plus_bit 0
+  |> pack ov.force_s_plus Signal.s_plus_bit
+  |> pack ov.force_v_minus Signal.v_minus_bit
+
 type role =
   | Stateless
   | Source of { spec : Netlist.source_spec; svals : Value.t array }
@@ -14,11 +35,7 @@ type role =
   | Eb0
   | Fork
   | Emux
-  | Shared of {
-      sched : Scheduler.t;
-      obs : Scheduler.observation;  (* refilled in place at every edge *)
-      served : int option array;  (* [Some g] for each way [g] *)
-    }
+  | Shared of { sched : Scheduler.t }
   | Varlat of { fast : Func.t; slow : Func.t; err : Func.t }
 
 (* Slots of sources and sinks; the flag the evaluators read comes
@@ -100,14 +117,7 @@ let create (node : Netlist.node) ~ins ~sel ~outs ~regs ~r ~vals ~v =
     | Netlist.Fork _ -> Fork
     | Netlist.Mux { early; _ } -> if early then Emux else Stateless
     | Netlist.Shared { ways; sched; _ } ->
-      let bits ports = Array.make (Array.length ports) false in
-      Shared
-        { sched = Scheduler.place regs r ~ways sched;
-          obs =
-            { Scheduler.in_valid = bits ins; out_valid = bits outs;
-              out_stop = bits outs; out_kill = bits outs; served = None;
-              has_hint = false; hint = 0 };
-          served = Array.init (Array.length outs) Option.some }
+      Shared { sched = Scheduler.place regs r ~ways sched }
     | Netlist.Varlat { fast; slow; err } ->
       regs.(r) <- -1;
       Varlat { fast; slow; err }
@@ -178,15 +188,6 @@ let source_value t =
      | Netlist.Nondet vs -> List.nth vs (idx mod List.length vs))
   | Stateless | Sink _ | Eb | Eb0 | Fork | Emux | Shared _ | Varlat _ ->
     invalid_arg "Instance.source_value: not a source"
-
-(* Next value a source would offer (its stream head), if any; [None]
-   for other nodes. *)
-let source_peek t =
-  match t.role with
-  | Source { spec; svals } ->
-    if source_has spec svals t.regs.(t.r + src_idx) then Some (source_value t)
-    else None
-  | Stateless | Sink _ | Eb | Eb0 | Fork | Emux | Shared _ | Varlat _ -> None
 
 (* The index after one item leaves, offered or killed. *)
 let source_bump spec idx =
@@ -389,28 +390,22 @@ let emux_clock t ~codes ~has_data ~payload =
 (* ------------------------------------------------------------------ *)
 (* Shared elastic module with speculation scheduler (Fig. 4).          *)
 
-let fill_bits bits ports codes bit =
-  for j = 0 to Array.length ports - 1 do
-    bits.(j) <- codes.(ports.(j)) land bit <> 0
-  done
-
-(* The scheduler sees the raw drive: a stop is a stop even on a
-   cancelling channel. *)
-let shared_clock t sched obs served ~codes ~has_data ~payload =
+(* The scheduler sees the raw drive of its predicted way's output: a
+   stop is a stop even on a cancelling channel. *)
+let shared_clock t sched ~codes ~has_data ~payload =
   let g = Scheduler.predict sched in
-  (match t.sel with
-   | Some h when (events_at codes h).Signal.token_out && has_data h ->
-     obs.Scheduler.has_hint <- true;
-     obs.Scheduler.hint <- Value.to_int (payload h)
-   | Some _ | None -> obs.Scheduler.has_hint <- false);
-  fill_bits obs.Scheduler.in_valid t.ins codes Signal.v_plus_bit;
-  fill_bits obs.Scheduler.out_valid t.outs codes Signal.v_plus_bit;
-  fill_bits obs.Scheduler.out_stop t.outs codes Signal.s_plus_bit;
-  fill_bits obs.Scheduler.out_kill t.outs codes Signal.v_minus_bit;
-  obs.Scheduler.served <-
-    (if (events_at codes t.outs.(g)).Signal.token_out then served.(g)
-     else None);
-  Scheduler.observe sched obs
+  let out = codes.(t.outs.(g)) in
+  let hint =
+    match t.sel with
+    | Some h when (events_at codes h).Signal.token_out && has_data h ->
+      Value.to_int (payload h)
+    | Some _ | None -> 0
+  in
+  Scheduler.observe sched
+    ~valid:(out land Signal.v_plus_bit <> 0)
+    ~stop:(out land Signal.s_plus_bit <> 0)
+    ~served:(if (Signal.events_of_code out).Signal.token_out then g else -1)
+    ~hint
 
 (* ------------------------------------------------------------------ *)
 (* Stalling variable-latency unit (Fig. 6(a)).  A token is served in one *)
@@ -457,261 +452,12 @@ let clock t ~codes ~has_data ~payload =
   | Eb0 -> eb0_clock t ~codes ~has_data ~payload
   | Fork -> fork_clock t ~codes
   | Emux -> emux_clock t ~codes ~has_data ~payload
-  | Shared { sched; obs; served } ->
-    shared_clock t sched obs served ~codes ~has_data ~payload
+  | Shared { sched } -> shared_clock t sched ~codes ~has_data ~payload
   | Varlat { fast; slow; err } ->
     varlat_clock t ~codes ~has_data ~payload ~fast ~slow ~err
   | Stateless -> ()
 
-(* ------------------------------------------------------------------ *)
-(* The Reference evaluator: the node's [Control.table], the equations  *)
-(* the BLIF, SMV and Verilog exports print, compiled once per Reference *)
-(* engine into closures over the [Wires] store and an int slot per     *)
-(* register, input and internal net.  A value is a Kleene code: 0      *)
-(* unknown, 2 known false, 3 known true.  Every table expression is    *)
-(* monotone in this logic, which guarantees the engine's fixed point   *)
-(* exists.                                                             *)
-
-let of_bool b = if b then 3 else 2
-
-(* [c], negated when [k = 1]. *)
-let neg k c = if c = 0 then 0 else c lxor k
-
 let bad_select s = invalid_arg (Fmt.str "select: index %d out of range" s)
-
-(* A compiled expression: slot [n] negated when [k = 1], or a closure. *)
-type expr = Slot of int * int | Fn of (unit -> int)
-
-(* Kleene [And] ([dom = 2]) or [Or] ([dom = 3]) of [xs.(i..)]: a
-   dominant operand decides, else any unknown one leaves it unknown. *)
-let rec fold_from s dom xs i acc =
-  if i = Array.length xs then acc
-  else
-    let c = match xs.(i) with Slot (n, k) -> neg k s.(n) | Fn f -> f () in
-    if c = dom then dom
-    else fold_from s dom xs (i + 1) (if c = 0 then 0 else acc)
-
-(* [e] as a closure. *)
-let closure s = function
-  | Slot (n, 0) -> fun () -> s.(n)
-  | Slot (n, k) -> fun () -> neg k s.(n)
-  | Fn f -> f
-
-let fold s dom = function
-  | [ x ] -> x
-  | [ Slot (a, ka); Slot (b, kb) ] ->
-    Fn
-      (fun () ->
-         let a = neg ka s.(a) and b = neg kb s.(b) in
-         if a = dom || b = dom then dom else if a = 0 then 0 else b)
-  | [ f; g ] ->
-    let f = closure s f and g = closure s g in
-    Fn
-      (fun () ->
-         let a = f () in
-         if a = dom then dom
-         else
-           let b = g () in
-           if b = dom || a <> 0 then b else 0)
-  | xs ->
-    let xs = Array.of_list xs in
-    Fn (fun () -> fold_from s dom xs 0 (dom lxor 1))
-
-(* [e], negated when [k = 1]: negations are pushed to the leaves.
-   [leaf x k] compiles net [x]; a [Choice] lives in a slot. *)
-let rec compile s leaf k : Control.e -> expr = function
-  | Control.T -> Fn (fun () -> 3 lxor k)
-  | Control.F -> Fn (fun () -> 2 lxor k)
-  | Control.Var x -> leaf x k
-  | Control.Is (x, j) ->
-    (match leaf x 0 with
-     | Slot (n, _) ->
-       Fn (fun () -> if s.(n) < 0 then 0 else of_bool (s.(n) = j) lxor k)
-     | Fn _ -> assert false)
-  | Control.Not e -> compile s leaf (k lxor 1) e
-  | Control.And es -> fold s (2 lxor k) (List.map (compile s leaf k) es)
-  | Control.Or es -> fold s (3 lxor k) (List.map (compile s leaf k) es)
-
-(* The assigns the channel bits need, in table order: the internal nets
-   they read (fire, tout, compl, pend_any) stay, the next-state nets
-   ([*_d], inc, dec) are left to [clock]. *)
-let live ~is_bit assigns =
-  let need = Hashtbl.create 16 in
-  let rec mark : Control.e -> unit = function
-    | Control.T | Control.F -> ()
-    | Control.Var x | Control.Is (x, _) -> Hashtbl.replace need x ()
-    | Control.Not e -> mark e
-    | Control.And es | Control.Or es -> List.iter mark es
-  in
-  List.fold_right
-    (fun (net, e) acc ->
-       if is_bit net || Hashtbl.mem need net then (mark e; (net, e) :: acc)
-       else acc)
-    assigns []
-
-(* A control bit of a wire: its reader, negated when [k = 1], and its
-   writer. *)
-let bit w k =
-  let code = function None -> 0 | Some b -> of_bool b lxor k in
-  function
-  | "vp" -> ((fun () -> code (Wires.v_plus w)), Wires.set_v_plus)
-  | "sp" -> ((fun () -> code (Wires.s_plus w)), Wires.set_s_plus)
-  | "vm" -> ((fun () -> code (Wires.v_minus w)), Wires.set_v_minus)
-  | "sm" -> ((fun () -> code (Wires.s_minus w)), Wires.set_s_minus)
-  | f -> invalid_arg ("Instance.evaluator: control bit " ^ f)
-
-(* [(width, load, payload)]: what a table reads besides channel bits,
-   and the payloads, which the control-only tables do not carry.
-   [load ()] runs before the assigns of each evaluation: it writes the
-   code of each register, then the code of each [Bit] input or the
-   value of each [Choice] input (-1 while unknown), into the [width]
-   slots from 0 up, in the table's declared order (control.mli gives
-   the encoding), reading the node's register slots.  [payload j c]
-   follows [Out j]'s V+ := c. *)
-let bindings ws t s =
-  let wire c = Wires.wire ws c in
-  let set_out j v = Wires.set_data ws (wire t.outs.(j)) v in
-  let copy_in i j = Option.iter (set_out j) (Wires.data (wire t.ins.(i))) in
-  let bind width load payload = (width, load, payload) in
-  let regs = t.regs and r = t.r and vals = t.vals and v = t.v in
-  (* States 0, 1 and 2 of a counter clamped at 2, from slot [n]. *)
-  let count3 n c =
-    for k = 0 to 2 do s.(n + k) <- of_bool (Int.min c 2 = k) done
-  in
-  (* A lazy join of [ins] computing [fn]: a lazy mux joins its select
-     with its data inputs, and no assign reads the select value. *)
-  let join ins fn width =
-    let ins = Array.to_list (Array.map wire ins) in
-    let has w = Option.is_some (Wires.data w) in
-    bind width ignore (fun _ c ->
-        if c = 3 && List.for_all has ins then
-          set_out 0 (fn (List.map (fun w -> Option.get (Wires.data w)) ins)))
-  in
-  match t.role, t.node.Netlist.kind with
-  | Source _, _ ->
-    (* retry is held low: [offering] already includes it *)
-    bind 2
-      (fun () ->
-         s.(0) <- 2;
-         s.(1) <- of_bool (regs.(r + src_offering) = 1))
-      (fun _ c -> if c = 3 then Option.iter (set_out 0) (source_peek t))
-  | Sink _, _ ->
-    bind 1
-      (fun () -> s.(0) <- of_bool (regs.(r + snk_stalling) = 1))
-      (fun _ _ -> ())
-  | Eb, _ ->
-    bind 5
-      (fun () -> for k = 0 to 4 do s.(k) <- of_bool (regs.(r) + 2 = k) done)
-      (fun _ c -> if c = 3 && regs.(r) > 0 then set_out 0 vals.(v))
-  | Eb0, _ ->
-    bind 1 (fun () -> s.(0) <- of_bool (regs.(r) = 1)) (fun _ c ->
-        if c = 3 then set_out 0 vals.(v))
-  | Fork, _ ->
-    let k = Array.length t.outs in
-    bind (4 * k)
-      (fun () ->
-         for j = 0 to k - 1 do
-           s.(4 * j) <- of_bool (regs.(r + j) = 1);
-           count3 ((4 * j) + 1) regs.(r + k + j)
-         done)
-      (fun j c -> if c = 3 then copy_in 0 j)
-  | Emux, _ ->
-    let sel = wire (Option.get t.sel) and w = Array.length t.ins in
-    bind ((3 * w) + 1)
-      (fun () ->
-         for j = 0 to w - 1 do count3 (3 * j) regs.(r + j) done;
-         (* The select value stays unknown until the select is valid
-            with data. *)
-         s.(3 * w) <-
-           (match Wires.v_plus sel, Wires.data sel with
-            | Some true, Some x ->
-              let x = Value.to_int x in
-              if x < 0 || x >= w then bad_select x;
-              x
-            | _ -> -1))
-      (fun _ c -> if c = 3 then copy_in s.(3 * w) 0)
-  | Shared { sched; _ }, Netlist.Shared { f; _ } ->
-    (* The granted way's payload, whenever its input is valid. *)
-    bind 1 (fun () -> s.(0) <- Scheduler.predict sched) (fun j _ ->
-        let inw = wire t.ins.(j) in
-        if j = s.(0) then
-          match Wires.v_plus inw, Wires.data inw with
-          | Some true, Some x -> set_out j (Func.apply f [ x ])
-          | _ -> ())
-  | Varlat _, _ ->
-    bind 4
-      (fun () ->
-         (* States: empty, result visible, result pending. *)
-         let state = Int.min (regs.(r) + 1) 2 in
-         for k = 0 to 2 do s.(k) <- of_bool (state = k) done;
-         s.(3) <- 2 (* the slow pick: read by next-state nets only *))
-      (fun _ c -> if c = 3 && regs.(r) = 0 then set_out 0 vals.(v))
-  | Stateless, Netlist.Func f -> join t.ins (Func.apply f) 0
-  | Stateless, Netlist.Mux { ways; _ } ->
-    join (Array.append [| Option.get t.sel |] t.ins)
-      (Func.apply (Func.select ~ways ())) 1
-  | (Shared _ | Stateless), _ -> assert false
-
-let evaluator ws t =
-  (* Channel bits are named "<dense index>.<field>", apart from the
-     table's internal nets and inputs, which all contain "u". *)
-  let bits = Hashtbl.create 16 and slots = Hashtbl.create 16 in
-  let wire p f =
-    let c =
-      match p with
-      | Netlist.In k -> t.ins.(k)
-      | Netlist.Sel -> Option.get t.sel
-      | Netlist.Out k -> t.outs.(k)
-    in
-    let net = Fmt.str "%d.%s" c f in
-    Hashtbl.replace bits net (Wires.wire ws c, f, p);
-    net
-  in
-  let tbl = Control.table ~u:"u" ~wire (Control.shape t.node.Netlist.kind) in
-  let assigns = live ~is_bit:(Hashtbl.mem bits) tbl.Control.assigns in
-  (* Slots: registers and inputs in declared order, then internal nets. *)
-  let bound =
-    List.map (fun r -> r.Control.q) tbl.Control.regs
-    @ List.map
-        (fun (Control.Bit x | Control.Choice (x, _)) -> x)
-        tbl.Control.inputs
-  in
-  List.iter
-    (fun x -> Hashtbl.replace slots x (Hashtbl.length slots))
-    (bound
-     @ List.filter (fun x -> not (Hashtbl.mem bits x)) (List.map fst assigns));
-  let s = Array.make (Hashtbl.length slots) (-1) in
-  let width, load, payload = bindings ws t s in
-  if width <> List.length bound then
-    invalid_arg "Instance.evaluator: bindings do not match the table";
-  let leaf x k =
-    match Hashtbl.find_opt bits x with
-    | Some (w, f, _) -> Fn (fst (bit w k f))
-    | None -> Slot (Hashtbl.find slots x, k)
-  in
-  let stmt (net, e) =
-    let f = closure s (compile s leaf 0 e) in
-    match Hashtbl.find_opt bits net with
-    | None ->
-      let n = Hashtbl.find slots net in
-      fun () -> s.(n) <- f ()
-    | Some (w, fld, p) ->
-      let set = snd (bit w 0 fld) in
-      (match p, fld with
-       | Netlist.Out j, "vp" ->
-         let payload = payload j in
-         fun () ->
-           let c = f () in
-           if c <> 0 then set ws w (c = 3);
-           payload c
-       | _ -> fun () -> let c = f () in if c <> 0 then set ws w (c = 3))
-  in
-  let stmts = Array.of_list (List.map stmt assigns) in
-  fun () ->
-    load ();
-    for i = 0 to Array.length stmts - 1 do
-      stmts.(i) ()
-    done
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

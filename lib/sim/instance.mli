@@ -4,11 +4,13 @@ open Elastic_netlist
 
 (** Runtime semantics of one netlist node.
 
-    Each node is evaluated as a monotone function over partially-known
-    channel wires (its {!evaluator}, the node's {!Control.table}, may be
-    called repeatedly within a cycle until a fixed point is reached) and
-    then clocked once with the raw control codes of the cycle, from which
-    it derives the channel boundary events ({!clock}).
+    Each node's combinational equations are evaluated by a backend
+    ([Arena]'s hand-written halves, or [Reference]'s compiled
+    {!Control.table}); then the node is clocked once with the raw
+    control codes of the cycle, from which it derives the channel
+    boundary events ({!clock}).  This module holds what both backends
+    share: the nodes' register layout, their ports and the fault
+    {!override}.
 
     The implemented controllers follow the paper:
     - standard EB: Fig. 2(a)/Fig. 3 with [Lf = 1], [Lb = 1], [C = 2];
@@ -23,6 +25,26 @@ type choice =
   | Offer of bool  (** Source: offer a token this cycle? *)
   | Stall of bool  (** Sink: assert stop this cycle? *)
   | Predict of int  (** Shared-module scheduler decision. *)
+
+(** A fault overlay for one channel during one cycle, which both
+    backends apply.  [force_*] pin V+, S+ or V- (no fault forces S-): a
+    forced field reads its forced level whatever its node computes.
+    [map_data] transforms the payload its node writes.  A replayed
+    token's payload is not part of it: the engine hands the payload it
+    kept to the backend's [substitute] when it installs the override. *)
+type override = {
+  force_v_plus : bool option;
+  force_s_plus : bool option;
+  force_v_minus : bool option;
+  map_data : (Value.t -> Value.t) option;
+}
+
+val no_override : override
+
+(** The forced fields of an override packed as [(mask lsl 4) lor
+    level], in {!Signal.code} layout: a forced field has its mask bit
+    set and its level bit high when it is forced high. *)
+val force_code : override -> int
 
 (** {1 Register state}
 
@@ -63,11 +85,7 @@ type role =
   | Eb0
   | Fork
   | Emux
-  | Shared of {
-      sched : Scheduler.t;  (** a view of the node's slots *)
-      obs : Scheduler.observation;  (** refilled in place at every edge *)
-      served : int option array;  (** [Some g] for each way [g] *)
-    }
+  | Shared of { sched : Scheduler.t  (** a view of the node's slots *) }
   | Varlat of { fast : Func.t; slow : Func.t; err : Func.t }
 
 type t
@@ -77,10 +95,10 @@ type t
     state, initialized.  [ports.(i)] gives [nodes.(i)]'s dense channel
     indices [(ins, sel, outs)], which must follow port numbering
     ([ins.(i)] is port [In i], etc.).  They are the node's only copy of
-    its ports: {!evaluator} resolves them through the Reference
-    backend's {!Wires} store, the arena's halves read them in place,
-    and {!clock} reads the elapsed cycle's codes through them.  No equation table is built here: an arena engine never needs
-    one.  Buffers must fit their capacity; [Engine.create] rejects an
+    its ports: both backends read them in place, and {!clock} reads the
+    elapsed cycle's codes through them.  No equation table is built
+    here: only a [Reference] engine compiles one.  Buffers must fit
+    their capacity; [Engine.create] rejects an
     over-capacity buffer (E101) before it lays out any instance.
     [spare] more int slots follow every node's, and [spare_vals] more
     payload slots, for the engine's own registers: its protocol
@@ -132,16 +150,6 @@ val choices : Netlist.kind -> choice list
     behaviour. *)
 val begin_cycle : t -> choice:choice option -> unit
 
-(** [evaluator ws t] compiles [t]'s {!Control.table}, the equations the
-    BLIF, SMV and Verilog exports print, over the Reference backend's
-    store [ws]: once, with every net name resolved.  Each call of the
-    result is one monotone evaluation pass that writes whatever wire
-    values have become determined, payloads included.  Registers and
-    environment inputs read [t]'s state as it stands at the call.
-    @raise Invalid_argument (from the call) on an early multiplexor's
-    out-of-range select, as {!bad_select}. *)
-val evaluator : Wires.t -> t -> unit -> unit
-
 (** [bad_select s] raises [Invalid_argument] naming the out-of-range
     multiplexor select [s], as {!Func.select} does. *)
 val bad_select : int -> 'a
@@ -152,9 +160,9 @@ val bad_select : int -> 'a
     [payload c] reads it, asked for only when a token moves on [c], so
     the edge builds no option.  The node reads its own ports through {!ins},
     {!sel} and {!outs}, takes boundary events from
-    {!Signal.events_of_code} and hands the raw drive (a stop asserted
-    on a cancelling channel included) to a shared module's
-    scheduler. *)
+    {!Signal.events_of_code} and hands the raw drive of the predicted
+    way's output (a stop asserted on a cancelling channel included) to
+    a shared module's scheduler. *)
 val clock :
   t -> codes:int array -> has_data:(int -> bool) ->
   payload:(int -> Value.t) -> unit

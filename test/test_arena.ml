@@ -349,10 +349,10 @@ let test_state_allocation_guard () =
    snapshot of the plain run, so they start every measured cycle in one
    state.  The window holds a flip, a stuck stall, a duplicated token
    (whose channel's payloads the engine keeps through the window) and a
-   forced misprediction.  The flip costs the most, 56 words on OCaml
-   5.1.1, nearly all of it the rebuilt payload; the other cycles cost 0
-   to 14.  The budget adds ~5%.  The forced misprediction, resolved to
-   its scheduler once by [set_faults], costs exactly nothing. *)
+   forced misprediction.  The flip costs the most, 50 to 56 words on
+   OCaml 5.1.1, nearly all of it the rebuilt payload; the other cycles
+   cost nothing.  The budget adds ~5%.  The forced misprediction, resolved to its scheduler once
+   by [set_faults], costs exactly nothing. *)
 let window_words = 59.
 
 let mispredict_cycle = 38
@@ -619,7 +619,8 @@ let forge ~chan ~cycle =
       [| { Engine.fr_wires =
              [| { Engine.fw_chan = chan;
                   fw_override =
-                    { Wires.no_override with Wires.force_v_plus = Some true };
+                    { Instance.no_override with
+                      Instance.force_v_plus = Some true };
                   fw_replay = false } |];
            fr_predict = [] } |] }
 

@@ -974,6 +974,36 @@ let test_no_nodes_no_passes () =
          [ (0, 3) ] (Profile.pass_histogram p))
     [ Engine.Arena; Engine.Reference ]
 
+(* The Reference checks that each wire is written once a cycle: a
+   function stage that returns a fresh value on every call writes a
+   second, different payload in the fixpoint's second pass, and the
+   step raises naming the channel.  The arena runs each half once, so
+   it never sees a second write, and the design runs. *)
+let test_conflicting_write () =
+  let fresh () =
+    let n = ref 0 in
+    Func.unary ~name:"fresh" ~delay:1.0 ~area:1.0 (fun _ ->
+        incr n;
+        Value.Int !n)
+  in
+  let design () =
+    let b = builder () in
+    let s = src_stream b ~name:"src" [ 1; 2; 3 ] in
+    let g = add b ~name:"g" (Func (fresh ())) in
+    let k = sink b ~name:"k" () in
+    let _ = conn b (s, Out 0) (g, In 0) in
+    let _ = conn b (g, Out 0) (k, In 0) in
+    b.net
+  in
+  (match Engine.step (Engine.create ~mode:Engine.Reference (design ())) with
+   | () -> Alcotest.fail "expected a conflicting write"
+   | exception Engine.Simulation_error err ->
+     Alcotest.(check string) "reference"
+       "cycle 0, node 1, channel 1: conflicting write to data of channel \
+        g.out0->k.in0"
+       (Engine.error_to_string err));
+  Engine.run (Engine.create ~mode:Engine.Arena (design ())) 10
+
 let suite =
   design_cases @ degenerate_cases @ fault_cases
   @ List.map QCheck_alcotest.to_alcotest
@@ -998,4 +1028,6 @@ let suite =
       Alcotest.test_case "create refuses with E102 what lint finds" `Quick
         test_refusal_matches_lint;
       Alcotest.test_case "anti-tokens that wait agree in lockstep" `Quick
-        test_waiting_anti_tokens ]
+        test_waiting_anti_tokens;
+      Alcotest.test_case "a second write to a wire is a conflict in Reference"
+        `Quick test_conflicting_write ]

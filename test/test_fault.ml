@@ -152,7 +152,7 @@ let test_structured_error () =
        e.Engine.err_channel
    | _ -> Alcotest.fail "expected Simulation_error");
   let wire =
-    { Engine.fw_chan = 424242; fw_override = Wires.no_override;
+    { Engine.fw_chan = 424242; fw_override = Instance.no_override;
       fw_replay = false }
   in
   match

@@ -214,7 +214,7 @@ let full_run ?engine net ~cycles ~settle plan =
       f_delta =
         Array.of_list (List.map (fun (_, es) -> Array.of_list es) streams);
       f_cut = None;
-      f_violations = Engine.violations eng;
+      f_violations = Engine.violations_by_id eng;
       f_starvation = Engine.starvation_violations eng;
       f_crash = crash;
       f_stabilized = None } )

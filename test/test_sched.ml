@@ -1,10 +1,13 @@
 open Elastic_sched
 
-let obs ?(in_valid = [| true; true |]) ?(out_valid = [| false; false |])
-    ?(out_stop = [| false; false |]) ?(out_kill = [| false; false |])
-    ?served ?hint () =
-  { Scheduler.in_valid; out_valid; out_stop; out_kill; served;
-    has_hint = Option.is_some hint; hint = Option.value hint ~default:0 }
+(* One clock edge, described per way: the scheduler reads the predicted
+   way's V+ and S+ and the served way (-1 for none); no hint. *)
+let observe ?(out_valid = [| false; false |]) ?(out_stop = [| false; false |])
+    ?(served = -1) s =
+  let p = Scheduler.predict s in
+  let at a = p < Array.length a && a.(p) in
+  Scheduler.observe s ~valid:(at out_valid) ~stop:(at out_stop) ~served
+    ~hint:0
 
 (* Drive a scheduler through a cycle list; each entry is [`Serve g] (the
    predicted channel's token went through) or [`Retry] (the predicted
@@ -17,14 +20,14 @@ let drive sched outcomes =
         | `Serve ->
           let out_valid = Array.make 2 false in
           out_valid.(g) <- true;
-          Scheduler.observe sched (obs ~out_valid ~served:g ())
+          observe ~out_valid ~served:g sched
         | `Retry ->
           let out_valid = Array.make 2 false in
           out_valid.(g) <- true;
           let out_stop = Array.make 2 false in
           out_stop.(g) <- true;
-          Scheduler.observe sched (obs ~out_valid ~out_stop ())
-        | `Idle -> Scheduler.observe sched (obs ()));
+          observe ~out_valid ~out_stop sched
+        | `Idle -> observe sched);
        g)
     outcomes
 
@@ -99,7 +102,7 @@ let serve s =
   let g = Scheduler.predict s in
   let out_valid = Array.make 2 false in
   out_valid.(g) <- true;
-  Scheduler.observe s (obs ~out_valid ~served:g ())
+  observe ~out_valid ~served:g s
 
 let test_engine_state () =
   List.iter
@@ -143,7 +146,7 @@ let test_engine_state () =
     every_spec;
   (* The toggle position: one idle cycle moves it, and the prediction
      is put back. *)
-  differs_in_key Scheduler.Toggle (fun s -> Scheduler.observe s (obs ()));
+  differs_in_key Scheduler.Toggle (fun s -> observe s);
   (* The oracle's random state: two serves bring its script index back
      round a two-entry script, after two fresh rolls. *)
   differs_in_key
@@ -155,8 +158,8 @@ let test_engine_state () =
   differs_in_key (Scheduler.Gshare { history_bits = 2 }) (fun s ->
       let out_valid = Array.make 2 false in
       out_valid.(Scheduler.predict s) <- true;
-      Scheduler.observe s (obs ~out_valid ~out_stop:out_valid ());
-      Scheduler.observe s (obs ()))
+      observe ~out_valid ~out_stop:out_valid s;
+      observe s)
 
 let suite =
   [ Alcotest.test_case "static always predicts its channel" `Quick
@@ -247,7 +250,7 @@ let suite =
             (fun o ->
                let out_valid = Array.make 2 false in
                out_valid.(o) <- true;
-               Scheduler.observe s (obs ~out_valid ~served:o ()))
+               observe ~out_valid ~served:o s)
             pattern
         done;
         (* Now check the next 9 predictions against the pattern. *)
@@ -257,7 +260,7 @@ let suite =
           if Scheduler.predict s = o then incr correct;
           let out_valid = Array.make 2 false in
           out_valid.(o) <- true;
-          Scheduler.observe s (obs ~out_valid ~served:o ())
+          observe ~out_valid ~served:o s
         done;
         Alcotest.(check bool)
           (Fmt.str "%d/9 correct" !correct)
@@ -269,7 +272,7 @@ let suite =
            must flip within a bounded number of retry cycles. *)
         for _ = 1 to 8 do
           let out_valid = [| true; false |] in
-          Scheduler.observe s (obs ~out_valid ~served:0 ())
+          observe ~out_valid ~served:0 s
         done;
         Alcotest.(check int) "predicts 0" 0 (Scheduler.predict s);
         let flipped = ref false in
@@ -280,7 +283,7 @@ let suite =
             out_valid.(Scheduler.predict s) <- true;
             let out_stop = Array.make 2 false in
             out_stop.(Scheduler.predict s) <- true;
-            Scheduler.observe s (obs ~out_valid ~out_stop ())
+            observe ~out_valid ~out_stop s
           end
         done;
         Alcotest.(check bool) "flipped under pressure" true !flipped);
@@ -303,8 +306,7 @@ let suite =
         (* Three consecutive retry cycles of the same stuck token are one
            mistake. *)
         for _ = 1 to 3 do
-          Scheduler.observe s
-            (obs ~out_valid:[| true; false |] ~out_stop:[| true; false |] ())
+          observe ~out_valid:[| true; false |] ~out_stop:[| true; false |] s
         done;
         Alcotest.(check int) "one miss" 1 (Scheduler.mispredictions s));
     Alcotest.test_case "state round-trips" `Quick test_engine_state ]
