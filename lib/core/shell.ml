@@ -890,11 +890,11 @@ let rec execute_cmd s line =
                counters and wall clock cover this window only. *)
             Ok
               (Fmt.str "@[<v>window: this invocation only (%d cycles)@,\
-                        minor words/cycle: %.1f@,schedule: %a@,%a@]"
+                        minor words/cycle: %.1f@,\
+                        schedule: %d halves in one sweep@,%a@]"
                  cycles
                  (words /. float_of_int (max 1 cycles))
-                 Elastic_sim.Schedule.pp_stats
-                 (Elastic_sim.Engine.schedule eng)
+                 (Array.length (Elastic_sim.Engine.sweep eng))
                  (Elastic_sim.Profile.pp ~name:(fun i -> names.(i)))
                  (Elastic_sim.Engine.profile eng))))
   | "metrics" :: "prom" :: file :: rest ->

@@ -1,13 +1,14 @@
 (* Graph analyses behind the lint rules: pure structural reasoning on the
-   channel graph, no simulation.
+   netlist, no simulation.
 
-   All analyses run on the same abstraction, a directed graph whose
-   vertices are the {e channels}; the edge c1 -> c2 exists when the node
-   consuming c1 can produce on c2 (way-wise for shared modules).  This is
-   the node-level condensation of the field-group dependency graph that
-   [Elastic_sim.Schedule] builds wire-by-wire: cutting the edges that
-   cross a buffer of the right kind turns "is there a combinational
-   cycle" / "is there a token-free cycle" into plain SCC questions.
+   E102 asks the half graph the engine sweeps ([Halves]): a cyclic
+   region of it is a combinational loop, so lint and [Engine.create]
+   refuse the same designs.  The other analyses run on a directed graph
+   whose vertices are the {e channels}; the edge c1 -> c2 exists when
+   the node consuming c1 can produce on c2 (way-wise for shared
+   modules).  Cutting the edges that cross a buffer holding tokens, or
+   that enter an early mux, turns "is there a token-free cycle" into a
+   plain SCC question, answered by the same SCC routine.
 
    Every analysis assumes a structurally sound netlist (no E001-E004
    findings); [Lint.run] gates on that before calling in here. *)
@@ -21,8 +22,6 @@ let diag = Diagnostic.make
 
 (* Successors of a channel, i.e. the output channels of its destination
    node.  The flags remove edge classes:
-   - [through_eb]: keep edges across an [Eb] (Lf=1, Lb=1) buffer — the
-     only node that registers {e both} handshake directions;
    - [through_tokens]: keep edges across a buffer holding initial tokens;
    - [into_early_data]: keep edges entering an early-evaluation mux via a
      data input (an early mux can fire without that input, emitting an
@@ -30,7 +29,7 @@ let diag = Diagnostic.make
    - [shared_sel]: count a shared module's hint input as feeding its
      outputs (true for consumption/reachability questions, false for
      token-path cycles). *)
-let successors ?(through_eb = true) ?(through_tokens = true)
+let successors ?(through_tokens = true)
     ?(into_early_data = true) ?(shared_sel = false) net
     (c : Netlist.channel) =
   let n = Netlist.node net c.Netlist.dst.Netlist.ep_node in
@@ -41,7 +40,6 @@ let successors ?(through_eb = true) ?(through_tokens = true)
   in
   match n.Netlist.kind with
   | Netlist.Source _ | Netlist.Sink _ -> []
-  | Netlist.Buffer { buffer = Netlist.Eb; _ } when not through_eb -> []
   | Netlist.Buffer { init = _ :: _; _ } when not through_tokens -> []
   | Netlist.Buffer _ -> Netlist.outgoing net n.Netlist.id
   | Netlist.Mux { early = true; _ }
@@ -58,88 +56,40 @@ let successors ?(through_eb = true) ?(through_tokens = true)
         if shared_sel then Netlist.outgoing net n.Netlist.id else []
       | Netlist.Out _ -> [])
 
-(* Mirror image, for reaches-a-sink questions. *)
-let predecessors ?(shared_sel = false) net (c : Netlist.channel) =
-  let n = Netlist.node net c.Netlist.src.Netlist.ep_node in
-  match n.Netlist.kind with
-  | Netlist.Source _ | Netlist.Sink _ -> []
-  | Netlist.Shared { hinted; _ } -> (
-      match c.Netlist.src.Netlist.ep_port with
-      | Netlist.Out i ->
-        let way =
-          match Netlist.channel_at net n.Netlist.id (Netlist.In i) with
-          | Some c' -> [ c' ]
-          | None -> []
-        in
-        let hint =
-          if hinted && shared_sel then
-            match Netlist.channel_at net n.Netlist.id Netlist.Sel with
-            | Some c' -> [ c' ]
-            | None -> []
-          else []
-        in
-        way @ hint
-      | Netlist.In _ | Netlist.Sel -> [])
-  | Netlist.Buffer _ | Netlist.Func _ | Netlist.Fork _ | Netlist.Mux _
-  | Netlist.Varlat _ ->
-    Netlist.incoming net n.Netlist.id
-
-(* Tarjan over channels; returns only the cyclic components (size >= 2,
-   or a single channel that succeeds itself), each sorted by channel id,
-   components sorted by their least channel — deterministic output. *)
-let cyclic_components net ~succ =
-  let index : (Netlist.channel_id, int) Hashtbl.t = Hashtbl.create 64 in
-  let lowlink : (Netlist.channel_id, int) Hashtbl.t = Hashtbl.create 64 in
-  let onstack : (Netlist.channel_id, unit) Hashtbl.t = Hashtbl.create 64 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let comps = ref [] in
-  let get tbl k = Hashtbl.find tbl k in
-  let rec strong (c : Netlist.channel) =
-    let cid = c.Netlist.ch_id in
-    Hashtbl.replace index cid !counter;
-    Hashtbl.replace lowlink cid !counter;
-    incr counter;
-    stack := cid :: !stack;
-    Hashtbl.replace onstack cid ();
-    List.iter
-      (fun (c' : Netlist.channel) ->
-         let cid' = c'.Netlist.ch_id in
-         if not (Hashtbl.mem index cid') then begin
-           strong c';
-           Hashtbl.replace lowlink cid
-             (min (get lowlink cid) (get lowlink cid'))
-         end
-         else if Hashtbl.mem onstack cid' then
-           Hashtbl.replace lowlink cid
-             (min (get lowlink cid) (get index cid')))
-      (succ c);
-    if get lowlink cid = get index cid then begin
-      let rec pop acc =
-        match !stack with
-        | x :: rest ->
-          stack := rest;
-          Hashtbl.remove onstack x;
-          if x = cid then x :: acc else pop (x :: acc)
-        | [] -> acc
-      in
-      comps := pop [] :: !comps
-    end
-  in
+(* Mirror image of [successors ~shared_sel:true], for reaches-a-sink
+   questions. *)
+let predecessors net =
+  let preds = Hashtbl.create 64 in
   List.iter
-    (fun (c : Netlist.channel) ->
-       if not (Hashtbl.mem index c.Netlist.ch_id) then strong c)
+    (fun c ->
+       List.iter
+         (fun (c' : Netlist.channel) -> Hashtbl.add preds c'.Netlist.ch_id c)
+         (successors ~shared_sel:true net c))
     (Netlist.channels net);
-  !comps
-  |> List.filter (fun comp ->
-      match comp with
-      | [ x ] ->
-        List.exists
-          (fun (c' : Netlist.channel) -> c'.Netlist.ch_id = x)
-          (succ (Netlist.channel net x))
-      | _ :: _ :: _ -> true
-      | [] -> false)
-  |> List.map (List.sort compare)
+  fun _ (c : Netlist.channel) -> Hashtbl.find_all preds c.Netlist.ch_id
+
+(* The cyclic strongly connected components of the channel graph (size
+   >= 2, or a single channel that succeeds itself), each sorted by
+   channel id, components sorted by their least channel — deterministic
+   output. *)
+let cyclic_components net ~succ =
+  let chans = Array.of_list (Netlist.channels net) in
+  let index = Hashtbl.create 64 in
+  Array.iteri
+    (fun i (c : Netlist.channel) -> Hashtbl.replace index c.Netlist.ch_id i)
+    chans;
+  let succs =
+    Array.map
+      (fun c ->
+         List.map
+           (fun (c' : Netlist.channel) -> Hashtbl.find index c'.Netlist.ch_id)
+           (succ c))
+      chans
+  in
+  Halves.components succs
+  |> List.filter (Halves.cyclic succs)
+  |> List.map (fun comp ->
+      List.sort compare (List.map (fun i -> chans.(i).Netlist.ch_id) comp))
   |> List.sort compare
 
 (* Buffer nodes crossed by a component (a buffer is "on" the cycle when
@@ -255,7 +205,7 @@ let cannot_reach_sink net =
         sinks
     in
     let visited =
-      bfs_channels net ~start ~next:(predecessors ~shared_sel:true)
+      bfs_channels net ~start ~next:(predecessors net)
     in
     let reaches : (Netlist.node_id, unit) Hashtbl.t = Hashtbl.create 64 in
     List.iter
@@ -310,11 +260,24 @@ let buffer_overfilled net =
        | _ -> None)
     (Netlist.nodes net)
 
-(* E102: a cycle crossing no Eb is combinational — either the forward
-   path (no buffer at all) or the backward stop path (only Eb0s, whose
-   Lb = 0 makes stop/kill traverse them combinationally, Fig. 5). *)
+(* E102: a combinational loop, a cyclic region of the half graph the
+   engine sweeps — either the forward path (no buffer at all) or the
+   backward stop path (only Eb0s, whose Lb = 0 makes stop/kill traverse
+   them combinationally, Fig. 5).  Regions that share a channel are one
+   finding, named by its least channel. *)
 let combinational_cycle net =
-  cyclic_components net ~succ:(successors ~through_eb:false net)
+  let chans = Array.of_list (Netlist.channels net) in
+  let rec merge = function
+    | [] -> []
+    | r :: rest ->
+      let linked, apart =
+        List.partition (List.exists (fun c -> List.mem c r)) (merge rest)
+      in
+      List.sort_uniq compare (List.concat (r :: linked)) :: apart
+  in
+  merge (Halves.build net).Halves.regions
+  |> List.map (List.map (fun i -> chans.(i).Netlist.ch_id))
+  |> List.sort compare
   |> List.map (fun comp ->
       let first = List.hd comp in
       let has_eb0 =

@@ -48,6 +48,10 @@ let token_out c = And [ Var (c "vp"); Or [ Not (Var (c "sp")); Var (c "vm") ] ]
 let anti_in c = And [ Var (c "vm"); Not (Var (c "sm")); Not (Var (c "vp")) ]
 let anti_out c = And [ Var (c "vm"); Or [ Var (c "vp"); Not (Var (c "sm")) ] ]
 
+(* [indexed a "_x" k] is the name [a_x<k>]: a concatenation, where a
+   format would build a formatter per name. *)
+let indexed a x k = a ^ x ^ string_of_int k
+
 type acc = {
   mutable ins : input list;  (* reversed *)
   mutable asg : (string * e) list;  (* reversed *)
@@ -62,8 +66,8 @@ let reg a ~d ~q ~init = a.rgs <- { d; q; init } :: a.rgs
    is loaded from the net [name_d<k>]. *)
 let one_hot a ~name ~n ~init =
   Array.init n (fun k ->
-      let q = Fmt.str "%s_s%d" name k in
-      reg a ~d:(Fmt.str "%s_d%d" name k) ~q ~init:(k = init);
+      let q = indexed name "_s" k in
+      reg a ~d:(indexed name "_d" k) ~q ~init:(k = init);
       Var q)
 
 (* Next state of a one-hot counter moving at most one step per cycle. *)
@@ -72,7 +76,7 @@ let count a ~name st ~up ~down =
   let hold = And [ Not up; Not down ] in
   Array.iteri
     (fun k s ->
-       assign a (Fmt.str "%s_d%d" name k)
+       assign a (indexed name "_d" k)
          (Or
             ((And [ s; hold ]
               :: (if k > 0 then [ And [ st.(k - 1); up ] ] else []))
@@ -147,10 +151,10 @@ let build a ~u ~wire shape =
       (wire (Netlist.Out 0))
   | Fork k ->
     let i = wire (Netlist.In 0) in
-    let done_ j = Fmt.str "%s_done%d" u j in
-    let pend j = Fmt.str "%s_pend%d" u j in
-    let tout j = Fmt.str "%s_tout%d" u j in
-    let compl j = Fmt.str "%s_compl%d" u j in
+    let done_ j = indexed u "_done" j in
+    let pend j = indexed u "_pend" j in
+    let tout j = indexed u "_tout" j in
+    let compl j = indexed u "_compl" j in
     for j = 0 to k - 1 do
       let o = wire (Netlist.Out j) in
       let dn = Var (done_ j) and tj = Var (tout j) in
@@ -182,7 +186,7 @@ let build a ~u ~wire shape =
     if not early then join a (selc :: ins) o
     else begin
       (* Anti-token queues 0..2 per input. *)
-      let qname j = Fmt.str "%s_q%d" u j in
+      let qname j = indexed u "_q" j in
       let qs =
         List.mapi (fun j _ -> one_hot a ~name:(qname j) ~n:3 ~init:0) ins
       in
@@ -225,7 +229,7 @@ let build a ~u ~wire shape =
     input (Choice (pred, ways));
     (* A hinted module joins channel 0 with its hint stream. *)
     let hint = if hinted then Some (wire Netlist.Sel) else None in
-    let fire j = Fmt.str "%s_fire%d" u j in
+    let fire j = indexed u "_fire" j in
     for j = 0 to ways - 1 do
       let i = wire (Netlist.In j) and o = wire (Netlist.Out j) in
       let granted = Is (pred, j) in
@@ -264,7 +268,7 @@ let build a ~u ~wire shape =
     assign a (i "vm") F;
     assign a (o "sm") (Not st.(1));
     let tin = token_in i in
-    let next k = assign a (Fmt.str "%s_d%d" u k) in
+    let next k = assign a (indexed u "_d" k) in
     next 0 (Or [ And [ st.(0); Not tin ]; And [ leaving; Not tin ] ]);
     next 1 (Or [ And [ tin; Not slow ]; st.(2); And [ st.(1); Not leaving ] ]);
     next 2 (And [ tin; slow ])
@@ -282,7 +286,7 @@ let sanitize name =
        | _ -> '_')
     name
 
-let bit field (c : Netlist.channel) = Fmt.str "%s_%d" field c.Netlist.ch_id
+let bit field (c : Netlist.channel) = indexed field "_" c.Netlist.ch_id
 
 let node net (n : Netlist.node) =
   let wire port field =

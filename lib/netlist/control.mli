@@ -5,9 +5,10 @@
     their reset values, and the environment inputs the control
     abstraction leaves free (source offers, sink stalls, multiplexor
     select values, shared-module predictions, variable-latency outcomes).
-    {!Blif}, {!Smv} and {!Verilog} print these tables, and the
-    simulator's Reference backend evaluates them ([Elastic_sim.Reference]).
-    The arena backend, which the engine runs by default, codes the same
+    {!Blif}, {!Smv} and {!Verilog} print these tables, the simulator's
+    Reference backend evaluates them, and {!Halves} reads from them
+    what each controller half reads.  The arena backend, which the
+    engine runs by default, codes the same
     controllers a second time, by hand; the differential tests run it
     in lockstep with the Reference and the BLIF co-simulation checks the
     printed gates bit for bit, so all three exports inherit both checks.

@@ -3,12 +3,13 @@
    The Reference backend ([Reference]) evaluates each node's
    [Control.table] (the equations the exports print) to a Kleene fixed
    point over its own store.  This module is the second, independent
-   coding of the same controllers, split
-   into the two halves of the static sweep ([Schedule]): a node's F
-   half writes its outputs' V+, payload and S-, its B half its inputs'
-   S+ and V-.  The sweep is acyclic (the engine refuses a cyclic half
-   graph), so every field a half reads is settled before it runs, each
-   half runs once per cycle and control is two-valued.
+   coding of the same controllers, split into the halves of the static
+   sweep, whose graph [Halves] reads from those tables: a node's F half
+   writes its outputs' V+, payload and S-, its B half its inputs' S+
+   and V-, and a shared module has one pair per way.  The sweep is
+   acyclic (the engine refuses a cyclic half graph), so every field a
+   half reads is settled before it runs, each half runs once per cycle
+   and control is two-valued.
 
    Correctness contract: wires, payloads, traces, errors and metrics are
    the reference fixpoint's; only the evaluation counts differ (one per
@@ -78,12 +79,12 @@ type t = {
   fns1 : (Value.t -> Value.t) array;
       (* unary join / shared data function ([Func.eval1]), applied to the
          payload itself *)
-  sweep : int array;  (* [Schedule.sweep] *)
+  sweep : int array;  (* the half graph's, [Halves.t] *)
   pn : int array;  (* [profile]'s per-node counters, bumped in place *)
   mutable last_eval : int;  (* node evaluating when an exception escaped *)
 }
 
-let create ~schedule ~profile ~codes ~regs ~vals insts =
+let create ~sweep ~profile ~codes ~regs ~vals insts =
   let n_nodes = Array.length insts in
   let sz = max n_nodes 1 in
   let fns = Array.make sz (fun _ -> (assert false : Value.t)) in
@@ -125,7 +126,7 @@ let create ~schedule ~profile ~codes ~regs ~vals insts =
     replayed = Array.make csz false;
     subst = Array.make csz Value.Unit;
     insts; regs; vals; joins; fns; fns1;
-    sweep = schedule.Schedule.sweep;
+    sweep;
     pn = Profile.per_node_array profile;
     last_eval = 0 }
 
@@ -396,41 +397,32 @@ let b_emux t i =
     end
   done
 
-(* The granted way [g] passes its token, gated on the hint for way 0;
-   the other ways stall their inputs. *)
-let f_shared t i sched =
-  let g = Scheduler.predict sched in
-  let ins = ins t i and outs = outs t i in
+(* Way [j] of a shared module: the granted way [g] passes its token,
+   gated on the hint for way 0; the other ways stall their inputs. *)
+let f_shared t i sched j =
+  let inw = in_w t i j and out = out_w t i j in
+  let granted = j = Scheduler.predict sched in
+  let vin = is t inw vp in
   let hint = sel_w t i in
-  for j = 0 to Array.length ins - 1 do
-    let inw = Array.unsafe_get ins j and out = Array.unsafe_get outs j in
-    let vin = is t inw vp in
-    let gate = hint < 0 || j <> 0 || is t hint vp in
-    put t out (bit (j = g && vin && gate) vp);
-    if j = g && vin && has_data t inw then
-      set_data t out (Array.unsafe_get t.fns1 i (payload t inw));
-    put t out
-      (bit ((not (is t out vp)) && is t inw sm && not vin) sm)
-  done
+  let gate = hint < 0 || j <> 0 || is t hint vp in
+  put t out (bit (granted && vin && gate) vp);
+  if granted && vin && has_data t inw then
+    set_data t out (Array.unsafe_get t.fns1 i (payload t inw));
+  put t out (bit ((not (is t out vp)) && is t inw sm && not vin) sm)
 
-let b_shared t i sched =
-  let g = Scheduler.predict sched in
-  let ins = ins t i and outs = outs t i in
+let b_shared t i sched j =
+  let inw = in_w t i j and out = out_w t i j in
   let hint = sel_w t i in
-  for j = 0 to Array.length ins - 1 do
-    let inw = Array.unsafe_get ins j and out = Array.unsafe_get outs j in
-    let kill = is t out vm in
-    if j = g then begin
-      let fire = is t out vp && ((not (is t out sp)) || kill) in
-      put t inw
-        (bit (not fire) sp lor bit (kill && not (is t out vp)) vm);
-      if hint >= 0 && j = 0 then put t hint (bit (not fire) sp)
-    end
-    else begin
-      put t inw (bit (not kill) sp lor bit kill vm);
-      if hint >= 0 && j = 0 then put t hint sp
-    end
-  done
+  let kill = is t out vm in
+  if j = Scheduler.predict sched then begin
+    let fire = is t out vp && ((not (is t out sp)) || kill) in
+    put t inw (bit (not fire) sp lor bit (kill && not (is t out vp)) vm);
+    if hint >= 0 && j = 0 then put t hint (bit (not fire) sp)
+  end
+  else begin
+    put t inw (bit (not kill) sp lor bit kill vm);
+    if hint >= 0 && j = 0 then put t hint sp
+  end
 
 let f_varlat t i =
   let out = out_w t i 0 in
@@ -442,20 +434,20 @@ let b_varlat t i =
   let c = reg t i 0 in
   put t (in_w t i 0) (bit (c > 0 || (c = 0 && is t (out_w t i 0) sp)) sp)
 
-(* Half [h] of node [h / 2]: its F half when [h] is even.  A source has
-   no B half and a sink no F half; the sweep lists neither. *)
+(* Packed half [h] ([Halves.node], [way], [backward]).  A source has no
+   B half and a sink no F half; the sweep lists neither. *)
 let eval_half t h =
-  let i = h lsr 1 in
+  let i = Halves.node h in
   Array.unsafe_set t.pn i (Array.unsafe_get t.pn i + 1);
   t.last_eval <- i;
-  if h land 1 = 0 then
+  if not (Halves.backward h) then
     match Instance.role (Array.unsafe_get t.insts i) with
     | Instance.Source _ -> f_source t i
     | Instance.Eb -> f_eb t i
     | Instance.Eb0 -> f_eb0 t i
     | Instance.Fork -> f_fork t i
     | Instance.Emux -> f_emux t i
-    | Instance.Shared { sched; _ } -> f_shared t i sched
+    | Instance.Shared { sched; _ } -> f_shared t i sched (Halves.way h)
     | Instance.Varlat _ -> f_varlat t i
     | Instance.Stateless -> f_join t i
     | Instance.Sink _ -> ()
@@ -466,7 +458,7 @@ let eval_half t h =
     | Instance.Eb0 -> b_eb0 t i
     | Instance.Fork -> b_fork t i
     | Instance.Emux -> b_emux t i
-    | Instance.Shared { sched; _ } -> b_shared t i sched
+    | Instance.Shared { sched; _ } -> b_shared t i sched (Halves.way h)
     | Instance.Varlat _ -> b_varlat t i
     | Instance.Stateless -> b_join t i
     | Instance.Source _ -> ()

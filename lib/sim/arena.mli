@@ -6,8 +6,9 @@ open Elastic_kernel
     raw control code ({!Signal.code} layout) in an [int], and one
     [Value.t] payload slot per channel with a presence flag, holding
     the value its producer wrote — and the cycle settles in one pass
-    over the static half sweep of {!Schedule}: a node's F half writes
-    its outputs' V+, payload and S-, its B half its inputs' S+ and V-.
+    over the static sweep of the netlist's half graph ({!Halves}): a
+    node's F half writes its outputs' V+, payload and S-, its B half
+    its inputs' S+ and V-, and a shared module has one pair per way.
     The sweep is acyclic, so each half runs once, after everything it
     reads, and control is two-valued.
 
@@ -29,7 +30,7 @@ type t
     undetermined; the engine renders the Reference's error. *)
 exception Undetermined
 
-(** [create ~schedule ~profile ~codes ~regs ~vals insts] compiles the
+(** [create ~sweep ~profile ~codes ~regs ~vals insts] compiles the
     arena from the engine's instances, one per dense node index.
     [codes] is the engine's per-channel code array: the arena settles
     each channel's control code into it in place.  The halves read each
@@ -40,7 +41,7 @@ exception Undetermined
     [sel :: ins].  Each half evaluation of node [i] bumps [profile]'s
     per-node counter ({!Profile.per_node_array}) in place. *)
 val create :
-  schedule:Schedule.t ->
+  sweep:int array ->
   profile:Profile.t ->
   codes:int array ->
   regs:int array ->

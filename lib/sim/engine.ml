@@ -90,7 +90,7 @@ type t = {
       (* per channel, the [vals] slot of its monitor's retry payload, -1
          where Retry+ is not checked; empty if monitoring disabled *)
   liveness_bound : int;
-  schedule : Schedule.t;
+  sweep : int array;
   profile : Profile.t;
   max_passes : int;
   max_cycles : int option;
@@ -181,7 +181,10 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
             (List.map
                (fun (d : Diagnostic.t) -> d.Diagnostic.message)
                ds)));
-  let nodes = Array.of_list (Netlist.nodes net) in
+  (* The half graph gives the dense node and channel order, each node's
+     input, select and output channel indices, and the sweep. *)
+  let halves = Halves.build net in
+  let nodes = halves.Halves.nodes in
   (* A shared module and a variable-latency unit apply their functions
      to one payload through [Func.eval1]: their arity is checked here,
      once, and never per application.  (A function stage's arity is its
@@ -213,31 +216,12 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
          unary n err
        | _ -> ())
     nodes;
-  let chans = Array.of_list (Netlist.channels net) in
+  let chans = halves.Halves.channels in
   let ch_index = Hashtbl.create 64 in
   Array.iteri
     (fun i (c : Netlist.channel) -> Hashtbl.add ch_index c.Netlist.ch_id i)
     chans;
-  (* Each node's dense input, select and output channel indices. *)
-  let node_ports (n : Netlist.node) =
-    let index p =
-      match Netlist.channel_at net n.Netlist.id p with
-      | Some c -> Hashtbl.find ch_index c.Netlist.ch_id
-      | None -> assert false (* validate guarantees connectivity *)
-    in
-    let ports ps = Array.of_list (List.map index ps) in
-    let inputs = Netlist.required_inputs n.Netlist.kind in
-    let is_in = function
-      | Netlist.In _ -> true
-      | Netlist.Sel | Netlist.Out _ -> false
-    in
-    ( ports (List.filter is_in inputs),
-      (if List.exists (Netlist.port_equal Netlist.Sel) inputs then
-         Some (index Netlist.Sel)
-       else None),
-      ports (Netlist.required_outputs n.Netlist.kind) )
-  in
-  let ports = Array.map node_ports nodes in
+  let ports = halves.Halves.ports in
   (* A monitored engine's own slots follow the nodes': an int slot per
      channel for its protocol monitor, then one for the watchdog's wait
      counter on each shared-module input; and a payload slot per channel
@@ -293,21 +277,21 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
   let default_max_passes = (5 * Array.length chans) + 16 in
   (* A cyclic half graph is a combinational loop, refused in both modes
      with the code and wording of the runtime check below. *)
-  let schedule =
-    match Schedule.build net ~ports with
-    | Ok s -> s
-    | Error cs ->
-      raise
-        (Simulation_error
-           (undetermined_error ~cycle:0
-              (List.map (fun i -> chans.(i)) cs)))
-  in
+  (match halves.Halves.regions with
+   | [] -> ()
+   | cs :: _ ->
+     raise
+       (Simulation_error
+          (undetermined_error ~cycle:0 (List.map (fun i -> chans.(i)) cs))));
   let profile = Profile.create ~n_nodes:(Array.length insts) in
   let codes = Array.make (Array.length chans) 0 in
   let max_passes = Option.value max_passes ~default:default_max_passes in
   let backend =
     match mode with
-    | Arena -> Arena (Arena.create ~schedule ~profile ~codes ~regs ~vals insts)
+    | Arena ->
+      Arena
+        (Arena.create ~sweep:halves.Halves.sweep ~profile ~codes ~regs ~vals
+           insts)
     | Reference ->
       Reference
         (Reference.create ~profile ~max_passes ~regs ~vals
@@ -332,7 +316,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
          @ List.init nmon (( + ) mon_base)
          @ List.filter (fun s -> s >= 0) (Array.to_list wait_slot));
     chans; ch_index; mon_base; mon_vals; liveness_bound;
-    schedule;
+    sweep = halves.Halves.sweep;
     profile;
     max_passes;
     max_cycles;
@@ -363,7 +347,7 @@ let mode t : eval_mode =
 
 let profile t = t.profile
 
-let schedule t = t.schedule
+let sweep t = t.sweep
 
 let conflict_error t ~chan ~field =
   let ch = t.chans.(chan) in

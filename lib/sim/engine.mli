@@ -7,8 +7,9 @@ open Elastic_netlist
     Each cycle proceeds in three phases:
     + environment nodes decide what they offer/accept ({!Instance.begin_cycle});
     + the combinational phase settles every channel wire: the default
-      backend runs each node's forward and backward half once, in the
-      static order of {!Schedule}, over two-valued control codes (a
+      backend runs each node's forward and backward halves (one pair
+      per way of a shared module) once, in the static order of the
+      netlist's {!Halves} graph, over two-valued control codes (a
       design whose halves form a combinational cycle is refused by
       {!create}); the Reference backend iterates every node to the
       fixed point of its monotone equations over three-valued wires;
@@ -37,7 +38,7 @@ type error = {
           structural code (E001-E004) that made [create] refuse the
           netlist, ["E101"] when [create] found a buffer holding more
           initial tokens than its capacity, or ["E102"] when [create]
-          found a combinational cycle in the half graph ({!Schedule}),
+          found a combinational cycle in the half graph ({!Halves}),
           or when a fault left a channel field undetermined at runtime
           (a forged valid on an early multiplexor's select with no
           payload) — or the runtime diagnostic code
@@ -80,10 +81,10 @@ type t
 
 (** How the combinational phase of each cycle is evaluated.
 
-    [Arena] (the default) evaluates the static sweep computed by
-    {!Schedule.build}, on the flat preallocated arena backend
-    ({!Arena}): each node's forward half and backward half runs once,
-    in the topological order of the half graph.  Channel state is each
+    [Arena] (the default) evaluates the static sweep of the netlist's
+    half graph ({!Halves}), on the flat preallocated arena backend
+    ({!Arena}): each half (a node's forward and backward half, one pair
+    per way of a shared module) runs once, in topological order.  Channel state is each
     channel's raw control code, the array the post-settle phases read,
     one payload slot per channel and flat instruction arrays instead of
     per-channel records and closures.
@@ -152,9 +153,10 @@ val mode : t -> eval_mode
 (** Evaluation-cost counters accumulated since creation. *)
 val profile : t -> Profile.t
 
-(** The static evaluation schedule (also built in [Reference] mode,
-    which refuses the same cyclic designs). *)
-val schedule : t -> Schedule.t
+(** The static sweep of the half graph ({!Halves.t}): one packed half
+    per entry (also
+    built in [Reference] mode, which refuses the same cyclic designs). *)
+val sweep : t -> int array
 
 (** Install (or remove, with [None]) the fault schedule every later
     {!step} reads.  On a cycle with a row, the step installs the row's

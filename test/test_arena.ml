@@ -17,7 +17,8 @@ open Helpers
    reproduced byte for byte, eval counts included.  Their wires, events
    and traces date from the record-based levelized scheduler that the
    arena replaced; their eval counts, settle passes and convergence
-   retries from the arena's static half-node sweep. *)
+   retries from the arena's static sweep over the half graph, with one
+   pair of halves per way of a shared module. *)
 
 (* --- mode selection -------------------------------------------------- *)
 
@@ -165,7 +166,8 @@ let check_golden path got =
    reports each cycle's pass count itself.  The totals, per-node
    counters and pass histogram of E6 are frozen, and every cycle each
    node gains one evaluation per half it runs: one for a source or a
-   sink, two for the others, in one pass. *)
+   sink, two per way for a shared module, two for the others, in one
+   pass. *)
 let test_profile_golden () =
   let ops = Examples.rs_ops ~error_rate_pct:10 ~seed:5 100 in
   let net = (Examples.rs_speculative ~ops).Examples.d_net in

@@ -776,8 +776,8 @@ let test_mixed_func_forms () =
 (* The pass count a step records and the evaluations behind it.  The
    reference fixpoint evaluates every node once per pass.  The arena's
    static sweep is one pass (none with no nodes) and evaluates each
-   half once: a source and a sink once a cycle, every other node
-   twice.  An observer diffs the per-node counters
+   half once: a source and a sink once a cycle, a shared module twice
+   per way, every other node twice.  An observer diffs the per-node counters
    ([Profile.top_nodes]) every cycle and checks them. *)
 let gen_random_design =
   let open QCheck.Gen in
@@ -797,8 +797,9 @@ let gen_random_design =
 let halves_of (n : Netlist.node) =
   match n.Netlist.kind with
   | Netlist.Source _ | Netlist.Sink _ -> 1
+  | Netlist.Shared { ways; _ } -> 2 * ways
   | Netlist.Buffer _ | Netlist.Func _ | Netlist.Fork _ | Netlist.Mux _
-  | Netlist.Shared _ | Netlist.Varlat _ ->
+  | Netlist.Varlat _ ->
     2
 
 let check_pass_counts ~mode net =
@@ -885,7 +886,7 @@ let acyclic ~name net =
       List.fold_left (fun k nd -> k + halves_of nd) 0 (Netlist.nodes net)
     in
     Alcotest.(check int) (name ^ ": halves") halves
-      (Schedule.halves (Engine.schedule eng))
+      (Array.length (Engine.sweep eng))
 
 let test_bundled_designs_acyclic () =
   List.iter (fun (name, mk) -> acyclic ~name (mk ())) Shell.designs;
@@ -911,6 +912,231 @@ let test_refusal_matches_lint () =
   Alcotest.(check (list string)) "refused mutants" [ "E102" ]
     (List.map (fun (m : Elastic_lint.Mutate.t) -> m.Elastic_lint.Mutate.m_code)
        refused)
+
+(* A shared module's halves come one pair per way, each reading only
+   its way (way 0's F half also the hint), so a loop from one way's
+   output into another way's input is not combinational.  Through an
+   identity and an adder with no EB (a Toggle module) the loop can never
+   carry a token, since its two ways would have to fire in one cycle;
+   through a variable-latency unit, whose B half reads its output's
+   stop, tokens flow.  Both modes accept both designs, lint finds them
+   clean, and the two modes run in lockstep. *)
+let way_crossing_loop ~varlat =
+  let b = builder () in
+  let m =
+    add b ~name:"m"
+      (Shared
+         { ways = 2; f = Func.identity ();
+           sched = Elastic_sched.Scheduler.Toggle; hinted = false })
+  in
+  let s1 = src_stream b ~name:"s1" (List.init 60 (fun i -> 100 + i)) in
+  let k = sink_pattern b ~name:"k" [| false; true; false |] in
+  (if varlat then begin
+     let id = Func.identity () in
+     let odd =
+       Func.unary ~name:"odd" ~delay:1.0 ~area:1.0 (fun v ->
+           Value.Int (Value.to_int v land 1))
+     in
+     let v = add b ~name:"v" (Varlat { fast = id; slow = id; err = odd }) in
+     let _ = conn b (m, Out 1) (v, In 0) in
+     ignore (conn b (v, Out 0) (m, In 0))
+   end
+   else begin
+     let g = add b ~name:"g" (Func (Func.identity ())) in
+     let a = add b ~name:"add" (Func (Func.add_int ~arity:2 ())) in
+     let s0 = src_stream b ~name:"s0" (List.init 60 Fun.id) in
+     let _ = conn b (m, Out 1) (g, In 0) in
+     let _ = conn b (g, Out 0) (a, In 0) in
+     let _ = conn b (s0, Out 0) (a, In 1) in
+     ignore (conn b (a, Out 0) (m, In 0))
+   end);
+  let _ = conn b (s1, Out 0) (m, In 1) in
+  let _ = conn b (m, Out 0) (k, In 0) in
+  (b.net, k)
+
+let test_way_crossing_loop () =
+  List.iter
+    (fun varlat ->
+       let net, k = way_crossing_loop ~varlat in
+       let name = if varlat then "via varlat" else "via add" in
+       Alcotest.(check (list string)) (name ^ ": lint finds nothing") []
+         (List.map Diagnostic.to_string
+            (Elastic_lint.Lint.run net).Elastic_lint.Lint.diags);
+       run_pair ~name ~cycles:240 net;
+       Alcotest.(check bool) (name ^ ": tokens reach the sink") varlat
+         (sink_values (run_net ~cycles:240 net) k <> []))
+    [ false; true ]
+
+(* Shared-module loops: one from way [j]'s output through 0-2 stateless
+   stages into way [k]'s input, with or without an EB, and a hint that
+   is absent, fed by a source or fed from way [h]'s output (through a
+   fork at the loop's head when [h = j]).  With one pair of halves per
+   way, a loop with no EB is combinational exactly when it closes a
+   cycle over the ways: [j -> k] for the loop, [h -> 0] for the hint.
+   [create] and lint must agree with that, and an accepted design runs
+   in lockstep with the Reference. *)
+type stage = Ident | Add | Tap
+
+type hint = No_hint | Hint_source | Hint_from of int * bool  (* way, EB *)
+
+type loop_spec = {
+  lp_ways : int;
+  lp_from : int;
+  lp_to : int;
+  lp_stages : stage list;
+  lp_eb : int option;  (* an EB before stage [p], or at the end *)
+  lp_hint : hint;
+  lp_seed : int;
+}
+
+let gen_loop =
+  let open QCheck.Gen in
+  let* lp_ways = int_range 2 3 in
+  let* lp_from = int_bound (lp_ways - 1) in
+  let* lp_to = int_bound (lp_ways - 1) in
+  let* n = int_bound 2 in
+  let* lp_stages = list_repeat n (oneofl [ Ident; Add; Tap ]) in
+  let* lp_eb = opt ~ratio:0.4 (int_bound n) in
+  let* lp_hint =
+    oneof
+      [ return No_hint; return Hint_source;
+        map2 (fun h e -> Hint_from (h, e)) (int_bound (lp_ways - 1)) bool ]
+  in
+  let* lp_seed = int_bound 10000 in
+  return { lp_ways; lp_from; lp_to; lp_stages; lp_eb; lp_hint; lp_seed }
+
+let print_loop l =
+  Fmt.str "ways=%d %d->%d stages=[%s] eb=%s hint=%s seed=%d" l.lp_ways
+    l.lp_from l.lp_to
+    (String.concat ";"
+       (List.map
+          (function Ident -> "ident" | Add -> "add" | Tap -> "tap")
+          l.lp_stages))
+    (match l.lp_eb with None -> "none" | Some p -> string_of_int p)
+    (match l.lp_hint with
+     | No_hint -> "none"
+     | Hint_source -> "source"
+     | Hint_from (h, e) -> Fmt.str "way %d%s" h (if e then " via eb" else ""))
+    l.lp_seed
+
+let build_loop l =
+  let b = builder () in
+  let hinted = l.lp_hint <> No_hint in
+  let m =
+    add b ~name:"m"
+      (Shared
+         { ways = l.lp_ways; f = Func.identity ();
+           sched =
+             (if hinted then Elastic_sched.Scheduler.Hinted_replay
+              else Elastic_sched.Scheduler.Round_robin);
+           hinted })
+  in
+  let fresh = ref 0 in
+  let name p = incr fresh; Fmt.str "%s%d" p !fresh in
+  let source () =
+    add b ~name:(name "s")
+      (Source (Random_rate { pct = 60; seed = l.lp_seed + !fresh }))
+  in
+  let sink () =
+    add b ~name:(name "k")
+      (Sink (Random_stall { pct = 25; seed = l.lp_seed + !fresh }))
+  in
+  let eb () = add b ~name:(name "eb") (Buffer { buffer = Eb; init = [] }) in
+  (* Each stage takes the port its predecessor drives and gives the
+     port it drives. *)
+  let stage from = function
+    | Ident ->
+      let g = add b ~name:(name "g") (Func (Func.identity ())) in
+      let _ = conn b from (g, In 0) in
+      (g, Netlist.Out 0)
+    | Add ->
+      let a = add b ~name:(name "a") (Func (Func.add_int ~arity:2 ())) in
+      let _ = conn b from (a, In 0) in
+      let _ = conn b (source (), Out 0) (a, In 1) in
+      (a, Netlist.Out 0)
+    | Tap ->
+      let f = add b ~name:(name "f") (Fork 2) in
+      let _ = conn b from (f, In 0) in
+      let _ = conn b (f, Out 1) (sink (), In 0) in
+      (f, Netlist.Out 0)
+  in
+  let through from ~eb_at stages =
+    let n = List.length stages in
+    let at p from =
+      if eb_at = Some p then begin
+        let e = eb () in
+        let _ = conn b from (e, In 0) in
+        (e, Netlist.Out 0)
+      end
+      else from
+    in
+    at n (List.fold_left (fun from (p, s) -> stage (at p from) s) from
+            (List.mapi (fun p s -> (p, s)) stages))
+  in
+  (* The loop's head, and the hint's origin when it taps way [j]. *)
+  let head, hint_from =
+    match l.lp_hint with
+    | Hint_from (h, _) when h = l.lp_from ->
+      let f = add b ~name:"hint_fork" (Fork 2) in
+      let _ = conn b (m, Out l.lp_from) (f, In 0) in
+      ((f, Netlist.Out 0), Some (f, Netlist.Out 1))
+    | Hint_from (h, _) -> ((m, Netlist.Out l.lp_from), Some (m, Netlist.Out h))
+    | No_hint | Hint_source -> ((m, Netlist.Out l.lp_from), None)
+  in
+  let _ =
+    conn b (through head ~eb_at:l.lp_eb l.lp_stages) (m, In l.lp_to)
+  in
+  (match (l.lp_hint, hint_from) with
+   | Hint_from (_, e), Some from ->
+     let _ =
+       conn b (through from ~eb_at:(if e then Some 1 else None) [ Ident ])
+         (m, Sel)
+     in
+     ()
+   | Hint_source, _ -> ignore (conn b (source (), Out 0) (m, Sel))
+   | (No_hint | Hint_from _), _ -> ());
+  for w = 0 to l.lp_ways - 1 do
+    if w <> l.lp_to then ignore (conn b (source (), Out 0) (m, In w));
+    let tapped =
+      w = l.lp_from
+      || match l.lp_hint with Hint_from (h, _) -> h = w | _ -> false
+    in
+    if not tapped then ignore (conn b (m, Out w) (sink (), In 0))
+  done;
+  b.net
+
+(* The ways' own dependency graph: [j -> k] when the loop has no EB,
+   [h -> 0] when the hint has none; a cycle in it is a combinational
+   loop. *)
+let loop_is_combinational l =
+  let loop = if l.lp_eb = None then [ (l.lp_from, l.lp_to) ] else [] in
+  let hint =
+    match l.lp_hint with
+    | Hint_from (h, false) -> [ (h, 0) ]
+    | Hint_from (_, true) | No_hint | Hint_source -> []
+  in
+  let edges = loop @ hint in
+  let rec reaches seen a b =
+    List.exists
+      (fun (x, y) ->
+         x = a && (y = b || ((not (List.mem y seen)) && reaches (y :: seen) y b)))
+      edges
+  in
+  List.exists (fun (x, _) -> reaches [] x x) edges
+
+let shared_loops_agree =
+  let open QCheck in
+  Test.make ~name:"qcheck: create and lint agree on shared-module loops"
+    ~count:200
+    (make ~print:print_loop gen_loop)
+    (fun l ->
+       let net = build_loop l in
+       let refused = refusal_matches_lint ~name:(print_loop l) net in
+       if refused <> loop_is_combinational l then
+         Test.fail_reportf "refused: %b, but the ways' graph says %b" refused
+           (not refused);
+       if not refused then run_pair ~name:(print_loop l) ~cycles:120 net;
+       true)
 
 (* Anti-tokens that wait: an early mux, its select cycling over five
    ways, kills inputs that hold them up — variable-latency units, which
@@ -1030,4 +1256,8 @@ let suite =
       Alcotest.test_case "anti-tokens that wait agree in lockstep" `Quick
         test_waiting_anti_tokens;
       Alcotest.test_case "a second write to a wire is a conflict in Reference"
-        `Quick test_conflicting_write ]
+        `Quick test_conflicting_write;
+      Alcotest.test_case "a way-crossing shared loop agrees in lockstep"
+        `Quick test_way_crossing_loop;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 44 |])
+        shared_loops_agree ]

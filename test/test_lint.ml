@@ -526,8 +526,51 @@ let shell_suite =
         | [] -> Alcotest.fail "empty JSONL report") ]
 
 (* ------------------------------------------------------------------ *)
+(* A hinted shared module whose hint comes from its own way-0 output,
+   through a fork and an identity: way 0's F half reads the hint, so the
+   loop is combinational.  Lint and [Engine.create] ask the same half
+   graph and name the same channels. *)
+
+let hint_loop () =
+  let b = builder () in
+  let m =
+    add b ~name:"m"
+      (Shared
+         { ways = 2; f = Func.identity (); sched = Scheduler.Hinted_replay;
+           hinted = true })
+  in
+  let fk = add b ~name:"fk" (Fork 2) in
+  let g = add b ~name:"g" (Func (Func.identity ())) in
+  let _ = conn b (src_stream b ~name:"s0" [ 0; 1; 0; 1 ], Out 0) (m, In 0) in
+  let _ = conn b (src_stream b ~name:"s1" [ 5; 6; 7 ], Out 0) (m, In 1) in
+  let _ = conn b (m, Out 0) (fk, In 0) in
+  let _ = conn b (fk, Out 0) (sink b ~name:"k0" (), In 0) in
+  let _ = conn b (fk, Out 1) (g, In 0) in
+  let _ = conn b (g, Out 0) (m, Sel) in
+  let _ = conn b (m, Out 1) (sink b ~name:"k1" (), In 0) in
+  b.net
+
+let hint_loop_suite =
+  [ Alcotest.test_case "a hint fed from its own way is E102 for lint and create"
+      `Quick (fun () ->
+          let net = hint_loop () in
+          Alcotest.(check string) "lint"
+            "E102 error [channel 2 m.out0->fk.in0]: cycle broken by no EB \
+             (Lf=1, Lb=1): the loop is combinational (no elastic buffer \
+             registers it): m.out0->fk.in0 -> fk.out1->g.in0 -> \
+             g.out0->m.sel (fix: insert an empty EB on channel 2)"
+            (render_diags (Lint.run ~only:[ "E102" ] net).Lint.diags);
+          match Elastic_sim.Engine.create net with
+          | _ -> Alcotest.fail "expected create to refuse the hint loop"
+          | exception Elastic_sim.Engine.Simulation_error e ->
+            Alcotest.(check string) "create"
+              "cycle 0 [E102], node 0, channel 2: combinational cycle, \
+               undetermined channels: m.out0->fk.in0, fk.out1->g.in0, \
+               g.out0->m.sel"
+              (Elastic_sim.Engine.error_to_string e)) ]
 
 let suite =
   corpus_suite @ mutation_suite @ precheck_suite @ fixit_suite
   @ integration_suite @ shell_suite
   @ List.map QCheck_alcotest.to_alcotest differential_props
+  @ hint_loop_suite
