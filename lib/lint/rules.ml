@@ -1,14 +1,13 @@
 (* Graph analyses behind the lint rules: pure structural reasoning on the
    netlist, no simulation.
 
-   E102 asks the half graph the engine sweeps ([Halves]): a cyclic
-   region of it is a combinational loop, so lint and [Engine.create]
-   refuse the same designs.  The other analyses run on a directed graph
-   whose vertices are the {e channels}; the edge c1 -> c2 exists when
-   the node consuming c1 can produce on c2 (way-wise for shared
+   E102 asks the half graph the engine sweeps ([Halves]), so lint and
+   [Engine.create] refuse the same loops.  The other analyses run on a
+   graph whose vertices are the {e channels}; the edge c1 -> c2 exists
+   when the node consuming c1 can produce on c2 (way-wise for shared
    modules).  Cutting the edges that cross a buffer holding tokens, or
-   that enter an early mux, turns "is there a token-free cycle" into a
-   plain SCC question, answered by the same SCC routine.
+   enter an early mux, turns "is there a token-free cycle" into a plain
+   SCC question ([Halves.components]).
 
    Every analysis assumes a structurally sound netlist (no E001-E004
    findings); [Lint.run] gates on that before calling in here. *)
@@ -56,8 +55,7 @@ let successors ?(through_tokens = true)
         if shared_sel then Netlist.outgoing net n.Netlist.id else []
       | Netlist.Out _ -> [])
 
-(* Mirror image of [successors ~shared_sel:true], for reaches-a-sink
-   questions. *)
+(* [successors ~shared_sel:true] reversed, for reaches-a-sink questions. *)
 let predecessors net =
   let preds = Hashtbl.create 64 in
   List.iter
@@ -87,7 +85,7 @@ let cyclic_components net ~succ =
       chans
   in
   Halves.components succs
-  |> List.filter (Halves.cyclic succs)
+  |> List.filter (function [ v ] -> List.mem v succs.(v) | _ -> true)
   |> List.map (fun comp ->
       List.sort compare (List.map (fun i -> chans.(i).Netlist.ch_id) comp))
   |> List.sort compare
@@ -142,95 +140,51 @@ let bfs_channels net ~start ~next =
   done;
   seen
 
-(* W005: node not fed (transitively) by any token source. *)
-let unreachable_from_source net =
-  let sources =
-    List.filter
-      (fun (n : Netlist.node) ->
-         match n.Netlist.kind with
-         | Netlist.Source _ -> true
-         | _ -> false)
-      (Netlist.nodes net)
+(* The nodes a channel walk from the [ends] never meets: from the
+   sources along [successors] (W005), from the sinks back along
+   [predecessors] (W006).  No finding when there is no end at all. *)
+let unmet net ~is_end ~start ~next ~meets ~code ~rule ~what =
+  let nodes = Netlist.nodes net in
+  let ends =
+    List.filter (fun (n : Netlist.node) -> is_end n.Netlist.kind) nodes
   in
-  if sources = [] then []
-  else begin
-    let start =
-      List.concat_map
-        (fun (n : Netlist.node) -> Netlist.outgoing net n.Netlist.id)
-        sources
-    in
-    let visited =
-      bfs_channels net ~start ~next:(successors ~shared_sel:true)
-    in
-    let reached : (Netlist.node_id, unit) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (n : Netlist.node) -> Hashtbl.replace reached n.Netlist.id ())
-      sources;
-    Hashtbl.iter
-      (fun cid () ->
-         Hashtbl.replace reached
-           (Netlist.channel net cid).Netlist.dst.Netlist.ep_node ())
-      visited;
+  let met : (Netlist.node_id, unit) Hashtbl.t = Hashtbl.create 64 in
+  let meet id = Hashtbl.replace met id () in
+  List.iter (fun (n : Netlist.node) -> meet n.Netlist.id) ends;
+  Hashtbl.iter
+    (fun cid () -> meet (meets (Netlist.channel net cid)).Netlist.ep_node)
+    (bfs_channels net ~next
+       ~start:(List.concat_map (fun (n : Netlist.node) ->
+           start net n.Netlist.id) ends));
+  if ends = [] then []
+  else
     List.filter_map
       (fun (n : Netlist.node) ->
-         if Hashtbl.mem reached n.Netlist.id then None
+         if Hashtbl.mem met n.Netlist.id then None
          else
            Some
-             (diag ~code:"W005" ~rule:"unreachable-from-source"
-                ~severity:Diagnostic.Warning ~node:n.Netlist.id
+             (diag ~code ~rule ~severity:Diagnostic.Warning ~node:n.Netlist.id
                 ~node_name:n.Netlist.name
-                (Fmt.str
-                   "node %s (%s) is not fed by any source: it can never \
-                    receive a token"
-                   n.Netlist.name
-                   (Netlist.kind_name n.Netlist.kind))))
-      (Netlist.nodes net)
-  end
+                (Fmt.str "node %s (%s) %s" n.Netlist.name
+                   (Netlist.kind_name n.Netlist.kind) what)))
+      nodes
+
+(* W005: node not fed (transitively) by any token source. *)
+let unreachable_from_source net =
+  unmet net
+    ~is_end:(function Netlist.Source _ -> true | _ -> false)
+    ~start:Netlist.outgoing ~next:(successors ~shared_sel:true)
+    ~meets:(fun c -> c.Netlist.dst) ~code:"W005"
+    ~rule:"unreachable-from-source"
+    ~what:"is not fed by any source: it can never receive a token"
 
 (* W006: node whose tokens can never be consumed by any sink. *)
 let cannot_reach_sink net =
-  let sinks =
-    List.filter
-      (fun (n : Netlist.node) ->
-         match n.Netlist.kind with
-         | Netlist.Sink _ -> true
-         | _ -> false)
-      (Netlist.nodes net)
-  in
-  if sinks = [] then []
-  else begin
-    let start =
-      List.concat_map
-        (fun (n : Netlist.node) -> Netlist.incoming net n.Netlist.id)
-        sinks
-    in
-    let visited =
-      bfs_channels net ~start ~next:(predecessors net)
-    in
-    let reaches : (Netlist.node_id, unit) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (n : Netlist.node) -> Hashtbl.replace reaches n.Netlist.id ())
-      sinks;
-    Hashtbl.iter
-      (fun cid () ->
-         Hashtbl.replace reaches
-           (Netlist.channel net cid).Netlist.src.Netlist.ep_node ())
-      visited;
-    List.filter_map
-      (fun (n : Netlist.node) ->
-         if Hashtbl.mem reaches n.Netlist.id then None
-         else
-           Some
-             (diag ~code:"W006" ~rule:"cannot-reach-sink"
-                ~severity:Diagnostic.Warning ~node:n.Netlist.id
-                ~node_name:n.Netlist.name
-                (Fmt.str
-                   "node %s (%s) cannot reach any sink: its tokens are \
-                    never consumed"
-                   n.Netlist.name
-                   (Netlist.kind_name n.Netlist.kind))))
-      (Netlist.nodes net)
-  end
+  unmet net
+    ~is_end:(function Netlist.Sink _ -> true | _ -> false)
+    ~start:Netlist.incoming ~next:(predecessors net)
+    ~meets:(fun c -> c.Netlist.src) ~code:"W006" ~rule:"cannot-reach-sink"
+    ~what:"cannot reach any sink: its tokens are never consumed"
 
 (* {1 SELF invariants (E101 / E102 / E103 / W104)} *)
 
@@ -266,7 +220,7 @@ let buffer_overfilled net =
    them combinationally, Fig. 5).  Regions that share a channel are one
    finding, named by its least channel. *)
 let combinational_cycle net =
-  let chans = Array.of_list (Netlist.channels net) in
+  let h = Halves.build net in
   let rec merge = function
     | [] -> []
     | r :: rest ->
@@ -275,8 +229,8 @@ let combinational_cycle net =
       in
       List.sort_uniq compare (List.concat (r :: linked)) :: apart
   in
-  merge (Halves.build net).Halves.regions
-  |> List.map (List.map (fun i -> chans.(i).Netlist.ch_id))
+  merge h.Halves.regions
+  |> List.map (List.map (fun i -> h.Halves.channels.(i).Netlist.ch_id))
   |> List.sort compare
   |> List.map (fun comp ->
       let first = List.hd comp in

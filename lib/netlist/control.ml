@@ -48,8 +48,7 @@ let token_out c = And [ Var (c "vp"); Or [ Not (Var (c "sp")); Var (c "vm") ] ]
 let anti_in c = And [ Var (c "vm"); Not (Var (c "sm")); Not (Var (c "vp")) ]
 let anti_out c = And [ Var (c "vm"); Or [ Var (c "vp"); Not (Var (c "sm")) ] ]
 
-(* [indexed a "_x" k] is the name [a_x<k>]: a concatenation, where a
-   format would build a formatter per name. *)
+(* The name [a_x<k>]; a format would build a formatter per name. *)
 let indexed a x k = a ^ x ^ string_of_int k
 
 type acc = {

@@ -8,10 +8,10 @@
     {!Blif}, {!Smv} and {!Verilog} print these tables, the simulator's
     Reference backend evaluates them, and {!Halves} reads from them
     what each controller half reads.  The arena backend, which the
-    engine runs by default, codes the same
-    controllers a second time, by hand; the differential tests run it
-    in lockstep with the Reference and the BLIF co-simulation checks the
-    printed gates bit for bit, so all three exports inherit both checks.
+    engine runs by default, codes the same controllers a second time, by
+    hand; the differential tests run it in lockstep with the Reference
+    and the BLIF co-simulation checks the printed gates bit for bit, so
+    all three exports inherit both checks.
     The emission order of inputs and registers is part of the contract:
     the Reference binds them to node state in that order.
 

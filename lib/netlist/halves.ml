@@ -1,7 +1,6 @@
-(* The half graph (see halves.mli).  What each half of a shape reads is
-   derived once per distinct shape of a build, over port names, in a
-   table local to the build (engines are compiled concurrently), and
-   resolved per node to channel indices. *)
+(* What each half of a shape reads is derived over port names once per
+   distinct shape of a build, in a table local to the build (engines are
+   compiled concurrently), and resolved per node to channel indices. *)
 
 (* A packed half: node index, way and direction in one int. *)
 let shift = 21
@@ -12,14 +11,11 @@ let[@inline] way h = (h lsr 1) land ((1 lsl (shift - 1)) - 1)
 
 let[@inline] backward h = h land 1 = 1
 
-let code ~way ~bwd =
-  if way lsr (shift - 1) <> 0 then invalid_arg "Halves.build: too many ways";
-  (way lsl 1) lor Bool.to_int bwd
+let code ~way ~bwd = (way lsl 1) lor Bool.to_int bwd
 
 (* Tarjan; a vertex whose component is done gets index and lowlink
-   [max_int], so only vertices still on the stack lower a lowlink.  A
-   component completes after every component it reaches, so prepending
-   each leaves them in topological order. *)
+   [max_int].  A component completes after every component it reaches,
+   so prepending each leaves them in topological order. *)
 let components succs =
   let index = Array.make (Array.length succs) (-1) in
   let low = Array.copy index in
@@ -150,19 +146,14 @@ let build net =
   Array.iteri
     (fun i (n : Netlist.node) -> Hashtbl.replace index n.Netlist.id i)
     nodes;
-  let slots f ports = Array.make (List.length (List.filter f ports)) (-1) in
-  let ins =
+  let slots ports f =
     Array.map
       (fun (n : Netlist.node) ->
-         slots (( <> ) Netlist.Sel) (Netlist.required_inputs n.Netlist.kind))
+         Array.make (List.length (List.filter f (ports n.Netlist.kind))) (-1))
       nodes
   in
-  let outs =
-    Array.map
-      (fun (n : Netlist.node) ->
-         slots (fun _ -> true) (Netlist.required_outputs n.Netlist.kind))
-      nodes
-  in
+  let ins = slots Netlist.required_inputs (( <> ) Netlist.Sel) in
+  let outs = slots Netlist.required_outputs (fun _ -> true) in
   let sel = Array.make (Array.length nodes) (-1) in
   (* Each channel fills the ports it names; an end naming no node or no
      port of it (a structural error) fills none. *)
@@ -198,42 +189,35 @@ let build net =
            h)
       nodes
   in
-  (* Half vertices, numbered node by node, packed; and the vertex writing
-     each channel's forward group and its backward group (-1 where a
-     dangling end leaves one unwritten). *)
-  let base = Array.make (Array.length nodes + 1) 0 in
-  Array.iteri (fun i h -> base.(i + 1) <- base.(i) + Array.length h) halves;
-  let nv = base.(Array.length nodes) in
+  (* [each f] calls [f i v h] on every half [h] of every node [i], [v]
+     numbering the half vertices node by node. *)
+  let each f =
+    let v = ref (-1) in
+    Array.iteri (fun i -> Array.iter (fun h -> incr v; f i !v h)) halves
+  in
+  let nv = Array.fold_left (fun n hs -> n + Array.length hs) 0 halves in
+  (* The packed halves, and the vertex writing each channel's forward
+     group and its backward group (-1 where a dangling end leaves one
+     unwritten). *)
   let packed = Array.make nv 0 in
   let fw = Array.make (Array.length channels) (-1) in
   let bw = Array.copy fw in
-  Array.iteri
-    (fun i hs ->
-       Array.iteri
-         (fun k h ->
-            let v = base.(i) + k in
-            packed.(v) <- (i lsl shift) lor h.code;
-            List.iter
-              (fun p ->
-                 let c = port i p in
-                 if c >= 0 then (if backward h.code then bw else fw).(c) <- v)
-              h.writes)
-         hs)
-    halves;
+  each (fun i v h ->
+      packed.(v) <- (i lsl shift) lor h.code;
+      List.iter
+        (fun p ->
+           let c = port i p in
+           if c >= 0 then (if backward h.code then bw else fw).(c) <- v)
+        h.writes);
   (* [f writer reader c] for every read, of channel [c]. *)
   let iter_reads f =
-    Array.iteri
-      (fun i hs ->
-         Array.iteri
-           (fun k h ->
-              List.iter
-                (fun (p, bwd) ->
-                   let c = port i p in
-                   let w = if c < 0 then -1 else (if bwd then bw else fw).(c) in
-                   if w >= 0 then f w (base.(i) + k) c)
-                h.reads)
-           hs)
-      halves
+    each (fun i v h ->
+        List.iter
+          (fun (p, bwd) ->
+             let c = port i p in
+             let w = if c < 0 then -1 else (if bwd then bw else fw).(c) in
+             if w >= 0 then f w v c)
+          h.reads)
   in
   let succs = Array.make nv [] in
   iter_reads (fun u v _ -> succs.(u) <- v :: succs.(u));

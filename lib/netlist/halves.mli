@@ -2,21 +2,19 @@
 
     A channel's forward group [F(c)] ([V+], payload, [S-]) is written
     by its source node, its backward group [B(c)] ([S+], [V-]) by its
-    destination.  A node's F half writes its outputs' forward groups,
-    its B half its inputs' backward groups; a shared module has a pair
-    per way (way [j]'s own [In j], [Out j], and way 0's B half the hint
-    [Sel]).  A half reads the channel bits its assigns in the node's
-    {!Control.table} read, through the table's internal nets, and the
-    payloads the tables do not carry.  An edge runs from the half
-    writing a group to every half reading it.  A topological order is
-    the sweep, in which each half runs once, after all it reads; a
-    cyclic region is a combinational loop ([Engine.create] refuses it,
-    lint reports E102). *)
+    destination: by a node's F half and B half, or a shared module's
+    pair for the way (way 0's B half also owns the hint [Sel]).  A half
+    reads the channel bits its assigns in the node's {!Control.table}
+    read, through the table's internal nets, and the payloads the
+    tables do not carry.  An edge runs from the half writing a group to
+    every half reading it; a topological order is the sweep, in which
+    each half runs once, after all it reads, and a cyclic region is a
+    combinational loop ([Engine.create] refuses it, lint reports
+    E102). *)
 
 type t = {
   nodes : Netlist.node array;  (** [Netlist.nodes], by node index *)
-  channels : Netlist.channel array;
-      (** [Netlist.channels], by channel index *)
+  channels : Netlist.channel array;  (** [Netlist.channels], by index *)
   ports : (int array * int option * int array) array;
       (** per node, the channel indices of its data inputs, its select
           (a mux's, or a shared module's hint) and its outputs, in port
@@ -30,8 +28,8 @@ type t = {
 }
 
 (** A channel with an end that names no node or no port of it, and a
-    port with no channel, are left out (structural errors, E001-E003).
-    @raise Invalid_argument if a shared module has 2{^ 20} ways. *)
+    port with no channel, are left out (structural errors, E001-E003);
+    a shared module has fewer than 2{^ 20} ways. *)
 val build : Netlist.t -> t
 
 (** The node index of a packed half; its way (0 but in a shared
@@ -46,7 +44,3 @@ val backward : int -> bool
     with an edge [v -> w] for each [w] in [succs.(v)], in topological
     order (a component before every component it reaches). *)
 val components : int list array -> int list list
-
-(** Whether such a component is cyclic: two vertices or more, or one
-    with an edge to itself. *)
-val cyclic : int list array -> int list -> bool

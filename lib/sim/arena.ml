@@ -3,10 +3,10 @@
    The Reference backend ([Reference]) evaluates each node's
    [Control.table] (the equations the exports print) to a Kleene fixed
    point over its own store.  This module is the second, independent
-   coding of the same controllers, split into the halves of the static
-   sweep, whose graph [Halves] reads from those tables: a node's F half
-   writes its outputs' V+, payload and S-, its B half its inputs' S+
-   and V-, and a shared module has one pair per way.  The sweep is
+   coding of the same controllers, split into the halves of the sweep
+   over the half graph [Halves] reads from those tables: a node's F
+   half writes its outputs' V+, payload and S-, its B half its inputs'
+   S+ and V- (a shared module has a pair per way).  The sweep is
    acyclic (the engine refuses a cyclic half graph), so every field a
    half reads is settled before it runs, each half runs once per cycle
    and control is two-valued.
@@ -434,8 +434,8 @@ let b_varlat t i =
   let c = reg t i 0 in
   put t (in_w t i 0) (bit (c > 0 || (c = 0 && is t (out_w t i 0) sp)) sp)
 
-(* Packed half [h] ([Halves.node], [way], [backward]).  A source has no
-   B half and a sink no F half; the sweep lists neither. *)
+(* Packed half [h] ([Halves.node], [way], [backward]); no source has a
+   B half and no sink an F half. *)
 let eval_half t h =
   let i = Halves.node h in
   Array.unsafe_set t.pn i (Array.unsafe_get t.pn i + 1);

@@ -181,8 +181,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
             (List.map
                (fun (d : Diagnostic.t) -> d.Diagnostic.message)
                ds)));
-  (* The half graph gives the dense node and channel order, each node's
-     input, select and output channel indices, and the sweep. *)
+  (* The half graph: dense node and channel order, ports and sweep. *)
   let halves = Halves.build net in
   let nodes = halves.Halves.nodes in
   (* A shared module and a variable-latency unit apply their functions
@@ -221,7 +220,6 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
   Array.iteri
     (fun i (c : Netlist.channel) -> Hashtbl.add ch_index c.Netlist.ch_id i)
     chans;
-  let ports = halves.Halves.ports in
   (* A monitored engine's own slots follow the nodes': an int slot per
      channel for its protocol monitor, then one for the watchdog's wait
      counter on each shared-module input; and a payload slot per channel
@@ -244,7 +242,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
   let paid, mon_vals = count (Netlist.persistent net) in
   let nmon = if monitor then Array.length chans else 0 in
   let regs, vals, insts =
-    Instance.layout nodes ~ports
+    Instance.layout nodes ~ports:halves.Halves.ports
       ~spare:(nmon + waits) ~spare_vals:paid
   in
   let mon_base = Array.length regs - waits - nmon in

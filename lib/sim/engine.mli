@@ -7,11 +7,10 @@ open Elastic_netlist
     Each cycle proceeds in three phases:
     + environment nodes decide what they offer/accept ({!Instance.begin_cycle});
     + the combinational phase settles every channel wire: the default
-      backend runs each node's forward and backward halves (one pair
-      per way of a shared module) once, in the static order of the
-      netlist's {!Halves} graph, over two-valued control codes (a
-      design whose halves form a combinational cycle is refused by
-      {!create}); the Reference backend iterates every node to the
+      backend runs each half once (a pair per node, per way of a shared
+      module), in the order of the {!Halves} graph, over two-valued
+      codes (a design whose halves form a combinational cycle is refused
+      by {!create}); the Reference backend iterates every node to the
       fixed point of its monotone equations over three-valued wires;
     + the settled wires are one preallocated array of raw control
       codes, one per channel ({!Signal.code} layout); from it, without
@@ -81,10 +80,9 @@ type t
 
 (** How the combinational phase of each cycle is evaluated.
 
-    [Arena] (the default) evaluates the static sweep of the netlist's
-    half graph ({!Halves}), on the flat preallocated arena backend
-    ({!Arena}): each half (a node's forward and backward half, one pair
-    per way of a shared module) runs once, in topological order.  Channel state is each
+    [Arena] (the default) evaluates the static sweep of the half graph
+    ({!Halves}), on the flat preallocated arena backend ({!Arena}): each
+    half runs once, in topological order.  Channel state is each
     channel's raw control code, the array the post-settle phases read,
     one payload slot per channel and flat instruction arrays instead of
     per-channel records and closures.
@@ -153,8 +151,7 @@ val mode : t -> eval_mode
 (** Evaluation-cost counters accumulated since creation. *)
 val profile : t -> Profile.t
 
-(** The static sweep of the half graph ({!Halves.t}): one packed half
-    per entry (also
+(** The static sweep ({!Halves.t}), one packed half an entry (also
     built in [Reference] mode, which refuses the same cyclic designs). *)
 val sweep : t -> int array
 

@@ -313,8 +313,7 @@ let evaluator r ~regs ~vals t =
       | Netlist.Out k -> (Instance.outs t).(k)
     in
     let net = Fmt.str "%d.%s" c f in
-    (* A channel from the node to itself is named at both its ports; the
-       output keeps the name, for its payload to follow its V+. *)
+    (* A self-loop channel keeps its output's name: its payload follows V+. *)
     (match p with
      | (Netlist.In _ | Netlist.Sel) when Hashtbl.mem bits net -> ()
      | _ -> Hashtbl.replace bits net (c, bit f, p));
