@@ -1282,10 +1282,13 @@ let json_e9 ~cycles () =
     (eng, Profile.settle_seconds (Engine.profile eng), step)
   in
   let design (name, (d : Examples.design)) =
-    (* [e9_rounds] rounds, each a Reference run then an Arena run, so
+    (* An untimed pair warms both modes up; then [e9_rounds] rounds,
+       each a Reference run and an Arena run, in alternating order, so
        both runs of a pair see the same load.  The best-of fields take
        each mode's minimum (the run least polluted by scheduler noise);
        the paired speedups give the median and the spread. *)
+    ignore (time Engine.Reference d.Examples.d_net);
+    ignore (time Engine.Arena d.Examples.d_net);
     let rounds =
       List.init e9_rounds (fun r ->
           if r land 1 = 0 then

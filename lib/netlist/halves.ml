@@ -75,15 +75,20 @@ type half = {
 
 let of_shape shape =
   let bits = Hashtbl.create 16 and defs = Hashtbl.create 16 in
+  let names = Hashtbl.create 16 in
   let wire p f =
-    let name =
-      match p with
-      | Netlist.In k -> f ^ ".in" ^ string_of_int k
-      | Netlist.Out k -> f ^ ".out" ^ string_of_int k
-      | Netlist.Sel -> f ^ ".sel"
-    in
-    Hashtbl.replace bits name (p, f = "sp" || f = "vm");
-    name
+    match Hashtbl.find_opt names (p, f) with
+    | Some name -> name
+    | None ->
+      let name =
+        match p with
+        | Netlist.In k -> f ^ ".in" ^ string_of_int k
+        | Netlist.Out k -> f ^ ".out" ^ string_of_int k
+        | Netlist.Sel -> f ^ ".sel"
+      in
+      Hashtbl.replace names (p, f) name;
+      Hashtbl.replace bits name (p, f = "sp" || f = "vm");
+      name
   in
   let table = Control.table ~u:"" ~wire shape in
   List.iter (fun (n, e) -> Hashtbl.replace defs n e) table.Control.assigns;
@@ -103,7 +108,7 @@ let of_shape shape =
        match Hashtbl.find_opt bits net with
        | None -> ()
        | Some ((p, _) as pb) ->
-         let h = owner pb and seen = Hashtbl.create 8 in
+         let h = owner pb and seen = ref [] in
          writes := (h, p) :: !writes;
          let rec walk = function
            | Control.T | Control.F | Control.Is _ -> ()
@@ -113,8 +118,8 @@ let of_shape shape =
                match Hashtbl.find_opt bits x with
                | Some pb -> if owner pb <> h then reads := (h, pb) :: !reads
                | None ->
-                 if not (Hashtbl.mem seen x) then begin
-                   Hashtbl.replace seen x ();
+                 if not (List.mem x !seen) then begin
+                   seen := x :: !seen;
                    Option.iter walk (Hashtbl.find_opt defs x)
                  end)
          in
