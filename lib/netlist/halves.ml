@@ -75,20 +75,15 @@ type half = {
 
 let of_shape shape =
   let bits = Hashtbl.create 16 and defs = Hashtbl.create 16 in
-  let names = Hashtbl.create 16 in
   let wire p f =
-    match Hashtbl.find_opt names (p, f) with
-    | Some name -> name
-    | None ->
-      let name =
-        match p with
-        | Netlist.In k -> f ^ ".in" ^ string_of_int k
-        | Netlist.Out k -> f ^ ".out" ^ string_of_int k
-        | Netlist.Sel -> f ^ ".sel"
-      in
-      Hashtbl.replace names (p, f) name;
-      Hashtbl.replace bits name (p, f = "sp" || f = "vm");
-      name
+    let name =
+      match p with
+      | Netlist.In k -> f ^ ".in" ^ string_of_int k
+      | Netlist.Out k -> f ^ ".out" ^ string_of_int k
+      | Netlist.Sel -> f ^ ".sel"
+    in
+    Hashtbl.replace bits name (p, f = "sp" || f = "vm");
+    name
   in
   let table = Control.table ~u:"" ~wire shape in
   List.iter (fun (n, e) -> Hashtbl.replace defs n e) table.Control.assigns;
