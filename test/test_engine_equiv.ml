@@ -777,8 +777,8 @@ let test_mixed_func_forms () =
    reference fixpoint evaluates every node once per pass.  The arena's
    static sweep is one pass (none with no nodes) and evaluates each
    half once: a source and a sink once a cycle, a shared module twice
-   per way, every other node twice.  An observer diffs the per-node counters
-   ([Profile.top_nodes]) every cycle and checks them. *)
+   per way, every other node twice.  An observer diffs the per-node
+   counters ([Profile.top_nodes]) every cycle and checks them. *)
 let gen_random_design =
   let open QCheck.Gen in
   let pipe p =
@@ -1119,7 +1119,8 @@ let loop_is_combinational l =
   let rec reaches seen a b =
     List.exists
       (fun (x, y) ->
-         x = a && (y = b || ((not (List.mem y seen)) && reaches (y :: seen) y b)))
+         x = a
+         && (y = b || ((not (List.mem y seen)) && reaches (y :: seen) y b)))
       edges
   in
   List.exists (fun (x, _) -> reaches [] x x) edges
