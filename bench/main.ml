@@ -13,7 +13,8 @@
      E8  runner scaling — the SECDED campaign sharded at 1/2/4/8 workers
      E9  arena backend  — speedup over the reference fixpoint
      E10 runner spans   — scheduling overhead from the span ledger
-     E13 compile scaling — netlist build + Engine.create at 256-4096 channels
+     E13 compile scaling — netlist build + Engine.create at 256-4096 channels,
+                          and one SECDED engine's create and lint words
      A1  §4.1/§4.3      — ablation: recovery-buffer backward latency
      A2  schedulers     — ablation: prediction strategies on Fig. 1(d)
      A3  §1 motivation  — branch predictors on the next-PC loop
@@ -1362,9 +1363,16 @@ let json_e9 ~cycles () =
 (* words depend on the OCaml version's stdlib as well as on the code,   *)
 (* so the gate skips them and holds the ratio of total words per        *)
 (* channel at 4096 to that at 256 under the bound: a per-port cost that *)
-(* grows with the design shows there as a ratio far above 1.            *)
+(* grows with the design shows there as a ratio far above 1.  The      *)
+(* alarmed SECDED adder (E7's design) records what one small engine     *)
+(* costs per channel: an arena create, a Reference create and a lint    *)
+(* run, each after an earlier create has resolved its controller        *)
+(* programs, with the arena's words held under a bound well above the  *)
+(* stdlib's spread.                                                     *)
 
 let e13_ratio_bound = 1.5
+
+let e13_create_words_bound = 500.
 
 let json_e13 () =
   let base =
@@ -1397,19 +1405,50 @@ let json_e13 () =
   let words = List.map fst sizes in
   let ratio = List.nth words 2 /. List.hd words in
   let ok = ratio <= e13_ratio_bound in
+  let alarmed =
+    (fst (Examples.rs_speculative_alarmed
+            ~ops:(Examples.rs_ops ~error_rate_pct:0 ~seed:5 400)))
+      .Examples.d_net
+  in
+  ignore (Engine.create alarmed);
+  let per_channel f =
+    let _, _, w = timed f in
+    w /. float_of_int (Netlist.channel_count alarmed)
+  in
+  let arena = per_channel (fun () -> Engine.create alarmed) in
+  let create_ok = arena <= e13_create_words_bound in
   record
     ~failed:
       (claim ok "words_ratio_ok"
          (Fmt.str
             "words per channel at 4096 channels are %.2fx those at 256 \
              (bound %gx)"
-            ratio e13_ratio_bound))
+            ratio e13_ratio_bound)
+       @ claim create_ok "create_words_ok"
+         (Fmt.str
+            "an arena create of rs_speculative_alarmed allocates %.0f words \
+             per channel (bound %g)"
+            arena e13_create_words_bound))
     ~experiment:"E13" ~title:"compile scaling: netlist build + Engine.create"
     [ ("design", Json.Str "vl_speculative lanes");
       ("sizes", Json.List (List.map (fun (_, f) -> Json.Obj f) sizes));
       ("words_per_channel_ratio", Json.Float ratio);
       ("ratio_bound", Json.Float e13_ratio_bound);
-      ("words_ratio_ok", Json.Bool ok) ]
+      ("words_ratio_ok", Json.Bool ok);
+      ("rs_speculative_alarmed",
+       Json.Obj
+         [ ("nodes", Json.Int (Netlist.node_count alarmed));
+           ("channels", Json.Int (Netlist.channel_count alarmed));
+           ("arena_create_words_per_channel", Json.Float arena);
+           ("reference_create_words_per_channel",
+            Json.Float
+              (per_channel (fun () ->
+                   Engine.create ~mode:Engine.Reference alarmed)));
+           ("lint_words_per_channel",
+            Json.Float (per_channel (fun () -> Elastic_lint.Lint.run alarmed)))
+         ]);
+      ("create_words_bound", Json.Float e13_create_words_bound);
+      ("create_words_ok", Json.Bool create_ok) ]
 
 (* ------------------------------------------------------------------ *)
 (* --check: the regression gate.  Reports the paper claims each record  *)

@@ -282,14 +282,18 @@ let jsonl_of_row row =
          ("window", Json.Int row.r_window);
          ("samples", Json.List (List.map sample_json row.r_samples)) ])
 
+let recovery_sample cls =
+  { Metrics.m_name = "elastic_fault_recovery_total";
+    m_help = "Recovery-check outcomes by classification";
+    m_labels =
+      [ ( "class",
+          String.map
+            (fun c -> if c = '-' then '_' else c)
+            (Elastic_fault.Recovery.classification_label cls) ) ];
+    m_value = Metrics.Counter 1 }
+
 let note_recovery reg cls =
-  let label =
-    String.map
-      (fun c -> if c = '-' then '_' else c)
-      (Elastic_fault.Recovery.classification_label cls)
-  in
+  let s = recovery_sample cls in
   Metrics.Counter.inc
-    (Metrics.counter reg
-       ~labels:[ ("class", label) ]
-       ~help:"Recovery-check outcomes by classification"
-       "elastic_fault_recovery_total")
+    (Metrics.counter reg ~labels:s.Metrics.m_labels ~help:s.Metrics.m_help
+       s.Metrics.m_name)

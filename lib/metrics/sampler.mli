@@ -76,3 +76,6 @@ val jsonl_of_row : row -> string
     [elastic_fault_recovery_total{class="..."}]. *)
 val note_recovery :
   Metrics.t -> Elastic_fault.Recovery.classification -> unit
+
+(** The sample {!note_recovery} leaves in an empty registry. *)
+val recovery_sample : Elastic_fault.Recovery.classification -> Metrics.sample

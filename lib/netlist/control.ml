@@ -1,22 +1,29 @@
 (* Each controller is written once here, as an equation table over named
    nets.  The emission order of inputs, registers and assignments is part
    of the contract: the BLIF printer numbers its intermediate gates in
-   this order. *)
+   this order.  [program] resolves each table's nets once per process,
+   so no other module names a net. *)
 
-type e =
+type 'n expr =
   | T
   | F
-  | Var of string
-  | Not of e
-  | And of e list
-  | Or of e list
-  | Is of string * int
+  | Var of 'n
+  | Not of 'n expr
+  | And of 'n expr list
+  | Or of 'n expr list
+  | Is of 'n * int
 
-type input = Bit of string | Choice of string * int
+type e = string expr
 
-type reg = { d : string; q : string; init : bool }
+type 'n input = Bit of 'n | Choice of 'n * int
 
-type t = { inputs : input list; assigns : (string * e) list; regs : reg list }
+type 'n reg = { d : 'n; q : 'n; init : bool }
+
+type 'n table = {
+  inputs : 'n input list;
+  assigns : ('n * 'n expr) list;
+  regs : 'n reg list;
+}
 
 type shape =
   | Source
@@ -52,9 +59,9 @@ let anti_out c = And [ Var (c "vm"); Or [ Var (c "vp"); Not (Var (c "sm")) ] ]
 let indexed a x k = a ^ x ^ string_of_int k
 
 type acc = {
-  mutable ins : input list;  (* reversed *)
+  mutable ins : string input list;  (* reversed *)
   mutable asg : (string * e) list;  (* reversed *)
-  mutable rgs : reg list;  (* reversed *)
+  mutable rgs : string reg list;  (* reversed *)
 }
 
 let assign a net e = a.asg <- (net, e) :: a.asg
@@ -276,6 +283,88 @@ let table ~u ~wire shape =
   let a = { ins = []; asg = []; rgs = [] } in
   build a ~u ~wire shape;
   { inputs = List.rev a.ins; assigns = List.rev a.asg; regs = List.rev a.rgs }
+
+let rec map_expr f = function
+  | T -> T
+  | F -> F
+  | Var x -> Var (f x)
+  | Not e -> Not (map_expr f e)
+  | And es -> And (List.map (map_expr f) es)
+  | Or es -> Or (List.map (map_expr f) es)
+  | Is (x, j) -> Is (f x, j)
+
+let map f t =
+  let input = function Bit x -> Bit (f x) | Choice (x, n) -> Choice (f x, n) in
+  { inputs = List.map input t.inputs;
+    assigns = List.map (fun (x, e) -> (f x, map_expr f e)) t.assigns;
+    regs = List.map (fun r -> { r with d = f r.d; q = f r.q }) t.regs }
+
+type net = Chan of Netlist.port * int | Slot of int
+
+type program = {
+  resolved : net table;
+  slots : int;
+  live : (net * net expr) list;
+}
+
+let fields =
+  Elastic_kernel.Signal.
+    [ ("vp", v_plus_bit); ("sp", s_plus_bit); ("vm", v_minus_bit);
+      ("sm", s_minus_bit) ]
+
+(* The table of [s] with its nets resolved.  Each use of a channel bit
+   gets a fresh name, "#<k>", which no internal net (all named after
+   [u]) takes. *)
+let resolve s =
+  let nets = Hashtbl.create 64 and n = ref 0 in
+  let wire p f =
+    let x = "#" ^ string_of_int (Hashtbl.length nets) in
+    Hashtbl.replace nets x (Chan (p, List.assoc f fields));
+    x
+  in
+  let t = table ~u:"u" ~wire s in
+  let slot x =
+    if not (Hashtbl.mem nets x) then (Hashtbl.replace nets x (Slot !n); incr n)
+  in
+  List.iter (fun r -> slot r.q) t.regs;
+  List.iter (fun (Bit x | Choice (x, _)) -> slot x) t.inputs;
+  List.iter (fun (x, _) -> slot x) t.assigns;
+  let resolved = map (Hashtbl.find nets) t in
+  (* Every internal net is assigned before it is read, so one backward
+     pass finds those the channel bits need. *)
+  let need = Array.make !n false in
+  let rec mark = function
+    | Var (Slot k) | Is (Slot k, _) -> need.(k) <- true
+    | Not e -> mark e
+    | And es | Or es -> List.iter mark es
+    | T | F | Var (Chan _) | Is (Chan _, _) -> ()
+  in
+  let live =
+    List.fold_right
+      (fun ((x, e) as a) acc ->
+         match x with
+         | Slot k when not need.(k) -> acc
+         | Slot _ | Chan _ -> mark e; a :: acc)
+      resolved.assigns []
+  in
+  { resolved; slots = !n; live }
+
+module Shapes = Map.Make (struct type t = shape let compare = compare end)
+
+(* The map is immutable, so domains share it; a racing insert retries. *)
+let memo f =
+  let cache = Atomic.make Shapes.empty in
+  let rec get s =
+    let m = Atomic.get cache in
+    match Shapes.find_opt s m with
+    | Some x -> x
+    | None ->
+      ignore (Atomic.compare_and_set cache m (Shapes.add s (f s) m));
+      get s
+  in
+  get
+
+let program = memo resolve
 
 let sanitize name =
   String.map

@@ -5,9 +5,10 @@
     their reset values, and the environment inputs the control
     abstraction leaves free (source offers, sink stalls, multiplexor
     select values, shared-module predictions, variable-latency outcomes).
-    {!Blif}, {!Smv} and {!Verilog} print these tables, the simulator's
-    Reference backend evaluates them, and {!Halves} reads from them
-    what each controller half reads.  The arena backend, which the
+    {!Blif}, {!Smv} and {!Verilog} print these tables over names; the
+    simulator's Reference backend and {!Halves} read the same tables as
+    {!program}s, with every net resolved to a channel bit or a slot, so
+    no module but this one names a net.  The arena backend, which the
     engine runs by default, codes the same controllers a second time, by
     hand; the differential tests run it in lockstep with the Reference
     and the BLIF co-simulation checks the printed gates bit for bit, so
@@ -20,27 +21,34 @@
     counters 0..2 in three bits each, the variable-latency stage's
     empty/ready/slow in three bits. *)
 
-(** Boolean expressions over named nets.  [Is (x, j)] holds when the
+(** Boolean expressions over nets ['n].  [Is (x, j)] holds when the
     environment input [x] (a [Choice]) has value [j]; a printer for
     one-bit encodings reads [Is (x, 1)] as [x] and [Is (x, 0)] as
     [Not x]. *)
-type e =
+type 'n expr =
   | T
   | F
-  | Var of string
-  | Not of e
-  | And of e list
-  | Or of e list
-  | Is of string * int
+  | Var of 'n
+  | Not of 'n expr
+  | And of 'n expr list
+  | Or of 'n expr list
+  | Is of 'n * int
+
+(** Over named nets, as the exports print them. *)
+type e = string expr
 
 (** A free environment input: one bit, or a choice among [n] values. *)
-type input = Bit of string | Choice of string * int
+type 'n input = Bit of 'n | Choice of 'n * int
 
 (** A register [q] loaded from the net [d] at every clock edge. *)
-type reg = { d : string; q : string; init : bool }
+type 'n reg = { d : 'n; q : 'n; init : bool }
 
 (** One controller's equations, in emission order. *)
-type t = { inputs : input list; assigns : (string * e) list; regs : reg list }
+type 'n table = {
+  inputs : 'n input list;
+  assigns : ('n * 'n expr) list;
+  regs : 'n reg list;
+}
 
 (** Control shape of a node: what its equations depend on.  A lazy
     multiplexor of [ways] inputs is, control-wise, the lazy join of its
@@ -62,7 +70,36 @@ val shape : Netlist.kind -> shape
     the controller's internal nets and inputs; [wire p f] names the
     control bit [f] (["vp"], ["sp"], ["vm"] or ["sm"]) of the channel
     at port [p]. *)
-val table : u:string -> wire:(Netlist.port -> string -> string) -> shape -> t
+val table :
+  u:string -> wire:(Netlist.port -> string -> string) -> shape -> string table
+
+(** [map f t] renames every net of [t] by [f]; [map_expr] of one
+    expression. *)
+val map : ('a -> 'b) -> 'a table -> 'b table
+
+val map_expr : ('a -> 'b) -> 'a expr -> 'b expr
+
+(** A resolved net: control bit [f] ({!Elastic_kernel.Signal.code}
+    layout) of the channel at a port, or a slot.  Slots number a table's
+    registers ([q]) and inputs in declared order, then its internal nets
+    in the order of their assigns. *)
+type net = Chan of Netlist.port * int | Slot of int
+
+(** [program s] is {!table} of [s] with every net resolved, its number
+    of [slots], and the sublist of its assigns the channel bits need
+    ([live]: theirs and the internal nets they read, not the next-state
+    nets); derived once per process ({!memo}). *)
+type program = {
+  resolved : net table;
+  slots : int;
+  live : (net * net expr) list;
+}
+
+val program : shape -> program
+
+(** [memo f] is [f] with each result kept for the life of the process,
+    in an immutable map per shape that every domain shares. *)
+val memo : (shape -> 'a) -> shape -> 'a
 
 (** [bit f c] is the flat name of control bit [f] of channel [c] in the
     BLIF and SMV exports: [f_<id>]. *)
@@ -72,7 +109,7 @@ val bit : string -> Netlist.channel -> string
     SMV exports share: channel bits are named by {!bit}, and [n]'s
     internal nets and inputs are prefixed with its {!sanitize}d name.
     @raise Invalid_argument if a port of [n] is unconnected. *)
-val node : Netlist.t -> Netlist.node -> t
+val node : Netlist.t -> Netlist.node -> string table
 
 (** A node name with every character outside [[A-Za-z0-9_]] replaced by
     [_], as exported identifiers need. *)
@@ -80,13 +117,8 @@ val sanitize : string -> string
 
 (** Resolved boundary events of one channel, given its [field -> net]
     naming: a token delivered downstream, a token leaving upstream
-    (delivered or killed), an anti-token delivered upstream, an
-    anti-token leaving downstream. *)
+    (delivered or killed). *)
 
 val token_in : (string -> string) -> e
 
 val token_out : (string -> string) -> e
-
-val anti_in : (string -> string) -> e
-
-val anti_out : (string -> string) -> e

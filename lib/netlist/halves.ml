@@ -1,6 +1,6 @@
-(* What each half of a shape reads is derived over port names once per
-   distinct shape of a build, in a table local to the build (engines are
-   compiled concurrently), and resolved per node to channel indices. *)
+(* What each half of a shape reads is derived from the shape's
+   [Control.program], whose leaves name channel bits by port, once per
+   process, and resolved per node to channel indices. *)
 
 (* A packed half: node index, way and direction in one int. *)
 let shift = 21
@@ -73,20 +73,12 @@ type half = {
   reads : (Netlist.port * bool) list;
 }
 
+(* Whether control bit [b] ([Signal.code] layout) is in a backward
+   group. *)
+let bwd b = Elastic_kernel.Signal.(b = s_plus_bit || b = v_minus_bit)
+
 let of_shape shape =
-  let bits = Hashtbl.create 16 and defs = Hashtbl.create 16 in
-  let wire p f =
-    let name =
-      match p with
-      | Netlist.In k -> f ^ ".in" ^ string_of_int k
-      | Netlist.Out k -> f ^ ".out" ^ string_of_int k
-      | Netlist.Sel -> f ^ ".sel"
-    in
-    Hashtbl.replace bits name (p, f = "sp" || f = "vm");
-    name
-  in
-  let table = Control.table ~u:"" ~wire shape in
-  List.iter (fun (n, e) -> Hashtbl.replace defs n e) table.Control.assigns;
+  let assigns = (Control.program shape).Control.resolved.Control.assigns in
   (* The half writing a group the node writes (the forward groups of its
      outputs, the backward groups of its inputs), -1 for any other. *)
   let owner (p, bwd) =
@@ -99,27 +91,23 @@ let of_shape shape =
   in
   let writes = ref [] and reads = ref [] in
   List.iter
-    (fun (net, e) ->
-       match Hashtbl.find_opt bits net with
-       | None -> ()
-       | Some ((p, _) as pb) ->
-         let h = owner pb and seen = ref [] in
-         writes := (h, p) :: !writes;
-         let rec walk = function
-           | Control.T | Control.F | Control.Is _ -> ()
-           | Control.Not e -> walk e
-           | Control.And es | Control.Or es -> List.iter walk es
-           | Control.Var x -> (
-               match Hashtbl.find_opt bits x with
-               | Some pb -> if owner pb <> h then reads := (h, pb) :: !reads
-               | None ->
-                 if not (List.mem x !seen) then begin
-                   seen := x :: !seen;
-                   Option.iter walk (Hashtbl.find_opt defs x)
-                 end)
-         in
-         walk e)
-    table.Control.assigns;
+    (function
+      | Control.Slot _, _ -> ()
+      | Control.Chan (p, b), e ->
+        let h = owner (p, bwd b) in
+        writes := (h, p) :: !writes;
+        let rec walk = function
+          | Control.T | Control.F | Control.Is _ -> ()
+          | Control.Not e -> walk e
+          | Control.And es | Control.Or es -> List.iter walk es
+          | Control.Var (Control.Chan (p, b)) ->
+            if owner (p, bwd b) <> h then reads := (h, (p, bwd b)) :: !reads
+          | Control.Var (Control.Slot _ as x) ->
+            (* a register or an input has no assign, and reads nothing *)
+            Option.iter walk (List.assoc_opt x assigns)
+        in
+        walk e)
+    assigns;
   let of_half h l =
     List.sort_uniq compare
       (List.filter_map (fun (h', x) -> if h' = h then Some x else None) l)
@@ -130,6 +118,8 @@ let of_shape shape =
       { code = h; writes = of_half h !writes;
         reads = of_half h (data @ !reads) })
   |> Array.of_list
+
+let of_shape = Control.memo of_shape
 
 type t = {
   nodes : Netlist.node array;
@@ -176,17 +166,9 @@ let build net =
     | Netlist.Out k -> outs.(i).(k)
     | Netlist.Sel -> sel.(i)
   in
-  let memo = Hashtbl.create 16 in
   let halves =
     Array.map
-      (fun (n : Netlist.node) ->
-         let s = Control.shape n.Netlist.kind in
-         match Hashtbl.find_opt memo s with
-         | Some h -> h
-         | None ->
-           let h = of_shape s in
-           Hashtbl.replace memo s h;
-           h)
+      (fun (n : Netlist.node) -> of_shape (Control.shape n.Netlist.kind))
       nodes
   in
   (* [each f] calls [f i v h] on every half [h] of every node [i], [v]

@@ -4,12 +4,13 @@
     by its source node, its backward group [B(c)] ([S+], [V-]) by its
     destination: by a node's F half and B half, or a shared module's
     pair for the way (way 0's B half also owns the hint [Sel]).  A half
-    reads the channel bits its assigns in the node's {!Control.table}
-    read, through the table's internal nets, and the payloads the
-    tables do not carry.  An edge runs from the half writing a group to
-    every half reading it; a topological order is the sweep, in which
-    each half runs once, after all it reads, and a cyclic region is a
-    combinational loop ([Engine.create] refuses it, lint reports
+    reads the channel bits its assigns in the node's {!Control.program}
+    read, through the program's internal nets, and the payloads the
+    tables do not carry; each shape's halves are derived once per
+    process ({!Control.memo}).  An edge runs from the half writing a
+    group to every half reading it; a topological order is the sweep, in
+    which each half runs once, after all it reads, and a cyclic region
+    is a combinational loop ([Engine.create] refuses it, lint reports
     E102). *)
 
 type t = {

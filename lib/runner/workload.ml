@@ -1,6 +1,7 @@
 open Elastic_fault
 module Metrics = Elastic_metrics.Metrics
 module Sampler = Elastic_metrics.Sampler
+module Histogram = Elastic_metrics.Histogram
 module Recorder = Elastic_obs.Recorder
 module Span = Elastic_obs.Span
 
@@ -98,39 +99,35 @@ let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
                  next scenario on this engine, maybe on another domain.
                  An engine whose task raised is dropped. *)
               give engine;
-              let reg = Metrics.create () in
-              Metrics.Counter.inc
-                (Metrics.counter reg
-                   ~help:"fault scenarios checked"
-                   "elastic_fault_scenarios_total");
-              Metrics.Counter.add
-                (Metrics.counter reg
-                   ~help:"faults injected across scenarios"
-                   "elastic_fault_injections_total")
-                (List.length faults);
-              Sampler.note_recovery reg report.Recovery.classification;
-              (match report.Recovery.classification with
-               | Recovery.Corrected penalty ->
-                 Elastic_metrics.Histogram.observe
-                   (Metrics.histogram reg
-                      ~help:"extra delay of corrected scenarios, cycles"
-                      "elastic_fault_recovery_penalty_cycles")
-                   penalty
-               | Recovery.Masked | Recovery.Detected _
-               | Recovery.Silent_corruption _ | Recovery.Deadlock _
-               | Recovery.Crashed _ -> ());
-              (match report.Recovery.stabilized with
-               | Some (cycles, lag) ->
-                 Elastic_metrics.Histogram.observe
-                   (Metrics.histogram reg
-                      ~help:
+              (* The samples a registry of the scenario's own would
+                 snapshot, built without one: a registry costs a hash
+                 table and a 480-bucket histogram per observed value. *)
+              let sample ?(labels = []) m_name m_help m_value =
+                { Metrics.m_name; m_help; m_labels = labels; m_value }
+              in
+              let once v = Metrics.Histogram (Histogram.singleton v) in
+              [ sample "elastic_fault_scenarios_total" "fault scenarios checked"
+                  (Metrics.Counter 1);
+                sample "elastic_fault_injections_total"
+                  "faults injected across scenarios"
+                  (Metrics.Counter (List.length faults));
+                Sampler.recovery_sample report.Recovery.classification ]
+              @ (match report.Recovery.classification with
+                  | Recovery.Corrected penalty ->
+                    [ sample "elastic_fault_recovery_penalty_cycles"
+                        "extra delay of corrected scenarios, cycles"
+                        (once penalty) ]
+                  | Recovery.Masked | Recovery.Detected _
+                  | Recovery.Silent_corruption _ | Recovery.Deadlock _
+                  | Recovery.Crashed _ -> [])
+              @ (match report.Recovery.stabilized with
+                  | Some (cycles, lag) ->
+                    [ sample ~labels:[ ("lag", string_of_int lag) ]
+                        "elastic_fault_stabilization_cycles"
                         "cycles from the last fault window until the \
                          faulted run rejoins the golden trajectory, by lag"
-                      ~labels:[ ("lag", string_of_int lag) ]
-                      "elastic_fault_stabilization_cycles")
-                   cycles
-               | None -> ());
-              Metrics.snapshot reg) })
+                        (once cycles) ]
+                  | None -> [])) })
     scenarios
 
 let classification_histogram samples =

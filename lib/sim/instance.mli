@@ -5,8 +5,8 @@ open Elastic_netlist
 (** Runtime semantics of one netlist node.
 
     Each node's combinational equations are evaluated by a backend
-    ([Arena]'s hand-written halves, or [Reference]'s compiled
-    {!Control.table}); then the node is clocked once with the raw
+    ([Arena]'s hand-written halves, or [Reference]'s bound
+    {!Control.program}); then the node is clocked once with the raw
     control codes of the cycle, from which it derives the channel
     boundary events ({!clock}).  This module holds what both backends
     share: the nodes' register layout, their ports and the fault

@@ -1,11 +1,12 @@
 (* The Reference backend: the independent oracle the arena is held to.
 
-   Each node's [Control.table], the equations the BLIF, SMV and Verilog
-   exports print, is compiled once per engine into closures over this
-   module's own store, and every node is re-evaluated in every pass
-   until a pass writes nothing: the Kleene fixed point of the monotone
-   equations.  It shares with the arena only the nodes' instances (their
-   ports and registers) and the override record.
+   Each node's [Control.program], the equations the BLIF, SMV and
+   Verilog exports print with every net resolved, is bound once per
+   engine to the node's channels and to slots of its own, and every node
+   is re-evaluated in every pass until a pass writes nothing: the Kleene
+   fixed point of the monotone equations.  It shares with the arena only
+   the nodes' instances (their ports and registers) and the override
+   record.
 
    Store, per dense channel [c]:
    - [bits.(c)]: the four control fields in [Signal.code] layout (V+
@@ -122,94 +123,38 @@ let set_data r c v =
     raise (Conflict { chan = c; field = "data" })
 
 (* ------------------------------------------------------------------ *)
-(* The table evaluator: the node's [Control.table], compiled into      *)
-(* closures over the store and an int slot per register, input and     *)
-(* internal net.  A value is a Kleene code: 0 unknown, 2 known false,  *)
-(* 3 known true.  Every table expression is monotone in this logic,    *)
-(* which guarantees the fixed point exists.                            *)
+(* The table evaluator: the node's program, its nets bound to the      *)
+(* store and to an int slot per register, input and internal net.  A   *)
+(* value is a Kleene code: 0 unknown, 2 known false, 3 known true.     *)
+(* Every table expression is monotone in this logic, which guarantees  *)
+(* the fixed point exists.                                             *)
 
 let of_bool b = if b then 3 else 2
 
-(* [c], negated when [k = 1]. *)
-let neg k c = if c = 0 then 0 else c lxor k
-
-(* A compiled expression: slot [n] negated when [k = 1], or a closure. *)
-type expr = Slot of int * int | Fn of (unit -> int)
-
-(* Kleene [And] ([dom = 2]) or [Or] ([dom = 3]) of [xs.(i..)]: a
-   dominant operand decides, else any unknown one leaves it unknown. *)
-let rec fold_from s dom xs i acc =
-  if i = Array.length xs then acc
-  else
-    let c = match xs.(i) with Slot (n, k) -> neg k s.(n) | Fn f -> f () in
-    if c = dom then dom
-    else fold_from s dom xs (i + 1) (if c = 0 then 0 else acc)
-
-(* [e] as a closure. *)
-let closure s = function
-  | Slot (n, 0) -> fun () -> s.(n)
-  | Slot (n, k) -> fun () -> neg k s.(n)
-  | Fn f -> f
-
-let fold s dom = function
-  | [ x ] -> x
-  | [ Slot (a, ka); Slot (b, kb) ] ->
-    Fn
-      (fun () ->
-         let a = neg ka s.(a) and b = neg kb s.(b) in
-         if a = dom || b = dom then dom else if a = 0 then 0 else b)
-  | [ f; g ] ->
-    let f = closure s f and g = closure s g in
-    Fn
-      (fun () ->
-         let a = f () in
-         if a = dom then dom
-         else
-           let b = g () in
-           if b = dom || a <> 0 then b else 0)
-  | xs ->
-    let xs = Array.of_list xs in
-    Fn (fun () -> fold_from s dom xs 0 (dom lxor 1))
-
-(* [e], negated when [k = 1]: negations are pushed to the leaves.
-   [leaf x k] compiles net [x]; a [Choice] lives in a slot. *)
-let rec compile s leaf k : Control.e -> expr = function
-  | Control.T -> Fn (fun () -> 3 lxor k)
-  | Control.F -> Fn (fun () -> 2 lxor k)
-  | Control.Var x -> leaf x k
+(* A bound net: control bit [f] of dense channel [c] is [c lsl 4 lor
+   f], slot [n] is [lnot n]. *)
+let rec eval r s : int Control.expr -> int = function
+  | Control.T -> 3
+  | Control.F -> 2
+  | Control.Var x ->
+    if x < 0 then s.(lnot x) else read r (x lsr 4) (x land 15)
   | Control.Is (x, j) ->
-    (match leaf x 0 with
-     | Slot (n, _) ->
-       Fn (fun () -> if s.(n) < 0 then 0 else of_bool (s.(n) = j) lxor k)
-     | Fn _ -> assert false)
-  | Control.Not e -> compile s leaf (k lxor 1) e
-  | Control.And es -> fold s (2 lxor k) (List.map (compile s leaf k) es)
-  | Control.Or es -> fold s (3 lxor k) (List.map (compile s leaf k) es)
+    let v = s.(lnot x) in
+    if v < 0 then 0 else of_bool (v = j)
+  | Control.Not e ->
+    let c = eval r s e in
+    if c = 0 then 0 else c lxor 1
+  | Control.And es -> kleene r s 2 es 3
+  | Control.Or es -> kleene r s 3 es 2
 
-(* The assigns the channel bits need, in table order: the internal nets
-   they read (fire, tout, compl, pend_any) stay, the next-state nets
-   ([*_d], inc, dec) are left to [Instance.clock]. *)
-let live ~is_bit assigns =
-  let need = Hashtbl.create 16 in
-  let rec mark : Control.e -> unit = function
-    | Control.T | Control.F -> ()
-    | Control.Var x | Control.Is (x, _) -> Hashtbl.replace need x ()
-    | Control.Not e -> mark e
-    | Control.And es | Control.Or es -> List.iter mark es
-  in
-  List.fold_right
-    (fun (net, e) acc ->
-       if is_bit net || Hashtbl.mem need net then (mark e; (net, e) :: acc)
-       else acc)
-    assigns []
-
-(* The [Signal.code] bit of a table's control field. *)
-let bit = function
-  | "vp" -> vp
-  | "sp" -> Signal.s_plus_bit
-  | "vm" -> Signal.v_minus_bit
-  | "sm" -> Signal.s_minus_bit
-  | f -> invalid_arg ("Reference.evaluator: control bit " ^ f)
+(* Kleene [And] ([dom = 2]) or [Or] ([dom = 3]): a dominant operand
+   decides, else any unknown one leaves it unknown. *)
+and kleene r s dom es acc =
+  match es with
+  | [] -> acc
+  | e :: es ->
+    let c = eval r s e in
+    if c = dom then dom else kleene r s dom es (if c = 0 then 0 else acc)
 
 (* [(width, load, out_payload)]: what a table reads besides channel
    bits, and the payloads, which the control-only tables do not carry.
@@ -299,71 +244,41 @@ let bindings r ~regs ~vals t s =
       (Func.apply (Func.select ~ways ())) 1
   | (Instance.Shared _ | Instance.Stateless), _ -> assert false
 
-(* One monotone evaluation pass of node [t]: [t]'s table compiled once,
-   with every net name resolved. *)
+(* One monotone evaluation pass of node [t]: the assigns of its shape's
+   program that the channel bits need, bound to its channels.  The
+   payload of [Out j] follows that port's V+, which a self-loop channel
+   (a shared module's way-j output wired to its way-k input) also reads
+   at [In k]. *)
 let evaluator r ~regs ~vals t =
-  (* Channel bits are named "<dense index>.<field>", apart from the
-     table's internal nets and inputs, which all contain "u". *)
-  let bits = Hashtbl.create 16 and slots = Hashtbl.create 16 in
-  let wire p f =
-    let c =
-      match p with
-      | Netlist.In k -> (Instance.ins t).(k)
-      | Netlist.Sel -> Option.get (Instance.sel t)
-      | Netlist.Out k -> (Instance.outs t).(k)
-    in
-    let net = Fmt.str "%d.%s" c f in
-    (* A self-loop channel keeps its output's name: its payload follows V+. *)
-    (match p with
-     | (Netlist.In _ | Netlist.Sel) when Hashtbl.mem bits net -> ()
-     | _ -> Hashtbl.replace bits net (c, bit f, p));
-    net
-  in
-  let kind = (Instance.node t).Netlist.kind in
-  let tbl = Control.table ~u:"u" ~wire (Control.shape kind) in
-  let assigns = live ~is_bit:(Hashtbl.mem bits) tbl.Control.assigns in
-  (* Slots: registers and inputs in declared order, then internal nets. *)
-  let bound =
-    List.map (fun r -> r.Control.q) tbl.Control.regs
-    @ List.map
-        (fun (Control.Bit x | Control.Choice (x, _)) -> x)
-        tbl.Control.inputs
-  in
-  List.iter
-    (fun x -> Hashtbl.replace slots x (Hashtbl.length slots))
-    (bound
-     @ List.filter (fun x -> not (Hashtbl.mem bits x)) (List.map fst assigns));
-  let s = Array.make (Hashtbl.length slots) (-1) in
+  let p = Control.program (Control.shape (Instance.node t).Netlist.kind) in
+  let tbl = p.Control.resolved in
+  let s = Array.make p.Control.slots (-1) in
   let width, load, out_payload = bindings r ~regs ~vals t s in
-  if width <> List.length bound then
-    invalid_arg "Reference.evaluator: bindings do not match the table";
-  let leaf x k =
-    match Hashtbl.find_opt bits x with
-    | Some (c, f, _) -> Fn (fun () -> neg k (read r c f))
-    | None -> Slot (Hashtbl.find slots x, k)
+  if width <> List.length tbl.Control.regs + List.length tbl.Control.inputs
+  then invalid_arg "Reference.evaluator: bindings do not match the table";
+  let bind = function
+    | Control.Chan (Netlist.In k, f) -> ((Instance.ins t).(k) lsl 4) lor f
+    | Control.Chan (Netlist.Sel, f) -> (Option.get (Instance.sel t) lsl 4) lor f
+    | Control.Chan (Netlist.Out k, f) -> ((Instance.outs t).(k) lsl 4) lor f
+    | Control.Slot n -> lnot n
   in
-  let stmt (net, e) =
-    let f = closure s (compile s leaf 0 e) in
-    match Hashtbl.find_opt bits net with
-    | None ->
-      let n = Hashtbl.find slots net in
-      fun () -> s.(n) <- f ()
-    | Some (c, fld, Netlist.Out j) when fld = vp ->
-      let out_payload = out_payload j in
-      fun () ->
-        let x = f () in
-        if x <> 0 then set r c fld (x = 3);
-        out_payload x
-    | Some (c, fld, _) ->
-      fun () ->
-        let x = f () in
-        if x <> 0 then set r c fld (x = 3)
+  let stmt (x, e) =
+    ( bind x, Control.map_expr bind e,
+      match x with
+      | Control.Chan (Netlist.Out j, f) when f = vp -> out_payload j
+      | _ -> ignore )
   in
-  let stmts = Array.of_list (List.map stmt assigns) in
+  let stmts = Array.of_list (List.map stmt p.Control.live) in
   fun () ->
     load ();
     for i = 0 to Array.length stmts - 1 do
-      stmts.(i) ()
+      let x, e, payload = stmts.(i) in
+      let v = eval r s e in
+      if x < 0 then s.(lnot x) <- v
+      else begin
+        if v <> 0 then set r (x lsr 4) (x land 15) (v = 3);
+        payload v
+      end
     done
 
 let create ~profile ~max_passes ~regs ~vals ~channels insts =

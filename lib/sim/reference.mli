@@ -3,17 +3,17 @@ open Elastic_kernel
 (** The Reference backend ([Engine.Reference]): the independent oracle
     the default arena backend is held to in lockstep.
 
-    It evaluates each node's {!Elastic_netlist.Control.table}, the
-    equations the BLIF, SMV and Verilog exports print, compiled once per
-    engine, and re-evaluates every node in every pass until a pass
-    writes nothing: the fixed point of the monotone equations over
-    three-valued (Kleene) channel fields.  Its store is its own: per
-    channel, the known and value bits of V+, S+, V- and S- in one int,
-    and one payload slot with a presence flag.  During a cycle each
-    field starts unknown and is written at most once, by its driving
-    node; a second, different write raises {!Conflict}.  With the arena
-    it shares only the nodes' instances ({!Instance}: ports and
-    registers) and the {!Instance.override} record.
+    It evaluates each node's {!Elastic_netlist.Control.program}, the
+    equations the BLIF, SMV and Verilog exports print, bound once per
+    engine to the node's channels, and re-evaluates every node in every
+    pass until a pass writes nothing: the fixed point of the monotone
+    equations over three-valued (Kleene) channel fields.  Its store is
+    its own: per channel, the known and value bits of V+, S+, V- and S-
+    in one int, and one payload slot with a presence flag.  During a
+    cycle each field starts unknown and is written at most once, by its
+    driving node; a second, different write raises {!Conflict}.  With
+    the arena it shares only the nodes' instances ({!Instance}: ports
+    and registers) and the {!Instance.override} record.
 
     The engine renders each exception below as a typed
     [Engine.Simulation_error] with the cycle and the channel's

@@ -4,7 +4,7 @@ open Elastic_netlist
 open Elastic_sim
 
 type t = {
-  ring : Event.t array;
+  mutable ring : Event.t array;  (* grows by doubling up to [cap] *)
   cap : int;
   mutable next : int;  (* write position *)
   mutable total : int;  (* events ever recorded *)
@@ -23,7 +23,7 @@ let create ?(capacity = 65536) eng =
   let occ = Hashtbl.create 8 in
   List.iter (fun (nid, n) -> Hashtbl.replace occ nid n)
     (Engine.occupancies eng);
-  { ring = Array.make capacity dummy;
+  { ring = Array.make (min capacity 256) dummy;
     cap = capacity;
     next = 0;
     total = 0;
@@ -37,6 +37,10 @@ let create ?(capacity = 65536) eng =
     violations_seen = Engine.violation_count eng }
 
 let push t ev =
+  (* Until the ring first wraps, [next] is its fill: double it. *)
+  if t.next = Array.length t.ring && t.next < t.cap then
+    t.ring <-
+      Array.append t.ring (Array.make (min t.next (t.cap - t.next)) dummy);
   t.ring.(t.next) <- ev;
   t.next <- (t.next + 1) mod t.cap;
   t.total <- t.total + 1

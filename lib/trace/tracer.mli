@@ -11,8 +11,10 @@ open Elastic_sim
 
     Events are kept in a bounded ring so that tracing an arbitrarily long
     run costs constant memory: once [capacity] events have been recorded
-    the oldest are dropped (and counted in {!dropped}).  With no tracer
-    attached the engine's hot path is untouched. *)
+    the oldest are dropped (and counted in {!dropped}).  The ring starts
+    at 256 slots and doubles as it fills, up to [capacity], so a short
+    run pays for what it records.  With no tracer attached the engine's
+    hot path is untouched. *)
 
 type t
 

@@ -412,5 +412,61 @@ let golden_suite =
       `Quick (fun () ->
         Test_arena.check_golden "emitters.expected" (emitter_digests ())) ]
 
+(* [Control.program] is the shape's table with its nets resolved: named
+   back, each channel bit through [wire] and each slot through the
+   table's registers, inputs and internal nets in that order, it is the
+   table, assign for assign, for every shape up to arity 4. *)
+let program_is_table () =
+  let open Control in
+  let shapes =
+    [ Source; Sink; Eb 0; Eb 1; Eb 2; Eb0 true; Eb0 false; Varlat ]
+    @ List.init 4 (fun k -> Join (k + 1))
+    @ List.init 3 (fun k -> Fork (k + 2))
+    @ List.concat_map
+        (fun ways -> [ Mux { ways; early = false }; Mux { ways; early = true } ])
+        [ 2; 3; 4 ]
+    @ List.concat_map
+        (fun ways ->
+           [ Shared { ways; hinted = true }; Shared { ways; hinted = false } ])
+        [ 2; 3 ]
+  in
+  let wire p f =
+    match p with
+    | Netlist.In k -> Fmt.str "%s.in%d" f k
+    | Netlist.Out k -> Fmt.str "%s.out%d" f k
+    | Netlist.Sel -> f ^ ".sel"
+  in
+  let field b =
+    List.assoc b
+      Elastic_kernel.Signal.
+        [ (v_plus_bit, "vp"); (s_plus_bit, "sp"); (v_minus_bit, "vm");
+          (s_minus_bit, "sm") ]
+  in
+  List.iter
+    (fun shape ->
+       let t = table ~u:"n7" ~wire shape in
+       let slots =
+         Array.of_list
+           (List.map (fun r -> r.q) t.regs
+            @ List.map (fun (Bit x | Choice (x, _)) -> x) t.inputs
+            @ List.filter_map
+                (fun (x, _) -> if String.contains x '.' then None else Some x)
+                t.assigns)
+       in
+       let name = function Chan (p, b) -> wire p (field b) | Slot k -> slots.(k) in
+       let p = program shape in
+       let what = Fmt.str "shape with %d nets" (Array.length slots) in
+       Alcotest.(check int) (what ^ ": slots") (Array.length slots) p.slots;
+       Alcotest.(check bool) (what ^ ": the program is the table") true
+         (map name p.resolved = t);
+       Alcotest.(check bool) (what ^ ": every channel bit is live") true
+         (List.for_all
+            (fun a -> List.memq a p.live)
+            (List.filter (function Chan _, _ -> true | _ -> false)
+               p.resolved.assigns)))
+    shapes
+
 let suite =
   base_suite @ self_contained_suite @ single_driver_suite @ golden_suite
+  @ [ Alcotest.test_case "each shape's program is its table" `Quick
+        program_is_table ]
