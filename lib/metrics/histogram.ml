@@ -122,15 +122,6 @@ let snapshot t =
     sn_min = t.min;
     sn_max = t.max }
 
-let singleton v =
-  let v = max v 0 in
-  let i = bucket_of v in
-  { s_counts = Array.init (i + 1) (fun k -> Bool.to_int (k = i));
-    sn_count = 1;
-    sn_sum = v;
-    sn_min = v;
-    sn_max = v }
-
 let empty =
   { s_counts = [||];
     sn_count = 0;

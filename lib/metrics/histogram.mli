@@ -48,9 +48,6 @@ type snapshot
 
 val snapshot : t -> snapshot
 
-(** [singleton v]: the snapshot of a histogram that observed [v] once. *)
-val singleton : int -> snapshot
-
 val empty : snapshot
 
 (** Element-wise sum; associative and commutative, [empty] is the

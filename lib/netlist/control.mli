@@ -73,11 +73,8 @@ val shape : Netlist.kind -> shape
 val table :
   u:string -> wire:(Netlist.port -> string -> string) -> shape -> string table
 
-(** [map f t] renames every net of [t] by [f]; [map_expr] of one
-    expression. *)
+(** [map f t] renames every net of [t] by [f]. *)
 val map : ('a -> 'b) -> 'a table -> 'b table
-
-val map_expr : ('a -> 'b) -> 'a expr -> 'b expr
 
 (** A resolved net: control bit [f] ({!Elastic_kernel.Signal.code}
     layout) of the channel at a port, or a slot.  Slots number a table's

@@ -100,12 +100,16 @@ let of_campaign ?cycles ?settle ?alarms ~name net ~scenarios =
                  An engine whose task raised is dropped. *)
               give engine;
               (* The samples a registry of the scenario's own would
-                 snapshot, built without one: a registry costs a hash
-                 table and a 480-bucket histogram per observed value. *)
+                 snapshot, built without one: a registry costs a
+                 64-bucket hash table and a keyed lookup per metric. *)
               let sample ?(labels = []) m_name m_help m_value =
                 { Metrics.m_name; m_help; m_labels = labels; m_value }
               in
-              let once v = Metrics.Histogram (Histogram.singleton v) in
+              let once v =
+                let h = Histogram.create () in
+                Histogram.observe h v;
+                Metrics.Histogram (Histogram.snapshot h)
+              in
               [ sample "elastic_fault_scenarios_total" "fault scenarios checked"
                   (Metrics.Counter 1);
                 sample "elastic_fault_injections_total"

@@ -90,8 +90,8 @@ type t
     [Reference] ({!Reference}) is the blind fixpoint: every node is
     re-evaluated in every pass until no wire changes, by its
     {!Control.program}, the equations the BLIF, SMV and Verilog exports
-    print with their nets resolved, bound per engine to the Reference's
-    own store of three-valued fields.  It is kept as the independent
+    print with their nets resolved, compiled once per engine into
+    closures over the Reference's own store of three-valued fields.  It is kept as the independent
     oracle for differential testing: both modes settle every wire alike
     (node equations are monotone over the 3-valued wires, so the fixed
     point is unique), so traces, sink streams and errors agree; only

@@ -5,7 +5,7 @@ open Elastic_netlist
 (** Runtime semantics of one netlist node.
 
     Each node's combinational equations are evaluated by a backend
-    ([Arena]'s hand-written halves, or [Reference]'s bound
+    ([Arena]'s hand-written halves, or [Reference]'s compiled
     {!Control.program}); then the node is clocked once with the raw
     control codes of the cycle, from which it derives the channel
     boundary events ({!clock}).  This module holds what both backends

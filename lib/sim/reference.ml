@@ -1,12 +1,12 @@
 (* The Reference backend: the independent oracle the arena is held to.
 
    Each node's [Control.program], the equations the BLIF, SMV and
-   Verilog exports print with every net resolved, is bound once per
-   engine to the node's channels and to slots of its own, and every node
-   is re-evaluated in every pass until a pass writes nothing: the Kleene
-   fixed point of the monotone equations.  It shares with the arena only
-   the nodes' instances (their ports and registers) and the override
-   record.
+   Verilog exports print with every net resolved, is compiled once per
+   engine into closures over the node's channels in this module's own
+   store and slots of its own, and every node is re-evaluated in every
+   pass until a pass writes nothing: the Kleene fixed point of the
+   monotone equations.  It shares with the arena only the nodes'
+   instances (their ports and registers) and the override record.
 
    Store, per dense channel [c]:
    - [bits.(c)]: the four control fields in [Signal.code] layout (V+
@@ -123,38 +123,67 @@ let set_data r c v =
     raise (Conflict { chan = c; field = "data" })
 
 (* ------------------------------------------------------------------ *)
-(* The table evaluator: the node's program, its nets bound to the      *)
-(* store and to an int slot per register, input and internal net.  A   *)
-(* value is a Kleene code: 0 unknown, 2 known false, 3 known true.     *)
-(* Every table expression is monotone in this logic, which guarantees  *)
-(* the fixed point exists.                                             *)
+(* The table evaluator: the node's program, compiled into closures    *)
+(* over the store and an int slot per register, input and internal    *)
+(* net.  A value is a Kleene code: 0 unknown, 2 known false, 3 known  *)
+(* true.  Every table expression is monotone in this logic, which     *)
+(* guarantees the fixed point exists.                                 *)
 
 let of_bool b = if b then 3 else 2
 
-(* A bound net: control bit [f] of dense channel [c] is [c lsl 4 lor
-   f], slot [n] is [lnot n]. *)
-let rec eval r s : int Control.expr -> int = function
-  | Control.T -> 3
-  | Control.F -> 2
-  | Control.Var x ->
-    if x < 0 then s.(lnot x) else read r (x lsr 4) (x land 15)
-  | Control.Is (x, j) ->
-    let v = s.(lnot x) in
-    if v < 0 then 0 else of_bool (v = j)
-  | Control.Not e ->
-    let c = eval r s e in
-    if c = 0 then 0 else c lxor 1
-  | Control.And es -> kleene r s 2 es 3
-  | Control.Or es -> kleene r s 3 es 2
+(* [c], negated when [k = 1]. *)
+let neg k c = if c = 0 then 0 else c lxor k
 
-(* Kleene [And] ([dom = 2]) or [Or] ([dom = 3]): a dominant operand
-   decides, else any unknown one leaves it unknown. *)
-and kleene r s dom es acc =
-  match es with
-  | [] -> acc
-  | e :: es ->
-    let c = eval r s e in
-    if c = dom then dom else kleene r s dom es (if c = 0 then 0 else acc)
+(* A compiled expression: slot [n] negated when [k = 1], or a closure. *)
+type expr = Slot of int * int | Fn of (unit -> int)
+
+(* Kleene [And] ([dom = 2]) or [Or] ([dom = 3]) of [xs.(i..)]: a
+   dominant operand decides, else any unknown one leaves it unknown. *)
+let rec fold_from s dom xs i acc =
+  if i = Array.length xs then acc
+  else
+    let c = match xs.(i) with Slot (n, k) -> neg k s.(n) | Fn f -> f () in
+    if c = dom then dom
+    else fold_from s dom xs (i + 1) (if c = 0 then 0 else acc)
+
+(* [e] as a closure. *)
+let closure s = function
+  | Slot (n, 0) -> fun () -> s.(n)
+  | Slot (n, k) -> fun () -> neg k s.(n)
+  | Fn f -> f
+
+let fold s dom = function
+  | [ x ] -> x
+  | [ Slot (a, ka); Slot (b, kb) ] ->
+    Fn
+      (fun () ->
+         let a = neg ka s.(a) and b = neg kb s.(b) in
+         if a = dom || b = dom then dom else if a = 0 then 0 else b)
+  | [ f; g ] ->
+    let f = closure s f and g = closure s g in
+    Fn
+      (fun () ->
+         let a = f () in
+         if a = dom then dom
+         else
+           let b = g () in
+           if b = dom || a <> 0 then b else 0)
+  | xs ->
+    let xs = Array.of_list xs in
+    Fn (fun () -> fold_from s dom xs 0 (dom lxor 1))
+
+(* [e], negated when [k = 1]: negations are pushed to the leaves.
+   [leaf x k] compiles net [x]; a [Choice] lives in a slot. *)
+let rec compile s leaf k : Control.net Control.expr -> expr = function
+  | Control.T -> Fn (fun () -> 3 lxor k)
+  | Control.F -> Fn (fun () -> 2 lxor k)
+  | Control.Var x -> leaf x k
+  | Control.Is (Control.Slot n, j) ->
+    Fn (fun () -> if s.(n) < 0 then 0 else of_bool (s.(n) = j) lxor k)
+  | Control.Is (Control.Chan _, _) -> assert false
+  | Control.Not e -> compile s leaf (k lxor 1) e
+  | Control.And es -> fold s (2 lxor k) (List.map (compile s leaf k) es)
+  | Control.Or es -> fold s (3 lxor k) (List.map (compile s leaf k) es)
 
 (* [(width, load, out_payload)]: what a table reads besides channel
    bits, and the payloads, which the control-only tables do not carry.
@@ -256,29 +285,39 @@ let evaluator r ~regs ~vals t =
   let width, load, out_payload = bindings r ~regs ~vals t s in
   if width <> List.length tbl.Control.regs + List.length tbl.Control.inputs
   then invalid_arg "Reference.evaluator: bindings do not match the table";
-  let bind = function
-    | Control.Chan (Netlist.In k, f) -> ((Instance.ins t).(k) lsl 4) lor f
-    | Control.Chan (Netlist.Sel, f) -> (Option.get (Instance.sel t) lsl 4) lor f
-    | Control.Chan (Netlist.Out k, f) -> ((Instance.outs t).(k) lsl 4) lor f
-    | Control.Slot n -> lnot n
+  let chan = function
+    | Netlist.In k -> (Instance.ins t).(k)
+    | Netlist.Sel -> Option.get (Instance.sel t)
+    | Netlist.Out k -> (Instance.outs t).(k)
   in
-  let stmt (x, e) =
-    ( bind x, Control.map_expr bind e,
-      match x with
-      | Control.Chan (Netlist.Out j, f) when f = vp -> out_payload j
-      | _ -> ignore )
+  let leaf x k =
+    match x with
+    | Control.Chan (port, f) ->
+      let c = chan port in
+      Fn (fun () -> neg k (read r c f))
+    | Control.Slot n -> Slot (n, k)
+  in
+  let stmt (net, e) =
+    let f = closure s (compile s leaf 0 e) in
+    match net with
+    | Control.Slot n -> fun () -> s.(n) <- f ()
+    | Control.Chan ((Netlist.Out j as port), fld) when fld = vp ->
+      let c = chan port and out_payload = out_payload j in
+      fun () ->
+        let x = f () in
+        if x <> 0 then set r c fld (x = 3);
+        out_payload x
+    | Control.Chan (port, fld) ->
+      let c = chan port in
+      fun () ->
+        let x = f () in
+        if x <> 0 then set r c fld (x = 3)
   in
   let stmts = Array.of_list (List.map stmt p.Control.live) in
   fun () ->
     load ();
     for i = 0 to Array.length stmts - 1 do
-      let x, e, payload = stmts.(i) in
-      let v = eval r s e in
-      if x < 0 then s.(lnot x) <- v
-      else begin
-        if v <> 0 then set r (x lsr 4) (x land 15) (v = 3);
-        payload v
-      end
+      stmts.(i) ()
     done
 
 let create ~profile ~max_passes ~regs ~vals ~channels insts =

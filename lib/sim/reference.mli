@@ -4,8 +4,8 @@ open Elastic_kernel
     the default arena backend is held to in lockstep.
 
     It evaluates each node's {!Elastic_netlist.Control.program}, the
-    equations the BLIF, SMV and Verilog exports print, bound once per
-    engine to the node's channels, and re-evaluates every node in every
+    equations the BLIF, SMV and Verilog exports print, compiled once per
+    engine into closures over the node's channels, and re-evaluates every node in every
     pass until a pass writes nothing: the fixed point of the monotone
     equations over three-valued (Kleene) channel fields.  Its store is
     its own: per channel, the known and value bits of V+, S+, V- and S-

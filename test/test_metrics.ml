@@ -765,17 +765,6 @@ let test_speculation_gain () =
   Alcotest.(check bool) "speculation shortens the clock (Sec. 5.1)" true
     (cp < cs)
 
-(* [Histogram.singleton v] is what a histogram that observed [v] once
-   snapshots, for every bucket layout region and for clamped values. *)
-let test_singleton () =
-  List.iter
-    (fun v ->
-       let h = Histogram.create () in
-       Histogram.observe h v;
-       Alcotest.(check bool) (Fmt.str "singleton %d" v) true
-         (Histogram.singleton v = Histogram.snapshot h))
-    ([ -5; min_int; max_int; 1 lsl 40 ] @ List.init 300 (fun k -> k * k))
-
 let test_recovery_sample () =
   List.iter
     (fun cls ->
@@ -830,7 +819,5 @@ let suite =
       `Quick test_gate_wall_clock_suffixes;
     Alcotest.test_case "speculation gain is positive" `Quick
       test_speculation_gain;
-    Alcotest.test_case "histogram: singleton = one observation" `Quick
-      test_singleton;
     Alcotest.test_case "sampler: recovery sample = note_recovery" `Quick
       test_recovery_sample ]
