@@ -498,7 +498,7 @@ let replay net (kind : Cert.step_kind) =
 let liveness_counts net =
   try
     ( List.length (Rules.buffer_overfilled net),
-      List.length (Rules.combinational_cycle net),
+      List.length (Halves.combinational_cycle net),
       List.length (Rules.token_free_cycle net),
       List.length (Rules.antitoken_through_eb net) )
   with Invalid_argument _ | Failure _ ->

@@ -65,7 +65,7 @@ let registry =
       severity = Diagnostic.Error;
       what = "every cycle is broken by an EB in both directions";
       paper = "§3, Fig. 5";
-      check = Rules.combinational_cycle;
+      check = Halves.combinational_cycle;
     };
     {
       code = "E103";

@@ -1,10 +1,10 @@
 (* Graph analyses behind the lint rules: pure structural reasoning on the
    netlist, no simulation.
 
-   E102 asks the half graph the engine sweeps ([Halves]), so lint and
-   [Engine.create] refuse the same loops.  The other analyses run on a
-   graph whose vertices are the {e channels}; the edge c1 -> c2 exists
-   when the node consuming c1 can produce on c2 (way-wise for shared
+   E102 is [Halves.combinational_cycle], which [Timing] and the
+   marked-graph bounds read too.  The analyses here run on a graph
+   whose vertices are the {e channels}; the edge c1 -> c2 exists when
+   the node consuming c1 can produce on c2 (way-wise for shared
    modules).  Cutting the edges that cross a buffer holding tokens, or
    enter an early mux, turns "is there a token-free cycle" into a plain
    SCC question ([Halves.components]).
@@ -19,41 +19,28 @@ let diag = Diagnostic.make
 
 (* {1 The channel graph} *)
 
-(* Successors of a channel, i.e. the output channels of its destination
-   node.  The flags remove edge classes:
+(* Successors of a channel: the outputs of its destination it feeds,
+   way-wise for a shared module ([Netlist.feeds]).  The flags change edge
+   classes:
    - [through_tokens]: keep edges across a buffer holding initial tokens;
    - [into_early_data]: keep edges entering an early-evaluation mux via a
      data input (an early mux can fire without that input, emitting an
      anti-token into it, so such a cycle is not statically dead);
-   - [shared_sel]: count a shared module's hint input as feeding its
-     outputs (true for consumption/reachability questions, false for
-     token-path cycles). *)
+   - [shared_sel]: count a shared module's hint input as feeding all its
+     outputs (true for consumption/reachability questions); without it
+     the hint feeds none (token-path cycles). *)
 let successors ?(through_tokens = true)
     ?(into_early_data = true) ?(shared_sel = false) net
     (c : Netlist.channel) =
   let n = Netlist.node net c.Netlist.dst.Netlist.ep_node in
-  let is_data_in =
-    match c.Netlist.dst.Netlist.ep_port with
-    | Netlist.In _ -> true
-    | Netlist.Sel | Netlist.Out _ -> false
-  in
-  match n.Netlist.kind with
-  | Netlist.Source _ | Netlist.Sink _ -> []
-  | Netlist.Buffer { init = _ :: _; _ } when not through_tokens -> []
-  | Netlist.Buffer _ -> Netlist.outgoing net n.Netlist.id
-  | Netlist.Mux { early = true; _ }
-    when is_data_in && not into_early_data -> []
-  | Netlist.Mux _ | Netlist.Func _ | Netlist.Fork _ | Netlist.Varlat _ ->
-    Netlist.outgoing net n.Netlist.id
-  | Netlist.Shared _ -> (
-      match c.Netlist.dst.Netlist.ep_port with
-      | Netlist.In i -> (
-          match Netlist.channel_at net n.Netlist.id (Netlist.Out i) with
-          | Some c' -> [ c' ]
-          | None -> [])
-      | Netlist.Sel ->
-        if shared_sel then Netlist.outgoing net n.Netlist.id else []
-      | Netlist.Out _ -> [])
+  let port = c.Netlist.dst.Netlist.ep_port in
+  match (n.Netlist.kind, port) with
+  | Netlist.Buffer { init = _ :: _; _ }, _ when not through_tokens -> []
+  | Netlist.Mux { early = true; _ }, Netlist.In _ when not into_early_data ->
+    []
+  | Netlist.Shared _, Netlist.Sel ->
+    if shared_sel then Netlist.outgoing net n.Netlist.id else []
+  | _ -> Netlist.feeds net n port
 
 (* [successors ~shared_sel:true] reversed, for reaches-a-sink questions. *)
 let predecessors net =
@@ -105,16 +92,6 @@ let buffers_on net comp =
     comp
   |> List.sort_uniq (fun (a, _, _) (b, _, _) ->
       compare a.Netlist.id b.Netlist.id)
-
-let cycle_names ?(limit = 6) net comp =
-  let names =
-    List.map (fun cid -> (Netlist.channel net cid).Netlist.ch_name) comp
-  in
-  let shown = List.filteri (fun i _ -> i < limit) names in
-  String.concat " -> " shown
-  ^ (if List.length names > limit then
-       Fmt.str " -> ... (%d channels)" (List.length names)
-     else "")
 
 (* {1 Reachability (W005 / W006)} *)
 
@@ -186,7 +163,8 @@ let cannot_reach_sink net =
     ~meets:(fun c -> c.Netlist.src) ~code:"W006" ~rule:"cannot-reach-sink"
     ~what:"cannot reach any sink: its tokens are never consumed"
 
-(* {1 SELF invariants (E101 / E102 / E103 / W104)} *)
+(* {1 SELF invariants (E101 / E103 / W104); E102 is
+   [Halves.combinational_cycle]} *)
 
 (* E101: stored tokens must fit C = Lf + Lb. *)
 let buffer_overfilled net =
@@ -214,44 +192,6 @@ let buffer_overfilled net =
        | _ -> None)
     (Netlist.nodes net)
 
-(* E102: a combinational loop, a cyclic region of the half graph the
-   engine sweeps — either the forward path (no buffer at all) or the
-   backward stop path (only Eb0s, whose Lb = 0 makes stop/kill traverse
-   them combinationally, Fig. 5).  Regions that share a channel are one
-   finding, named by its least channel. *)
-let combinational_cycle net =
-  let h = Halves.build net in
-  let rec merge = function
-    | [] -> []
-    | r :: rest ->
-      let linked, apart =
-        List.partition (List.exists (fun c -> List.mem c r)) (merge rest)
-      in
-      List.sort_uniq compare (List.concat (r :: linked)) :: apart
-  in
-  merge h.Halves.regions
-  |> List.map (List.map (fun i -> h.Halves.channels.(i).Netlist.ch_id))
-  |> List.sort compare
-  |> List.map (fun comp ->
-      let first = List.hd comp in
-      let has_eb0 =
-        List.exists
-          (fun (_, b, _) -> b = Netlist.Eb0)
-          (buffers_on net comp)
-      in
-      diag ~code:"E102" ~rule:"comb-cycle" ~severity:Diagnostic.Error
-        ~channel:first
-        ~channel_name:(Netlist.channel net first).Netlist.ch_name
-        ~fixit:(Diagnostic.Insert_bubble { channel = first })
-        (Fmt.str
-           "cycle broken by no EB (Lf=1, Lb=1): %s is combinational \
-            (%s): %s"
-           (if has_eb0 then "the backward stop/kill path" else "the loop")
-           (if has_eb0 then
-              "eb0 has Lb = 0, so stop traverses it in zero cycles"
-            else "no elastic buffer registers it")
-           (cycle_names net comp)))
-
 (* E103: a cycle whose buffers are all empty and which no early mux can
    relieve holds no token and never will — a statically dead marked
    graph.  Cycles with no buffer at all are E102's finding, not ours. *)
@@ -271,7 +211,7 @@ let token_free_cycle net =
                 "cycle carries no token and no early-evaluation mux can \
                  break the wait: static deadlock (every cycle of a live \
                  marked graph needs a token): %s"
-                (cycle_names net comp))))
+                (Halves.cycle_names net comp))))
 
 (* W104: anti-token counterflow boundedness (§4.1 / §4.3).  An early mux
    pushes anti-tokens backwards into its non-selected inputs; through a

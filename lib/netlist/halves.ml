@@ -222,3 +222,59 @@ let build net =
         (fun i a -> (a, (if sel.(i) < 0 then None else Some sel.(i)), outs.(i)))
         ins;
     regions = Array.to_list (Array.map (List.sort_uniq compare) read) }
+
+let cycle_names ?(limit = 6) net comp =
+  let names =
+    List.map (fun cid -> (Netlist.channel net cid).Netlist.ch_name) comp
+  in
+  let shown = List.filteri (fun i _ -> i < limit) names in
+  String.concat " -> " shown
+  ^ (if List.length names > limit then
+       Fmt.str " -> ... (%d channels)" (List.length names)
+     else "")
+
+let into_eb0 net cid =
+  match
+    (Netlist.node net (Netlist.channel net cid).Netlist.dst.Netlist.ep_node)
+      .Netlist.kind
+  with
+  | Netlist.Buffer { buffer = Netlist.Eb0; _ } -> true
+  | _ -> false
+
+(* Regions that share a channel are one finding, named by its least
+   channel; a region through an Eb0 is its backward stop path, whose
+   Lb = 0 makes stop/kill traverse the buffer combinationally (Fig. 5),
+   any other has no buffer at all. *)
+let combinational_cycle net =
+  let h = build net in
+  let rec merge = function
+    | [] -> []
+    | r :: rest ->
+      let linked, apart =
+        List.partition (List.exists (fun c -> List.mem c r)) (merge rest)
+      in
+      List.sort_uniq compare (List.concat (r :: linked)) :: apart
+  in
+  merge h.regions
+  |> List.map (List.map (fun i -> h.channels.(i).Netlist.ch_id))
+  |> List.sort compare
+  |> List.map (fun comp ->
+      let first = List.hd comp in
+      let has_eb0 = List.exists (into_eb0 net) comp in
+      Diagnostic.make ~code:"E102" ~rule:"comb-cycle"
+        ~severity:Diagnostic.Error ~channel:first
+        ~channel_name:(Netlist.channel net first).Netlist.ch_name
+        ~fixit:(Diagnostic.Insert_bubble { channel = first })
+        (Fmt.str
+           "cycle broken by no EB (Lf=1, Lb=1): %s is combinational \
+            (%s): %s"
+           (if has_eb0 then "the backward stop/kill path" else "the loop")
+           (if has_eb0 then
+              "eb0 has Lb = 0, so stop traverses it in zero cycles"
+            else "no elastic buffer registers it")
+           (cycle_names net comp)))
+
+let refusal net =
+  match Netlist.diagnostics net with
+  | d :: _ -> Some d
+  | [] -> List.nth_opt (combinational_cycle net) 0

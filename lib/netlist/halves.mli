@@ -45,3 +45,17 @@ val backward : int -> bool
     with an edge [v -> w] for each [w] in [succs.(v)], in topological
     order (a component before every component it reaches). *)
 val components : int list array -> int list list
+
+(** The names of these channels, the first [limit] (6), and their count. *)
+val cycle_names : ?limit:int -> Netlist.t -> Netlist.channel_id list -> string
+
+(** The cyclic regions of a netlist's half graph as E102 (comb-cycle)
+    findings, regions that share a channel as one, named by its least
+    channel id, with an [Insert_bubble] fix-it there: the verdict on
+    combinational loops of lint, the flow verifier, {!Timing} and the
+    marked-graph bounds ([Engine.create] refuses the same regions). *)
+val combinational_cycle : Netlist.t -> Diagnostic.t list
+
+(** Why a static analysis refuses a netlist: its first structural error
+    (E001-E004), else its first combinational loop. *)
+val refusal : Netlist.t -> Diagnostic.t option

@@ -201,6 +201,28 @@ let channel_at t id port =
        || (c.dst.ep_node = id && port_equal c.dst.ep_port port))
     (channels_of t id)
 
+let way kind port =
+  match (kind, port) with
+  | Shared _, (In j | Out j) -> j
+  | _, (Sel | In _ | Out _) -> 0
+
+(* A shared module's way [j] has the one output [Out j]; any other node
+   feeds every output from every input (a sink, none: no list to
+   build). *)
+let feeds t n port =
+  match n.kind with
+  | Sink _ -> []
+  | Shared _ -> Option.to_list (channel_at t n.id (Out (way n.kind port)))
+  | Source _ | Buffer _ | Func _ | Fork _ | Mux _ | Varlat _ -> outgoing t n.id
+
+let fed_by t n port =
+  match n.kind with
+  | Shared _ ->
+    let w = way n.kind port in
+    List.filter (fun c -> way n.kind c.dst.ep_port = w) (incoming t n.id)
+  | Source _ | Sink _ | Buffer _ | Func _ | Fork _ | Mux _ | Varlat _ ->
+    incoming t n.id
+
 let persistent t c =
   match (node t c.src.ep_node).kind with
   | Shared _ -> false

@@ -170,6 +170,21 @@ val outgoing : t -> node_id -> channel list
 (** The channel attached to a specific port of a node, if any. *)
 val channel_at : t -> node_id -> port -> channel option
 
+(** The way of a node a port belongs to: a shared module's way [j] owns
+    [In j] and [Out j], and way 0 also reads the hint [Sel]; any other
+    node has the one way 0.  An input feeds the outputs of its way only:
+    the static analyses read a shared module way by way, as the
+    controller's equations do. *)
+val way : kind -> port -> int
+
+(** [feeds t n p]: the output channels of node [n] that its input port
+    [p] feeds, those of [p]'s way. *)
+val feeds : t -> node -> port -> channel list
+
+(** [fed_by t n p]: the input channels of node [n] that feed its output
+    port [p], those of [p]'s way. *)
+val fed_by : t -> node -> port -> channel list
+
 (** Does Retry+ (forward persistence) bind this channel?  False on a
     shared module's outputs: §4.2 lets the scheduler withdraw a stalled
     token to change its prediction. *)

@@ -33,8 +33,6 @@ let pp_report ppf r =
     Fmt.(list ~sep:(any " -> ") string)
     r.backward_path
 
-exception Combinational_cycle of string
-
 (* Forward delay contributed by a node between its inputs and outputs;
    [None] means the node cuts forward combinational paths. *)
 let forward_delay params (n : Netlist.node) =
@@ -64,71 +62,59 @@ let backward_delay params (n : Netlist.node) =
   | Netlist.Shared _ -> Some params.shared_grant_delay
   | Netlist.Varlat _ -> None
 
-(* Longest path over channels.  [next] lists the continuation channels
-   after traversing the node at one end; [through] gives that node's delay
-   or None when the path is cut there. *)
-let longest_paths t ~through ~next =
-  let memo : (float * string list) option array =
-    Array.make (Netlist.channel_count t + 16) None
+(* Longest path over channels.  A path crossing channel [c] meets the
+   node at its end [at c], whose [delay] adds to the path, or [None]
+   when the path is cut there; it continues on the channels [next]
+   gives for that node and port.  Each step is a read of the half graph,
+   which [analyze] has found acyclic, so the memoised walk ends. *)
+let longest_paths t ~at ~delay ~next =
+  let chans = Netlist.channels t in
+  let index = Hashtbl.create 64 in
+  List.iteri
+    (fun i (c : Netlist.channel) -> Hashtbl.replace index c.Netlist.ch_id i)
+    chans;
+  let memo = Array.make (List.length chans) None in
+  let longest =
+    List.fold_left
+      (fun acc (v, p) ->
+         match acc with
+         | Some (bv, _) when bv >= v -> acc
+         | Some _ | None -> Some (v, p))
+      None
   in
-  let on_stack = Hashtbl.create 16 in
   let rec go (c : Netlist.channel) =
-    let id = c.Netlist.ch_id in
-    match if id < Array.length memo then memo.(id) else None with
+    let i = Hashtbl.find index c.Netlist.ch_id in
+    match memo.(i) with
     | Some r -> r
     | None ->
-      if Hashtbl.mem on_stack id then
-        raise
-          (Combinational_cycle
-             (Fmt.str "combinational cycle through channel %s"
-                c.Netlist.ch_name));
-      Hashtbl.add on_stack id ();
+      let ep = at c in
+      let n = Netlist.node t ep.Netlist.ep_node in
       let r =
-        match through c with
+        match delay n with
         | None -> (0.0, [ c.Netlist.ch_name ])
-        | Some d ->
-          let conts = next c in
-          let best =
-            List.fold_left
-              (fun acc c' ->
-                 let v, p = go c' in
-                 match acc with
-                 | Some (bv, _) when bv >= v -> acc
-                 | Some _ | None -> Some (v, p))
-              None conts
-          in
-          (match best with
-           | None -> (d, [ c.Netlist.ch_name ])
-           | Some (v, p) -> (d +. v, c.Netlist.ch_name :: p))
+        | Some d -> (
+            match longest (List.map go (next t n ep.Netlist.ep_port)) with
+            | None -> (d, [ c.Netlist.ch_name ])
+            | Some (v, p) -> (d +. v, c.Netlist.ch_name :: p))
       in
-      Hashtbl.remove on_stack id;
-      if id < Array.length memo then memo.(id) <- Some r;
+      memo.(i) <- Some r;
       r
   in
-  List.fold_left
-    (fun acc c ->
-       let v, p = go c in
-       match acc with
-       | Some (bv, _) when bv >= v -> acc
-       | Some _ | None -> Some (v, p))
-    None (Netlist.channels t)
-  |> function
-  | None -> (0.0, [])
-  | Some r -> r
+  Option.value (longest (List.map go chans)) ~default:(0.0, [])
 
 let analyze ?(params = default) t =
-  try
+  match Halves.refusal t with
+  | Some d -> Error d.Diagnostic.message
+  | None ->
     let fwd, fwd_path =
       longest_paths t
-        ~through:(fun c ->
-          forward_delay params (Netlist.node t c.Netlist.dst.ep_node))
-        ~next:(fun c -> Netlist.outgoing t c.Netlist.dst.ep_node)
+        ~at:(fun c -> c.Netlist.dst)
+        ~delay:(forward_delay params) ~next:Netlist.feeds
     in
     let bwd, bwd_path =
       longest_paths t
-        ~through:(fun c ->
-          backward_delay params (Netlist.node t c.Netlist.src.ep_node))
-        ~next:(fun c -> Netlist.incoming t c.Netlist.src.ep_node)
+        ~at:(fun c -> c.Netlist.src)
+        ~delay:(backward_delay params) ~next:Netlist.fed_by
     in
     (* A stalling variable-latency unit constrains the clock internally:
        the fast path chained with the error detector and the controller,
@@ -154,7 +140,6 @@ let analyze ?(params = default) t =
           +. params.register_overhead;
         forward_delay = fwd; backward_delay = bwd; forward_path = fwd_path;
         backward_path = List.rev bwd_path }
-  with Combinational_cycle msg -> Error msg
 
 let cycle_time ?params t =
   match analyze ?params t with

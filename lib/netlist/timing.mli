@@ -10,6 +10,13 @@
       EBs, join/fork/mux/shared controllers combinationally — the paper's
       §4.3 warning about chaining too many [Eb0]s shows up here.
 
+    A shared module is read way by way ({!Netlist.feeds}): way [j]'s
+    paths run between [In j] and [Out j], and the hint enters way 0.
+    Whether a design has a combinational loop is the half graph's
+    verdict ({!Halves.combinational_cycle}), as for lint and
+    [Engine.create]; every path this analysis follows is a read of that
+    graph, so an accepted design has finite paths.
+
     Delays are in the same normalized units as {!Func.t.delay}. *)
 
 type params = {
@@ -40,10 +47,11 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-(** [analyze t] computes the report, or [Error msg] if the netlist
-    contains a true combinational cycle. *)
+(** [analyze t] computes the report, or [Error msg] with the message of
+    {!Halves.refusal}: the netlist's first structural error (E001-E004),
+    else its first combinational loop (E102). *)
 val analyze : ?params:params -> Netlist.t -> (report, string) result
 
-(** Convenience wrapper.  @raise Invalid_argument on combinational
-    cycles. *)
+(** Convenience wrapper.  @raise Invalid_argument where {!analyze}
+    errs. *)
 val cycle_time : ?params:params -> Netlist.t -> float

@@ -2,9 +2,10 @@ open Elastic_netlist
 
 (** Analytic throughput bounds via the marked-graph abstraction.
 
-    Abstracting choice away (multiplexors and shared modules treated as
-    plain joins), an elastic netlist is a marked graph whose throughput is
-    bounded by the minimum cycle ratio
+    Abstracting choice away (multiplexors treated as plain joins, a
+    shared module as one vertex per way, {!Netlist.way}, with the hint
+    entering way 0), an elastic netlist is a marked graph whose
+    throughput is bounded by the minimum cycle ratio
 
     {v    theta  <=  min over directed cycles C  (tokens in C / EBs in C)   v}
 
@@ -27,14 +28,14 @@ val pp_cycle : Format.formatter -> cycle -> unit
 
 (** [throughput_bound net] is the minimum cycle ratio, or [1.0] when the
     netlist has no token-bearing cycles (feed-forward pipelines).
-    @raise Diagnostic.Reject on a zero-latency cycle (combinational
-    loop): a typed diagnostic carrying the lint engine's E102
-    (comb-cycle) code and naming a node on the cycle. *)
+    @raise Diagnostic.Reject with {!Halves.refusal}'s diagnostic: a
+    structural error (E001-E004), or a combinational loop, forward or
+    backward (E102, the half graph's verdict, as lint's and
+    [Engine.create]'s). *)
 val throughput_bound : Netlist.t -> float
 
 (** The cycle attaining the bound, when any directed cycle exists.
-    @raise Diagnostic.Reject (E102) on a zero-latency cycle, as
-    {!throughput_bound}. *)
+    @raise Diagnostic.Reject as {!throughput_bound}. *)
 val critical_cycle : Netlist.t -> cycle option
 
 (** [effective_cycle_time net] is cycle time ({!Timing.analyze} with

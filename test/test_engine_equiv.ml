@@ -964,7 +964,18 @@ let test_way_crossing_loop () =
             (Elastic_lint.Lint.run net).Elastic_lint.Lint.diags);
        run_pair ~name ~cycles:240 net;
        Alcotest.(check bool) (name ^ ": tokens reach the sink") varlat
-         (sink_values (run_net ~cycles:240 net) k <> []))
+         (sink_values (run_net ~cycles:240 net) k <> []);
+       (* The static analyses read the module way by way too. *)
+       let r =
+         match Timing.analyze net with
+         | Ok r -> r
+         | Error m -> Alcotest.failf "%s: Timing refuses: %s" name m
+       in
+       let bound = Elastic_perf.Marked_graph.throughput_bound net in
+       if not varlat then
+         Alcotest.(check (list (float 1e-9)))
+           (name ^ ": forward, backward, bound") [ 7.6; 3.6; 1.0 ]
+           [ r.Timing.forward_delay; r.Timing.backward_delay; bound ])
     [ false; true ]
 
 (* Shared-module loops: one from way [j]'s output through 0-2 stateless
@@ -1136,6 +1147,16 @@ let shared_loops_agree =
        if refused <> loop_is_combinational l then
          Test.fail_reportf "refused: %b, but the ways' graph says %b" refused
            (not refused);
+       let timed = Result.is_ok (Timing.analyze net) in
+       let bounded =
+         match Elastic_perf.Marked_graph.throughput_bound net with
+         | _ -> true
+         | exception Diagnostic.Reject d when d.Diagnostic.code = "E102" ->
+           false
+       in
+       if timed = refused || bounded = refused then
+         Test.fail_reportf "refused: %b, but Timing: %b, throughput_bound: %b"
+           refused timed bounded;
        if not refused then run_pair ~name:(print_loop l) ~cycles:120 net;
        true)
 

@@ -432,4 +432,33 @@ let suite =
         Alcotest.(check (option int)) "lowest id" (Some first)
           (Option.map
              (fun n -> n.Netlist.id)
-             (Netlist.find_node b.net "dup"))) ]
+             (Netlist.find_node b.net "dup")));
+    Alcotest.test_case "timing: sparse channel ids read as dense ones" `Quick
+      (fun () ->
+        (* A chain of fork/join diamonds with no buffer doubles its
+           forward paths at each diamond: only a walk memoised on every
+           channel reads it in linear time, whatever ids the channels
+           carry. *)
+        let diamonds ~removed =
+          let b = builder () in
+          let s = src_counter b () in
+          let k = sink b () in
+          for _ = 1 to removed do
+            b.net <- Netlist.remove_channel b.net (conn b (s, Out 0) (k, In 0))
+          done;
+          let last =
+            List.fold_left
+              (fun prev _ ->
+                 let f = add b (Fork 2) in
+                 let j = add b (Func (Func.add_int ~arity:2 ())) in
+                 let _ = conn b (prev, Out 0) (f, In 0) in
+                 let _ = conn b (f, Out 0) (j, In 0) in
+                 let _ = conn b (f, Out 1) (j, In 1) in
+                 j)
+              s (List.init 24 Fun.id)
+          in
+          let _ = conn b (last, Out 0) (k, In 0) in
+          Timing.cycle_time b.net
+        in
+        Alcotest.(check (float 1e-9)) "cycle time"
+          (diamonds ~removed:0) (diamonds ~removed:200)) ]

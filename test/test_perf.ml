@@ -118,4 +118,100 @@ let suite =
         let _ = conn b (s, Out 0) (v, In 0) in
         let _ = conn b (v, Out 0) (k, In 0) in
         Alcotest.(check (float 1e-9)) "bound" 1.0
-          (Marked_graph.throughput_bound b.net)) ]
+          (Marked_graph.throughput_bound b.net));
+    Alcotest.test_case "an Eb0 ring is E102 for every analysis" `Quick
+      (fun () ->
+        (* Its forward path holds a token, but stop crosses both Eb0s,
+           the adder and the fork in zero cycles (Fig. 5). *)
+        let b = builder () in
+        let e1 = eb0 b ~name:"e1" ~init:[ Value.Int 0 ] () in
+        let e2 = eb0 b ~name:"e2" () in
+        let a = add b ~name:"add" (Func (Func.add_int ~arity:2 ())) in
+        let fk = add b ~name:"fork" (Fork 2) in
+        let _ = conn b (e1, Out 0) (e2, In 0) in
+        let _ = conn b (e2, Out 0) (a, In 0) in
+        let _ = conn b (src_counter b (), Out 0) (a, In 1) in
+        let _ = conn b (a, Out 0) (fk, In 0) in
+        let _ = conn b (fk, Out 0) (e1, In 0) in
+        let _ = conn b (fk, Out 1) (sink b (), In 0) in
+        let net = b.net in
+        let lint =
+          List.filter
+            (fun (d : Diagnostic.t) -> d.Diagnostic.code = "E102")
+            (Elastic_lint.Lint.run net).Elastic_lint.Lint.diags
+        in
+        let d =
+          match lint with
+          | [ d ] -> d
+          | ds -> Alcotest.failf "lint: %d E102 findings" (List.length ds)
+        in
+        Alcotest.(check bool) "lint: the backward stop/kill path" true
+          (Helpers.contains d.Diagnostic.message "backward stop/kill path");
+        Alcotest.(check (option string)) "create" (Some "E102")
+          (match Elastic_sim.Engine.create net with
+           | _ -> None
+           | exception Elastic_sim.Engine.Simulation_error e ->
+             e.Elastic_sim.Engine.err_code);
+        Alcotest.(check (result reject string)) "Timing"
+          (Error d.Diagnostic.message) (Timing.analyze net);
+        List.iter
+          (fun (what, f) ->
+             Alcotest.(check (option string)) what (Some "E102")
+               (match f net with
+                | () -> None
+                | exception Diagnostic.Reject d -> Some d.Diagnostic.code))
+          [ ("throughput_bound",
+             fun n -> ignore (Marked_graph.throughput_bound n));
+            ("critical_cycle", fun n -> ignore (Marked_graph.critical_cycle n))
+          ]);
+    Alcotest.test_case "cycle times and bounds of the bundled designs" `Quick
+      (fun () ->
+        (* Forward delay, backward delay, cycle time and throughput
+           bound; the paper's tables print these. *)
+        let expected =
+          [ ("fig1a", 10.9, 1.2, 11.9, 1.0);
+            ("fig1b", 5.6, 0.9, 6.6, 0.5);
+            ("fig1c", 6.8, 1.1, 7.8, 1.0);
+            ("fig1d", 8.0, 2.0, 9.0, 1.0);
+            ("table1", 8.0, 2.0, 9.0, 1.0);
+            ("vl-stalling", 1.8, 0.3, 12.8, 1.0);
+            ("vl-speculative", 10.6, 3.7, 11.6, 1.0);
+            ("rs-nonspec", 8.3, 0.3, 9.3, 1.0);
+            ("rs-spec", 17.4, 3.7, 18.4, 1.0);
+            ("rs-alarmed", 17.4, 3.7, 18.4, 1.0);
+            ("fig1b source", 10.9, 1.2, 11.9, 1.0);
+            ("fig1b derived", 5.6, 0.9, 6.6, 0.5);
+            ("fig1c source", 10.9, 1.2, 11.9, 1.0);
+            ("fig1c derived", 6.8, 1.1, 7.8, 1.0);
+            ("fig1d source", 10.9, 1.2, 11.9, 1.0);
+            ("fig1d derived", 8.0, 2.0, 9.0, 1.0);
+            ("vl-slack source", 10.6, 3.7, 11.6, 1.0);
+            ("vl-slack derived", 10.6, 3.7, 11.6, 1.0);
+            ("rs-slack source", 17.4, 3.7, 18.4, 1.0);
+            ("rs-slack derived", 17.4, 4.5, 18.4, 1.0);
+            ("pc_loop", 12.9, 1.2, 13.9, 1.0) ]
+        in
+        let open Elastic_core in
+        let designs =
+          List.map (fun (name, mk) -> (name, mk ())) Shell.designs
+          @ List.concat_map
+              (fun (c : Derivations.chain) ->
+                 [ (c.Derivations.c_name ^ " source", c.Derivations.c_source);
+                   (c.Derivations.c_name ^ " derived",
+                    c.Derivations.c_derived) ])
+              (Derivations.all ())
+          @ [ ("pc_loop", (Examples.pc_loop ()).Examples.pl_net) ]
+        in
+        Alcotest.(check (list string)) "designs"
+          (List.map (fun (name, _, _, _, _) -> name) expected)
+          (List.map fst designs);
+        List.iter2
+          (fun (name, fwd, bwd, ct, bound) (_, net) ->
+             match Timing.analyze net with
+             | Error m -> Alcotest.failf "%s: %s" name m
+             | Ok r ->
+               Alcotest.(check (list (float 1e-9))) name
+                 [ fwd; bwd; ct; bound ]
+                 [ r.Timing.forward_delay; r.Timing.backward_delay;
+                   r.Timing.cycle_time; Marked_graph.throughput_bound net ])
+          expected designs) ]
