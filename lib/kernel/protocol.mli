@@ -85,3 +85,20 @@ val step :
   chan:int ->
   int ->
   violation list
+
+(** [fast_step ~persistent ~liveness_bound ~word raw] is the monitor
+    step of a quiet cycle: the next int-slot word that {!step} would
+    leave for the slot word [word] and the raw code [raw], where
+    [persistent] says whether Retry+ covers the channel ([vslot >= 0]
+    in {!step}).  It is {!needs_step} unless no payload is held, no
+    Retry+ retry needs this cycle's payload kept, the {!retry} verdict
+    is [Free], {!invariant} is [None] on [raw] and the stall count does
+    not reach [liveness_bound] this cycle: on exactly those cycles
+    {!step} reports nothing and leaves the payload slot as it is.  It
+    tests the same predicates as {!step} and allocates nothing.  On
+    {!needs_step}, run {!step} itself. *)
+val fast_step :
+  persistent:bool -> liveness_bound:int -> word:int -> int -> int
+
+(** The sentinel of {!fast_step}, never a slot word. *)
+val needs_step : int

@@ -83,3 +83,29 @@ let in_retry c =
 let events_table = Array.init 16 (fun c -> events (of_code c ~data:None))
 
 let events_of_code c = events_table.(c)
+
+let ev_token_out = 1
+
+let ev_token_in = 2
+
+let ev_anti_out = 4
+
+let ev_cancelled = 8
+
+let ev_retry = 16
+
+let ev_anti = 32
+
+let event_mask_table =
+  Array.map
+    (fun e ->
+       let bit b m = if b then m else 0 in
+       bit e.token_out ev_token_out
+       lor bit e.token_in ev_token_in
+       lor bit e.anti_out ev_anti_out
+       lor bit e.cancelled ev_cancelled
+       lor bit e.retry ev_retry
+       lor bit e.anti ev_anti)
+    events_table
+
+let[@inline] event_mask c = event_mask_table.(c)

@@ -105,3 +105,25 @@ val in_retry : int -> bool
 (** [events_of_code (code s) = events s].  The 16 results are built
     once, so this allocates nothing. *)
 val events_of_code : int -> events
+
+(** {2 Events as one int}
+
+    The {!events} of a code packed one bit per field ([anti_in] left
+    out), for loops that test a few of them on every channel of every
+    cycle. *)
+
+val ev_token_out : int
+
+val ev_token_in : int
+
+val ev_anti_out : int
+
+val ev_cancelled : int
+
+val ev_retry : int
+
+val ev_anti : int
+
+(** [event_mask (code s)] has the [ev_*] bit of each field of [events s]
+    that holds.  Read from a 16-entry table built once. *)
+val event_mask : int -> int

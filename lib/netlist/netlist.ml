@@ -157,15 +157,17 @@ let add_node ?name t kind =
   ({ t with node_map = IntMap.add id node t.node_map; next_node = id + 1 },
    id)
 
+(* [find], not [find_opt]: a lookup builds no option. *)
 let node t id =
-  match IntMap.find_opt id t.node_map with
-  | Some n -> n
-  | None -> invalid_arg (Fmt.str "Netlist.node: no node %d" id)
+  match IntMap.find id t.node_map with
+  | n -> n
+  | exception Not_found -> invalid_arg (Fmt.str "Netlist.node: no node %d" id)
 
 let channel t id =
-  match IntMap.find_opt id t.channel_map with
-  | Some c -> c
-  | None -> invalid_arg (Fmt.str "Netlist.channel: no channel %d" id)
+  match IntMap.find id t.channel_map with
+  | c -> c
+  | exception Not_found ->
+    invalid_arg (Fmt.str "Netlist.channel: no channel %d" id)
 
 let nodes t = IntMap.fold (fun _ n acc -> n :: acc) t.node_map [] |> List.rev
 
@@ -185,10 +187,9 @@ let find_node t name =
    of [channels]: a walk over them meets the matches a scan of the whole
    list would, in the same order. *)
 let channels_of t id =
-  match IntMap.find_opt id t.attached with
-  | None -> []
-  | Some s ->
-    List.map (fun cid -> IntMap.find cid t.channel_map) (IntSet.elements s)
+  match IntMap.find id t.attached with
+  | s -> List.map (fun cid -> IntMap.find cid t.channel_map) (IntSet.elements s)
+  | exception Not_found -> []
 
 let incoming t id = List.filter (fun c -> c.dst.ep_node = id) (channels_of t id)
 

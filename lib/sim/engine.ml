@@ -77,6 +77,12 @@ type t = {
   net : Netlist.t;
   backend : backend;
   insts : Instance.t array;  (* dense node order *)
+  begins : Instance.t array;
+      (* the sources, sinks and shared modules, the only nodes
+         [Instance.begin_cycle] acts on, in dense node order *)
+  clocked : Instance.t array;
+      (* the nodes whose [Instance.clock] writes state, in dense node
+         order *)
   regs : int array;
       (* every node's registers, Instance's slot layout, then the
          monitors' and the watchdog's *)
@@ -131,6 +137,16 @@ type t = {
 }
 
 let[@inline] bump counts i = counts.(i) <- counts.(i) + 1
+
+(* [f] of each element of [a] that satisfies [p], in order: counted
+   first, then filled, so no list is built. *)
+let select p f a =
+  let n = Array.fold_left (fun k x -> if p x then k + 1 else k) 0 a in
+  let next = ref 0 in
+  Array.init n (fun _ ->
+      while not (p a.(!next)) do incr next done;
+      incr next;
+      f a.(!next - 1))
 
 (* Observers call this per channel per cycle, so it allocates nothing.
    A channel id is usually its own dense index (channels listed in id
@@ -253,18 +269,13 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     if monitor then shift (Array.length vals - paid) mon_vals else [||]
   in
   let sinks =
-    Array.to_list insts
-    |> List.filter_map (fun inst ->
-        let n = Instance.node inst in
-        match n.Netlist.kind with
-        | Netlist.Sink _ ->
-          Some
-            { sk_node = n.Netlist.id; sk_chan = (Instance.ins inst).(0);
-              sk_stream = ref Transfer.empty }
-        | Netlist.Source _ | Netlist.Buffer _ | Netlist.Func _
-        | Netlist.Fork _ | Netlist.Mux _ | Netlist.Shared _
-        | Netlist.Varlat _ -> None)
-    |> Array.of_list
+    select
+      (fun inst ->
+         match Instance.role inst with Instance.Sink _ -> true | _ -> false)
+      (fun inst ->
+         { sk_node = (Instance.node inst).Netlist.id;
+           sk_chan = (Instance.ins inst).(0); sk_stream = ref Transfer.empty })
+      insts
   in
   let sink_streams = Hashtbl.create 8 in
   Array.iter (fun sk -> Hashtbl.replace sink_streams sk.sk_node sk.sk_stream)
@@ -307,12 +318,30 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
      arena packing — is the compile phase of this engine's ledger. *)
   Profile.set_compile_seconds profile
     (Clock.seconds_between compile_t0 (clock ()));
-  { net; backend; insts; regs; vals;
-    future =
-      Array.of_list
-        (List.concat_map Instance.future (Array.to_list insts)
-         @ List.init nmon (( + ) mon_base)
-         @ List.filter (fun s -> s >= 0) (Array.to_list wait_slot));
+  (* The nodes' future slots, then the monitors', then the watchdog's
+     wait counters in channel order. *)
+  let future =
+    let nodes =
+      Array.fold_left
+        (fun k inst -> Instance.fold_future inst (fun k _ -> k + 1) k)
+        0 insts
+    in
+    let future = Array.make (nodes + nmon + waits) 0 in
+    let put k s = future.(k) <- s; k + 1 in
+    let k =
+      Array.fold_left (fun k inst -> Instance.fold_future inst put k) 0 insts
+    in
+    for j = 0 to nmon - 1 do
+      future.(k + j) <- mon_base + j
+    done;
+    ignore
+      (Array.fold_left (fun k s -> if s >= 0 then put k s else k) (k + nmon)
+         wait_slot);
+    future
+  in
+  { net; backend; insts; regs; vals; future;
+    begins = select Instance.acts_at_begin Fun.id insts;
+    clocked = select Instance.acts_at_clock Fun.id insts;
     chans; ch_index; mon_base; mon_vals; liveness_bound;
     sweep = halves.Halves.sweep;
     profile;
@@ -551,8 +580,8 @@ let step ?(choices = fun _ -> None) t =
    | Arena ar -> Arena.reset ar
    | Reference r -> Reference.reset r);
   let forced = install_faults t in
-  for k = 0 to Array.length t.insts - 1 do
-    let inst = t.insts.(k) in
+  for k = 0 to Array.length t.begins - 1 do
+    let inst = t.begins.(k) in
     Instance.begin_cycle inst ~choice:(choices (Instance.node inst).Netlist.id)
   done;
   (* Forced after [choices], so a fault's prediction wins. *)
@@ -572,8 +601,11 @@ let step ?(choices = fun _ -> None) t =
   Profile.record_cycle t.profile ~passes ~ns:settle_ns;
   (* Post-settle: everything below reads the codes; payloads are
      fetched only where a token moves (or a monitor's retry is
-     pending).  Nothing here allocates in a fault-free cycle but the
-     sinks' [Transfer] records. *)
+     pending).  Its cost follows what moved: one pass over the channels
+     whose quiet ones take a few bit tests, then the sinks, then the
+     clock edge of only the nodes that keep state.  Nothing here
+     allocates in a fault-free cycle but the sinks' [Transfer]
+     records. *)
   (* Keep the replay channels' payloads until the schedule ends. *)
   (match t.faults with
    | Some fs when t.cycle < fs.fs_first + Array.length fs.fs_rows ->
@@ -582,37 +614,50 @@ let step ?(choices = fun _ -> None) t =
        if t.has_data i then t.kept.(i) <- t.payload i
      done
    | Some _ | None -> ());
-  for i = 0 to Array.length t.mon_vals - 1 do
-    match
-      Protocol.step ~regs:t.regs ~slot:(t.mon_base + i) ~vals:t.vals
-        ~vslot:t.mon_vals.(i) ~liveness_bound:t.liveness_bound
-        ~cycle:t.cycle ~has_data:t.has_data ~payload:t.payload ~chan:i
-        codes.(i)
-    with
-    | [] -> ()
-    | found -> log_violations t i found
-  done;
+  (* One pass over the channels: the protocol monitor, the counters and
+     the leads-to watchdog each read the channel's code once.  A quiet
+     monitor cycle is a few bit tests ([Protocol.fast_step]); any other
+     runs the full [Protocol.step]. *)
+  let regs = t.regs and counts = t.counts in
+  let monitored = Array.length t.mon_vals > 0 in
   for i = 0 to n - 1 do
-    let ev = Signal.events_of_code codes.(i) in
-    if ev.Signal.token_in then bump t.counts i;
-    if ev.Signal.cancelled then bump t.counts (n + i);
-    if ev.Signal.retry then bump t.counts ((2 * n) + i);
-    if ev.Signal.anti then bump t.counts ((3 * n) + i);
+    let raw = codes.(i) in
+    if monitored then begin
+      let slot = t.mon_base + i and vslot = t.mon_vals.(i) in
+      let w =
+        Protocol.fast_step ~persistent:(vslot >= 0)
+          ~liveness_bound:t.liveness_bound ~word:regs.(slot) raw
+      in
+      if w <> Protocol.needs_step then regs.(slot) <- w
+      else
+        match
+          Protocol.step ~regs ~slot ~vals:t.vals ~vslot
+            ~liveness_bound:t.liveness_bound ~cycle:t.cycle
+            ~has_data:t.has_data ~payload:t.payload ~chan:i raw
+        with
+        | [] -> ()
+        | found -> log_violations t i found
+    end;
+    let m = Signal.event_mask raw in
+    if m land Signal.ev_token_in <> 0 then bump counts i;
+    if m land Signal.ev_cancelled <> 0 then bump counts (n + i);
+    if m land Signal.ev_retry <> 0 then bump counts ((2 * n) + i);
+    if m land Signal.ev_anti <> 0 then bump counts ((3 * n) + i);
     (* Leads-to watchdog on shared-module inputs: a waiting token must
        eventually be served or killed. *)
     let w = t.wait_slot.(i) in
     if w >= 0 then begin
-      if codes.(i) land Signal.v_plus_bit <> 0 && not ev.Signal.token_out
+      if raw land Signal.v_plus_bit <> 0 && m land Signal.ev_token_out = 0
       then begin
-        bump t.regs w;
-        if t.regs.(w) = t.liveness_bound then
+        bump regs w;
+        if regs.(w) = t.liveness_bound then
           t.starvation <-
             Fmt.str
               "cycle %d: token starved for %d cycles at shared input %s"
               t.cycle t.liveness_bound t.chans.(i).Netlist.ch_name
             :: t.starvation
       end
-      else t.regs.(w) <- 0
+      else regs.(w) <- 0
     end
   done;
   (* Record sink transfer streams. *)
@@ -630,9 +675,10 @@ let step ?(choices = fun _ -> None) t =
           ~channel:t.chans.(sk.sk_chan).Netlist.ch_id
           "token delivered at sink with no data payload"
   done;
-  (* Clock edge: each node reads its ports straight out of [codes]. *)
-  for k = 0 to Array.length t.insts - 1 do
-    let inst = t.insts.(k) in
+  (* Clock edge: each node that keeps state reads its ports straight out
+     of [codes]. *)
+  for k = 0 to Array.length t.clocked - 1 do
+    let inst = t.clocked.(k) in
     try Instance.clock inst ~codes ~has_data:t.has_data ~payload:t.payload
     with (Assert_failure _ | Invalid_argument _) as e ->
       fail ~cycle:t.cycle ~node:(Instance.node inst).Netlist.id

@@ -5,7 +5,9 @@ open Elastic_netlist
 (** Cycle-accurate simulator for elastic netlists.
 
     Each cycle proceeds in three phases:
-    + environment nodes decide what they offer/accept ({!Instance.begin_cycle});
+    + environment nodes decide what they offer/accept
+      ({!Instance.begin_cycle}; only sources, sinks and shared modules
+      act there, and [~choices] of {!step} is asked only about them);
     + the combinational phase settles every channel wire: the default
       backend runs each half once (a pair per node, per way of a shared
       module), in the order of the {!Halves} graph, over two-valued
@@ -16,9 +18,11 @@ open Elastic_netlist
       codes, one per channel ({!Signal.code} layout); from it, without
       allocating, channel boundary events are derived (including
       token/anti-token cancellation), protocol monitors run,
-      statistics are updated, and every node is clocked.  Payloads
-      stay in the backend and are read only where a token moves or a
-      monitor's retry is pending.
+      statistics are updated, and only the nodes that keep clock
+      state are clocked (not a function stage, a lazy multiplexor or a
+      sink whose spec keeps none).  Payloads stay in the backend and
+      are read only where a token moves or a monitor's retry is
+      pending.
 
     A monitored engine (see [monitor] in {!create}) also runs the
     paper's verification conditions online: the SELF protocol monitors
@@ -184,7 +188,9 @@ val set_observer : t -> (t -> unit) option -> unit
 val injected : t -> Netlist.channel_id list
 
 (** Simulate one cycle.  [choices] overrides nondeterministic decisions of
-    environment nodes and [External] schedulers, keyed by node id.
+    environment nodes and [External] schedulers, keyed by node id; it is
+    asked only about sources, sinks and shared modules, so it should be
+    a pure lookup.
     @raise Simulation_error on a fault the design cannot survive. *)
 val step : ?choices:(Netlist.node_id -> Instance.choice option) -> t -> unit
 
@@ -310,7 +316,7 @@ val restore : t -> snap -> unit
     now on, given the same choices and no injected faults?  Compares,
     without allocating, the state that decides every later cycle: the
     register slots of the engine's {e future mask}, built at {!create}
-    ({!Instance.future}: every register but a scheduler's statistics
+    ({!Instance.fold_future}: every register but a scheduler's statistics
     and the source and sink flags each cycle recomputes; the monitors'
     and the watchdog's slots included) and every payload slot
     ({!Value.equal}; the monitors' retry payloads included).  The cycle

@@ -143,12 +143,15 @@ let layout nodes ~ports ~spare ~spare_vals =
 
 (* Every register but a scheduler's statistics and the flag in a source's
    or sink's slot 0, which [begin_cycle] recomputes. *)
-let future t =
-  let n = int_slots t.node.Netlist.kind in
+let rec fold_range f k last acc =
+  if k > last then acc else fold_range f (k + 1) last (f acc k)
+
+let fold_future t f acc =
+  let last = t.r + int_slots t.node.Netlist.kind - 1 in
   match t.role with
-  | Shared { sched; _ } -> Scheduler.future sched
-  | Source _ | Sink _ -> List.init (n - 1) (fun k -> t.r + 1 + k)
-  | Stateless | Eb | Eb0 | Fork | Emux | Varlat _ -> List.init n (( + ) t.r)
+  | Shared { sched; _ } -> List.fold_left f acc (Scheduler.future sched)
+  | Source _ | Sink _ -> fold_range f (t.r + 1) last acc
+  | Stateless | Eb | Eb0 | Fork | Emux | Varlat _ -> fold_range f t.r last acc
 
 let choices = function
   | Netlist.Source (Netlist.Random_rate _ | Netlist.Nondet _) ->
@@ -268,37 +271,44 @@ let sink_clock t spec =
 (* The tokens sit in the payload slots oldest first; a slot past the   *)
 (* last token holds [Unit], so equal slots mean equal queues.          *)
 
-(* Drop the oldest of [len] stored tokens. *)
-let eb_pop vals v len =
-  for k = v to v + len - 2 do
-    vals.(k) <- vals.(k + 1)
-  done;
-  vals.(v + len - 1) <- Value.Unit
+(* Token [k] of the queue [a], [b] (the first [len] of them stored),
+   with [p] appended when [total = len + 1]; [Unit] past the last. *)
+let eb_token a b p ~len ~total k =
+  if k >= total then Value.Unit
+  else if k >= len then p
+  else if k = 0 then a
+  else b
 
 let eb_clock t ~codes ~has_data ~payload =
   let regs = t.regs and vals = t.vals and v = t.v in
   let i = t.ins.(0) in
   let in_ev = events_at codes i and out_ev = events_at codes t.outs.(0) in
   let n = regs.(t.r) in
-  let len = ref (max n 0) in
+  let len = max n 0 in
   (* Pop before push so a full buffer can stream through. *)
-  if out_ev.Signal.token_out then begin
-    assert (!len > 0);
-    eb_pop vals v !len;
-    decr len
-  end;
-  if in_ev.Signal.token_in then begin
-    assert (has_data i);
-    assert (!len < Netlist.buffer_capacity Netlist.Eb);
-    vals.(v + !len) <- payload i;
-    incr len
-  end;
-  (* An anti-token reaching the output kills the oldest stored token
+  let pop = Bool.to_int out_ev.Signal.token_out in
+  assert (len >= pop);
+  let push = in_ev.Signal.token_in in
+  let p =
+    if push then begin
+      assert (has_data i);
+      assert (len - pop < Netlist.buffer_capacity Netlist.Eb);
+      payload i
+    end
+    else Value.Unit
+  in
+  let total = len + Bool.to_int push in
+  (* An anti-token reaching the output kills the oldest token left
      (Fig. 3: the rd pointer advances). *)
-  if out_ev.Signal.anti_in && !len > 0 then begin
-    eb_pop vals v !len;
-    decr len
-  end;
+  let drop = pop + Bool.to_int (out_ev.Signal.anti_in && total > pop) in
+  (* The queue after the edge, from the two slots: each slot is stored
+     only where its token changes, so a streaming token is written
+     once, into the slot it lands in. *)
+  let a = vals.(v) and b = vals.(v + 1) in
+  let x0 = eb_token a b p ~len ~total drop
+  and x1 = eb_token a b p ~len ~total (drop + 1) in
+  if x0 != a then vals.(v) <- x0;
+  if x1 != b then vals.(v + 1) <- x1;
   let incr_in = Bool.to_int in_ev.Signal.token_in in
   let incr_ain = Bool.to_int in_ev.Signal.anti_out in
   let decr_out = Bool.to_int out_ev.Signal.token_out in
@@ -306,7 +316,7 @@ let eb_clock t ~codes ~has_data ~payload =
   let n = n + incr_in + incr_ain - decr_out - decr_aout in
   regs.(t.r) <- n;
   assert (n >= -2 && n <= 2);
-  assert (!len = max n 0)
+  assert (total - drop = max n 0)
 
 (* ------------------------------------------------------------------ *)
 (* Zero-backward-latency EB: Lf = 1, Lb = 0, C = 1 (Fig. 5).  Stop and *)
@@ -443,6 +453,17 @@ let begin_cycle t ~choice =
      | Some (Predict c) -> Scheduler.force sched c
      | Some (Offer _ | Stall _) | None -> ())
   | Stateless | Eb | Eb0 | Fork | Emux | Varlat _ -> ()
+
+let acts_at_begin t =
+  match t.role with
+  | Source _ | Sink _ | Shared _ -> true
+  | Stateless | Eb | Eb0 | Fork | Emux | Varlat _ -> false
+
+let acts_at_clock t =
+  match t.role with
+  | Stateless | Sink (Netlist.Always_ready | Netlist.Random_stall _) -> false
+  | Source _ | Sink (Netlist.Stall_pattern _) | Eb | Eb0 | Fork | Emux
+  | Shared _ | Varlat _ -> true
 
 let clock t ~codes ~has_data ~payload =
   match t.role with

@@ -129,12 +129,13 @@ val reg_base : t -> int
 
 val val_base : t -> int
 
-(** The int slots, as indices into {!regs}, whose values decide the
-    node's future: all of them, but for a source's offering flag and a
-    sink's stalling flag, which {!begin_cycle} recomputes before any
-    reader, and a scheduler's statistics ({!Scheduler.future}).  With
-    the payload slots, they are what [Engine.same_future] compares. *)
-val future : t -> int list
+(** [fold_future t f acc] folds [f] over the int slots, as indices
+    into the engine's register array, whose values decide the node's
+    future: all of them, but for a source's offering flag and a sink's
+    stalling flag, which {!begin_cycle} recomputes before any reader,
+    and a scheduler's statistics ({!Scheduler.future}).  With the
+    payload slots, they are what [Engine.same_future] compares. *)
+val fold_future : t -> ('a -> int -> 'a) -> 'a -> 'a
 
 (** [source_value t] is the value a source offers while its offering
     flag is set, read without building an option.
@@ -153,6 +154,16 @@ val begin_cycle : t -> choice:choice option -> unit
 (** [bad_select s] raises [Invalid_argument] naming the out-of-range
     multiplexor select [s], as {!Func.select} does. *)
 val bad_select : int -> 'a
+
+(** Does {!begin_cycle} act on the node?  Only on a source, a sink
+    and a shared module; on any other it does nothing, whatever the
+    choice. *)
+val acts_at_begin : t -> bool
+
+(** Does {!clock} write any of the node's slots?  Not on a function
+    stage, a lazy multiplexor, nor a sink whose spec keeps no clock
+    state ([Always_ready], [Random_stall]). *)
+val acts_at_clock : t -> bool
 
 (** Clock edge.  [codes] holds the elapsed cycle's raw (unresolved)
     control codes ({!Signal.code} layout), indexed by dense channel

@@ -145,6 +145,14 @@ let signal_suite =
                Alcotest.(check bool)
                  (what ^ ": events_of_code (code s) = events s") true
                  (Signal.events_of_code (Signal.code s) = Signal.events s);
+               let e = Signal.events s and m = Signal.event_mask c in
+               Alcotest.(check (list bool))
+                 (what ^ ": event_mask c has the bits of events s")
+                 [ e.Signal.token_out; e.Signal.token_in; e.Signal.anti_out;
+                   e.Signal.cancelled; e.Signal.retry; e.Signal.anti ]
+                 (List.map (fun b -> m land b <> 0)
+                    Signal.[ ev_token_out; ev_token_in; ev_anti_out;
+                             ev_cancelled; ev_retry; ev_anti ]);
                Alcotest.check signal
                  (what ^ ": of_code (resolve_code c) = resolve s")
                  (Signal.resolve s)
@@ -213,6 +221,87 @@ let run_monitor ?(check_forward_persistence = true) ?(liveness_bound = 64)
             ~chan:0 (Signal.code s))
        steps)
 
+(* [Protocol.fast_step], or [Protocol.step] where it declines, against
+   [Protocol.step] alone, from every monitor word: a previous code or
+   none, a payload held or not (on a channel Retry+ covers), and a stall
+   count well short of the bound or one or two cycles from it; over
+   every raw code and a payload equal to the held one, another, or
+   none.  The word is built in the layout of protocol.ml: the previous
+   resolved code in bits 0-3, "no previous" 16, "payload held" 32, the
+   stall count from bit 6. *)
+let test_fast_step () =
+  let bound = 5 and held = Value.Int 1 and other = Value.Int 2 in
+  let fast = ref 0 in
+  let pp_v ppf (v : Protocol.violation) =
+    Fmt.pf ppf "%d %s %s" v.Protocol.cycle v.Protocol.property
+      v.Protocol.message
+  in
+  let run ~fast_first ~persistent w slot_val ~data raw =
+    let regs = [| w |] and vals = [| slot_val |] in
+    let vslot = if persistent then 0 else -1 in
+    let w' =
+      if fast_first then
+        Protocol.fast_step ~persistent ~liveness_bound:bound ~word:w raw
+      else Protocol.needs_step
+    in
+    let found =
+      if w' <> Protocol.needs_step then begin
+        incr fast;
+        regs.(0) <- w';
+        []
+      end
+      else
+        Protocol.step ~regs ~slot:0 ~vals ~vslot ~liveness_bound:bound
+          ~cycle:7
+          ~has_data:(fun _ -> Option.is_some data)
+          ~payload:(fun _ -> Option.get data)
+          ~chan:0 raw
+    in
+    (regs.(0), vals.(0), List.map (Fmt.str "%a" pp_v) found)
+  in
+  List.iter
+    (fun persistent ->
+       List.iter
+         (fun prev ->
+            List.iter
+              (fun has_held ->
+                 List.iter
+                   (fun stalls ->
+                      for raw = 0 to 15 do
+                        List.iter
+                          (fun data ->
+                             let w =
+                               prev lor (if has_held then 32 else 0)
+                               lor (stalls lsl 6)
+                             in
+                             let slot_val =
+                               if has_held then held else Value.Unit
+                             in
+                             let name =
+                               Fmt.str "persistent %b word %d raw %d data %a"
+                                 persistent w raw
+                                 Fmt.(option ~none:(any "_") Value.pp)
+                                 data
+                             in
+                             let w1, v1, f1 =
+                               run ~fast_first:true ~persistent w slot_val
+                                 ~data raw
+                             and w2, v2, f2 =
+                               run ~fast_first:false ~persistent w slot_val
+                                 ~data raw
+                             in
+                             Alcotest.(check int) (name ^ ": word") w2 w1;
+                             check_value (name ^ ": payload slot") v2 v1;
+                             Alcotest.(check (list string))
+                               (name ^ ": violations") f2 f1)
+                          [ Some held; Some other; None ]
+                      done)
+                   [ 0; bound - 2; bound - 1 ])
+              (if persistent then [ false; true ] else [ false ]))
+         (Protocol.fresh :: List.init 16 Fun.id))
+    [ false; true ];
+  Alcotest.(check bool) "the fast path is taken" true (!fast > 0)
+
 let protocol_suite =
   [ Alcotest.test_case "clean retry sequence passes" `Quick (fun () ->
         let d = Value.Int 1 in
@@ -279,4 +368,6 @@ let protocol_suite =
               List.init 4 (fun _ -> stalled) ]
         in
         let vs = run_monitor ~liveness_bound:5 steps in
-        Alcotest.(check int) "no violations" 0 (List.length vs)) ]
+        Alcotest.(check int) "no violations" 0 (List.length vs));
+    Alcotest.test_case "fast step equals the full step, exhaustively" `Quick
+      test_fast_step ]

@@ -13,6 +13,278 @@ let simple_pipeline ?(init = [ Value.Int 100 ]) items =
   let _ = conn b (e, Out 0) (k, In 0) in
   (b.net, k)
 
+(* The buffer's clock edge that shifted its queue on each pop and wrote
+   it on each push, kept as the model of the single-write edge of
+   [Instance.clock]. *)
+let model_eb_clock regs r vals v ~cin ~cout ~data =
+  let in_ev = Signal.events_of_code cin
+  and out_ev = Signal.events_of_code cout in
+  let pop len =
+    for k = v to v + len - 2 do
+      vals.(k) <- vals.(k + 1)
+    done;
+    vals.(v + len - 1) <- Value.Unit
+  in
+  let n = regs.(r) in
+  let len = ref (max n 0) in
+  if out_ev.Signal.token_out then begin
+    assert (!len > 0);
+    pop !len;
+    decr len
+  end;
+  if in_ev.Signal.token_in then begin
+    assert (Option.is_some data);
+    assert (!len < 2);
+    vals.(v + !len) <- Option.get data;
+    incr len
+  end;
+  if out_ev.Signal.anti_in && !len > 0 then begin
+    pop !len;
+    decr len
+  end;
+  let n =
+    n + Bool.to_int in_ev.Signal.token_in + Bool.to_int in_ev.Signal.anti_out
+    - Bool.to_int out_ev.Signal.token_out - Bool.to_int out_ev.Signal.anti_in
+  in
+  regs.(r) <- n;
+  assert (n >= -2 && n <= 2);
+  assert (!len = max n 0)
+
+(* One node between dense channels 0 (its input) and 1 (its output),
+   from the state [init] sets, clocked on every pair of codes by
+   [Instance.clock] and by [model]: both refuse the pair, or both leave
+   the same registers and payload slots, [Unit] past the last token
+   included.  Returns how many pairs both accepted. *)
+let check_clock_edge kind ~states ~payloads ~model =
+  let node = { Netlist.id = 0; name = "n"; kind } in
+  let accepted = ref 0 in
+  List.iter
+    (fun init ->
+       List.iter
+         (fun payload ->
+            for cin = 0 to 15 do
+              for cout = 0 to 15 do
+                let regs, vals, insts =
+                  Instance.layout [| node |]
+                    ~ports:[| ([| 0 |], None, [| 1 |]) |]
+                    ~spare:0 ~spare_vals:0
+                in
+                let inst = insts.(0) in
+                let r = Instance.reg_base inst and v = Instance.val_base inst in
+                init regs r vals v;
+                let data =
+                  if cin land Signal.v_plus_bit <> 0 then Some payload else None
+                in
+                let mregs = Array.copy regs and mvals = Array.copy vals in
+                let name =
+                  Fmt.str "%s, state %a, codes %d/%d, payload %a"
+                    (Netlist.kind_name kind)
+                    Fmt.(array ~sep:comma Value.pp) vals cin cout Value.pp
+                    payload
+                in
+                let outcome f =
+                  match f () with
+                  | () -> true
+                  | exception Assert_failure _ -> false
+                in
+                let ok =
+                  outcome (fun () ->
+                      Instance.clock inst ~codes:[| cin; cout |]
+                        ~has_data:(fun c -> c = 0 && Option.is_some data)
+                        ~payload:(fun _ -> Option.get data))
+                and mok =
+                  outcome (fun () -> model mregs r mvals v ~cin ~cout ~data)
+                in
+                Alcotest.(check bool) (name ^ ": accepted") mok ok;
+                if ok then begin
+                  incr accepted;
+                  Alcotest.(check (array int)) (name ^ ": registers") mregs
+                    regs;
+                  Alcotest.(check (array value)) (name ^ ": payload slots")
+                    mvals vals
+                end
+              done
+            done)
+         payloads)
+    states;
+  !accepted
+
+let test_eb_edge () =
+  (* Occupancy -2..2; the tokens held are distinct from the one
+     arriving. *)
+  let states =
+    List.map
+      (fun n regs r vals v ->
+         regs.(r) <- n;
+         if n >= 1 then vals.(v) <- Value.Int 10;
+         if n >= 2 then vals.(v + 1) <- Value.Int 11)
+      [ -2; -1; 0; 1; 2 ]
+  in
+  let accepted =
+    check_clock_edge
+      (Netlist.Buffer { buffer = Netlist.Eb; init = [] })
+      ~states ~payloads:[ Value.Int 20 ] ~model:model_eb_clock
+  in
+  Alcotest.(check bool) "some pairs accepted" true (accepted > 0)
+
+(* The engine walks only [Instance.acts_at_begin] nodes at begin-cycle
+   and only [Instance.acts_at_clock] nodes at the clock edge.  Each case
+   is one node alone on dense channels (its inputs, then its select,
+   then its outputs), from each [init] state.  The clock edge sees every
+   code on each port, the other ports all at one code, with a payload on
+   every valid channel; begin-cycle sees every choice, from the start
+   state and after each edge the node accepts.  A node outside a set
+   must leave its registers and payload slots as they were, and a node
+   inside it must change them on some input, so the sets are exact. *)
+let acting_cases =
+  let id = Func.identity () in
+  let odd =
+    Func.unary ~name:"odd" ~delay:1.0 ~area:1.0 (fun v ->
+        Value.Int (Value.to_int v land 1))
+  in
+  let start _ _ _ _ = () in
+  let occupancy n regs r vals v =
+    regs.(r) <- n;
+    for k = 0 to n - 1 do
+      vals.(v + k) <- Value.Int (10 + k)
+    done
+  in
+  let lone ?(states = [ start ]) kind ~ins ~sel ~outs =
+    (kind, ins, sel, outs, states)
+  in
+  let shared sched =
+    let hinted = sched = Elastic_sched.Scheduler.Hinted_replay in
+    lone
+      (Netlist.Shared { ways = 2; f = id; sched; hinted })
+      ~ins:2 ~sel:hinted ~outs:2
+  in
+  List.map
+    (fun spec -> lone (Netlist.Source spec) ~ins:0 ~sel:false ~outs:1)
+    Netlist.
+      [ Stream [ Value.Int 1; Value.Int 2 ]; Counter { start = 0; step = 1 };
+        Random_rate { pct = 50; seed = 7 };
+        Nondet [ Value.Int 1; Value.Int 2 ] ]
+  @ List.map
+      (fun spec -> lone (Netlist.Sink spec) ~ins:1 ~sel:false ~outs:0)
+      Netlist.
+        [ Always_ready; Stall_pattern [| false; true; true |];
+          Random_stall { pct = 50; seed = 7 } ]
+  @ [ lone
+        (Netlist.Buffer { buffer = Netlist.Eb; init = [] })
+        ~ins:1 ~sel:false ~outs:1
+        ~states:(List.map occupancy [ -2; -1; 0; 1; 2 ]);
+      lone
+        (Netlist.Buffer { buffer = Netlist.Eb0; init = [] })
+        ~ins:1 ~sel:false ~outs:1
+        ~states:(List.map occupancy [ 0; 1 ]) ]
+  @ List.map
+      (fun k -> lone (Netlist.Fork k) ~ins:1 ~sel:false ~outs:k)
+      [ 2; 3 ]
+  @ List.map
+      (fun early ->
+         lone (Netlist.Mux { ways = 2; early }) ~ins:2 ~sel:true ~outs:1)
+      [ false; true ]
+  @ List.map shared
+      Elastic_sched.Scheduler.
+        [ Static 0; Toggle; Sticky; Two_bit; Round_robin;
+          Scripted [| 0; 1; 1 |];
+          Noisy_oracle { sel = [| 0; 1 |]; accuracy_pct = 50; seed = 7 };
+          External; Prefer 0; Hinted_replay; Gshare { history_bits = 2 } ]
+  @ [ lone
+        (Netlist.Varlat { fast = id; slow = id; err = odd })
+        ~ins:1 ~sel:false ~outs:1;
+      lone (Netlist.Func (Func.add_int ~arity:2 ())) ~ins:2 ~sel:false
+        ~outs:1 ]
+
+let test_acting_nodes () =
+  let choices =
+    None
+    :: List.map Option.some
+         Instance.[ Offer true; Offer false; Stall true; Stall false;
+                    Predict 0; Predict 1 ]
+  in
+  List.iteri
+    (fun index (kind, nins, sel, nouts, states) ->
+       let ports = nins + Bool.to_int sel + nouts in
+       let node = { Netlist.id = 0; name = "n"; kind } in
+       let outs = Array.init nouts (fun j -> nins + Bool.to_int sel + j) in
+       let fresh () =
+         let regs, vals, insts =
+           Instance.layout [| node |]
+             ~ports:
+               [| (Array.init nins Fun.id,
+                   (if sel then Some nins else None), outs) |]
+             ~spare:0 ~spare_vals:0
+         in
+         (regs, vals, insts.(0))
+       in
+       let _, _, inst0 = fresh () in
+       let at_begin = Instance.acts_at_begin inst0
+       and at_clock = Instance.acts_at_clock inst0 in
+       let moved_begin = ref false and moved_clock = ref false in
+       let same (r1, v1) (r2, v2) =
+         r1 = r2 && Array.for_all2 Value.equal v1 v2
+       in
+       let name what =
+         Fmt.str "case %d, %s: %s" index (Netlist.kind_name kind) what
+       in
+       (* Every choice at begin-cycle, from the state [regs], [vals]. *)
+       let begins regs vals inst =
+         let r0 = Array.copy regs and v0 = Array.copy vals in
+         List.iter
+           (fun choice ->
+              Instance.begin_cycle inst ~choice;
+              let moved = not (same (r0, v0) (regs, vals)) in
+              if moved then moved_begin := true;
+              if not at_begin then
+                Alcotest.(check bool) (name "begin-cycle is a no-op") false
+                  moved;
+              Array.blit r0 0 regs 0 (Array.length r0);
+              Array.blit v0 0 vals 0 (Array.length v0))
+           choices
+       in
+       List.iter
+         (fun init ->
+            for p = 0 to max 0 (ports - 1) do
+              for base = 0 to 15 do
+                for c = 0 to 15 do
+                  let regs, vals, inst = fresh () in
+                  init regs (Instance.reg_base inst) vals
+                    (Instance.val_base inst);
+                  begins regs vals inst;
+                  let codes =
+                    Array.init ports (fun q -> if q = p then c else base)
+                  in
+                  let before = (Array.copy regs, Array.copy vals) in
+                  match
+                    Instance.clock inst ~codes
+                      ~has_data:(fun ch ->
+                          codes.(ch) land Signal.v_plus_bit <> 0)
+                      ~payload:(fun _ -> Value.Int 0)
+                  with
+                  | () ->
+                    let moved = not (same before (regs, vals)) in
+                    if moved then moved_clock := true;
+                    if not at_clock then
+                      Alcotest.(check bool)
+                        (name
+                           (Fmt.str "clock edge on codes %a is a no-op"
+                              Fmt.(array ~sep:comma int) codes))
+                        false moved;
+                    begins regs vals inst
+                  | exception (Assert_failure _ | Invalid_argument _) ->
+                    Alcotest.(check bool) (name "only an acting node refuses")
+                      true at_clock
+                done
+              done
+            done)
+         states;
+       Alcotest.(check bool) (name "acts at begin-cycle") at_begin
+         !moved_begin;
+       Alcotest.(check bool) (name "acts at the clock edge") at_clock
+         !moved_clock)
+    acting_cases
+
 let suite =
   [ Alcotest.test_case "pipeline delivers stream in order" `Quick
       (fun () ->
@@ -254,4 +526,8 @@ let suite =
           (Engine.same_future eng snap);
         Engine.restore eng snap;
         Alcotest.(check bool) "restored" true (Engine.same_future eng snap);
-        ignore k) ]
+        ignore k);
+    Alcotest.test_case "EB clock edge matches the shifting queue model"
+      `Quick test_eb_edge;
+    Alcotest.test_case "only the acting nodes are walked at begin and clock"
+      `Quick test_acting_nodes ]
