@@ -1368,7 +1368,10 @@ let json_e9 ~cycles () =
 (* costs per channel: an arena create, a Reference create and a lint    *)
 (* run, each after an earlier create has resolved its controller        *)
 (* programs, with the arena's words held under a bound well above the  *)
-(* stdlib's spread.                                                     *)
+(* stdlib's spread.  The [step_words] block records the exact minor     *)
+(* words of [Engine.step] on E5, E6 (the designs of the sim.arena       *)
+(* allocation guards) and 256 lanes of E5, over cycles tokens flow      *)
+(* through: integers, so the gate holds them exactly.                   *)
 
 let e13_ratio_bound = 1.5
 
@@ -1417,6 +1420,20 @@ let json_e13 () =
   in
   let arena = per_channel (fun () -> Engine.create alarmed) in
   let create_ok = arena <= e13_create_words_bound in
+  let step_words (name, net, warm, cycles) =
+    let eng = Engine.create net in
+    Engine.run eng warm;
+    let w0 = Gc.minor_words () in
+    Engine.run eng cycles;
+    let words = Gc.minor_words () -. w0 in
+    [ ("design", Json.Str name);
+      ("channels", Json.Int (Netlist.channel_count net));
+      ("warm_cycles", Json.Int warm);
+      ("cycles", Json.Int cycles);
+      ("minor_words", Json.Int (int_of_float words));
+      ("words_per_cycle", Json.Float (words /. float_of_int cycles)) ]
+  in
+  let vl ops = (Examples.vl_speculative ~ops).Examples.d_net in
   record
     ~failed:
       (claim ok "words_ratio_ok"
@@ -1448,7 +1465,22 @@ let json_e13 () =
             Json.Float (per_channel (fun () -> Elastic_lint.Lint.run alarmed)))
          ]);
       ("create_words_bound", Json.Float e13_create_words_bound);
-      ("create_words_ok", Json.Bool create_ok) ]
+      ("create_words_ok", Json.Bool create_ok);
+      ("step_words",
+       Json.List
+         (List.map
+            (fun d -> Json.Obj (step_words d))
+            [ ("E5 vl_speculative",
+               vl (Alu.operands ~error_rate_pct:10 ~seed:7 2400), 200, 2000);
+              ("E6 rs_speculative",
+               (Examples.rs_speculative
+                  ~ops:(Examples.rs_ops ~error_rate_pct:10 ~seed:5 2400))
+                 .Examples.d_net,
+               200, 2000);
+              ("vl_speculative lanes 256",
+               Examples.lanes 256
+                 (vl (Alu.operands ~error_rate_pct:5 ~seed:42 400)),
+               50, 200) ])) ]
 
 (* ------------------------------------------------------------------ *)
 (* --check: the regression gate.  Reports the paper claims each record  *)

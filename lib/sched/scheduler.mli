@@ -68,6 +68,7 @@ val width : spec -> int
 
 (** [place a o ~ways spec] instantiates a scheduler for a [ways]-input
     shared module in the slots of [a] from [o], which it initializes.
+    The first of them holds the prediction: {!predict} reads [a.(o)].
     @raise Invalid_argument if the spec cannot serve [ways] channels
     (e.g. [Static i] with [i >= ways]). *)
 val place : int array -> int -> ways:int -> spec -> t

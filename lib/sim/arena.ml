@@ -30,10 +30,14 @@
      mux select is read).  [has_data]/[payload] read it, and the
      substitute of a forced-valid wire ([replayed.(c)]/[subst.(c)]),
      without building an option.
-   - a node's ports are its [Instance.t]'s own ([Instance.ins],
-     [outs], [sel] of [insts.(i)]), read in place; the only derived
-     port list is a lazy mux's join list [sel :: ins] in [joins] (a
-     function stage's join list is [Instance.ins] itself).
+   - the node tables are the engine's [Nodes.t]: node [i]'s register
+     base [rb.(i)], payload base [vb.(i)], select [sel.(i)] (-1 for
+     none) and its ports in [port] from [pi.(i)] (inputs) and [po.(i)]
+     (outputs) to [pe.(i)], all ints; a join's list is [port.(jl.(i))]
+     to [port.(po.(i) - 1)] (its inputs, behind a lazy mux's select).
+   - [tags.(k)]: the role and direction of the sweep's half [k],
+     [2 * role + backward] over [Nodes.role]'s tags, on which
+     [settle] dispatches.
    - [pn]: [Profile.per_node], the one eval counter, bumped in place
      once per half.
    - [fns1.(i)]/[fns.(i)]: node [i]'s data function, its unary entry
@@ -44,7 +48,6 @@
      an argument list. *)
 
 open Elastic_kernel
-open Elastic_sched
 open Elastic_netlist
 
 exception Undetermined
@@ -66,25 +69,32 @@ type t = {
   ov_map : (Value.t -> Value.t) option array;
   replayed : bool array;
   subst : Value.t array;  (* meaningful where [replayed] *)
-  (* Flat node table.  The nodes' registers and stored payloads are
-     the engine's own arrays, which only the clock edge writes, in
-     Instance's slot layout. *)
-  insts : Instance.t array;
+  (* The node tables ([Nodes.t]'s own arrays).  The nodes' registers and
+     stored payloads are the engine's arrays, which only the clock edge
+     writes, in Instance's slot layout. *)
+  insts : Instance.t array;  (* a source's offered value *)
   regs : int array;
   vals : Value.t array;
-  joins : int array array;
-      (* a join's inputs, argument order: [Instance.ins] itself for a
-         function stage, [sel :: ins] for a lazy mux, empty otherwise *)
+  rb : int array;
+  vb : int array;
+  sel : int array;
+  pi : int array;
+  po : int array;
+  pe : int array;
+  port : int array;
+  jl : int array;  (* where a join's list starts in [port] *)
   fns : (Value.t list -> Value.t) array;  (* join data function, list form *)
   fns1 : (Value.t -> Value.t) array;
       (* unary join / shared data function ([Func.eval1]), applied to the
          payload itself *)
   sweep : int array;  (* the half graph's, [Halves.t] *)
+  tags : int array;  (* per half of [sweep], [2 * role + backward] *)
   pn : int array;  (* [profile]'s per-node counters, bumped in place *)
   mutable last_eval : int;  (* node evaluating when an exception escaped *)
 }
 
-let create ~sweep ~profile ~codes ~regs ~vals insts =
+let create ~sweep ~profile ~codes (nt : Nodes.t) =
+  let insts = nt.Nodes.insts in
   let n_nodes = Array.length insts in
   let sz = max n_nodes 1 in
   let fns = Array.make sz (fun _ -> (assert false : Value.t)) in
@@ -95,26 +105,25 @@ let create ~sweep ~profile ~codes ~regs ~vals insts =
     fns.(i) <- f.Func.eval;
     fns1.(i) <- f.Func.eval1
   in
-  let joins =
+  let jl =
     Array.mapi
       (fun i inst ->
-         let ins = Instance.ins inst in
          match (Instance.node inst).Netlist.kind with
          | Netlist.Func f ->
            func i f;
-           ins
+           nt.Nodes.pi.(i)
          | Netlist.Mux { ways; early = false } ->
            (* The late mux is a join over [sel :: ins]: [f_join]
               forwards the selected input itself, and [Func.select]
               remains only for a mux with no data input, whose join of
               one takes the unary path. *)
            func i (Func.select ~ways ());
-           Array.append [| Option.get (Instance.sel inst) |] ins
+           nt.Nodes.pi.(i) - 1
          | Netlist.Shared { f; _ } ->
            func i f;
-           [||]
+           0
          | Netlist.Source _ | Netlist.Sink _ | Netlist.Buffer _
-         | Netlist.Fork _ | Netlist.Mux _ | Netlist.Varlat _ -> [||])
+         | Netlist.Fork _ | Netlist.Mux _ | Netlist.Varlat _ -> 0)
       insts
   in
   let csz = max (Array.length codes) 1 in
@@ -125,8 +134,16 @@ let create ~sweep ~profile ~codes ~regs ~vals insts =
     ov_map = Array.make csz None;
     replayed = Array.make csz false;
     subst = Array.make csz Value.Unit;
-    insts; regs; vals; joins; fns; fns1;
+    insts; regs = nt.Nodes.regs; vals = nt.Nodes.vals;
+    rb = nt.Nodes.rb; vb = nt.Nodes.vb; sel = nt.Nodes.sel;
+    pi = nt.Nodes.pi; po = nt.Nodes.po; pe = nt.Nodes.pe;
+    port = nt.Nodes.port; jl; fns; fns1;
     sweep;
+    tags =
+      Array.map
+        (fun h ->
+           (2 * nt.Nodes.role.(Halves.node h)) + Bool.to_int (Halves.backward h))
+        sweep;
     pn = Profile.per_node_array profile;
     last_eval = 0 }
 
@@ -154,20 +171,14 @@ let[@inline] put t c b =
 
 let[@inline] forced t c f = (Array.unsafe_get t.force c lsr 4) land f <> 0
 
-(* Node [i]'s ports, read from its instance: the dense channel indices
-   of its inputs, outputs and select (-1 when it has none). *)
-let[@inline] ins t i = Instance.ins (Array.unsafe_get t.insts i)
+(* Node [i]'s ports, from the node tables: the dense channel indices of
+   its [j]th input and output, and of its select (-1 when it has none). *)
+let[@inline] in_w t i j = Array.unsafe_get t.port (Array.unsafe_get t.pi i + j)
 
-let[@inline] outs t i = Instance.outs (Array.unsafe_get t.insts i)
+let[@inline] out_w t i j =
+  Array.unsafe_get t.port (Array.unsafe_get t.po i + j)
 
-let[@inline] in_w t i j = Array.unsafe_get (ins t i) j
-
-let[@inline] out_w t i j = Array.unsafe_get (outs t i) j
-
-let[@inline] sel_w t i =
-  match Instance.sel (Array.unsafe_get t.insts i) with
-  | Some s -> s
-  | None -> -1
+let[@inline] sel_w t i = Array.unsafe_get t.sel i
 
 (* As in the Reference: a forced-valid wire with no driven data yields
    the substitute payload (token duplication). *)
@@ -202,14 +213,15 @@ let copy_data t src dst =
 
 (* Register [k] and payload slot [k] of node [i], in Instance's layout:
    slot 0 is a source's offering flag, a sink's stalling flag, a
-   buffer's occupancy or a varlat's countdown (-1 when empty); a fork
-   with [k] branches keeps its done flags from slot 0 and its pending
-   anti-tokens from slot [k]; an early mux its undelivered kills. *)
+   buffer's occupancy, a varlat's countdown (-1 when empty) or a shared
+   module's prediction (its scheduler's first slot); a fork with [k]
+   branches keeps its done flags from slot 0 and its pending anti-tokens
+   from slot [k]; an early mux its undelivered kills. *)
 let[@inline] reg t i k =
-  Array.unsafe_get t.regs (Instance.reg_base (Array.unsafe_get t.insts i) + k)
+  Array.unsafe_get t.regs (Array.unsafe_get t.rb i + k)
 
 let[@inline] stored t i k =
-  Array.unsafe_get t.vals (Instance.val_base (Array.unsafe_get t.insts i) + k)
+  Array.unsafe_get t.vals (Array.unsafe_get t.vb i + k)
 
 let f_source t i =
   let out = out_w t i 0 in
@@ -241,60 +253,65 @@ let b_eb0 t i =
   put t inw
     (bit (full && not leaving) sp lor bit ((not full) && is t out vm) vm)
 
-(* A lazy join: the output is valid when every input is; an input is
+(* A lazy join over [port.(lo)] to [port.(hi - 1)], its output at
+   [port.(hi)]: the output is valid when every input is; an input is
    consumable unless it is invalid with an anti-token stopped at it. *)
-let join_data t i ports =
-  let n = Array.length ports in
-  let out = out_w t i 0 in
+let join_data t i lo hi =
+  let port = t.port in
+  let out = Array.unsafe_get port hi in
   let all_data = ref true in
-  for j = 0 to n - 1 do
-    if not (has_data t (Array.unsafe_get ports j)) then all_data := false
+  for j = lo to hi - 1 do
+    if not (has_data t (Array.unsafe_get port j)) then all_data := false
   done;
   if !all_data then
-    if n = 1 then
+    if hi - lo = 1 then
       set_data t out
-        (Array.unsafe_get t.fns1 i (payload t (Array.unsafe_get ports 0)))
+        (Array.unsafe_get t.fns1 i (payload t (Array.unsafe_get port lo)))
     else
-      match Instance.sel (Array.unsafe_get t.insts i) with
-      | Some sel ->
+      let sel = sel_w t i in
+      if sel >= 0 then begin
         (* A lazy mux (its join list is [sel :: ins]) forwards the data
            input its select names, as [Func.select] does, with no
            argument list. *)
         let s = Value.to_int (payload t sel) in
-        if s < 0 || s >= n - 1 then Instance.bad_select s;
-        set_data t out (payload t (Array.unsafe_get ports (1 + s)))
-      | None ->
+        if s < 0 || s >= hi - lo - 1 then Instance.bad_select s;
+        set_data t out (payload t (Array.unsafe_get port (lo + 1 + s)))
+      end
+      else begin
         (* Built back to front by a loop: a local recursive function
            would allocate its closure on every application. *)
         let args = ref [] in
-        for j = n - 1 downto 0 do
-          args := payload t (Array.unsafe_get ports j) :: !args
+        for j = hi - 1 downto lo do
+          args := payload t (Array.unsafe_get port j) :: !args
         done;
         set_data t out (Array.unsafe_get t.fns i !args)
+      end
 
 let f_join t i =
-  let ports = Array.unsafe_get t.joins i in
-  let out = out_w t i 0 in
+  let port = t.port in
+  let lo = Array.unsafe_get t.jl i and hi = Array.unsafe_get t.po i in
+  let out = Array.unsafe_get port hi in
   let all_valid = ref true and consumable = ref true in
-  for j = 0 to Array.length ports - 1 do
-    let c = Array.unsafe_get ports j in
+  for j = lo to hi - 1 do
+    let c = Array.unsafe_get port j in
     if not (is t c vp) then begin
       all_valid := false;
       if is t c sm then consumable := false
     end
   done;
   put t out (bit !all_valid vp);
-  if !all_valid then join_data t i ports;
+  if !all_valid then join_data t i lo hi;
   put t out (bit ((not (is t out vp)) && not !consumable) sm)
 
 (* An input's stop: the other inputs all valid and the output's
    effective stop low, negated. *)
 let b_join t i =
-  let ports = Array.unsafe_get t.joins i in
-  let out = out_w t i 0 in
+  let port = t.port in
+  let lo = Array.unsafe_get t.jl i and hi = Array.unsafe_get t.po i in
+  let out = Array.unsafe_get port hi in
   let invalid = ref 0 and consumable = ref true in
-  for j = 0 to Array.length ports - 1 do
-    let c = Array.unsafe_get ports j in
+  for j = lo to hi - 1 do
+    let c = Array.unsafe_get port j in
     if not (is t c vp) then begin
       incr invalid;
       if is t c sm then consumable := false
@@ -302,8 +319,8 @@ let b_join t i =
   done;
   let s_eff = is t out sp && not (is t out vm) in
   let kill = is t out vm && (not (is t out vp)) && !consumable in
-  for j = 0 to Array.length ports - 1 do
-    let c = Array.unsafe_get ports j in
+  for j = lo to hi - 1 do
+    let c = Array.unsafe_get port j in
     let others_valid = !invalid = 0 || (!invalid = 1 && not (is t c vp)) in
     put t c (bit (s_eff || not others_valid) sp lor bit kill vm)
   done
@@ -311,12 +328,13 @@ let b_join t i =
 let f_fork t i =
   let inw = in_w t i 0 in
   let vin = is t inw vp in
-  let outs = outs t i in
-  let k = Array.length outs in
+  let port = t.port and r = Array.unsafe_get t.rb i in
+  let lo = Array.unsafe_get t.po i and hi = Array.unsafe_get t.pe i in
+  let k = hi - lo in
   for j = 0 to k - 1 do
-    let out = Array.unsafe_get outs j in
-    let pj = reg t i (k + j) in
-    let v = vin && reg t i j = 0 && pj = 0 in
+    let out = Array.unsafe_get port (lo + j) in
+    let pj = Array.unsafe_get t.regs (r + k + j) in
+    let v = vin && Array.unsafe_get t.regs (r + j) = 0 && pj = 0 in
     put t out (bit v vp lor bit (pj >= 2) sm);
     if v then copy_data t inw out
   done
@@ -325,14 +343,16 @@ let f_fork t i =
    anti-token, or taking the token now. *)
 let b_fork t i =
   let inw = in_w t i 0 in
-  let outs = outs t i in
-  let k = Array.length outs in
+  let port = t.port and r = Array.unsafe_get t.rb i in
+  let lo = Array.unsafe_get t.po i and hi = Array.unsafe_get t.pe i in
+  let k = hi - lo in
   let all_complete = ref true and all_pending = ref true in
   for j = 0 to k - 1 do
-    let out = Array.unsafe_get outs j in
-    let pj = reg t i (k + j) in
+    let out = Array.unsafe_get port (lo + j) in
+    let pj = Array.unsafe_get t.regs (r + k + j) in
     let taking = is t out vp && ((not (is t out sp)) || is t out vm) in
-    if not (reg t i j = 1 || pj > 0 || taking) then all_complete := false;
+    if not (Array.unsafe_get t.regs (r + j) = 1 || pj > 0 || taking) then
+      all_complete := false;
     if pj <= 0 then all_pending := false
   done;
   put t inw
@@ -353,36 +373,43 @@ let select t selw n =
    that input is owed a kill.  A valid select with no payload leaves
    the output undetermined unless no input could be selected. *)
 let f_emux t i =
-  let selw = sel_w t i and out = out_w t i 0 and ins = ins t i in
-  let n = Array.length ins in
+  let selw = sel_w t i and out = out_w t i 0 in
+  let port = t.port and r = Array.unsafe_get t.rb i in
+  let lo = Array.unsafe_get t.pi i in
+  let n = Array.unsafe_get t.po i - lo in
   let sv = select t selw n in
   let v =
-    if sv >= 0 then reg t i sv = 0 && is t (Array.unsafe_get ins sv) vp
+    if sv >= 0 then
+      Array.unsafe_get t.regs (r + sv) = 0
+      && is t (Array.unsafe_get port (lo + sv)) vp
     else begin
       if is t selw vp && not (forced t out vp) then
         for j = 0 to n - 1 do
-          if reg t i j = 0 && is t (Array.unsafe_get ins j) vp then
-            raise Undetermined
+          if Array.unsafe_get t.regs (r + j) = 0
+          && is t (Array.unsafe_get port (lo + j)) vp
+          then raise Undetermined
         done;
       false
     end
   in
   put t out (bit v vp);
-  if v then copy_data t (Array.unsafe_get ins sv) out;
+  if v then copy_data t (Array.unsafe_get port (lo + sv)) out;
   (* Anti-tokens reaching the mux output wait for a token to cancel. *)
   put t out (bit (not (is t out vp)) sm)
 
 (* On firing, every input but the selected one takes a kill; an input
    owed one takes it first.  The mux never kills its select stream. *)
 let b_emux t i =
-  let selw = sel_w t i and out = out_w t i 0 and ins = ins t i in
-  let n = Array.length ins in
+  let selw = sel_w t i and out = out_w t i 0 in
+  let port = t.port and r = Array.unsafe_get t.rb i in
+  let lo = Array.unsafe_get t.pi i in
+  let n = Array.unsafe_get t.po i - lo in
   let fire = is t out vp && ((not (is t out sp)) || is t out vm) in
   put t selw (bit (not fire) sp);
   let sv = if fire then select t selw n else -1 in
   for j = 0 to n - 1 do
-    let c = Array.unsafe_get ins j in
-    if reg t i j > 0 then put t c vm
+    let c = Array.unsafe_get port (lo + j) in
+    if Array.unsafe_get t.regs (r + j) > 0 then put t c vm
     else if not fire then put t c sp
     else if sv >= 0 then put t c (bit (j <> sv) vm)
     else begin
@@ -397,11 +424,12 @@ let b_emux t i =
     end
   done
 
-(* Way [j] of a shared module: the granted way [g] passes its token,
-   gated on the hint for way 0; the other ways stall their inputs. *)
-let f_shared t i sched j =
+(* Way [j] of a shared module: the granted way, its prediction, passes
+   its token, gated on the hint for way 0; the other ways stall their
+   inputs. *)
+let f_shared t i j =
   let inw = in_w t i j and out = out_w t i j in
-  let granted = j = Scheduler.predict sched in
+  let granted = j = reg t i 0 in
   let vin = is t inw vp in
   let hint = sel_w t i in
   let gate = hint < 0 || j <> 0 || is t hint vp in
@@ -410,11 +438,11 @@ let f_shared t i sched j =
     set_data t out (Array.unsafe_get t.fns1 i (payload t inw));
   put t out (bit ((not (is t out vp)) && is t inw sm && not vin) sm)
 
-let b_shared t i sched j =
+let b_shared t i j =
   let inw = in_w t i j and out = out_w t i j in
   let hint = sel_w t i in
   let kill = is t out vm in
-  if j = Scheduler.predict sched then begin
+  if j = reg t i 0 then begin
     let fire = is t out vp && ((not (is t out sp)) || kill) in
     put t inw (bit (not fire) sp lor bit (kill && not (is t out vp)) vm);
     if hint >= 0 && j = 0 then put t hint (bit (not fire) sp)
@@ -434,48 +462,50 @@ let b_varlat t i =
   let c = reg t i 0 in
   put t (in_w t i 0) (bit (c > 0 || (c = 0 && is t (out_w t i 0) sp)) sp)
 
-(* Packed half [h] ([Halves.node], [way], [backward]); no source has a
-   B half and no sink an F half. *)
-let eval_half t h =
-  let i = Halves.node h in
-  Array.unsafe_set t.pn i (Array.unsafe_get t.pn i + 1);
-  t.last_eval <- i;
-  if not (Halves.backward h) then
-    match Instance.role (Array.unsafe_get t.insts i) with
-    | Instance.Source _ -> f_source t i
-    | Instance.Eb -> f_eb t i
-    | Instance.Eb0 -> f_eb0 t i
-    | Instance.Fork -> f_fork t i
-    | Instance.Emux -> f_emux t i
-    | Instance.Shared { sched; _ } -> f_shared t i sched (Halves.way h)
-    | Instance.Varlat _ -> f_varlat t i
-    | Instance.Stateless -> f_join t i
-    | Instance.Sink _ -> ()
-  else
-    match Instance.role (Array.unsafe_get t.insts i) with
-    | Instance.Sink _ -> b_sink t i
-    | Instance.Eb -> b_eb t i
-    | Instance.Eb0 -> b_eb0 t i
-    | Instance.Fork -> b_fork t i
-    | Instance.Emux -> b_emux t i
-    | Instance.Shared { sched; _ } -> b_shared t i sched (Halves.way h)
-    | Instance.Varlat _ -> b_varlat t i
-    | Instance.Stateless -> b_join t i
-    | Instance.Source _ -> ()
-
+(* Each half of the sweep once, in order, dispatched on its tag
+   ([2 * role + backward], roles as [Nodes.role] numbers them); no
+   source has a B half and no sink an F half. *)
 let settle t =
-  let sweep = t.sweep in
+  let sweep = t.sweep and tags = t.tags and pn = t.pn in
   for k = 0 to Array.length sweep - 1 do
-    eval_half t (Array.unsafe_get sweep k)
+    let h = Array.unsafe_get sweep k in
+    let i = Halves.node h in
+    Array.unsafe_set pn i (Array.unsafe_get pn i + 1);
+    t.last_eval <- i;
+    match Array.unsafe_get tags k with
+    | 0 -> f_join t i
+    | 1 -> b_join t i
+    | 2 -> f_source t i
+    | 5 -> b_sink t i
+    | 6 -> f_eb t i
+    | 7 -> b_eb t i
+    | 8 -> f_eb0 t i
+    | 9 -> b_eb0 t i
+    | 10 -> f_fork t i
+    | 11 -> b_fork t i
+    | 12 -> f_emux t i
+    | 13 -> b_emux t i
+    | 14 -> f_shared t i (Halves.way h)
+    | 15 -> b_shared t i (Halves.way h)
+    | 16 -> f_varlat t i
+    | 17 -> b_varlat t i
+    | _ -> ()
   done;
   if Array.length sweep = 0 then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* Cycle bookkeeping                                                   *)
 
+(* Plain stores of immediates: [Array.fill] on an array in the major
+   heap costs a write-barrier check per slot. *)
 let reset t =
-  Array.fill t.ctrl 0 (Array.length t.ctrl) 0;
-  Array.fill t.driven 0 (Array.length t.driven) false
+  let ctrl = t.ctrl and driven = t.driven in
+  for c = 0 to Array.length ctrl - 1 do
+    Array.unsafe_set ctrl c 0
+  done;
+  for c = 0 to Array.length driven - 1 do
+    Array.unsafe_set driven c false
+  done
 
 let clear_overrides t =
   Array.fill t.force 0 (Array.length t.force) 0;

@@ -17,8 +17,8 @@ open Elastic_kernel
     metrics, are deterministic and locked by committed goldens; it
     reaches the fixed point of the {!Reference} backend, which keeps its
     own store: the two share only {!Instance.override}, the nodes'
-    register state and each node's port indices, which stay in
-    {!Instance}.  [Engine] owns the mode dispatch, error rendering and
+    register state and their ports, and the begin-cycle and clock-edge
+    loops of {!Nodes}.  [Engine] owns the mode dispatch, error rendering and
     everything outside the settle loop. *)
 
 type t
@@ -30,23 +30,21 @@ type t
     undetermined; the engine renders the Reference's error. *)
 exception Undetermined
 
-(** [create ~sweep ~profile ~codes ~regs ~vals insts] compiles the
-    arena from the engine's instances, one per dense node index.
-    [codes] is the engine's per-channel code array: the arena settles
-    each channel's control code into it in place.  The halves read each
-    node's dense input/sel/output channel indices ({!Instance.ins},
-    {!Instance.sel}, {!Instance.outs}) from its instance, and the
-    engine's register and payload arrays [regs] and [vals], in place;
-    the only port list built here is a lazy multiplexor's argument list
-    [sel :: ins].  Each half evaluation of node [i] bumps [profile]'s
-    per-node counter ({!Profile.per_node_array}) in place. *)
+(** [create ~sweep ~profile ~codes nodes] compiles the arena over the
+    engine's node tables ({!Nodes.t}).  [codes] is the engine's
+    per-channel code array: the arena settles each channel's control
+    code into it in place.  Each half of [sweep] gets an int tag, its
+    node's role and its direction, on which {!settle} dispatches; the
+    halves read each node's ports, select, register base and payload
+    base from the tables' [int] arrays, and the registers and payloads
+    from the engine's arrays, in place.  Each half evaluation of node
+    [i] bumps [profile]'s per-node counter ({!Profile.per_node_array})
+    in place. *)
 val create :
   sweep:int array ->
   profile:Profile.t ->
   codes:int array ->
-  regs:int array ->
-  vals:Value.t array ->
-  Instance.t array ->
+  Nodes.t ->
   t
 
 (** Clear all control codes and payload flags for a new cycle

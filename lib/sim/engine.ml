@@ -77,12 +77,9 @@ type t = {
   net : Netlist.t;
   backend : backend;
   insts : Instance.t array;  (* dense node order *)
-  begins : Instance.t array;
-      (* the sources, sinks and shared modules, the only nodes
-         [Instance.begin_cycle] acts on, in dense node order *)
-  clocked : Instance.t array;
-      (* the nodes whose [Instance.clock] writes state, in dense node
-         order *)
+  nodes : Nodes.t;
+      (* the flat node tables the begin-cycle, the clock edge and the
+         arena read *)
   regs : int array;
       (* every node's registers, Instance's slot layout, then the
          monitors' and the watchdog's *)
@@ -295,12 +292,11 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
   let profile = Profile.create ~n_nodes:(Array.length insts) in
   let codes = Array.make (Array.length chans) 0 in
   let max_passes = Option.value max_passes ~default:default_max_passes in
+  let tables = Nodes.create insts ~regs ~vals in
   let backend =
     match mode with
     | Arena ->
-      Arena
-        (Arena.create ~sweep:halves.Halves.sweep ~profile ~codes ~regs ~vals
-           insts)
+      Arena (Arena.create ~sweep:halves.Halves.sweep ~profile ~codes tables)
     | Reference ->
       Reference
         (Reference.create ~profile ~max_passes ~regs ~vals
@@ -340,8 +336,7 @@ let create ?(monitor = true) ?(liveness_bound = 64) ?mode ?max_passes
     future
   in
   { net; backend; insts; regs; vals; future;
-    begins = select Instance.acts_at_begin Fun.id insts;
-    clocked = select Instance.acts_at_clock Fun.id insts;
+    nodes = tables;
     chans; ch_index; mon_base; mon_vals; liveness_bound;
     sweep = halves.Halves.sweep;
     profile;
@@ -568,6 +563,9 @@ and arena_error t =
      undetermined. *)
   assert false
 
+(* A code whose receiver takes a token: V+ with neither S+ nor V-. *)
+let token_in_mask = Signal.(v_plus_bit lor s_plus_bit lor v_minus_bit)
+
 let rec log_violations t i = function
   | [] -> ()
   | v :: rest ->
@@ -580,10 +578,7 @@ let step ?(choices = fun _ -> None) t =
    | Arena ar -> Arena.reset ar
    | Reference r -> Reference.reset r);
   let forced = install_faults t in
-  for k = 0 to Array.length t.begins - 1 do
-    let inst = t.begins.(k) in
-    Instance.begin_cycle inst ~choice:(choices (Instance.node inst).Netlist.id)
-  done;
+  Nodes.begin_cycle t.nodes ~choices;
   (* Forced after [choices], so a fault's prediction wins. *)
   for k = 0 to Array.length forced - 1 do
     let sched, way = forced.(k) in
@@ -663,7 +658,7 @@ let step ?(choices = fun _ -> None) t =
   (* Record sink transfer streams. *)
   for k = 0 to Array.length t.sinks - 1 do
     let sk = t.sinks.(k) in
-    if (Signal.events_of_code codes.(sk.sk_chan)).Signal.token_in then
+    if codes.(sk.sk_chan) land token_in_mask = Signal.v_plus_bit then
       if t.has_data sk.sk_chan then
         sk.sk_stream :=
           Transfer.record !(sk.sk_stream) ~cycle:t.cycle
@@ -675,16 +670,13 @@ let step ?(choices = fun _ -> None) t =
           ~channel:t.chans.(sk.sk_chan).Netlist.ch_id
           "token delivered at sink with no data payload"
   done;
-  (* Clock edge: each node that keeps state reads its ports straight out
-     of [codes]. *)
-  for k = 0 to Array.length t.clocked - 1 do
-    let inst = t.clocked.(k) in
-    try Instance.clock inst ~codes ~has_data:t.has_data ~payload:t.payload
-    with (Assert_failure _ | Invalid_argument _) as e ->
-      fail ~cycle:t.cycle ~node:(Instance.node inst).Netlist.id
-        (Fmt.str "node invariant violated at the clock edge: %s"
-           (Printexc.to_string e))
-  done;
+  (* Clock edge: one loop per role over the node tables, reading the
+     ports straight out of [codes]. *)
+  (try Nodes.clock t.nodes ~codes ~has_data:t.has_data ~payload:t.payload
+   with (Assert_failure _ | Invalid_argument _) as e ->
+     fail ~cycle:t.cycle ~node:t.nodes.Nodes.last
+       (Fmt.str "node invariant violated at the clock edge: %s"
+          (Printexc.to_string e)));
   (* End-of-cycle observers: the elapsed cycle's signals, events and
      counters are all readable, and [cycle t] still names the elapsed
      cycle.  With no observer the loop is empty and allocates nothing —

@@ -6,8 +6,9 @@ open Elastic_netlist
 
     Each cycle proceeds in three phases:
     + environment nodes decide what they offer/accept
-      ({!Instance.begin_cycle}; only sources, sinks and shared modules
-      act there, and [~choices] of {!step} is asked only about them);
+      ({!Nodes.begin_cycle}, one loop per role; only sources, sinks and
+      shared modules act there, and [~choices] of {!step} is asked only
+      about them);
     + the combinational phase settles every channel wire: the default
       backend runs each half once (a pair per node, per way of a shared
       module), in the order of the {!Halves} graph, over two-valued
@@ -20,8 +21,9 @@ open Elastic_netlist
       token/anti-token cancellation), protocol monitors run,
       statistics are updated, and only the nodes that keep clock
       state are clocked (not a function stage, a lazy multiplexor or a
-      sink whose spec keeps none).  Payloads stay in the backend and
-      are read only where a token moves or a monitor's retry is
+      sink whose spec keeps none), one loop per role over the engine's
+      flat node tables ({!Nodes.clock}).  Payloads stay in the backend
+      and are read only where a token moves or a monitor's retry is
       pending.
 
     A monitored engine (see [monitor] in {!create}) also runs the
@@ -88,8 +90,9 @@ type t
     ({!Halves}), on the flat preallocated arena backend ({!Arena}): each
     half runs once, in topological order.  Channel state is each
     channel's raw control code, the array the post-settle phases read,
-    one payload slot per channel and flat instruction arrays instead of
-    per-channel records and closures.
+    one payload slot per channel, and per-node int tables (ports,
+    register and payload bases) over which each half is dispatched on
+    an int tag, instead of per-channel records and closures.
 
     [Reference] ({!Reference}) is the blind fixpoint: every node is
     re-evaluated in every pass until no wire changes, by its
@@ -104,8 +107,10 @@ type t
     An engine holds exactly one of the two backends: an [Arena] engine
     builds a Reference only to render the error of a cycle it cannot
     settle ({!Arena.Undetermined}), and a [Reference] engine builds no
-    arena.  Both read each node's ports from the same dense channel
-    indices in {!Instance}. *)
+    arena.  Both take each node's ports from the same dense channel
+    indices in {!Instance}: the Reference reads them there, the arena
+    from the flat node tables {!Nodes} compiles from them, whose
+    begin-cycle and clock-edge loops both backends share. *)
 type eval_mode = Reference | Arena
 
 (** Lowercase backend name: ["reference"], ["arena"]. *)

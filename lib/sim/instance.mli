@@ -2,15 +2,15 @@ open Elastic_kernel
 open Elastic_sched
 open Elastic_netlist
 
-(** Runtime semantics of one netlist node.
+(** Runtime state of the netlist nodes.
 
     Each node's combinational equations are evaluated by a backend
     ([Arena]'s hand-written halves, or [Reference]'s compiled
     {!Control.program}); then the node is clocked once with the raw
-    control codes of the cycle, from which it derives the channel
-    boundary events ({!clock}).  This module holds what both backends
-    share: the nodes' register layout, their ports and the fault
-    {!override}.
+    control codes of the cycle ([Nodes.clock]).  This module holds what
+    both backends share: the nodes' register layout, their ports and
+    static parameters, from which [Nodes] compiles the flat tables every
+    per-node phase of a step reads, and the fault {!override}.
 
     The implemented controllers follow the paper:
     - standard EB: Fig. 2(a)/Fig. 3 with [Lf = 1], [Lb = 1], [C = 2];
@@ -53,9 +53,10 @@ val force_code : override -> int
     [Engine.create] ({!layout}): each node owns consecutive int slots
     from {!reg_base} and payload slots from {!val_base}, and the
     engine's own slots (its protocol monitors' and leads-to watchdog's)
-    follow every node's.  Of a node's slots, only {!layout},
-    {!begin_cycle} and {!clock} write them (and the engine's restore,
-    which blits whole arrays); the evaluators read them.  The slots,
+    follow every node's.  Of a node's slots, only {!layout} and the
+    begin-cycle and clock-edge loops of [Nodes] write them (and the
+    engine's restore, which blits whole arrays); the evaluators read
+    them.  The slots,
     relative to a node's base:
     - source: the offering flag, the stream index, the pending
       anti-token count, the retry flag and the random-generator state
@@ -74,6 +75,27 @@ val force_code : override -> int
       one payload slot for the result.
     A payload slot holds [Value.Unit] while it stores no token, so two
     nodes whose slots are equal hold equal queues.  Flags are 0 or 1. *)
+
+(** A source's slots, relative to its base: the offering flag, the
+    stream index, the pending anti-token count, the retry flag and the
+    random-generator state. *)
+val src_offering : int
+
+val src_idx : int
+
+val src_kill : int
+
+val src_retry : int
+
+val src_rng : int
+
+(** A sink's slots, relative to its base: the stalling flag, the
+    stall-pattern position and the random-generator state. *)
+val snk_stalling : int
+
+val snk_cyc : int
+
+val snk_rng : int
 
 (** What a node does at the clock edge, with its static parameters. *)
 type role =
@@ -94,9 +116,9 @@ type t
     order, with the register and payload arrays that hold all their
     state, initialized.  [ports.(i)] gives [nodes.(i)]'s dense channel
     indices [(ins, sel, outs)], which must follow port numbering
-    ([ins.(i)] is port [In i], etc.).  They are the node's only copy of
-    its ports: both backends read them in place, and {!clock} reads the
-    elapsed cycle's codes through them.  No equation table is built
+    ([ins.(i)] is port [In i], etc.).  The Reference reads them in
+    place; [Nodes.create] copies them into the flat tables the arena's
+    halves, the begin-cycle and the clock edge read.  No equation table is built
     here: only a [Reference] engine compiles one.  Buffers must fit
     their capacity; [Engine.create] rejects an
     over-capacity buffer (E101) before it lays out any instance.
@@ -132,7 +154,7 @@ val val_base : t -> int
 (** [fold_future t f acc] folds [f] over the int slots, as indices
     into the engine's register array, whose values decide the node's
     future: all of them, but for a source's offering flag and a sink's
-    stalling flag, which {!begin_cycle} recomputes before any reader,
+    stalling flag, which the begin-cycle recomputes before any reader,
     and a scheduler's statistics ({!Scheduler.future}).  With the
     payload slots, they are what [Engine.same_future] compares. *)
 val fold_future : t -> ('a -> int -> 'a) -> 'a -> 'a
@@ -146,37 +168,9 @@ val source_value : t -> Value.t
     takes each cycle; [[]] when it takes none. *)
 val choices : Netlist.kind -> choice list
 
-(** Start-of-cycle hook: environment nodes decide what to offer/accept.
-    [choice] overrides the node's own (pseudo-random or scripted)
-    behaviour. *)
-val begin_cycle : t -> choice:choice option -> unit
-
 (** [bad_select s] raises [Invalid_argument] naming the out-of-range
     multiplexor select [s], as {!Func.select} does. *)
 val bad_select : int -> 'a
-
-(** Does {!begin_cycle} act on the node?  Only on a source, a sink
-    and a shared module; on any other it does nothing, whatever the
-    choice. *)
-val acts_at_begin : t -> bool
-
-(** Does {!clock} write any of the node's slots?  Not on a function
-    stage, a lazy multiplexor, nor a sink whose spec keeps no clock
-    state ([Always_ready], [Random_stall]). *)
-val acts_at_clock : t -> bool
-
-(** Clock edge.  [codes] holds the elapsed cycle's raw (unresolved)
-    control codes ({!Signal.code} layout), indexed by dense channel
-    index; [has_data c] says whether channel [c] carries a payload and
-    [payload c] reads it, asked for only when a token moves on [c], so
-    the edge builds no option.  The node reads its own ports through {!ins},
-    {!sel} and {!outs}, takes boundary events from
-    {!Signal.events_of_code} and hands the raw drive of the predicted
-    way's output (a stop asserted on a cancelling channel included) to
-    a shared module's scheduler. *)
-val clock :
-  t -> codes:int array -> has_data:(int -> bool) ->
-  payload:(int -> Value.t) -> unit
 
 (** {1 Introspection} *)
 

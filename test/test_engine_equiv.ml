@@ -315,6 +315,31 @@ let fault_cases =
            Fault.flip_bit ~channel:ch ~cycle:40 0;
            Fault.drop_token ~channel:ch ~cycle:70 ]) ]
 
+(* Designs larger than the bundled ones: 64 lanes of the E5 design
+   (1 024 channels), and 8 lanes of E7's alarmed SECDED adder under the
+   rs_speculative fault schedule above, on its first lane's first
+   channel. *)
+let lane_cases =
+  let open Elastic_fault in
+  [ Alcotest.test_case "vl_speculative lanes 64" `Quick (fun () ->
+        let ops = Alu.operands ~error_rate_pct:10 ~seed:7 100 in
+        run_pair ~name:"vl_speculative lanes 64"
+          (Examples.lanes 64 (Examples.vl_speculative ~ops).Examples.d_net));
+    Alcotest.test_case "rs_speculative_alarmed lanes 8 under faults" `Quick
+      (fun () ->
+         let ops = Examples.rs_ops ~error_rate_pct:5 ~seed:5 60 in
+         let net =
+           Examples.lanes 8
+             (fst (Examples.rs_speculative_alarmed ~ops)).Examples.d_net
+         in
+         let ch = first_channel net in
+         run_pair ~name:"rs_speculative_alarmed lanes 8" ~cycles:120
+           ~faults:
+             [ Fault.flip_bit ~channel:ch ~cycle:10 3;
+               Fault.drop_token ~channel:ch ~cycle:30;
+               Fault.stuck_stall ~channel:ch ~cycle:50 ~duration:3 ]
+           net) ]
+
 (* --- random structures ---------------------------------------------- *)
 
 let pipe_equiv =
@@ -1283,3 +1308,4 @@ let suite =
         `Quick test_way_crossing_loop;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 44 |])
         shared_loops_agree ]
+  @ lane_cases

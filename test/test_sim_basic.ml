@@ -13,9 +13,33 @@ let simple_pipeline ?(init = [ Value.Int 100 ]) items =
   let _ = conn b (e, Out 0) (k, In 0) in
   (b.net, k)
 
+(* [n] nodes of [kind], with ids from 0, each alone on its own dense
+   channels (its inputs, then its select, then its outputs), node by
+   node: their registers, payload slots, instances and node tables. *)
+let same_nodes n kind ~ins ~sel ~outs =
+  let ports = ins + Bool.to_int sel + outs in
+  let regs, vals, insts =
+    Instance.layout
+      (Array.init n (fun id -> { Netlist.id; name = Fmt.str "n%d" id; kind }))
+      ~ports:
+        (Array.init n (fun k ->
+             let c = k * ports in
+             (Array.init ins (fun j -> c + j),
+              (if sel then Some (c + ins) else None),
+              Array.init outs (fun j -> c + ins + Bool.to_int sel + j))))
+      ~spare:0 ~spare_vals:0
+  in
+  (regs, vals, insts, Nodes.create insts ~regs ~vals)
+
+(* Node [kind] alone on dense channels: its registers, payload slots,
+   instance and node tables. *)
+let lone_node kind ~ins ~sel ~outs =
+  let regs, vals, insts, nodes = same_nodes 1 kind ~ins ~sel ~outs in
+  (regs, vals, insts.(0), nodes)
+
 (* The buffer's clock edge that shifted its queue on each pop and wrote
    it on each push, kept as the model of the single-write edge of
-   [Instance.clock]. *)
+   [Nodes.clock]. *)
 let model_eb_clock regs r vals v ~cin ~cout ~data =
   let in_ev = Signal.events_of_code cin
   and out_ev = Signal.events_of_code cout in
@@ -52,11 +76,10 @@ let model_eb_clock regs r vals v ~cin ~cout ~data =
 
 (* One node between dense channels 0 (its input) and 1 (its output),
    from the state [init] sets, clocked on every pair of codes by
-   [Instance.clock] and by [model]: both refuse the pair, or both leave
+   [Nodes.clock] and by [model]: both refuse the pair, or both leave
    the same registers and payload slots, [Unit] past the last token
    included.  Returns how many pairs both accepted. *)
 let check_clock_edge kind ~states ~payloads ~model =
-  let node = { Netlist.id = 0; name = "n"; kind } in
   let accepted = ref 0 in
   List.iter
     (fun init ->
@@ -64,12 +87,9 @@ let check_clock_edge kind ~states ~payloads ~model =
          (fun payload ->
             for cin = 0 to 15 do
               for cout = 0 to 15 do
-                let regs, vals, insts =
-                  Instance.layout [| node |]
-                    ~ports:[| ([| 0 |], None, [| 1 |]) |]
-                    ~spare:0 ~spare_vals:0
+                let regs, vals, inst, nodes =
+                  lone_node kind ~ins:1 ~sel:false ~outs:1
                 in
-                let inst = insts.(0) in
                 let r = Instance.reg_base inst and v = Instance.val_base inst in
                 init regs r vals v;
                 let data =
@@ -89,7 +109,7 @@ let check_clock_edge kind ~states ~payloads ~model =
                 in
                 let ok =
                   outcome (fun () ->
-                      Instance.clock inst ~codes:[| cin; cout |]
+                      Nodes.clock nodes ~codes:[| cin; cout |]
                         ~has_data:(fun c -> c = 0 && Option.is_some data)
                         ~payload:(fun _ -> Option.get data))
                 and mok =
@@ -127,8 +147,9 @@ let test_eb_edge () =
   in
   Alcotest.(check bool) "some pairs accepted" true (accepted > 0)
 
-(* The engine walks only [Instance.acts_at_begin] nodes at begin-cycle
-   and only [Instance.acts_at_clock] nodes at the clock edge.  Each case
+(* The engine walks only the nodes with a row in [Nodes.begin_cycle]'s
+   loops at begin-cycle and only those with a row in [Nodes.clock]'s at
+   the clock edge.  Each case
    is one node alone on dense channels (its inputs, then its select,
    then its outputs), from each [init] state.  The clock edge sees every
    code on each port, the other ports all at one code, with a payload on
@@ -206,21 +227,16 @@ let test_acting_nodes () =
   List.iteri
     (fun index (kind, nins, sel, nouts, states) ->
        let ports = nins + Bool.to_int sel + nouts in
-       let node = { Netlist.id = 0; name = "n"; kind } in
-       let outs = Array.init nouts (fun j -> nins + Bool.to_int sel + j) in
-       let fresh () =
-         let regs, vals, insts =
-           Instance.layout [| node |]
-             ~ports:
-               [| (Array.init nins Fun.id,
-                   (if sel then Some nins else None), outs) |]
-             ~spare:0 ~spare_vals:0
-         in
-         (regs, vals, insts.(0))
+       let fresh () = lone_node kind ~ins:nins ~sel ~outs:nouts in
+       let _, _, _, nt = fresh () in
+       let rows l = List.exists (fun a -> Array.length a > 0) l in
+       let at_begin = rows Nodes.[ nt.src; nt.snk; nt.shared ]
+       and at_clock =
+         rows
+           Nodes.
+             [ nt.src; nt.stall; nt.eb; nt.eb0; nt.fork; nt.emux; nt.shared;
+               nt.varlat ]
        in
-       let _, _, inst0 = fresh () in
-       let at_begin = Instance.acts_at_begin inst0
-       and at_clock = Instance.acts_at_clock inst0 in
        let moved_begin = ref false and moved_clock = ref false in
        let same (r1, v1) (r2, v2) =
          r1 = r2 && Array.for_all2 Value.equal v1 v2
@@ -229,11 +245,11 @@ let test_acting_nodes () =
          Fmt.str "case %d, %s: %s" index (Netlist.kind_name kind) what
        in
        (* Every choice at begin-cycle, from the state [regs], [vals]. *)
-       let begins regs vals inst =
+       let begins regs vals nodes =
          let r0 = Array.copy regs and v0 = Array.copy vals in
          List.iter
            (fun choice ->
-              Instance.begin_cycle inst ~choice;
+              Nodes.begin_cycle nodes ~choices:(fun _ -> choice);
               let moved = not (same (r0, v0) (regs, vals)) in
               if moved then moved_begin := true;
               if not at_begin then
@@ -248,16 +264,16 @@ let test_acting_nodes () =
             for p = 0 to max 0 (ports - 1) do
               for base = 0 to 15 do
                 for c = 0 to 15 do
-                  let regs, vals, inst = fresh () in
+                  let regs, vals, inst, nodes = fresh () in
                   init regs (Instance.reg_base inst) vals
                     (Instance.val_base inst);
-                  begins regs vals inst;
+                  begins regs vals nodes;
                   let codes =
                     Array.init ports (fun q -> if q = p then c else base)
                   in
                   let before = (Array.copy regs, Array.copy vals) in
                   match
-                    Instance.clock inst ~codes
+                    Nodes.clock nodes ~codes
                       ~has_data:(fun ch ->
                           codes.(ch) land Signal.v_plus_bit <> 0)
                       ~payload:(fun _ -> Value.Int 0)
@@ -271,7 +287,7 @@ let test_acting_nodes () =
                            (Fmt.str "clock edge on codes %a is a no-op"
                               Fmt.(array ~sep:comma int) codes))
                         false moved;
-                    begins regs vals inst
+                    begins regs vals nodes
                   | exception (Assert_failure _ | Invalid_argument _) ->
                     Alcotest.(check bool) (name "only an acting node refuses")
                       true at_clock
@@ -284,6 +300,214 @@ let test_acting_nodes () =
        Alcotest.(check bool) (name "acts at the clock edge") at_clock
          !moved_clock)
     acting_cases
+
+(* The per-role loops of [Nodes] against the per-node begin-cycle and
+   clock edge they replaced ([Edge_model], kept verbatim).  Each case is
+   two nodes of one kind, each alone on its own dense channels (so a
+   row read at the wrong width shows on the second), laid out twice
+   from the same [init] state: the loops run on one copy, the model on
+   the other.
+   Begin-cycle sees each choice the node's kind takes (and none), and
+   from the state it leaves the clock edge sees every code on each
+   port, the other ports all at one base code, with a payload on every
+   valid channel.  Both must leave the same registers and payload
+   slots, or both refuse. *)
+let model_cases =
+  let id = Func.identity () in
+  let odd =
+    Func.unary ~name:"odd" ~delay:1.0 ~area:1.0 (fun v ->
+        Value.Int (Value.to_int v land 1))
+  in
+  let start _ _ _ _ = () in
+  (* Registers from the node's base, the rest as laid out. *)
+  let slots l regs r _ _ = List.iteri (fun k x -> regs.(r + k) <- x) l in
+  let occupancy n regs r vals v =
+    regs.(r) <- n;
+    for k = 0 to n - 1 do
+      vals.(v + k) <- Value.Int (10 + k)
+    done
+  in
+  let case ?(states = [ start ]) kind ~ins ~sel ~outs =
+    (kind, ins, sel, outs, states)
+  in
+  let shared ~hinted sched =
+    case
+      (Netlist.Shared { ways = 2; f = id; sched; hinted })
+      ~ins:2 ~sel:hinted ~outs:2
+      ~states:[ start; slots [ 1 ] ]
+  in
+  (* Offering at index 0; owed a kill, retrying; spent, owed kills. *)
+  let source_states =
+    [ start; slots [ 1; 0; 0; 0 ]; slots [ 1; 1; 1; 1 ]; slots [ 0; 2; 2; 0 ] ]
+  in
+  List.map
+    (fun spec ->
+       case (Netlist.Source spec) ~ins:0 ~sel:false ~outs:1
+         ~states:source_states)
+    Netlist.
+      [ Stream [ Value.Int 1; Value.Int 2 ]; Counter { start = 3; step = 2 };
+        Random_rate { pct = 50; seed = 7 };
+        Nondet [ Value.Int 1; Value.Int 2 ]; Nondet [] ]
+  @ List.map
+      (fun spec ->
+         case (Netlist.Sink spec) ~ins:1 ~sel:false ~outs:0
+           ~states:[ start; slots [ 1; 2 ] ])
+      Netlist.
+        [ Always_ready; Stall_pattern [| false; true; true |];
+          Stall_pattern [||]; Random_stall { pct = 50; seed = 7 } ]
+  @ [ case
+        (Netlist.Buffer { buffer = Netlist.Eb; init = [] })
+        ~ins:1 ~sel:false ~outs:1
+        ~states:(List.map occupancy [ -2; -1; 0; 1; 2 ]);
+      case
+        (Netlist.Buffer { buffer = Netlist.Eb0; init = [] })
+        ~ins:1 ~sel:false ~outs:1
+        ~states:(List.map occupancy [ 0; 1 ]) ]
+  @ List.map
+      (fun k ->
+         (* Done flags from slot 0, pending anti-tokens from slot [k]. *)
+         case (Netlist.Fork k) ~ins:1 ~sel:false ~outs:k
+           ~states:
+             [ start;
+               slots (List.init (2 * k) (fun s -> Bool.to_int (s = 0)));
+               slots (List.init (2 * k) (fun s -> Bool.to_int (s >= k)));
+               slots
+                 (List.init (2 * k) (fun s ->
+                      if s = k + 1 then 2 else Bool.to_int (s = 0))) ])
+      [ 2; 3; 4 ]
+  @ List.map
+      (fun ways ->
+         case (Netlist.Mux { ways; early = true }) ~ins:ways ~sel:true ~outs:1
+           ~states:
+             [ start; slots (List.init ways (fun j -> j));
+               slots (List.init ways (fun _ -> 1)) ])
+      [ 2; 3 ]
+  @ List.map (shared ~hinted:false)
+      Elastic_sched.Scheduler.
+        [ Static 0; Toggle; Sticky; Two_bit; Round_robin;
+          Scripted [| 0; 1; 1 |];
+          Noisy_oracle { sel = [| 0; 1 |]; accuracy_pct = 50; seed = 7 };
+          External; Prefer 0; Gshare { history_bits = 2 } ]
+  @ List.map (shared ~hinted:true)
+      Elastic_sched.Scheduler.[ Hinted_replay; Toggle; Prefer 1 ]
+  @ [ case
+        (Netlist.Varlat { fast = id; slow = odd; err = odd })
+        ~ins:1 ~sel:false ~outs:1
+        ~states:
+          [ start;
+            (fun regs r vals v ->
+               regs.(r) <- 0;
+               vals.(v) <- Value.Int 5);
+            (fun regs r vals v ->
+               regs.(r) <- 1;
+               vals.(v) <- Value.Int 5) ] ]
+
+let test_edge_models () =
+  let accepted = ref 0 and refused = ref 0 in
+  List.iteri
+    (fun index (kind, nins, sel, nouts, states) ->
+       let ports = nins + Bool.to_int sel + nouts in
+       let choices =
+         None
+         :: List.map Option.some
+              (match kind with
+               | Netlist.Source _ -> Instance.[ Offer true; Offer false ]
+               | Netlist.Sink _ -> Instance.[ Stall true; Stall false ]
+               | Netlist.Shared _ -> Instance.[ Predict 0; Predict 1 ]
+               | _ -> [])
+       in
+       let copy init =
+         let regs, vals, insts, nodes =
+           same_nodes 2 kind ~ins:nins ~sel ~outs:nouts
+         in
+         Array.iter
+           (fun inst ->
+              init regs (Instance.reg_base inst) vals (Instance.val_base inst))
+           insts;
+         (regs, vals, insts, nodes)
+       in
+       let outcome f =
+         match f () with
+         | () -> true
+         | exception (Assert_failure _ | Invalid_argument _) -> false
+       in
+       let differ (r1, v1) (r2, v2) =
+         r1 <> r2 || not (Array.for_all2 Value.equal v1 v2)
+       in
+       let fail what state choice pp =
+         Alcotest.failf "case %d (%s), state %d, choice %d, %t: %s" index
+           (Netlist.kind_name kind) state choice pp what
+       in
+       List.iteri
+         (fun state init ->
+            List.iteri
+              (fun ci choice ->
+                 let regs, vals, _, nodes = copy init in
+                 let mregs, mvals, minsts, _ = copy init in
+                 let ms =
+                   Array.map
+                     (Edge_model.of_instance ~regs:mregs ~vals:mvals)
+                     minsts
+                 in
+                 let ok =
+                   outcome (fun () ->
+                       Nodes.begin_cycle nodes ~choices:(fun _ -> choice))
+                 and mok =
+                   outcome (fun () ->
+                       Array.iter (Edge_model.begin_cycle ~choice) ms)
+                 in
+                 let at_begin ppf = Fmt.string ppf "begin-cycle" in
+                 if ok <> mok then fail "refusals differ" state ci at_begin;
+                 if differ (regs, vals) (mregs, mvals) then
+                   fail "states differ" state ci at_begin;
+                 let r0 = Array.copy regs and v0 = Array.copy vals in
+                 for p = 0 to ports - 1 do
+                   for base = 0 to 15 do
+                     for c = 0 to 15 do
+                       let codes =
+                         Array.init (2 * ports) (fun q ->
+                             if q mod ports = p then c else base)
+                       in
+                       List.iter
+                         (fun x ->
+                            let has_data ch =
+                              codes.(ch) land Signal.v_plus_bit <> 0
+                            and payload _ = x in
+                            Array.blit r0 0 regs 0 (Array.length r0);
+                            Array.blit v0 0 vals 0 (Array.length v0);
+                            Array.blit r0 0 mregs 0 (Array.length r0);
+                            Array.blit v0 0 mvals 0 (Array.length v0);
+                            let ok =
+                              outcome (fun () ->
+                                  Nodes.clock nodes ~codes ~has_data ~payload)
+                            and mok =
+                              outcome (fun () ->
+                                  Array.iter
+                                    (Edge_model.clock ~codes ~has_data
+                                       ~payload)
+                                    ms)
+                            in
+                            let at_edge ppf =
+                              Fmt.pf ppf "codes %a, payload %a"
+                                Fmt.(array ~sep:comma int) codes Value.pp x
+                            in
+                            if ok <> mok then
+                              fail "refusals differ" state ci at_edge;
+                            if ok then begin
+                              incr accepted;
+                              if differ (regs, vals) (mregs, mvals) then
+                                fail "states differ" state ci at_edge
+                            end
+                            else incr refused)
+                         [ Value.Int 0; Value.Int 1 ]
+                     done
+                   done
+                 done)
+              choices)
+         states)
+    model_cases;
+  Alcotest.(check bool) "some pairs accepted" true (!accepted > 0);
+  Alcotest.(check bool) "some pairs refused" true (!refused > 0)
 
 let suite =
   [ Alcotest.test_case "pipeline delivers stream in order" `Quick
@@ -530,4 +754,6 @@ let suite =
     Alcotest.test_case "EB clock edge matches the shifting queue model"
       `Quick test_eb_edge;
     Alcotest.test_case "only the acting nodes are walked at begin and clock"
-      `Quick test_acting_nodes ]
+      `Quick test_acting_nodes;
+    Alcotest.test_case "per-role begin and clock loops match the per-node models"
+      `Quick test_edge_models ]
